@@ -32,15 +32,9 @@ def main() -> int:
 
     for name in DEFAULT_SPECS:
         doc = load_spec(FIXTURES / name)
-        guards = [calculus.form_positive_guard(doc.field, doc.m),
-                  calculus.oneform_guard(doc.oneform)]
-
-        def check(x, y):
-            for guard in guards:
-                guard(x, y)
-
         samples = sampling.sample_points(
-            doc.n, args.samples, args.seed, domain_check=check
+            doc.n, args.samples, args.seed,
+            domain_check=calculus.domain_check(doc.field, doc.oneform),
         )
         rep = discrepancy_report(doc.field, doc.oneform, doc.m, samples.accepted)
         print(f"== {doc.name} (n={doc.n}, m={doc.m}), "

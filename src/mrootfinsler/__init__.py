@@ -1,8 +1,8 @@
 """Numeric tensor calculus for m-th root metrics and their Kropina change.
 
 Closed-form metric quantities, spray coefficients and flatness conditions are
-evaluated alongside a forward-mode differentiation oracle; residuals between
-the two are first-class outputs.
+evaluated alongside an exact differentiation oracle; residuals between the two
+are first-class outputs.
 """
 
 __version__ = "0.1.0"

@@ -1,365 +1,171 @@
-"""Differentiation oracle: forward-mode jets plus finite-difference cross-checks.
+"""Differentiation oracle: one derivative pass for every energy A^p beta^q.
 
-Every closed form in the package is adjudicated against derivatives produced
-here.  The primary engine is second-order forward mode (value, gradient,
-Hessian propagated together), which is exact to rounding; Richardson-
-extrapolated central differences serve only as an independent cross-check.
+Every scalar the package differentiates is A^p beta^q, with A = a_I(x) y^I
+the form of the coefficient field and beta = b_i(x) y^i the one-form:
 
-x-derivatives are never taken numerically: scalar functions are small
-expression trees whose d/dx^k is formed analytically by differentiating the
-polynomial coefficient fields and rebuilding the tree.
+  F = A^(1/m),  F^2 = A^(2/m),  Fbar = A^(2/m) / beta,  Fbar^2 = A^(4/m) / beta^2.
+
+The fields layer evaluates A and beta with their exact gradients and Hessians
+over all 2n coordinates (x first, then y); one chain rule composes them.  The
+value, the y-gradient and y-Hessian, the x-gradient and the mixed x-y block of
+any energy are therefore slices of a single pass, exact to rounding.
+Richardson-extrapolated central differences serve only as an independent
+cross-check (fd_check).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteResult
-from .fields import CoefficientField, OneFormField
+from .errors import NonFiniteResult
+from .fields import CoefficientField, Jet, OneFormField, check_beta, check_form
 
 _EPS = float(np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------
-# second-order forward mode
+# the derivative pass
 # ---------------------------------------------------------------------------
 
-class Jet2:
-    """Truncated second-order Taylor value: f, grad f, hess f.
-
-    The Hessian stays exactly symmetric through every operation because each
-    rule only ever adds symmetric matrices and symmetrised outer products.
-    """
-
-    __slots__ = ("val", "grad", "hess")
-
-    def __init__(self, val, grad, hess):
-        self.val = float(val)
-        self.grad = grad
-        self.hess = hess
-
-    @staticmethod
-    def constant(value: float, nvars: int) -> "Jet2":
-        return Jet2(value, np.zeros(nvars), np.zeros((nvars, nvars)))
-
-    def _lift(self, other):
-        if isinstance(other, Jet2):
-            return other
-        if isinstance(other, (int, float, np.floating)):
-            return Jet2.constant(float(other), self.grad.shape[0])
-        return None
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return Jet2(self.val + o.val, self.grad + o.grad, self.hess + o.hess)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet2(-self.val, -self.grad, -self.hess)
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return Jet2(self.val - o.val, self.grad - o.grad, self.hess - o.hess)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        cross = np.outer(self.grad, o.grad)
-        cross = cross + cross.T  # group first: keeps the Hessian exactly symmetric
-        return Jet2(
-            self.val * o.val,
-            self.val * o.grad + o.val * self.grad,
-            (self.val * o.hess + o.val * self.hess) + cross,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self * o.__pow__(-1.0)
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o * self.__pow__(-1.0)
-
-    def __pow__(self, exponent):
-        p = float(exponent)
-        v = self.val
-        if v == 0.0 or (v < 0.0 and not p.is_integer()):
-            raise NonFiniteResult(f"power {p} undefined at base {v}")
-        f = v ** p
-        d1 = p * v ** (p - 1.0)
-        d2 = p * (p - 1.0) * v ** (p - 2.0)
-        return Jet2(f, d1 * self.grad, d1 * self.hess + d2 * np.outer(self.grad, self.grad))
-
-
-def jet_variables(values) -> list:
-    """Seed a vector of floats as independent jet variables."""
-    values = [float(v) for v in values]
-    n = len(values)
-    jets = []
-    for i, v in enumerate(values):
-        g = np.zeros(n)
-        g[i] = 1.0
-        jets.append(Jet2(v, g, np.zeros((n, n))))
-    return jets
-
-
-def _pow_scalar(value, p: float):
-    if isinstance(value, Jet2):
-        return value ** p
-    v = float(value)
+def _power(v: float, p: float):
+    """v^p with its first and second derivative in v."""
+    if p == 0.0:
+        return 1.0, 0.0, 0.0
     if v == 0.0 or (v < 0.0 and not float(p).is_integer()):
         raise NonFiniteResult(f"power {p} undefined at base {v}")
-    return v ** p
+    try:
+        return v ** p, p * v ** (p - 1.0), p * (p - 1.0) * v ** (p - 2.0)
+    except OverflowError as exc:
+        raise NonFiniteResult(f"power {p} of {v} overflows") from exc
 
 
-# ---------------------------------------------------------------------------
-# expression trees with analytic x-derivatives
-# ---------------------------------------------------------------------------
-
-class Expr:
-    """Scalar in (x, y): evaluable with jet-valued y, analytic in x."""
-
-    def eval(self, x, y):
-        raise NotImplementedError
-
-    def dx(self, k: int) -> "Expr":
-        raise NotImplementedError
+def _power_jet(jet: Jet, p: float) -> Jet:
+    f, d1, d2 = _power(jet.val, p)
+    return Jet(f, d1 * jet.grad, d1 * jet.hess + d2 * np.outer(jet.grad, jet.grad))
 
 
-class Const(Expr):
-    def __init__(self, value: float):
-        self.value = float(value)
+def power(A: Jet, beta: Optional[Jet], p: float, q: float) -> Jet:
+    """A^p beta^q with its gradient and Hessian (beta is unused when q = 0).
 
-    def eval(self, x, y):
-        return self.value
-
-    def dx(self, k):
-        return Const(0.0)
-
-
-class FormValue(Expr):
-    """The degree-m form of a coefficient field."""
-
-    def __init__(self, field: CoefficientField):
-        self.field = field
-
-    def eval(self, x, y):
-        return self.field.tensor_at(x).eval(y)
-
-    def dx(self, k):
-        return FormValue(self.field.dx_field(k))
+    The Hessian stays exactly symmetric: each rule adds only symmetric
+    matrices and symmetrised outer products.
+    """
+    a = _power_jet(A, p)
+    if q == 0.0:
+        return a
+    b = _power_jet(beta, q)
+    cross = np.outer(a.grad, b.grad)
+    return Jet(
+        a.val * b.val,
+        a.val * b.grad + b.val * a.grad,
+        (a.val * b.hess + b.val * a.hess) + (cross + cross.T),
+    )
 
 
-class OneFormValue(Expr):
-    """The linear form b_i(x) y^i."""
-
-    def __init__(self, field: OneFormField):
-        self.field = field
-
-    def eval(self, x, y):
-        return self.field.beta(x, y)
-
-    def dx(self, k):
-        return OneFormValue(self.field.dx_field(k))
+def field_jets(field: CoefficientField, oneform: Optional[OneFormField], x, y):
+    """One pass for A and beta (None without a one-form), after the domain guards."""
+    A, a = field.terms.jet(x, y)
+    check_form(A.val, float(np.max(np.abs(a), initial=0.0)), y, field.m)
+    if oneform is None:
+        return A, None
+    beta, b = oneform.terms.jet(x, y)
+    check_beta(beta.val, b, y)
+    return A, beta
 
 
-class Power(Expr):
-    def __init__(self, base: Expr, exponent: float):
-        self.base = base
-        self.exponent = float(exponent)
+def domain_check(field: CoefficientField, oneform: Optional[OneFormField]) -> Callable:
+    """The sampler's admissibility test: the form floor, then the one-form floor."""
 
-    def eval(self, x, y):
-        return _pow_scalar(self.base.eval(x, y), self.exponent)
+    def check(x, y):
+        field.form_checked(x, y)
+        if oneform is not None:
+            oneform.beta_checked(x, y)
 
-    def dx(self, k):
-        p = self.exponent
-        if p == 0.0:
-            return Const(0.0)
-        return Product((Const(p), Power(self.base, p - 1.0), self.base.dx(k)))
+    return check
 
 
-class Product(Expr):
-    def __init__(self, factors):
-        self.factors = tuple(factors)
-
-    def eval(self, x, y):
-        total = 1.0
-        for f in self.factors:
-            total = total * f.eval(x, y)
-        return total
-
-    def dx(self, k):
-        terms = []
-        for i, f in enumerate(self.factors):
-            rest = self.factors[:i] + self.factors[i + 1 :] + (f.dx(k),)
-            terms.append(Product(rest))
-        return Sum(terms)
-
-
-class Sum(Expr):
-    def __init__(self, terms):
-        self.terms = tuple(terms)
-
-    def eval(self, x, y):
-        total = 0.0
-        for t in self.terms:
-            total = total + t.eval(x, y)
-        return total
-
-    def dx(self, k):
-        return Sum(tuple(t.dx(k) for t in self.terms))
-
-
-# ---------------------------------------------------------------------------
-# guarded scalar functions
-# ---------------------------------------------------------------------------
-
-@dataclass
+@dataclass(frozen=True)
 class ScalarFunction:
-    """Evaluable f(x, y) with its smooth-domain predicate attached."""
+    """f = A^p beta^q on the domain where A and beta clear their floors."""
 
     name: str
-    expr: Expr
-    guards: tuple = ()
+    field: CoefficientField
+    p: float
+    oneform: Optional[OneFormField] = None
+    q: float = 0.0
 
-    def check_domain(self, x, y) -> None:
-        for guard in self.guards:
-            guard(x, y)
+    def compose(self, A: Jet, beta: Optional[Jet]) -> Jet:
+        """f with its derivatives, from a pass of A and beta at one point."""
+        jet = power(A, beta, self.p, self.q)
+        if not math.isfinite(jet.val):
+            raise NonFiniteResult(f"{self.name} evaluated to {jet.val}")
+        if not (np.all(np.isfinite(jet.grad)) and np.all(np.isfinite(jet.hess))):
+            raise NonFiniteResult(f"derivatives of {self.name} are not finite")
+        return jet
 
     def __call__(self, x, y) -> float:
-        self.check_domain(x, y)
-        value = self.expr.eval(x, [float(v) for v in y])
-        value = float(value)
+        value = _power(self.field.form_checked(x, y), self.p)[0]
+        if self.oneform is not None:
+            value *= _power(self.oneform.beta_checked(x, y), self.q)[0]
         if not math.isfinite(value):
             raise NonFiniteResult(f"{self.name} evaluated to {value}")
         return value
 
 
-def form_positive_guard(field: CoefficientField, m: int) -> Callable:
-    """Root argument must clear a scale-aware positive floor."""
-
-    def guard(x, y):
-        tensor = field.tensor_at(x)
-        value = tensor.eval([float(v) for v in y])
-        floor = 1e-12 * float(np.linalg.norm(y)) ** m * max(tensor.max_abs(), 1e-300)
-        if value <= floor:
-            raise DomainError(f"form value {value:.3e} at or below floor {floor:.3e}")
-
-    return guard
-
-
-def oneform_guard(field: OneFormField) -> Callable:
-    def guard(x, y):
-        field.beta_checked(x, y)
-
-    return guard
-
-
 def form_function(field: CoefficientField) -> ScalarFunction:
-    return ScalarFunction("form", FormValue(field))
+    return ScalarFunction("form", field, 1.0)
 
 
 def mth_root_norm(field: CoefficientField, m: int) -> ScalarFunction:
     """F = (form)^(1/m) on the form > 0 domain."""
-    return ScalarFunction(
-        "F", Power(FormValue(field), 1.0 / m), (form_positive_guard(field, m),)
-    )
+    return ScalarFunction("F", field, 1.0 / m)
 
 
 def base_energy(field: CoefficientField, m: int) -> ScalarFunction:
     """F^2, the quantity whose half y-Hessian is the fundamental tensor."""
-    return ScalarFunction(
-        "F^2", Power(FormValue(field), 2.0 / m), (form_positive_guard(field, m),)
-    )
+    return ScalarFunction("F^2", field, 2.0 / m)
 
 
 def kropina_norm(field: CoefficientField, oneform: OneFormField, m: int) -> ScalarFunction:
     """Fbar = F^2 / beta."""
-    expr = Product((Power(FormValue(field), 2.0 / m), Power(OneFormValue(oneform), -1.0)))
-    return ScalarFunction(
-        "Fbar", expr, (form_positive_guard(field, m), oneform_guard(oneform))
-    )
+    return ScalarFunction("Fbar", field, 2.0 / m, oneform, -1.0)
 
 
 def kropina_energy(field: CoefficientField, oneform: OneFormField, m: int) -> ScalarFunction:
     """Fbar^2 = F^4 / beta^2."""
-    expr = Product((Power(FormValue(field), 4.0 / m), Power(OneFormValue(oneform), -2.0)))
-    return ScalarFunction(
-        "Fbar^2", expr, (form_positive_guard(field, m), oneform_guard(oneform))
-    )
+    return ScalarFunction("Fbar^2", field, 4.0 / m, oneform, -2.0)
 
 
-# ---------------------------------------------------------------------------
-# derivative drivers
-# ---------------------------------------------------------------------------
+def derivatives(f: ScalarFunction, x, y) -> Jet:
+    """One pass: f with its full (x, y) gradient and Hessian."""
+    return f.compose(*field_jets(f.field, f.oneform, x, y))
+
 
 def value_grad_hess_y(f: ScalarFunction, x, y):
-    """One forward pass: f, df/dy, d2f/dydy at (x, y)."""
-    f.check_domain(x, y)
-    x = [float(v) for v in x]
-    result = f.expr.eval(x, jet_variables(y))
-    if isinstance(result, Jet2):
-        if not math.isfinite(result.val):
-            raise NonFiniteResult(f"{f.name} evaluated to {result.val}")
-        return result.val, result.grad, result.hess
-    n = len(y)
-    return float(result), np.zeros(n), np.zeros((n, n))
+    """f, df/dy, d2f/dydy at (x, y)."""
+    jet = derivatives(f, x, y)
+    return jet.val, jet.grad_y, jet.hess_yy
 
 
 def grad_y(f: ScalarFunction, x, y) -> np.ndarray:
-    return value_grad_hess_y(f, x, y)[1]
+    return derivatives(f, x, y).grad_y
 
 
 def hess_y(f: ScalarFunction, x, y) -> np.ndarray:
-    return value_grad_hess_y(f, x, y)[2]
+    return derivatives(f, x, y).hess_yy
 
 
 def grad_x(f: ScalarFunction, x, y) -> np.ndarray:
-    """Analytic x-gradient via the differentiated expression tree."""
-    f.check_domain(x, y)
-    x = [float(v) for v in x]
-    yf = [float(v) for v in y]
-    out = np.array([float(f.expr.dx(k).eval(x, yf)) for k in range(1, len(x) + 1)])
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteResult(f"x-gradient of {f.name} is not finite")
-    return out
+    return derivatives(f, x, y).grad_x
 
 
 def mixed_xy(f: ScalarFunction, x, y) -> np.ndarray:
-    """Matrix [k, l] = d2 f / dx^k dy^l: analytic in x, forward mode in y."""
-    f.check_domain(x, y)
-    x = [float(v) for v in x]
-    n = len(x)
-    out = np.zeros((n, len(y)))
-    for k in range(1, n + 1):
-        row = f.expr.dx(k).eval(x, jet_variables(y))
-        if isinstance(row, Jet2):
-            out[k - 1] = row.grad
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteResult(f"mixed derivative of {f.name} is not finite")
-    return out
+    """Matrix [k, l] = d2 f / dx^k dy^l."""
+    return derivatives(f, x, y).hess_xy
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +234,7 @@ def fd_hessian(fn, v, rel_step=None, levels: int = 2) -> np.ndarray:
 
 @dataclass
 class FdReport:
-    """Deviation of the forward-mode derivatives from the finite-difference ones."""
+    """Deviation of the oracle's derivatives from the finite-difference ones."""
 
     order: int
     max_abs: float
@@ -436,31 +242,28 @@ class FdReport:
 
 
 def fd_check(f: ScalarFunction, x, y, order: int) -> FdReport:
-    """Compare forward-mode derivatives against Richardson central differences.
+    """Compare the oracle's derivatives against Richardson central differences.
 
     order 1 checks grad_y and grad_x, order 2 checks hess_y and the mixed
     block.  Report-only: nothing is asserted here.
     """
+    if order not in (1, 2):
+        raise ValueError(f"unsupported order {order}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    jet = derivatives(f, x, y)
     diffs = []
     scales = []
     if order == 1:
         fd = fd_gradient(lambda yy: f(x, yy), y)
-        ad = grad_y(f, x, y)
-        diffs.append(np.abs(ad - fd)); scales.append(np.abs(fd))
+        diffs.append(np.abs(jet.grad_y - fd)); scales.append(np.abs(fd))
         fdx = fd_gradient(lambda xx: f(xx, y), x)
-        adx = grad_x(f, x, y)
-        diffs.append(np.abs(adx - fdx)); scales.append(np.abs(fdx))
-    elif order == 2:
-        fd = fd_hessian(lambda yy: f(x, yy), y)
-        ad = hess_y(f, x, y)
-        diffs.append(np.abs(ad - fd).ravel()); scales.append(np.abs(fd).ravel())
-        fdm = _fd_mixed(f, x, y)
-        adm = mixed_xy(f, x, y)
-        diffs.append(np.abs(adm - fdm).ravel()); scales.append(np.abs(fdm).ravel())
+        diffs.append(np.abs(jet.grad_x - fdx)); scales.append(np.abs(fdx))
     else:
-        raise ValueError(f"unsupported order {order}")
+        fd = fd_hessian(lambda yy: f(x, yy), y)
+        diffs.append(np.abs(jet.hess_yy - fd).ravel()); scales.append(np.abs(fd).ravel())
+        fdm = _fd_mixed(f, x, y)
+        diffs.append(np.abs(jet.hess_xy - fdm).ravel()); scales.append(np.abs(fdm).ravel())
     diff = np.concatenate(diffs)
     scale = np.concatenate(scales)
     max_abs = float(diff.max()) if diff.size else 0.0

@@ -91,18 +91,6 @@ def _seed(args) -> int:
     return 0
 
 
-def _domain_check(doc: MetricSpecDocument):
-    guards = [calculus.form_positive_guard(doc.field, doc.m)]
-    if doc.oneform is not None:
-        guards.append(calculus.oneform_guard(doc.oneform))
-
-    def check(x, y):
-        for guard in guards:
-            guard(x, y)
-
-    return check
-
-
 def _envelope(command: str, doc: MetricSpecDocument, argv) -> dict:
     return {
         "command": command,
@@ -226,7 +214,8 @@ def cmd_verify(args, argv) -> int:
     seed = _seed(args)
     samples = sampling.sample_points(
         doc.n, args.samples, seed,
-        x_box=args.box, y_box=args.ybox, domain_check=_domain_check(doc),
+        x_box=args.box, y_box=args.ybox,
+        domain_check=calculus.domain_check(doc.field, doc.oneform),
     )
     if not samples.accepted:
         raise DomainError("no admissible samples in the requested box")
@@ -290,7 +279,8 @@ def cmd_check(args, argv) -> int:
     seed = _seed(args)
     samples = sampling.sample_points(
         doc.n, args.samples, seed,
-        x_box=args.box, y_box=args.ybox, domain_check=_domain_check(doc),
+        x_box=args.box, y_box=args.ybox,
+        domain_check=calculus.domain_check(doc.field, doc.oneform),
     )
 
     if args.kind == "proj-related":

@@ -1,19 +1,50 @@
-"""Position-dependent coefficients: polynomials in x with exact derivatives.
+"""Position-dependent coefficients and the package's one derivative engine.
 
 Restricting the x-dependence to polynomials keeps every x-derivative analytic,
 so closed forms are adjudicated against an oracle with no extra noise from the
 coefficient side.
+
+Both the form A = a_I(x) y^I and the one-form beta = b_i(x) y^i are read as
+terms  w_t c_t(x) y^e_t : c_t is an entry's polynomial, w_t its index
+multiplicity (1 for the one-form) and e_t the y-exponent row of its index
+multiset.  A TermTable evaluates the x-coefficients and their derivatives
+first and only then contracts them with the y-monomial derivatives, giving the
+value, the gradient and the Hessian over all 2n coordinates in one pass.
+Multiplying the terms out into (x, y)-monomials instead would lose digits
+where beta nearly cancels.  Tables come from exponent decrement and are built
+once per field, on first use.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .symtensor import SymmetricTensor, canonicalize
+from .symtensor import FormTerms, MonomialTable, SymmetricTensor, canonicalize
 
+# A form value at or below this multiple of ||y||^m * max|a_I(x)| is outside
+# the smooth domain of F = A^(1/m).
+FORM_FLOOR = 1e-12
 # |beta| below this multiple of ||y|| * max|b_i| counts as a vanishing one-form.
 BETA_FLOOR = 1e-12
+
+
+def check_form(value: float, max_abs: float, y, m: int) -> None:
+    """Raise DomainError unless the form value clears its scale-aware floor."""
+    floor = FORM_FLOOR * float(np.linalg.norm(y)) ** m * max(max_abs, 1e-300)
+    if value <= floor:
+        raise DomainError(f"form value {value:.3e} at or below floor {floor:.3e}")
+
+
+def check_beta(value: float, b, y) -> None:
+    """Raise DomainError when beta = b_i y^i is too close to zero."""
+    floor = BETA_FLOOR * float(np.linalg.norm(y)) * float(np.max(np.abs(b)))
+    if abs(value) <= floor:
+        raise DomainError(
+            f"one-form value {value:.3e} below degeneracy floor {floor:.3e}"
+        )
 
 
 class Polynomial:
@@ -55,26 +86,92 @@ class Polynomial:
             total += term
         return total
 
-    def deriv(self, axis: int) -> "Polynomial":
-        """Exact partial derivative along the 1-based axis."""
-        if axis < 1 or axis > self.n:
-            raise DimensionMismatch(f"axis {axis} outside 1..{self.n}")
-        a = axis - 1
-        terms = []
-        for exps, coeff in self.monomials:
-            e = exps[a]
-            if e == 0:
-                continue
-            new = list(exps)
-            new[a] = e - 1
-            terms.append((tuple(new), coeff * e))
-        return Polynomial(self.n, terms)
+    def is_constant(self) -> bool:
+        return all(c == 0.0 or not any(e) for e, c in self.monomials)
 
-    def is_zero(self) -> bool:
-        return all(c == 0.0 for _, c in self.monomials)
 
-    def max_abs_coeff(self) -> float:
-        return max((abs(c) for _, c in self.monomials), default=0.0)
+@dataclass
+class Jet:
+    """A scalar with its gradient and Hessian over (x, y), the n x-coordinates first."""
+
+    val: float
+    grad: np.ndarray   # (2n,)
+    hess: np.ndarray   # (2n, 2n), exactly symmetric
+
+    @property
+    def n(self) -> int:
+        return self.grad.size // 2
+
+    @property
+    def grad_x(self) -> np.ndarray:
+        return self.grad[: self.n]
+
+    @property
+    def grad_y(self) -> np.ndarray:
+        return self.grad[self.n :]
+
+    @property
+    def hess_xy(self) -> np.ndarray:
+        """[k, l] = d2 / dx^k dy^l."""
+        return self.hess[: self.n, self.n :]
+
+    @property
+    def hess_yy(self) -> np.ndarray:
+        return self.hess[self.n :, self.n :]
+
+
+class TermTable:
+    """The sum of terms w_t c_t(x) y^e_t: polynomials c_t over the terms of an index set."""
+
+    def __init__(self, polys, y_terms: FormTerms):
+        n = y_terms.monomials.n
+        x_exps = sorted({exps for poly in polys for exps, _ in poly.monomials})
+        column = {exps: j for j, exps in enumerate(x_exps)}
+        self.K = np.zeros((len(polys), len(x_exps)))
+        for t, poly in enumerate(polys):
+            for exps, coeff in poly.monomials:
+                self.K[t, column[exps]] = coeff
+        self.n = n
+        self.x = MonomialTable(x_exps, n)
+        self.y_terms = y_terms
+
+    def _check(self, v, what: str):
+        if len(v) != self.n:
+            raise DimensionMismatch(f"{what} has length {len(v)}, expected {self.n}")
+
+    def coefficients(self, x) -> np.ndarray:
+        """c_t(x), one per term."""
+        self._check(x, "point")
+        return self.K @ self.x.derivatives(x, 0)[0]
+
+    def value(self, x, y):
+        """The sum at (x, y), and the coefficients c_t(x)."""
+        c = self.coefficients(x)
+        self._check(y, "vector")
+        y_terms = self.y_terms
+        return float((y_terms.weights * c) @ y_terms.monomials.derivatives(y, 0)[0]), c
+
+    def jet(self, x, y):
+        """The sum as a Jet at (x, y), and the coefficients c_t(x)."""
+        self._check(x, "point")
+        self._check(y, "vector")
+        x0, x1, x2 = self.x.derivatives(x, 2)
+        y0, y1, y2 = self.y_terms.monomials.derivatives(y, 2)
+        c = self.K @ x0
+        w = self.y_terms.weights
+        c0 = w * c
+        c1 = w[:, None] * (self.K @ x1)                      # [t, k] = d c_t / dx^k
+        c2 = w[:, None, None] * np.tensordot(self.K, x2, 1)  # [t, k, l]
+        n = self.n
+        hess = np.empty((2 * n, 2 * n))
+        hess[:n, :n] = np.tensordot(y0, c2, 1)
+        hess[:n, n:] = c1.T @ y1
+        hess[n:, :n] = hess[:n, n:].T
+        hess[n:, n:] = np.tensordot(c0, y2, 1)
+        grad = np.concatenate((c1.T @ y0, c0 @ y1))
+        # the two diagonal blocks are sums over terms whose order BLAS may
+        # pick per entry; averaging with the transpose makes them exactly symmetric
+        return Jet(float(c0 @ y0), grad, 0.5 * (hess + hess.T)), c
 
 
 class CoefficientField:
@@ -94,7 +191,7 @@ class CoefficientField:
         self.n = int(n)
         self.m = int(m)
         self.entries = canon
-        self._dx_cache = {}
+        self._table = None
 
     @staticmethod
     def constant(n: int, m: int, values) -> "CoefficientField":
@@ -102,34 +199,31 @@ class CoefficientField:
             n, m, {key: Polynomial.constant(n, v) for key, v in values.items()}
         )
 
-    def _check_point(self, x):
-        if len(x) != self.n:
-            raise DimensionMismatch(f"point has length {len(x)}, expected {self.n}")
+    @property
+    def terms(self) -> TermTable:
+        """The form a_I(x) y^I as a TermTable (built on first use)."""
+        if self._table is None:
+            self._table = TermTable(
+                list(self.entries.values()), FormTerms(list(self.entries), self.n)
+            )
+        return self._table
 
     def tensor_at(self, x) -> SymmetricTensor:
         """Materialise the coefficient tensor at the point x."""
-        self._check_point(x)
+        table = self.terms
+        values = table.coefficients(x)
         return SymmetricTensor(
-            self.n, self.m, {key: poly(x) for key, poly in self.entries.items()}
+            self.n, self.m, dict(zip(self.entries, values.tolist())), table.y_terms
         )
 
-    def dx_field(self, k: int) -> "CoefficientField":
-        """Field of entrywise partial derivatives along x^k (cached)."""
-        if k not in self._dx_cache:
-            self._dx_cache[k] = CoefficientField(
-                self.n, self.m, {key: poly.deriv(k) for key, poly in self.entries.items()}
-            )
-        return self._dx_cache[k]
-
-    def tensor_dx(self, x, k: int) -> SymmetricTensor:
-        """Entrywise analytic d/dx^k of the coefficient tensor, evaluated at x."""
-        return self.dx_field(k).tensor_at(x)
+    def form_checked(self, x, y) -> float:
+        """The form value, with the domain guard: at or below its floor is a domain error."""
+        value, a = self.terms.value(x, y)
+        check_form(value, float(np.max(np.abs(a), initial=0.0)), y, self.m)
+        return value
 
     def is_constant(self) -> bool:
-        return all(
-            self.dx_field(k).tensor_at((0.0,) * self.n).is_zero()
-            for k in range(1, self.n + 1)
-        )
+        return all(poly.is_constant() for poly in self.entries.values())
 
 
 class OneFormField:
@@ -144,60 +238,33 @@ class OneFormField:
                 raise DimensionMismatch("component polynomial has wrong arity")
         self.n = int(n)
         self.components = components
-        self._dx_cache = {}
+        self._table = None
 
     @staticmethod
     def constant(n: int, values) -> "OneFormField":
         return OneFormField(n, [Polynomial.constant(n, v) for v in values])
 
-    def _check_point(self, x):
-        if len(x) != self.n:
-            raise DimensionMismatch(f"point has length {len(x)}, expected {self.n}")
+    @property
+    def terms(self) -> TermTable:
+        """beta = b_i(x) y^i as a TermTable over the order-1 indices (built on first use)."""
+        if self._table is None:
+            self._table = TermTable(
+                self.components, FormTerms([(i,) for i in range(1, self.n + 1)], self.n)
+            )
+        return self._table
 
     def values_at(self, x) -> np.ndarray:
-        self._check_point(x)
-        return np.array([poly(x) for poly in self.components])
+        return self.terms.coefficients(x)
 
-    def jacobian_at(self, x) -> np.ndarray:
-        """Matrix [i, j] = db_i/dx^j (1-based axes collapse to 0-based storage)."""
-        self._check_point(x)
-        jac = np.zeros((self.n, self.n))
-        for i, poly in enumerate(self.components):
-            for j in range(1, self.n + 1):
-                jac[i, j - 1] = poly.deriv(j)(x)
-        return jac
-
-    def dx_field(self, k: int) -> "OneFormField":
-        if k not in self._dx_cache:
-            self._dx_cache[k] = OneFormField(
-                self.n, [poly.deriv(k) for poly in self.components]
-            )
-        return self._dx_cache[k]
-
-    def beta(self, x, y):
-        """The scalar b_i(x) y^i; generic over the scalar type of y."""
-        self._check_point(x)
-        if len(y) != self.n:
-            raise DimensionMismatch(f"vector has length {len(y)}, expected {self.n}")
-        total = 0.0
-        for i, poly in enumerate(self.components):
-            total = total + poly(x) * y[i]
-        return total
+    def beta(self, x, y) -> float:
+        """The scalar b_i(x) y^i."""
+        return self.terms.value(x, y)[0]
 
     def beta_checked(self, x, y) -> float:
         """beta with the degeneracy guard: near-zero values are a domain error."""
-        b = self.values_at(x)
-        value = float(b @ np.asarray(y, dtype=float))
-        floor = BETA_FLOOR * float(np.linalg.norm(y)) * float(np.max(np.abs(b)))
-        if abs(value) <= floor:
-            raise DomainError(
-                f"one-form value {value:.3e} below degeneracy floor {floor:.3e}"
-            )
+        value, b = self.terms.value(x, y)
+        check_beta(value, b, y)
         return value
 
     def is_constant(self) -> bool:
-        zero = (0.0,) * self.n
-        return all(
-            self.dx_field(k).values_at(zero).tolist() == [0.0] * self.n
-            for k in range(1, self.n + 1)
-        )
+        return all(poly.is_constant() for poly in self.components)

@@ -38,43 +38,36 @@ class FlatnessIntermediates:
 def intermediates(
     field: CoefficientField, oneform: OneFormField, x, y
 ) -> FlatnessIntermediates:
-    x = np.asarray(x, dtype=float)
+    """The contractions, read off one derivative pass of A and beta."""
     y = np.asarray(y, dtype=float)
-    n = field.n
-    m = field.m
-    Axl = np.zeros(n)
-    Akl = np.zeros((n, n))  # [k, l] = d2A/dx^k dy^l
-    for k in range(1, n + 1):
-        dtensor = field.tensor_dx(x, k)
-        Axl[k - 1] = dtensor.contract(y, 0)
-        Akl[k - 1] = m * dtensor.contract(y, 1)
-    A0 = float(Axl @ y)
-    A0l = y @ Akl
-    beta_l = oneform.jacobian_at(x).T @ y
-    return FlatnessIntermediates(A0, A0l, beta_l, Axl)
+    A, beta = calculus.field_jets(field, oneform, x, y)
+    return FlatnessIntermediates(
+        float(A.grad_x @ y), y @ A.hess_xy, beta.grad_x, A.grad_x
+    )
 
 
 # ---------------------------------------------------------------------------
 # operational residuals (the verdict-carrying quantities)
 # ---------------------------------------------------------------------------
 
+def _defect(fn: calculus.ScalarFunction, x, y, factor: float):
+    """fn and its [fn]_{x^k y^l} y^k - factor [fn]_{x^l}, from one pass."""
+    y = np.asarray(y, dtype=float)
+    jet = calculus.derivatives(fn, x, y)
+    return jet.val, y @ jet.hess_xy - factor * jet.grad_x
+
+
 def dually_flat_defect(
     field: CoefficientField, oneform: OneFormField, m: int, x, y
 ) -> np.ndarray:
     """Per-component [Fbar^2]_{x^k y^l} y^k - 2 [Fbar^2]_{x^l}, unnormalised."""
-    energy = calculus.kropina_energy(field, oneform, m)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    mixed = calculus.mixed_xy(energy, x, y)
-    return y @ mixed - 2.0 * calculus.grad_x(energy, x, y)
+    return _defect(calculus.kropina_energy(field, oneform, m), x, y, 2.0)[1]
 
 
 def dually_flat_residual(
     field: CoefficientField, oneform: OneFormField, m: int, x, y
 ) -> float:
-    energy = calculus.kropina_energy(field, oneform, m)
-    value = energy(x, y)
-    defect = dually_flat_defect(field, oneform, m, x, y)
+    value, defect = _defect(calculus.kropina_energy(field, oneform, m), x, y, 2.0)
     return float(np.max(np.abs(defect))) / (1.0 + abs(value))
 
 
@@ -82,19 +75,13 @@ def proj_flat_defect(
     field: CoefficientField, oneform: OneFormField, m: int, x, y
 ) -> np.ndarray:
     """Per-component [Fbar]_{x^k y^l} y^k - [Fbar]_{x^l}, unnormalised."""
-    norm_fn = calculus.kropina_norm(field, oneform, m)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    mixed = calculus.mixed_xy(norm_fn, x, y)
-    return y @ mixed - calculus.grad_x(norm_fn, x, y)
+    return _defect(calculus.kropina_norm(field, oneform, m), x, y, 1.0)[1]
 
 
 def proj_flat_residual(
     field: CoefficientField, oneform: OneFormField, m: int, x, y
 ) -> float:
-    norm_fn = calculus.kropina_norm(field, oneform, m)
-    value = norm_fn(x, y)
-    defect = proj_flat_defect(field, oneform, m, x, y)
+    value, defect = _defect(calculus.kropina_norm(field, oneform, m), x, y, 1.0)
     return float(np.max(np.abs(defect))) / (1.0 + abs(value))
 
 

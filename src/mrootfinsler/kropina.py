@@ -97,11 +97,8 @@ class KropinaPoint:
     gbar_inv_closed: np.ndarray # closed-form inverse (NaN matrix at m = 4)
     gbar_inv_split: np.ndarray  # split-form inverse (NaN matrix at m = 4)
     gbar_inv_numeric: np.ndarray
+    lbar_oracle: np.ndarray     # y-gradient of Fbar
     aux: AuxScalars
-
-
-def aux_scalars(point: KropinaPoint) -> AuxScalars:
-    return point.aux
 
 
 def kropina_point(
@@ -141,10 +138,11 @@ def kropina_point(
         + 4 * tau ** 2 * aa / F ** (2 * (m - 1))
     )
 
-    energy = calculus.kropina_energy(field, oneform, m)
-    norm_fn = calculus.kropina_norm(field, oneform, m)
-    gbar_oracle = 0.5 * calculus.hess_y(energy, x, y)
-    hbar_oracle = Fbar * calculus.hess_y(norm_fn, x, y)
+    A, beta_jet = calculus.field_jets(field, oneform, x, y)
+    energy_jet = calculus.kropina_energy(field, oneform, m).compose(A, beta_jet)
+    norm_jet = calculus.kropina_norm(field, oneform, m).compose(A, beta_jet)
+    gbar_oracle = 0.5 * energy_jet.hess_yy
+    hbar_oracle = Fbar * norm_jet.hess_yy
     gbar_inv_numeric = _invert_guarded(gbar_oracle, "transformed fundamental tensor")
 
     b2 = float(b @ base.A_inv @ b)
@@ -163,7 +161,7 @@ def kropina_point(
         hbar_closed=hbar_closed, hbar_oracle=hbar_oracle,
         gbar_closed=gbar_closed, gbar_split=gbar_split, gbar_oracle=gbar_oracle,
         gbar_inv_closed=gbar_inv_closed, gbar_inv_split=gbar_inv_split,
-        gbar_inv_numeric=gbar_inv_numeric, aux=aux,
+        gbar_inv_numeric=gbar_inv_numeric, lbar_oracle=norm_jet.grad_y, aux=aux,
     )
 
 
@@ -232,12 +230,8 @@ def _degenerate_row(formula) -> ResidualRow:
 
 def verify_kropina_forms(point: KropinaPoint) -> DiscrepancyReport:
     """Residual rows for every transformed closed form at a single point."""
-    x, y = point.base.x, point.base.y
-    norm_fn = calculus.kropina_norm(point.base.field, point.oneform, point.base.m)
-    lbar_oracle = calculus.grad_y(norm_fn, x, y)
-
     rows = [
-        _row("lbar_closed", point.lbar, lbar_oracle, point),
+        _row("lbar_closed", point.lbar, point.lbar_oracle, point),
         _row("hbar_closed", point.hbar_closed, point.hbar_oracle, point),
         _row("gbar_closed", point.gbar_closed, point.gbar_oracle, point),
         _row("gbar_split", point.gbar_split, point.gbar_oracle, point),

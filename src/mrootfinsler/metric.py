@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calculus
-from .errors import DomainError, RiemannianOrderWarning, SingularMatrix
-from .fields import CoefficientField
+from .errors import RiemannianOrderWarning, SingularMatrix
+from .fields import CoefficientField, check_form
 
 COND_LIMIT = 1e12
 
@@ -60,9 +60,7 @@ def metric_point(field: CoefficientField, m: int, x, y) -> MetricPoint:
     y = np.asarray(y, dtype=float)
     tensor = field.tensor_at(x)
     A = tensor.contract(y, 0)
-    floor = 1e-12 * float(np.linalg.norm(y)) ** m * max(tensor.max_abs(), 1e-300)
-    if A <= floor:
-        raise DomainError(f"form value {A:.3e} at or below floor {floor:.3e}")
+    check_form(A, tensor.max_abs(), y, m)
 
     order_flag = ""
     if m == 2:

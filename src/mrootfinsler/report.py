@@ -8,9 +8,12 @@ the test suite, not here.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import kropina, spray
+from .errors import NonFiniteResult
 from .fields import CoefficientField, OneFormField
 from .kropina import DiscrepancyReport, ResidualRow, merge_reports
 
@@ -40,7 +43,7 @@ def _spray_report(
     rows = []
     for key, formula in SPRAY_ROWS:
         value = defects[key]
-        if point.degenerate_order4 or not np.isfinite(value):
+        if point.degenerate_order4:
             rows.append(
                 ResidualRow(formula, None, None, note="degenerate at m = 4")
             )
@@ -59,22 +62,29 @@ def _spray_report(
 
 
 def point_report(
-    field: CoefficientField, oneform: OneFormField, m: int, x, y,
-    include_spray: bool = True,
+    field: CoefficientField, oneform: OneFormField, m: int, x, y
 ) -> DiscrepancyReport:
-    """Every residual row at a single sample."""
+    """Every residual row at a single sample.
+
+    Raises NonFiniteResult when a row that is defined at this order is not
+    finite: a NaN row would otherwise win or lose the per-formula maximum
+    depending on sample order.
+    """
     point = kropina.kropina_point(field, oneform, m, x, y)
     rep = kropina.verify_kropina_forms(point)
-    if include_spray:
-        rep.rows.extend(_spray_report(field, oneform, m, x, y).rows)
+    rep.rows.extend(_spray_report(field, oneform, m, x, y).rows)
+    for row in rep.rows:
+        if row.max_abs is not None and not (
+            math.isfinite(row.max_abs) and math.isfinite(row.max_rel)
+        ):
+            raise NonFiniteResult(
+                f"{row.formula} residual is not finite at x={list(row.x)}, y={list(row.y)}"
+            )
     return rep
 
 
 def discrepancy_report(
     field: CoefficientField, oneform: OneFormField, m: int, samples,
-    include_spray: bool = True,
 ) -> DiscrepancyReport:
     """Closed-form adjudication over accepted samples, per-formula maxima."""
-    return merge_reports(
-        point_report(field, oneform, m, x, y, include_spray) for x, y in samples
-    )
+    return merge_reports(point_report(field, oneform, m, x, y) for x, y in samples)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FinslerError
+from .errors import FinslerError
 
 DEFAULT_X_BOX = (-1.0, 1.0)
 DEFAULT_Y_BOX = (0.1, 2.0)
@@ -22,10 +22,6 @@ class SampleSet:
     accepted: list
     rejected: list
     requested: int
-
-    @property
-    def exhausted(self) -> bool:
-        return len(self.accepted) < self.requested
 
 
 def sample_points(
@@ -49,7 +45,7 @@ def sample_points(
         if domain_check is not None:
             try:
                 domain_check(x, y)
-            except (DomainError, FinslerError) as exc:
+            except FinslerError as exc:
                 rejected.append((x, y, str(exc)))
                 continue
         accepted.append((x, y))

@@ -8,9 +8,15 @@ which is zero exactly when the difference is proportional to y.  The closed-
 form P/Q split is evaluated verbatim (both readings of its ambiguous scalar)
 and only ever reported.
 
-Geodesic convention: the integrated system is x'' = -G(x, x') with G as above,
-i.e. the normalization that pairs the quarter-factor spray with a coefficient-
-free second-order equation.  Any factor-2 convention only reparametrises paths.
+Both sprays and every x-derivative the split needs come from one derivative
+pass of A and beta (calculus.field_jets); only the verbatim tail X and its
+x-derivatives are still chained by hand, because the printed tail may be
+misprinted and no identity may be applied to it.
+
+Geodesic convention: the integrated system is x'' = -G(x, x') with G as above.
+That is not the geodesic equation of this quarter-factor spray, which is
+x'' + 2G = 0; scaling a spray by a constant changes its curves, not only their
+speed.  Integrating x'' = -2G is open work (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -30,19 +36,21 @@ NAN = float("nan")
 
 def spray_coeffs(energy: calculus.ScalarFunction, x, y) -> np.ndarray:
     """Quarter g-inverse of the standard spray bracket for the given energy."""
-    x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    g = 0.5 * calculus.hess_y(energy, x, y)
+    return _spray(calculus.derivatives(energy, x, y), y)
+
+
+def _spray(jet: calculus.Jet, y: np.ndarray) -> np.ndarray:
+    g = 0.5 * jet.hess_yy
     cond = np.linalg.cond(g)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularMatrix(f"fundamental tensor condition number {cond:.3e}")
-    mixed = calculus.mixed_xy(energy, x, y)
-    rhs = y @ mixed - calculus.grad_x(energy, x, y)
+    rhs = y @ jet.hess_xy - jet.grad_x
     return 0.25 * np.linalg.solve(g, rhs)
 
 
 # ---------------------------------------------------------------------------
-# analytic x-derivative bundle for the closed-form split
+# contractions and their x-derivatives for the closed-form split
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -51,52 +59,30 @@ class _Bundle:
 
     A: float
     A_i: np.ndarray
-    A_ij: np.ndarray
     A_x: np.ndarray      # [k] = dA/dx^k
     A_i_x: np.ndarray    # [k, i] = dA_i/dx^k
-    A_ij_x: np.ndarray   # [k, i, j]
     b: np.ndarray
     b_jac: np.ndarray    # [i, k] = db_i/dx^k
     beta: float
     beta_x: np.ndarray   # [k] = dbeta/dx^k
 
 
-def _bundle(field: CoefficientField, oneform: OneFormField, x, y) -> _Bundle:
-    n = field.n
-    tensor = field.tensor_at(x)
-    A = tensor.contract(y, 0)
-    A_i = tensor.contract(y, 1)
-    A_ij = tensor.contract(y, 2)
-    A_x = np.zeros(n)
-    A_i_x = np.zeros((n, n))
-    A_ij_x = np.zeros((n, n, n))
-    for k in range(1, n + 1):
-        dtensor = field.tensor_dx(x, k)
-        A_x[k - 1] = dtensor.contract(y, 0)
-        A_i_x[k - 1] = dtensor.contract(y, 1)
-        A_ij_x[k - 1] = dtensor.contract(y, 2)
-    b = oneform.values_at(x)
-    b_jac = oneform.jacobian_at(x)
-    beta = float(b @ np.asarray(y, dtype=float))
-    beta_x = b_jac.T @ np.asarray(y, dtype=float)
-    return _Bundle(A, A_i, A_ij, A_x, A_i_x, A_ij_x, b, b_jac, beta, beta_x)
+def _contractions(A: calculus.Jet, beta: calculus.Jet, m: int) -> _Bundle:
+    """Read the bundle off a pass of A and beta: A_i = A_y / m, b = beta_y."""
+    return _Bundle(
+        A.val, A.grad_y / m, A.grad_x, A.hess_xy / m,
+        beta.grad_y, beta.hess_xy.T, beta.val, beta.grad_x,
+    )
 
 
-def base_metric_x_derivatives(bundle: _Bundle, m: int) -> np.ndarray:
-    """Exact [k, j, l] = d g_jl / dx^k via the chain rule on the closed form."""
-    A, A_i, A_ij = bundle.A, bundle.A_i, bundle.A_ij
-    pa = (2.0 - m) / m
-    pb = (2.0 - 2.0 * m) / m
-    Apa, Apb = A ** pa, A ** pb
-    aa = np.outer(A_i, A_i)
-    n = A_i.size
-    out = np.zeros((n, n, n))
-    for k in range(n):
-        aa_x = np.outer(bundle.A_i_x[k], A_i) + np.outer(A_i, bundle.A_i_x[k])
-        out[k] = (m - 1) * (
-            bundle.A_ij_x[k] * Apa + A_ij * pa * A ** (pa - 1) * bundle.A_x[k]
-        ) - (m - 2) * (aa_x * Apb + aa * pb * A ** (pb - 1) * bundle.A_x[k])
-    return out
+def _metric_bracket(E: calculus.Jet, y: np.ndarray) -> np.ndarray:
+    """V_l = sum_jk [dg_jl/dx^k - dg_jk/dx^l] y^j y^k from the pass of F^2.
+
+    By the Euler identities g_jl y^j = [F^2]_{y^l} / 2 and g_jk y^j y^k = F^2,
+    which hold because the base closed form of g is exact, this is
+    (y H_xy[F^2])_l / 2 - [F^2]_{x^l}.
+    """
+    return 0.5 * (y @ E.hess_xy) - E.grad_x
 
 
 def transform_tail(bundle: _Bundle, m: int) -> np.ndarray:
@@ -145,15 +131,6 @@ def transform_tail_x_derivatives(bundle: _Bundle, m: int) -> np.ndarray:
     return out
 
 
-def scale_gradient(bundle: _Bundle, m: int) -> np.ndarray:
-    """omega_k: exact x-gradient of twice the squared norm ratio (2 tau^2)."""
-    A, beta = bundle.A, bundle.beta
-    return (
-        (4.0 / m) * A ** (2.0 / m - 1) * bundle.A_x / beta ** 2
-        - 4 * A ** (2.0 / m) * bundle.beta_x / beta ** 3
-    )
-
-
 # ---------------------------------------------------------------------------
 # closed-form decomposition
 # ---------------------------------------------------------------------------
@@ -189,18 +166,20 @@ def pq_decomposition(
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     base = metric_point(field, m, x, y)
-    beta = oneform.beta_checked(x, y)
 
-    G = spray_coeffs(calculus.base_energy(field, m), x, y)
-    Gbar = spray_coeffs(calculus.kropina_energy(field, oneform, m), x, y)
+    A, beta_jet = calculus.field_jets(field, oneform, x, y)
+    E = calculus.base_energy(field, m).compose(A, beta_jet)
+    G = _spray(E, y)
+    Gbar = _spray(calculus.kropina_energy(field, oneform, m).compose(A, beta_jet), y)
     D = Gbar - G
 
-    bundle = _bundle(field, oneform, x, y)
+    bundle = _contractions(A, beta_jet, m)
     X = transform_tail(bundle, m)
-    omega = scale_gradient(bundle, m)
+    # omega = 2 d(tau^2)/dx with tau^2 = A^(2/m) beta^(-2)
+    omega = 2.0 * calculus.power(A, beta_jet, 2.0 / m, -2.0).grad_x
 
     b2 = float(bundle.b @ base.A_inv @ bundle.b)
-    aux = aux_scalars_from(base.F, beta, b2, m)
+    aux = aux_scalars_from(base.F, bundle.beta, b2, m)
 
     if aux.degenerate_order4:
         nanv = np.full(base.n, NAN)
@@ -209,26 +188,20 @@ def pq_decomposition(
             nanv, nanv.copy(), nanv.copy(), nanv.copy(), aux, True,
         )
 
-    dg = base_metric_x_derivatives(bundle, m)
     dX = transform_tail_x_derivatives(bundle, m)
     g = base.g
     tau = aux.tau
     n = base.n
 
     # W_l = sum_jk [2 w_k g_jl - w_l g_jk + 2 dX_jl/dx^k - dX_jk/dx^l] y^j y^k
-    # V_l = sum_jk [dg_jl/dx^k - dg_jk/dx^l] y^j y^k
     gy = g @ y
     ygy = float(y @ gy)
     W = np.zeros(n)
-    V = np.zeros(n)
     for l in range(n):
         dX_contr = sum(y[k] * (y @ dX[k][:, l]) for k in range(n))
         dX_swap = float(y @ dX[l] @ y)
-        dg_contr = sum(y[k] * (y @ dg[k][:, l]) for k in range(n))
-        dg_swap = float(y @ dg[l] @ y)
         W[l] = 2 * float(omega @ y) * gy[l] - omega[l] * ygy + 2 * dX_contr - dX_swap
-        V[l] = dg_contr - dg_swap
-    S = 2 * tau ** 2 * V + W
+    S = 2 * tau ** 2 * _metric_bracket(E, y) + W
 
     b_up = base.A_inv @ bundle.b
     P_closed = 0.25 * float((aux.p1 * b_up + aux.p3 * y) @ S) + (
@@ -255,8 +228,9 @@ def projective_residual(
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     y_unit = y / np.linalg.norm(y)
-    G = spray_coeffs(calculus.base_energy(field, m), x, y_unit)
-    Gbar = spray_coeffs(calculus.kropina_energy(field, oneform, m), x, y_unit)
+    A, beta = calculus.field_jets(field, oneform, x, y_unit)
+    G = _spray(calculus.base_energy(field, m).compose(A, beta), y_unit)
+    Gbar = _spray(calculus.kropina_energy(field, oneform, m).compose(A, beta), y_unit)
     D = Gbar - G
     wedge = 0.0
     for i in range(len(y_unit)):

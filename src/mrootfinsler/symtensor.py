@@ -1,10 +1,15 @@
 """Canonical multiset storage for fully symmetric coefficient tensors.
 
 An order-m symmetric tensor over n variables keeps one value per sorted index
-tuple together with the multiset multiplicity (the number of distinct
-permutations), so evaluation and the y-saturated contractions reproduce the
-full dense tensor without ever materialising n**m entries.  Indices are
-1-based in every public signature.
+tuple.  Read as a form, each entry I is one term  mult(I) a_I y^e(I),  with
+mult(I) the multiset multiplicity (the number of distinct permutations) and
+e(I) the y-exponent row of I (how often each index occurs).  Evaluation and
+the y-saturated contractions therefore reproduce the full dense tensor without
+ever materialising n**m entries: the k-th contraction is the k-th y-derivative
+of the form scaled by 1/(m(m-1)...(m-k+1)), read off a monomial derivative
+table built by exponent decrement.  The fields layer differentiates the
+x-dependent coefficient fields with the same tables.  Indices are 1-based in
+every public signature.
 """
 
 from __future__ import annotations
@@ -49,16 +54,71 @@ def canonicalize(raw_indices, n: int) -> MultisetIndex:
     return MultisetIndex(srt, index_multiplicity(srt))
 
 
+class MonomialTable:
+    """Monomials v^e_r in n variables with their derivatives by exponent decrement.
+
+    The order-k table holds, for every row r and every k-tuple (j1..jk) of
+    variables, the falling-factorial factor and the decremented exponents, so
+    that derivatives(v, k)[k][r, j1, .., jk] = d^k v^e_r / dv_j1 .. dv_jk.
+    Tables are built on first use and kept.  Exponents that would go negative
+    are clipped to zero where their factor is already zero, so no negative
+    power of a zero coordinate is ever formed.
+    """
+
+    def __init__(self, exponents, n: int):
+        exps = np.array(exponents, dtype=int).reshape(-1, n)
+        self.n = n
+        self._tables = [(exps, np.ones(exps.shape[0]))]
+        self._powers = np.arange(int(exps.max(initial=0)) + 1)
+        self._axis = np.arange(n)
+
+    def _table(self, k: int):
+        while len(self._tables) <= k:
+            exps, factor = self._tables[-1]
+            self._tables.append((
+                np.maximum(exps[..., None, :] - np.eye(self.n, dtype=int), 0),
+                factor[..., None] * exps,
+            ))
+        return self._tables[k]
+
+    def derivatives(self, v, order: int) -> list:
+        """Every monomial and its derivatives at v, for orders 0..order."""
+        powers = np.power.outer(np.asarray(v, dtype=float), self._powers)
+        out = []
+        for k in range(order + 1):
+            exps, factor = self._table(k)
+            out.append(factor * powers[self._axis, exps].prod(axis=-1))
+        return out
+
+
+class FormTerms:
+    """Index multisets read as y-monomial terms: weights and exponent rows.
+
+    Row t is the t-th key; its weight is the multiplicity of the key and its
+    exponent row counts each index (the one-form is the order-1 case).  A
+    coefficient field and every tensor it materialises share one instance, so
+    the tables are built once per field.
+    """
+
+    def __init__(self, keys, n: int):
+        self.weights = np.array([index_multiplicity(key) for key in keys], dtype=float)
+        self.monomials = MonomialTable(
+            [[key.count(i) for i in range(1, n + 1)] for key in keys], n
+        )
+
+
 class SymmetricTensor:
     """Order-m symmetric tensor; entries map sorted index tuples to values.
 
     Instances are immutable by convention: nothing in the package mutates
-    `entries` after construction, so concurrent evaluation is safe.
+    `entries` after construction, so concurrent evaluation is safe.  `terms`
+    may pass the FormTerms of the same keys in the same order; without it
+    they are built on first use.
     """
 
-    __slots__ = ("n", "m", "entries")
+    __slots__ = ("n", "m", "entries", "_terms")
 
-    def __init__(self, n: int, m: int, entries: Mapping):
+    def __init__(self, n: int, m: int, entries: Mapping, terms: FormTerms = None):
         if n < 1:
             raise DimensionMismatch(f"dimension must be positive, got {n}")
         if m < 1:
@@ -77,6 +137,7 @@ class SymmetricTensor:
         self.n = int(n)
         self.m = int(m)
         self.entries = canon
+        self._terms = terms
 
     def __repr__(self):
         return f"SymmetricTensor(n={self.n}, m={self.m}, {len(self.entries)} entries)"
@@ -91,34 +152,28 @@ class SymmetricTensor:
     def max_abs(self) -> float:
         return max((abs(v) for v in self.entries.values()), default=0.0)
 
-    def is_zero(self) -> bool:
-        return all(v == 0.0 for v in self.entries.values())
-
     def _check_vector(self, y):
         if len(y) != self.n:
             raise DimensionMismatch(f"vector has length {len(y)}, expected {self.n}")
 
-    def eval(self, y):
-        """Evaluate the degree-m homogeneous form at y.
+    def _derivative(self, y, k: int) -> np.ndarray:
+        """k-th y-derivative of the form: the weighted sum of monomial derivatives."""
+        if self._terms is None:
+            self._terms = FormTerms(list(self.entries), self.n)
+        values = np.fromiter(self.entries.values(), float, len(self.entries))
+        monomials = self._terms.monomials.derivatives(y, k)[k]
+        return np.tensordot(self._terms.weights * values, monomials, axes=1)
 
-        Works for any scalar type supporting arithmetic (floats or forward-mode
-        jets), which is how the calculus layer differentiates through it.
-        """
+    def eval(self, y) -> float:
+        """Evaluate the degree-m homogeneous form at y."""
         self._check_vector(y)
-        total = 0.0
-        for idx, c in self.entries.items():
-            term = index_multiplicity(idx) * c
-            for i in idx:
-                term = term * y[i - 1]
-            total = total + term
-        return total
+        return float(self._derivative(y, 0))
 
     def contract(self, y, k: int):
         """Saturate m-k slots with y, returning the order-k coefficient array.
 
-        k = 0 gives the form value; k = 1, 2, 3 give the arrays whose scaled
-        y-derivatives reproduce the first three derivative orders of the form
-        (factor 1/m, 1/(m(m-1)), 1/(m(m-1)(m-2))).
+        k = 0 gives the form value; k = 1, 2, 3 give the k-th y-derivative of
+        the form scaled by 1/m, 1/(m(m-1)), 1/(m(m-1)(m-2)).
         """
         if k < 0 or k > min(3, self.m):
             raise OrderOutOfRange(f"contraction order {k} not in 0..{min(3, self.m)}")
@@ -126,53 +181,8 @@ class SymmetricTensor:
         if y.shape != (self.n,):
             raise DimensionMismatch(f"vector has shape {y.shape}, expected ({self.n},)")
         if k == 0:
-            return float(self.eval(y))
-
-        out = np.zeros((self.n,) * k)
-        for idx, c in self.entries.items():
-            base = index_multiplicity(idx) * c
-            if base == 0.0:
-                continue
-            counts = Counter(idx)
-            if k == 1:
-                for i, ci in counts.items():
-                    rest = list(idx)
-                    rest.remove(i)
-                    out[i - 1] += base * ci * _prod(y, rest)
-            elif k == 2:
-                for i, ci in counts.items():
-                    for j, cj in counts.items():
-                        coef = ci * (cj - (i == j))
-                        if coef == 0:
-                            continue
-                        rest = list(idx)
-                        rest.remove(i)
-                        rest.remove(j)
-                        out[i - 1, j - 1] += base * coef * _prod(y, rest)
-            else:
-                for i, ci in counts.items():
-                    for j, cj in counts.items():
-                        cij = cj - (j == i)
-                        if ci * cij == 0:
-                            continue
-                        for l, cl in counts.items():
-                            coef = ci * cij * (cl - (l == i) - (l == j))
-                            if coef == 0:
-                                continue
-                            rest = list(idx)
-                            rest.remove(i)
-                            rest.remove(j)
-                            rest.remove(l)
-                            out[i - 1, j - 1, l - 1] += base * coef * _prod(y, rest)
-
+            return self.eval(y)
         scale = 1.0
         for r in range(k):
             scale /= self.m - r
-        return out * scale
-
-
-def _prod(y, indices) -> float:
-    p = 1.0
-    for i in indices:
-        p *= y[i - 1]
-    return p
+        return self._derivative(y, k) * scale

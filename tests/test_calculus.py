@@ -13,16 +13,9 @@ from conftest import (
     seeded_points,
 )
 from mrootfinsler import calculus
-from mrootfinsler.calculus import (
-    Const,
-    Jet2,
-    OneFormValue,
-    Power,
-    Product,
-    ScalarFunction,
-    jet_variables,
-)
+from mrootfinsler.calculus import Jet, ScalarFunction
 from mrootfinsler.errors import DomainError, NonFiniteResult
+from mrootfinsler.fields import CoefficientField, OneFormField, Polynomial
 
 
 def fixture_functions(field, oneform, m):
@@ -41,10 +34,11 @@ def test_grad_y_of_diag_form():
 
 
 def test_hess_of_bilinear_product():
-    # f = y1 * y2 has constant Hessian [[0,1],[1,0]]
-    y = jet_variables([3.7, -2.5])
-    result = y[0] * y[1]
-    np.testing.assert_array_equal(result.hess, [[0.0, 1.0], [1.0, 0.0]])
+    # f = y1 * y2 (entry a_12 = 1/2 times its multiplicity 2) has constant
+    # Hessian [[0,1],[1,0]]
+    fn = calculus.form_function(CoefficientField.constant(2, 2, {(1, 2): 0.5}))
+    hess = calculus.hess_y(fn, [0.0, 0.0], [3.7, 2.5])
+    np.testing.assert_array_equal(hess, [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_minkowski_x_gradient_is_zero():
@@ -95,7 +89,7 @@ def test_fd_check_fixture_functions():
 
 
 def test_fd_check_constant_function():
-    fn = ScalarFunction("const", Const(4.25))
+    fn = ScalarFunction("const", diag_quartic(), 0.0)  # A^0 = 1
     rep1 = calculus.fd_check(fn, np.zeros(2), np.array([1.0, 2.0]), 1)
     rep2 = calculus.fd_check(fn, np.zeros(2), np.array([1.0, 2.0]), 2)
     assert rep1.max_abs <= 1e-14
@@ -118,10 +112,15 @@ def test_domain_guards():
 
 
 def test_pow_domain():
+    def jet(value):
+        return Jet(value, np.ones(4), np.zeros((4, 4)))
+
     with pytest.raises(NonFiniteResult):
-        Jet2(-2.0, np.zeros(1), np.zeros((1, 1))) ** 0.5
-    inv = Jet2(-2.0, np.ones(1), np.zeros((1, 1))) ** -1.0
-    assert inv.val == -0.5
+        calculus.power(jet(-2.0), None, 0.5, 0.0)
+    with pytest.raises(NonFiniteResult):
+        calculus.power(jet(1.0), jet(0.0), 1.0, -1.0)
+    assert calculus.power(jet(-2.0), None, -1.0, 0.0).val == -0.5
+    assert calculus.power(jet(1.0), jet(-2.0), 1.0, -1.0).val == -0.5
 
 
 def test_expression_dx_matches_fd():
@@ -139,33 +138,42 @@ def test_expression_dx_matches_fd():
 
 
 @given(
-    a=st.floats(min_value=-3, max_value=3, allow_nan=False),
+    a=st.floats(min_value=0.2, max_value=3, allow_nan=False),
+    sign=st.sampled_from([1.0, -1.0]),
     b=st.floats(min_value=-3, max_value=3, allow_nan=False),
     c=st.floats(min_value=0.5, max_value=3, allow_nan=False),
+    s=st.floats(min_value=-0.5, max_value=0.5, allow_nan=False),
+    pq=st.sampled_from([(1.0 / 3.0, 0.0), (2.0 / 3.0, -1.0), (4.0 / 3.0, -2.0), (1.0, 1.0)]),
 )
 @settings(max_examples=40, deadline=None)
-def test_jet_arithmetic_against_hand_rules(a, b, c):
-    # f(u, v) = u^2 v + c/v at (a, b shifted positive)
-    v0 = abs(b) + 1.0
-    u, v = jet_variables([a, v0])
-    f = u * u * v + c / v
-    assert f.val == pytest.approx(a * a * v0 + c / v0, rel=1e-12)
+def test_jet_arithmetic_against_hand_rules(a, sign, b, c, s, pq):
+    # A = 3 (1 + x1) u^2 v (entry a_112 = 1 + x1, multiplicity 3), beta = c v:
+    # f = A^p beta^q is the monomial 3^p c^q (1 + x1)^p u^(2p) v^(p+q) in
+    # z = (1 + x1, x2, u, v), whose derivatives follow the power rule
+    p, q = pq
+    u, v = sign * a, abs(b) + 1.0
+    field = CoefficientField(2, 3, {(1, 1, 2): Polynomial(2, [((0, 0), 1.0), ((1, 0), 1.0)])})
+    fn = ScalarFunction("f", field, p, OneFormField.constant(2, [0.0, c]), q)
+    jet = calculus.derivatives(fn, [s, 0.0], [u, v])
+
+    f = 3.0 ** p * c ** q * (1 + s) ** p * (u * u) ** p * v ** (p + q)
+    e = np.array([p, 0.0, 2 * p, p + q])
+    z = np.array([1 + s, 1.0, u, v])
+    L = e / z
+    assert jet.val == pytest.approx(f, rel=1e-12)
+    np.testing.assert_allclose(jet.grad, f * L, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(
-        f.grad, [2 * a * v0, a * a - c / v0 ** 2], rtol=1e-12, atol=1e-12
-    )
-    np.testing.assert_allclose(
-        f.hess,
-        [[2 * v0, 2 * a], [2 * a, 2 * c / v0 ** 3]],
-        rtol=1e-12, atol=1e-12,
+        jet.hess, f * (np.outer(L, L) - np.diag(e / z ** 2)), rtol=1e-12, atol=1e-12
     )
 
 
 def test_scalar_function_reports_nonfinite():
-    field = cubic_x()
-    f = ScalarFunction(
-        "bad", Product((Power(OneFormValue(b_const(2)), -1.0), Const(1.0)))
-    )
-    # beta = y1; fine away from zero, no guard attached on purpose
-    assert f([0.0, 0.0], [2.0, 1.0]) == 0.5
+    # A^2 of a form with 1e200 coefficients overflows at y = (1, 1): the
+    # value and the derivative pass both report it instead of returning inf
+    field = CoefficientField.constant(2, 2, {(1, 1): 1e200, (2, 2): 1e200})
+    f = ScalarFunction("A^2", field, 2.0)
+    assert f([0.0, 0.0], [1e-100, 1e-100]) == pytest.approx(4.0, rel=1e-14)
     with pytest.raises(NonFiniteResult):
-        f([0.0, 0.0], [0.0, 1.0])
+        f([0.0, 0.0], [1.0, 1.0])
+    with pytest.raises(NonFiniteResult):
+        calculus.derivatives(f, [0.0, 0.0], [1.0, 1.0])

@@ -217,3 +217,26 @@ def test_csv_validation():
         "eval", "--spec", str(FIXTURES / "diag_quartic.json"), "--x", "a,b", "--y", "1,2",
     )
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize("bad_sample", [1, 4])
+def test_verify_nonfinite_row_exits_3(monkeypatch, capsys, bad_sample):
+    # a NaN closed form at an accepted sample of a non-degenerate order must
+    # fail the run, whichever sample it hits, and never become a null row
+    from mrootfinsler import cli, spray
+
+    real_dX = spray.transform_tail_x_derivatives
+    calls = []
+
+    def dX(bundle, m):
+        calls.append(None)
+        out = real_dX(bundle, m)
+        return out * np.nan if len(calls) == bad_sample else out
+
+    monkeypatch.setattr(spray, "transform_tail_x_derivatives", dX)
+    rc = cli.main([
+        "verify", "--spec", str(FIXTURES / "cubic_x.json"), "--samples", "6", "--seed", "0",
+    ])
+    assert rc == 3
+    assert len(calls) == bad_sample
+    assert "spray_split residual is not finite" in capsys.readouterr().err

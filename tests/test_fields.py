@@ -21,46 +21,48 @@ def test_tensor_at_examples():
     assert a == b
 
 
-def test_tensor_dx_examples():
-    field = cubic_x()
-    d1 = field.tensor_dx([0.7, -0.2], 1)
-    assert d1.entries[(1, 1, 1)] == 1.0
-    assert d1.entries[(2, 2, 2)] == 1.0
-    d2 = field.tensor_dx([0.7, -0.2], 2)
-    assert d2.is_zero()
-    for k in (1, 2):
-        assert diag_quartic().tensor_dx([0.1, 0.1], k).is_zero()
+def test_form_x_derivative_examples():
+    # cubic-x: A = (1 + x^1)(y1^3 + y2^3), so dA/dx = (y1^3 + y2^3, 0) and
+    # d2A/dx^1 dy = 3 (y1^2, y2^2); constant coefficients have no x-derivatives
+    A, coeffs = cubic_x().terms.jet([0.7, -0.2], [1.0, 2.0])
+    assert A.grad_x.tolist() == [9.0, 0.0]
+    assert A.hess_xy.tolist() == [[3.0, 12.0], [0.0, 0.0]]
+    assert coeffs.tolist() == [1.7, 1.7]
+    A, _ = diag_quartic().terms.jet([0.1, 0.1], [1.0, 2.0])
+    assert not A.grad_x.any() and not A.hess[:2].any()
 
 
 def test_oneform_examples():
     bf = b_const(2)
     np.testing.assert_array_equal(bf.values_at([3.0, -1.0]), [1.0, 0.0])
-    np.testing.assert_array_equal(bf.jacobian_at([3.0, -1.0]), np.zeros((2, 2)))
+    beta, _ = bf.terms.jet([3.0, -1.0], [1.0, 1.0])
+    np.testing.assert_array_equal(beta.hess_xy, np.zeros((2, 2)))
 
     bx = b_bx()
     np.testing.assert_array_equal(bx.values_at([0.0, 1.0]), [2.0, 0.0])
-    jac = bx.jacobian_at([0.0, 1.0])
+    beta, _ = bx.terms.jet([0.0, 1.0], [3.0, 5.0])
+    jac = beta.hess_xy.T  # [i, k] = db_i/dx^k
     assert jac[0, 1] == 1.0
     assert jac[0, 0] == jac[1, 0] == jac[1, 1] == 0.0
+    np.testing.assert_array_equal(beta.grad_y, [2.0, 0.0])
     assert bx.beta([0.0, 1.0], [3.0, 5.0]) == pytest.approx(6.0, abs=1e-15)
 
 
-def test_tensor_dx_matches_central_differences():
+def test_form_x_derivatives_match_central_differences():
     field = cubic_x()
     x = np.array([0.25, -0.3])
-    for k in (1, 2):
-        analytic = field.tensor_dx(x, k)
-        for key in field.entries:
-            def entry(xx, key=key):
-                return field.tensor_at(xx).entries[key]
-            fd = oracles.fd_grad(entry, x)[k - 1]
-            assert abs(analytic.entries.get(key, 0.0) - fd) <= 1e-8 * (1 + abs(fd))
+    y = np.array([0.8, 1.4])
+    A, _ = field.terms.jet(x, y)
+    fd = oracles.fd_grad(lambda xx: field.tensor_at(xx).eval(y), x)
+    assert np.all(np.abs(A.grad_x - fd) <= 1e-8 * (1 + np.abs(fd)))
+    fd_mixed = oracles.fd_mixed(lambda xx, yy: field.tensor_at(xx).eval(yy), x, y)
+    np.testing.assert_allclose(A.hess_xy, fd_mixed, atol=1e-7)
 
 
 def test_oneform_jacobian_matches_central_differences():
     bx = b_bx()
     x = np.array([0.4, 0.9])
-    jac = bx.jacobian_at(x)
+    jac = bx.terms.jet(x, [1.0, 1.0])[0].hess_xy.T
     for i in range(2):
         def comp(xx, i=i):
             return bx.values_at(xx)[i]
@@ -87,8 +89,9 @@ def test_polynomial_validation():
         Polynomial(2, [((0, 0, 0), 1.0)])
     poly = Polynomial(2, [((2, 1), 3.0)])
     assert poly([2.0, 5.0]) == 60.0
-    assert poly.deriv(1)([2.0, 5.0]) == 60.0  # 6 x1 x2
-    assert poly.deriv(2)([2.0, 5.0]) == 12.0  # 3 x1^2
+    # exact x-derivatives come from the field engine: A = poly(x) y1^2
+    A, _ = CoefficientField(2, 2, {(1, 1): poly}).terms.jet([2.0, 5.0], [1.0, 0.0])
+    assert A.grad_x.tolist() == [60.0, 12.0]  # (6 x1 x2, 3 x1^2)
 
 
 def test_field_validation():

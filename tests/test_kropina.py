@@ -3,6 +3,7 @@ import pytest
 
 from conftest import (
     MAIN_FIXTURES,
+    b_bx,
     b_const,
     cubic_x,
     diag_quartic,
@@ -13,7 +14,6 @@ from conftest import (
 from mrootfinsler.errors import DegenerateOrderFour, RiemannianOrderWarning
 from mrootfinsler.kropina import (
     B2_NOTE,
-    aux_scalars,
     gbar_inverse_closed,
     kropina_point,
     merge_reports,
@@ -60,7 +60,7 @@ def test_point_invariants():
 
 def test_aux_scalars_order4_flagged():
     p = kropina_point(diag_quartic(), b_const(2), 4, [0.0, 0.0], [1.0, 2.0])
-    aux = aux_scalars(p)
+    aux = p.aux
     assert aux.degenerate_order4
     assert np.isnan(aux.delta) and np.isnan(aux.p0) and np.isnan(aux.p3)
     # scalars upstream of the degeneracy stay defined
@@ -71,7 +71,7 @@ def test_aux_scalars_order4_flagged():
 
 def test_aux_scalars_cubic_values():
     p = kropina_point(cubic_x(), b_const(2), 3, [0.0, 0.0], [1.0, 1.0])
-    aux = aux_scalars(p)
+    aux = p.aux
     assert not aux.degenerate_order4
     assert aux.tau == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-13)
     # tau * beta - F = 0 to rounding, on every sampled point
@@ -101,6 +101,18 @@ def test_supporting_covector_residual_is_tight():
             rep = verify_kropina_forms(kropina_point(field, oneform, m, x, y))
             row = {r.formula: r for r in rep.rows}["lbar_closed"]
             assert row.max_abs <= 1e-8, name
+
+
+def test_supporting_covector_tight_near_oneform_floor():
+    # beta ~ 9e-4 on cubic-x-bx here.  The oracle evaluates the coefficients
+    # b_i(x) before contracting them with y; multiplying beta out into
+    # (x, y)-monomials loses about three digits at this point (3.4e-10).
+    x = [-0.18610439872138773, -0.9993986197861542]
+    y = [1.5143233800600582, 1.7185642332450883]
+    p = kropina_point(cubic_x(), b_bx(), 3, x, y)
+    assert abs(p.beta) < 1e-3
+    row = {r.formula: r for r in verify_kropina_forms(p).rows}["lbar_closed"]
+    assert row.max_abs <= 1e-11
 
 
 def test_report_rows_and_flags():

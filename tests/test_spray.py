@@ -12,15 +12,16 @@ from conftest import (
     seeded_points,
 )
 from mrootfinsler import calculus
+from mrootfinsler.metric import metric_point
 from mrootfinsler.spray import (
-    _bundle,
-    base_metric_x_derivatives,
+    _contractions,
+    _metric_bracket,
     integrate_geodesic,
     pq_decomposition,
     projective_residual,
-    scale_gradient,
     split_defect,
     spray_coeffs,
+    transform_tail,
     transform_tail_x_derivatives,
 )
 
@@ -68,33 +69,36 @@ def test_minkowski_everything_vanishes():
 
 
 def test_analytic_x_derivative_chains_match_fd():
-    # the closed split relies on exact d(g_jl)/dx^k and d(X_jl)/dx^k chains
+    # the closed split relies on the x-bracket V of the base metric, on omega
+    # and on exact d(X_jl)/dx^k, all read off one derivative pass
     field, oneform, m = cubic_x(), b_bx(), 3
     x = np.array([0.2, -0.3])
     y = np.array([0.7, 1.1])
-    bundle = _bundle(field, oneform, x, y)
-    dg = base_metric_x_derivatives(bundle, m)
-    dX = transform_tail_x_derivatives(bundle, m)
-    omega = scale_gradient(bundle, m)
-
-    from mrootfinsler.metric import metric_point
-    from mrootfinsler.spray import transform_tail
-
-    def g_entry(xx, i, j):
-        return metric_point(field, m, xx, y).g[i, j]
+    A, beta = calculus.field_jets(field, oneform, x, y)
+    V = _metric_bracket(calculus.base_energy(field, m).compose(A, beta), y)
+    dX = transform_tail_x_derivatives(_contractions(A, beta, m), m)
+    omega = pq_decomposition(field, oneform, m, x, y).omega
 
     def X_entry(xx, i, j):
-        return transform_tail(_bundle(field, oneform, xx, y), m)[i, j]
+        A, beta = calculus.field_jets(field, oneform, xx, y)
+        return transform_tail(_contractions(A, beta, m), m)[i, j]
 
     def two_tau_sq(xx):
         p = metric_point(field, m, xx, y)
         beta = float(oneform.values_at(xx) @ y)
         return 2.0 * (p.F / beta) ** 2
 
+    # dg[j, l, k] = d g_jl / dx^k, then V_l = sum_jk (dg_jl/dx^k - dg_jk/dx^l) y^j y^k
+    def g_entry(xx, j, l):
+        return metric_point(field, m, xx, y).g[j, l]
+
+    dg = np.array([
+        [oracles.fd_grad(lambda xx: g_entry(xx, j, l), x) for l in range(2)] for j in range(2)
+    ])
+    V_fd = np.einsum("jlk,j,k->l", dg, y, y) - np.einsum("jkl,j,k->l", dg, y, y)
+    np.testing.assert_allclose(V, V_fd, atol=1e-7)
     for i in range(2):
         for j in range(2):
-            fd_g = oracles.fd_grad(lambda xx: g_entry(xx, i, j), x)
-            np.testing.assert_allclose(dg[:, i, j], fd_g, atol=1e-7)
             fd_X = oracles.fd_grad(lambda xx: X_entry(xx, i, j), x)
             np.testing.assert_allclose(dX[:, i, j], fd_X, atol=1e-6)
     np.testing.assert_allclose(omega, oracles.fd_grad(two_tau_sq, x), atol=1e-8)
