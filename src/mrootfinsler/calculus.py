@@ -8,21 +8,22 @@ the form of the coefficient field and beta = b_i(x) y^i the one-form:
 The fields layer evaluates A and beta with their exact gradients and Hessians
 over all 2n coordinates (x first, then y); one chain rule composes them.  The
 value, the y-gradient and y-Hessian, the x-gradient and the mixed x-y block of
-any energy are therefore slices of a single pass, exact to rounding.
+any energy are therefore slices of a single pass, exact to rounding.  Points
+may come stacked (..., n): the pass, the chain rule and every guard then act
+per sample, and a guard raises for the lowest failing sample.
 Richardson-extrapolated central differences serve only as an independent
 cross-check (fd_check).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NonFiniteResult
-from .fields import CoefficientField, Jet, OneFormField, check_beta, check_form
+from .errors import NonFiniteResult, raise_first
+from .fields import CoefficientField, Jet, OneFormField, check_beta, check_form, outer
 
 _EPS = float(np.finfo(float).eps)
 
@@ -31,49 +32,70 @@ _EPS = float(np.finfo(float).eps)
 # the derivative pass
 # ---------------------------------------------------------------------------
 
-def _power(v: float, p: float):
-    """v^p with its first and second derivative in v."""
+def _power(v, p: float, derivatives: bool = True):
+    """(v^p, its first and second derivative in v) per sample, or (v^p,) alone."""
+    v = np.asarray(v, dtype=float)
     if p == 0.0:
-        return 1.0, 0.0, 0.0
-    if v == 0.0 or (v < 0.0 and not float(p).is_integer()):
-        raise NonFiniteResult(f"power {p} undefined at base {v}")
-    try:
-        return v ** p, p * v ** (p - 1.0), p * (p - 1.0) * v ** (p - 2.0)
-    except OverflowError as exc:
-        raise NonFiniteResult(f"power {p} of {v} overflows") from exc
+        one = v ** 0.0
+        return (one, 0.0 * one, 0.0 * one) if derivatives else (one,)
+    raise_first(
+        (v == 0.0) | ((v < 0.0) & (not float(p).is_integer())), NonFiniteResult,
+        f"power {p} undefined at base {{}}", v,
+    )
+    with np.errstate(over="ignore"):
+        out = (v ** p,)
+        if derivatives:
+            out += (p * v ** (p - 1.0), p * (p - 1.0) * v ** (p - 2.0))
+    finite = np.isfinite(out[0])
+    for value in out[1:]:
+        finite &= np.isfinite(value)
+    raise_first(~finite, NonFiniteResult, f"power {p} of {{}} overflows", v)
+    return out
 
 
 def _power_jet(jet: Jet, p: float) -> Jet:
     f, d1, d2 = _power(jet.val, p)
-    return Jet(f, d1 * jet.grad, d1 * jet.hess + d2 * np.outer(jet.grad, jet.grad))
+    d1 = d1[..., None]
+    return Jet(
+        f, d1 * jet.grad,
+        d1[..., None] * jet.hess + d2[..., None, None] * outer(jet.grad, jet.grad),
+    )
 
 
 def power(A: Jet, beta: Optional[Jet], p: float, q: float) -> Jet:
     """A^p beta^q with its gradient and Hessian (beta is unused when q = 0).
 
     The Hessian stays exactly symmetric: each rule adds only symmetric
-    matrices and symmetrised outer products.
+    matrices and symmetrised outer products.  Products that overflow are left
+    as they come out: ScalarFunction.compose rejects every non-finite entry.
     """
-    a = _power_jet(A, p)
-    if q == 0.0:
-        return a
-    b = _power_jet(beta, q)
-    cross = np.outer(a.grad, b.grad)
-    return Jet(
-        a.val * b.val,
-        a.val * b.grad + b.val * a.grad,
-        (a.val * b.hess + b.val * a.hess) + (cross + cross.T),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = _power_jet(A, p)
+        if q == 0.0:
+            return a
+        b = _power_jet(beta, q)
+        cross = outer(a.grad, b.grad)
+        av, bv = a.val[..., None], b.val[..., None]
+        return Jet(
+            a.val * b.val,
+            av * b.grad + bv * a.grad,
+            (av[..., None] * b.hess + bv[..., None] * a.hess)
+            + (cross + np.swapaxes(cross, -1, -2)),
+        )
 
 
 def field_jets(field: CoefficientField, oneform: Optional[OneFormField], x, y):
-    """One pass for A and beta (None without a one-form), after the domain guards."""
+    """One pass for A and beta (None without a one-form), after the domain guards.
+
+    The one-form guard comes first: beta = 0 bounds the domain of the
+    transformed metric.  x and y may be stacks (..., n).
+    """
+    beta = None
+    if oneform is not None:
+        beta, b = oneform.terms.jet(x, y)
+        check_beta(beta.val, b, y)
     A, a = field.terms.jet(x, y)
-    check_form(A.val, float(np.max(np.abs(a), initial=0.0)), y, field.m)
-    if oneform is None:
-        return A, None
-    beta, b = oneform.terms.jet(x, y)
-    check_beta(beta.val, b, y)
+    check_form(A.val, np.max(np.abs(a), axis=-1, initial=0.0), y, field.m)
     return A, beta
 
 
@@ -99,20 +121,25 @@ class ScalarFunction:
     q: float = 0.0
 
     def compose(self, A: Jet, beta: Optional[Jet]) -> Jet:
-        """f with its derivatives, from a pass of A and beta at one point."""
+        """f with its derivatives, from a pass of A and beta (per sample on stacks)."""
         jet = power(A, beta, self.p, self.q)
-        if not math.isfinite(jet.val):
-            raise NonFiniteResult(f"{self.name} evaluated to {jet.val}")
-        if not (np.all(np.isfinite(jet.grad)) and np.all(np.isfinite(jet.hess))):
-            raise NonFiniteResult(f"derivatives of {self.name} are not finite")
+        raise_first(
+            ~np.isfinite(jet.val), NonFiniteResult, f"{self.name} evaluated to {{}}", jet.val
+        )
+        raise_first(
+            ~(np.isfinite(jet.grad).all(axis=-1) & np.isfinite(jet.hess).all(axis=(-2, -1))),
+            NonFiniteResult, f"derivatives of {self.name} are not finite",
+        )
         return jet
 
     def __call__(self, x, y) -> float:
-        value = _power(self.field.form_checked(x, y), self.p)[0]
+        value = _power(self.field.form_checked(x, y), self.p, False)[0]
         if self.oneform is not None:
-            value *= _power(self.oneform.beta_checked(x, y), self.q)[0]
-        if not math.isfinite(value):
-            raise NonFiniteResult(f"{self.name} evaluated to {value}")
+            with np.errstate(over="ignore"):
+                value = value * _power(self.oneform.beta_checked(x, y), self.q, False)[0]
+        raise_first(
+            ~np.isfinite(value), NonFiniteResult, f"{self.name} evaluated to {{}}", value
+        )
         return value
 
 
@@ -141,7 +168,7 @@ def kropina_energy(field: CoefficientField, oneform: OneFormField, m: int) -> Sc
 
 
 def derivatives(f: ScalarFunction, x, y) -> Jet:
-    """One pass: f with its full (x, y) gradient and Hessian."""
+    """One pass: f with its full (x, y) gradient and Hessian, per point of a stack."""
     return f.compose(*field_jets(f.field, f.oneform, x, y))
 
 

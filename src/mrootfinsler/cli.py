@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from .errors import (
     ParseError,
     SingularMatrix,
     ValidationError,
+    in_sample_order,
 )
 from .specfile import MetricSpecDocument, load_spec
 
@@ -58,6 +61,27 @@ def _box(text: str, what: str):
     return (lo, hi)
 
 
+def _count(text: str, what: str, low: int) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise ValidationError(f"{what}: expected an integer, got {text!r}") from exc
+    if value < low:
+        raise ValidationError(f"{what}: expected an integer >= {low}, got {value}")
+    return value
+
+
+def _real(text: str, what: str, nonnegative: bool = False) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise ValidationError(f"{what}: expected a number, got {text!r}") from exc
+    if not math.isfinite(value) or (nonnegative and value < 0):
+        kind = "a finite number >= 0" if nonnegative else "a finite number"
+        raise ValidationError(f"{what}: expected {kind}, got {text!r}")
+    return value
+
+
 def _finite_or_none(value):
     if value is None:
         return None
@@ -84,10 +108,7 @@ def _seed(args) -> int:
         return args.seed
     env = os.environ.get("FINSLER_SEED")
     if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValidationError(f"FINSLER_SEED: expected an integer, got {env!r}") from exc
+        return _count(env, "FINSLER_SEED", 0)
     return 0
 
 
@@ -103,8 +124,11 @@ def _envelope(command: str, doc: MetricSpecDocument, argv) -> dict:
     }
 
 
-def _emit(payload: dict, out=sys.stdout):
-    out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def _emit(payload: dict, out=None):
+    """Write the JSON document to `out`, by default the sys.stdout of the moment."""
+    (sys.stdout if out is None else out).write(
+        json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +159,10 @@ def cmd_eval(args, argv) -> int:
     x = _csv_floats(args.x, doc.n, "--x")
     y = _csv_floats(args.y, doc.n, "--y")
 
-    point = kropina.kropina_point(doc.field, oneform, doc.m, x, y)
+    jets = calculus.field_jets(doc.field, oneform, x, y)
+    point = kropina.kropina_point(doc.field, oneform, doc.m, x, y, jets)
     base = point.base
-    energy = calculus.base_energy(doc.field, doc.m)
-    g_oracle = 0.5 * calculus.hess_y(energy, x, y)
+    g_oracle = 0.5 * calculus.base_energy(doc.field, doc.m).compose(*jets).hess_yy
 
     if args.json:
         payload = _envelope("eval", doc, argv)
@@ -201,6 +225,30 @@ def _rows_payload(rows):
     return payload
 
 
+def _records_payload(accepted, rows):
+    """The rows of every sample, from per-sample rows over the stack of accepted samples."""
+    columns = [
+        (row.formula, None, None, row.note) if row.max_abs is None
+        else (row.formula, row.max_abs.tolist(), row.max_rel.tolist(), row.note)
+        for row in rows
+    ]
+    records = []
+    for i, (x, y) in enumerate(accepted):
+        x, y = _vector(x), _vector(y)
+        records.append({"x": x, "y": y, "rows": [
+            {
+                "formula": formula,
+                "max_abs": None if max_abs is None else _finite_or_none(max_abs[i]),
+                "max_rel": None if max_rel is None else _finite_or_none(max_rel[i]),
+                "x": None if max_abs is None else x,
+                "y": None if max_abs is None else y,
+                "note": note,
+            }
+            for formula, max_abs, max_rel, note in columns
+        ]})
+    return records
+
+
 def _rejected_payload(rejected):
     return [
         {"x": _vector(x), "y": _vector(y), "reason": reason}
@@ -220,11 +268,10 @@ def cmd_verify(args, argv) -> int:
     if not samples.accepted:
         raise DomainError("no admissible samples in the requested box")
 
-    per_point = [
-        report.point_report(doc.field, oneform, doc.m, x, y)
-        for x, y in samples.accepted
-    ]
-    merged = kropina.merge_reports(per_point)
+    per_sample = report.point_report(
+        doc.field, oneform, doc.m, *sampling.stack(samples.accepted)
+    )
+    merged = kropina.merge_reports([per_sample])
 
     if args.json:
         payload = _envelope("verify", doc, argv)
@@ -236,13 +283,7 @@ def cmd_verify(args, argv) -> int:
             "degenerate_order4": merged.degenerate_order4,
             "notes": merged.notes,
             "rows": _rows_payload(merged.rows),
-            "records": [
-                {
-                    "x": _vector(x), "y": _vector(y),
-                    "rows": _rows_payload(rep.rows),
-                }
-                for (x, y), rep in zip(samples.accepted, per_point)
-            ],
+            "records": _records_payload(samples.accepted, per_sample.rows),
         })
         _emit(payload)
         return 0
@@ -284,10 +325,12 @@ def cmd_check(args, argv) -> int:
     )
 
     if args.kind == "proj-related":
-        residuals = [
-            spray.projective_residual(doc.field, oneform, doc.m, x, y)
-            for x, y in samples.accepted
-        ]
+        residuals = []
+        if samples.accepted:
+            residuals = in_sample_order(
+                partial(spray.projective_residual, doc.field, oneform, doc.m),
+                *sampling.stack(samples.accepted),
+            ).tolist()
         max_residual = max(residuals, default=float("nan"))
         if len(samples.accepted) < flatness.MIN_VERDICT_SAMPLES:
             verdict = "inconclusive"
@@ -435,8 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--spec", required=True, help="metric-spec JSON document")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         if sampled:
-            p.add_argument("--samples", type=int, default=100)
-            p.add_argument("--seed", type=int, default=None,
+            p.add_argument("--samples", type=lambda s: _count(s, "--samples", 1),
+                           default=100)
+            p.add_argument("--seed", type=lambda s: _count(s, "--seed", 0), default=None,
                            help="overrides FINSLER_SEED (default 0)")
             p.add_argument("--box", type=lambda s: _box(s, "--box"),
                            default=sampling.DEFAULT_X_BOX, help="x sampling box LO,HI")
@@ -456,7 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="condition verdicts from operational residuals")
     p_check.add_argument("kind", choices=("dually-flat", "proj-flat", "proj-related"))
     add_common(p_check, sampled=True)
-    p_check.add_argument("--tol", type=float, default=flatness.DEFAULT_TOL)
+    p_check.add_argument("--tol", type=lambda s: _real(s, "--tol", nonnegative=True),
+                         default=flatness.DEFAULT_TOL)
     p_check.set_defaults(func=cmd_check)
 
     p_geo = sub.add_parser("geodesic", help="integrate and write a geodesic path")
@@ -464,8 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_geo.add_argument("--metric", choices=("base", "kropina"), default="base")
     p_geo.add_argument("--x0", required=True)
     p_geo.add_argument("--y0", required=True)
-    p_geo.add_argument("--t", type=float, required=True)
-    p_geo.add_argument("--steps", type=int, required=True)
+    p_geo.add_argument("--t", type=lambda s: _real(s, "--t"), required=True)
+    p_geo.add_argument("--steps", type=lambda s: _count(s, "--steps", 1), required=True)
     p_geo.add_argument("--out", required=True)
     p_geo.set_defaults(func=cmd_geodesic)
     return parser
@@ -474,8 +519,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # the type hooks raise ValidationError, which argparse lets through
+        args = parser.parse_args(argv)
         return args.func(args, argv)
     except INPUT_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")

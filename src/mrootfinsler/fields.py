@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError
+from .errors import DimensionMismatch, DomainError, raise_first
 from .symtensor import FormTerms, MonomialTable, SymmetricTensor, canonicalize
 
 # A form value at or below this multiple of ||y||^m * max|a_I(x)| is outside
@@ -31,20 +31,48 @@ FORM_FLOOR = 1e-12
 BETA_FLOOR = 1e-12
 
 
-def check_form(value: float, max_abs: float, y, m: int) -> None:
-    """Raise DomainError unless the form value clears its scale-aware floor."""
-    floor = FORM_FLOOR * float(np.linalg.norm(y)) ** m * max(max_abs, 1e-300)
-    if value <= floor:
-        raise DomainError(f"form value {value:.3e} at or below floor {floor:.3e}")
+def check_form(value, max_abs, y, m: int) -> None:
+    """Raise DomainError unless every form value clears its scale-aware floor."""
+    floor = FORM_FLOOR * norm(y) ** m * np.maximum(max_abs, 1e-300)
+    raise_first(
+        value <= floor, DomainError, "form value {:.3e} at or below floor {:.3e}",
+        value, floor,
+    )
 
 
-def check_beta(value: float, b, y) -> None:
-    """Raise DomainError when beta = b_i y^i is too close to zero."""
-    floor = BETA_FLOOR * float(np.linalg.norm(y)) * float(np.max(np.abs(b)))
-    if abs(value) <= floor:
-        raise DomainError(
-            f"one-form value {value:.3e} below degeneracy floor {floor:.3e}"
-        )
+def check_beta(value, b, y) -> None:
+    """Raise DomainError where beta = b_i y^i is too close to zero."""
+    floor = BETA_FLOOR * norm(y) * np.max(np.abs(b), axis=-1)
+    raise_first(
+        np.abs(value) <= floor, DomainError,
+        "one-form value {:.3e} below degeneracy floor {:.3e}", value, floor,
+    )
+
+
+def outer(u, v) -> np.ndarray:
+    """[..., i, j] = u_i v_j."""
+    return u[..., :, None] * v[..., None, :]
+
+
+def matvec(a, v) -> np.ndarray:
+    """[..., i] = a_ij v_j."""
+    return (a @ v[..., None])[..., 0]
+
+
+def vecmat(v, a) -> np.ndarray:
+    """[..., j] = v_i a_ij."""
+    return (v[..., None, :] @ a)[..., 0, :]
+
+
+def dot(u, v):
+    """u_i v_i per sample."""
+    return (u * v).sum(axis=-1)
+
+
+def norm(v):
+    """The Euclidean length per sample."""
+    v = np.asarray(v, dtype=float)
+    return np.sqrt(dot(v, v))
 
 
 class Polynomial:
@@ -92,36 +120,43 @@ class Polynomial:
 
 @dataclass
 class Jet:
-    """A scalar with its gradient and Hessian over (x, y), the n x-coordinates first."""
+    """A scalar with its gradient and Hessian over (x, y), the n x-coordinates first.
+
+    Every field takes a leading batch axis: val (...), grad (..., 2n) and
+    hess (..., 2n, 2n) for a stack of points, one point without it.
+    """
 
     val: float
-    grad: np.ndarray   # (2n,)
-    hess: np.ndarray   # (2n, 2n), exactly symmetric
+    grad: np.ndarray   # (..., 2n)
+    hess: np.ndarray   # (..., 2n, 2n), exactly symmetric
 
     @property
     def n(self) -> int:
-        return self.grad.size // 2
+        return self.grad.shape[-1] // 2
 
     @property
     def grad_x(self) -> np.ndarray:
-        return self.grad[: self.n]
+        return self.grad[..., : self.n]
 
     @property
     def grad_y(self) -> np.ndarray:
-        return self.grad[self.n :]
+        return self.grad[..., self.n :]
 
     @property
     def hess_xy(self) -> np.ndarray:
-        """[k, l] = d2 / dx^k dy^l."""
-        return self.hess[: self.n, self.n :]
+        """[..., k, l] = d2 / dx^k dy^l."""
+        return self.hess[..., : self.n, self.n :]
 
     @property
     def hess_yy(self) -> np.ndarray:
-        return self.hess[self.n :, self.n :]
+        return self.hess[..., self.n :, self.n :]
 
 
 class TermTable:
-    """The sum of terms w_t c_t(x) y^e_t: polynomials c_t over the terms of an index set."""
+    """The sum of terms w_t c_t(x) y^e_t: polynomials c_t over the terms of an index set.
+
+    Points x and vectors y may carry a leading batch axis (..., n).
+    """
 
     def __init__(self, polys, y_terms: FormTerms):
         n = y_terms.monomials.n
@@ -134,44 +169,55 @@ class TermTable:
         self.n = n
         self.x = MonomialTable(x_exps, n)
         self.y_terms = y_terms
+        # Where the pass below finds each entry of the 2n-gradient and of the
+        # 2n x 2n Hessian in the flattened product matrix M: row a and column
+        # b of M run over value, first and second derivatives (1 + n + n^2)
+        # of the x-coefficients and of the y-monomials respectively.
+        d = 1 + n + n * n
+        first = 1 + np.arange(n)
+        second = 1 + n + n * np.arange(n)[:, None] + np.arange(n)
+        self._grad = np.concatenate((first * d, first))
+        self._hess = np.block([
+            [second * d, first[:, None] * d + first],
+            [first * d + first[:, None], second],
+        ])
 
     def _check(self, v, what: str):
-        if len(v) != self.n:
-            raise DimensionMismatch(f"{what} has length {len(v)}, expected {self.n}")
+        if np.shape(v)[-1] != self.n:
+            raise DimensionMismatch(
+                f"{what} has length {np.shape(v)[-1]}, expected {self.n}"
+            )
 
     def coefficients(self, x) -> np.ndarray:
-        """c_t(x), one per term."""
+        """c_t(x), one per term: (..., terms)."""
         self._check(x, "point")
-        return self.K @ self.x.derivatives(x, 0)[0]
+        return self.x.derivatives(x, 0)[..., 0] @ self.K.T
 
     def value(self, x, y):
         """The sum at (x, y), and the coefficients c_t(x)."""
         c = self.coefficients(x)
         self._check(y, "vector")
-        y_terms = self.y_terms
-        return float((y_terms.weights * c) @ y_terms.monomials.derivatives(y, 0)[0]), c
+        return dot(c, self.y_terms.monomials.derivatives(y, 0)[..., 0]), c
 
     def jet(self, x, y):
-        """The sum as a Jet at (x, y), and the coefficients c_t(x)."""
+        """The sum as a Jet at (x, y), and the coefficients c_t(x).
+
+        M = C^T Y, with C[t, a] the a-th derivative of c_t and Y[t, b] the
+        b-th derivative of w_t y^e_t, holds every product the value, the
+        gradient and the Hessian need; one matrix product per point.
+        """
         self._check(x, "point")
         self._check(y, "vector")
-        x0, x1, x2 = self.x.derivatives(x, 2)
-        y0, y1, y2 = self.y_terms.monomials.derivatives(y, 2)
-        c = self.K @ x0
-        w = self.y_terms.weights
-        c0 = w * c
-        c1 = w[:, None] * (self.K @ x1)                      # [t, k] = d c_t / dx^k
-        c2 = w[:, None, None] * np.tensordot(self.K, x2, 1)  # [t, k, l]
-        n = self.n
-        hess = np.empty((2 * n, 2 * n))
-        hess[:n, :n] = np.tensordot(y0, c2, 1)
-        hess[:n, n:] = c1.T @ y1
-        hess[n:, :n] = hess[:n, n:].T
-        hess[n:, n:] = np.tensordot(c0, y2, 1)
-        grad = np.concatenate((c1.T @ y0, c0 @ y1))
+        C = self.K @ self.x.derivatives(x, 2)
+        M = np.swapaxes(C, -1, -2) @ self.y_terms.monomials.derivatives(y, 2)
+        flat = M.reshape(M.shape[:-2] + (-1,))
+        hess = flat[..., self._hess]
         # the two diagonal blocks are sums over terms whose order BLAS may
         # pick per entry; averaging with the transpose makes them exactly symmetric
-        return Jet(float(c0 @ y0), grad, 0.5 * (hess + hess.T)), c
+        return Jet(
+            flat[..., 0][()], flat[..., self._grad],
+            0.5 * (hess + np.swapaxes(hess, -1, -2)),
+        ), C[..., 0]
 
 
 class CoefficientField:
@@ -219,7 +265,7 @@ class CoefficientField:
     def form_checked(self, x, y) -> float:
         """The form value, with the domain guard: at or below its floor is a domain error."""
         value, a = self.terms.value(x, y)
-        check_form(value, float(np.max(np.abs(a), initial=0.0)), y, self.m)
+        check_form(value, np.max(np.abs(a), axis=-1, initial=0.0), y, self.m)
         return value
 
     def is_constant(self) -> bool:

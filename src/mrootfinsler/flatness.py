@@ -10,6 +10,10 @@ The closed-form characterizations are evaluated verbatim as diagnostics only:
 one of them keeps a copy of the left side on its right side, and the final
 term of the other exists in two prints with inconsistent powers, so both
 readings are reported and neither is asserted.
+
+Every residual and condition takes a stack of samples (N, n) as well as one
+point and reads the oracle's pass of A and beta; flatness_report makes that
+pass once for all accepted samples.
 """
 
 from __future__ import annotations
@@ -19,15 +23,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calculus
-from .fields import CoefficientField, OneFormField
+from .errors import in_sample_order
+from .fields import CoefficientField, OneFormField, dot, vecmat
 from .metric import metric_point
+from .sampling import stack
 
 DEFAULT_TOL = 1e-8
 
 
 @dataclass
 class FlatnessIntermediates:
-    """x-derivative contractions entering the closed-form conditions."""
+    """x-derivative contractions entering the closed-form conditions, per sample."""
 
     A0: float            # dA/dx^k y^k
     A0l: np.ndarray      # d2A/dx^k dy^l y^k
@@ -35,26 +41,32 @@ class FlatnessIntermediates:
     Axl: np.ndarray      # dA/dx^l
 
 
+def _jets(field, oneform, x, y, jets):
+    return calculus.field_jets(field, oneform, x, y) if jets is None else jets
+
+
 def intermediates(
-    field: CoefficientField, oneform: OneFormField, x, y
+    field: CoefficientField, oneform: OneFormField, x, y, jets=None
 ) -> FlatnessIntermediates:
-    """The contractions, read off one derivative pass of A and beta."""
+    """The contractions, read off one derivative pass of A and beta (`jets` if given)."""
     y = np.asarray(y, dtype=float)
-    A, beta = calculus.field_jets(field, oneform, x, y)
-    return FlatnessIntermediates(
-        float(A.grad_x @ y), y @ A.hess_xy, beta.grad_x, A.grad_x
-    )
+    A, beta = _jets(field, oneform, x, y, jets)
+    return FlatnessIntermediates(dot(A.grad_x, y), vecmat(y, A.hess_xy), beta.grad_x, A.grad_x)
 
 
 # ---------------------------------------------------------------------------
 # operational residuals (the verdict-carrying quantities)
 # ---------------------------------------------------------------------------
 
-def _defect(fn: calculus.ScalarFunction, x, y, factor: float):
+def _defect(fn: calculus.ScalarFunction, x, y, factor: float, jets=None):
     """fn and its [fn]_{x^k y^l} y^k - factor [fn]_{x^l}, from one pass."""
     y = np.asarray(y, dtype=float)
-    jet = calculus.derivatives(fn, x, y)
-    return jet.val, y @ jet.hess_xy - factor * jet.grad_x
+    jet = fn.compose(*_jets(fn.field, fn.oneform, x, y, jets))
+    return jet.val, vecmat(y, jet.hess_xy) - factor * jet.grad_x
+
+
+def _residual(value, defect):
+    return np.max(np.abs(defect), axis=-1) / (1.0 + np.abs(value))
 
 
 def dually_flat_defect(
@@ -65,10 +77,9 @@ def dually_flat_defect(
 
 
 def dually_flat_residual(
-    field: CoefficientField, oneform: OneFormField, m: int, x, y
+    field: CoefficientField, oneform: OneFormField, m: int, x, y, jets=None
 ) -> float:
-    value, defect = _defect(calculus.kropina_energy(field, oneform, m), x, y, 2.0)
-    return float(np.max(np.abs(defect))) / (1.0 + abs(value))
+    return _residual(*_defect(calculus.kropina_energy(field, oneform, m), x, y, 2.0, jets))
 
 
 def proj_flat_defect(
@@ -79,10 +90,9 @@ def proj_flat_defect(
 
 
 def proj_flat_residual(
-    field: CoefficientField, oneform: OneFormField, m: int, x, y
+    field: CoefficientField, oneform: OneFormField, m: int, x, y, jets=None
 ) -> float:
-    value, defect = _defect(calculus.kropina_norm(field, oneform, m), x, y, 1.0)
-    return float(np.max(np.abs(defect))) / (1.0 + abs(value))
+    return _residual(*_defect(calculus.kropina_norm(field, oneform, m), x, y, 1.0, jets))
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +111,21 @@ class ConditionEval:
     note: str = ""
 
 
+def _condition_terms(field, oneform, m, x, y, jets):
+    """The intermediates and the per-sample scalars of both conditions, lifted
+    to broadcast against vectors, from one pass."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    jets = _jets(field, oneform, x, y, jets)
+    base = metric_point(field, m, x, y, jets[0])
+    itm = intermediates(field, oneform, x, y, jets)
+    b = jets[1].grad_y
+    scalars = (v[..., None] for v in (base.A, base.F, jets[1].val, itm.A0, dot(itm.beta_l, y)))
+    return itm, b, m * base.A_i, scalars
+
+
 def dually_flat_condition(
-    field: CoefficientField, oneform: OneFormField, m: int, x, y
+    field: CoefficientField, oneform: OneFormField, m: int, x, y, jets=None
 ) -> ConditionEval:
     """Verbatim closed-form dual-flatness condition.
 
@@ -110,27 +133,19 @@ def dually_flat_condition(
     printed fourth term carries a dangling contraction index; it is read with
     the one-form x-gradient restored, matching the projective analogue.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    base = metric_point(field, m, x, y)
-    itm = intermediates(field, oneform, x, y)
-    b = oneform.values_at(x)
-    beta = oneform.beta_checked(x, y)
-    A, F = base.A, base.F
-    Ay = m * base.A_i
-    bky = float(itm.beta_l @ y)
+    itm, b, Ay, (A, F, beta, A0, bky) = _condition_terms(field, oneform, m, x, y, jets)
 
     rhs = (
-        (1.0 / (2 * beta * F ** 2)) * ((4.0 - m) / m) * itm.A0 * Ay
+        (1.0 / (2 * beta * F ** 2)) * ((4.0 - m) / m) * A0 * Ay
         + 0.5 * itm.A0l
-        - (itm.A0 / beta) * b
+        - (A0 / beta) * b
         - (bky / beta) * Ay
         + (3 * m / (4 * beta ** 2)) * A * bky * b
         + (m / (2 * beta)) * A * itm.beta_l
         - itm.Axl
         + (m / (2 * beta)) * A * b
     )
-    residual = float(np.max(np.abs(itm.Axl - rhs)))
+    residual = np.max(np.abs(itm.Axl - rhs), axis=-1)
     return ConditionEval(
         lhs=itm.Axl, rhs=rhs, residual=residual,
         note="right side retains a copy of the left side, evaluated verbatim",
@@ -138,7 +153,7 @@ def dually_flat_condition(
 
 
 def proj_flat_condition(
-    field: CoefficientField, oneform: OneFormField, m: int, x, y
+    field: CoefficientField, oneform: OneFormField, m: int, x, y, jets=None
 ) -> ConditionEval:
     """Verbatim closed-form projective-flatness condition, both final terms.
 
@@ -147,20 +162,12 @@ def proj_flat_condition(
     with an extra one-form power; `rhs` carries the first, `rhs_alt` the
     second.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    base = metric_point(field, m, x, y)
-    itm = intermediates(field, oneform, x, y)
-    b = oneform.values_at(x)
-    beta = oneform.beta_checked(x, y)
-    A = base.A
-    Ay = m * base.A_i
-    bky = float(itm.beta_l @ y)
+    itm, b, Ay, (A, F, beta, A0, bky) = _condition_terms(field, oneform, m, x, y, jets)
 
     common = (
-        ((2.0 - m) / m) * (itm.A0 / A) * Ay
+        ((2.0 - m) / m) * (A0 / A) * Ay
         + itm.A0l
-        - (itm.A0 / beta) * b
+        - (A0 / beta) * b
         - (bky / beta) * Ay
     )
     rhs = common + (m / beta) * A * bky * b
@@ -168,9 +175,9 @@ def proj_flat_condition(
     return ConditionEval(
         lhs=itm.Axl,
         rhs=rhs,
-        residual=float(np.max(np.abs(itm.Axl - rhs))),
+        residual=np.max(np.abs(itm.Axl - rhs), axis=-1),
         rhs_alt=rhs_alt,
-        residual_alt=float(np.max(np.abs(itm.Axl - rhs_alt))),
+        residual_alt=np.max(np.abs(itm.Axl - rhs_alt), axis=-1),
         note="final term evaluated under both printed powers",
     )
 
@@ -199,7 +206,11 @@ def flatness_report(
     field: CoefficientField, oneform: OneFormField, m: int, kind: str,
     samples, tol: float = DEFAULT_TOL, rejected: int = 0,
 ) -> FlatnessReport:
-    """Reduce accepted samples to a verdict; closed-form residual is informative."""
+    """Reduce accepted samples to a verdict; closed-form residual is informative.
+
+    The samples are evaluated as one stack with one derivative pass; a
+    failure is the one a loop over them would meet first.
+    """
     if kind == "dually-flat":
         residual_fn, condition_fn = dually_flat_residual, dually_flat_condition
     elif kind == "projectively-flat":
@@ -207,13 +218,20 @@ def flatness_report(
     else:
         raise ValueError(f"unknown flatness kind {kind!r}")
 
-    max_residual = 0.0
-    max_closed = 0.0
-    count = 0
-    for x, y in samples:
-        max_residual = max(max_residual, residual_fn(field, oneform, m, x, y))
-        max_closed = max(max_closed, condition_fn(field, oneform, m, x, y).residual)
-        count += 1
+    def evaluate(x, y):
+        jets = calculus.field_jets(field, oneform, x, y)
+        return (
+            residual_fn(field, oneform, m, x, y, jets),
+            condition_fn(field, oneform, m, x, y, jets).residual,
+        )
+
+    residuals, closed = [], []
+    if samples:
+        residuals, closed = (v.tolist() for v in in_sample_order(evaluate, *stack(samples)))
+    # the running maxima a loop over the samples would keep, from 0
+    max_residual = max([0.0] + residuals)
+    max_closed = max([0.0] + closed)
+    count = len(residuals)
 
     if count < MIN_VERDICT_SAMPLES:
         verdict = "inconclusive"

@@ -6,6 +6,11 @@ differentiation oracle (half the y-Hessian of Fbar^2).  Every closed form is
 evaluated verbatim and its residual against the oracle is *reported*, never
 asserted; only the supporting covector, which is a direct first derivative, is
 expected to be tight.
+
+Points may come stacked (N, n): the snapshot, the scalar family and the
+residual rows then hold one entry per sample (per-sample scalars gain unit
+axes to broadcast against vectors and matrices), and merge_reports reduces
+the rows to their per-formula maxima.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from . import calculus
 from .errors import DegenerateOrderFour
-from .fields import CoefficientField, OneFormField
+from .fields import CoefficientField, OneFormField, dot, matvec, outer
 from .metric import MetricPoint, _invert_guarded, metric_point
 
 NAN = float("nan")
@@ -81,7 +86,7 @@ def aux_scalars_from(F: float, beta: float, b2: float, m: int) -> AuxScalars:
 
 @dataclass
 class KropinaPoint:
-    """Every transformed quantity at one (x, y), closed forms and oracle side."""
+    """Every transformed quantity at (x, y), closed forms and oracle side, per sample of a stack."""
 
     base: MetricPoint
     oneform: OneFormField
@@ -102,56 +107,59 @@ class KropinaPoint:
 
 
 def kropina_point(
-    field: CoefficientField, oneform: OneFormField, m: int, x, y
+    field: CoefficientField, oneform: OneFormField, m: int, x, y, jets=None
 ) -> KropinaPoint:
+    """The transformed snapshot; `jets` is the pass (A, beta) when the caller made it."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    b = oneform.values_at(x)
-    beta = oneform.beta_checked(x, y)  # one-form guard first: it defines the domain
-    base = metric_point(field, m, x, y)
+    A, beta_jet = calculus.field_jets(field, oneform, x, y) if jets is None else jets
+    base = metric_point(field, m, x, y, A)
+    b = beta_jet.grad_y
+    beta = beta_jet.val
     F, A_i, A_ij = base.F, base.A_i, base.A_ij
 
     Fbar = F ** 2 / beta
     tau = F / beta
-    lbar = 2 * A_i / (beta * F ** (m - 2)) - F ** 2 * b / beta ** 2
+    # the per-sample scalars against vectors, then against matrices
+    Fv, betav = F[..., None], beta[..., None]
+    lbar = 2 * A_i / (betav * Fv ** (m - 2)) - Fv ** 2 * b / betav ** 2
 
-    cross = np.outer(A_i, b) + np.outer(b, A_i)
-    aa = np.outer(A_i, A_i)
-    bb = np.outer(b, b)
+    cross = outer(A_i, b) + outer(b, A_i)
+    aa = outer(A_i, A_i)
+    bb = outer(b, b)
 
-    hbar_closed = (2 * Fbar / beta) * (
-        (m - 1) * A_ij / F ** (m - 2)
-        - cross / (F ** (m - 2) * beta)
-        + bb / (F ** 2 * beta ** 2)
-        - (m - 2) * aa / F ** (2 * (m - 1))
+    Fm, betam, Fbarm, taum = (v[..., None, None] for v in (F, beta, Fbar, tau))
+    hbar_closed = (2 * Fbarm / betam) * (
+        (m - 1) * A_ij / Fm ** (m - 2)
+        - cross / (Fm ** (m - 2) * betam)
+        + bb / (Fm ** 2 * betam ** 2)
+        - (m - 2) * aa / Fm ** (2 * (m - 1))
     )
-    gbar_closed = 2 * tau ** 2 * (
-        (m - 1) * A_ij / F ** (m - 2)
-        - 2 * tau * cross / F ** (m - 1)
-        + tau ** 2 * (1 / F ** 4 + 0.5) * bb
-        - (m - 4) * aa / F ** (2 * (m - 1))
+    gbar_closed = 2 * taum ** 2 * (
+        (m - 1) * A_ij / Fm ** (m - 2)
+        - 2 * taum * cross / Fm ** (m - 1)
+        + taum ** 2 * (1 / Fm ** 4 + 0.5) * bb
+        - (m - 4) * aa / Fm ** (2 * (m - 1))
     )
     gbar_split = (
-        2 * tau ** 2 * base.g
-        - 4 * tau ** 3 * cross / F ** (m - 1)
-        + (2 + F ** 4) * bb / beta ** 4
-        + 4 * tau ** 2 * aa / F ** (2 * (m - 1))
+        2 * taum ** 2 * base.g
+        - 4 * taum ** 3 * cross / Fm ** (m - 1)
+        + (2 + Fm ** 4) * bb / betam ** 4
+        + 4 * taum ** 2 * aa / Fm ** (2 * (m - 1))
     )
 
-    A, beta_jet = calculus.field_jets(field, oneform, x, y)
     energy_jet = calculus.kropina_energy(field, oneform, m).compose(A, beta_jet)
     norm_jet = calculus.kropina_norm(field, oneform, m).compose(A, beta_jet)
     gbar_oracle = 0.5 * energy_jet.hess_yy
-    hbar_oracle = Fbar * norm_jet.hess_yy
+    hbar_oracle = Fbarm * norm_jet.hess_yy
     gbar_inv_numeric = _invert_guarded(gbar_oracle, "transformed fundamental tensor")
 
-    b2 = float(b @ base.A_inv @ b)
+    b2 = dot(b, matvec(base.A_inv, b))
     aux = aux_scalars_from(F, beta, b2, m)
 
-    nan_matrix = np.full((base.n, base.n), NAN)
     if aux.degenerate_order4:
-        gbar_inv_closed = nan_matrix
-        gbar_inv_split = nan_matrix.copy()
+        gbar_inv_closed = np.full(A_ij.shape, NAN)
+        gbar_inv_split = gbar_inv_closed.copy()
     else:
         gbar_inv_closed = _closed_inverse(base, b, beta, aux, split=False)
         gbar_inv_split = _closed_inverse(base, b, beta, aux, split=True)
@@ -168,20 +176,25 @@ def kropina_point(
 def _closed_inverse(
     base: MetricPoint, b: np.ndarray, beta: float, aux: AuxScalars, split: bool
 ) -> np.ndarray:
-    m, F, y = base.m, base.F, base.y
-    b_up = base.A_inv @ b
-    mixed = np.outer(b_up, y) + np.outer(y, b_up)
+    m, y = base.m, base.y
+    F, beta, tau, p0, p1, p2, p3, d2 = (
+        v[..., None, None] for v in (
+            base.F, beta, aux.tau, aux.p0, aux.p1, aux.p2, aux.p3, aux.d2
+        )
+    )
+    b_up = matvec(base.A_inv, b)
+    mixed = outer(b_up, y) + outer(y, b_up)
     mixed_coef = (
-        2 * beta ** 3 * (m - 4) * aux.p1
-        / (F ** 2 * (m - 1) * (beta ** 4 * (m - 4) - 8 * F ** 4 * aux.d2))
+        2 * beta ** 3 * (m - 4) * p1
+        / (F ** 2 * (m - 1) * (beta ** 4 * (m - 4) - 8 * F ** 4 * d2))
     )
     if split:
-        lead = base.g_inv / (2 * aux.tau ** 2)
-        tail = aux.p3 * np.outer(y, y)
+        lead = base.g_inv / (2 * tau ** 2)
+        tail = p3 * outer(y, y)
     else:
-        lead = F ** (m - 2) * base.A_inv / (2 * aux.tau ** 2 * (m - 1))
-        tail = aux.p2 * np.outer(y, y)
-    return lead + aux.p0 * np.outer(b_up, b_up) + mixed_coef * mixed + tail
+        lead = F ** (m - 2) * base.A_inv / (2 * tau ** 2 * (m - 1))
+        tail = p2 * outer(y, y)
+    return lead + p0 * outer(b_up, b_up) + mixed_coef * mixed + tail
 
 
 def gbar_inverse_closed(point: KropinaPoint, split: bool = False) -> np.ndarray:
@@ -197,7 +210,11 @@ def gbar_inverse_closed(point: KropinaPoint, split: bool = False) -> np.ndarray:
 
 @dataclass
 class ResidualRow:
-    """Max residual of one closed form against its oracle quantity."""
+    """Max residual of one closed form against its oracle quantity.
+
+    On a stack of samples max_abs and max_rel hold one value per sample and
+    x and y the stacked points; merge_reports reduces them to the maximum.
+    """
 
     formula: str
     max_abs: Optional[float]
@@ -216,12 +233,11 @@ class DiscrepancyReport:
 
 
 def _row(formula, closed, reference, point, note="") -> ResidualRow:
-    diff = float(np.max(np.abs(closed - reference)))
-    rel = diff / (1.0 + float(np.max(np.abs(reference))))
-    return ResidualRow(
-        formula, diff, rel,
-        tuple(point.base.x.tolist()), tuple(point.base.y.tolist()), note,
-    )
+    # a vector or matrix per sample: the maxima run over its trailing axes
+    axes = tuple(range(point.base.y.ndim - 1 - closed.ndim, 0))
+    diff = np.max(np.abs(closed - reference), axis=axes)
+    rel = diff / (1.0 + np.max(np.abs(reference), axis=axes))
+    return ResidualRow(formula, diff, rel, point.base.x, point.base.y, note)
 
 
 def _degenerate_row(formula) -> ResidualRow:
@@ -229,7 +245,7 @@ def _degenerate_row(formula) -> ResidualRow:
 
 
 def verify_kropina_forms(point: KropinaPoint) -> DiscrepancyReport:
-    """Residual rows for every transformed closed form at a single point."""
+    """Residual rows for every transformed closed form, per sample of the point's stack."""
     rows = [
         _row("lbar_closed", point.lbar, point.lbar_oracle, point),
         _row("hbar_closed", point.hbar_closed, point.hbar_oracle, point),
@@ -260,35 +276,45 @@ def verify_kropina_forms(point: KropinaPoint) -> DiscrepancyReport:
             ),
         ]
     return DiscrepancyReport(
-        rows=rows, points=1,
+        rows=rows, points=int(np.prod(point.base.y.shape[:-1])),
         degenerate_order4=point.aux.degenerate_order4, notes=[B2_NOTE],
     )
 
 
 def merge_reports(reports) -> DiscrepancyReport:
-    """Per-formula max across single-point reports, keeping the argmax point."""
-    best = {}
-    order = []
-    degenerate = False
-    points = 0
+    """Per-formula max across reports of single points or stacks, keeping the point of max.
+
+    Rows that are undefined (None) lose to defined ones; np.argmax keeps the
+    earliest sample of a tie.
+    """
+    reports = list(reports)
     notes = []
     for rep in reports:
-        points += rep.points
-        degenerate = degenerate or rep.degenerate_order4
         for note in rep.notes:
             if note not in notes:
                 notes.append(note)
-        for row in rep.rows:
-            if row.formula not in best:
-                best[row.formula] = row
-                order.append(row.formula)
-            else:
-                cur = best[row.formula]
-                if row.max_abs is not None and (
-                    cur.max_abs is None or row.max_abs > cur.max_abs
-                ):
-                    best[row.formula] = row
+    rows = []
+    for formula in dict.fromkeys(row.formula for rep in reports for row in rep.rows):
+        candidates = [row for rep in reports for row in rep.rows if row.formula == formula]
+        valued = [row for row in candidates if row.max_abs is not None]
+        if not valued:
+            rows.append(candidates[0])
+            continue
+        max_abs, max_rel = (
+            np.concatenate([np.ravel(getattr(row, key)) for row in valued])
+            for key in ("max_abs", "max_rel")
+        )
+        xs, ys = (
+            np.concatenate([np.reshape(getattr(row, key), (-1, np.shape(row.x)[-1]))
+                            for row in valued])
+            for key in ("x", "y")
+        )
+        i = int(np.argmax(max_abs))
+        rows.append(ResidualRow(
+            formula, float(max_abs[i]), float(max_rel[i]),
+            tuple(xs[i].tolist()), tuple(ys[i].tolist()), valued[0].note,
+        ))
     return DiscrepancyReport(
-        rows=[best[name] for name in order], points=points,
-        degenerate_order4=degenerate, notes=notes,
+        rows=rows, points=sum(rep.points for rep in reports),
+        degenerate_order4=any(rep.degenerate_order4 for rep in reports), notes=notes,
     )

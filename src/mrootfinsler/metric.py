@@ -1,7 +1,10 @@
-"""Base-metric quantities of the m-th root norm F = (form)^(1/m) at one point.
+"""Base-metric quantities of the m-th root norm F = (form)^(1/m).
 
 The closed forms for the fundamental tensor and its inverse are evaluated
-here; `verify_base_forms` measures them against the differentiation oracle.
+here, verbatim, on the contractions read off the oracle's pass of the form;
+`verify_base_forms` measures them against the differentiation oracle.  A
+snapshot holds one point, or a stack of samples with a leading batch axis on
+every field; the closed forms broadcast over it unchanged.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calculus
-from .errors import RiemannianOrderWarning, SingularMatrix
-from .fields import CoefficientField, check_form
+from .errors import RiemannianOrderWarning, SingularMatrix, raise_first
+from .fields import CoefficientField, Jet, outer
 
 COND_LIMIT = 1e12
 
@@ -23,14 +26,16 @@ ORDER_MAX = 8
 
 def _invert_guarded(matrix: np.ndarray, label: str) -> np.ndarray:
     cond = np.linalg.cond(matrix)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularMatrix(f"{label} has condition number {cond:.3e}")
+    raise_first(
+        ~np.isfinite(cond) | (cond > COND_LIMIT), SingularMatrix,
+        f"{label} has condition number {{:.3e}}", cond,
+    )
     return np.linalg.inv(matrix)
 
 
 @dataclass
 class MetricPoint:
-    """Immutable snapshot of every base-metric quantity at (x, y)."""
+    """Immutable snapshot of every base-metric quantity at (x, y), per sample of a stack."""
 
     n: int
     m: int
@@ -39,7 +44,6 @@ class MetricPoint:
     A: float            # degree-m form value
     A_i: np.ndarray     # first y-saturated contraction
     A_ij: np.ndarray    # second contraction
-    A_ijk: np.ndarray   # third contraction; None when m == 2
     F: float            # m-th root norm
     l: np.ndarray       # normalized supporting covector dF/dy
     g: np.ndarray       # fundamental tensor, closed form
@@ -49,36 +53,38 @@ class MetricPoint:
     order_flag: str = ""
 
 
-def metric_point(field: CoefficientField, m: int, x, y) -> MetricPoint:
+def metric_point(field: CoefficientField, m: int, x, y, A: Jet = None) -> MetricPoint:
     """Assemble the base-metric snapshot; closed forms for g and its inverse.
 
     g_ij  = (m-1) A_ij / F^(m-2) - (m-2) A_i A_j / F^(2(m-1))
     g^ij  = F^(m-2) A^ij / (m-1) + (m-2) y^i y^j / ((m-1) F^2)
-    with A^ij the numerically inverted second contraction.
+    with A^ij the numerically inverted second contraction.  The contractions
+    are read off the pass of the form: A_i = A_y / m, A_ij = A_yy / (m(m-1)).
+    `A` is that pass when the caller already made it; x and y may be stacks.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    tensor = field.tensor_at(x)
-    A = tensor.contract(y, 0)
-    check_form(A, tensor.max_abs(), y, m)
+    if A is None:
+        A = calculus.field_jets(field, None, x, y)[0]
 
     order_flag = ""
     if m == 2:
         order_flag = "order 2 is Riemannian: closed forms target m > 2"
         warnings.warn(order_flag, RiemannianOrderWarning, stacklevel=2)
 
-    A_i = tensor.contract(y, 1)
-    A_ij = tensor.contract(y, 2)
-    A_ijk = tensor.contract(y, 3) if m >= 3 else None
+    A_i = A.grad_y / m
+    A_ij = A.hess_yy / (m * (m - 1))
+    A = A.val
     F = A ** (1.0 / m)
+    Fv, Fm = F[..., None], F[..., None, None]  # F against vectors and matrices
 
-    l = A_i / F ** (m - 1)
-    g = (m - 1) * A_ij / F ** (m - 2) - (m - 2) * np.outer(A_i, A_i) / F ** (2 * (m - 1))
+    l = A_i / Fv ** (m - 1)
+    g = (m - 1) * A_ij / Fm ** (m - 2) - (m - 2) * outer(A_i, A_i) / Fm ** (2 * (m - 1))
     A_inv = _invert_guarded(A_ij, "second contraction")
-    g_inv = F ** (m - 2) * A_inv / (m - 1) + (m - 2) * np.outer(y, y) / ((m - 1) * F ** 2)
+    g_inv = Fm ** (m - 2) * A_inv / (m - 1) + (m - 2) * outer(y, y) / ((m - 1) * Fm ** 2)
 
     return MetricPoint(
-        n=field.n, m=m, x=x, y=y, A=A, A_i=A_i, A_ij=A_ij, A_ijk=A_ijk,
+        n=field.n, m=m, x=x, y=y, A=A, A_i=A_i, A_ij=A_ij,
         F=F, l=l, g=g, g_inv=g_inv, A_inv=A_inv, field=field, order_flag=order_flag,
     )
 

@@ -50,3 +50,9 @@ def sample_points(
                 continue
         accepted.append((x, y))
     return SampleSet(accepted, rejected, count)
+
+
+def stack(pairs):
+    """The points and the vectors of a non-empty list of (x, y) pairs, stacked (N, n)."""
+    xs, ys = zip(*pairs)
+    return np.array(xs, dtype=float), np.array(ys, dtype=float)

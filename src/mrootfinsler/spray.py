@@ -11,7 +11,9 @@ and only ever reported.
 Both sprays and every x-derivative the split needs come from one derivative
 pass of A and beta (calculus.field_jets); only the verbatim tail X and its
 x-derivatives are still chained by hand, because the printed tail may be
-misprinted and no identity may be applied to it.
+misprinted and no identity may be applied to it.  Everything but the
+geodesic integrator also takes a stack of samples (N, n): the sprays are then
+one batched solve, and the split and the wedge hold one entry per sample.
 
 Geodesic convention: the integrated system is x'' = -G(x, x') with G as above.
 That is not the geodesic equation of this quarter-factor spray, which is
@@ -26,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calculus
-from .errors import DomainError, NonFiniteResult, SingularMatrix
-from .fields import CoefficientField, OneFormField
+from .errors import DomainError, NonFiniteResult, SingularMatrix, raise_first
+from .fields import CoefficientField, OneFormField, dot, matvec, outer, vecmat
 from .kropina import AuxScalars, aux_scalars_from
 from .metric import COND_LIMIT, metric_point
 
@@ -43,10 +45,12 @@ def spray_coeffs(energy: calculus.ScalarFunction, x, y) -> np.ndarray:
 def _spray(jet: calculus.Jet, y: np.ndarray) -> np.ndarray:
     g = 0.5 * jet.hess_yy
     cond = np.linalg.cond(g)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularMatrix(f"fundamental tensor condition number {cond:.3e}")
-    rhs = y @ jet.hess_xy - jet.grad_x
-    return 0.25 * np.linalg.solve(g, rhs)
+    raise_first(
+        ~np.isfinite(cond) | (cond > COND_LIMIT), SingularMatrix,
+        "fundamental tensor condition number {:.3e}", cond,
+    )
+    rhs = vecmat(y, jet.hess_xy) - jet.grad_x
+    return 0.25 * np.linalg.solve(g, rhs[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -55,23 +59,23 @@ def _spray(jet: calculus.Jet, y: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _Bundle:
-    """Contractions and their exact x-derivatives at one (x, y)."""
+    """Contractions and their exact x-derivatives at (x, y), per sample."""
 
     A: float
     A_i: np.ndarray
-    A_x: np.ndarray      # [k] = dA/dx^k
-    A_i_x: np.ndarray    # [k, i] = dA_i/dx^k
+    A_x: np.ndarray      # [..., k] = dA/dx^k
+    A_i_x: np.ndarray    # [..., k, i] = dA_i/dx^k
     b: np.ndarray
-    b_jac: np.ndarray    # [i, k] = db_i/dx^k
+    b_jac: np.ndarray    # [..., i, k] = db_i/dx^k
     beta: float
-    beta_x: np.ndarray   # [k] = dbeta/dx^k
+    beta_x: np.ndarray   # [..., k] = dbeta/dx^k
 
 
 def _contractions(A: calculus.Jet, beta: calculus.Jet, m: int) -> _Bundle:
     """Read the bundle off a pass of A and beta: A_i = A_y / m, b = beta_y."""
     return _Bundle(
         A.val, A.grad_y / m, A.grad_x, A.hess_xy / m,
-        beta.grad_y, beta.hess_xy.T, beta.val, beta.grad_x,
+        beta.grad_y, np.swapaxes(beta.hess_xy, -1, -2), beta.val, beta.grad_x,
     )
 
 
@@ -82,44 +86,44 @@ def _metric_bracket(E: calculus.Jet, y: np.ndarray) -> np.ndarray:
     which hold because the base closed form of g is exact, this is
     (y H_xy[F^2])_l / 2 - [F^2]_{x^l}.
     """
-    return 0.5 * (y @ E.hess_xy) - E.grad_x
+    return 0.5 * vecmat(y, E.hess_xy) - E.grad_x
 
 
 def transform_tail(bundle: _Bundle, m: int) -> np.ndarray:
     """The non-base tail of the split transformed tensor, evaluated verbatim."""
-    A, A_i, b, beta = bundle.A, bundle.A_i, bundle.b, bundle.beta
+    A_i, b = bundle.A_i, bundle.b
+    A, beta = bundle.A[..., None, None], bundle.beta[..., None, None]
     qa = (4.0 - m) / m
     qc = (4.0 - 2.0 * m) / m
-    cross = np.outer(A_i, b) + np.outer(b, A_i)
+    cross = outer(A_i, b) + outer(b, A_i)
     return (
         -4 * A ** qa * cross / beta ** 3
-        + (2 + A ** (4.0 / m)) * np.outer(b, b) / beta ** 4
-        + 4 * A ** qc * np.outer(A_i, A_i) / beta ** 2
+        + (2 + A ** (4.0 / m)) * outer(b, b) / beta ** 4
+        + 4 * A ** qc * outer(A_i, A_i) / beta ** 2
     )
 
 
 def transform_tail_x_derivatives(bundle: _Bundle, m: int) -> np.ndarray:
-    """Exact [k, j, l] = d X_jl / dx^k for the verbatim tail above."""
-    A, A_i, b, beta = bundle.A, bundle.A_i, bundle.b, bundle.beta
+    """Exact [..., k, j, l] = d X_jl / dx^k for the verbatim tail above."""
+    A_i, b = bundle.A_i, bundle.b
+    A, beta = bundle.A[..., None, None], bundle.beta[..., None, None]
     qa = (4.0 - m) / m
     qb = 4.0 / m
     qc = (4.0 - 2.0 * m) / m
-    cross = np.outer(A_i, b) + np.outer(b, A_i)
-    bb = np.outer(b, b)
-    aa = np.outer(A_i, A_i)
-    n = A_i.size
-    out = np.zeros((n, n, n))
+    cross = outer(A_i, b) + outer(b, A_i)
+    bb = outer(b, b)
+    aa = outer(A_i, A_i)
+    n = A_i.shape[-1]
+    out = np.zeros(A_i.shape[:-1] + (n, n, n))
     for k in range(n):
-        Ax = bundle.A_x[k]
-        Aix = bundle.A_i_x[k]
-        bx = bundle.b_jac[:, k]
-        betax = bundle.beta_x[k]
-        cross_x = (
-            np.outer(Aix, b) + np.outer(A_i, bx) + np.outer(bx, A_i) + np.outer(b, Aix)
-        )
-        bb_x = np.outer(bx, b) + np.outer(b, bx)
-        aa_x = np.outer(Aix, A_i) + np.outer(A_i, Aix)
-        out[k] = (
+        Ax = bundle.A_x[..., k, None, None]
+        Aix = bundle.A_i_x[..., k, :]
+        bx = bundle.b_jac[..., :, k]
+        betax = bundle.beta_x[..., k, None, None]
+        cross_x = outer(Aix, b) + outer(A_i, bx) + outer(bx, A_i) + outer(b, Aix)
+        bb_x = outer(bx, b) + outer(b, bx)
+        aa_x = outer(Aix, A_i) + outer(A_i, Aix)
+        out[..., k, :, :] = (
             -4 * (qa * A ** (qa - 1) * Ax * cross + A ** qa * cross_x) / beta ** 3
             + 12 * A ** qa * cross * betax / beta ** 4
             + qb * A ** (qb - 1) * Ax * bb / beta ** 4
@@ -137,7 +141,7 @@ def transform_tail_x_derivatives(bundle: _Bundle, m: int) -> np.ndarray:
 
 @dataclass
 class SprayPoint:
-    """Oracle sprays plus the verbatim closed-form split at one (x, y)."""
+    """Oracle sprays plus the verbatim closed-form split at (x, y), per sample."""
 
     G: np.ndarray             # base spray
     Gbar: np.ndarray          # transformed spray
@@ -154,20 +158,22 @@ class SprayPoint:
 
 
 def pq_decomposition(
-    field: CoefficientField, oneform: OneFormField, m: int, x, y
+    field: CoefficientField, oneform: OneFormField, m: int, x, y, jets=None, base=None
 ) -> SprayPoint:
     """Oracle sprays always; closed-form P and Q verbatim where defined.
 
     The closed Q is printed with a scalar that collides with the one defined
     by the inverse-tensor rewrite; both readings are returned (`Q_closed` uses
     the scalar as printed in the decomposition, `Q_closed_alt` the one from
-    the expansion it descends from).
+    the expansion it descends from).  `jets`, the pass (A, beta), and `base`,
+    the MetricPoint of the same samples, are reused when the caller has them.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    base = metric_point(field, m, x, y)
+    A, beta_jet = calculus.field_jets(field, oneform, x, y) if jets is None else jets
+    if base is None:
+        base = metric_point(field, m, x, y, A)
 
-    A, beta_jet = calculus.field_jets(field, oneform, x, y)
     E = calculus.base_energy(field, m).compose(A, beta_jet)
     G = _spray(E, y)
     Gbar = _spray(calculus.kropina_energy(field, oneform, m).compose(A, beta_jet), y)
@@ -178,11 +184,11 @@ def pq_decomposition(
     # omega = 2 d(tau^2)/dx with tau^2 = A^(2/m) beta^(-2)
     omega = 2.0 * calculus.power(A, beta_jet, 2.0 / m, -2.0).grad_x
 
-    b2 = float(bundle.b @ base.A_inv @ bundle.b)
+    b2 = dot(bundle.b, matvec(base.A_inv, bundle.b))
     aux = aux_scalars_from(base.F, bundle.beta, b2, m)
 
     if aux.degenerate_order4:
-        nanv = np.full(base.n, NAN)
+        nanv = np.full(y.shape, NAN)
         return SprayPoint(
             G, Gbar, D, X, omega, NAN,
             nanv, nanv.copy(), nanv.copy(), nanv.copy(), aux, True,
@@ -190,26 +196,25 @@ def pq_decomposition(
 
     dX = transform_tail_x_derivatives(bundle, m)
     g = base.g
-    tau = aux.tau
-    n = base.n
+    tau = aux.tau[..., None]
 
     # W_l = sum_jk [2 w_k g_jl - w_l g_jk + 2 dX_jl/dx^k - dX_jk/dx^l] y^j y^k
-    gy = g @ y
-    ygy = float(y @ gy)
-    W = np.zeros(n)
-    for l in range(n):
-        dX_contr = sum(y[k] * (y @ dX[k][:, l]) for k in range(n))
-        dX_swap = float(y @ dX[l] @ y)
-        W[l] = 2 * float(omega @ y) * gy[l] - omega[l] * ygy + 2 * dX_contr - dX_swap
+    gy = matvec(g, y)
+    ygy = dot(y, gy)[..., None]
+    dX_contr = np.einsum("...k,...j,...kjl->...l", y, y, dX)
+    dX_swap = np.einsum("...j,...ljk,...k->...l", y, dX, y)
+    W = 2 * dot(omega, y)[..., None] * gy - omega * ygy + 2 * dX_contr - dX_swap
     S = 2 * tau ** 2 * _metric_bracket(E, y) + W
 
-    b_up = base.A_inv @ bundle.b
-    P_closed = 0.25 * float((aux.p1 * b_up + aux.p3 * y) @ S) + (
-        (m - 2) / (4 * tau ** 2 * base.F ** 2 * (m - 1))
-    ) * float(y @ W)
-    q_lead = 0.25 * b_up * float((aux.p2 * b_up + aux.p1 * y) @ S)
-    q_lead_alt = 0.25 * b_up * float((aux.p0 * b_up + aux.p1 * y) @ S)
-    q_inv = (base.F ** (m - 2) / (8 * tau ** 2 * (m - 1))) * (base.A_inv @ W)
+    F = base.F[..., None]
+    p0, p1, p2, p3 = (v[..., None] for v in (aux.p0, aux.p1, aux.p2, aux.p3))
+    b_up = matvec(base.A_inv, bundle.b)
+    P_closed = 0.25 * dot(p1 * b_up + p3 * y, S) + (
+        (m - 2) / (4 * aux.tau ** 2 * base.F ** 2 * (m - 1))
+    ) * dot(y, W)
+    q_lead = 0.25 * b_up * dot(p2 * b_up + p1 * y, S)[..., None]
+    q_lead_alt = 0.25 * b_up * dot(p0 * b_up + p1 * y, S)[..., None]
+    q_inv = (F ** (m - 2) / (8 * tau ** 2 * (m - 1))) * matvec(base.A_inv, W)
 
     return SprayPoint(
         G, Gbar, D, X, omega, P_closed,
@@ -223,20 +228,22 @@ def projective_residual(
     """Max wedge component of the spray difference with y; zero iff D ~ y.
 
     Evaluated at y/||y|| so the result is invariant under rescaling y; the
-    wedge itself is normalised by 1 + ||D|| ||y||.
+    wedge itself is normalised by 1 + ||D|| ||y||.  One value per sample of
+    a stack.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    y_unit = y / np.linalg.norm(y)
+    y_unit = y / np.linalg.norm(y, axis=-1)[..., None]
     A, beta = calculus.field_jets(field, oneform, x, y_unit)
     G = _spray(calculus.base_energy(field, m).compose(A, beta), y_unit)
     Gbar = _spray(calculus.kropina_energy(field, oneform, m).compose(A, beta), y_unit)
     D = Gbar - G
-    wedge = 0.0
-    for i in range(len(y_unit)):
-        for j in range(i + 1, len(y_unit)):
-            wedge = max(wedge, abs(D[i] * y_unit[j] - D[j] * y_unit[i]))
-    return wedge / (1.0 + float(np.linalg.norm(D)) * float(np.linalg.norm(y_unit)))
+    # [i, j] = D_i y_j - D_j y_i: its largest entry is the largest i < j wedge
+    # component, because the matrix is antisymmetric with a zero diagonal
+    wedge = np.abs(outer(D, y_unit) - outer(y_unit, D)).max(axis=(-2, -1))
+    return wedge / (
+        1.0 + np.linalg.norm(D, axis=-1) * np.linalg.norm(y_unit, axis=-1)
+    )
 
 
 def split_defect(point: SprayPoint, y) -> dict:
@@ -244,7 +251,8 @@ def split_defect(point: SprayPoint, y) -> dict:
 
     Returns max |D - (P y + Q)| for both scalar readings, the tangential
     comparison (component orthogonal to y, insensitive to P), and the verbatim
-    relatedness balance, which equates the two halves of Q as printed.
+    relatedness balance, which equates the two halves of Q as printed; one
+    value per sample of a stack.
     """
     y = np.asarray(y, dtype=float)
     if point.degenerate_order4:
@@ -255,19 +263,21 @@ def split_defect(point: SprayPoint, y) -> dict:
         }
 
     def tangential(v):
-        return v - (float(v @ y) / float(y @ y)) * y
+        return v - (dot(v, y) / dot(y, y))[..., None] * y
 
-    recon = point.P_closed * y + point.Q_closed
-    recon_alt = point.P_closed * y + point.Q_closed_alt
+    def max_abs(v):
+        return np.max(np.abs(v), axis=-1)
+
+    P = point.P_closed[..., None]
+    recon = P * y + point.Q_closed
+    recon_alt = P * y + point.Q_closed_alt
     t_d = tangential(point.D)
     return {
-        "split_defect": float(np.max(np.abs(point.D - recon))),
-        "split_defect_alt": float(np.max(np.abs(point.D - recon_alt))),
-        "tangential_defect": float(np.max(np.abs(t_d - tangential(point.Q_closed)))),
-        "tangential_defect_alt": float(
-            np.max(np.abs(t_d - tangential(point.Q_closed_alt)))
-        ),
-        "balance_defect": float(np.max(np.abs(point.Q_lead - point.Q_inv))),
+        "split_defect": max_abs(point.D - recon),
+        "split_defect_alt": max_abs(point.D - recon_alt),
+        "tangential_defect": max_abs(t_d - tangential(point.Q_closed)),
+        "tangential_defect_alt": max_abs(t_d - tangential(point.Q_closed_alt)),
+        "balance_defect": max_abs(point.Q_lead - point.Q_inv),
     }
 
 

@@ -55,44 +55,57 @@ def canonicalize(raw_indices, n: int) -> MultisetIndex:
 
 
 class MonomialTable:
-    """Monomials v^e_r in n variables with their derivatives by exponent decrement.
+    """Scaled monomials s_r v^e_r in n variables with their derivatives by exponent decrement.
 
     The order-k table holds, for every row r and every k-tuple (j1..jk) of
-    variables, the falling-factorial factor and the decremented exponents, so
-    that derivatives(v, k)[k][r, j1, .., jk] = d^k v^e_r / dv_j1 .. dv_jk.
-    Tables are built on first use and kept.  Exponents that would go negative
-    are clipped to zero where their factor is already zero, so no negative
-    power of a zero coordinate is ever formed.
+    variables, the falling-factorial factor times s_r and the decremented
+    exponents.  `derivatives` returns every order up to the one asked for in
+    one array: its column block k holds the n^k order-k derivatives, the
+    tuple (j1..jk) flattened row-major.  Tables are built on first use and
+    kept.  Exponents that would go negative are clipped to zero where their
+    factor is already zero, so no negative power of a zero coordinate is ever
+    formed.
     """
 
-    def __init__(self, exponents, n: int):
+    def __init__(self, exponents, n: int, scale=None):
         exps = np.array(exponents, dtype=int).reshape(-1, n)
+        scale = np.ones(len(exps)) if scale is None else np.asarray(scale, dtype=float)
         self.n = n
-        self._tables = [(exps, np.ones(exps.shape[0]))]
+        self._orders = [(exps[:, None, :], scale[:, None])]
+        self._stacked = {}
         self._powers = np.arange(int(exps.max(initial=0)) + 1)
         self._axis = np.arange(n)
 
-    def _table(self, k: int):
-        while len(self._tables) <= k:
-            exps, factor = self._tables[-1]
-            self._tables.append((
-                np.maximum(exps[..., None, :] - np.eye(self.n, dtype=int), 0),
-                factor[..., None] * exps,
-            ))
-        return self._tables[k]
+    def offset(self, k: int) -> int:
+        """First column of the order-k block."""
+        return sum(self.n ** j for j in range(k))
 
-    def derivatives(self, v, order: int) -> list:
-        """Every monomial and its derivatives at v, for orders 0..order."""
+    def _table(self, order: int):
+        """Exponents (rows, columns, n) and factors (rows, columns) of orders 0..order."""
+        if order not in self._stacked:
+            while len(self._orders) <= order:
+                exps, factor = self._orders[-1]
+                rows = exps.shape[0]
+                self._orders.append((
+                    np.maximum(exps[:, :, None, :] - np.eye(self.n, dtype=int), 0)
+                    .reshape(rows, -1, self.n),
+                    (factor[:, :, None] * exps).reshape(rows, -1),
+                ))
+            self._stacked[order] = (
+                np.concatenate([e for e, _ in self._orders[: order + 1]], axis=1),
+                np.concatenate([f for _, f in self._orders[: order + 1]], axis=1),
+            )
+        return self._stacked[order]
+
+    def derivatives(self, v, order: int) -> np.ndarray:
+        """[..., r, c]: every monomial and its derivatives at v (..., n), orders 0..order."""
         powers = np.power.outer(np.asarray(v, dtype=float), self._powers)
-        out = []
-        for k in range(order + 1):
-            exps, factor = self._table(k)
-            out.append(factor * powers[self._axis, exps].prod(axis=-1))
-        return out
+        exps, factor = self._table(order)
+        return factor * powers[..., self._axis, exps].prod(axis=-1)
 
 
 class FormTerms:
-    """Index multisets read as y-monomial terms: weights and exponent rows.
+    """Index multisets read as y-monomial terms, each scaled by its weight.
 
     Row t is the t-th key; its weight is the multiplicity of the key and its
     exponent row counts each index (the one-form is the order-1 case).  A
@@ -101,9 +114,9 @@ class FormTerms:
     """
 
     def __init__(self, keys, n: int):
-        self.weights = np.array([index_multiplicity(key) for key in keys], dtype=float)
         self.monomials = MonomialTable(
-            [[key.count(i) for i in range(1, n + 1)] for key in keys], n
+            [[key.count(i) for i in range(1, n + 1)] for key in keys], n,
+            [index_multiplicity(key) for key in keys],
         )
 
 
@@ -149,20 +162,18 @@ class SymmetricTensor:
             raise IndexOutOfRange(f"index {raw_indices} does not have order {self.m}")
         return self.entries.get(key.indices, 0.0)
 
-    def max_abs(self) -> float:
-        return max((abs(v) for v in self.entries.values()), default=0.0)
-
     def _check_vector(self, y):
         if len(y) != self.n:
             raise DimensionMismatch(f"vector has length {len(y)}, expected {self.n}")
 
     def _derivative(self, y, k: int) -> np.ndarray:
-        """k-th y-derivative of the form: the weighted sum of monomial derivatives."""
+        """k-th y-derivative of the form: the sum of the weighted monomial derivatives."""
         if self._terms is None:
             self._terms = FormTerms(list(self.entries), self.n)
         values = np.fromiter(self.entries.values(), float, len(self.entries))
-        monomials = self._terms.monomials.derivatives(y, k)[k]
-        return np.tensordot(self._terms.weights * values, monomials, axes=1)
+        table = self._terms.monomials
+        monomials = table.derivatives(y, k)[:, table.offset(k):]
+        return (values @ monomials).reshape((self.n,) * k)
 
     def eval(self, y) -> float:
         """Evaluate the degree-m homogeneous form at y."""

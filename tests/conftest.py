@@ -1,11 +1,14 @@
 """Shared fixture geometries and numeric helpers."""
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mrootfinsler import calculus, sampling
 from mrootfinsler.fields import CoefficientField, OneFormField, Polynomial
+from mrootfinsler.specfile import load_spec
 
 SESSION_T0 = time.monotonic()
 
@@ -103,6 +106,28 @@ def rel_err(value, reference):
     return float(np.max(np.abs(np.asarray(value, dtype=float) - ref))) / (
         1.0 + float(np.max(np.abs(ref)))
     )
+
+
+# the shipped fixture documents that carry a one-form
+ONE_FORM_SPECS = ("berwald_moore", "cubic_x", "cubic_x_bx", "diag_quartic", "mixed_quartic")
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def spec_samples(name, count, seed):
+    """A shipped fixture document with its admissible samples, one by one and stacked."""
+    doc = load_spec(FIXTURE_DIR / f"{name}.json")
+    accepted = sampling.sample_points(
+        doc.n, count, seed, domain_check=calculus.domain_check(doc.field, doc.oneform)
+    ).accepted
+    return doc, accepted, sampling.stack(accepted)
+
+
+def assert_stack_matches(stacked, single, what=""):
+    """A stacked result against the single-point results, within 1e-13 (1 + |v|)."""
+    stacked = np.asarray(stacked, dtype=float)
+    single = np.asarray(single, dtype=float)
+    assert stacked.shape == single.shape, what
+    assert np.all(np.abs(stacked - single) <= 1e-13 * (1.0 + np.abs(single))), what
 
 
 @pytest.fixture

@@ -222,21 +222,72 @@ def test_csv_validation():
 @pytest.mark.parametrize("bad_sample", [1, 4])
 def test_verify_nonfinite_row_exits_3(monkeypatch, capsys, bad_sample):
     # a NaN closed form at an accepted sample of a non-degenerate order must
-    # fail the run, whichever sample it hits, and never become a null row
-    from mrootfinsler import cli, spray
+    # fail the run, whichever sample it hits, name that sample, and never
+    # become a null row
+    from mrootfinsler import calculus, cli, sampling, spray
+    from mrootfinsler.specfile import load_spec
 
     real_dX = spray.transform_tail_x_derivatives
-    calls = []
 
     def dX(bundle, m):
-        calls.append(None)
         out = real_dX(bundle, m)
-        return out * np.nan if len(calls) == bad_sample else out
+        if out.ndim == 4 and len(out) > bad_sample:  # the stack of all samples
+            out[bad_sample] = np.nan
+        return out
 
     monkeypatch.setattr(spray, "transform_tail_x_derivatives", dX)
-    rc = cli.main([
-        "verify", "--spec", str(FIXTURES / "cubic_x.json"), "--samples", "6", "--seed", "0",
-    ])
+    spec = FIXTURES / "cubic_x.json"
+    rc = cli.main(["verify", "--spec", str(spec), "--samples", "6", "--seed", "0"])
     assert rc == 3
-    assert len(calls) == bad_sample
-    assert "spray_split residual is not finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "spray_split residual is not finite" in err
+    doc = load_spec(spec)
+    accepted = sampling.sample_points(
+        doc.n, 6, 0, domain_check=calculus.domain_check(doc.field, doc.oneform)
+    ).accepted
+    x, y = accepted[bad_sample]
+    assert f"at x={x.tolist()}, y={y.tolist()}" in err
+
+
+def test_json_emit_follows_replaced_stdout(capsys):
+    # --json output goes to the sys.stdout of the moment, not the one cli
+    # saw when it was imported
+    from mrootfinsler import cli
+
+    rc = cli.main([
+        "eval", "--json", "--spec", str(FIXTURES / "diag_quartic.json"),
+        "--x", "0,0", "--y", "1,2",
+    ])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["F"] == pytest.approx(17.0 ** 0.25)
+
+
+CUBIC = str(FIXTURES / "cubic_x.json")
+GEODESIC = ("geodesic", "--spec", CUBIC, "--x0", "0,0", "--y0", "1,0.5")
+
+
+@pytest.mark.parametrize("args, env", [
+    (("verify", "--spec", CUBIC, "--box", "1,0"), None),
+    (("verify", "--spec", CUBIC, "--ybox", "a,b"), None),
+    (("verify", "--spec", CUBIC, "--seed", "-1"), None),
+    (("verify", "--spec", CUBIC), {"FINSLER_SEED": "-4"}),
+    (("verify", "--spec", CUBIC, "--samples", "0"), None),
+    (GEODESIC + ("--t", "0.5", "--steps", "0"), None),
+    (GEODESIC + ("--t", "nan", "--steps", "10"), None),
+    (("check", "dually-flat", "--spec", CUBIC, "--tol", "nan", "--json"), None),
+    (("check", "dually-flat", "--spec", CUBIC, "--tol=-1e-8"), None),
+], ids=[
+    "box-empty", "ybox-not-numbers", "seed-negative", "seed-env-negative",
+    "samples-zero", "steps-zero", "t-nan", "tol-nan", "tol-negative",
+])
+def test_invalid_values_exit_2(tmp_path, args, env):
+    out = tmp_path / "path.txt"
+    if args[0] == "geodesic":
+        args += ("--out", str(out))
+    res = run_cli(*args, env_extra=env)
+    assert res.returncode == 2
+    lines = res.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
+    assert res.stdout == b""
+    assert not out.exists()

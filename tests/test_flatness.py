@@ -4,11 +4,14 @@ import pytest
 import _oracles as oracles
 from conftest import (
     MINKOWSKI_FIXTURES,
+    ONE_FORM_SPECS,
+    assert_stack_matches,
     b_const,
     cubic_x,
     diag_quartic,
     riemann_x,
     seeded_points,
+    spec_samples,
 )
 from mrootfinsler.fields import CoefficientField, Polynomial
 from mrootfinsler.flatness import (
@@ -202,3 +205,23 @@ def test_flatness_report_verdicts():
 
     with pytest.raises(ValueError):
         flatness_report(cubic_x(), b_const(2), 3, "unknown", samples)
+
+
+@pytest.mark.parametrize("name", ONE_FORM_SPECS)
+def test_stacked_flatness_matches_single_points(name):
+    doc, accepted, (xs, ys) = spec_samples(name, 12, seed=6)
+    args = (doc.field, doc.oneform, doc.m)
+    for fn in (dually_flat_residual, proj_flat_residual):
+        assert_stack_matches(
+            fn(*args, xs, ys), [fn(*args, x, y) for x, y in accepted], fn.__name__
+        )
+    for fn, keys in (
+        (dually_flat_condition, ("lhs", "rhs", "residual")),
+        (proj_flat_condition, ("lhs", "rhs", "residual", "rhs_alt", "residual_alt")),
+    ):
+        stacked = fn(*args, xs, ys)
+        singles = [fn(*args, x, y) for x, y in accepted]
+        for key in keys:
+            assert_stack_matches(
+                getattr(stacked, key), [getattr(c, key) for c in singles], f"{fn.__name__}.{key}"
+            )

@@ -3,6 +3,8 @@ import pytest
 
 from conftest import (
     MAIN_FIXTURES,
+    ONE_FORM_SPECS,
+    assert_stack_matches,
     b_bx,
     b_const,
     cubic_x,
@@ -10,8 +12,15 @@ from conftest import (
     rel_err,
     riemann_identity,
     seeded_points,
+    spec_samples,
 )
-from mrootfinsler.errors import DegenerateOrderFour, RiemannianOrderWarning
+from mrootfinsler import report, spray
+from mrootfinsler.errors import (
+    DegenerateOrderFour,
+    DomainError,
+    NonFiniteResult,
+    RiemannianOrderWarning,
+)
 from mrootfinsler.kropina import (
     B2_NOTE,
     gbar_inverse_closed,
@@ -168,3 +177,56 @@ def test_order2_classical_anchor():
     y = p.base.y
     assert rel_err(float(y @ p.gbar_oracle @ y), p.Fbar ** 2) <= 1e-9
     assert p.Fbar == pytest.approx((0.8 ** 2 + 0.6 ** 2) / 0.8, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ONE_FORM_SPECS)
+def test_stacked_rows_match_single_points(name):
+    # every verify row of a stack equals the row of the same sample alone,
+    # so no axis mixes samples
+    doc, accepted, (xs, ys) = spec_samples(name, 12, seed=5)
+    stacked = report.point_report(doc.field, doc.oneform, doc.m, xs, ys)
+    singles = [report.point_report(doc.field, doc.oneform, doc.m, x, y) for x, y in accepted]
+    assert stacked.points == len(accepted)
+    for r, row in enumerate(stacked.rows):
+        rows = [rep.rows[r] for rep in singles]
+        assert all(single.formula == row.formula for single in rows)
+        if row.max_abs is None:
+            assert all(single.max_abs is None for single in rows), row.formula
+            continue
+        assert_stack_matches(row.max_abs, [single.max_abs for single in rows], row.formula)
+        assert_stack_matches(row.max_rel, [single.max_rel for single in rows], row.formula)
+        np.testing.assert_array_equal(row.x, xs)
+        np.testing.assert_array_equal(row.y, ys)
+    merged = merge_reports([stacked])
+    assert merged.points == len(accepted)
+    for row, single in zip(merged.rows, merge_reports(singles).rows):
+        assert row.formula == single.formula
+        assert (row.max_abs is None) == (single.max_abs is None)
+
+
+def test_stack_raises_what_a_sample_loop_meets_first(monkeypatch):
+    # sample 4 fails the first guard (beta = 0), sample 2 only the last one
+    # (a residual row that is not finite): a loop over the samples meets
+    # sample 2 first, and so must the stack
+    field, oneform = cubic_x(), b_const(2)
+    points = seeded_points(2, 6, seed=3)
+    xs = np.array([x for x, _ in points])
+    ys = np.array([y for _, y in points])
+    ys[4] = [0.0, 1.0]
+    with pytest.raises(DomainError, match="one-form value") as exc:
+        report.point_report(field, oneform, 3, xs, ys)
+    assert exc.value.sample == 4
+
+    real_dX = spray.transform_tail_x_derivatives
+
+    def dX(bundle, m):
+        out = real_dX(bundle, m)
+        if len(out) > 2:
+            out[2] = np.nan
+        return out
+
+    monkeypatch.setattr(spray, "transform_tail_x_derivatives", dX)
+    with pytest.raises(NonFiniteResult, match="spray_split residual") as exc:
+        report.point_report(field, oneform, 3, xs, ys)
+    assert exc.value.sample == 2
+    assert f"x={xs[2].tolist()}" in str(exc.value)

@@ -74,7 +74,6 @@ def test_riemannian_order_flagged_and_reduces():
     with pytest.warns(RiemannianOrderWarning):
         p = metric_point(field, 2, [0.0, 0.0], [0.6, 1.1])
     assert p.order_flag
-    assert p.A_ijk is None
     # at order 2 the fundamental tensor is the second contraction itself
     np.testing.assert_allclose(p.g, p.A_ij, atol=1e-10)
     energy = calculus.base_energy(field, 2)

@@ -4,12 +4,15 @@ import pytest
 import _oracles as oracles
 from conftest import (
     MINKOWSKI_FIXTURES,
+    ONE_FORM_SPECS,
+    assert_stack_matches,
     b_bx,
     b_const,
     cubic_x,
     diag_quartic,
     rel_err,
     seeded_points,
+    spec_samples,
 )
 from mrootfinsler import calculus
 from mrootfinsler.metric import metric_point
@@ -185,3 +188,18 @@ def test_geodesic_truncates_on_domain_exit():
     # every recorded state is finite and strictly ordered in t
     ts = [t for t, _, _ in path.samples]
     assert all(b > a for a, b in zip(ts, ts[1:]))
+
+
+@pytest.mark.parametrize("name", ONE_FORM_SPECS)
+def test_stacked_sprays_match_single_points(name):
+    doc, accepted, (xs, ys) = spec_samples(name, 12, seed=7)
+    args = (doc.field, doc.oneform, doc.m)
+    assert_stack_matches(
+        projective_residual(*args, xs, ys),
+        [projective_residual(*args, x, y) for x, y in accepted], "projective_residual",
+    )
+    for energy in (calculus.base_energy(doc.field, doc.m), calculus.kropina_energy(*args)):
+        assert_stack_matches(
+            spray_coeffs(energy, xs, ys),
+            [spray_coeffs(energy, x, y) for x, y in accepted], energy.name,
+        )
