@@ -212,50 +212,69 @@ def _richardson(samples):
     return level[0]
 
 
+def _moved(v, *moves) -> np.ndarray:
+    """A copy of v with each (index, step) of moves added in turn."""
+    point = v.copy()
+    for i, step in moves:
+        point[i] += step
+    return point
+
+
+def _ladder_steps(v, step0: float, levels: int):
+    """Per coordinate, the steps h, h/2, ... of its ladder, h scaled by 1 + |v_i|."""
+    return [[step0 * (1.0 + abs(vi)) / 2 ** lv for lv in range(levels + 1)] for vi in v]
+
+
 def fd_gradient(fn, v, rel_step=None, levels: int = 2) -> np.ndarray:
+    """Central-difference gradient of fn at v; fn maps a stack (k, n) of points to k values.
+
+    Every stencil point of every ladder goes to fn in one call.
+    """
     v = np.asarray(v, dtype=float)
     step0 = rel_step if rel_step is not None else _EPS ** (1.0 / 3.0)
-    out = np.zeros(v.size)
-    for i in range(v.size):
-        h0 = step0 * (1.0 + abs(v[i]))
-        ladder = []
-        for lv in range(levels + 1):
-            h = h0 / 2 ** lv
-            vp = v.copy(); vp[i] += h
-            vm = v.copy(); vm[i] -= h
-            ladder.append((fn(vp) - fn(vm)) / (2 * h))
-        out[i] = _richardson(ladder)
-    return out
+    steps = _ladder_steps(v, step0, levels)
+    f = iter(fn(np.array([
+        _moved(v, (i, sign * h)) for i, ladder in enumerate(steps)
+        for h in ladder for sign in (1.0, -1.0)
+    ])))
+    return np.array([
+        _richardson([(next(f) - next(f)) / (2 * h) for h in ladder]) for ladder in steps
+    ])
+
 
 def fd_hessian(fn, v, rel_step=None, levels: int = 2) -> np.ndarray:
+    """Central-difference Hessian of fn at v; fn maps a stack (k, n) of points to k values.
+
+    Every stencil point of every ladder, and v itself, go to fn in one call.
+    """
     # Second differences lose ~eps/h^2 to roundoff, so the step is much wider
     # than the first-order cbrt(eps) choice.
     v = np.asarray(v, dtype=float)
     step0 = rel_step if rel_step is not None else _EPS ** 0.2
     n = v.size
+    steps = _ladder_steps(v, step0, levels)
+    entries = [(i, j) for i in range(n) for j in range(i, n)]
+    points = [v]
+    for i, j in entries:
+        for hi, hj in zip(steps[i], steps[j]):
+            if i == j:
+                points += [_moved(v, (i, hi)), _moved(v, (i, -hi))]
+            else:
+                points += [
+                    _moved(v, (i, hi), (j, hj)), _moved(v, (i, hi), (j, -hj)),
+                    _moved(v, (i, -hi), (j, hj)), _moved(v, (i, -hi), (j, -hj)),
+                ]
+    f = iter(fn(np.array(points)))
+    f0 = next(f)
     out = np.zeros((n, n))
-    f0 = fn(v)
-    for i in range(n):
-        hi0 = step0 * (1.0 + abs(v[i]))
+    for i, j in entries:
         ladder = []
-        for lv in range(levels + 1):
-            h = hi0 / 2 ** lv
-            vp = v.copy(); vp[i] += h
-            vm = v.copy(); vm[i] -= h
-            ladder.append((fn(vp) - 2.0 * f0 + fn(vm)) / (h * h))
-        out[i, i] = _richardson(ladder)
-        for j in range(i + 1, n):
-            hj0 = step0 * (1.0 + abs(v[j]))
-            ladder = []
-            for lv in range(levels + 1):
-                hi = hi0 / 2 ** lv
-                hj = hj0 / 2 ** lv
-                vpp = v.copy(); vpp[i] += hi; vpp[j] += hj
-                vpm = v.copy(); vpm[i] += hi; vpm[j] -= hj
-                vmp = v.copy(); vmp[i] -= hi; vmp[j] += hj
-                vmm = v.copy(); vmm[i] -= hi; vmm[j] -= hj
-                ladder.append((fn(vpp) - fn(vpm) - fn(vmp) + fn(vmm)) / (4 * hi * hj))
-            out[i, j] = out[j, i] = _richardson(ladder)
+        for hi, hj in zip(steps[i], steps[j]):
+            if i == j:
+                ladder.append((next(f) - 2.0 * f0 + next(f)) / (hi * hi))
+            else:
+                ladder.append((next(f) - next(f) - next(f) + next(f)) / (4 * hi * hj))
+        out[i, j] = out[j, i] = _richardson(ladder)
     return out
 
 
@@ -282,12 +301,12 @@ def fd_check(f: ScalarFunction, x, y, order: int) -> FdReport:
     diffs = []
     scales = []
     if order == 1:
-        fd = fd_gradient(lambda yy: f(x, yy), y)
+        fd = fd_gradient(lambda ys: f(x, ys), y)
         diffs.append(np.abs(jet.grad_y - fd)); scales.append(np.abs(fd))
-        fdx = fd_gradient(lambda xx: f(xx, y), x)
+        fdx = fd_gradient(lambda xs: f(xs, y), x)
         diffs.append(np.abs(jet.grad_x - fdx)); scales.append(np.abs(fdx))
     else:
-        fd = fd_hessian(lambda yy: f(x, yy), y)
+        fd = fd_hessian(lambda ys: f(x, ys), y)
         diffs.append(np.abs(jet.hess_yy - fd).ravel()); scales.append(np.abs(fd).ravel())
         fdm = _fd_mixed(f, x, y)
         diffs.append(np.abs(jet.hess_xy - fdm).ravel()); scales.append(np.abs(fdm).ravel())
@@ -299,23 +318,22 @@ def fd_check(f: ScalarFunction, x, y, order: int) -> FdReport:
 
 
 def _fd_mixed(f: ScalarFunction, x, y, rel_step=None, levels: int = 2) -> np.ndarray:
+    """Central-difference mixed block [k, l] = d2 f / dx^k dy^l, all stencil points in one call."""
     step0 = rel_step if rel_step is not None else _EPS ** 0.2
-    nx, ny = len(x), len(y)
-    out = np.zeros((nx, ny))
-    for k in range(nx):
-        hk0 = step0 * (1.0 + abs(x[k]))
-        for l in range(ny):
-            hl0 = step0 * (1.0 + abs(y[l]))
-            ladder = []
-            for lv in range(levels + 1):
-                hk = hk0 / 2 ** lv
-                hl = hl0 / 2 ** lv
-                xp = x.copy(); xp[k] += hk
-                xm = x.copy(); xm[k] -= hk
-                yp = y.copy(); yp[l] += hl
-                ym = y.copy(); ym[l] -= hl
-                ladder.append(
-                    (f(xp, yp) - f(xp, ym) - f(xm, yp) + f(xm, ym)) / (4 * hk * hl)
-                )
-            out[k, l] = _richardson(ladder)
+    x_steps = _ladder_steps(x, step0, levels)
+    y_steps = _ladder_steps(y, step0, levels)
+    entries = [(k, l) for k in range(len(x)) for l in range(len(y))]
+    xs, ys = [], []
+    for k, l in entries:
+        for hk, hl in zip(x_steps[k], y_steps[l]):
+            for sk, sl in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
+                xs.append(_moved(x, (k, sk * hk)))
+                ys.append(_moved(y, (l, sl * hl)))
+    values = iter(f(np.array(xs), np.array(ys)))
+    out = np.zeros((len(x), len(y)))
+    for k, l in entries:
+        out[k, l] = _richardson([
+            (next(values) - next(values) - next(values) + next(values)) / (4 * hk * hl)
+            for hk, hl in zip(x_steps[k], y_steps[l])
+        ])
     return out

@@ -9,11 +9,11 @@ defaults to the FINSLER_SEED environment variable, with the flag winning.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 from functools import partial
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -86,7 +86,7 @@ def _finite_or_none(value):
     if value is None:
         return None
     value = float(value)
-    return value if np.isfinite(value) else None
+    return value if math.isfinite(value) else None
 
 
 def _matrix(value):
@@ -124,11 +124,117 @@ def _envelope(command: str, doc: MetricSpecDocument, argv) -> dict:
     }
 
 
+_FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    return _FLOAT_SPECIALS.get(text, text)
+
+
+# the text of a scalar of exactly this type; subclasses take the isinstance path
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    float: _float_text,
+    int: int.__repr__,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _encode(payload) -> str:
+    """The text of json.dumps(payload, sort_keys=True, indent=2), byte for byte.
+
+    Dict keys must be strings, as every report's are; json.dumps would also
+    write number, boolean and None keys as strings, here they raise TypeError,
+    as does every value json.dumps refuses.
+
+    The pieces go to one list, joined once.  Within the call two things are
+    kept: the text of each list whose items are all floats, by (id, level)
+    (a record's x and y lists are written once per row), and the sorted keys
+    of each dict with their prefixes, by (keys, level).  No other container is
+    kept: the text of every dict or nested list would double the memory.
+    """
+    parts = []
+    append = parts.append
+    scalar_text = _SCALAR_TEXT.get
+    float_lists = {}
+    layouts = {}
+
+    def encode(o, level):
+        text = scalar_text(type(o))
+        if text is not None:
+            append(text(o))
+        elif isinstance(o, (list, tuple)):
+            encode_list(o, level)
+        elif isinstance(o, dict):
+            encode_dict(o, level)
+        elif isinstance(o, str):
+            append(encode_basestring_ascii(o))
+        elif isinstance(o, int):
+            append(int.__repr__(o))
+        elif isinstance(o, float):
+            append(_float_text(o))
+        else:
+            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+    def encode_list(items, level):
+        if not items:
+            append("[]")
+            return
+        text = float_lists.get((id(items), level))
+        if text is not None:
+            append(text)
+            return
+        inner = "\n" + "  " * (level + 1)
+        close = "\n" + "  " * level + "]"
+        if all(isinstance(v, float) for v in items):
+            text = "[" + inner + ("," + inner).join(map(_float_text, items)) + close
+            float_lists[(id(items), level)] = text
+            append(text)
+            return
+        separator = "[" + inner
+        for item in items:
+            append(separator)
+            encode(item, level + 1)
+            separator = "," + inner
+        append(close)
+
+    def encode_dict(mapping, level):
+        if not mapping:
+            append("{}")
+            return
+        keys = tuple(mapping)
+        layout = layouts.get((keys, level))
+        if layout is None:
+            inner = "\n" + "  " * (level + 1)
+            layout = layouts[(keys, level)] = [
+                (key, ("{" if i == 0 else ",") + inner + encode_basestring_ascii(key) + ": ")
+                for i, key in enumerate(sorted(keys))
+            ], "\n" + "  " * level + "}"
+        prefixes, close = layout
+        for key, prefix in prefixes:
+            value = mapping[key]
+            text = scalar_text(type(value))
+            if text is not None:
+                append(prefix + text(value))
+            else:
+                append(prefix)
+                encode(value, level + 1)
+        append(close)
+
+    encode(payload, 0)
+    return "".join(parts)
+
+
 def _emit(payload: dict, out=None):
-    """Write the JSON document to `out`, by default the sys.stdout of the moment."""
-    (sys.stdout if out is None else out).write(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    )
+    """Write the JSON document to `out`, by default the sys.stdout of the moment.
+
+    The document is json.dumps(payload, sort_keys=True, indent=2) and a
+    newline, byte for byte, from `_encode`: with `indent` the standard library
+    encodes in pure Python, which took most of the time of `verify --json`.
+    """
+    (sys.stdout if out is None else out).write(_encode(payload) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -149,3 +149,27 @@ def oracle_proj_flat_residual(Fbar, x, y):
     y = np.asarray(y, dtype=float)
     defect = y @ fd_mixed(Fbar, x, y) - fd_grad(lambda xx: Fbar(xx, y), x)
     return float(np.max(np.abs(defect))) / (1.0 + abs(Fbar(x, y)))
+
+
+# -- the sampler as a loop over attempts ------------------------------------
+
+def sample_points_loop(n, count, seed, x_box, y_box, domain_check, attempt_factor):
+    """The rejection sampler one attempt at a time: x then y from rng.uniform,
+    each draw checked alone.  Returns (accepted, rejected) like SampleSet."""
+    from mrootfinsler.errors import FinslerError
+
+    rng = np.random.default_rng(seed)
+    accepted, rejected = [], []
+    attempts = 0
+    while len(accepted) < count and attempts < attempt_factor * count:
+        attempts += 1
+        x = rng.uniform(x_box[0], x_box[1], size=n)
+        y = rng.uniform(y_box[0], y_box[1], size=n)
+        if domain_check is not None:
+            try:
+                domain_check(x, y)
+            except FinslerError as exc:
+                rejected.append((x, y, str(exc)))
+                continue
+        accepted.append((x, y))
+    return accepted, rejected

@@ -1,4 +1,7 @@
+import enum
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -263,6 +268,80 @@ def test_json_emit_follows_replaced_stdout(capsys):
     assert payload["F"] == pytest.approx(17.0 ** 0.25)
 
 
+def _emitted(payload):
+    from mrootfinsler import cli
+
+    out = io.StringIO()
+    cli._emit(payload, out)
+    return out.getvalue()
+
+
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e16, 5e-324, 1.0, -2.5e-300]
+_SCALARS = (
+    st.none() | st.booleans() | st.integers()
+    | st.floats() | st.sampled_from(_EDGE_FLOATS)
+    | st.floats().map(np.float64) | st.sampled_from(_EDGE_FLOATS).map(np.float64)
+    | st.text(alphabet=st.sampled_from('a"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600 ') | st.characters())
+)
+_PAYLOADS = st.recursive(
+    _SCALARS,
+    lambda children: (
+        st.lists(children, max_size=4) | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(st.text(max_size=4), children, max_size=4)
+    ),
+    max_leaves=25,
+)
+
+
+@given(payload=_PAYLOADS, shared=st.lists(st.floats() | st.sampled_from(_EDGE_FLOATS),
+                                          min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_emit_matches_json_dumps(payload, shared):
+    # the float-list cache must give each indent level its own text: the shared
+    # list appears at three levels and twice at one of them
+    document = {"payload": payload, "x": shared,
+                "rows": [{"x": shared, "y": shared}, {"x": shared, "y": [shared]}]}
+    for item in (payload, document):
+        assert _emitted(item) == json.dumps(item, sort_keys=True, indent=2) + "\n"
+
+
+class Label(str):
+    pass
+
+
+class Level(enum.IntEnum):
+    ONE = 1
+
+
+def test_emit_matches_json_dumps_on_edge_payloads():
+    cases = [
+        {}, [], (), {"a": {}, "b": [], "c": ()}, None, 1.5, "text",
+        {"k": Label("v\u00e9"), Label("key"): [Label("a"), Level.ONE, Level.ONE * 1.5]},
+        [np.float64("nan"), np.float64(-0.0), np.float64(1e16), True, False, None, 2 ** 70],
+        {"q": 'say "hi"\\ \u00e9\u0000\x1f \U0001f600'},
+    ]
+    for item in cases:
+        assert _emitted(item) == json.dumps(item, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [np.int64(3), np.bool_(True), {1, 2}, object()])
+def test_emit_refuses_what_json_dumps_refuses(value):
+    for item in ({"a": [1.0, value]}, {"k": value}):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(item, sort_keys=True, indent=2)
+        with pytest.raises(TypeError) as got:
+            _emitted(item)
+        assert str(got.value) == str(expected.value)
+
+
+def test_emit_refuses_keys_that_are_not_strings():
+    # json.dumps refuses the first two and writes the last as "1"; reports
+    # have string keys only
+    for item in ({1: 0, "a": 1}, {(1, 2): 0}, {"a": {1: 0.0}}):
+        with pytest.raises(TypeError):
+            _emitted(item)
+
+
 CUBIC = str(FIXTURES / "cubic_x.json")
 GEODESIC = ("geodesic", "--spec", CUBIC, "--x0", "0,0", "--y0", "1,0.5")
 
@@ -270,6 +349,7 @@ GEODESIC = ("geodesic", "--spec", CUBIC, "--x0", "0,0", "--y0", "1,0.5")
 @pytest.mark.parametrize("args, env", [
     (("verify", "--spec", CUBIC, "--box", "1,0"), None),
     (("verify", "--spec", CUBIC, "--ybox", "a,b"), None),
+    (("verify", "--spec", CUBIC, "--box=-1e308,1e308"), None),
     (("verify", "--spec", CUBIC, "--seed", "-1"), None),
     (("verify", "--spec", CUBIC), {"FINSLER_SEED": "-4"}),
     (("verify", "--spec", CUBIC, "--samples", "0"), None),
@@ -278,7 +358,7 @@ GEODESIC = ("geodesic", "--spec", CUBIC, "--x0", "0,0", "--y0", "1,0.5")
     (("check", "dually-flat", "--spec", CUBIC, "--tol", "nan", "--json"), None),
     (("check", "dually-flat", "--spec", CUBIC, "--tol=-1e-8"), None),
 ], ids=[
-    "box-empty", "ybox-not-numbers", "seed-negative", "seed-env-negative",
+    "box-empty", "ybox-not-numbers", "box-span-infinite", "seed-negative", "seed-env-negative",
     "samples-zero", "steps-zero", "t-nan", "tol-nan", "tol-negative",
 ])
 def test_invalid_values_exit_2(tmp_path, args, env):

@@ -126,7 +126,10 @@ def test_contract_matches_scaled_derivatives():
                 # third order against differences of the second contraction
                 fd = np.array([
                     calculus.fd_gradient(
-                        lambda yy, i=i, j=j: field.tensor_at(x).contract(yy, 2)[i, j], y
+                        lambda ys, i=i, j=j: np.array(
+                            [field.tensor_at(x).contract(yy, 2)[i, j] for yy in ys]
+                        ),
+                        y,
                     )
                     for i in range(field.n) for j in range(field.n)
                 ]).reshape(field.n, field.n, field.n)
