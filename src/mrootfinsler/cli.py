@@ -142,47 +142,55 @@ _SCALAR_TEXT = {
 }
 
 
-def _encode(payload) -> str:
+class _Encoder:
     """The text of json.dumps(payload, sort_keys=True, indent=2), byte for byte.
 
     Dict keys must be strings, as every report's are; json.dumps would also
     write number, boolean and None keys as strings, here they raise TypeError,
     as does every value json.dumps refuses.
 
-    The pieces go to one list, joined once.  Within the call two things are
-    kept: the text of each list whose items are all floats, by (id, level)
-    (a record's x and y lists are written once per row), and the sorted keys
-    of each dict with their prefixes, by (keys, level).  No other container is
-    kept: the text of every dict or nested list would double the memory.
+    The pieces go to one list, joined once.  One encoder serves one document
+    and keeps two things: the text of each list whose items are all floats, by
+    (id, level) (a record's x and y lists are written once per row), and the
+    sorted keys of each dict with their prefixes, by (keys, level).  No other
+    container is kept: the text of every dict or nested list would double the
+    memory.  A class rather than nested functions: mutually recursive closures
+    form a reference cycle, which would keep every piece alive until the
+    garbage collector runs.
     """
-    parts = []
-    append = parts.append
-    scalar_text = _SCALAR_TEXT.get
-    float_lists = {}
-    layouts = {}
 
-    def encode(o, level):
-        text = scalar_text(type(o))
+    def __init__(self):
+        self.parts = []
+        self.float_lists = {}
+        self.layouts = {}
+
+    def text(self, payload) -> str:
+        self.encode(payload, 0)
+        return "".join(self.parts)
+
+    def encode(self, o, level):
+        text = _SCALAR_TEXT.get(type(o))
         if text is not None:
-            append(text(o))
+            self.parts.append(text(o))
         elif isinstance(o, (list, tuple)):
-            encode_list(o, level)
+            self.encode_list(o, level)
         elif isinstance(o, dict):
-            encode_dict(o, level)
+            self.encode_dict(o, level)
         elif isinstance(o, str):
-            append(encode_basestring_ascii(o))
+            self.parts.append(encode_basestring_ascii(o))
         elif isinstance(o, int):
-            append(int.__repr__(o))
+            self.parts.append(int.__repr__(o))
         elif isinstance(o, float):
-            append(_float_text(o))
+            self.parts.append(_float_text(o))
         else:
             raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
-    def encode_list(items, level):
+    def encode_list(self, items, level):
+        append = self.parts.append
         if not items:
             append("[]")
             return
-        text = float_lists.get((id(items), level))
+        text = self.float_lists.get((id(items), level))
         if text is not None:
             append(text)
             return
@@ -190,29 +198,31 @@ def _encode(payload) -> str:
         close = "\n" + "  " * level + "]"
         if all(isinstance(v, float) for v in items):
             text = "[" + inner + ("," + inner).join(map(_float_text, items)) + close
-            float_lists[(id(items), level)] = text
+            self.float_lists[(id(items), level)] = text
             append(text)
             return
         separator = "[" + inner
         for item in items:
             append(separator)
-            encode(item, level + 1)
+            self.encode(item, level + 1)
             separator = "," + inner
         append(close)
 
-    def encode_dict(mapping, level):
+    def encode_dict(self, mapping, level):
+        append = self.parts.append
         if not mapping:
             append("{}")
             return
         keys = tuple(mapping)
-        layout = layouts.get((keys, level))
+        layout = self.layouts.get((keys, level))
         if layout is None:
             inner = "\n" + "  " * (level + 1)
-            layout = layouts[(keys, level)] = [
+            layout = self.layouts[(keys, level)] = [
                 (key, ("{" if i == 0 else ",") + inner + encode_basestring_ascii(key) + ": ")
                 for i, key in enumerate(sorted(keys))
             ], "\n" + "  " * level + "}"
         prefixes, close = layout
+        scalar_text = _SCALAR_TEXT.get
         for key, prefix in prefixes:
             value = mapping[key]
             text = scalar_text(type(value))
@@ -220,21 +230,19 @@ def _encode(payload) -> str:
                 append(prefix + text(value))
             else:
                 append(prefix)
-                encode(value, level + 1)
+                self.encode(value, level + 1)
         append(close)
-
-    encode(payload, 0)
-    return "".join(parts)
 
 
 def _emit(payload: dict, out=None):
     """Write the JSON document to `out`, by default the sys.stdout of the moment.
 
     The document is json.dumps(payload, sort_keys=True, indent=2) and a
-    newline, byte for byte, from `_encode`: with `indent` the standard library
-    encodes in pure Python, which took most of the time of `verify --json`.
+    newline, byte for byte, from `_Encoder`: with `indent` the standard
+    library encodes in pure Python, which took most of the time of
+    `verify --json`.
     """
-    (sys.stdout if out is None else out).write(_encode(payload) + "\n")
+    (sys.stdout if out is None else out).write(_Encoder().text(payload) + "\n")
 
 
 # ---------------------------------------------------------------------------

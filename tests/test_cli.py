@@ -334,6 +334,23 @@ def test_emit_refuses_what_json_dumps_refuses(value):
         assert str(got.value) == str(expected.value)
 
 
+def test_emit_leaves_no_garbage_cycles():
+    # the pieces of a report must be freed when _emit returns, not when the
+    # cyclic garbage collector next runs
+    import gc
+
+    from mrootfinsler import cli
+
+    payload = {"records": [{"x": [0.5, 1.5], "rows": [{"x": [0.5], "note": None}]}]}
+    gc.collect()
+    gc.disable()
+    try:
+        cli._emit(payload, io.StringIO())
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_emit_refuses_keys_that_are_not_strings():
     # json.dumps refuses the first two and writes the last as "1"; reports
     # have string keys only
