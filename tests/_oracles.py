@@ -2,10 +2,14 @@
 
 Everything here is deliberately written against plain closures of the fixture
 functions, not against the package's calculus layer, so golden values frozen
-from these routines adjudicate the implementation from the outside.
+from these routines adjudicate the implementation from the outside.  The
+rejection sampler is kept here too, as the loop over attempts that the block
+sampler must reproduce.
 """
 
 import numpy as np
+
+from mrootfinsler.errors import FinslerError
 
 EPS = float(np.finfo(float).eps)
 
@@ -156,8 +160,6 @@ def oracle_proj_flat_residual(Fbar, x, y):
 def sample_points_loop(n, count, seed, x_box, y_box, domain_check, attempt_factor):
     """The rejection sampler one attempt at a time: x then y from rng.uniform,
     each draw checked alone.  Returns (accepted, rejected) like SampleSet."""
-    from mrootfinsler.errors import FinslerError
-
     rng = np.random.default_rng(seed)
     accepted, rejected = [], []
     attempts = 0
