@@ -9,11 +9,12 @@ defaults to the FINSLER_SEED environment variable, with the flag winning.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
+import warnings
 from functools import partial
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -27,9 +28,11 @@ from .errors import (
     NonFiniteResult,
     OrderOutOfRange,
     ParseError,
+    RiemannianOrderWarning,
     SingularMatrix,
     ValidationError,
     in_sample_order,
+    raise_first,
 )
 from .specfile import MetricSpecDocument, load_spec
 
@@ -97,6 +100,14 @@ def _vector(value):
     return [_finite_or_none(v) for v in np.asarray(value)]
 
 
+def _load(path) -> MetricSpecDocument:
+    """load_spec, writing the order-2 warning to stderr as one fixed line."""
+    doc = load_spec(path)
+    if doc.m == 2:
+        sys.stderr.write("warning: order 2 is Riemannian: closed forms target m > 2\n")
+    return doc
+
+
 def _require_oneform(doc: MetricSpecDocument):
     if doc.oneform is None:
         raise ValidationError("spec has no one_form: transformed metric unavailable")
@@ -124,125 +135,77 @@ def _envelope(command: str, doc: MetricSpecDocument, argv) -> dict:
     }
 
 
-_FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+class _Column(list):
+    """The JSON text of one number per record, in record order: a slot of a record layout."""
 
 
-def _float_text(value: float) -> str:
-    text = float.__repr__(value)
-    return _FLOAT_SPECIALS.get(text, text)
+def _column(values) -> _Column:
+    """The text json.dumps writes for each value, null for one that is not finite."""
+    values = np.asarray(values, dtype=float)
+    if np.isfinite(values).all():
+        return _Column(map(float.__repr__, values.tolist()))
+    return _Column(float.__repr__(v) if math.isfinite(v) else "null" for v in values.tolist())
 
 
-# the text of a scalar of exactly this type; subclasses take the isinstance path
-_SCALAR_TEXT = {
-    str: encode_basestring_ascii,
-    float: _float_text,
-    int: int.__repr__,
-    bool: lambda value: "true" if value else "false",
-    type(None): lambda value: "null",
-}
+def _columns(points) -> list:
+    """The columns of a stack (N, n): a record's x or y list, one slot per coordinate."""
+    return [_column(c) for c in np.asarray(points, dtype=float).T]
 
 
-class _Encoder:
-    """The text of json.dumps(payload, sort_keys=True, indent=2), byte for byte.
-
-    Dict keys must be strings, as every report's are; json.dumps would also
-    write number, boolean and None keys as strings, here they raise TypeError,
-    as does every value json.dumps refuses.
-
-    The pieces go to one list, joined once.  One encoder serves one document
-    and keeps two things: the text of each list whose items are all floats, by
-    (id, level) (a record's x and y lists are written once per row), and the
-    sorted keys of each dict with their prefixes, by (keys, level).  No other
-    container is kept: the text of every dict or nested list would double the
-    memory.  A class rather than nested functions: mutually recursive closures
-    form a reference cycle, which would keep every piece alive until the
-    garbage collector runs.
-    """
-
-    def __init__(self):
-        self.parts = []
-        self.float_lists = {}
-        self.layouts = {}
-
-    def text(self, payload) -> str:
-        self.encode(payload, 0)
-        return "".join(self.parts)
-
-    def encode(self, o, level):
-        text = _SCALAR_TEXT.get(type(o))
-        if text is not None:
-            self.parts.append(text(o))
-        elif isinstance(o, (list, tuple)):
-            self.encode_list(o, level)
-        elif isinstance(o, dict):
-            self.encode_dict(o, level)
-        elif isinstance(o, str):
-            self.parts.append(encode_basestring_ascii(o))
-        elif isinstance(o, int):
-            self.parts.append(int.__repr__(o))
-        elif isinstance(o, float):
-            self.parts.append(_float_text(o))
-        else:
-            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-    def encode_list(self, items, level):
-        append = self.parts.append
-        if not items:
-            append("[]")
-            return
-        text = self.float_lists.get((id(items), level))
-        if text is not None:
-            append(text)
-            return
+def _layout(value, level: int, columns: list) -> str:
+    """The json.dumps(sort_keys=True, indent=2) text of `value` at indent `level`,
+    %-escaped, with a %s slot for each _Column in it; the columns are appended
+    to `columns` in the order of their slots."""
+    if isinstance(value, _Column):
+        columns.append(value)
+        return "%s"
+    if value and isinstance(value, (dict, list)):
         inner = "\n" + "  " * (level + 1)
-        close = "\n" + "  " * level + "]"
-        if all(isinstance(v, float) for v in items):
-            text = "[" + inner + ("," + inner).join(map(_float_text, items)) + close
-            self.float_lists[(id(items), level)] = text
-            append(text)
-            return
-        separator = "[" + inner
-        for item in items:
-            append(separator)
-            self.encode(item, level + 1)
-            separator = "," + inner
-        append(close)
-
-    def encode_dict(self, mapping, level):
-        append = self.parts.append
-        if not mapping:
-            append("{}")
-            return
-        keys = tuple(mapping)
-        layout = self.layouts.get((keys, level))
-        if layout is None:
-            inner = "\n" + "  " * (level + 1)
-            layout = self.layouts[(keys, level)] = [
-                (key, ("{" if i == 0 else ",") + inner + encode_basestring_ascii(key) + ": ")
-                for i, key in enumerate(sorted(keys))
-            ], "\n" + "  " * level + "}"
-        prefixes, close = layout
-        scalar_text = _SCALAR_TEXT.get
-        for key, prefix in prefixes:
-            value = mapping[key]
-            text = scalar_text(type(value))
-            if text is not None:
-                append(prefix + text(value))
-            else:
-                append(prefix)
-                self.encode(value, level + 1)
-        append(close)
+        if isinstance(value, dict):
+            items = [_layout(key, 0, columns) + ": " + _layout(value[key], level + 1, columns)
+                     for key in sorted(value)]
+            open_, close = "{", "}"
+        else:
+            items = [_layout(item, level + 1, columns) for item in value]
+            open_, close = "[", "]"
+        return open_ + inner + ("," + inner).join(items) + "\n" + "  " * level + close
+    return json.dumps(value).replace("%", "%%")
 
 
-def _emit(payload: dict, out=None):
+def _emit(payload: dict, out=None, records=None):
     """Write the JSON document to `out`, by default the sys.stdout of the moment.
 
     The document is json.dumps(payload, sort_keys=True, indent=2) and a
-    newline, byte for byte, from `_Encoder`: with `indent` the standard
-    library encodes in pure Python, which took most of the time of
-    `verify --json`.
+    newline, byte for byte.  With `indent` the standard library encodes in
+    pure Python, and the records of a verify report are most of its text, so
+    they have a writer of their own.  `records`, when given, is a function
+    of no arguments that returns the payload's "records" list as one record
+    whose numbers are _Columns; it is called here, so that all formatting
+    happens in this stage.  The record's text is laid out once (`_layout`)
+    and its slots are filled from the columns record by record, so each
+    number is formatted once.  The records are written one at a time, at the
+    "records" key of the rest of the document.
     """
-    (sys.stdout if out is None else out).write(_Encoder().text(payload) + "\n")
+    out = sys.stdout if out is None else out
+    if records is None:
+        out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        return
+    key = '\n  "records": '
+    head, tail = json.dumps(
+        {**payload, "records": None}, sort_keys=True, indent=2
+    ).split(key + "null")
+    columns = []
+    layout = _layout(records(), 2, columns)
+    texts = (layout % values for values in zip(*columns))
+    first = next(texts, None)
+    if first is None:
+        out.write(head + key + "[]")
+    else:
+        out.write(head + key + "[\n    " + first)
+        for text in texts:
+            out.write(",\n    " + text)
+        out.write("\n  ]")
+    out.write(tail + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +231,7 @@ def _aux_dict(aux: kropina.AuxScalars) -> dict:
 
 
 def cmd_eval(args, argv) -> int:
-    doc = load_spec(args.spec)
+    doc = _load(args.spec)
     oneform = _require_oneform(doc)
     x = _csv_floats(args.x, doc.n, "--x")
     y = _csv_floats(args.y, doc.n, "--y")
@@ -339,28 +302,25 @@ def _rows_payload(rows):
     return payload
 
 
-def _records_payload(accepted, rows):
-    """The rows of every sample, from per-sample rows over the stack of accepted samples."""
-    columns = [
-        (row.formula, None, None, row.note) if row.max_abs is None
-        else (row.formula, row.max_abs.tolist(), row.max_rel.tolist(), row.note)
+def _verify_record(x, y, rows) -> dict:
+    """The layout of a verify record: every row at each sample of the stack (N, n)."""
+    x, y = _columns(x), _columns(y)
+    return {"x": x, "y": y, "rows": [
+        {
+            "formula": row.formula,
+            "max_abs": None if row.max_abs is None else _column(row.max_abs),
+            "max_rel": None if row.max_abs is None else _column(row.max_rel),
+            "x": None if row.max_abs is None else x,
+            "y": None if row.max_abs is None else y,
+            "note": row.note,
+        }
         for row in rows
-    ]
-    records = []
-    for i, (x, y) in enumerate(accepted):
-        x, y = _vector(x), _vector(y)
-        records.append({"x": x, "y": y, "rows": [
-            {
-                "formula": formula,
-                "max_abs": None if max_abs is None else _finite_or_none(max_abs[i]),
-                "max_rel": None if max_rel is None else _finite_or_none(max_rel[i]),
-                "x": None if max_abs is None else x,
-                "y": None if max_abs is None else y,
-                "note": note,
-            }
-            for formula, max_abs, max_rel, note in columns
-        ]})
-    return records
+    ]}
+
+
+def _check_record(x, y, residuals) -> dict:
+    """The layout of a proj-related record: the residual at each sample of the stack (N, n)."""
+    return {"x": _columns(x), "y": _columns(y), "residual": _column(residuals)}
 
 
 def _rejected_payload(rejected):
@@ -371,7 +331,7 @@ def _rejected_payload(rejected):
 
 
 def cmd_verify(args, argv) -> int:
-    doc = load_spec(args.spec)
+    doc = _load(args.spec)
     oneform = _require_oneform(doc)
     seed = _seed(args)
     samples = sampling.sample_points(
@@ -382,9 +342,8 @@ def cmd_verify(args, argv) -> int:
     if not samples.accepted:
         raise DomainError("no admissible samples in the requested box")
 
-    per_sample = report.point_report(
-        doc.field, oneform, doc.m, *sampling.stack(samples.accepted)
-    )
+    x, y = sampling.stack(samples.accepted)
+    per_sample = report.point_report(doc.field, oneform, doc.m, x, y)
     merged = kropina.merge_reports([per_sample])
 
     if args.json:
@@ -397,9 +356,8 @@ def cmd_verify(args, argv) -> int:
             "degenerate_order4": merged.degenerate_order4,
             "notes": merged.notes,
             "rows": _rows_payload(merged.rows),
-            "records": _records_payload(samples.accepted, per_sample.rows),
         })
-        _emit(payload)
+        _emit(payload, records=partial(_verify_record, x, y, per_sample.rows))
         return 0
 
     w = sys.stdout.write
@@ -429,7 +387,7 @@ def cmd_verify(args, argv) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_check(args, argv) -> int:
-    doc = load_spec(args.spec)
+    doc = _load(args.spec)
     oneform = _require_oneform(doc)
     seed = _seed(args)
     samples = sampling.sample_points(
@@ -438,14 +396,20 @@ def cmd_check(args, argv) -> int:
         domain_check=calculus.domain_check(doc.field, doc.oneform),
     )
 
+    records = None
     if args.kind == "proj-related":
-        residuals = []
+        x = y = np.empty((0, doc.n))
+        residuals = np.empty(0)
         if samples.accepted:
+            x, y = sampling.stack(samples.accepted)
             residuals = in_sample_order(
-                partial(spray.projective_residual, doc.field, oneform, doc.m),
-                *sampling.stack(samples.accepted),
-            ).tolist()
-        max_residual = max(residuals, default=float("nan"))
+                partial(spray.projective_residual, doc.field, oneform, doc.m), x, y,
+            )
+            bad = ~np.isfinite(residuals)
+            if bad.any():  # a NaN would drop out of the maximum and could pass the verdict
+                raise_first(bad, NonFiniteResult, "proj-related residual is not finite at "
+                            "x={}, y={}", x.tolist(), y.tolist())
+        max_residual = float(residuals.max()) if samples.accepted else math.nan
         if len(samples.accepted) < flatness.MIN_VERDICT_SAMPLES:
             verdict = "inconclusive"
         elif max_residual <= args.tol:
@@ -456,11 +420,8 @@ def cmd_check(args, argv) -> int:
             "kind": "proj-related",
             "max_wedge_residual": _finite_or_none(max_residual),
             "verdict": verdict,
-            "records": [
-                {"x": _vector(x), "y": _vector(y), "residual": r}
-                for (x, y), r in zip(samples.accepted, residuals)
-            ],
         }
+        records = partial(_check_record, x, y, residuals)
         human = [
             f"projective relatedness check ({doc.name or args.spec})",
             f"spec sha256: {doc.sha256}",
@@ -505,7 +466,7 @@ def cmd_check(args, argv) -> int:
             "rejected": _rejected_payload(samples.rejected),
         })
         payload.update(payload_extra)
-        _emit(payload)
+        _emit(payload, records=records)
     else:
         w = sys.stdout.write
         for line in human:
@@ -528,7 +489,7 @@ def cmd_check(args, argv) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_geodesic(args, argv) -> int:
-    doc = load_spec(args.spec)
+    doc = _load(args.spec)
     x0 = _csv_floats(args.x0, doc.n, "--x0")
     y0 = _csv_floats(args.y0, doc.n, "--y0")
     if args.metric == "kropina":
@@ -636,7 +597,10 @@ def main(argv=None) -> int:
     try:
         # the type hooks raise ValidationError, which argparse lets through
         args = parser.parse_args(argv)
-        return args.func(args, argv)
+        with warnings.catch_warnings():
+            # _load writes it once, as a fixed line without a source path
+            warnings.simplefilter("ignore", RiemannianOrderWarning)
+            return args.func(args, argv)
     except INPUT_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -4,8 +4,11 @@ Everything here is deliberately written against plain closures of the fixture
 functions, not against the package's calculus layer, so golden values frozen
 from these routines adjudicate the implementation from the outside.  The
 rejection sampler is kept here too, as the loop over attempts that the block
-sampler must reproduce.
+sampler must reproduce, and so are the `records` of the --json reports built
+as dicts, the reference for the CLI's record layouts.
 """
+
+import math
 
 import numpy as np
 
@@ -175,3 +178,43 @@ def sample_points_loop(n, count, seed, x_box, y_box, domain_check, attempt_facto
                 continue
         accepted.append((x, y))
     return accepted, rejected
+
+
+# -- the records of --json reports as dicts ---------------------------------
+
+def _finite_or_none(value):
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
+def _vector(values):
+    return [_finite_or_none(v) for v in values]
+
+
+def verify_records(x, y, rows):
+    """The records of `verify --json` for the stacks x, y (N, n) and the
+    per-sample ResidualRows: every row at every sample, null where a value
+    is not finite, and null x/y/maxima where the row is undefined."""
+    records = []
+    for i, (xi, yi) in enumerate(zip(x, y)):
+        xi, yi = _vector(xi), _vector(yi)
+        records.append({"x": xi, "y": yi, "rows": [
+            {
+                "formula": row.formula,
+                "max_abs": None if row.max_abs is None else _finite_or_none(row.max_abs[i]),
+                "max_rel": None if row.max_abs is None else _finite_or_none(row.max_rel[i]),
+                "x": None if row.max_abs is None else xi,
+                "y": None if row.max_abs is None else yi,
+                "note": row.note,
+            }
+            for row in rows
+        ]})
+    return records
+
+
+def check_records(x, y, residuals):
+    """The records of `check proj-related --json`: the residual at every sample."""
+    return [
+        {"x": _vector(xi), "y": _vector(yi), "residual": _finite_or_none(r)}
+        for xi, yi, r in zip(x, y, residuals)
+    ]

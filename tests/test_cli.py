@@ -5,8 +5,10 @@ import math
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
+import _oracles as oracles
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -336,27 +338,171 @@ def test_emit_refuses_what_json_dumps_refuses(value):
 
 def test_emit_leaves_no_garbage_cycles():
     # the pieces of a report must be freed when _emit returns, not when the
-    # cyclic garbage collector next runs
+    # cyclic garbage collector next runs.  json.dumps with indent leaves a
+    # reference cycle of its own encoder functions, which holds none of the
+    # report, so this counts the memory still held instead of the objects
     import gc
+    import tracemalloc
 
     from mrootfinsler import cli
+    from mrootfinsler.kropina import ResidualRow
 
+    x = np.linspace(0.5, 1.5, 400).reshape(200, 2)
+    rows = [ResidualRow(f"row{k}", x[:, 0] * k, x[:, 1] * k, x, x, "note") for k in range(4)]
     payload = {"records": [{"x": [0.5, 1.5], "rows": [{"x": [0.5], "note": None}]}]}
+    cases = [(payload, None), ({"rows": [0.5]}, partial(cli._verify_record, x, x, rows))]
     gc.collect()
     gc.disable()
     try:
-        cli._emit(payload, io.StringIO())
-        assert gc.collect() == 0
+        for item, records in cases:
+            cli._emit(item, io.StringIO(), records)  # what a first call allocates once
+            tracemalloc.start()
+            out = io.StringIO()
+            cli._emit(item, out, records)
+            size = len(out.getvalue())
+            del out
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.stop()
+            assert held < 8192, (held, size)
+        assert size > 100_000
     finally:
         gc.enable()
 
 
 def test_emit_refuses_keys_that_are_not_strings():
-    # json.dumps refuses the first two and writes the last as "1"; reports
-    # have string keys only
-    for item in ({1: 0, "a": 1}, {(1, 2): 0}, {"a": {1: 0.0}}):
+    # json.dumps refuses the first two, as _emit does; it writes the key of
+    # the last as "1", as _emit does
+    for item in ({1: 0, "a": 1}, {(1, 2): 0}):
         with pytest.raises(TypeError):
             _emitted(item)
+    item = {"a": {1: 0.0}}
+    assert _emitted(item) == json.dumps(item, sort_keys=True, indent=2) + "\n"
+
+
+_NOTES = st.none() | st.text(
+    alphabet=st.sampled_from('a"\\%{}s\n\u00e9\u2028\U0001f600 ') | st.characters(), max_size=8,
+)
+# keys that sort before and after "records", so the records land between them
+_ENVELOPES = st.fixed_dictionaries({
+    "argv": st.lists(st.text(max_size=6), max_size=3),
+    "notes": st.lists(_NOTES, max_size=2),
+    "rejected": st.just([]),
+    "rows": st.lists(st.dictionaries(st.text(max_size=3), _SCALARS, max_size=3), max_size=2),
+    "seed": st.integers(0, 2**32),
+})
+
+
+def _stacks(draw, count, n):
+    values = st.floats() | st.sampled_from(_EDGE_FLOATS)
+    return [np.array(draw(st.lists(st.lists(values, min_size=n, max_size=n),
+                                   min_size=count, max_size=count)), dtype=float).reshape(count, n)
+            for _ in range(2)]
+
+
+@st.composite
+def _verify_reports(draw):
+    from mrootfinsler.kropina import ResidualRow
+
+    n, count = draw(st.sampled_from([2, 3, 4])), draw(st.integers(1, 5))
+    x, y = _stacks(draw, count, n)
+    values = st.lists(st.floats() | st.sampled_from(_EDGE_FLOATS), min_size=count, max_size=count)
+    rows = []
+    for k in range(draw(st.integers(1, 4))):
+        formula, note = f"row_{k}", draw(_NOTES)
+        if draw(st.booleans()):  # undefined at this order, as at m = 4
+            rows.append(ResidualRow(formula, None, None, note=note))
+        else:
+            rows.append(ResidualRow(formula, np.array(draw(values)), np.array(draw(values)),
+                                    x, y, note))
+    return draw(_ENVELOPES), x, y, rows
+
+
+@given(report=_verify_reports())
+@settings(max_examples=200, deadline=None)
+def test_emit_verify_records_match_json_dumps(report):
+    from mrootfinsler import cli
+
+    payload, x, y, rows = report
+    out = io.StringIO()
+    cli._emit(payload, out, records=partial(cli._verify_record, x, y, rows))
+    expected = {**payload, "records": oracles.verify_records(x, y, rows)}
+    assert out.getvalue() == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
+@given(payload=_ENVELOPES, n=st.sampled_from([2, 3, 4]), count=st.integers(0, 5), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_emit_check_records_match_json_dumps(payload, n, count, data):
+    from mrootfinsler import cli
+
+    x, y = _stacks(data.draw, count, n)
+    residuals = np.array(data.draw(st.lists(st.floats() | st.sampled_from(_EDGE_FLOATS),
+                                            min_size=count, max_size=count)), dtype=float)
+    out = io.StringIO()
+    cli._emit(payload, out, records=partial(cli._check_record, x, y, residuals))
+    expected = {**payload, "records": oracles.check_records(x, y, residuals)}
+    assert out.getvalue() == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fixture", ["cubic_x_bx", "mixed_quartic"])
+def test_emit_verify_records_of_a_report(fixture):
+    # real rows, and at m = 4 (mixed_quartic) the rows that are null there
+    from mrootfinsler import calculus, cli, report, sampling
+    from mrootfinsler.specfile import load_spec
+
+    doc = load_spec(FIXTURES / f"{fixture}.json")
+    accepted = sampling.sample_points(
+        doc.n, 6, 3, domain_check=calculus.domain_check(doc.field, doc.oneform)
+    ).accepted
+    x, y = sampling.stack(accepted)
+    rows = report.point_report(doc.field, doc.oneform, doc.m, x, y).rows
+    assert any(row.max_abs is None for row in rows) == (doc.m == 4)
+    out = io.StringIO()
+    cli._emit({"order": doc.m}, out, records=partial(cli._verify_record, x, y, rows))
+    expected = {"order": doc.m, "records": oracles.verify_records(x, y, rows)}
+    assert out.getvalue() == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("args", [
+    ("verify", "--samples", "3"),
+    ("check", "proj-related", "--samples", "3"),
+    ("eval", "--x", "0,0", "--y", "1,2"),
+])
+def test_order_two_warning_is_one_fixed_line(args):
+    res = run_cli(*args, "--spec", str(FIXTURES / "riemann_identity.json"))
+    lines = res.stderr.decode().splitlines()
+    warned = [line for line in lines if "Riemannian" in line]
+    assert warned == ["warning: order 2 is Riemannian: closed forms target m > 2"], lines
+    assert lines[0] == warned[0]
+    assert not any(".py" in line or os.sep + "mrootfinsler" in line for line in lines), lines
+
+
+@pytest.mark.parametrize("bad_sample, value", [(0, np.nan), (7, np.inf)])
+def test_check_proj_related_nonfinite_residual_exits_3(monkeypatch, capsys, bad_sample, value):
+    # a non-finite residual must fail the run and name its sample: NaN would
+    # drop out of the maximum, and the report would hold invalid JSON
+    from mrootfinsler import calculus, cli, sampling, spray
+    from mrootfinsler.specfile import load_spec
+
+    real = spray.projective_residual
+
+    def residual(*args):
+        out = real(*args)
+        out[bad_sample] = value
+        return out
+
+    monkeypatch.setattr(spray, "projective_residual", residual)
+    spec = FIXTURES / "mixed_quartic.json"
+    rc = cli.main(["check", "proj-related", "--json", "--spec", str(spec),
+                   "--samples", "60", "--seed", "1"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    doc = load_spec(spec)
+    x, y = sampling.sample_points(
+        doc.n, 60, 1, domain_check=calculus.domain_check(doc.field, doc.oneform)
+    ).accepted[bad_sample]
+    assert captured.err == ("numerical failure: proj-related residual is not finite at "
+                            f"x={x.tolist()}, y={y.tolist()}\n")
 
 
 CUBIC = str(FIXTURES / "cubic_x.json")
