@@ -9,6 +9,7 @@ defaults to the FINSLER_SEED environment variable, with the flag winning.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -31,8 +32,6 @@ from .errors import (
     RiemannianOrderWarning,
     SingularMatrix,
     ValidationError,
-    in_sample_order,
-    raise_first,
 )
 from .specfile import MetricSpecDocument, load_spec
 
@@ -208,26 +207,53 @@ def _emit(payload: dict, out=None, records=None):
     out.write(tail + "\n")
 
 
+def _sampled(args, argv):
+    """The spec, its one-form, the accepted samples stacked (N, n), the rejected
+    draws and the JSON envelope of a sampled command (verify, check)."""
+    doc = _load(args.spec)
+    oneform = _require_oneform(doc)
+    seed = _seed(args)
+    samples = sampling.sample_points(
+        doc.n, args.samples, seed,
+        x_box=args.box, y_box=args.ybox,
+        domain_check=calculus.domain_check(doc.field, doc.oneform),
+    )
+    empty = np.empty((0, doc.n))
+    x, y = sampling.stack(samples.accepted) if samples.accepted else (empty, empty)
+    payload = _envelope(args.command, doc, argv)
+    payload.update({
+        "seed": seed,
+        "samples_requested": args.samples,
+        "samples_accepted": len(x),
+        "rejected": [
+            {"x": _vector(xr), "y": _vector(yr), "reason": reason}
+            for xr, yr, reason in samples.rejected
+        ],
+    })
+    return doc, oneform, x, y, samples.rejected, payload
+
+
+def _write_header(w, title: str, doc, args, payload) -> None:
+    w(f"{title} ({doc.name or args.spec})\n")
+    w(f"spec sha256: {doc.sha256}\n")
+    w(f"seed: {payload['seed']}  samples: {payload['samples_accepted']} accepted"
+      f" / {args.samples} requested\n")
+
+
+def _write_rejected(w, rejected) -> None:
+    if rejected:
+        w(f"rejected samples ({len(rejected)}):\n")
+        for x, y, reason in rejected:
+            w(f"  x=[{', '.join(_fmt(v) for v in x)}] y=[{', '.join(_fmt(v) for v in y)}]: {reason}\n")
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
 
 def _aux_dict(aux: kropina.AuxScalars) -> dict:
-    return {
-        "tau": _finite_or_none(aux.tau),
-        "b2": _finite_or_none(aux.b2),
-        "w": _finite_or_none(aux.w),
-        "c2": _finite_or_none(aux.c2),
-        "v": _finite_or_none(aux.v),
-        "delta": _finite_or_none(aux.delta),
-        "q": _finite_or_none(aux.q),
-        "d2": _finite_or_none(aux.d2),
-        "p0": _finite_or_none(aux.p0),
-        "p1": _finite_or_none(aux.p1),
-        "p2": _finite_or_none(aux.p2),
-        "p3": _finite_or_none(aux.p3),
-        "degenerate_order4": aux.degenerate_order4,
-    }
+    values = ((f.name, getattr(aux, f.name)) for f in dataclasses.fields(aux))
+    return {k: v if isinstance(v, bool) else _finite_or_none(v) for k, v in values}
 
 
 def cmd_eval(args, argv) -> int:
@@ -323,36 +349,15 @@ def _check_record(x, y, residuals) -> dict:
     return {"x": _columns(x), "y": _columns(y), "residual": _column(residuals)}
 
 
-def _rejected_payload(rejected):
-    return [
-        {"x": _vector(x), "y": _vector(y), "reason": reason}
-        for x, y, reason in rejected
-    ]
-
-
 def cmd_verify(args, argv) -> int:
-    doc = _load(args.spec)
-    oneform = _require_oneform(doc)
-    seed = _seed(args)
-    samples = sampling.sample_points(
-        doc.n, args.samples, seed,
-        x_box=args.box, y_box=args.ybox,
-        domain_check=calculus.domain_check(doc.field, doc.oneform),
-    )
-    if not samples.accepted:
+    doc, oneform, x, y, rejected, payload = _sampled(args, argv)
+    if not len(x):
         raise DomainError("no admissible samples in the requested box")
-
-    x, y = sampling.stack(samples.accepted)
     per_sample = report.point_report(doc.field, oneform, doc.m, x, y)
-    merged = kropina.merge_reports([per_sample])
+    merged = report.reduce_report(per_sample)
 
     if args.json:
-        payload = _envelope("verify", doc, argv)
         payload.update({
-            "seed": seed,
-            "samples_requested": args.samples,
-            "samples_accepted": len(samples.accepted),
-            "rejected": _rejected_payload(samples.rejected),
             "degenerate_order4": merged.degenerate_order4,
             "notes": merged.notes,
             "rows": _rows_payload(merged.rows),
@@ -361,17 +366,12 @@ def cmd_verify(args, argv) -> int:
         return 0
 
     w = sys.stdout.write
-    w(f"discrepancy report ({doc.name or args.spec})\n")
-    w(f"spec sha256: {doc.sha256}\n")
-    w(f"seed: {seed}  samples: {len(samples.accepted)} accepted / {args.samples} requested\n")
+    _write_header(w, "discrepancy report", doc, args, payload)
     for note in merged.notes:
         w(f"note: {note}\n")
     if merged.degenerate_order4:
         w("note: order m = 4 flagged: closed-form scalar family degenerate\n")
-    if samples.rejected:
-        w(f"rejected samples ({len(samples.rejected)}):\n")
-        for x, y, reason in samples.rejected:
-            w(f"  x=[{', '.join(_fmt(v) for v in x)}] y=[{', '.join(_fmt(v) for v in y)}]: {reason}\n")
+    _write_rejected(w, rejected)
     w(f"{'formula':28s} {'max|res|':>13s} {'max rel':>13s}  at point\n")
     for row in merged.rows:
         if row.max_abs is None:
@@ -387,101 +387,46 @@ def cmd_verify(args, argv) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_check(args, argv) -> int:
-    doc = _load(args.spec)
-    oneform = _require_oneform(doc)
-    seed = _seed(args)
-    samples = sampling.sample_points(
-        doc.n, args.samples, seed,
-        x_box=args.box, y_box=args.ybox,
-        domain_check=calculus.domain_check(doc.field, doc.oneform),
-    )
+    doc, oneform, x, y, rejected, payload = _sampled(args, argv)
+    rep = flatness.check_report(doc.field, oneform, doc.m, args.kind, x, y, args.tol)
+    related = args.kind == "proj-related"
 
-    records = None
-    if args.kind == "proj-related":
-        x = y = np.empty((0, doc.n))
-        residuals = np.empty(0)
-        if samples.accepted:
-            x, y = sampling.stack(samples.accepted)
-            residuals = in_sample_order(
-                partial(spray.projective_residual, doc.field, oneform, doc.m), x, y,
-            )
-            bad = ~np.isfinite(residuals)
-            if bad.any():  # a NaN would drop out of the maximum and could pass the verdict
-                raise_first(bad, NonFiniteResult, "proj-related residual is not finite at "
-                            "x={}, y={}", x.tolist(), y.tolist())
-        max_residual = float(residuals.max()) if samples.accepted else math.nan
-        if len(samples.accepted) < flatness.MIN_VERDICT_SAMPLES:
-            verdict = "inconclusive"
-        elif max_residual <= args.tol:
-            verdict = "related-within-tol"
-        else:
-            verdict = "not-related"
-        payload_extra = {
-            "kind": "proj-related",
-            "max_wedge_residual": _finite_or_none(max_residual),
-            "verdict": verdict,
-        }
-        records = partial(_check_record, x, y, residuals)
-        human = [
-            f"projective relatedness check ({doc.name or args.spec})",
-            f"spec sha256: {doc.sha256}",
-            f"seed: {seed}  samples: {len(samples.accepted)} accepted / {args.samples} requested",
-            f"max wedge residual: {_fmt(max_residual)}",
-            f"tolerance: {_fmt(args.tol)}",
-            f"verdict: {verdict}",
-        ]
-        passed = verdict == "related-within-tol"
-    else:
-        kind = "dually-flat" if args.kind == "dually-flat" else "projectively-flat"
-        rep = flatness.flatness_report(
-            doc.field, oneform, doc.m, kind, samples.accepted,
-            tol=args.tol, rejected=len(samples.rejected),
-        )
-        payload_extra = {
+    if args.json and related:
+        payload.update({
             "kind": rep.kind,
-            "points": rep.points,
+            "max_wedge_residual": _finite_or_none(rep.max_residual),
+            "verdict": rep.verdict,
+        })
+        _emit(payload, records=partial(_check_record, x, y, rep.residuals))
+    elif args.json:
+        payload.update({
+            "kind": rep.kind,
+            "points": len(x),
             "max_residual": _finite_or_none(rep.max_residual),
             "max_closed_residual": _finite_or_none(rep.max_closed_residual),
-            "tol": rep.tol,
+            "tol": args.tol,
             "verdict": rep.verdict,
-        }
-        human = [
-            f"{rep.kind} check ({doc.name or args.spec})",
-            f"spec sha256: {doc.sha256}",
-            f"seed: {seed}  samples: {rep.points} accepted / {args.samples} requested",
-            f"max operational residual: {_fmt(rep.max_residual)}",
-            f"max closed-form residual: {_fmt(rep.max_closed_residual)} (informative)",
-            f"tolerance: {_fmt(rep.tol)}",
-            f"verdict: {rep.verdict}",
-        ]
-        verdict = rep.verdict
-        passed = verdict == "flat-within-tol"
-
-    if args.json:
-        payload = _envelope("check", doc, argv)
-        payload.update({
-            "seed": seed,
-            "samples_requested": args.samples,
-            "samples_accepted": len(samples.accepted),
-            "rejected": _rejected_payload(samples.rejected),
         })
-        payload.update(payload_extra)
-        _emit(payload, records=records)
+        _emit(payload)
     else:
         w = sys.stdout.write
-        for line in human:
-            w(line + "\n")
-        if samples.rejected:
-            w(f"rejected samples ({len(samples.rejected)}):\n")
-            for x, y, reason in samples.rejected:
-                w(f"  x=[{', '.join(_fmt(v) for v in x)}] y=[{', '.join(_fmt(v) for v in y)}]: {reason}\n")
+        _write_header(w, f"{'projective relatedness' if related else rep.kind} check",
+                      doc, args, payload)
+        if related:
+            w(f"max wedge residual: {_fmt(rep.max_residual)}\n")
+        else:
+            w(f"max operational residual: {_fmt(rep.max_residual)}\n")
+            w(f"max closed-form residual: {_fmt(rep.max_closed_residual)} (informative)\n")
+        w(f"tolerance: {_fmt(args.tol)}\n")
+        w(f"verdict: {rep.verdict}\n")
+        _write_rejected(w, rejected)
 
-    if verdict == "inconclusive":
+    if rep.verdict == "inconclusive":
         raise DomainError(
-            f"only {len(samples.accepted)} admissible samples "
+            f"only {len(x)} admissible samples "
             f"(minimum {flatness.MIN_VERDICT_SAMPLES} for a verdict)"
         )
-    return 0 if passed else 1
+    return 0 if rep.passed else 1
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ A stack of samples is evaluated stage by stage, and a guard raises for the
 lowest failing sample of its stage (`raise_first`).  A loop over the samples
 would raise for the lowest sample failing any stage, so `in_sample_order`
 evaluates the samples before that one again: the failure a loop would meet
-first is the one raised.
+first is the one raised.  `check_finite` is the guard on residuals: a NaN
+would drop out of a maximum, so the `verify` rows and every `check` residual
+go through it before they are reduced.
 """
 
 import numpy as np
@@ -89,3 +91,21 @@ def in_sample_order(evaluate, x, y):
         if exc.sample:
             in_sample_order(evaluate, x[: exc.sample], y[: exc.sample])
         raise
+
+
+def check_finite(named, x, y) -> None:
+    """NonFiniteResult at the lowest sample with a residual that is not finite.
+
+    `named` holds (name, residual) pairs, each residual one value per sample
+    of the stack (x, y), or a scalar at a single point; the message names the
+    first pair that is not finite at that sample.
+    """
+    names, values = zip(*named)
+    bad = ~np.isfinite(np.array(values, dtype=float))
+    if bad.any():
+        n = np.shape(x)[-1]
+        raise_first(
+            bad.any(axis=0), NonFiniteResult, "{} residual is not finite at x={}, y={}",
+            [names[r] for r in np.ravel(bad.argmax(axis=0))],
+            np.reshape(x, (-1, n)).tolist(), np.reshape(y, (-1, n)).tolist(),
+        )

@@ -1,4 +1,5 @@
-"""Dually-flat and projectively-flat testing for the transformed metric.
+"""Dually-flat, projectively-flat and projective-relatedness checks of the
+transformed metric.
 
 Verdicts come exclusively from the operational residuals, which restate the
 defining displays through the oracle:
@@ -12,21 +13,24 @@ term of the other exists in two prints with inconsistent powers, so both
 readings are reported and neither is asserted.
 
 Every residual and condition takes a stack of samples (N, n) as well as one
-point and reads the oracle's pass of A and beta; flatness_report makes that
-pass once for all accepted samples.
+point and reads the oracle's pass of A and beta.  check_report gives the
+verdict of each `check` kind, the two flatness kinds and proj-related (the
+wedge residual of `spray.projective_residual`), by one rule: evaluate the
+accepted stack in sample order, refuse a residual that is not finite, take
+the maximum and compare it with the tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from . import calculus
-from .errors import in_sample_order
+from . import calculus, spray
+from .errors import check_finite, in_sample_order
 from .fields import CoefficientField, OneFormField, dot, vecmat
 from .metric import metric_point
-from .sampling import stack
 
 DEFAULT_TOL = 1e-8
 
@@ -188,55 +192,68 @@ def proj_flat_condition(
 
 MIN_VERDICT_SAMPLES = 50
 
+# CLI kind: the kind name reported, the verdict within tolerance, the verdict
+# beyond it, and the maxima reported when no sample was accepted
+CHECKS = {
+    "dually-flat": ("dually-flat", "flat-within-tol", "not-flat", 0.0),
+    "proj-flat": ("projectively-flat", "flat-within-tol", "not-flat", 0.0),
+    "proj-related": ("proj-related", "related-within-tol", "not-related", np.nan),
+}
+
 
 @dataclass
-class FlatnessReport:
-    """Sampled flatness check; the verdict uses only the operational residual."""
+class CheckReport:
+    """A sampled check; the verdict uses only the operational residual."""
 
-    kind: str                    # "dually-flat" | "projectively-flat"
-    points: int
+    kind: str                    # the reported kind name
+    residuals: np.ndarray        # operational residual per sample
     max_residual: float
-    max_closed_residual: float
-    verdict: str                 # "flat-within-tol" | "not-flat" | "inconclusive"
-    tol: float
-    rejected: int = 0
+    max_closed_residual: float   # informative; NaN for proj-related
+    verdict: str                 # within, beyond or "inconclusive"
+    passed: bool
 
 
-def flatness_report(
-    field: CoefficientField, oneform: OneFormField, m: int, kind: str,
-    samples, tol: float = DEFAULT_TOL, rejected: int = 0,
-) -> FlatnessReport:
-    """Reduce accepted samples to a verdict; closed-form residual is informative.
+def _residuals(field, oneform, m: int, kind: str, x, y) -> dict:
+    """The residuals of a check kind per sample, by name, each guarded finite:
+    the operational one, named by the kind, and for a flatness kind the
+    closed-form one."""
+    if kind == "proj-related":
+        values = {kind: spray.projective_residual(field, oneform, m, x, y)}
+    else:
+        residual, condition = {
+            "dually-flat": (dually_flat_residual, dually_flat_condition),
+            "proj-flat": (proj_flat_residual, proj_flat_condition),
+        }[kind]
+        jets = calculus.field_jets(field, oneform, x, y)
+        values = {
+            kind: residual(field, oneform, m, x, y, jets),
+            f"{kind} closed-form": condition(field, oneform, m, x, y, jets).residual,
+        }
+    check_finite(values.items(), x, y)
+    return values
+
+
+def check_report(
+    field: CoefficientField, oneform: OneFormField, m: int, kind: str, x, y, tol: float,
+) -> CheckReport:
+    """Reduce the accepted samples, a stack (N, n), to the verdict of a CLI check kind.
 
     The samples are evaluated as one stack with one derivative pass; a
-    failure is the one a loop over them would meet first.
+    failure, a residual that is not finite included, is the one a loop over
+    them would meet first.  A verdict needs MIN_VERDICT_SAMPLES samples.
     """
-    if kind == "dually-flat":
-        residual_fn, condition_fn = dually_flat_residual, dually_flat_condition
-    elif kind == "projectively-flat":
-        residual_fn, condition_fn = proj_flat_residual, proj_flat_condition
-    else:
-        raise ValueError(f"unknown flatness kind {kind!r}")
-
-    def evaluate(x, y):
-        jets = calculus.field_jets(field, oneform, x, y)
-        return (
-            residual_fn(field, oneform, m, x, y, jets),
-            condition_fn(field, oneform, m, x, y, jets).residual,
-        )
-
-    residuals, closed = [], []
-    if samples:
-        residuals, closed = (v.tolist() for v in in_sample_order(evaluate, *stack(samples)))
-    # the running maxima a loop over the samples would keep, from 0
-    max_residual = max([0.0] + residuals)
-    max_closed = max([0.0] + closed)
-    count = len(residuals)
-
-    if count < MIN_VERDICT_SAMPLES:
+    name, within, beyond, empty = CHECKS[kind]
+    values = in_sample_order(partial(_residuals, field, oneform, m, kind), x, y) if len(x) else {}
+    max_residual, max_closed = (
+        float(values[key].max()) if key in values else empty
+        for key in (kind, f"{kind} closed-form")
+    )
+    if len(x) < MIN_VERDICT_SAMPLES:
         verdict = "inconclusive"
     elif max_residual <= tol:
-        verdict = "flat-within-tol"
+        verdict = within
     else:
-        verdict = "not-flat"
-    return FlatnessReport(kind, count, max_residual, max_closed, verdict, tol, rejected)
+        verdict = beyond
+    return CheckReport(
+        name, values.get(kind, np.empty(0)), max_residual, max_closed, verdict, verdict == within,
+    )

@@ -9,8 +9,8 @@ expected to be tight.
 
 Points may come stacked (N, n): the snapshot, the scalar family and the
 residual rows then hold one entry per sample (per-sample scalars gain unit
-axes to broadcast against vectors and matrices), and merge_reports reduces
-the rows to their per-formula maxima.
+axes to broadcast against vectors and matrices); `report` guards the rows
+finite and reduces them to their per-formula maxima (`report.reduce_report`).
 """
 
 from __future__ import annotations
@@ -213,7 +213,7 @@ class ResidualRow:
     """Max residual of one closed form against its oracle quantity.
 
     On a stack of samples max_abs and max_rel hold one value per sample and
-    x and y the stacked points; merge_reports reduces them to the maximum.
+    x and y the stacked points; report.reduce_report reduces them to the maximum.
     """
 
     formula: str
@@ -278,43 +278,4 @@ def verify_kropina_forms(point: KropinaPoint) -> DiscrepancyReport:
     return DiscrepancyReport(
         rows=rows, points=int(np.prod(point.base.y.shape[:-1])),
         degenerate_order4=point.aux.degenerate_order4, notes=[B2_NOTE],
-    )
-
-
-def merge_reports(reports) -> DiscrepancyReport:
-    """Per-formula max across reports of single points or stacks, keeping the point of max.
-
-    Rows that are undefined (None) lose to defined ones; np.argmax keeps the
-    earliest sample of a tie.
-    """
-    reports = list(reports)
-    notes = []
-    for rep in reports:
-        for note in rep.notes:
-            if note not in notes:
-                notes.append(note)
-    rows = []
-    for formula in dict.fromkeys(row.formula for rep in reports for row in rep.rows):
-        candidates = [row for rep in reports for row in rep.rows if row.formula == formula]
-        valued = [row for row in candidates if row.max_abs is not None]
-        if not valued:
-            rows.append(candidates[0])
-            continue
-        max_abs, max_rel = (
-            np.concatenate([np.ravel(getattr(row, key)) for row in valued])
-            for key in ("max_abs", "max_rel")
-        )
-        xs, ys = (
-            np.concatenate([np.reshape(getattr(row, key), (-1, np.shape(row.x)[-1]))
-                            for row in valued])
-            for key in ("x", "y")
-        )
-        i = int(np.argmax(max_abs))
-        rows.append(ResidualRow(
-            formula, float(max_abs[i]), float(max_rel[i]),
-            tuple(xs[i].tolist()), tuple(ys[i].tolist()), valued[0].note,
-        ))
-    return DiscrepancyReport(
-        rows=rows, points=sum(rep.points for rep in reports),
-        degenerate_order4=any(rep.degenerate_order4 for rep in reports), notes=notes,
     )

@@ -2,22 +2,24 @@
 
 Combines the transformed-metric rows with the spray-split rows into one
 discrepancy report.  All accepted samples are evaluated at once, as one stack
-(N, n) with one derivative pass; the rows hold one value per sample until
-merge_reports reduces them.  Every row is a measurement; the only formula expected
+(N, n) with one derivative pass; the rows hold one value per sample, each
+guarded finite by `errors.check_finite`, until reduce_report takes the
+per-formula maxima.  Every row is a measurement; the only formula expected
 to be tight is the supporting covector, and that expectation is asserted by
 the test suite, not here.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
 
 from . import calculus, kropina, spray
-from .errors import NonFiniteResult, in_sample_order, raise_first
+from .errors import check_finite, in_sample_order
 from .fields import CoefficientField, OneFormField
-from .kropina import DiscrepancyReport, ResidualRow, merge_reports
+from .kropina import DiscrepancyReport, ResidualRow
 from .sampling import stack
 
 SPRAY_ROWS = (
@@ -52,20 +54,6 @@ def _spray_rows(point: spray.SprayPoint, x, y) -> list:
     ]
 
 
-def _check_finite(rows, x, y) -> None:
-    """NonFiniteResult at the first sample with a defined row that is not finite, naming the row."""
-    defined = [row for row in rows if row.max_abs is not None]
-    bad = np.array([~(np.isfinite(row.max_abs) & np.isfinite(row.max_rel)) for row in defined])
-    if bad.any():
-        first = bad.reshape(len(defined), -1).argmax(axis=0)
-        n = np.shape(x)[-1]
-        raise_first(
-            bad.any(axis=0), NonFiniteResult, "{} residual is not finite at x={}, y={}",
-            [defined[r].formula for r in first],
-            np.reshape(x, (-1, n)).tolist(), np.reshape(y, (-1, n)).tolist(),
-        )
-
-
 def _rows(field, oneform, m: int, x, y) -> DiscrepancyReport:
     jets = calculus.field_jets(field, oneform, x, y)
     point = kropina.kropina_point(field, oneform, m, x, y, jets)
@@ -73,7 +61,10 @@ def _rows(field, oneform, m: int, x, y) -> DiscrepancyReport:
     rep.rows.extend(_spray_rows(
         spray.pq_decomposition(field, oneform, m, x, y, jets, point.base), x, y
     ))
-    _check_finite(rep.rows, x, y)
+    check_finite(
+        [(row.formula, v) for row in rep.rows if row.max_abs is not None
+         for v in (row.max_abs, row.max_rel)], x, y,
+    )
     return rep
 
 
@@ -93,10 +84,29 @@ def point_report(
     return in_sample_order(partial(_rows, field, oneform, m), x, y)
 
 
+def reduce_report(report: DiscrepancyReport) -> DiscrepancyReport:
+    """Per-formula maxima of a report on a stack (N, n), each with its point.
+
+    Rows that are undefined (None) stay as they are; np.argmax keeps the
+    earliest sample of a tie.
+    """
+    rows = []
+    for row in report.rows:
+        if row.max_abs is None:
+            rows.append(row)
+            continue
+        i = int(np.argmax(row.max_abs))
+        rows.append(ResidualRow(
+            row.formula, float(row.max_abs[i]), float(row.max_rel[i]),
+            tuple(row.x[i].tolist()), tuple(row.y[i].tolist()), row.note,
+        ))
+    return replace(report, rows=rows)
+
+
 def discrepancy_report(
     field: CoefficientField, oneform: OneFormField, m: int, samples,
 ) -> DiscrepancyReport:
     """Closed-form adjudication over accepted (x, y) samples, per-formula maxima."""
     if not samples:
-        return merge_reports([])
-    return merge_reports([point_report(field, oneform, m, *stack(samples))])
+        return DiscrepancyReport(rows=[], points=0)
+    return reduce_report(point_report(field, oneform, m, *stack(samples)))

@@ -21,7 +21,6 @@ class SampleSet:
 
     accepted: list
     rejected: list
-    requested: int
 
 
 def sample_points(
@@ -68,7 +67,7 @@ def sample_points(
             if reason is not None:
                 rejected.append((x[first], y[first], reason))
             x, y = x[first + 1 :], y[first + 1 :]
-    return SampleSet(accepted, rejected, count)
+    return SampleSet(accepted, rejected)
 
 
 def stack(pairs):

@@ -476,24 +476,26 @@ def test_order_two_warning_is_one_fixed_line(args):
     assert not any(".py" in line or os.sep + "mrootfinsler" in line for line in lines), lines
 
 
-@pytest.mark.parametrize("bad_sample, value", [(0, np.nan), (7, np.inf)])
-def test_check_proj_related_nonfinite_residual_exits_3(monkeypatch, capsys, bad_sample, value):
-    # a non-finite residual must fail the run and name its sample: NaN would
-    # drop out of the maximum, and the report would hold invalid JSON
-    from mrootfinsler import calculus, cli, sampling, spray
+def _check_fails_at(monkeypatch, capsys, kind, module, name, bad_sample, value, what):
+    # patch module.name to put `value` into its result at `bad_sample`; the
+    # run must exit 3 naming that sample and write nothing to stdout.  The
+    # guard runs in sample order, so the samples before the bad one are
+    # evaluated again as a shorter stack.
+    from mrootfinsler import calculus, cli, sampling
     from mrootfinsler.specfile import load_spec
 
-    real = spray.projective_residual
+    real = getattr(module, name)
 
-    def residual(*args):
+    def patched(*args):
         out = real(*args)
-        out[bad_sample] = value
+        residual = out if isinstance(out, np.ndarray) else out.residual
+        if len(residual) > bad_sample:
+            residual[bad_sample] = value
         return out
 
-    monkeypatch.setattr(spray, "projective_residual", residual)
+    monkeypatch.setattr(module, name, patched)
     spec = FIXTURES / "mixed_quartic.json"
-    rc = cli.main(["check", "proj-related", "--json", "--spec", str(spec),
-                   "--samples", "60", "--seed", "1"])
+    rc = cli.main(["check", kind, "--json", "--spec", str(spec), "--samples", "60", "--seed", "1"])
     assert rc == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -501,8 +503,34 @@ def test_check_proj_related_nonfinite_residual_exits_3(monkeypatch, capsys, bad_
     x, y = sampling.sample_points(
         doc.n, 60, 1, domain_check=calculus.domain_check(doc.field, doc.oneform)
     ).accepted[bad_sample]
-    assert captured.err == ("numerical failure: proj-related residual is not finite at "
+    assert captured.err == (f"numerical failure: {what} residual is not finite at "
                             f"x={x.tolist()}, y={y.tolist()}\n")
+
+
+@pytest.mark.parametrize("bad_sample, value", [(0, np.nan), (7, np.inf)])
+def test_check_proj_related_nonfinite_residual_exits_3(monkeypatch, capsys, bad_sample, value):
+    # a non-finite residual must fail the run and name its sample: NaN would
+    # drop out of the maximum, and the report would hold invalid JSON
+    from mrootfinsler import spray
+
+    _check_fails_at(monkeypatch, capsys, "proj-related", spray, "projective_residual",
+                    bad_sample, value, "proj-related")
+
+
+@pytest.mark.parametrize("bad_sample, value", [(0, np.nan), (7, np.inf)])
+@pytest.mark.parametrize("kind, name, what", [
+    ("dually-flat", "dually_flat_residual", "dually-flat"),
+    ("proj-flat", "proj_flat_residual", "proj-flat"),
+    ("proj-flat", "proj_flat_condition", "proj-flat closed-form"),
+], ids=["dually-flat", "proj-flat", "proj-flat-closed-form"])
+def test_check_flatness_nonfinite_residual_exits_3(
+    monkeypatch, capsys, kind, name, what, bad_sample, value
+):
+    # the flatness kinds go through the same guard as proj-related: an
+    # operational or closed-form residual that is not finite exits 3
+    from mrootfinsler import flatness
+
+    _check_fails_at(monkeypatch, capsys, kind, flatness, name, bad_sample, value, what)
 
 
 CUBIC = str(FIXTURES / "cubic_x.json")

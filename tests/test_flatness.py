@@ -13,17 +13,21 @@ from conftest import (
     seeded_points,
     spec_samples,
 )
+from mrootfinsler import flatness
+from mrootfinsler.errors import DomainError, NonFiniteResult, raise_first
 from mrootfinsler.fields import CoefficientField, Polynomial
 from mrootfinsler.flatness import (
+    DEFAULT_TOL,
+    check_report,
     dually_flat_condition,
     dually_flat_defect,
     dually_flat_residual,
-    flatness_report,
     intermediates,
     proj_flat_condition,
     proj_flat_defect,
     proj_flat_residual,
 )
+from mrootfinsler.sampling import stack
 
 # Golden values frozen from the independent finite-difference oracle
 # (tests/_oracles.py) for the cubic fixture with the constant one-form.
@@ -190,21 +194,63 @@ def test_residual_continuity_under_coefficient_perturbation():
     assert abs(moved - base) <= 10.0 * eps
 
 
-def test_flatness_report_verdicts():
-    samples = seeded_points(2, 60, seed=83)
-    rep = flatness_report(diag_quartic(), b_const(2), 4, "dually-flat", samples)
-    assert rep.verdict == "flat-within-tol"
-    assert rep.points == 60
+def test_check_report_verdicts():
+    xs, ys = stack(seeded_points(2, 60, seed=83))
+    rep = check_report(diag_quartic(), b_const(2), 4, "dually-flat", xs, ys, DEFAULT_TOL)
+    assert (rep.kind, rep.verdict, rep.passed) == ("dually-flat", "flat-within-tol", True)
+    assert rep.residuals.shape == (60,)
     assert rep.max_residual <= 1e-10
 
-    rep2 = flatness_report(cubic_x(), b_const(2), 3, "dually-flat", samples)
-    assert rep2.verdict == "not-flat"
+    rep2 = check_report(cubic_x(), b_const(2), 3, "dually-flat", xs, ys, DEFAULT_TOL)
+    assert (rep2.verdict, rep2.passed) == ("not-flat", False)
+    assert rep2.max_residual == rep2.residuals.max()
 
-    rep3 = flatness_report(cubic_x(), b_const(2), 3, "projectively-flat", samples[:10])
-    assert rep3.verdict == "inconclusive"
+    rep3 = check_report(cubic_x(), b_const(2), 3, "proj-flat", xs[:10], ys[:10], DEFAULT_TOL)
+    assert (rep3.kind, rep3.verdict, rep3.passed) == ("projectively-flat", "inconclusive", False)
 
-    with pytest.raises(ValueError):
-        flatness_report(cubic_x(), b_const(2), 3, "unknown", samples)
+    # a Minkowski form with a constant one-form is projectively related to F;
+    # a form depending on x is not
+    related = check_report(diag_quartic(), b_const(2), 4, "proj-related", xs, ys, DEFAULT_TOL)
+    assert (related.kind, related.verdict, related.passed) == (
+        "proj-related", "related-within-tol", True)
+    assert related.max_residual <= DEFAULT_TOL
+    assert np.isnan(related.max_closed_residual)
+    unrelated = check_report(cubic_x(), b_const(2), 3, "proj-related", xs, ys, DEFAULT_TOL)
+    assert (unrelated.verdict, unrelated.passed) == ("not-related", False)
+    assert unrelated.max_residual == unrelated.residuals.max() > DEFAULT_TOL
+
+    # the maxima of no samples: 0 for the flatness kinds, NaN for proj-related
+    none = np.empty((0, 2))
+    for kind, maximum in (("dually-flat", 0.0), ("proj-flat", 0.0), ("proj-related", None)):
+        empty = check_report(cubic_x(), b_const(2), 3, kind, none, none, DEFAULT_TOL)
+        assert empty.verdict == "inconclusive" and empty.residuals.shape == (0,)
+        if maximum is None:
+            assert np.isnan(empty.max_residual)
+        else:
+            assert empty.max_residual == empty.max_closed_residual == maximum
+
+    with pytest.raises(KeyError):
+        check_report(cubic_x(), b_const(2), 3, "unknown", xs, ys, DEFAULT_TOL)
+
+
+def test_check_report_raises_what_a_sample_loop_meets_first(monkeypatch):
+    # sample 4 fails a guard inside the residual, sample 2 only the finite
+    # guard after it: a loop over the samples meets sample 2 first, and so
+    # must the stack
+    xs, ys = stack(seeded_points(2, 6, seed=3))
+    real = flatness.dually_flat_residual
+
+    def residual(*args):
+        out = real(*args)
+        raise_first(np.arange(len(out)) == 4, DomainError, "refused at {}", out)
+        if len(out) > 2:  # the samples before a failure are evaluated again
+            out[2] = np.nan
+        return out
+
+    monkeypatch.setattr(flatness, "dually_flat_residual", residual)
+    with pytest.raises(NonFiniteResult, match="dually-flat residual is not finite") as exc:
+        check_report(cubic_x(), b_const(2), 3, "dually-flat", xs, ys, DEFAULT_TOL)
+    assert exc.value.sample == 2
 
 
 @pytest.mark.parametrize("name", ONE_FORM_SPECS)

@@ -24,8 +24,9 @@ from mrootfinsler.errors import (
 from mrootfinsler.kropina import (
     B2_NOTE,
     gbar_inverse_closed,
+    DiscrepancyReport,
+    ResidualRow,
     kropina_point,
-    merge_reports,
     verify_kropina_forms,
 )
 
@@ -154,19 +155,36 @@ def test_minkowski_rows_are_x_independent():
             assert ra.max_abs == pytest.approx(rb.max_abs, rel=1e-12, abs=1e-14)
 
 
-def test_merge_reports_keeps_per_formula_max():
+def test_reduce_report_keeps_per_formula_max():
     field, oneform = cubic_x(), b_const(2)
-    reports = [
-        verify_kropina_forms(kropina_point(field, oneform, 3, x, y))
-        for x, y in seeded_points(2, 5, seed=67)
-    ]
-    merged = merge_reports(reports)
-    assert merged.points == 5
-    by_name = {r.formula: r for r in merged.rows}
-    for rep in reports:
-        for row in rep.rows:
-            if row.max_abs is not None:
-                assert by_name[row.formula].max_abs >= row.max_abs
+    points = seeded_points(2, 5, seed=67)
+    xs = np.array([x for x, _ in points])
+    ys = np.array([y for _, y in points])
+    stacked = verify_kropina_forms(kropina_point(field, oneform, 3, xs, ys))
+    reduced = report.reduce_report(stacked)
+    assert reduced.points == 5
+    assert reduced.notes == [B2_NOTE]
+    assert [r.formula for r in reduced.rows] == [r.formula for r in stacked.rows]
+    for row, per_sample in zip(reduced.rows, stacked.rows):
+        i = int(np.argmax(per_sample.max_abs))
+        assert row.max_abs == per_sample.max_abs.max()
+        assert row.max_rel == per_sample.max_rel[i]
+        assert row.x == tuple(xs[i]) and row.y == tuple(ys[i])
+
+
+def test_reduce_report_takes_the_earliest_sample_of_a_tie():
+    xs = np.arange(8.0).reshape(4, 2)
+    ys = xs + 10.0
+    stacked = DiscrepancyReport(rows=[
+        ResidualRow("tied", np.array([1.0, 3.0, 2.0, 3.0]), np.array([0.1, 0.3, 0.2, 0.4]),
+                    xs, ys, "note"),
+        ResidualRow("undefined", None, None, note="degenerate at m = 4"),
+    ], points=4, degenerate_order4=True, notes=[B2_NOTE])
+    tied, undefined = report.reduce_report(stacked).rows
+    assert (tied.max_abs, tied.max_rel, tied.x, tied.y, tied.note) == (
+        3.0, 0.3, (2.0, 3.0), (12.0, 13.0), "note")
+    assert undefined is stacked.rows[1]
+    assert report.reduce_report(stacked).degenerate_order4
 
 
 def test_order2_classical_anchor():
@@ -197,11 +215,13 @@ def test_stacked_rows_match_single_points(name):
         assert_stack_matches(row.max_rel, [single.max_rel for single in rows], row.formula)
         np.testing.assert_array_equal(row.x, xs)
         np.testing.assert_array_equal(row.y, ys)
-    merged = merge_reports([stacked])
-    assert merged.points == len(accepted)
-    for row, single in zip(merged.rows, merge_reports(singles).rows):
-        assert row.formula == single.formula
-        assert (row.max_abs is None) == (single.max_abs is None)
+    reduced = report.reduce_report(stacked)
+    assert reduced.points == len(accepted)
+    for r, row in enumerate(reduced.rows):
+        rows = [rep.rows[r] for rep in singles]
+        assert (row.max_abs is None) == (rows[0].max_abs is None)
+        if row.max_abs is not None:
+            assert_stack_matches(row.max_abs, max(single.max_abs for single in rows), row.formula)
 
 
 def test_stack_raises_what_a_sample_loop_meets_first(monkeypatch):
