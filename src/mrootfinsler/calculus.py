@@ -6,7 +6,9 @@ the form of the coefficient field and beta = b_i(x) y^i the one-form:
   F = A^(1/m),  F^2 = A^(2/m),  Fbar = A^(2/m) / beta,  Fbar^2 = A^(4/m) / beta^2.
 
 The fields layer evaluates A and beta with their exact gradients and Hessians
-over all 2n coordinates (x first, then y); one chain rule composes them.  The
+over all 2n coordinates (x first, then y) in one pass, on a group axis (A,
+beta); one chain rule composes them, raising both groups in one call with
+the exponents (p, q) and joining them by the product rule.  The
 value, the y-gradient and y-Hessian, the x-gradient and the mixed x-y block of
 any energy are therefore slices of a single pass, exact to rounding.  Points
 may come stacked (..., n): the pass, the chain rule and every guard then act
@@ -17,13 +19,14 @@ cross-check (fd_check).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import NonFiniteResult, raise_first
-from .fields import CoefficientField, Jet, OneFormField, check_beta, check_form, outer
+from .fields import CoefficientField, Jet, OneFormField, check_beta, check_form, norm, outer
 
 _EPS = float(np.finfo(float).eps)
 
@@ -32,71 +35,78 @@ _EPS = float(np.finfo(float).eps)
 # the derivative pass
 # ---------------------------------------------------------------------------
 
-def _power(v, p: float, derivatives: bool = True):
-    """(v^p, its first and second derivative in v) per sample, or (v^p,) alone."""
+# `v ** e` takes these shortcuts for a scalar exponent e; the powers of all
+# groups at once take them too, and so match a power per group bit for bit
+_SHORTCUTS = {-1.0: np.reciprocal, 0.5: np.sqrt, 2.0: np.square}
+
+
+@functools.lru_cache(maxsize=64)
+def _power_table(exponents: tuple):
+    """Per group e: the exponents (e, e-1, e-2), their factors (1, e, e(e-1)), the shortcuts."""
+    e = np.array(exponents, dtype=float)
+    table = np.array([e, e - 1.0, e - 2.0])
+    shortcuts = [(r, g, _SHORTCUTS[t]) for (r, g), t in np.ndenumerate(table) if t in _SHORTCUTS]
+    return table, np.array([np.ones_like(e), e, e * (e - 1.0)]), shortcuts
+
+
+def _power(v, exponents: tuple, derivatives: bool = True) -> np.ndarray:
+    """v^e and its first and second derivative in v, with group g of v (..., G)
+    raised to exponents[g]: (..., 3, G), or (..., 1, G) for v^e alone.  Group by
+    group, the guards raise for an undefined base, then for a power that
+    overflows; callers ignore floating-point errors."""
+    table, factor, shortcuts = _power_table(tuple(exponents))
+    rows = 3 if derivatives else 1
     v = np.asarray(v, dtype=float)
-    if p == 0.0:
-        one = v ** 0.0
-        return (one, 0.0 * one, 0.0 * one) if derivatives else (one,)
-    raise_first(
-        (v == 0.0) | ((v < 0.0) & (not float(p).is_integer())), NonFiniteResult,
-        f"power {p} undefined at base {{}}", v,
-    )
-    with np.errstate(over="ignore"):
-        out = (v ** p,)
-        if derivatives:
-            out += (p * v ** (p - 1.0), p * (p - 1.0) * v ** (p - 2.0))
-    finite = np.isfinite(out[0])
-    for value in out[1:]:
-        finite &= np.isfinite(value)
-    raise_first(~finite, NonFiniteResult, f"power {p} of {{}} overflows", v)
+    out = v[..., None, :] ** table[:rows]
+    for r, g, op in shortcuts:
+        if r < rows:
+            out[..., r, g] = op(v[..., g])
+    out *= factor[:rows]
+    if not (np.isfinite(out).all() and v.all()):  # an undefined base is 0 or gives NaN
+        undefined = (v == 0.0) | ((v < 0.0) & (table[0] % 1.0 != 0.0))
+        finite = np.isfinite(out).all(axis=-2)
+        for g, p in enumerate(exponents):
+            base, what = v[..., g], f"power {p} "
+            raise_first(undefined[..., g], NonFiniteResult, what + "undefined at base {}", base)
+            raise_first(~finite[..., g], NonFiniteResult, what + "of {} overflows", base)
     return out
 
 
-def _power_jet(jet: Jet, p: float) -> Jet:
-    f, d1, d2 = _power(jet.val, p)
-    d1 = d1[..., None]
-    return Jet(
-        f, d1 * jet.grad,
-        d1[..., None] * jet.hess + d2[..., None, None] * outer(jet.grad, jet.grad),
-    )
-
-
-def power(A: Jet, beta: Optional[Jet], p: float, q: float) -> Jet:
-    """A^p beta^q with its gradient and Hessian (beta is unused when q = 0).
-
-    The Hessian stays exactly symmetric: each rule adds only symmetric
-    matrices and symmetrised outer products.  Products that overflow are left
-    as they come out: ScalarFunction.compose rejects every non-finite entry.
+def power(jets: Jet, exponents) -> Jet:
+    """A^p for exponents (p,), A^p beta^q for (p, q), with gradient and Hessian,
+    from a pass of A or of (A, beta): one call raises both, the product rule
+    joins them.  The Hessian stays exactly symmetric: each rule adds only
+    symmetric matrices and symmetrised outer products.  Products that overflow
+    are left as they come out: ScalarFunction.compose rejects them.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = _power_jet(A, p)
-        if q == 0.0:
-            return a
-        b = _power_jet(beta, q)
+    k = len(exponents)
+    grad = jets.grad[..., :k, :]
+    with np.errstate(all="ignore"):
+        out = _power(jets.val[..., :k], exponents)
+        f, d1, d2 = out[..., 0, :], out[..., 1, :, None], out[..., 2, :, None]
+        hess = d1[..., None] * jets.hess[..., :k, :, :] + d2[..., None] * outer(grad, grad)
+        raised = Jet(f, d1 * grad, hess)
+        if k == 1:
+            return raised.group(0)
+        a, b = raised.group(0), raised.group(1)
         cross = outer(a.grad, b.grad)
         av, bv = a.val[..., None], b.val[..., None]
-        return Jet(
-            a.val * b.val,
-            av * b.grad + bv * a.grad,
-            (av[..., None] * b.hess + bv[..., None] * a.hess)
-            + (cross + np.swapaxes(cross, -1, -2)),
-        )
+        return Jet(a.val * b.val, av * b.grad + bv * a.grad, (
+            av[..., None] * b.hess + bv[..., None] * a.hess) + (cross + np.swapaxes(cross, -1, -2)))
 
 
-def field_jets(field: CoefficientField, oneform: Optional[OneFormField], x, y):
-    """One pass for A and beta (None without a one-form), after the domain guards.
+def field_jets(field: CoefficientField, oneform: Optional[OneFormField], x, y) -> Jet:
+    """One pass for A, or for (A, beta) on a group axis, after the domain guards.
 
     The one-form guard comes first: beta = 0 bounds the domain of the
     transformed metric.  x and y may be stacks (..., n).
     """
-    beta = None
+    jets, c = field.terms_with(oneform).jet(x, y)
+    scale, size = np.abs(c).max(axis=-1, initial=0.0), norm(y)
     if oneform is not None:
-        beta, b = oneform.terms.jet(x, y)
-        check_beta(beta.val, b, y)
-    A, a = field.terms.jet(x, y)
-    check_form(A.val, np.max(np.abs(a), axis=-1, initial=0.0), y, field.m)
-    return A, beta
+        check_beta(jets.val[..., 1], scale[..., 1], size)
+    check_form(jets.val[..., 0], scale[..., 0], size, field.m)
+    return jets
 
 
 def domain_check(field: CoefficientField, oneform: Optional[OneFormField]) -> Callable:
@@ -120,9 +130,13 @@ class ScalarFunction:
     oneform: Optional[OneFormField] = None
     q: float = 0.0
 
-    def compose(self, A: Jet, beta: Optional[Jet]) -> Jet:
-        """f with its derivatives, from a pass of A and beta (per sample on stacks)."""
-        jet = power(A, beta, self.p, self.q)
+    @property
+    def exponents(self) -> tuple:
+        return (self.p,) if self.oneform is None else (self.p, self.q)
+
+    def compose(self, jets: Jet) -> Jet:
+        """f with its derivatives, from a pass of A or of (A, beta) (per sample on stacks)."""
+        jet = power(jets, self.exponents)
         raise_first(
             ~np.isfinite(jet.val), NonFiniteResult, f"{self.name} evaluated to {{}}", jet.val
         )
@@ -133,10 +147,11 @@ class ScalarFunction:
         return jet
 
     def __call__(self, x, y) -> float:
-        value = _power(self.field.form_checked(x, y), self.p, False)[0]
+        values = [self.field.form_checked(x, y)]
         if self.oneform is not None:
-            with np.errstate(over="ignore"):
-                value = value * _power(self.oneform.beta_checked(x, y), self.q, False)[0]
+            values.append(self.oneform.beta_checked(x, y))
+        with np.errstate(all="ignore"):
+            value = _power(np.stack(values, axis=-1), self.exponents, False).prod(axis=(-2, -1))
         raise_first(
             ~np.isfinite(value), NonFiniteResult, f"{self.name} evaluated to {{}}", value
         )
@@ -169,7 +184,7 @@ def kropina_energy(field: CoefficientField, oneform: OneFormField, m: int) -> Sc
 
 def derivatives(f: ScalarFunction, x, y) -> Jet:
     """One pass: f with its full (x, y) gradient and Hessian, per point of a stack."""
-    return f.compose(*field_jets(f.field, f.oneform, x, y))
+    return f.compose(field_jets(f.field, f.oneform, x, y))
 
 
 def value_grad_hess_y(f: ScalarFunction, x, y):

@@ -265,7 +265,7 @@ def cmd_eval(args, argv) -> int:
     jets = calculus.field_jets(doc.field, oneform, x, y)
     point = kropina.kropina_point(doc.field, oneform, doc.m, x, y, jets)
     base = point.base
-    g_oracle = 0.5 * calculus.base_energy(doc.field, doc.m).compose(*jets).hess_yy
+    g_oracle = 0.5 * calculus.base_energy(doc.field, doc.m).compose(jets).hess_yy
 
     if args.json:
         payload = _envelope("eval", doc, argv)

@@ -11,8 +11,10 @@ multiset.  A TermTable evaluates the x-coefficients and their derivatives
 first and only then contracts them with the y-monomial derivatives, giving the
 value, the gradient and the Hessian over all 2n coordinates in one pass.
 Multiplying the terms out into (x, y)-monomials instead would lose digits
-where beta nearly cancels.  Tables come from exponent decrement and are built
-once per field, on first use.
+where beta nearly cancels.  The pair (A, beta) is one table: one x-monomial
+block, one y-monomial block and one product, with a group axis (A, beta);
+the form alone is its one-group case.  Tables come from exponent decrement
+and are built once per field or pair, on first use.
 """
 
 from __future__ import annotations
@@ -31,18 +33,18 @@ FORM_FLOOR = 1e-12
 BETA_FLOOR = 1e-12
 
 
-def check_form(value, max_abs, y, m: int) -> None:
+def check_form(value, max_abs, y_norm, m: int) -> None:
     """Raise DomainError unless every form value clears its scale-aware floor."""
-    floor = FORM_FLOOR * norm(y) ** m * np.maximum(max_abs, 1e-300)
+    floor = FORM_FLOOR * y_norm ** m * np.maximum(max_abs, 1e-300)
     raise_first(
         value <= floor, DomainError, "form value {:.3e} at or below floor {:.3e}",
         value, floor,
     )
 
 
-def check_beta(value, b, y) -> None:
+def check_beta(value, max_abs, y_norm) -> None:
     """Raise DomainError where beta = b_i y^i is too close to zero."""
-    floor = BETA_FLOOR * norm(y) * np.max(np.abs(b), axis=-1)
+    floor = BETA_FLOOR * y_norm * max_abs
     raise_first(
         np.abs(value) <= floor, DomainError,
         "one-form value {:.3e} below degeneracy floor {:.3e}", value, floor,
@@ -151,24 +153,32 @@ class Jet:
     def hess_yy(self) -> np.ndarray:
         return self.hess[..., self.n :, self.n :]
 
+    def group(self, g: int) -> "Jet":
+        """Group g of a pass with a group axis: A is 0 and beta 1 in the pair (A, beta)."""
+        return Jet(self.val[..., g][()], self.grad[..., g, :], self.hess[..., g, :, :])
+
 
 class TermTable:
-    """The sum of terms w_t c_t(x) y^e_t: polynomials c_t over the terms of an index set.
+    """Sums of terms w_t c_t(x) y^e_t, one per group: a group holds the
+    polynomials c_t and index keys of one field.
 
     Points x and vectors y may carry a leading batch axis (..., n).
     """
 
-    def __init__(self, polys, y_terms: FormTerms):
-        n = y_terms.monomials.n
+    def __init__(self, groups, n: int):
+        polys = [poly for group, _ in groups for poly in group]
         x_exps = sorted({exps for poly in polys for exps, _ in poly.monomials})
         column = {exps: j for j, exps in enumerate(x_exps)}
         self.K = np.zeros((len(polys), len(x_exps)))
         for t, poly in enumerate(polys):
             for exps, coeff in poly.monomials:
                 self.K[t, column[exps]] = coeff
+        group_of = np.repeat(np.arange(len(groups)), [len(group) for group, _ in groups])
+        # [g, t, j]: K once per group, the rows of the other groups zero
+        self._grouped = self.K * (group_of[:, None] == np.arange(len(groups))[:, None, None])
         self.n = n
         self.x = MonomialTable(x_exps, n)
-        self.y_terms = y_terms
+        self.y_terms = FormTerms([key for _, keys in groups for key in keys], n)
         # Where the pass below finds each entry of the 2n-gradient and of the
         # 2n x 2n Hessian in the flattened product matrix M: row a and column
         # b of M run over value, first and second derivatives (1 + n + n^2)
@@ -194,29 +204,28 @@ class TermTable:
         return self.x.derivatives(x, 0)[..., 0] @ self.K.T
 
     def value(self, x, y):
-        """The sum at (x, y), and the coefficients c_t(x)."""
+        """The sum of all terms (a one-group table's value) and the coefficients c_t(x)."""
         c = self.coefficients(x)
         self._check(y, "vector")
         return dot(c, self.y_terms.monomials.derivatives(y, 0)[..., 0]), c
 
     def jet(self, x, y):
-        """The sum as a Jet at (x, y), and the coefficients c_t(x).
+        """Each group's sum as a Jet with a group axis, and its coefficients c_t(x) per group.
 
-        M = C^T Y, with C[t, a] the a-th derivative of c_t and Y[t, b] the
-        b-th derivative of w_t y^e_t, holds every product the value, the
-        gradient and the Hessian need; one matrix product per point.
+        M_g = C_g^T Y, with C_g[t, a] the a-th derivative of c_t (zero off
+        group g) and Y[t, b] the b-th derivative of w_t y^e_t, holds every
+        product the value, the gradient and the Hessian of group g need.
         """
         self._check(x, "point")
         self._check(y, "vector")
-        C = self.K @ self.x.derivatives(x, 2)
-        M = np.swapaxes(C, -1, -2) @ self.y_terms.monomials.derivatives(y, 2)
+        C = self._grouped @ self.x.derivatives(x, 2)[..., None, :, :]
+        M = C.swapaxes(-1, -2) @ self.y_terms.monomials.derivatives(y, 2)[..., None, :, :]
         flat = M.reshape(M.shape[:-2] + (-1,))
         hess = flat[..., self._hess]
         # the two diagonal blocks are sums over terms whose order BLAS may
         # pick per entry; averaging with the transpose makes them exactly symmetric
         return Jet(
-            flat[..., 0][()], flat[..., self._grad],
-            0.5 * (hess + np.swapaxes(hess, -1, -2)),
+            flat[..., 0], flat[..., self._grad], 0.5 * (hess + hess.swapaxes(-1, -2)),
         ), C[..., 0]
 
 
@@ -237,7 +246,8 @@ class CoefficientField:
         self.n = int(n)
         self.m = int(m)
         self.entries = canon
-        self._table = None
+        self.term_group = (list(canon.values()), list(canon))
+        self._tables = {}
 
     @staticmethod
     def constant(n: int, m: int, values) -> "CoefficientField":
@@ -247,12 +257,15 @@ class CoefficientField:
 
     @property
     def terms(self) -> TermTable:
-        """The form a_I(x) y^I as a TermTable (built on first use)."""
-        if self._table is None:
-            self._table = TermTable(
-                list(self.entries.values()), FormTerms(list(self.entries), self.n)
-            )
-        return self._table
+        """The form a_I(x) y^I as a one-group TermTable (built on first use)."""
+        return self.terms_with(None)
+
+    def terms_with(self, oneform) -> TermTable:
+        """The form, or the pair (A, beta) with a one-form, as one TermTable (built once)."""
+        if oneform not in self._tables:
+            groups = [self.term_group] if oneform is None else [self.term_group, oneform.term_group]
+            self._tables[oneform] = TermTable(groups, self.n)
+        return self._tables[oneform]
 
     def tensor_at(self, x) -> SymmetricTensor:
         """Materialise the coefficient tensor at the point x."""
@@ -265,7 +278,7 @@ class CoefficientField:
     def form_checked(self, x, y) -> float:
         """The form value, with the domain guard: at or below its floor is a domain error."""
         value, a = self.terms.value(x, y)
-        check_form(value, np.max(np.abs(a), axis=-1, initial=0.0), y, self.m)
+        check_form(value, np.max(np.abs(a), axis=-1, initial=0.0), norm(y), self.m)
         return value
 
     def is_constant(self) -> bool:
@@ -284,6 +297,7 @@ class OneFormField:
                 raise DimensionMismatch("component polynomial has wrong arity")
         self.n = int(n)
         self.components = components
+        self.term_group = (list(components), [(i,) for i in range(1, self.n + 1)])
         self._table = None
 
     @staticmethod
@@ -292,11 +306,9 @@ class OneFormField:
 
     @property
     def terms(self) -> TermTable:
-        """beta = b_i(x) y^i as a TermTable over the order-1 indices (built on first use)."""
+        """beta = b_i(x) y^i as a one-group TermTable (built on first use)."""
         if self._table is None:
-            self._table = TermTable(
-                self.components, FormTerms([(i,) for i in range(1, self.n + 1)], self.n)
-            )
+            self._table = TermTable([self.term_group], self.n)
         return self._table
 
     def values_at(self, x) -> np.ndarray:
@@ -309,7 +321,7 @@ class OneFormField:
     def beta_checked(self, x, y) -> float:
         """beta with the degeneracy guard: near-zero values are a domain error."""
         value, b = self.terms.value(x, y)
-        check_beta(value, b, y)
+        check_beta(value, np.max(np.abs(b), axis=-1), norm(y))
         return value
 
     def is_constant(self) -> bool:

@@ -54,7 +54,7 @@ def intermediates(
 ) -> FlatnessIntermediates:
     """The contractions, read off one derivative pass of A and beta (`jets` if given)."""
     y = np.asarray(y, dtype=float)
-    A, beta = _jets(field, oneform, x, y, jets)
+    A, beta = map(_jets(field, oneform, x, y, jets).group, (0, 1))
     return FlatnessIntermediates(dot(A.grad_x, y), vecmat(y, A.hess_xy), beta.grad_x, A.grad_x)
 
 
@@ -65,7 +65,7 @@ def intermediates(
 def _defect(fn: calculus.ScalarFunction, x, y, factor: float, jets=None):
     """fn and its [fn]_{x^k y^l} y^k - factor [fn]_{x^l}, from one pass."""
     y = np.asarray(y, dtype=float)
-    jet = fn.compose(*_jets(fn.field, fn.oneform, x, y, jets))
+    jet = fn.compose(_jets(fn.field, fn.oneform, x, y, jets))
     return jet.val, vecmat(y, jet.hess_xy) - factor * jet.grad_x
 
 
@@ -121,11 +121,11 @@ def _condition_terms(field, oneform, m, x, y, jets):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     jets = _jets(field, oneform, x, y, jets)
-    base = metric_point(field, m, x, y, jets[0])
+    base = metric_point(field, m, x, y, jets.group(0))
     itm = intermediates(field, oneform, x, y, jets)
-    b = jets[1].grad_y
-    scalars = (v[..., None] for v in (base.A, base.F, jets[1].val, itm.A0, dot(itm.beta_l, y)))
-    return itm, b, m * base.A_i, scalars
+    beta = jets.group(1)
+    scalars = (v[..., None] for v in (base.A, base.F, beta.val, itm.A0, dot(itm.beta_l, y)))
+    return itm, beta.grad_y, m * base.A_i, scalars
 
 
 def dually_flat_condition(
@@ -192,12 +192,12 @@ def proj_flat_condition(
 
 MIN_VERDICT_SAMPLES = 50
 
-# CLI kind: the kind name reported, the verdict within tolerance, the verdict
-# beyond it, and the maxima reported when no sample was accepted
+# CLI kind: the kind name reported, the verdict within tolerance and the
+# verdict beyond it
 CHECKS = {
-    "dually-flat": ("dually-flat", "flat-within-tol", "not-flat", 0.0),
-    "proj-flat": ("projectively-flat", "flat-within-tol", "not-flat", 0.0),
-    "proj-related": ("proj-related", "related-within-tol", "not-related", np.nan),
+    "dually-flat": ("dually-flat", "flat-within-tol", "not-flat"),
+    "proj-flat": ("projectively-flat", "flat-within-tol", "not-flat"),
+    "proj-related": ("proj-related", "related-within-tol", "not-related"),
 }
 
 
@@ -242,10 +242,10 @@ def check_report(
     failure, a residual that is not finite included, is the one a loop over
     them would meet first.  A verdict needs MIN_VERDICT_SAMPLES samples.
     """
-    name, within, beyond, empty = CHECKS[kind]
+    name, within, beyond = CHECKS[kind]
     values = in_sample_order(partial(_residuals, field, oneform, m, kind), x, y) if len(x) else {}
     max_residual, max_closed = (
-        float(values[key].max()) if key in values else empty
+        float(values[key].max()) if key in values else np.nan
         for key in (kind, f"{kind} closed-form")
     )
     if len(x) < MIN_VERDICT_SAMPLES:

@@ -112,10 +112,9 @@ def kropina_point(
     """The transformed snapshot; `jets` is the pass (A, beta) when the caller made it."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    A, beta_jet = calculus.field_jets(field, oneform, x, y) if jets is None else jets
-    base = metric_point(field, m, x, y, A)
-    b = beta_jet.grad_y
-    beta = beta_jet.val
+    jets = calculus.field_jets(field, oneform, x, y) if jets is None else jets
+    base = metric_point(field, m, x, y, jets.group(0))
+    b, beta = jets.group(1).grad_y, jets.group(1).val
     F, A_i, A_ij = base.F, base.A_i, base.A_ij
 
     Fbar = F ** 2 / beta
@@ -148,8 +147,8 @@ def kropina_point(
         + 4 * taum ** 2 * aa / Fm ** (2 * (m - 1))
     )
 
-    energy_jet = calculus.kropina_energy(field, oneform, m).compose(A, beta_jet)
-    norm_jet = calculus.kropina_norm(field, oneform, m).compose(A, beta_jet)
+    energy_jet = calculus.kropina_energy(field, oneform, m).compose(jets)
+    norm_jet = calculus.kropina_norm(field, oneform, m).compose(jets)
     gbar_oracle = 0.5 * energy_jet.hess_yy
     hbar_oracle = Fbarm * norm_jet.hess_yy
     gbar_inv_numeric = _invert_guarded(gbar_oracle, "transformed fundamental tensor")

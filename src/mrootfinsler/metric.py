@@ -24,12 +24,18 @@ ORDER_MIN = 2
 ORDER_MAX = 8
 
 
+def symmetric_cond(matrix: np.ndarray, template: str) -> np.ndarray:
+    """The 2-norm condition number per symmetric matrix of a stack, max over min |eigenvalue|;
+    SingularMatrix (`template` formatted with it) where it is above COND_LIMIT or not finite."""
+    eig = np.abs(np.linalg.eigvalsh(matrix))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = eig.max(axis=-1) / eig.min(axis=-1)
+    raise_first(~(cond <= COND_LIMIT), SingularMatrix, template, cond)
+    return cond
+
+
 def _invert_guarded(matrix: np.ndarray, label: str) -> np.ndarray:
-    cond = np.linalg.cond(matrix)
-    raise_first(
-        ~np.isfinite(cond) | (cond > COND_LIMIT), SingularMatrix,
-        f"{label} has condition number {{:.3e}}", cond,
-    )
+    symmetric_cond(matrix, f"{label} has condition number {{:.3e}}")
     return np.linalg.inv(matrix)
 
 
@@ -65,7 +71,7 @@ def metric_point(field: CoefficientField, m: int, x, y, A: Jet = None) -> Metric
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if A is None:
-        A = calculus.field_jets(field, None, x, y)[0]
+        A = calculus.field_jets(field, None, x, y).group(0)
 
     order_flag = ""
     if m == 2:

@@ -14,6 +14,8 @@ x-derivatives are still chained by hand, because the printed tail may be
 misprinted and no identity may be applied to it.  Everything but the
 geodesic integrator also takes a stack of samples (N, n): the sprays are then
 one batched solve, and the split and the wedge hold one entry per sample.
+The condition guard of g is metric.symmetric_cond; RK4 steps the packed
+state z = (x, v), one spray per stage.
 
 Geodesic convention: the integrated system is x'' = -G(x, x') with G as above.
 That is not the geodesic equation of this quarter-factor spray, which is
@@ -28,10 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calculus
-from .errors import DomainError, NonFiniteResult, SingularMatrix, raise_first
+from .errors import DomainError, NonFiniteResult, SingularMatrix
 from .fields import CoefficientField, OneFormField, dot, matvec, outer, vecmat
 from .kropina import AuxScalars, aux_scalars_from
-from .metric import COND_LIMIT, metric_point
+from .metric import metric_point, symmetric_cond
 
 NAN = float("nan")
 
@@ -44,11 +46,7 @@ def spray_coeffs(energy: calculus.ScalarFunction, x, y) -> np.ndarray:
 
 def _spray(jet: calculus.Jet, y: np.ndarray) -> np.ndarray:
     g = 0.5 * jet.hess_yy
-    cond = np.linalg.cond(g)
-    raise_first(
-        ~np.isfinite(cond) | (cond > COND_LIMIT), SingularMatrix,
-        "fundamental tensor condition number {:.3e}", cond,
-    )
+    symmetric_cond(g, "fundamental tensor condition number {:.3e}")
     rhs = vecmat(y, jet.hess_xy) - jet.grad_x
     return 0.25 * np.linalg.solve(g, rhs[..., None])[..., 0]
 
@@ -71,8 +69,9 @@ class _Bundle:
     beta_x: np.ndarray   # [..., k] = dbeta/dx^k
 
 
-def _contractions(A: calculus.Jet, beta: calculus.Jet, m: int) -> _Bundle:
-    """Read the bundle off a pass of A and beta: A_i = A_y / m, b = beta_y."""
+def _contractions(jets: calculus.Jet, m: int) -> _Bundle:
+    """Read the bundle off a pass of (A, beta): A_i = A_y / m, b = beta_y."""
+    A, beta = jets.group(0), jets.group(1)
     return _Bundle(
         A.val, A.grad_y / m, A.grad_x, A.hess_xy / m,
         beta.grad_y, np.swapaxes(beta.hess_xy, -1, -2), beta.val, beta.grad_x,
@@ -170,19 +169,19 @@ def pq_decomposition(
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    A, beta_jet = calculus.field_jets(field, oneform, x, y) if jets is None else jets
+    jets = calculus.field_jets(field, oneform, x, y) if jets is None else jets
     if base is None:
-        base = metric_point(field, m, x, y, A)
+        base = metric_point(field, m, x, y, jets.group(0))
 
-    E = calculus.base_energy(field, m).compose(A, beta_jet)
+    E = calculus.base_energy(field, m).compose(jets)
     G = _spray(E, y)
-    Gbar = _spray(calculus.kropina_energy(field, oneform, m).compose(A, beta_jet), y)
+    Gbar = _spray(calculus.kropina_energy(field, oneform, m).compose(jets), y)
     D = Gbar - G
 
-    bundle = _contractions(A, beta_jet, m)
+    bundle = _contractions(jets, m)
     X = transform_tail(bundle, m)
     # omega = 2 d(tau^2)/dx with tau^2 = A^(2/m) beta^(-2)
-    omega = 2.0 * calculus.power(A, beta_jet, 2.0 / m, -2.0).grad_x
+    omega = 2.0 * calculus.power(jets, (2.0 / m, -2.0)).grad_x
 
     b2 = dot(bundle.b, matvec(base.A_inv, bundle.b))
     aux = aux_scalars_from(base.F, bundle.beta, b2, m)
@@ -234,9 +233,9 @@ def projective_residual(
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     y_unit = y / np.linalg.norm(y, axis=-1)[..., None]
-    A, beta = calculus.field_jets(field, oneform, x, y_unit)
-    G = _spray(calculus.base_energy(field, m).compose(A, beta), y_unit)
-    Gbar = _spray(calculus.kropina_energy(field, oneform, m).compose(A, beta), y_unit)
+    jets = calculus.field_jets(field, oneform, x, y_unit)
+    G = _spray(calculus.base_energy(field, m).compose(jets), y_unit)
+    Gbar = _spray(calculus.kropina_energy(field, oneform, m).compose(jets), y_unit)
     D = Gbar - G
     # [i, j] = D_i y_j - D_j y_i: its largest entry is the largest i < j wedge
     # component, because the matrix is antisymmetric with a zero diagonal
@@ -300,33 +299,31 @@ def integrate_geodesic(
     energy: calculus.ScalarFunction, x0, y0, t_end: float, steps: int,
     metric: str = "base",
 ) -> GeodesicPath:
-    """Classical fixed-step RK4 on (x' = v, v' = -G(x, v))."""
+    """Classical fixed-step RK4 on the packed state z = (x, v): z' = (v, -G(x, v))."""
     if steps < 1:
         raise ValueError("steps must be positive")
     h = float(t_end) / steps
-    x = np.asarray(x0, dtype=float).copy()
-    v = np.asarray(y0, dtype=float).copy()
-    samples = [(0.0, x.copy(), v.copy())]
-    truncated = False
-    reason = ""
+    n = len(x0)
+    z = np.concatenate((np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)))
+    samples = [(0.0, z[:n], z[n:])]
+    truncated, reason = False, ""
 
-    def acc(xs, vs):
-        return -spray_coeffs(energy, xs, vs)
+    def rate(z):
+        return np.concatenate((z[n:], -spray_coeffs(energy, z[:n], z[n:])))
 
     for i in range(1, steps + 1):
         try:
-            k1x, k1v = v, acc(x, v)
-            k2x, k2v = v + 0.5 * h * k1v, acc(x + 0.5 * h * k1x, v + 0.5 * h * k1v)
-            k3x, k3v = v + 0.5 * h * k2v, acc(x + 0.5 * h * k2x, v + 0.5 * h * k2v)
-            k4x, k4v = v + h * k3v, acc(x + h * k3x, v + h * k3v)
+            k1 = rate(z)
+            k2 = rate(z + 0.5 * h * k1)
+            k3 = rate(z + 0.5 * h * k2)
+            k4 = rate(z + h * k3)
         except (DomainError, SingularMatrix, NonFiniteResult) as exc:
-            truncated = True
-            reason = str(exc)
+            truncated, reason = True, str(exc)
             break
-        x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
+        # every step makes a new z, so the samples may keep views of it
+        z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not np.all(np.isfinite(z)):
             raise NonFiniteResult(f"non-finite state at step {i}")
-        samples.append((i * h, x.copy(), v.copy()))
+        samples.append((i * h, z[:n], z[n:]))
 
     return GeodesicPath(samples, h, metric, truncated, reason)

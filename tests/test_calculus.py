@@ -112,15 +112,15 @@ def test_domain_guards():
 
 
 def test_pow_domain():
-    def jet(value):
-        return Jet(value, np.ones(4), np.zeros((4, 4)))
+    def jets(*values):  # a pass with one group per value
+        return Jet(np.array(values), np.ones((len(values), 4)), np.zeros((len(values), 4, 4)))
 
     with pytest.raises(NonFiniteResult):
-        calculus.power(jet(-2.0), None, 0.5, 0.0)
+        calculus.power(jets(-2.0), (0.5,))
     with pytest.raises(NonFiniteResult):
-        calculus.power(jet(1.0), jet(0.0), 1.0, -1.0)
-    assert calculus.power(jet(-2.0), None, -1.0, 0.0).val == -0.5
-    assert calculus.power(jet(1.0), jet(-2.0), 1.0, -1.0).val == -0.5
+        calculus.power(jets(1.0, 0.0), (1.0, -1.0))
+    assert calculus.power(jets(-2.0), (-1.0,)).val == -0.5
+    assert calculus.power(jets(1.0, -2.0), (1.0, -1.0)).val == -0.5
 
 
 def test_expression_dx_matches_fd():
@@ -177,3 +177,19 @@ def test_scalar_function_reports_nonfinite():
         f([0.0, 0.0], [1.0, 1.0])
     with pytest.raises(NonFiniteResult):
         calculus.derivatives(f, [0.0, 0.0], [1.0, 1.0])
+
+
+def test_group_powers_match_scalar_powers(rng):
+    # one call raises every group; for each exponent, the power and its two
+    # derivatives must be bit for bit what `v ** e` with a scalar e gives,
+    # including e = -1, 0.5, 2 where numpy takes a shortcut
+    v = np.concatenate([rng.uniform(1e-3, 50.0, 3000), np.exp(rng.uniform(-30.0, 30.0, 3000))])
+    cases = ((2.0 / 3.0, -1.0), (4.0 / 3.0, -2.0), (0.5, -1.0), (1.0, -2.0), (2.0,), (3.0,))
+    for exponents in cases:
+        out = calculus._power(np.stack([v] * len(exponents), axis=-1), exponents)
+        for g, e in enumerate(exponents):
+            ref = (v ** e, e * v ** (e - 1.0), e * (e - 1.0) * v ** (e - 2.0))
+            for r in range(3):
+                assert np.array_equal(out[:, r, g], ref[r]), (exponents, r)
+        single = calculus._power(np.array([v[7]] * len(exponents)), exponents, False)
+        assert np.array_equal(single[0], [np.asarray(v[7]) ** e for e in exponents])

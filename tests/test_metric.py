@@ -12,7 +12,7 @@ from conftest import (
 )
 from mrootfinsler import calculus
 from mrootfinsler.errors import DomainError, RiemannianOrderWarning, SingularMatrix
-from mrootfinsler.metric import angular_tensor, metric_point, verify_base_forms
+from mrootfinsler.metric import angular_tensor, metric_point, symmetric_cond, verify_base_forms
 
 SQRT17 = np.sqrt(17.0)
 
@@ -88,3 +88,28 @@ def test_domain_and_singularity_errors():
         metric_point(cubic_x(), 3, [-2.0, 0.0], [1.0, 1.0])
     with pytest.raises(SingularMatrix):
         metric_point(diag_quartic(), 4, [0.0, 0.0], [1e-9, 1.0])
+
+
+def test_symmetric_cond_matches_numpy(rng):
+    # random symmetric matrices, indefinite ones included, below cond 1e9:
+    # max/min |eigenvalue| is the 2-norm condition number np.linalg.cond gives
+    mats = []
+    for n in (2, 3, 4, 5):
+        for _ in range(40):
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            eig = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-4.0, 4.0, n)
+            mats.append(q @ np.diag(eig) @ q.T)
+            mats[-1] = 0.5 * (mats[-1] + mats[-1].T)
+    for mat in mats:
+        ref = np.linalg.cond(mat)
+        assert ref < 1e9
+        assert abs(symmetric_cond(mat, "{}") - ref) <= 1e-6 * ref
+    stack = np.array(mats[40:80])  # n = 3, stacked
+    np.testing.assert_allclose(
+        symmetric_cond(stack, "{}"), [np.linalg.cond(m) for m in stack], rtol=1e-6
+    )
+    with pytest.raises(SingularMatrix, match="cond nan"):
+        symmetric_cond(np.zeros((2, 2)), "cond {}")
+    with pytest.raises(SingularMatrix, match="cond 1") as exc:
+        symmetric_cond(np.array([np.eye(2), np.diag([1.0, 1e-13])]), "cond {:.0e}")
+    assert exc.value.sample == 1

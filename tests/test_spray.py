@@ -3,6 +3,7 @@ import pytest
 
 import _oracles as oracles
 from conftest import (
+    FIXTURE_DIR,
     MINKOWSKI_FIXTURES,
     ONE_FORM_SPECS,
     assert_stack_matches,
@@ -15,7 +16,9 @@ from conftest import (
     spec_samples,
 )
 from mrootfinsler import calculus
+from mrootfinsler.errors import DomainError, NonFiniteResult, SingularMatrix
 from mrootfinsler.metric import metric_point
+from mrootfinsler.specfile import load_spec
 from mrootfinsler.spray import (
     _contractions,
     _metric_bracket,
@@ -77,14 +80,13 @@ def test_analytic_x_derivative_chains_match_fd():
     field, oneform, m = cubic_x(), b_bx(), 3
     x = np.array([0.2, -0.3])
     y = np.array([0.7, 1.1])
-    A, beta = calculus.field_jets(field, oneform, x, y)
-    V = _metric_bracket(calculus.base_energy(field, m).compose(A, beta), y)
-    dX = transform_tail_x_derivatives(_contractions(A, beta, m), m)
+    jets = calculus.field_jets(field, oneform, x, y)
+    V = _metric_bracket(calculus.base_energy(field, m).compose(jets), y)
+    dX = transform_tail_x_derivatives(_contractions(jets, m), m)
     omega = pq_decomposition(field, oneform, m, x, y).omega
 
     def X_entry(xx, i, j):
-        A, beta = calculus.field_jets(field, oneform, xx, y)
-        return transform_tail(_contractions(A, beta, m), m)[i, j]
+        return transform_tail(_contractions(calculus.field_jets(field, oneform, xx, y), m), m)[i, j]
 
     def two_tau_sq(xx):
         p = metric_point(field, m, xx, y)
@@ -203,3 +205,58 @@ def test_stacked_sprays_match_single_points(name):
             spray_coeffs(energy, xs, ys),
             [spray_coeffs(energy, x, y) for x, y in accepted], energy.name,
         )
+
+
+def test_spray_condition_guard():
+    # y^1 -> 0 flattens the quartic's fundamental tensor in that direction
+    energy = calculus.base_energy(diag_quartic(), 4)
+    with pytest.raises(SingularMatrix, match="fundamental tensor condition number"):
+        spray_coeffs(energy, [0.0, 0.0], [1e-9, 1.0])
+    xs, ys = (np.array(v) for v in zip(*seeded_points(2, 6, seed=17)))
+    ys[3] = [1e-9, 1.0]
+    with pytest.raises(SingularMatrix, match="fundamental tensor condition number") as exc:
+        spray_coeffs(energy, xs, ys)
+    assert exc.value.sample == 3
+
+
+def _rk4_stage_loop(energy, x0, y0, t_end, steps):
+    """RK4 on separate x and v, stage by stage: the oracle of the packed state."""
+    h = float(t_end) / steps
+    x, v = np.array(x0, dtype=float), np.array(y0, dtype=float)
+    states, reason = [(0.0, x, v)], ""
+
+    def acc(xs, vs):
+        return -spray_coeffs(energy, xs, vs)
+
+    for i in range(1, steps + 1):
+        try:
+            k1x, k1v = v, acc(x, v)
+            k2x, k2v = v + 0.5 * h * k1v, acc(x + 0.5 * h * k1x, v + 0.5 * h * k1v)
+            k3x, k3v = v + 0.5 * h * k2v, acc(x + 0.5 * h * k2x, v + 0.5 * h * k2v)
+            k4x, k4v = v + h * k3v, acc(x + h * k3x, v + h * k3v)
+        except (DomainError, SingularMatrix, NonFiniteResult) as exc:
+            reason = str(exc)
+            break
+        x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
+        v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        states.append((i * h, x, v))
+    return states, reason
+
+
+def test_packed_rk4_matches_stage_loop():
+    doc = load_spec(FIXTURE_DIR / "cubic_x_bx.json")
+    cases = [
+        (calculus.kropina_energy(doc.field, doc.oneform, doc.m), [0.0, 0.0], [1.0, 0.5], 0.5, 50),
+        (calculus.base_energy(doc.field, doc.m), [0.0, 0.0], [1.0, 0.5], 0.5, 50),
+        # the truncating start of test_geodesic_truncates_on_domain_exit
+        (calculus.base_energy(cubic_x(), 3), [-0.5, 0.0], [-0.6, 1.0], 2.0, 200),
+    ]
+    for energy, x0, y0, t_end, steps in cases:
+        path = integrate_geodesic(energy, x0, y0, t_end, steps)
+        states, reason = _rk4_stage_loop(energy, x0, y0, t_end, steps)
+        assert (path.truncated, path.reason) == (bool(reason), reason), energy.name
+        assert len(path.samples) == len(states), energy.name
+        for (t, x, v), (t_ref, x_ref, v_ref) in zip(path.samples, states):
+            assert t == t_ref and np.array_equal(x, x_ref) and np.array_equal(v, v_ref), (
+                energy.name, t)
+    assert reason  # the last case truncates
