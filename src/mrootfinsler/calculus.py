@@ -85,14 +85,14 @@ def power(jets: Jet, exponents) -> Jet:
         out = _power(jets.val[..., :k], exponents)
         f, d1, d2 = out[..., 0, :], out[..., 1, :, None], out[..., 2, :, None]
         hess = d1[..., None] * jets.hess[..., :k, :, :] + d2[..., None] * outer(grad, grad)
-        raised = Jet(f, d1 * grad, hess)
+        grad = d1 * grad
         if k == 1:
-            return raised.group(0)
-        a, b = raised.group(0), raised.group(1)
-        cross = outer(a.grad, b.grad)
-        av, bv = a.val[..., None], b.val[..., None]
-        return Jet(a.val * b.val, av * b.grad + bv * a.grad, (
-            av[..., None] * b.hess + bv[..., None] * a.hess) + (cross + np.swapaxes(cross, -1, -2)))
+            return Jet(f[..., 0][()], grad[..., 0, :], hess[..., 0, :, :])
+        cross = outer(grad[..., 0, :], grad[..., 1, :])
+        # each group's derivatives times the other group's value, in one product
+        grad, hess = f[..., ::-1, None] * grad, f[..., ::-1, None, None] * hess
+        return Jet(f[..., 0] * f[..., 1], grad[..., 1, :] + grad[..., 0, :], (
+            hess[..., 1, :, :] + hess[..., 0, :, :]) + (cross + cross.swapaxes(-1, -2)))
 
 
 def field_jets(field: CoefficientField, oneform: Optional[OneFormField], x, y) -> Jet:
@@ -110,12 +110,17 @@ def field_jets(field: CoefficientField, oneform: Optional[OneFormField], x, y) -
 
 
 def domain_check(field: CoefficientField, oneform: Optional[OneFormField]) -> Callable:
-    """The sampler's admissibility test: the form floor, then the one-form floor."""
+    """The sampler's admissibility test: one value pass of A, or of (A, beta), then
+    the form floor and the one-form floor.  It returns the values (..., groups)."""
+    table = field.terms_with(oneform)
 
     def check(x, y):
-        field.form_checked(x, y)
+        values, scale = table.value(x, y)
+        size = norm(y)
+        check_form(values[..., 0], scale[..., 0], size, field.m)
         if oneform is not None:
-            oneform.beta_checked(x, y)
+            check_beta(values[..., 1], scale[..., 1], size)
+        return values
 
     return check
 
@@ -137,21 +142,22 @@ class ScalarFunction:
     def compose(self, jets: Jet) -> Jet:
         """f with its derivatives, from a pass of A or of (A, beta) (per sample on stacks)."""
         jet = power(jets, self.exponents)
-        raise_first(
-            ~np.isfinite(jet.val), NonFiniteResult, f"{self.name} evaluated to {{}}", jet.val
-        )
-        raise_first(
-            ~(np.isfinite(jet.grad).all(axis=-1) & np.isfinite(jet.hess).all(axis=(-2, -1))),
-            NonFiniteResult, f"derivatives of {self.name} are not finite",
-        )
+        # the per-sample guards run only when something is not finite
+        if not (np.isfinite(jet.val).all() and np.isfinite(jet.grad).all()
+                and np.isfinite(jet.hess).all()):
+            raise_first(
+                ~np.isfinite(jet.val), NonFiniteResult, f"{self.name} evaluated to {{}}", jet.val
+            )
+            raise_first(
+                ~(np.isfinite(jet.grad).all(axis=-1) & np.isfinite(jet.hess).all(axis=(-2, -1))),
+                NonFiniteResult, f"derivatives of {self.name} are not finite",
+            )
         return jet
 
     def __call__(self, x, y) -> float:
-        values = [self.field.form_checked(x, y)]
-        if self.oneform is not None:
-            values.append(self.oneform.beta_checked(x, y))
+        values = domain_check(self.field, self.oneform)(x, y)
         with np.errstate(all="ignore"):
-            value = _power(np.stack(values, axis=-1), self.exponents, False).prod(axis=(-2, -1))
+            value = _power(values, self.exponents, False).prod(axis=(-2, -1))
         raise_first(
             ~np.isfinite(value), NonFiniteResult, f"{self.name} evaluated to {{}}", value
         )

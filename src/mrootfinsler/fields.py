@@ -173,24 +173,26 @@ class TermTable:
         for t, poly in enumerate(polys):
             for exps, coeff in poly.monomials:
                 self.K[t, column[exps]] = coeff
-        group_of = np.repeat(np.arange(len(groups)), [len(group) for group, _ in groups])
+        sizes = [len(group) for group, _ in groups]
+        self._group_slices = [slice(end - size, end) for size, end in zip(sizes, np.cumsum(sizes))]
+        group_of = np.repeat(np.arange(len(groups)), sizes)
         # [g, t, j]: K once per group, the rows of the other groups zero
         self._grouped = self.K * (group_of[:, None] == np.arange(len(groups))[:, None, None])
         self.n = n
         self.x = MonomialTable(x_exps, n)
         self.y_terms = FormTerms([key for _, keys in groups for key in keys], n)
-        # Where the pass below finds each entry of the 2n-gradient and of the
-        # 2n x 2n Hessian in the flattened product matrix M: row a and column
-        # b of M run over value, first and second derivatives (1 + n + n^2)
-        # of the x-coefficients and of the y-monomials respectively.
+        # Where the pass below finds the value (entry 0), each entry of the
+        # 2n-gradient and of the 2n x 2n Hessian in the flattened product
+        # matrix M, read in one gather: row a and column b of M run over
+        # value, first and second derivatives (1 + n + n^2) of the
+        # x-coefficients and of the y-monomials respectively.
         d = 1 + n + n * n
         first = 1 + np.arange(n)
         second = 1 + n + n * np.arange(n)[:, None] + np.arange(n)
-        self._grad = np.concatenate((first * d, first))
-        self._hess = np.block([
+        self._gather = np.concatenate(([0], first * d, first, np.block([
             [second * d, first[:, None] * d + first],
             [first * d + first[:, None], second],
-        ])
+        ]).ravel()))
 
     def _check(self, v, what: str):
         if np.shape(v)[-1] != self.n:
@@ -204,10 +206,15 @@ class TermTable:
         return self.x.derivatives(x, 0)[..., 0] @ self.K.T
 
     def value(self, x, y):
-        """The sum of all terms (a one-group table's value) and the coefficients c_t(x)."""
+        """Each group's sum, and max |c_t(x)| over its terms: two arrays (..., groups)."""
         c = self.coefficients(x)
         self._check(y, "vector")
-        return dot(c, self.y_terms.monomials.derivatives(y, 0)[..., 0]), c
+        terms = c * self.y_terms.monomials.derivatives(y, 0)[..., 0]
+        slices = self._group_slices
+        return (
+            np.stack([terms[..., s].sum(axis=-1) for s in slices], axis=-1),
+            np.stack([np.abs(c[..., s]).max(axis=-1, initial=0.0) for s in slices], axis=-1),
+        )
 
     def jet(self, x, y):
         """Each group's sum as a Jet with a group axis, and its coefficients c_t(x) per group.
@@ -220,12 +227,13 @@ class TermTable:
         self._check(y, "vector")
         C = self._grouped @ self.x.derivatives(x, 2)[..., None, :, :]
         M = C.swapaxes(-1, -2) @ self.y_terms.monomials.derivatives(y, 2)[..., None, :, :]
-        flat = M.reshape(M.shape[:-2] + (-1,))
-        hess = flat[..., self._hess]
+        flat = M.reshape(M.shape[:-2] + (-1,))[..., self._gather]
+        n2 = 2 * self.n
+        hess = flat[..., 1 + n2 :].reshape(flat.shape[:-1] + (n2, n2))
         # the two diagonal blocks are sums over terms whose order BLAS may
         # pick per entry; averaging with the transpose makes them exactly symmetric
         return Jet(
-            flat[..., 0], flat[..., self._grad], 0.5 * (hess + hess.swapaxes(-1, -2)),
+            flat[..., 0], flat[..., 1 : 1 + n2], 0.5 * (hess + hess.swapaxes(-1, -2)),
         ), C[..., 0]
 
 
@@ -275,12 +283,6 @@ class CoefficientField:
             self.n, self.m, dict(zip(self.entries, values.tolist())), table.y_terms
         )
 
-    def form_checked(self, x, y) -> float:
-        """The form value, with the domain guard: at or below its floor is a domain error."""
-        value, a = self.terms.value(x, y)
-        check_form(value, np.max(np.abs(a), axis=-1, initial=0.0), norm(y), self.m)
-        return value
-
     def is_constant(self) -> bool:
         return all(poly.is_constant() for poly in self.entries.values())
 
@@ -313,16 +315,6 @@ class OneFormField:
 
     def values_at(self, x) -> np.ndarray:
         return self.terms.coefficients(x)
-
-    def beta(self, x, y) -> float:
-        """The scalar b_i(x) y^i."""
-        return self.terms.value(x, y)[0]
-
-    def beta_checked(self, x, y) -> float:
-        """beta with the degeneracy guard: near-zero values are a domain error."""
-        value, b = self.terms.value(x, y)
-        check_beta(value, np.max(np.abs(b), axis=-1), norm(y))
-        return value
 
     def is_constant(self) -> bool:
         return all(poly.is_constant() for poly in self.components)

@@ -4,7 +4,9 @@ The closed forms for the fundamental tensor and its inverse are evaluated
 here, verbatim, on the contractions read off the oracle's pass of the form;
 `verify_base_forms` measures them against the differentiation oracle.  A
 snapshot holds one point, or a stack of samples with a leading batch axis on
-every field; the closed forms broadcast over it unchanged.
+every field; the closed forms broadcast over it unchanged.  Every matrix the
+package solves or inverts passes `symmetric_cond` first, then goes straight to
+the LAPACK gufunc that numpy.linalg wraps (`solve_guarded`, `_invert_guarded`).
 """
 
 from __future__ import annotations
@@ -13,6 +15,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+# Private, but the gufuncs np.linalg.solve/eigvalsh/inv call: on 2x2-4x4 float64
+# matrices the wrappers' checks and errstate cost several times the call, and
+# symmetric_cond has refused every matrix for which they would raise.
+from numpy.linalg import _umath_linalg
 
 from . import calculus
 from .errors import RiemannianOrderWarning, SingularMatrix, raise_first
@@ -26,17 +32,28 @@ ORDER_MAX = 8
 
 def symmetric_cond(matrix: np.ndarray, template: str) -> np.ndarray:
     """The 2-norm condition number per symmetric matrix of a stack, max over min |eigenvalue|;
-    SingularMatrix (`template` formatted with it) where it is above COND_LIMIT or not finite."""
-    eig = np.abs(np.linalg.eigvalsh(matrix))
+    SingularMatrix (`template` formatted with it) where it is above COND_LIMIT or not finite.
+    Only if some matrix is not clearly within the limit (max |eig| < COND_LIMIT / 2
+    min |eig|: finite, nonzero) do errstate and the per-sample guard run."""
+    eig = np.abs(_umath_linalg.eigvalsh_lo(matrix))
+    hi, lo = eig.max(axis=-1), eig.min(axis=-1)
+    if (hi < 0.5 * COND_LIMIT * lo).all():
+        return hi / lo
     with np.errstate(divide="ignore", invalid="ignore"):
-        cond = eig.max(axis=-1) / eig.min(axis=-1)
+        cond = hi / lo
     raise_first(~(cond <= COND_LIMIT), SingularMatrix, template, cond)
     return cond
 
 
+def solve_guarded(matrix: np.ndarray, rhs: np.ndarray, template: str) -> np.ndarray:
+    """matrix^-1 rhs per sample of a stack, after the condition guard (`template` as there)."""
+    symmetric_cond(matrix, template)
+    return _umath_linalg.solve1(matrix, rhs)
+
+
 def _invert_guarded(matrix: np.ndarray, label: str) -> np.ndarray:
     symmetric_cond(matrix, f"{label} has condition number {{:.3e}}")
-    return np.linalg.inv(matrix)
+    return _umath_linalg.inv(matrix)
 
 
 @dataclass

@@ -14,8 +14,8 @@ x-derivatives are still chained by hand, because the printed tail may be
 misprinted and no identity may be applied to it.  Everything but the
 geodesic integrator also takes a stack of samples (N, n): the sprays are then
 one batched solve, and the split and the wedge hold one entry per sample.
-The condition guard of g is metric.symmetric_cond; RK4 steps the packed
-state z = (x, v), one spray per stage.
+g is solved by metric.solve_guarded (its condition guard, then the LAPACK
+gufunc); RK4 steps the packed state z = (x, v), one spray per stage.
 
 Geodesic convention: the integrated system is x'' = -G(x, x') with G as above.
 That is not the geodesic equation of this quarter-factor spray, which is
@@ -33,7 +33,7 @@ from . import calculus
 from .errors import DomainError, NonFiniteResult, SingularMatrix
 from .fields import CoefficientField, OneFormField, dot, matvec, outer, vecmat
 from .kropina import AuxScalars, aux_scalars_from
-from .metric import metric_point, symmetric_cond
+from .metric import metric_point, solve_guarded
 
 NAN = float("nan")
 
@@ -45,10 +45,10 @@ def spray_coeffs(energy: calculus.ScalarFunction, x, y) -> np.ndarray:
 
 
 def _spray(jet: calculus.Jet, y: np.ndarray) -> np.ndarray:
-    g = 0.5 * jet.hess_yy
-    symmetric_cond(g, "fundamental tensor condition number {:.3e}")
     rhs = vecmat(y, jet.hess_xy) - jet.grad_x
-    return 0.25 * np.linalg.solve(g, rhs[..., None])[..., 0]
+    return 0.25 * solve_guarded(
+        0.5 * jet.hess_yy, rhs, "fundamental tensor condition number {:.3e}"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -193,3 +193,35 @@ def test_group_powers_match_scalar_powers(rng):
                 assert np.array_equal(out[:, r, g], ref[r]), (exponents, r)
         single = calculus._power(np.array([v[7]] * len(exponents)), exponents, False)
         assert np.array_equal(single[0], [np.asarray(v[7]) ** e for e in exponents])
+
+
+def test_compose_guards_name_first_failing_sample():
+    # f = A beta on a hand-made pass of 5 samples: A = beta = 1e200 overflows
+    # the value only, a NaN in a gradient or a Hessian spoils the derivatives
+    # only; the value guard runs first over the stack, each names its lowest sample
+    f = ScalarFunction("f", diag_quartic(), 1.0, b_const(2), 1.0)
+
+    def pass_with(value_at=(), nan_grad_at=(), nan_hess_at=()):
+        val, grad, hess = np.ones((5, 2)), np.ones((5, 2, 4)), np.ones((5, 2, 4, 4))
+        val[list(value_at)] = 1e200
+        grad[list(nan_grad_at), 1, 2] = np.nan
+        hess[list(nan_hess_at), 0, 3, 3] = np.nan
+        return Jet(val, grad, hess)
+
+    cases = [
+        (pass_with(value_at=[3, 4]), "f evaluated to inf", 3),
+        (pass_with(nan_grad_at=[1, 4]), "derivatives of f are not finite", 1),
+        (pass_with(nan_hess_at=[2]), "derivatives of f are not finite", 2),
+        (pass_with(value_at=[2], nan_grad_at=[2]), "f evaluated to inf", 2),
+        (pass_with(value_at=[3], nan_grad_at=[1]), "f evaluated to inf", 3),
+    ]
+    for jets, message, sample in cases:
+        with pytest.raises(NonFiniteResult) as exc:
+            f.compose(jets)
+        assert (str(exc.value), exc.value.sample) == (message, sample)
+        # the same sample alone, as a single point
+        single = Jet(jets.val[sample], jets.grad[sample], jets.hess[sample])
+        with pytest.raises(NonFiniteResult) as exc:
+            f.compose(single)
+        assert (str(exc.value), exc.value.sample) == (message, None)
+    assert np.isfinite(f.compose(pass_with()).hess).all()

@@ -47,7 +47,7 @@ def test_oneform_examples():
     assert jac[0, 1] == 1.0
     assert jac[0, 0] == jac[1, 0] == jac[1, 1] == 0.0
     np.testing.assert_array_equal(beta.grad_y, [2.0, 0.0])
-    assert bx.beta([0.0, 1.0], [3.0, 5.0]) == pytest.approx(6.0, abs=1e-15)
+    assert beta.val == pytest.approx(6.0, abs=1e-15)
 
 
 def test_form_x_derivatives_match_central_differences():
@@ -73,13 +73,13 @@ def test_oneform_jacobian_matches_central_differences():
 
 
 def test_beta_guard():
-    bf = b_const(2)
-    with pytest.raises(DomainError):
-        bf.beta_checked([0.0, 0.0], [0.0, 1.0])
-    zero = OneFormField.constant(2, [0.0, 0.0])
-    with pytest.raises(DomainError):
-        zero.beta_checked([0.0, 0.0], [1.0, 1.0])
-    assert bf.beta_checked([0.0, 0.0], [2.0, 1.0]) == 2.0
+    field = diag_quartic()  # A > 0 at every y != 0, so only the one-form floor can fail
+    check = calculus.domain_check(field, b_const(2))
+    with pytest.raises(DomainError, match="one-form value"):
+        check([0.0, 0.0], [0.0, 1.0])
+    with pytest.raises(DomainError, match="one-form value"):
+        calculus.domain_check(field, OneFormField.constant(2, [0.0, 0.0]))([0.0, 0.0], [1.0, 1.0])
+    assert check([0.0, 0.0], [2.0, 1.0])[1] == 2.0
 
 
 def test_polynomial_validation():
@@ -113,12 +113,18 @@ def test_field_validation():
 @pytest.mark.parametrize("name", ONE_FORM_SPECS)
 def test_pair_pass_matches_single_field_passes(name):
     # the fused table of (A, beta) must give each group exactly what the
-    # form-only and the one-form-only tables give, guard scales included
+    # form-only and the one-form-only tables give, guard scales included,
+    # in the derivative pass and in the value pass (A and beta, not A + beta)
     doc, accepted, (xs, ys) = spec_samples(name, 12, seed=8)
     pair = doc.field.terms_with(doc.oneform)
     for x, y in [accepted[0], (xs, ys)]:
         jets, c = pair.jet(x, y)
+        values, scale = pair.value(x, y)
+        np.testing.assert_allclose(values, jets.val, rtol=1e-13)
         for g, table in enumerate((doc.field.terms, doc.oneform.terms)):
+            alone_values, alone_scale = table.value(x, y)
+            assert np.array_equal(values[..., g], alone_values[..., 0]), (name, g)
+            assert np.array_equal(scale[..., g], alone_scale[..., 0]), (name, g)
             alone, c_alone = table.jet(x, y)
             for key in ("val", "grad", "hess"):
                 assert np.array_equal(
@@ -130,11 +136,11 @@ def test_pair_pass_matches_single_field_passes(name):
 
 
 def test_pair_pass_guards():
-    # each floor of the pair pass is the floor of its own field's guard
+    # each floor of the derivative pass is the floor of the sampler's value pass
     field, oneform = cubic_x(), b_bx()
     for x, y, alone in (
-        ([-1.0, 0.5], [1.0, 1.0], field.form_checked),  # A = 0, beta = 1.5
-        ([0.5, -1.0], [1.0, 1.0], oneform.beta_checked),  # beta = 0
+        ([-1.0, 0.5], [1.0, 1.0], calculus.domain_check(field, None)),  # A = 0, beta = 1.5
+        ([0.5, -1.0], [1.0, 1.0], calculus.domain_check(field, oneform)),  # beta = 0
     ):
         with pytest.raises(DomainError) as fused:
             calculus.field_jets(field, oneform, x, y)
@@ -142,9 +148,14 @@ def test_pair_pass_guards():
             alone(x, y)
         assert str(fused.value) == str(single.value)
     # at x = (-1, -1) both the form coefficient 1 + x^1 and beta's 1 + x^2
-    # vanish: the one-form floor is named
+    # vanish: the derivative pass names the one-form floor, the sampler's
+    # value pass and the value of Fbar the form floor
     with pytest.raises(DomainError, match="one-form value"):
         calculus.field_jets(field, oneform, [-1.0, -1.0], [1.0, 1.0])
+    value_passes = (calculus.domain_check(field, oneform), calculus.kropina_norm(field, oneform, 3))
+    for value_pass in value_passes:
+        with pytest.raises(DomainError, match="form value .* at or below floor"):
+            value_pass([-1.0, -1.0], [1.0, 1.0])
     xs = np.array([[0.1, 0.2], [0.0, 0.3], [-1.0, -1.0], [-2.0, 0.1]])
     with pytest.raises(DomainError, match="one-form value") as exc:
         calculus.field_jets(field, oneform, xs, np.ones((4, 2)))

@@ -14,7 +14,7 @@ from conftest import (
     spec_samples,
 )
 from mrootfinsler import flatness
-from mrootfinsler.errors import DomainError, NonFiniteResult, raise_first
+from mrootfinsler.errors import DomainError, NonFiniteResult, RiemannianOrderWarning, raise_first
 from mrootfinsler.fields import CoefficientField, Polynomial
 from mrootfinsler.flatness import (
     DEFAULT_TOL,
@@ -173,7 +173,8 @@ def test_order2_prefactor_vanishes():
     y = np.array([0.7, 1.1])
     itm = intermediates(field, oneform, x, y)
     assert itm.A0 != 0.0
-    cond = proj_flat_condition(field, oneform, m, x, y)
+    with pytest.warns(RiemannianOrderWarning, match="order 2 is Riemannian"):
+        cond = proj_flat_condition(field, oneform, m, x, y)
     b = oneform.values_at(x)
     beta = float(oneform.values_at(x) @ y)
     rebuilt = itm.A0l - (itm.A0 / beta) * b  # remaining terms (beta_l = 0)

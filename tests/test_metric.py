@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,14 @@ from conftest import (
 )
 from mrootfinsler import calculus
 from mrootfinsler.errors import DomainError, RiemannianOrderWarning, SingularMatrix
-from mrootfinsler.metric import angular_tensor, metric_point, symmetric_cond, verify_base_forms
+from mrootfinsler.metric import (
+    _invert_guarded,
+    angular_tensor,
+    metric_point,
+    solve_guarded,
+    symmetric_cond,
+    verify_base_forms,
+)
 
 SQRT17 = np.sqrt(17.0)
 
@@ -113,3 +122,53 @@ def test_symmetric_cond_matches_numpy(rng):
     with pytest.raises(SingularMatrix, match="cond 1") as exc:
         symmetric_cond(np.array([np.eye(2), np.diag([1.0, 1e-13])]), "cond {:.0e}")
     assert exc.value.sample == 1
+
+
+def _symmetric(rng, n, count, definite):
+    """count random symmetric n x n matrices, cond below 1e8; indefinite unless `definite`."""
+    q, _ = np.linalg.qr(rng.normal(size=(count, n, n)))
+    eig = 10.0 ** rng.uniform(-4.0, 4.0, (count, n))
+    if not definite:
+        eig *= rng.choice([-1.0, 1.0], (count, n))
+    mats = q @ (eig[..., None] * np.swapaxes(q, -1, -2))
+    return 0.5 * (mats + np.swapaxes(mats, -1, -2))
+
+
+def test_linalg_gufuncs_match_numpy(rng):
+    # the LAPACK gufuncs called directly must give np.linalg's results bit for
+    # bit: one matrix, stacks, n = 2-4, definite and indefinite, the empty stack
+    for n in (2, 3, 4):
+        for definite in (True, False):
+            mats = _symmetric(rng, n, 40, definite)
+            rhs = rng.normal(size=(40, n))
+            for a, b in [(mats[0], rhs[0]), (mats, rhs), (mats[:0], rhs[:0])]:
+                eig = np.abs(np.linalg.eigvalsh(a))
+                cond = symmetric_cond(a, "{}")
+                assert np.array_equal(cond, eig.max(axis=-1) / eig.min(axis=-1)), (n, a.shape)
+                assert np.array_equal(
+                    solve_guarded(a, b, "{}"), np.linalg.solve(a, b[..., None])[..., 0]
+                ), (n, a.shape)
+                assert np.array_equal(_invert_guarded(a, "m"), np.linalg.inv(a)), (n, a.shape)
+                assert np.shape(cond) == a.shape[:-2]
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+def test_degenerate_matrices_refused_without_warnings(bad):
+    # a zero, NaN or inf matrix is refused by the condition guard with its
+    # template message before LAPACK could warn or divide by zero
+    one = np.full((2, 2), bad)
+    stack = np.array([np.eye(2), 2 * np.eye(2), one, np.eye(2)])
+    calls = [
+        (lambda a: symmetric_cond(a, "cond {}"), "cond nan"),
+        (lambda a: solve_guarded(a, np.ones(a.shape[:-1]), "g cond {:.3e}"), "g cond nan"),
+        (lambda a: _invert_guarded(a, "A_ij"), "A_ij has condition number nan"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call, message in calls:
+            with pytest.raises(SingularMatrix) as exc:
+                call(one)
+            assert str(exc.value) == message and exc.value.sample is None
+            with pytest.raises(SingularMatrix) as exc:
+                call(stack)
+            assert str(exc.value) == message and exc.value.sample == 2
