@@ -4,6 +4,12 @@ Exit codes: 0 evaluation ok / verdict pass, 1 verdict fail, 2 input or spec
 error, 3 numerical failure (singularity, domain exhaustion).  Identical
 invocations (spec bytes, flags, seed) produce byte-identical output; the seed
 defaults to the FINSLER_SEED environment variable, with the flag winning.
+
+A process that calls `main` more than once does its set-up once: the argument
+parser is built on the first call, and the documents parsed from the last
+SPEC_CACHE_SIZE distinct spec contents are kept, keyed by the file's exact
+bytes and its path.  Every call reads the spec file again, so a file edited
+between calls is parsed again; a spec that fails to parse is never kept.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import math
 import os
 import sys
 import warnings
-from functools import partial
+from functools import cache, lru_cache, partial
 
 import numpy as np
 
@@ -33,7 +39,7 @@ from .errors import (
     SingularMatrix,
     ValidationError,
 )
-from .specfile import MetricSpecDocument, load_spec
+from .specfile import MetricSpecDocument, _read, parse_spec
 
 INPUT_ERRORS = (ParseError, ValidationError, DimensionMismatch, IndexOutOfRange, OrderOutOfRange)
 NUMERIC_ERRORS = (DomainError, NonFiniteResult, SingularMatrix, DegenerateOrderFour)
@@ -99,9 +105,21 @@ def _vector(value):
     return [_finite_or_none(v) for v in np.asarray(value)]
 
 
+# Distinct spec contents whose parsed documents one process keeps.
+SPEC_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=SPEC_CACHE_SIZE)
+def _parse(data: bytes, source: str) -> MetricSpecDocument:
+    """parse_spec, once per spec content (and path, which error messages name).
+    A document that failed to parse is not kept: its error is raised every time."""
+    return parse_spec(data, source)
+
+
 def _load(path) -> MetricSpecDocument:
-    """load_spec, writing the order-2 warning to stderr as one fixed line."""
-    doc = load_spec(path)
+    """The spec file's document, parsed from the bytes read now, writing the
+    order-2 warning to stderr as one fixed line."""
+    doc = _parse(_read(path), str(path))
     if doc.m == 2:
         sys.stderr.write("warning: order 2 is Riemannian: closed forms target m > 2\n")
     return doc
@@ -536,9 +554,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args keeps no state in the parser, and its defaults are immutable.
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _parser()
     try:
         # the type hooks raise ValidationError, which argparse lets through
         args = parser.parse_args(argv)

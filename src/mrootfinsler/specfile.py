@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -64,16 +65,28 @@ def _poly(raw, n, where) -> Polynomial:
         seen.add(exps)
         if not isinstance(coeff, (int, float)) or isinstance(coeff, bool):
             raise ParseError(f"{here}.coeff: expected a number")
-        terms.append((exps, float(coeff)))
+        try:
+            value = float(coeff)
+        except OverflowError:   # an integer beyond float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValidationError(f"{here}.coeff: expected a finite number within float range")
+        terms.append((exps, value))
     return Polynomial(n, terms)
 
 
-def parse_spec(text: str, source: str = "<text>") -> MetricSpecDocument:
-    data = text.encode() if isinstance(text, str) else bytes(text)
+def parse_spec(text, source: str = "<text>") -> MetricSpecDocument:
+    """The document in `text`, a str or the UTF-8 bytes of a spec file."""
+    try:
+        data = text.encode() if isinstance(text, str) else bytes(text)
+        data.decode("utf-8")
+    except UnicodeError as exc:
+        raise ParseError(f"{source}: not UTF-8: {exc}") from exc
     sha = hashlib.sha256(data).hexdigest()
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: malformed JSON, or an integer literal too long to convert
         raise ParseError(f"{source}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{source}: top level must be an object")
@@ -139,10 +152,14 @@ def parse_spec(text: str, source: str = "<text>") -> MetricSpecDocument:
     return MetricSpecDocument(name=name, n=n, m=m, field=field, oneform=oneform, sha256=sha)
 
 
-def load_spec(path) -> MetricSpecDocument:
+def _read(path) -> bytes:
+    """The bytes of the spec file at `path`; ParseError when it cannot be read."""
     try:
         with open(path, "rb") as handle:
-            data = handle.read()
+            return handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    return parse_spec(data.decode("utf-8"), source=str(path))
+
+
+def load_spec(path) -> MetricSpecDocument:
+    return parse_spec(_read(path), source=str(path))

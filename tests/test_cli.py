@@ -562,3 +562,140 @@ def test_invalid_values_exit_2(tmp_path, args, env):
     assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
     assert res.stdout == b""
     assert not out.exists()
+
+
+# -- spec input edges -----------------------------------------------------------
+
+BX_TEXT = (FIXTURES / "cubic_x_bx.json").read_text()
+FIRST_COEFF = '"coeff": 1.0'
+
+
+@pytest.mark.parametrize("data, named", [
+    (BX_TEXT.replace("cubic-x-bx", "cubic-\xe9").encode("latin-1"), "spec.json: not UTF-8"),
+    (BX_TEXT.replace(FIRST_COEFF, '"coeff": 1' + "0" * 400, 1).encode(), "tensor[0].poly[0].coeff"),
+    (BX_TEXT.replace('"cubic-x-bx"', "[" * 100_000 + "]" * 100_000).encode(),
+     "spec.json: invalid JSON"),
+    (BX_TEXT.replace(FIRST_COEFF, '"coeff": NaN', 1).encode(), "tensor[0].poly[0].coeff"),
+    (BX_TEXT.replace(FIRST_COEFF, '"coeff": Infinity', 1).encode(), "tensor[0].poly[0].coeff"),
+], ids=["not-utf8", "int-beyond-float", "nested-too-deep", "nan-coeff", "infinite-coeff"])
+def test_spec_input_edges_exit_2(tmp_path, data, named):
+    # one error line naming the file or the field: no traceback, no numerical
+    # failure from a coefficient that was never finite, no leaked RuntimeWarning
+    spec = tmp_path / "spec.json"
+    spec.write_bytes(data)
+    res = run_cli("verify", "--samples", "5", "--spec", str(spec),
+                  env_extra={"PYTHONWARNINGS": "error::RuntimeWarning"})
+    assert res.returncode == 2
+    lines = res.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
+    assert named in lines[0]
+    assert res.stdout == b""
+
+
+# -- what one process keeps between cli.main calls ------------------------------
+
+def run_main(capsys, *args):
+    """cli.main in this process: (exit code, stdout bytes, stderr bytes)."""
+    from mrootfinsler import cli
+
+    try:
+        rc = cli.main(list(args))
+    except SystemExit as exc:   # argparse rejects its input this way
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out.encode(), captured.err.encode()
+
+
+def fresh(*args, env_extra=None):
+    res = run_cli(*args, env_extra=env_extra)
+    return res.returncode, res.stdout, res.stderr
+
+
+BX = str(FIXTURES / "cubic_x_bx.json")
+
+
+@pytest.mark.parametrize("args", [
+    ("verify", "--json", "--spec", BX, "--samples", "20", "--seed", "3"),
+    ("check", "proj-related", "--json", "--spec", BX, "--samples", "60", "--seed", "3"),
+    ("check", "dually-flat", "--spec", str(FIXTURES / "mixed_quartic.json"), "--samples", "60"),
+    ("eval", "--spec", BX, "--x", "0.1,0.2", "--y", "1,2"),
+    ("geodesic", "--json", "--spec", BX, "--metric", "kropina", "--x0=0,0", "--y0=1,0.5",
+     "--t", "0.3", "--steps", "20"),
+], ids=["verify-json", "proj-related-json", "dually-flat", "eval", "geodesic"])
+def test_in_process_reruns_equal_a_fresh_process(tmp_path, capsys, monkeypatch, args):
+    # the second call reuses the parser and the parsed document of the first;
+    # both print what a fresh process prints, byte for byte
+    monkeypatch.delenv("FINSLER_SEED", raising=False)
+    out = tmp_path / "path.txt"
+    if args[0] == "geodesic":
+        args += ("--out", str(out))
+    runs = []
+    for run in (partial(fresh, *args), partial(run_main, capsys, *args), partial(run_main, capsys, *args)):
+        runs.append((run(), out.read_bytes() if out.exists() else None))
+        if out.exists():
+            out.unlink()
+    assert runs[0][0][2] == b"", runs[0]
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_edited_spec_is_parsed_again(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    args = ("verify", "--json", "--spec", str(spec), "--samples", "5", "--seed", "0")
+    spec.write_text(BX_TEXT)
+    rc, first, _ = run_main(capsys, *args)
+    assert rc == 0
+    spec.write_text(BX_TEXT.replace(FIRST_COEFF, '"coeff": 2.0', 1))
+    rc, second, _ = run_main(capsys, *args)
+    assert rc == 0
+    assert json.loads(second)["spec_sha256"] != json.loads(first)["spec_sha256"]
+    assert json.loads(second)["records"] != json.loads(first)["records"]
+    assert (rc, second) == fresh(*args)[:2]
+
+
+def test_spec_errors_are_not_kept(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    args = ("check", "proj-flat", "--spec", str(spec), "--samples", "60")
+    spec.write_text(BX_TEXT[:-10])
+    for _ in range(2):
+        rc, out, err = run_main(capsys, *args)
+        assert (rc, out) == (2, b"")
+        assert err.startswith(b"error: ") and b"invalid JSON" in err
+    spec.write_text(BX_TEXT)
+    rc, out, err = run_main(capsys, *args)
+    assert rc == 1 and b"verdict: not-flat" in out and err == b""
+
+
+def test_order_two_line_on_every_in_process_call(capsys):
+    args = ("eval", "--spec", str(FIXTURES / "riemann_identity.json"), "--x", "0,0", "--y", "1,2")
+    for _ in range(3):
+        rc, _, err = run_main(capsys, *args)
+        assert rc == 0
+        assert err == b"warning: order 2 is Riemannian: closed forms target m > 2\n"
+
+
+def test_parser_state_does_not_leak(capsys, monkeypatch):
+    base = ("verify", "--json", "--spec", BX, "--samples", "3")
+    monkeypatch.delenv("FINSLER_SEED", raising=False)
+    assert json.loads(run_main(capsys, *base, "--seed", "5")[1])["seed"] == 5
+    assert json.loads(run_main(capsys, *base)[1])["seed"] == 0
+    monkeypatch.setenv("FINSLER_SEED", "7")
+    assert json.loads(run_main(capsys, *base)[1])["seed"] == 7
+    rc, out, err = run_main(capsys, "check", "bogus", "--spec", BX)
+    assert rc == 2 and out == b"" and b"invalid choice" in err
+    rc, out, _ = run_main(capsys, "check", "proj-flat", "--json", "--spec", BX, "--samples", "60")
+    payload = json.loads(out)
+    assert rc == 1 and payload["seed"] == 7 and payload["tol"] == 1e-8
+
+
+def test_parsed_documents_are_bounded(tmp_path, capsys):
+    from mrootfinsler import cli
+
+    for i in range(cli.SPEC_CACHE_SIZE + 3):
+        spec = tmp_path / f"spec{i}.json"
+        spec.write_text(BX_TEXT.replace("cubic-x-bx", f"copy-{i}"))
+        rc, out, _ = run_main(capsys, "eval", "--json", "--spec", str(spec), "--x", "0,0", "--y", "1,2")
+        assert rc == 0 and json.loads(out)["spec_name"] == f"copy-{i}"
+        assert cli._parse.cache_info().currsize <= cli.SPEC_CACHE_SIZE
+    hits = cli._parse.cache_info().hits
+    run_main(capsys, "eval", "--spec", str(spec), "--x", "0,0", "--y", "1,2")
+    assert cli._parse.cache_info().hits == hits + 1

@@ -119,3 +119,47 @@ def test_hash_tracks_bytes():
     b = parse_spec(doc_text(name="other"))
     assert a.sha256 != b.sha256
     assert a.sha256 == parse_spec(doc_text()).sha256
+
+
+def _first_coeff(text):
+    # the spec text with the first monomial's coefficient written as `text`
+    return doc_text().replace('"coeff": 1.0', f'"coeff": {text}', 1)
+
+
+def _name(text):
+    # the spec text with the value of "name" written as `text`
+    return doc_text().replace('"name": "t"', f'"name": {text}')
+
+
+@pytest.mark.parametrize("data, error, match", [
+    (_name('"\xe9"').encode("latin-1"), ParseError, "<text>: not UTF-8"),
+    (_name("[" * 100_000 + "]" * 100_000), ParseError, "<text>: invalid JSON"),
+    (_name("1" * 5000), ParseError, "<text>: invalid JSON"),
+    (_first_coeff("1" + "0" * 400), ValidationError, r"tensor\[0\]\.poly\[0\]\.coeff"),
+    (_first_coeff("-1" + "0" * 400), ValidationError, r"tensor\[0\]\.poly\[0\]\.coeff"),
+    (_first_coeff("NaN"), ValidationError, r"tensor\[0\]\.poly\[0\]\.coeff"),
+    (_first_coeff("Infinity"), ValidationError, r"tensor\[0\]\.poly\[0\]\.coeff"),
+    (_first_coeff("-Infinity"), ValidationError, r"tensor\[0\]\.poly\[0\]\.coeff"),
+    (_first_coeff("1e400"), ValidationError, r"tensor\[0\]\.poly\[0\]\.coeff"),
+    (doc_text().replace('"coeff": 1.0}]}]}', '"coeff": NaN}]}]}'), ValidationError,
+     r"one_form\[0\]\.poly\[0\]\.coeff"),
+], ids=["not-utf8", "nested-too-deep", "int-too-long", "int-beyond-float", "negative-int-beyond-float",
+        "nan", "infinity", "minus-infinity", "float-literal-overflow", "one-form-nan"])
+def test_input_edges_refused(data, error, match):
+    # each edge is a spec error naming the source or the field, never a
+    # Python exception or a non-finite coefficient let through
+    with pytest.raises(error, match=match):
+        parse_spec(data)
+
+
+def test_input_edges_name_the_file(tmp_path):
+    spec = tmp_path / "bad.json"
+    spec.write_bytes(_name('"\xe9"').encode("latin-1"))
+    with pytest.raises(ParseError, match="bad.json: not UTF-8"):
+        load_spec(spec)
+
+
+def test_largest_float_coefficient_accepted():
+    # the range check refuses only what does not convert to a finite float
+    doc = parse_spec(_first_coeff(str(2 ** 1023)))
+    assert doc.field.entries[(1, 1, 1, 1)].monomials[0][1] == 2.0 ** 1023
