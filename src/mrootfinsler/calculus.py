@@ -26,7 +26,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NonFiniteResult, raise_first
-from .fields import CoefficientField, Jet, OneFormField, check_beta, check_form, norm, outer
+from .fields import CoefficientField, Jet, OneFormField, all_finite, check_floors
+from .fields import clear_of_floors, outer
 
 _EPS = float(np.finfo(float).eps)
 
@@ -53,7 +54,8 @@ def _power(v, exponents: tuple, derivatives: bool = True) -> np.ndarray:
     """v^e and its first and second derivative in v, with group g of v (..., G)
     raised to exponents[g]: (..., 3, G), or (..., 1, G) for v^e alone.  Group by
     group, the guards raise for an undefined base, then for a power that
-    overflows; callers ignore floating-point errors."""
+    overflows; both leave an entry that is not finite, so the guards run only
+    then.  Callers ignore floating-point errors."""
     table, factor, shortcuts = _power_table(tuple(exponents))
     rows = 3 if derivatives else 1
     v = np.asarray(v, dtype=float)
@@ -62,7 +64,7 @@ def _power(v, exponents: tuple, derivatives: bool = True) -> np.ndarray:
         if r < rows:
             out[..., r, g] = op(v[..., g])
     out *= factor[:rows]
-    if not (np.isfinite(out).all() and v.all()):  # an undefined base is 0 or gives NaN
+    if not all_finite(out):
         undefined = (v == 0.0) | ((v < 0.0) & (table[0] % 1.0 != 0.0))
         finite = np.isfinite(out).all(axis=-2)
         for g, p in enumerate(exponents):
@@ -96,16 +98,13 @@ def power(jets: Jet, exponents) -> Jet:
 
 
 def field_jets(field: CoefficientField, oneform: Optional[OneFormField], x, y) -> Jet:
-    """One pass for A, or for (A, beta) on a group axis, after the domain guards.
-
-    The one-form guard comes first: beta = 0 bounds the domain of the
-    transformed metric.  x and y may be stacks (..., n).
-    """
+    """One pass for A, or for (A, beta) on a group axis, after the floors of
+    domain_check (form first), read off the same pass.  x and y may be stacks (..., n)."""
     jets, c = field.terms_with(oneform).jet(x, y)
-    scale, size = np.abs(c).max(axis=-1, initial=0.0), norm(y)
-    if oneform is not None:
-        check_beta(jets.val[..., 1], scale[..., 1], size)
-    check_form(jets.val[..., 0], scale[..., 0], size, field.m)
+    # a single point clear of both floors skips the guards' array work
+    if not (jets.val.ndim == 1 and clear_of_floors(
+            jets.val.tolist(), c.tolist(), np.asarray(y).tolist(), field.m)):
+        check_floors(jets.val, np.abs(c).max(axis=-1, initial=0.0), y, field.m)
     return jets
 
 
@@ -116,10 +115,7 @@ def domain_check(field: CoefficientField, oneform: Optional[OneFormField]) -> Ca
 
     def check(x, y):
         values, scale = table.value(x, y)
-        size = norm(y)
-        check_form(values[..., 0], scale[..., 0], size, field.m)
-        if oneform is not None:
-            check_beta(values[..., 1], scale[..., 1], size)
+        check_floors(values, scale, y, field.m)
         return values
 
     return check
@@ -143,8 +139,7 @@ class ScalarFunction:
         """f with its derivatives, from a pass of A or of (A, beta) (per sample on stacks)."""
         jet = power(jets, self.exponents)
         # the per-sample guards run only when something is not finite
-        if not (np.isfinite(jet.val).all() and np.isfinite(jet.grad).all()
-                and np.isfinite(jet.hess).all()):
+        if not (all_finite(jet.val) and all_finite(jet.grad) and all_finite(jet.hess)):
             raise_first(
                 ~np.isfinite(jet.val), NonFiniteResult, f"{self.name} evaluated to {{}}", jet.val
             )

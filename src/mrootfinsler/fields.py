@@ -7,24 +7,30 @@ coefficient side.
 Both the form A = a_I(x) y^I and the one-form beta = b_i(x) y^i are read as
 terms  w_t c_t(x) y^e_t : c_t is an entry's polynomial, w_t its index
 multiplicity (1 for the one-form) and e_t the y-exponent row of its index
-multiset.  A TermTable evaluates the x-coefficients and their derivatives
-first and only then contracts them with the y-monomial derivatives, giving the
-value, the gradient and the Hessian over all 2n coordinates in one pass.
-Multiplying the terms out into (x, y)-monomials instead would lose digits
-where beta nearly cancels.  The pair (A, beta) is one table: one x-monomial
-block, one y-monomial block and one product, with a group axis (A, beta);
-the form alone is its one-group case.  Tables come from exponent decrement
-and are built once per field or pair, on first use.
+multiset.  A TermTable multiplies them out into monomials of v = (x, y) and
+holds one matrix from those monomials to the value, the gradient and the
+Hessian over all 2n coordinates and the coefficients c_t(x): a pass is one
+power table of v, one gather-product, one matmul and one gather, which makes
+the Hessian symmetric by construction.  The pair (A, beta) is one table with
+a group axis (A, beta); the form alone is its one-group case.  Tables are
+built once per field or pair, on first use.
+
+Multiplied out, each term is rounded once before the sum; this differs from
+coefficients times monomials where a coefficient nearly vanishes, by about eps
+times the sum's condition number.  Over 3600 accepted samples of the six
+fixtures: within 1.2e-15 of the largest entry in gradients and Hessians, and
+1.5e-11 relative in a value of A whose coefficient 1 + x^1 is 2.7e-6.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, raise_first
-from .symtensor import FormTerms, MonomialTable, SymmetricTensor, canonicalize
+from .errors import DimensionMismatch, DomainError, NonFiniteResult, raise_first
+from .symtensor import SymmetricTensor, canonicalize, index_multiplicity, key_exponents
 
 # A form value at or below this multiple of ||y||^m * max|a_I(x)| is outside
 # the smooth domain of F = A^(1/m).
@@ -33,22 +39,35 @@ FORM_FLOOR = 1e-12
 BETA_FLOOR = 1e-12
 
 
-def check_form(value, max_abs, y_norm, m: int) -> None:
-    """Raise DomainError unless every form value clears its scale-aware floor."""
-    floor = FORM_FLOOR * y_norm ** m * np.maximum(max_abs, 1e-300)
-    raise_first(
-        value <= floor, DomainError, "form value {:.3e} at or below floor {:.3e}",
-        value, floor,
-    )
+def check_floors(values, scale, y, m: int) -> None:
+    """DomainError where a form value is at or below FORM_FLOOR ||y||^m max|a_I(x)|,
+    over the whole stack first, then, given a second group, where |beta| is at or
+    below BETA_FLOOR ||y|| max|b_i|; values and scale (..., groups)."""
+    size = norm(y)
+    floor = FORM_FLOOR * size ** m * np.maximum(scale[..., 0], 1e-300)
+    raise_first(values[..., 0] <= floor, DomainError,
+                "form value {:.3e} at or below floor {:.3e}", values[..., 0], floor)
+    if values.shape[-1] > 1:
+        floor = BETA_FLOOR * size * scale[..., 1]
+        raise_first(np.abs(values[..., 1]) <= floor, DomainError,
+                    "one-form value {:.3e} below degeneracy floor {:.3e}", values[..., 1], floor)
 
 
-def check_beta(value, max_abs, y_norm) -> None:
-    """Raise DomainError where beta = b_i y^i is too close to zero."""
-    floor = BETA_FLOOR * y_norm * max_abs
-    raise_first(
-        np.abs(value) <= floor, DomainError,
-        "one-form value {:.3e} below degeneracy floor {:.3e}", value, floor,
-    )
+def clear_of_floors(values, coefficients, y, m: int) -> bool:
+    """Whether one point clears the floors of check_floors, in Python floats
+    (lists), with the 1e-300 guard on both scales; False sends it through them."""
+    size = math.sqrt(sum([v * v for v in y]))
+    form, *beta = values
+    if not form > FORM_FLOOR * size ** m * max(max(map(abs, coefficients[0])), 1e-300):
+        return False
+    return not beta or abs(beta[0]) > BETA_FLOOR * size * max(
+        max(map(abs, coefficients[1])), 1e-300)
+
+
+def all_finite(a) -> bool:
+    """Whether every entry of a is finite: one dot product decides unless a
+    square overflows, np.isfinite then."""
+    return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
 
 
 def outer(u, v) -> np.ndarray:
@@ -159,82 +178,100 @@ class Jet:
 
 
 class TermTable:
-    """Sums of terms w_t c_t(x) y^e_t, one per group: a group holds the
-    polynomials c_t and index keys of one field.
+    """Sums of terms w_t c_t(x) y^e_t, one per group (the polynomials c_t, index
+    keys and name of one field), multiplied out into monomials v^E of v = (x, y).
 
-    Points x and vectors y may carry a leading batch axis (..., n).
+    One matrix maps the monomials to the output rows: per group the value, the
+    2n-gradient and the upper triangle of the 2n x 2n Hessian, then c_t(x)
+    per term.  Each entry is a falling factorial times w_t K[t, a], from the
+    one monomial K[t, a] x^a of c_t that reaches it.  x and y may carry a
+    leading batch axis (..., n); the two broadcast.
     """
 
     def __init__(self, groups, n: int):
-        polys = [poly for group, _ in groups for poly in group]
-        x_exps = sorted({exps for poly in polys for exps, _ in poly.monomials})
-        column = {exps: j for j, exps in enumerate(x_exps)}
-        self.K = np.zeros((len(polys), len(x_exps)))
-        for t, poly in enumerate(polys):
-            for exps, coeff in poly.monomials:
-                self.K[t, column[exps]] = coeff
-        sizes = [len(group) for group, _ in groups]
-        self._group_slices = [slice(end - size, end) for size, end in zip(sizes, np.cumsum(sizes))]
-        group_of = np.repeat(np.arange(len(groups)), sizes)
-        # [g, t, j]: K once per group, the rows of the other groups zero
-        self._grouped = self.K * (group_of[:, None] == np.arange(len(groups))[:, None, None])
-        self.n = n
-        self.x = MonomialTable(x_exps, n)
-        self.y_terms = FormTerms([key for _, keys in groups for key in keys], n)
-        # Where the pass below finds the value (entry 0), each entry of the
-        # 2n-gradient and of the 2n x 2n Hessian in the flattened product
-        # matrix M, read in one gather: row a and column b of M run over
-        # value, first and second derivatives (1 + n + n^2) of the
-        # x-coefficients and of the y-monomials respectively.
-        d = 1 + n + n * n
-        first = 1 + np.arange(n)
-        second = 1 + n + n * np.arange(n)[:, None] + np.arange(n)
-        self._gather = np.concatenate(([0], first * d, first, np.block([
-            [second * d, first[:, None] * d + first],
-            [first * d + first[:, None], second],
-        ]).ravel()))
+        self.n, self.names = n, [name for _, _, name in groups]
+        n2 = 2 * n
+        upper = [(i, j) for i in range(n2) for j in range(i, n2)]
+        derivatives = [()] + [(i,) for i in range(n2)] + upper
+        size = len(derivatives)
+        cells, terms, t = {}, [], len(groups) * size   # (row, exponents of v) -> entry
+        for g, (polys, keys, _) in enumerate(groups):
+            terms.append(list(range(t, t + len(polys))))
+            for poly, key in zip(polys, keys):
+                for x_exps, k in poly.monomials:
+                    cells[t, x_exps + (0,) * n] = k
+                    for r, d in enumerate(derivatives):
+                        e, factor = list(x_exps + key_exponents(key, n)), index_multiplicity(key)
+                        for i in d:
+                            factor, e[i] = factor * e[i], e[i] - 1
+                        if factor:
+                            cells[g * size + r, tuple(e)] = factor * k
+                t += 1
+        # the rows each pass lays out per group: -1 reads a zero
+        pad = [rows + [-1] * (max(map(len, terms)) - len(rows)) for rows in terms]
+        jet = list(range(1 + n2)) + [
+            1 + n2 + upper.index((min(i, j), max(i, j))) for i in range(n2) for j in range(n2)]
+        self._passes = {
+            "value or derivatives": self._build(cells, [
+                [g * size + r for r in jet] + pad[g] for g in range(len(groups))]),
+            "value": self._build(cells, [[g * size] + pad[g] for g in range(len(groups))]),
+        }
 
-    def _check(self, v, what: str):
-        if np.shape(v)[-1] != self.n:
-            raise DimensionMismatch(
-                f"{what} has length {np.shape(v)[-1]}, expected {self.n}"
-            )
+    def _build(self, cells, layout):
+        """The pass of one layout: the flat indices of its monomials into the
+        power table of v, the powers, the matrix of the rows it reads (one more
+        output for its zeros) and the gather that lays them out."""
+        rows = sorted({r for r, _ in cells} & {r for row in layout for r in row})
+        position = {r: p for p, r in enumerate(rows)}
+        column = {e: j for j, e in enumerate(dict.fromkeys(e for r, e in cells if r in position))}
+        matrix = np.zeros((len(column), len(rows) + 1))
+        for (r, e), entry in cells.items():
+            if r in position:
+                matrix[column[e], position[r]] = entry
+        exps = np.array(list(column), dtype=int).reshape(-1, 2 * self.n)
+        top = int(exps.max(initial=0)) + 1
+        gather = np.array([[position.get(r, len(rows)) for r in row] for row in layout])
+        return np.arange(2 * self.n) * top + exps, np.arange(top), matrix, gather
+
+    def _pass(self, kind: str, x, y) -> np.ndarray:
+        """One power table, one gather-product, one matmul, one gather: (..., groups,
+        layout), or NonFiniteResult naming the overflow."""
+        for v, what in ((x, "point"), (y, "vector")):
+            if np.shape(v)[-1] != self.n:
+                raise DimensionMismatch(f"{what} has length {np.shape(v)[-1]}, expected {self.n}")
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        if x.shape != y.shape:
+            x, y = np.broadcast_arrays(x, y)
+        v = np.concatenate((x, y), axis=-1)
+        index, powers, matrix, gather = self._passes[kind]
+        with np.errstate(all="ignore"):
+            table = np.power.outer(v, powers)
+            monomials = table.reshape(table.shape[:-2] + (-1,))[..., index].prod(axis=-1)
+            out = (monomials @ matrix)[..., gather]
+        if not all_finite(out):
+            bad, n = ~np.isfinite(out).all(axis=-1), self.n
+            points = [f"x={p[:n]}, y={p[n:]}" for p in np.reshape(v, (-1, 2 * n)).tolist()]
+            for g, name in enumerate(self.names):
+                raise_first(bad[..., g], NonFiniteResult, f"overflow in the {name} {kind} at {{}}",
+                            points)
+        return out
 
     def coefficients(self, x) -> np.ndarray:
-        """c_t(x), one per term: (..., terms)."""
-        self._check(x, "point")
-        return self.x.derivatives(x, 0)[..., 0] @ self.K.T
+        """c_t(x) of the first group, one per term: (..., terms)."""
+        return self._pass("value", x, np.zeros(np.shape(x)))[..., 0, 1:]
 
     def value(self, x, y):
         """Each group's sum, and max |c_t(x)| over its terms: two arrays (..., groups)."""
-        c = self.coefficients(x)
-        self._check(y, "vector")
-        terms = c * self.y_terms.monomials.derivatives(y, 0)[..., 0]
-        slices = self._group_slices
-        return (
-            np.stack([terms[..., s].sum(axis=-1) for s in slices], axis=-1),
-            np.stack([np.abs(c[..., s]).max(axis=-1, initial=0.0) for s in slices], axis=-1),
-        )
+        out = self._pass("value", x, y)
+        return out[..., 0], np.abs(out[..., 1:]).max(axis=-1, initial=0.0)
 
     def jet(self, x, y):
-        """Each group's sum as a Jet with a group axis, and its coefficients c_t(x) per group.
-
-        M_g = C_g^T Y, with C_g[t, a] the a-th derivative of c_t (zero off
-        group g) and Y[t, b] the b-th derivative of w_t y^e_t, holds every
-        product the value, the gradient and the Hessian of group g need.
-        """
-        self._check(x, "point")
-        self._check(y, "vector")
-        C = self._grouped @ self.x.derivatives(x, 2)[..., None, :, :]
-        M = C.swapaxes(-1, -2) @ self.y_terms.monomials.derivatives(y, 2)[..., None, :, :]
-        flat = M.reshape(M.shape[:-2] + (-1,))[..., self._gather]
-        n2 = 2 * self.n
-        hess = flat[..., 1 + n2 :].reshape(flat.shape[:-1] + (n2, n2))
-        # the two diagonal blocks are sums over terms whose order BLAS may
-        # pick per entry; averaging with the transpose makes them exactly symmetric
-        return Jet(
-            flat[..., 0], flat[..., 1 : 1 + n2], 0.5 * (hess + hess.swapaxes(-1, -2)),
-        ), C[..., 0]
+        """Each group's sum as a Jet with a group axis, and its coefficients
+        c_t(x) per group (..., groups, terms), 0 past the group's own terms."""
+        out, n2 = self._pass("value or derivatives", x, y), 2 * self.n
+        end = 1 + n2 + n2 * n2
+        hess = out[..., 1 + n2 : end].reshape(out.shape[:-1] + (n2, n2))
+        return Jet(out[..., 0], out[..., 1 : 1 + n2], hess), out[..., end:]
 
 
 class CoefficientField:
@@ -254,7 +291,7 @@ class CoefficientField:
         self.n = int(n)
         self.m = int(m)
         self.entries = canon
-        self.term_group = (list(canon.values()), list(canon))
+        self.term_group = (list(canon.values()), list(canon), "form")
         self._tables = {}
 
     @staticmethod
@@ -277,11 +314,8 @@ class CoefficientField:
 
     def tensor_at(self, x) -> SymmetricTensor:
         """Materialise the coefficient tensor at the point x."""
-        table = self.terms
-        values = table.coefficients(x)
-        return SymmetricTensor(
-            self.n, self.m, dict(zip(self.entries, values.tolist())), table.y_terms
-        )
+        values = self.terms.coefficients(x)
+        return SymmetricTensor(self.n, self.m, dict(zip(self.entries, values.tolist())))
 
     def is_constant(self) -> bool:
         return all(poly.is_constant() for poly in self.entries.values())
@@ -299,7 +333,7 @@ class OneFormField:
                 raise DimensionMismatch("component polynomial has wrong arity")
         self.n = int(n)
         self.components = components
-        self.term_group = (list(components), [(i,) for i in range(1, self.n + 1)])
+        self.term_group = (list(components), [(i,) for i in range(1, self.n + 1)], "one-form")
         self._table = None
 
     @staticmethod

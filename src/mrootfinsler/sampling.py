@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FinslerError, ValidationError, in_sample_order
+from .errors import DomainError, ValidationError, in_sample_order
 
 DEFAULT_X_BOX = (-1.0, 1.0)
 DEFAULT_Y_BOX = (0.1, 2.0)
@@ -36,8 +36,9 @@ def sample_points(
     the block in sample order (`errors.in_sample_order`): the draws before the
     first one it refuses are accepted, that one is rejected with the reason
     the check gives for it, and the rest of the block is checked again.  The
-    check therefore takes stacks (k, n) and names the draw it refuses in
-    `FinslerError.sample`, as the guards of `errors.raise_first` do.  The
+    check therefore takes stacks (k, n) and refuses a draw with a DomainError
+    naming it in `.sample`, as the guards of `errors.raise_first` do; any
+    other error (an overflow, say) stops the sampling.  The
     draws, their order and the rejections are those of a loop over the
     attempts, so they depend only on (n, count, seed, boxes) and reports built
     on top of this are reproducible byte for byte.
@@ -61,7 +62,7 @@ def sample_points(
                 if domain_check is not None:
                     in_sample_order(domain_check, x, y)
                 first, reason = len(x), None
-            except FinslerError as exc:
+            except DomainError as exc:
                 first, reason = exc.sample or 0, str(exc)
             accepted.extend(zip(x[:first], y[:first]))
             if reason is not None:

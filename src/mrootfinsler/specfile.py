@@ -19,6 +19,9 @@ from .errors import ParseError, RiemannianOrderWarning, ValidationError
 from .fields import CoefficientField, OneFormField, Polynomial
 from .metric import ORDER_MAX, ORDER_MIN
 
+# each derivative pass tabulates every coordinate's powers up to the largest exponent
+MAX_EXPONENT = 64
+
 
 @dataclass
 class MetricSpecDocument:
@@ -58,8 +61,8 @@ def _poly(raw, n, where) -> Polynomial:
         if not isinstance(exps, list) or len(exps) != n:
             raise ValidationError(f"{here}.exponents: expected {n} entries")
         exps = tuple(_int(e, f"{here}.exponents") for e in exps)
-        if any(e < 0 for e in exps):
-            raise ValidationError(f"{here}.exponents: negative exponent")
+        if any(e < 0 or e > MAX_EXPONENT for e in exps):
+            raise ValidationError(f"{here}.exponents: each must be in 0..{MAX_EXPONENT}")
         if exps in seen:
             raise ValidationError(f"{here}: duplicate exponent tuple {list(exps)}")
         seen.add(exps)

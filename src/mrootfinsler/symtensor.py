@@ -7,9 +7,10 @@ e(I) the y-exponent row of I (how often each index occurs).  Evaluation and
 the y-saturated contractions therefore reproduce the full dense tensor without
 ever materialising n**m entries: the k-th contraction is the k-th y-derivative
 of the form scaled by 1/(m(m-1)...(m-k+1)), read off a monomial derivative
-table built by exponent decrement.  The fields layer differentiates the
-x-dependent coefficient fields with the same tables.  Indices are 1-based in
-every public signature.
+table built by exponent decrement.  This serves a tensor materialised at one
+point (fields.CoefficientField.tensor_at); the derivative pass of the
+x-dependent fields is fields.TermTable, one matrix over the monomials of
+(x, y).  Indices are 1-based in every public signature.
 """
 
 from __future__ import annotations
@@ -54,84 +55,50 @@ def canonicalize(raw_indices, n: int) -> MultisetIndex:
     return MultisetIndex(srt, index_multiplicity(srt))
 
 
+def key_exponents(key, n: int) -> tuple:
+    """The y-exponent row of an index multiset: how often each index 1..n occurs."""
+    return tuple(key.count(i) for i in range(1, n + 1))
+
+
 class MonomialTable:
-    """Scaled monomials s_r v^e_r in n variables with their derivatives by exponent decrement.
-
-    The order-k table holds, for every row r and every k-tuple (j1..jk) of
-    variables, the falling-factorial factor times s_r and the decremented
-    exponents.  `derivatives` returns every order up to the one asked for in
-    one array: its column block k holds the n^k order-k derivatives, the
-    tuple (j1..jk) flattened row-major.  Tables are built on first use and
-    kept.  Exponents that would go negative are clipped to zero where their
-    factor is already zero, so no negative power of a zero coordinate is ever
-    formed.
-    """
-
-    def __init__(self, exponents, n: int, scale=None):
-        exps = np.array(exponents, dtype=int).reshape(-1, n)
-        scale = np.ones(len(exps)) if scale is None else np.asarray(scale, dtype=float)
-        self.n = n
-        self._orders = [(exps[:, None, :], scale[:, None])]
-        self._stacked = {}
-        self._powers = np.arange(int(exps.max(initial=0)) + 1)
-        self._axis = np.arange(n)
-
-    def offset(self, k: int) -> int:
-        """First column of the order-k block."""
-        return sum(self.n ** j for j in range(k))
-
-    def _table(self, order: int):
-        """Exponents (rows, columns, n) and factors (rows, columns) of orders 0..order."""
-        if order not in self._stacked:
-            while len(self._orders) <= order:
-                exps, factor = self._orders[-1]
-                rows = exps.shape[0]
-                self._orders.append((
-                    np.maximum(exps[:, :, None, :] - np.eye(self.n, dtype=int), 0)
-                    .reshape(rows, -1, self.n),
-                    (factor[:, :, None] * exps).reshape(rows, -1),
-                ))
-            self._stacked[order] = (
-                np.concatenate([e for e, _ in self._orders[: order + 1]], axis=1),
-                np.concatenate([f for _, f in self._orders[: order + 1]], axis=1),
-            )
-        return self._stacked[order]
-
-    def derivatives(self, v, order: int) -> np.ndarray:
-        """[..., r, c]: every monomial and its derivatives at v (..., n), orders 0..order."""
-        powers = np.power.outer(np.asarray(v, dtype=float), self._powers)
-        exps, factor = self._table(order)
-        return factor * powers[..., self._axis, exps].prod(axis=-1)
-
-
-class FormTerms:
-    """Index multisets read as y-monomial terms, each scaled by its weight.
-
-    Row t is the t-th key; its weight is the multiplicity of the key and its
-    exponent row counts each index (the one-form is the order-1 case).  A
-    coefficient field and every tensor it materialises share one instance, so
-    the tables are built once per field.
+    """The weighted monomials mult(I) y^e(I) of index multisets I, with their
+    order-k derivatives by exponent decrement (tables built on first use and
+    kept).  An exponent that would go negative is clipped to zero where its
+    factor is already zero, so no negative power of a zero coordinate is formed.
     """
 
     def __init__(self, keys, n: int):
-        self.monomials = MonomialTable(
-            [[key.count(i) for i in range(1, n + 1)] for key in keys], n,
-            [index_multiplicity(key) for key in keys],
-        )
+        self._orders = [(
+            np.array([key_exponents(key, n) for key in keys], dtype=int).reshape(-1, 1, n),
+            np.array([index_multiplicity(key) for key in keys], dtype=float)[:, None],
+        )]
+
+    def derivatives(self, v, k: int) -> np.ndarray:
+        """[r, c]: the n^k order-k derivatives of every monomial at v (n,), the
+        tuple (j1..jk) flattened row-major."""
+        while len(self._orders) <= k:
+            exps, factor = self._orders[-1]
+            rows, n = exps.shape[0], exps.shape[-1]
+            self._orders.append((
+                np.maximum(exps[:, :, None, :] - np.eye(n, dtype=int), 0).reshape(rows, -1, n),
+                (factor[:, :, None] * exps).reshape(rows, -1),
+            ))
+        exps, factor = self._orders[k]
+        powers = np.power.outer(np.asarray(v, dtype=float), np.arange(int(exps.max(initial=0)) + 1))
+        return factor * powers[np.arange(exps.shape[-1]), exps].prod(axis=-1)
 
 
 class SymmetricTensor:
     """Order-m symmetric tensor; entries map sorted index tuples to values.
 
     Instances are immutable by convention: nothing in the package mutates
-    `entries` after construction, so concurrent evaluation is safe.  `terms`
-    may pass the FormTerms of the same keys in the same order; without it
-    they are built on first use.
+    `entries` after construction, so concurrent evaluation is safe.  The
+    MonomialTable of its entries is built on first use.
     """
 
-    __slots__ = ("n", "m", "entries", "_terms")
+    __slots__ = ("n", "m", "entries", "_table")
 
-    def __init__(self, n: int, m: int, entries: Mapping, terms: FormTerms = None):
+    def __init__(self, n: int, m: int, entries: Mapping):
         if n < 1:
             raise DimensionMismatch(f"dimension must be positive, got {n}")
         if m < 1:
@@ -150,7 +117,7 @@ class SymmetricTensor:
         self.n = int(n)
         self.m = int(m)
         self.entries = canon
-        self._terms = terms
+        self._table = None
 
     def __repr__(self):
         return f"SymmetricTensor(n={self.n}, m={self.m}, {len(self.entries)} entries)"
@@ -168,12 +135,10 @@ class SymmetricTensor:
 
     def _derivative(self, y, k: int) -> np.ndarray:
         """k-th y-derivative of the form: the sum of the weighted monomial derivatives."""
-        if self._terms is None:
-            self._terms = FormTerms(list(self.entries), self.n)
+        if self._table is None:
+            self._table = MonomialTable(list(self.entries), self.n)
         values = np.fromiter(self.entries.values(), float, len(self.entries))
-        table = self._terms.monomials
-        monomials = table.derivatives(y, k)[:, table.offset(k):]
-        return (values @ monomials).reshape((self.n,) * k)
+        return (values @ self._table.derivatives(y, k)).reshape((self.n,) * k)
 
     def eval(self, y) -> float:
         """Evaluate the degree-m homogeneous form at y."""

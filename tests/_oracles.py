@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from mrootfinsler.errors import FinslerError
+from mrootfinsler.errors import DomainError
 
 EPS = float(np.finfo(float).eps)
 
@@ -158,6 +158,47 @@ def oracle_proj_flat_residual(Fbar, x, y):
     return float(np.max(np.abs(defect))) / (1.0 + abs(Fbar(x, y)))
 
 
+# -- the derivative pass as two factors -------------------------------------
+
+def _monomial_jet(exps, v):
+    """v^e with its gradient and Hessian at one point v, by exponent decrement."""
+    exps, v = np.asarray(exps), np.asarray(v, dtype=float)
+    unit = np.eye(len(v), dtype=int)
+
+    def power(e):
+        return 0.0 if (e < 0).any() else float(np.prod(v ** e))
+
+    grad = np.array([exps[i] * power(exps - unit[i]) for i in range(len(v))])
+    hess = np.array([
+        [exps[i] * (exps[j] - (i == j)) * power(exps - unit[i] - unit[j]) for j in range(len(v))]
+        for i in range(len(v))
+    ])
+    return power(exps), grad, hess
+
+
+def two_factor_pass(groups, n, x, y):
+    """The pass of a fields.TermTable over `groups` at one point, as two
+    factors: each coefficient c_t and its x-derivatives, times each weighted
+    y-monomial w_t y^e_t and its y-derivatives, summed term by term.  Returns
+    the value (G,), the gradient (G, 2n) and the Hessian (G, 2n, 2n) over (x, y)."""
+    val, grad, hess = np.zeros(len(groups)), np.zeros((len(groups), 2 * n)), np.zeros(
+        (len(groups), 2 * n, 2 * n))
+    for g, (polys, keys, _) in enumerate(groups):
+        for poly, key in zip(polys, keys):
+            c0, cx, cxx = 0.0, np.zeros(n), np.zeros((n, n))
+            for exps, coeff in poly.monomials:
+                m0, m1, m2 = _monomial_jet(exps, x)
+                c0, cx, cxx = c0 + coeff * m0, cx + coeff * m1, cxx + coeff * m2
+            weight = math.factorial(len(key))
+            for i in set(key):
+                weight //= math.factorial(key.count(i))
+            y0, y1, y2 = (weight * d for d in _monomial_jet([key.count(i) for i in range(1, n + 1)], y))
+            val[g] += c0 * y0
+            grad[g] += np.concatenate((cx * y0, c0 * y1))
+            hess[g] += np.block([[cxx * y0, np.outer(cx, y1)], [np.outer(y1, cx), c0 * y2]])
+    return val, grad, hess
+
+
 # -- the sampler as a loop over attempts ------------------------------------
 
 def sample_points_loop(n, count, seed, x_box, y_box, domain_check, attempt_factor):
@@ -173,7 +214,7 @@ def sample_points_loop(n, count, seed, x_box, y_box, domain_check, attempt_facto
         if domain_check is not None:
             try:
                 domain_check(x, y)
-            except FinslerError as exc:
+            except DomainError as exc:
                 rejected.append((x, y, str(exc)))
                 continue
         accepted.append((x, y))

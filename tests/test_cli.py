@@ -568,6 +568,7 @@ def test_invalid_values_exit_2(tmp_path, args, env):
 
 BX_TEXT = (FIXTURES / "cubic_x_bx.json").read_text()
 FIRST_COEFF = '"coeff": 1.0'
+FIRST_EXPONENTS = '"exponents": [1, 0]'
 
 
 @pytest.mark.parametrize("data, named", [
@@ -577,7 +578,12 @@ FIRST_COEFF = '"coeff": 1.0'
      "spec.json: invalid JSON"),
     (BX_TEXT.replace(FIRST_COEFF, '"coeff": NaN', 1).encode(), "tensor[0].poly[0].coeff"),
     (BX_TEXT.replace(FIRST_COEFF, '"coeff": Infinity', 1).encode(), "tensor[0].poly[0].coeff"),
-], ids=["not-utf8", "int-beyond-float", "nested-too-deep", "nan-coeff", "infinite-coeff"])
+    (BX_TEXT.replace(FIRST_EXPONENTS, '"exponents": [65, 0]', 1).encode(),
+     "tensor[0].poly[1].exponents: each must be in 0..64"),
+    (BX_TEXT.replace(FIRST_EXPONENTS, f'"exponents": [{10 ** 30}, 0]', 1).encode(),
+     "tensor[0].poly[1].exponents: each must be in 0..64"),
+], ids=["not-utf8", "int-beyond-float", "nested-too-deep", "nan-coeff", "infinite-coeff",
+        "exponent-above-bound", "exponent-beyond-c-long"])
 def test_spec_input_edges_exit_2(tmp_path, data, named):
     # one error line naming the file or the field: no traceback, no numerical
     # failure from a coefficient that was never finite, no leaked RuntimeWarning
@@ -589,6 +595,19 @@ def test_spec_input_edges_exit_2(tmp_path, data, named):
     lines = res.stderr.decode().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
     assert named in lines[0]
+    assert res.stdout == b""
+
+
+def test_overflowing_form_exits_3_quietly(tmp_path):
+    # a finite coefficient whose form overflows: the pass names the overflow
+    # in one line and exits 3, with no RuntimeWarning on the way
+    spec = tmp_path / "spec.json"
+    spec.write_text(BX_TEXT.replace(FIRST_COEFF, '"coeff": 1e308', 1))
+    res = run_cli("verify", "--samples", "5", "--spec", str(spec))
+    assert res.returncode == 3
+    lines = res.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure: overflow in the form"), lines
+    assert b"RuntimeWarning" not in res.stderr
     assert res.stdout == b""
 
 

@@ -1,11 +1,16 @@
+import itertools
+import warnings
+from functools import partial
+
 import numpy as np
 import pytest
 
 import _oracles as oracles
-from conftest import ONE_FORM_SPECS, b_bx, b_const, cubic_x, diag_quartic, spec_samples
+from conftest import FIXTURE_DIR, ONE_FORM_SPECS, b_bx, b_const, cubic_x, diag_quartic, spec_samples
 from mrootfinsler import calculus
-from mrootfinsler.errors import DimensionMismatch, DomainError
+from mrootfinsler.errors import DimensionMismatch, DomainError, RiemannianOrderWarning
 from mrootfinsler.fields import CoefficientField, OneFormField, Polynomial
+from mrootfinsler.specfile import load_spec
 
 
 def test_tensor_at_examples():
@@ -148,17 +153,100 @@ def test_pair_pass_guards():
             alone(x, y)
         assert str(fused.value) == str(single.value)
     # at x = (-1, -1) both the form coefficient 1 + x^1 and beta's 1 + x^2
-    # vanish: the derivative pass names the one-form floor, the sampler's
-    # value pass and the value of Fbar the form floor
-    with pytest.raises(DomainError, match="one-form value"):
-        calculus.field_jets(field, oneform, [-1.0, -1.0], [1.0, 1.0])
+    # vanish: every pass names the form floor, which it checks first
     value_passes = (calculus.domain_check(field, oneform), calculus.kropina_norm(field, oneform, 3))
-    for value_pass in value_passes:
+    for value_pass in (partial(calculus.field_jets, field, oneform),) + value_passes:
         with pytest.raises(DomainError, match="form value .* at or below floor"):
             value_pass([-1.0, -1.0], [1.0, 1.0])
-    xs = np.array([[0.1, 0.2], [0.0, 0.3], [-1.0, -1.0], [-2.0, 0.1]])
-    with pytest.raises(DomainError, match="one-form value") as exc:
-        calculus.field_jets(field, oneform, xs, np.ones((4, 2)))
-    assert exc.value.sample == 2
-    with pytest.raises(DomainError, match="form value .* at or below floor"):
-        calculus.field_jets(field, oneform, xs[[0, 1, 3]], np.ones((3, 2)))
+    # on a stack, the form floor is checked over every sample before the
+    # one-form floor: sample 1 has beta = 0, sample 3 a negative form
+    xs = np.array([[0.1, 0.2], [0.5, -1.0], [0.0, 0.3], [-2.0, 0.1]])
+    for value_pass in (partial(calculus.field_jets, field, oneform), value_passes[0]):
+        with pytest.raises(DomainError, match="form value .* at or below floor") as exc:
+            value_pass(xs, np.ones((4, 2)))
+        assert exc.value.sample == 3
+        with pytest.raises(DomainError, match="one-form value") as exc:
+            value_pass(xs[:3], np.ones((3, 2)))
+        assert exc.value.sample == 1
+
+
+def _random_fields():
+    """n = 3, m = 3: every entry and one-form component a random polynomial of
+    x-degree 2 or 3 (x1^2 x2 in each, the rest drawn from degree <= 3)."""
+    rng = np.random.default_rng(11)
+    exps = [e for e in itertools.product(range(4), repeat=3) if sum(e) <= 3 and e != (2, 1, 0)]
+
+    def poly():
+        drawn = rng.choice(len(exps), size=4, replace=False)
+        return Polynomial(3, [((2, 1, 0), rng.uniform(-1, 1))] + [
+            (exps[i], rng.uniform(-1, 1)) for i in drawn])
+
+    keys = [(1, 1, 1), (1, 1, 2), (1, 2, 3), (2, 3, 3), (3, 3, 3)]
+    return CoefficientField(3, 3, {key: poly() for key in keys}), OneFormField(3, [poly() for _ in range(3)])
+
+
+def _fields(name):
+    if name == "random":
+        return _random_fields()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RiemannianOrderWarning)
+        doc = load_spec(FIXTURE_DIR / f"{name}.json")
+    return doc.field, doc.oneform
+
+
+@pytest.mark.parametrize("name", ("riemann_identity",) + ONE_FORM_SPECS + ("random",))
+def test_pass_matches_two_factor_oracle(name):
+    # the one-matrix pass against the coefficients-times-monomials evaluator,
+    # on one point and on a stack, for the pair (A, beta) and each field alone
+    field, oneform = _fields(name)
+    rng = np.random.default_rng(5)
+    xs, ys = rng.uniform(-1.0, 1.0, (6, field.n)), rng.uniform(0.1, 2.0, (6, field.n))
+    for groups, fields in (([field.term_group, oneform.term_group], (field, oneform)),
+                           ([field.term_group], (field,)), ([oneform.term_group], (oneform,))):
+        table = field.terms_with(oneform) if len(groups) == 2 else fields[0].terms
+        for x, y in ((xs[0], ys[0]), (xs, ys)):
+            jets, c = table.jet(x, y)
+            values, scale = table.value(x, y)
+            assert jets.hess.shape[-3:] == (len(groups), 2 * field.n, 2 * field.n)
+            assert np.array_equal(jets.hess, jets.hess.swapaxes(-1, -2)), name
+            for k, (xk, yk) in enumerate(zip(np.reshape(x, (-1, field.n)), np.reshape(y, (-1, field.n)))):
+                at = (k,) if np.ndim(x) == 2 else ()
+                ref = oracles.two_factor_pass(groups, field.n, xk, yk)
+                for got, want in zip((jets.val[at], jets.grad[at], jets.hess[at]), ref):
+                    for g in range(len(groups)):
+                        bound = 1e-13 * np.abs(want[g]).max()
+                        assert np.all(np.abs(got[g] - want[g]) <= bound), (name, len(groups), g)
+                np.testing.assert_allclose(values[at], jets.val[at], rtol=1e-13)
+                for g, source in enumerate(fields):
+                    polys = groups[g][0]
+                    exact = [poly(xk) for poly in polys]
+                    np.testing.assert_allclose(c[at][g, : len(polys)], exact, rtol=1e-14, atol=0)
+                    assert not c[at][g, len(polys):].any()
+                    assert scale[at][g] == pytest.approx(np.abs(c[at][g]).max(), rel=1e-14)
+                    if source.is_constant():
+                        # no x-dependence: the x-blocks are 0, not rounding noise
+                        n = field.n
+                        assert not jets.grad[at][g, :n].any() and not jets.hess[at][g, :n].any()
+                        assert not jets.hess[at][g, :, :n].any()
+
+
+def test_single_point_floors_decide_as_the_stack_guards():
+    # one point goes through fields.clear_of_floors first; across each floor
+    # it must accept and refuse exactly where the array guards of a stack do
+    field, oneform = cubic_x(), b_bx()
+    # A = (1 + x^1)(y1^3 + y2^3) crosses its floor near y2 = -1 + 9.4e-13,
+    # beta = (1 + x^2) y1 near y1 = 1e-12
+    cases = [([0.3, 0.2], [1.0, -1.0 + d]) for d in np.linspace(8e-13, 1.1e-12, 41)]
+    cases += [([0.3, -0.5], [d, 1.0]) for d in np.linspace(0.8e-12, 1.2e-12, 41)]
+    outcomes = set()
+    for x, y in cases:
+        results = []
+        for xs, ys in ((np.array(x), np.array(y)), (np.array([x]), np.array([y]))):
+            try:
+                calculus.field_jets(field, oneform, xs, ys)
+                results.append(None)
+            except DomainError as exc:
+                results.append(str(exc))
+        assert results[0] == results[1], (x, y)
+        outcomes.add(results[0] and results[0].split(" value")[0])
+    assert outcomes == {None, "form", "one-form"}

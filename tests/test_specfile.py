@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from mrootfinsler.errors import ParseError, RiemannianOrderWarning, ValidationError
-from mrootfinsler.specfile import load_spec, parse_spec
+from mrootfinsler.specfile import MAX_EXPONENT, load_spec, parse_spec
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -126,6 +126,11 @@ def _first_coeff(text):
     return doc_text().replace('"coeff": 1.0', f'"coeff": {text}', 1)
 
 
+def _first_exponent(value):
+    # the spec text with the first exponent of the first monomial set to `value`
+    return doc_text().replace('"exponents": [0, 0]', f'"exponents": [{value}, 0]', 1)
+
+
 def _name(text):
     # the spec text with the value of "name" written as `text`
     return doc_text().replace('"name": "t"', f'"name": {text}')
@@ -143,8 +148,11 @@ def _name(text):
     (_first_coeff("1e400"), ValidationError, r"tensor\[0\]\.poly\[0\]\.coeff"),
     (doc_text().replace('"coeff": 1.0}]}]}', '"coeff": NaN}]}]}'), ValidationError,
      r"one_form\[0\]\.poly\[0\]\.coeff"),
+    (_first_exponent(MAX_EXPONENT + 1), ValidationError, r"tensor\[0\]\.poly\[0\]\.exponents"),
+    (_first_exponent(10 ** 30), ValidationError, r"tensor\[0\]\.poly\[0\]\.exponents"),
 ], ids=["not-utf8", "nested-too-deep", "int-too-long", "int-beyond-float", "negative-int-beyond-float",
-        "nan", "infinity", "minus-infinity", "float-literal-overflow", "one-form-nan"])
+        "nan", "infinity", "minus-infinity", "float-literal-overflow", "one-form-nan",
+        "exponent-above-bound", "exponent-beyond-c-long"])
 def test_input_edges_refused(data, error, match):
     # each edge is a spec error naming the source or the field, never a
     # Python exception or a non-finite coefficient let through
@@ -163,3 +171,13 @@ def test_largest_float_coefficient_accepted():
     # the range check refuses only what does not convert to a finite float
     doc = parse_spec(_first_coeff(str(2 ** 1023)))
     assert doc.field.entries[(1, 1, 1, 1)].monomials[0][1] == 2.0 ** 1023
+
+
+def test_exponent_at_bound_accepted():
+    # A = x1^64 y1^4 + y2^4: the pass tabulates powers up to the bound
+    doc = parse_spec(_first_exponent(MAX_EXPONENT))
+    poly = doc.field.entries[(1, 1, 1, 1)]
+    x, y = [1.01, 0.3], [0.5, 1.0]
+    assert doc.field.terms.coefficients(x)[0] == pytest.approx(poly(x), rel=1e-14)
+    A = doc.field.terms.jet(x, y)[0].group(0)
+    assert A.grad_x[0] == pytest.approx(MAX_EXPONENT * 1.01 ** (MAX_EXPONENT - 1) * 0.5 ** 4, rel=1e-13)
