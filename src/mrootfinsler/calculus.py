@@ -109,8 +109,9 @@ def field_jets(field: CoefficientField, oneform: Optional[OneFormField], x, y) -
 
 
 def domain_check(field: CoefficientField, oneform: Optional[OneFormField]) -> Callable:
-    """The sampler's admissibility test: one value pass of A, or of (A, beta), then
-    the form floor and the one-form floor.  It returns the values (..., groups)."""
+    """The sampler's admissibility test: the floors field_jets checks, form first, on
+    the values and floor scales TermTable.value reads off the same pass.  It
+    returns the values (..., groups)."""
     table = field.terms_with(oneform)
 
     def check(x, y):
@@ -159,10 +160,6 @@ class ScalarFunction:
         return value
 
 
-def form_function(field: CoefficientField) -> ScalarFunction:
-    return ScalarFunction("form", field, 1.0)
-
-
 def mth_root_norm(field: CoefficientField, m: int) -> ScalarFunction:
     """F = (form)^(1/m) on the form > 0 domain."""
     return ScalarFunction("F", field, 1.0 / m)
@@ -192,10 +189,6 @@ def value_grad_hess_y(f: ScalarFunction, x, y):
     """f, df/dy, d2f/dydy at (x, y)."""
     jet = derivatives(f, x, y)
     return jet.val, jet.grad_y, jet.hess_yy
-
-
-def grad_y(f: ScalarFunction, x, y) -> np.ndarray:
-    return derivatives(f, x, y).grad_y
 
 
 def hess_y(f: ScalarFunction, x, y) -> np.ndarray:

@@ -56,6 +56,8 @@ def _csv_floats(text: str, n: int, what: str) -> np.ndarray:
         raise ValidationError(f"{what}: expected comma-separated numbers") from exc
     if len(values) != n:
         raise ValidationError(f"{what}: expected {n} values, got {len(values)}")
+    if not all(map(math.isfinite, values)):
+        raise ValidationError(f"{what}: every value must be finite")
     return np.array(values)
 
 

@@ -13,7 +13,9 @@ Hessian over all 2n coordinates and the coefficients c_t(x): a pass is one
 power table of v, one gather-product, one matmul and one gather, which makes
 the Hessian symmetric by construction.  The pair (A, beta) is one table with
 a group axis (A, beta); the form alone is its one-group case.  Tables are
-built once per field or pair, on first use.
+built once per field or pair, on first use, with this one pass: the sampler's
+values and floor scales and the coefficients are read off it too, so every
+floor is decided on the same numbers.
 
 Multiplied out, each term is rounded once before the sum; this differs from
 coefficients times monomials where a coefficient nearly vanishes, by about eps
@@ -207,35 +209,27 @@ class TermTable:
                         if factor:
                             cells[g * size + r, tuple(e)] = factor * k
                 t += 1
-        # the rows each pass lays out per group: -1 reads a zero
-        pad = [rows + [-1] * (max(map(len, terms)) - len(rows)) for rows in terms]
+        # per group its value, gradient, Hessian and coefficients: -1 reads a zero
+        pad = [ts + [-1] * (max(map(len, terms)) - len(ts)) for ts in terms]
         jet = list(range(1 + n2)) + [
             1 + n2 + upper.index((min(i, j), max(i, j))) for i in range(n2) for j in range(n2)]
-        self._passes = {
-            "value or derivatives": self._build(cells, [
-                [g * size + r for r in jet] + pad[g] for g in range(len(groups))]),
-            "value": self._build(cells, [[g * size] + pad[g] for g in range(len(groups))]),
-        }
-
-    def _build(self, cells, layout):
-        """The pass of one layout: the flat indices of its monomials into the
-        power table of v, the powers, the matrix of the rows it reads (one more
-        output for its zeros) and the gather that lays them out."""
-        rows = sorted({r for r, _ in cells} & {r for row in layout for r in row})
+        layout = [[g * size + r for r in jet] + pad[g] for g in range(len(groups))]
+        # the matrix from the monomials, in order of first use, to the rows that
+        # have a cell (one more output for the zeros), and the gather that lays them out
+        rows = sorted({r for r, _ in cells})
         position = {r: p for p, r in enumerate(rows)}
-        column = {e: j for j, e in enumerate(dict.fromkeys(e for r, e in cells if r in position))}
-        matrix = np.zeros((len(column), len(rows) + 1))
+        column = {e: j for j, e in enumerate(dict.fromkeys(e for _, e in cells))}
+        self._matrix = np.zeros((len(column), len(rows) + 1))
         for (r, e), entry in cells.items():
-            if r in position:
-                matrix[column[e], position[r]] = entry
-        exps = np.array(list(column), dtype=int).reshape(-1, 2 * self.n)
+            self._matrix[column[e], position[r]] = entry
+        self._gather = np.array([[position.get(r, len(rows)) for r in row] for row in layout])
+        exps = np.array(list(column), dtype=int).reshape(-1, n2)
         top = int(exps.max(initial=0)) + 1
-        gather = np.array([[position.get(r, len(rows)) for r in row] for row in layout])
-        return np.arange(2 * self.n) * top + exps, np.arange(top), matrix, gather
+        self._index, self._powers = np.arange(n2) * top + exps, np.arange(top)
 
-    def _pass(self, kind: str, x, y) -> np.ndarray:
+    def _pass(self, x, y) -> np.ndarray:
         """One power table, one gather-product, one matmul, one gather: (..., groups,
-        layout), or NonFiniteResult naming the overflow."""
+        value, gradient, Hessian and coefficients), or NonFiniteResult naming the overflow."""
         for v, what in ((x, "point"), (y, "vector")):
             if np.shape(v)[-1] != self.n:
                 raise DimensionMismatch(f"{what} has length {np.shape(v)[-1]}, expected {self.n}")
@@ -243,32 +237,32 @@ class TermTable:
         if x.shape != y.shape:
             x, y = np.broadcast_arrays(x, y)
         v = np.concatenate((x, y), axis=-1)
-        index, powers, matrix, gather = self._passes[kind]
         with np.errstate(all="ignore"):
-            table = np.power.outer(v, powers)
-            monomials = table.reshape(table.shape[:-2] + (-1,))[..., index].prod(axis=-1)
-            out = (monomials @ matrix)[..., gather]
+            table = np.power.outer(v, self._powers)
+            monomials = table.reshape(table.shape[:-2] + (-1,))[..., self._index].prod(axis=-1)
+            out = (monomials @ self._matrix)[..., self._gather]
         if not all_finite(out):
             bad, n = ~np.isfinite(out).all(axis=-1), self.n
             points = [f"x={p[:n]}, y={p[n:]}" for p in np.reshape(v, (-1, 2 * n)).tolist()]
             for g, name in enumerate(self.names):
-                raise_first(bad[..., g], NonFiniteResult, f"overflow in the {name} {kind} at {{}}",
-                            points)
+                raise_first(bad[..., g], NonFiniteResult,
+                            f"overflow in the {name} value or derivatives at {{}}", points)
         return out
 
     def coefficients(self, x) -> np.ndarray:
-        """c_t(x) of the first group, one per term: (..., terms)."""
-        return self._pass("value", x, np.zeros(np.shape(x)))[..., 0, 1:]
+        """c_t(x) of the first group, one per term: (..., terms), read off the pass at y = 0."""
+        return self.jet(x, np.zeros(np.shape(x)))[1][..., 0, :]
 
     def value(self, x, y):
-        """Each group's sum, and max |c_t(x)| over its terms: two arrays (..., groups)."""
-        out = self._pass("value", x, y)
-        return out[..., 0], np.abs(out[..., 1:]).max(axis=-1, initial=0.0)
+        """Each group's sum, and max |c_t(x)| over its terms (the scale of its
+        floor), read off the pass: two arrays (..., groups)."""
+        jets, c = self.jet(x, y)
+        return jets.val, np.abs(c).max(axis=-1, initial=0.0)
 
     def jet(self, x, y):
         """Each group's sum as a Jet with a group axis, and its coefficients
         c_t(x) per group (..., groups, terms), 0 past the group's own terms."""
-        out, n2 = self._pass("value or derivatives", x, y), 2 * self.n
+        out, n2 = self._pass(x, y), 2 * self.n
         end = 1 + n2 + n2 * n2
         hess = out[..., 1 + n2 : end].reshape(out.shape[:-1] + (n2, n2))
         return Jet(out[..., 0], out[..., 1 : 1 + n2], hess), out[..., end:]
@@ -287,6 +281,8 @@ class CoefficientField:
                 raise ValueError(f"index {tuple(key)} is not canonical (sorted)")
             if ms.indices in canon:
                 raise ValueError(f"duplicate canonical index {ms.indices}")
+            if poly.n != n:
+                raise DimensionMismatch(f"entry {ms.indices} polynomial has wrong arity")
             canon[ms.indices] = poly
         self.n = int(n)
         self.m = int(m)
@@ -346,9 +342,6 @@ class OneFormField:
         if self._table is None:
             self._table = TermTable([self.term_group], self.n)
         return self._table
-
-    def values_at(self, x) -> np.ndarray:
-        return self.terms.coefficients(x)
 
     def is_constant(self) -> bool:
         return all(poly.is_constant() for poly in self.components)

@@ -73,24 +73,10 @@ def _residual(value, defect):
     return np.max(np.abs(defect), axis=-1) / (1.0 + np.abs(value))
 
 
-def dually_flat_defect(
-    field: CoefficientField, oneform: OneFormField, m: int, x, y
-) -> np.ndarray:
-    """Per-component [Fbar^2]_{x^k y^l} y^k - 2 [Fbar^2]_{x^l}, unnormalised."""
-    return _defect(calculus.kropina_energy(field, oneform, m), x, y, 2.0)[1]
-
-
 def dually_flat_residual(
     field: CoefficientField, oneform: OneFormField, m: int, x, y, jets=None
 ) -> float:
     return _residual(*_defect(calculus.kropina_energy(field, oneform, m), x, y, 2.0, jets))
-
-
-def proj_flat_defect(
-    field: CoefficientField, oneform: OneFormField, m: int, x, y
-) -> np.ndarray:
-    """Per-component [Fbar]_{x^k y^l} y^k - [Fbar]_{x^l}, unnormalised."""
-    return _defect(calculus.kropina_norm(field, oneform, m), x, y, 1.0)[1]
 
 
 def proj_flat_residual(

@@ -21,7 +21,6 @@ from typing import Optional
 import numpy as np
 
 from . import calculus
-from .errors import DegenerateOrderFour
 from .fields import CoefficientField, OneFormField, dot, matvec, outer
 from .metric import MetricPoint, _invert_guarded, metric_point
 
@@ -194,13 +193,6 @@ def _closed_inverse(
         lead = F ** (m - 2) * base.A_inv / (2 * tau ** 2 * (m - 1))
         tail = p2 * outer(y, y)
     return lead + p0 * outer(b_up, b_up) + mixed_coef * mixed + tail
-
-
-def gbar_inverse_closed(point: KropinaPoint, split: bool = False) -> np.ndarray:
-    """Closed-form contravariant tensor; raises at the order-4 degeneracy."""
-    if point.aux.degenerate_order4:
-        raise DegenerateOrderFour("closed-form inverse undefined at m = 4")
-    return _closed_inverse(point.base, point.b, point.beta, point.aux, split)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ form P/Q split is evaluated verbatim (both readings of its ambiguous scalar)
 and only ever reported.
 
 Both sprays and every x-derivative the split needs come from one derivative
-pass of A and beta (calculus.field_jets); only the verbatim tail X and its
-x-derivatives are still chained by hand, because the printed tail may be
-misprinted and no identity may be applied to it.  Everything but the
+pass of A and beta (calculus.field_jets).  The printed tail X is written once,
+verbatim, because it may be misprinted and no identity may be applied to it;
+its x-derivatives are that same formula under the complex step (Squire &
+Trapp, SIAM Review 40, 1998), exact to rounding.  Everything but the
 geodesic integrator also takes a stack of samples (N, n): the sprays are then
 one batched solve, and the split and the wedge hold one entry per sample.
 g is solved by metric.solve_guarded (its condition guard, then the LAPACK
@@ -52,30 +53,14 @@ def _spray(jet: calculus.Jet, y: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# contractions and their x-derivatives for the closed-form split
+# the verbatim tail of the split and its x-derivatives
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Bundle:
-    """Contractions and their exact x-derivatives at (x, y), per sample."""
-
-    A: float
-    A_i: np.ndarray
-    A_x: np.ndarray      # [..., k] = dA/dx^k
-    A_i_x: np.ndarray    # [..., k, i] = dA_i/dx^k
-    b: np.ndarray
-    b_jac: np.ndarray    # [..., i, k] = db_i/dx^k
-    beta: float
-    beta_x: np.ndarray   # [..., k] = dbeta/dx^k
-
-
-def _contractions(jets: calculus.Jet, m: int) -> _Bundle:
-    """Read the bundle off a pass of (A, beta): A_i = A_y / m, b = beta_y."""
-    A, beta = jets.group(0), jets.group(1)
-    return _Bundle(
-        A.val, A.grad_y / m, A.grad_x, A.hess_xy / m,
-        beta.grad_y, np.swapaxes(beta.hess_xy, -1, -2), beta.val, beta.grad_x,
-    )
+# The complex step: Im f(v + ih v') / h = f'(v) v' + O(h^2), with no difference
+# taken and so no cancellation, whatever h is.  At h = 1e-20 the O(h^2) term
+# lies some 40 orders below the derivative, far past rounding, while h v'
+# stays far above the subnormal range for any derivative a spec can reach.
+_COMPLEX_STEP = 1e-20
 
 
 def _metric_bracket(E: calculus.Jet, y: np.ndarray) -> np.ndarray:
@@ -88,10 +73,10 @@ def _metric_bracket(E: calculus.Jet, y: np.ndarray) -> np.ndarray:
     return 0.5 * vecmat(y, E.hess_xy) - E.grad_x
 
 
-def transform_tail(bundle: _Bundle, m: int) -> np.ndarray:
-    """The non-base tail of the split transformed tensor, evaluated verbatim."""
-    A_i, b = bundle.A_i, bundle.b
-    A, beta = bundle.A[..., None, None], bundle.beta[..., None, None]
+def transform_tail(A, A_i, b, beta, m: int) -> np.ndarray:
+    """The non-base tail of the split transformed tensor, evaluated verbatim
+    from A, A_i = A_y / m, b = beta_y and beta (complex in tail_x_derivatives)."""
+    A, beta = A[..., None, None], beta[..., None, None]
     qa = (4.0 - m) / m
     qc = (4.0 - 2.0 * m) / m
     cross = outer(A_i, b) + outer(b, A_i)
@@ -102,36 +87,17 @@ def transform_tail(bundle: _Bundle, m: int) -> np.ndarray:
     )
 
 
-def transform_tail_x_derivatives(bundle: _Bundle, m: int) -> np.ndarray:
-    """Exact [..., k, j, l] = d X_jl / dx^k for the verbatim tail above."""
-    A_i, b = bundle.A_i, bundle.b
-    A, beta = bundle.A[..., None, None], bundle.beta[..., None, None]
-    qa = (4.0 - m) / m
-    qb = 4.0 / m
-    qc = (4.0 - 2.0 * m) / m
-    cross = outer(A_i, b) + outer(b, A_i)
-    bb = outer(b, b)
-    aa = outer(A_i, A_i)
-    n = A_i.shape[-1]
-    out = np.zeros(A_i.shape[:-1] + (n, n, n))
-    for k in range(n):
-        Ax = bundle.A_x[..., k, None, None]
-        Aix = bundle.A_i_x[..., k, :]
-        bx = bundle.b_jac[..., :, k]
-        betax = bundle.beta_x[..., k, None, None]
-        cross_x = outer(Aix, b) + outer(A_i, bx) + outer(bx, A_i) + outer(b, Aix)
-        bb_x = outer(bx, b) + outer(b, bx)
-        aa_x = outer(Aix, A_i) + outer(A_i, Aix)
-        out[..., k, :, :] = (
-            -4 * (qa * A ** (qa - 1) * Ax * cross + A ** qa * cross_x) / beta ** 3
-            + 12 * A ** qa * cross * betax / beta ** 4
-            + qb * A ** (qb - 1) * Ax * bb / beta ** 4
-            + (2 + A ** qb) * bb_x / beta ** 4
-            - 4 * (2 + A ** qb) * bb * betax / beta ** 5
-            + 4 * (qc * A ** (qc - 1) * Ax * aa + A ** qc * aa_x) / beta ** 2
-            - 8 * A ** qc * aa * betax / beta ** 3
-        )
-    return out
+def tail_x_derivatives(A: calculus.Jet, beta: calculus.Jet, m: int) -> np.ndarray:
+    """[..., k, j, l] = dX_jl/dx^k: the tail above with each ingredient stepped
+    by ih times its x^k-derivative, read off the pass of (A, beta), k on a new axis."""
+    h = _COMPLEX_STEP
+    return transform_tail(
+        A.val[..., None] + 1j * h * A.grad_x,
+        (A.grad_y[..., None, :] + 1j * h * A.hess_xy) / m,
+        beta.grad_y[..., None, :] + 1j * h * beta.hess_xy,
+        beta.val[..., None] + 1j * h * beta.grad_x,
+        m,
+    ).imag / h
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +144,13 @@ def pq_decomposition(
     Gbar = _spray(calculus.kropina_energy(field, oneform, m).compose(jets), y)
     D = Gbar - G
 
-    bundle = _contractions(jets, m)
-    X = transform_tail(bundle, m)
+    A, beta = jets.group(0), jets.group(1)
+    X = transform_tail(A.val, A.grad_y / m, beta.grad_y, beta.val, m)
     # omega = 2 d(tau^2)/dx with tau^2 = A^(2/m) beta^(-2)
     omega = 2.0 * calculus.power(jets, (2.0 / m, -2.0)).grad_x
 
-    b2 = dot(bundle.b, matvec(base.A_inv, bundle.b))
-    aux = aux_scalars_from(base.F, bundle.beta, b2, m)
+    b_up = matvec(base.A_inv, beta.grad_y)
+    aux = aux_scalars_from(base.F, beta.val, dot(beta.grad_y, b_up), m)
 
     if aux.degenerate_order4:
         nanv = np.full(y.shape, NAN)
@@ -193,7 +159,7 @@ def pq_decomposition(
             nanv, nanv.copy(), nanv.copy(), nanv.copy(), aux, True,
         )
 
-    dX = transform_tail_x_derivatives(bundle, m)
+    dX = tail_x_derivatives(A, beta, m)
     g = base.g
     tau = aux.tau[..., None]
 
@@ -207,7 +173,6 @@ def pq_decomposition(
 
     F = base.F[..., None]
     p0, p1, p2, p3 = (v[..., None] for v in (aux.p0, aux.p1, aux.p2, aux.p3))
-    b_up = matvec(base.A_inv, bundle.b)
     P_closed = 0.25 * dot(p1 * b_up + p3 * y, S) + (
         (m - 2) / (4 * aux.tau ** 2 * base.F ** 2 * (m - 1))
     ) * dot(y, W)

@@ -199,6 +199,47 @@ def two_factor_pass(groups, n, x, y):
     return val, grad, hess
 
 
+# -- the split's tail differentiated by hand --------------------------------
+
+def _outer(u, v):
+    return u[..., :, None] * v[..., None, :]
+
+
+def hand_chained_tail_x_derivatives(A, beta, m):
+    """[..., k, j, l] = d X_jl / dx^k of the verbatim tail of spray.transform_tail,
+    chained term by term from the pass groups A and beta (Jets): the
+    hand-written reference for its complex-step derivative."""
+    n = A.grad_x.shape[-1]
+    A_i, b = A.grad_y / m, beta.grad_y
+    A_x, A_i_x, b_jac, beta_x = A.grad_x, A.hess_xy / m, np.swapaxes(beta.hess_xy, -1, -2), beta.grad_x
+    A, beta = A.val[..., None, None], beta.val[..., None, None]
+    qa = (4.0 - m) / m
+    qb = 4.0 / m
+    qc = (4.0 - 2.0 * m) / m
+    cross = _outer(A_i, b) + _outer(b, A_i)
+    bb = _outer(b, b)
+    aa = _outer(A_i, A_i)
+    out = np.zeros(A_i.shape[:-1] + (n, n, n))
+    for k in range(n):
+        Ax = A_x[..., k, None, None]
+        Aix = A_i_x[..., k, :]
+        bx = b_jac[..., :, k]
+        betax = beta_x[..., k, None, None]
+        cross_x = _outer(Aix, b) + _outer(A_i, bx) + _outer(bx, A_i) + _outer(b, Aix)
+        bb_x = _outer(bx, b) + _outer(b, bx)
+        aa_x = _outer(Aix, A_i) + _outer(A_i, Aix)
+        out[..., k, :, :] = (
+            -4 * (qa * A ** (qa - 1) * Ax * cross + A ** qa * cross_x) / beta ** 3
+            + 12 * A ** qa * cross * betax / beta ** 4
+            + qb * A ** (qb - 1) * Ax * bb / beta ** 4
+            + (2 + A ** qb) * bb_x / beta ** 4
+            - 4 * (2 + A ** qb) * bb * betax / beta ** 5
+            + 4 * (qc * A ** (qc - 1) * Ax * aa + A ** qc * aa_x) / beta ** 2
+            - 8 * A ** qc * aa * betax / beta ** 3
+        )
+    return out
+
+
 # -- the sampler as a loop over attempts ------------------------------------
 
 def sample_points_loop(n, count, seed, x_box, y_box, domain_check, attempt_factor):

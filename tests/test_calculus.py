@@ -28,15 +28,15 @@ def fixture_functions(field, oneform, m):
 
 
 def test_grad_y_of_diag_form():
-    fn = calculus.form_function(diag_quartic())
-    grad = calculus.grad_y(fn, [0.0, 0.0], [1.0, 2.0])
+    fn = ScalarFunction("form", diag_quartic(), 1.0)
+    grad = calculus.derivatives(fn, [0.0, 0.0], [1.0, 2.0]).grad_y
     np.testing.assert_allclose(grad, [4.0, 32.0], atol=1e-12)
 
 
 def test_hess_of_bilinear_product():
     # f = y1 * y2 (entry a_12 = 1/2 times its multiplicity 2) has constant
     # Hessian [[0,1],[1,0]]
-    fn = calculus.form_function(CoefficientField.constant(2, 2, {(1, 2): 0.5}))
+    fn = ScalarFunction("form", CoefficientField.constant(2, 2, {(1, 2): 0.5}), 1.0)
     hess = calculus.hess_y(fn, [0.0, 0.0], [3.7, 2.5])
     np.testing.assert_array_equal(hess, [[0.0, 1.0], [1.0, 0.0]])
 
@@ -49,7 +49,7 @@ def test_minkowski_x_gradient_is_zero():
 
 
 def test_cubic_x_gradients():
-    fn = calculus.form_function(cubic_x())
+    fn = ScalarFunction("form", cubic_x(), 1.0)
     np.testing.assert_allclose(
         calculus.grad_x(fn, [0.0, 0.0], [1.0, 1.0]), [2.0, 0.0], atol=1e-14
     )
@@ -74,7 +74,7 @@ def test_norm_euler_identity():
         fn = calculus.mth_root_norm(field, m)
         for x, y in seeded_points(field.n, 50, seed=23):
             value = fn(x, y)
-            grad = calculus.grad_y(fn, x, y)
+            grad = calculus.derivatives(fn, x, y).grad_y
             assert rel_err(float(grad @ y), value) <= 1e-10, name
 
 

@@ -234,15 +234,15 @@ def test_verify_nonfinite_row_exits_3(monkeypatch, capsys, bad_sample):
     from mrootfinsler import calculus, cli, sampling, spray
     from mrootfinsler.specfile import load_spec
 
-    real_dX = spray.transform_tail_x_derivatives
+    real_dX = spray.tail_x_derivatives
 
-    def dX(bundle, m):
-        out = real_dX(bundle, m)
+    def dX(A, beta, m):
+        out = real_dX(A, beta, m)
         if out.ndim == 4 and len(out) > bad_sample:  # the stack of all samples
             out[bad_sample] = np.nan
         return out
 
-    monkeypatch.setattr(spray, "transform_tail_x_derivatives", dX)
+    monkeypatch.setattr(spray, "tail_x_derivatives", dX)
     spec = FIXTURES / "cubic_x.json"
     rc = cli.main(["verify", "--spec", str(spec), "--samples", "6", "--seed", "0"])
     assert rc == 3
@@ -548,9 +548,16 @@ GEODESIC = ("geodesic", "--spec", CUBIC, "--x0", "0,0", "--y0", "1,0.5")
     (GEODESIC + ("--t", "nan", "--steps", "10"), None),
     (("check", "dually-flat", "--spec", CUBIC, "--tol", "nan", "--json"), None),
     (("check", "dually-flat", "--spec", CUBIC, "--tol=-1e-8"), None),
+    (("eval", "--spec", CUBIC, "--x", "nan,0", "--y", "1,1"), None),
+    (("eval", "--spec", CUBIC, "--x", "0,0", "--y", "1,inf"), None),
+    (("geodesic", "--spec", CUBIC, "--x0=nan,0", "--y0", "1,0.5", "--t", "0.5", "--steps", "10"),
+     None),
+    (("geodesic", "--spec", CUBIC, "--x0", "0,0", "--y0=-inf,0.5", "--t", "0.5", "--steps", "10"),
+     None),
 ], ids=[
     "box-empty", "ybox-not-numbers", "box-span-infinite", "seed-negative", "seed-env-negative",
     "samples-zero", "steps-zero", "t-nan", "tol-nan", "tol-negative",
+    "eval-x-nan", "eval-y-inf", "geodesic-x0-nan", "geodesic-y0-inf",
 ])
 def test_invalid_values_exit_2(tmp_path, args, env):
     out = tmp_path / "path.txt"
@@ -561,6 +568,22 @@ def test_invalid_values_exit_2(tmp_path, args, env):
     lines = res.stderr.decode().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
     assert res.stdout == b""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, args", [
+    ("--x", ("eval", "--x", "nan,0", "--y", "1,1")),
+    ("--y", ("eval", "--x", "0,0", "--y", "1,inf")),
+    ("--x0", ("geodesic", "--x0=nan,0", "--y0", "1,0.5", "--t", "0.5", "--steps", "10")),
+    ("--y0", ("geodesic", "--x0", "0,0", "--y0=-inf,0.5", "--t", "0.5", "--steps", "10")),
+])
+def test_nonfinite_point_names_its_flag(tmp_path, capsys, flag, args):
+    from mrootfinsler import cli
+
+    out = tmp_path / "path.txt"
+    rc = cli.main(list(args) + ["--spec", CUBIC] + (["--out", str(out)] if args[0] == "geodesic" else []))
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {flag}: every value must be finite\n"
     assert not out.exists()
 
 

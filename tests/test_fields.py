@@ -41,12 +41,12 @@ def test_form_x_derivative_examples():
 
 def test_oneform_examples():
     bf = b_const(2)
-    np.testing.assert_array_equal(bf.values_at([3.0, -1.0]), [1.0, 0.0])
+    np.testing.assert_array_equal(bf.terms.coefficients([3.0, -1.0]), [1.0, 0.0])
     beta = bf.terms.jet([3.0, -1.0], [1.0, 1.0])[0].group(0)
     np.testing.assert_array_equal(beta.hess_xy, np.zeros((2, 2)))
 
     bx = b_bx()
-    np.testing.assert_array_equal(bx.values_at([0.0, 1.0]), [2.0, 0.0])
+    np.testing.assert_array_equal(bx.terms.coefficients([0.0, 1.0]), [2.0, 0.0])
     beta = bx.terms.jet([0.0, 1.0], [3.0, 5.0])[0].group(0)
     jac = beta.hess_xy.T  # [i, k] = db_i/dx^k
     assert jac[0, 1] == 1.0
@@ -72,7 +72,7 @@ def test_oneform_jacobian_matches_central_differences():
     jac = bx.terms.jet(x, [1.0, 1.0])[0].group(0).hess_xy.T
     for i in range(2):
         def comp(xx, i=i):
-            return bx.values_at(xx)[i]
+            return bx.terms.coefficients(xx)[i]
         fd = oracles.fd_grad(comp, x)
         np.testing.assert_allclose(jac[i], fd, atol=1e-8)
 
@@ -106,6 +106,10 @@ def test_field_validation():
         CoefficientField(2, 3, {(2, 1, 1): Polynomial.constant(2, 1.0)})
     with pytest.raises(DimensionMismatch):
         CoefficientField(2, 3, {(1, 1): Polynomial.constant(2, 1.0)})
+    # an entry polynomial in three variables for a field in two: refused at
+    # construction, not at the first pass
+    with pytest.raises(DimensionMismatch, match="wrong arity"):
+        CoefficientField(2, 3, {(1, 1, 1): Polynomial(3, [((0, 0, 0), 1.0)])})
     field = cubic_x()
     with pytest.raises(DimensionMismatch):
         field.tensor_at([0.0, 0.0, 0.0])
@@ -119,13 +123,13 @@ def test_field_validation():
 def test_pair_pass_matches_single_field_passes(name):
     # the fused table of (A, beta) must give each group exactly what the
     # form-only and the one-form-only tables give, guard scales included,
-    # in the derivative pass and in the value pass (A and beta, not A + beta)
+    # in the derivative pass and in the values it gives the sampler (A and beta, not A + beta)
     doc, accepted, (xs, ys) = spec_samples(name, 12, seed=8)
     pair = doc.field.terms_with(doc.oneform)
     for x, y in [accepted[0], (xs, ys)]:
         jets, c = pair.jet(x, y)
         values, scale = pair.value(x, y)
-        np.testing.assert_allclose(values, jets.val, rtol=1e-13)
+        assert np.array_equal(values, jets.val), name
         for g, table in enumerate((doc.field.terms, doc.oneform.terms)):
             alone_values, alone_scale = table.value(x, y)
             assert np.array_equal(values[..., g], alone_values[..., 0]), (name, g)
@@ -141,7 +145,7 @@ def test_pair_pass_matches_single_field_passes(name):
 
 
 def test_pair_pass_guards():
-    # each floor of the derivative pass is the floor of the sampler's value pass
+    # each floor of the derivative pass is the floor of the sampler's check
     field, oneform = cubic_x(), b_bx()
     for x, y, alone in (
         ([-1.0, 0.5], [1.0, 1.0], calculus.domain_check(field, None)),  # A = 0, beta = 1.5
@@ -194,6 +198,22 @@ def _fields(name):
     return doc.field, doc.oneform
 
 
+@pytest.mark.parametrize("name", ONE_FORM_SPECS + ("random",))
+def test_value_is_read_off_the_derivative_pass(name):
+    # the sampler's values and floor scales and those of the derivative pass
+    # are one computation: a draw exactly at a floor cannot be accepted by
+    # one and refused by the other
+    field, oneform = _fields(name)
+    rng = np.random.default_rng(5)
+    xs, ys = rng.uniform(-1.0, 1.0, (6, field.n)), rng.uniform(0.1, 2.0, (6, field.n))
+    for table in (field.terms_with(oneform), field.terms, oneform.terms):
+        for x, y in ((xs[0], ys[0]), (xs, ys)):
+            values, scale = table.value(x, y)
+            jets, c = table.jet(x, y)
+            assert np.array_equal(values, jets.val), name
+            assert np.array_equal(scale, np.abs(c).max(axis=-1)), name
+
+
 @pytest.mark.parametrize("name", ("riemann_identity",) + ONE_FORM_SPECS + ("random",))
 def test_pass_matches_two_factor_oracle(name):
     # the one-matrix pass against the coefficients-times-monomials evaluator,
@@ -216,13 +236,13 @@ def test_pass_matches_two_factor_oracle(name):
                     for g in range(len(groups)):
                         bound = 1e-13 * np.abs(want[g]).max()
                         assert np.all(np.abs(got[g] - want[g]) <= bound), (name, len(groups), g)
-                np.testing.assert_allclose(values[at], jets.val[at], rtol=1e-13)
+                assert np.array_equal(values[at], jets.val[at]), name
                 for g, source in enumerate(fields):
                     polys = groups[g][0]
                     exact = [poly(xk) for poly in polys]
                     np.testing.assert_allclose(c[at][g, : len(polys)], exact, rtol=1e-14, atol=0)
                     assert not c[at][g, len(polys):].any()
-                    assert scale[at][g] == pytest.approx(np.abs(c[at][g]).max(), rel=1e-14)
+                    assert scale[at][g] == np.abs(c[at][g]).max()
                     if source.is_constant():
                         # no x-dependence: the x-blocks are 0, not rounding noise
                         n = field.n

@@ -13,18 +13,16 @@ from conftest import (
     seeded_points,
     spec_samples,
 )
-from mrootfinsler import flatness
+from mrootfinsler import calculus, flatness
 from mrootfinsler.errors import DomainError, NonFiniteResult, RiemannianOrderWarning, raise_first
 from mrootfinsler.fields import CoefficientField, Polynomial
 from mrootfinsler.flatness import (
     DEFAULT_TOL,
     check_report,
     dually_flat_condition,
-    dually_flat_defect,
     dually_flat_residual,
     intermediates,
     proj_flat_condition,
-    proj_flat_defect,
     proj_flat_residual,
 )
 from mrootfinsler.sampling import stack
@@ -57,17 +55,28 @@ def test_golden_residuals():
         )
 
 
+def _defect(fn, x, y, factor):
+    """[fn]_{x^k y^l} y^k - factor [fn]_{x^l}, from the slices of one pass."""
+    jet = calculus.derivatives(fn, x, y)
+    return y @ jet.hess_xy - factor * jet.grad_x
+
+
 def test_defect_homogeneity_degrees():
     # squared-norm defect is degree 2 in y, norm defect is degree 1
     field, oneform = cubic_x(), b_const(2)
     x = np.array([0.1, 0.2])
     y = np.array([0.9, 1.3])
-    df = dually_flat_defect(field, oneform, 3, x, y)
-    df2 = dually_flat_defect(field, oneform, 3, x, 2.0 * y)
+    energy, norm = calculus.kropina_energy(field, oneform, 3), calculus.kropina_norm(field, oneform, 3)
+    df = _defect(energy, x, y, 2.0)
+    df2 = _defect(energy, x, 2.0 * y, 2.0)
     np.testing.assert_allclose(df2, 4.0 * df, atol=1e-8)
-    pf = proj_flat_defect(field, oneform, 3, x, y)
-    pf2 = proj_flat_defect(field, oneform, 3, x, 2.0 * y)
+    pf = _defect(norm, x, y, 1.0)
+    pf2 = _defect(norm, x, 2.0 * y, 1.0)
     np.testing.assert_allclose(pf2, 2.0 * pf, atol=1e-8)
+    # the residuals are these defects, normalised
+    for residual, fn, defect in ((dually_flat_residual, energy, df), (proj_flat_residual, norm, pf)):
+        expected = np.abs(defect).max() / (1.0 + abs(fn(x, y)))
+        assert residual(field, oneform, 3, x, y) == pytest.approx(expected, rel=1e-13)
 
 
 def test_intermediates_exact_and_vs_fd():
@@ -113,8 +122,8 @@ def test_conditions_match_independent_reassembly():
     y = np.array([0.9, 1.3])
     A = field.tensor_at(x).eval(y)
     F = A ** (1.0 / m)
-    beta = float(oneform.values_at(x) @ y)
-    b = oneform.values_at(x)
+    beta = float(oneform.terms.coefficients(x) @ y)
+    b = oneform.terms.coefficients(x)
     Ay = oracles.fd_grad(lambda yy: field.tensor_at(x).eval(yy), y)
     Axl = oracles.fd_grad(lambda xx: field.tensor_at(xx).eval(y), x)
     A0 = float(Axl @ y)
@@ -155,11 +164,11 @@ def test_proj_flat_condition_final_term_variants():
     x = np.array([0.2, 0.4])
     y = np.array([0.9, 1.3])
     cond = proj_flat_condition(field, oneform, m, x, y)
-    beta = float(oneform.values_at(x) @ y)
+    beta = float(oneform.terms.coefficients(x) @ y)
     itm = intermediates(field, oneform, x, y)
     bky = float(itm.beta_l @ y)
     A = field.tensor_at(x).eval(y)
-    b = oneform.values_at(x)
+    b = oneform.terms.coefficients(x)
     expected_gap = m * A * bky * b * (1.0 / beta - 1.0 / beta ** 2)
     np.testing.assert_allclose(cond.rhs - cond.rhs_alt, expected_gap, atol=1e-10)
     assert beta != pytest.approx(1.0)
@@ -175,8 +184,8 @@ def test_order2_prefactor_vanishes():
     assert itm.A0 != 0.0
     with pytest.warns(RiemannianOrderWarning, match="order 2 is Riemannian"):
         cond = proj_flat_condition(field, oneform, m, x, y)
-    b = oneform.values_at(x)
-    beta = float(oneform.values_at(x) @ y)
+    b = oneform.terms.coefficients(x)
+    beta = float(oneform.terms.coefficients(x) @ y)
     rebuilt = itm.A0l - (itm.A0 / beta) * b  # remaining terms (beta_l = 0)
     np.testing.assert_allclose(cond.rhs, rebuilt, atol=1e-12)
 

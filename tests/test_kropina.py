@@ -16,14 +16,13 @@ from conftest import (
 )
 from mrootfinsler import report, spray
 from mrootfinsler.errors import (
-    DegenerateOrderFour,
     DomainError,
     NonFiniteResult,
     RiemannianOrderWarning,
 )
 from mrootfinsler.kropina import (
+    _closed_inverse,
     B2_NOTE,
-    gbar_inverse_closed,
     DiscrepancyReport,
     ResidualRow,
     kropina_point,
@@ -75,8 +74,11 @@ def test_aux_scalars_order4_flagged():
     assert np.isnan(aux.delta) and np.isnan(aux.p0) and np.isnan(aux.p3)
     # scalars upstream of the degeneracy stay defined
     assert aux.tau == pytest.approx(p.base.F / p.beta, abs=1e-14)
-    with pytest.raises(DegenerateOrderFour):
-        gbar_inverse_closed(p)
+    # the closed-form inverse is undefined: NaN in the point, degenerate rows
+    assert np.isnan(p.gbar_inv_closed).all() and np.isnan(p.gbar_inv_split).all()
+    rows = {row.formula: row for row in verify_kropina_forms(p).rows}
+    for formula in ("gbar_inv_closed", "gbar_inv_split"):
+        assert rows[formula].max_abs is None and rows[formula].note == "degenerate at m = 4"
 
 
 def test_aux_scalars_cubic_values():
@@ -94,9 +96,9 @@ def test_closed_inverse_recorded_against_numeric():
     field, oneform = cubic_x(), b_const(2)
     for x, y in seeded_points(2, 10, seed=59):
         p = kropina_point(field, oneform, 3, x, y)
-        closed = gbar_inverse_closed(p)
+        closed = _closed_inverse(p.base, p.b, p.beta, p.aux, split=False)
         np.testing.assert_allclose(closed, p.gbar_inv_closed, atol=1e-12)
-        split = gbar_inverse_closed(p, split=True)
+        split = _closed_inverse(p.base, p.b, p.beta, p.aux, split=True)
         np.testing.assert_allclose(split, p.gbar_inv_split, atol=1e-12)
         # identity deviation is recorded, not asserted: just check finite
         dev = np.max(np.abs(closed @ p.gbar_oracle - np.eye(2)))
@@ -237,15 +239,15 @@ def test_stack_raises_what_a_sample_loop_meets_first(monkeypatch):
         report.point_report(field, oneform, 3, xs, ys)
     assert exc.value.sample == 4
 
-    real_dX = spray.transform_tail_x_derivatives
+    real_dX = spray.tail_x_derivatives
 
-    def dX(bundle, m):
-        out = real_dX(bundle, m)
+    def dX(A, beta, m):
+        out = real_dX(A, beta, m)
         if len(out) > 2:
             out[2] = np.nan
         return out
 
-    monkeypatch.setattr(spray, "transform_tail_x_derivatives", dX)
+    monkeypatch.setattr(spray, "tail_x_derivatives", dX)
     with pytest.raises(NonFiniteResult, match="spray_split residual") as exc:
         report.point_report(field, oneform, 3, xs, ys)
     assert exc.value.sample == 2

@@ -111,7 +111,7 @@ def test_one_form_optional_and_padded():
     assert doc.oneform is None
     doc2 = parse_spec(doc_text())
     # missing second component defaults to zero
-    assert doc2.oneform.values_at([0.0, 0.0]).tolist() == [1.0, 0.0]
+    assert doc2.oneform.terms.coefficients([0.0, 0.0]).tolist() == [1.0, 0.0]
 
 
 def test_hash_tracks_bytes():

@@ -19,16 +19,16 @@ from mrootfinsler import calculus
 from mrootfinsler.errors import DomainError, NonFiniteResult, SingularMatrix
 from mrootfinsler.metric import metric_point
 from mrootfinsler.specfile import load_spec
+from mrootfinsler.fields import CoefficientField, OneFormField, Polynomial
 from mrootfinsler.spray import (
-    _contractions,
     _metric_bracket,
     integrate_geodesic,
     pq_decomposition,
     projective_residual,
     split_defect,
     spray_coeffs,
+    tail_x_derivatives,
     transform_tail,
-    transform_tail_x_derivatives,
 )
 
 # Golden values frozen from the independent finite-difference oracle
@@ -82,15 +82,16 @@ def test_analytic_x_derivative_chains_match_fd():
     y = np.array([0.7, 1.1])
     jets = calculus.field_jets(field, oneform, x, y)
     V = _metric_bracket(calculus.base_energy(field, m).compose(jets), y)
-    dX = transform_tail_x_derivatives(_contractions(jets, m), m)
+    dX = tail_x_derivatives(jets.group(0), jets.group(1), m)
     omega = pq_decomposition(field, oneform, m, x, y).omega
 
     def X_entry(xx, i, j):
-        return transform_tail(_contractions(calculus.field_jets(field, oneform, xx, y), m), m)[i, j]
+        A, beta = map(calculus.field_jets(field, oneform, xx, y).group, (0, 1))
+        return transform_tail(A.val, A.grad_y / m, beta.grad_y, beta.val, m)[i, j]
 
     def two_tau_sq(xx):
         p = metric_point(field, m, xx, y)
-        beta = float(oneform.values_at(xx) @ y)
+        beta = float(oneform.terms.coefficients(xx) @ y)
         return 2.0 * (p.F / beta) ** 2
 
     # dg[j, l, k] = d g_jl / dx^k, then V_l = sum_jk (dg_jl/dx^k - dg_jk/dx^l) y^j y^k
@@ -107,6 +108,42 @@ def test_analytic_x_derivative_chains_match_fd():
             fd_X = oracles.fd_grad(lambda xx: X_entry(xx, i, j), x)
             np.testing.assert_allclose(dX[:, i, j], fd_X, atol=1e-6)
     np.testing.assert_allclose(omega, oracles.fd_grad(two_tau_sq, x), atol=1e-8)
+
+
+def _quintic_x():
+    """n = 2, m = 5 with x-dependent A and beta: the tail's exponents
+    (4 - m)/m and (4 - 2m)/m are both negative."""
+    def poly(*terms):
+        return Polynomial(2, terms)
+
+    field = CoefficientField(2, 5, {
+        (1, 1, 1, 1, 1): poly(((0, 0), 1.0), ((1, 0), 0.5)),
+        (1, 1, 2, 2, 2): poly(((0, 0), 0.1), ((1, 1), 0.05)),
+        (2, 2, 2, 2, 2): poly(((0, 0), 1.0), ((0, 2), 0.25)),
+    })
+    oneform = OneFormField(2, [poly(((0, 0), 1.0), ((0, 1), 0.5)), poly(((1, 0), 0.5),)])
+    return field, oneform, 5
+
+
+@pytest.mark.parametrize("name", ["cubic_x", "cubic_x_bx", "quintic_x"])
+def test_complex_step_tail_matches_hand_chain(name):
+    # the complex step through the verbatim tail against the tail
+    # differentiated term by term, at one point and on a stack
+    if name == "quintic_x":
+        field, oneform, m = _quintic_x()
+        accepted = seeded_points(2, 12, seed=19)
+        xs, ys = (np.array(v) for v in zip(*accepted))
+    else:
+        doc, accepted, (xs, ys) = spec_samples(name, 12, seed=19)
+        field, oneform, m = doc.field, doc.oneform, doc.m
+    for x, y in [accepted[0], (xs, ys)]:
+        A, beta = map(calculus.field_jets(field, oneform, x, y).group, (0, 1))
+        got = tail_x_derivatives(A, beta, m)
+        want = oracles.hand_chained_tail_x_derivatives(A, beta, m)
+        assert got.shape == want.shape == np.shape(y)[:-1] + (2, 2, 2)
+        assert np.abs(want).max() > 0.0, name
+        for k in np.ndindex(np.shape(y)[:-1]):
+            assert np.abs(got[k] - want[k]).max() <= 1e-13 * np.abs(want[k]).max(), (name, k)
 
 
 def test_pq_decomposition_fields():

@@ -116,7 +116,7 @@ def test_contract_matches_scaled_derivatives():
     # the calculus layer differentiates eval directly; contractions must agree
     for name, make, m, _ in MAIN_FIXTURES:
         field = make()
-        fn = calculus.form_function(field)
+        fn = calculus.ScalarFunction("form", field, 1.0)
         for x, y in seeded_points(field.n, 5, seed=7):
             tensor = field.tensor_at(x)
             _, grad, hess = calculus.value_grad_hess_y(fn, x, y)
