@@ -8,7 +8,6 @@ are first-class outputs.
 __version__ = "0.1.0"
 
 from .errors import (  # noqa: F401
-    DegenerateOrderFour,
     DimensionMismatch,
     DomainError,
     FinslerError,

@@ -27,7 +27,6 @@ import numpy as np
 
 from . import __version__, calculus, flatness, kropina, report, sampling, spray
 from .errors import (
-    DegenerateOrderFour,
     DimensionMismatch,
     DomainError,
     FinslerError,
@@ -42,7 +41,7 @@ from .errors import (
 from .specfile import MetricSpecDocument, _read, parse_spec
 
 INPUT_ERRORS = (ParseError, ValidationError, DimensionMismatch, IndexOutOfRange, OrderOutOfRange)
-NUMERIC_ERRORS = (DomainError, NonFiniteResult, SingularMatrix, DegenerateOrderFour)
+NUMERIC_ERRORS = (DomainError, NonFiniteResult, SingularMatrix)
 
 
 def _fmt(value) -> str:
@@ -282,10 +281,9 @@ def cmd_eval(args, argv) -> int:
     x = _csv_floats(args.x, doc.n, "--x")
     y = _csv_floats(args.y, doc.n, "--y")
 
-    jets = calculus.field_jets(doc.field, oneform, x, y)
-    point = kropina.kropina_point(doc.field, oneform, doc.m, x, y, jets)
+    point = kropina.kropina_point(doc.field, oneform, doc.m, x, y)
     base = point.base
-    g_oracle = 0.5 * calculus.base_energy(doc.field, doc.m).compose(jets).hess_yy
+    g_oracle = 0.5 * calculus.base_energy(doc.field, doc.m).compose(point.jets).hess_yy
 
     if args.json:
         payload = _envelope("eval", doc, argv)

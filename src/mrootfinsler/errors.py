@@ -50,10 +50,6 @@ class SingularMatrix(FinslerError):
     """Matrix inversion refused: condition number above the guard."""
 
 
-class DegenerateOrderFour(FinslerError):
-    """The closed-form scalar family is singular at order m = 4."""
-
-
 class ParseError(FinslerError):
     """Metric-spec document is not well-formed."""
 

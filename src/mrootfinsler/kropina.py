@@ -1,35 +1,29 @@
-"""Transformed-metric quantities of Fbar = F^2/beta and their adjudication.
+"""Transformed-metric quantities of Fbar = F^2/beta.
 
 Several of the printed closed forms for the transformed fundamental tensor and
 its inverse are mutually inconsistent, so the single source of truth is the
-differentiation oracle (half the y-Hessian of Fbar^2).  Every closed form is
-evaluated verbatim and its residual against the oracle is *reported*, never
-asserted; only the supporting covector, which is a direct first derivative, is
-expected to be tight.
+differentiation oracle (half the y-Hessian of Fbar^2).  `kropina_point`
+evaluates every closed form verbatim next to its oracle quantity; the
+residual rows of `verify` are defined in one table in `report`, which reads
+them off this snapshot and the spray split (`spray.pq_decomposition`) that
+reuses it.
 
-Points may come stacked (N, n): the snapshot, the scalar family and the
-residual rows then hold one entry per sample (per-sample scalars gain unit
-axes to broadcast against vectors and matrices); `report` guards the rows
-finite and reduces them to their per-formula maxima (`report.reduce_report`).
+Points may come stacked (N, n): the snapshot and the scalar family then hold
+one entry per sample (per-sample scalars gain unit axes to broadcast against
+vectors and matrices).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import calculus
-from .fields import CoefficientField, OneFormField, dot, matvec, outer
+from .fields import CoefficientField, Jet, OneFormField, dot, matvec, outer
 from .metric import MetricPoint, _invert_guarded, metric_point
 
 NAN = float("nan")
-
-# Interpretation recorded in every report: the squared length of the one-form
-# is raised with the inverse second contraction (the only inverse available at
-# this stage), not with the transformed metric.
-B2_NOTE = "b^2 = A^ij b_i b_j (one-form raised with the inverse second contraction)"
 
 
 @dataclass
@@ -85,8 +79,13 @@ def aux_scalars_from(F: float, beta: float, b2: float, m: int) -> AuxScalars:
 
 @dataclass
 class KropinaPoint:
-    """Every transformed quantity at (x, y), closed forms and oracle side, per sample of a stack."""
+    """Every transformed quantity at (x, y), closed forms and oracle side, per sample of a stack.
 
+    It also keeps what the spray split reads: the pass (A, beta), the Fbar^2
+    jet composed from it and the raised one-form A^ij b_j.
+    """
+
+    jets: Jet                   # the pass (A, beta)
     base: MetricPoint
     oneform: OneFormField
     b: np.ndarray
@@ -102,16 +101,18 @@ class KropinaPoint:
     gbar_inv_split: np.ndarray  # split-form inverse (NaN matrix at m = 4)
     gbar_inv_numeric: np.ndarray
     lbar_oracle: np.ndarray     # y-gradient of Fbar
+    energy: Jet                 # Fbar^2 with its derivatives
+    b_up: np.ndarray            # A^ij b_j
     aux: AuxScalars
 
 
 def kropina_point(
-    field: CoefficientField, oneform: OneFormField, m: int, x, y, jets=None
+    field: CoefficientField, oneform: OneFormField, m: int, x, y
 ) -> KropinaPoint:
-    """The transformed snapshot; `jets` is the pass (A, beta) when the caller made it."""
+    """The transformed snapshot, from one pass of (A, beta)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    jets = calculus.field_jets(field, oneform, x, y) if jets is None else jets
+    jets = calculus.field_jets(field, oneform, x, y)
     base = metric_point(field, m, x, y, jets.group(0))
     b, beta = jets.group(1).grad_y, jets.group(1).val
     F, A_i, A_ij = base.F, base.A_i, base.A_ij
@@ -152,27 +153,28 @@ def kropina_point(
     hbar_oracle = Fbarm * norm_jet.hess_yy
     gbar_inv_numeric = _invert_guarded(gbar_oracle, "transformed fundamental tensor")
 
-    b2 = dot(b, matvec(base.A_inv, b))
-    aux = aux_scalars_from(F, beta, b2, m)
+    b_up = matvec(base.A_inv, b)
+    aux = aux_scalars_from(F, beta, dot(b, b_up), m)
 
     if aux.degenerate_order4:
         gbar_inv_closed = np.full(A_ij.shape, NAN)
         gbar_inv_split = gbar_inv_closed.copy()
     else:
-        gbar_inv_closed = _closed_inverse(base, b, beta, aux, split=False)
-        gbar_inv_split = _closed_inverse(base, b, beta, aux, split=True)
+        gbar_inv_closed = _closed_inverse(base, b_up, beta, aux, split=False)
+        gbar_inv_split = _closed_inverse(base, b_up, beta, aux, split=True)
 
     return KropinaPoint(
-        base=base, oneform=oneform, b=b, beta=beta, Fbar=Fbar, lbar=lbar,
+        jets=jets, base=base, oneform=oneform, b=b, beta=beta, Fbar=Fbar, lbar=lbar,
         hbar_closed=hbar_closed, hbar_oracle=hbar_oracle,
         gbar_closed=gbar_closed, gbar_split=gbar_split, gbar_oracle=gbar_oracle,
         gbar_inv_closed=gbar_inv_closed, gbar_inv_split=gbar_inv_split,
-        gbar_inv_numeric=gbar_inv_numeric, lbar_oracle=norm_jet.grad_y, aux=aux,
+        gbar_inv_numeric=gbar_inv_numeric, lbar_oracle=norm_jet.grad_y,
+        energy=energy_jet, b_up=b_up, aux=aux,
     )
 
 
 def _closed_inverse(
-    base: MetricPoint, b: np.ndarray, beta: float, aux: AuxScalars, split: bool
+    base: MetricPoint, b_up: np.ndarray, beta: float, aux: AuxScalars, split: bool
 ) -> np.ndarray:
     m, y = base.m, base.y
     F, beta, tau, p0, p1, p2, p3, d2 = (
@@ -180,7 +182,6 @@ def _closed_inverse(
             base.F, beta, aux.tau, aux.p0, aux.p1, aux.p2, aux.p3, aux.d2
         )
     )
-    b_up = matvec(base.A_inv, b)
     mixed = outer(b_up, y) + outer(y, b_up)
     mixed_coef = (
         2 * beta ** 3 * (m - 4) * p1
@@ -193,80 +194,3 @@ def _closed_inverse(
         lead = F ** (m - 2) * base.A_inv / (2 * tau ** 2 * (m - 1))
         tail = p2 * outer(y, y)
     return lead + p0 * outer(b_up, b_up) + mixed_coef * mixed + tail
-
-
-# ---------------------------------------------------------------------------
-# discrepancy reporting
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ResidualRow:
-    """Max residual of one closed form against its oracle quantity.
-
-    On a stack of samples max_abs and max_rel hold one value per sample and
-    x and y the stacked points; report.reduce_report reduces them to the maximum.
-    """
-
-    formula: str
-    max_abs: Optional[float]
-    max_rel: Optional[float]
-    x: Optional[tuple] = None
-    y: Optional[tuple] = None
-    note: str = ""
-
-
-@dataclass
-class DiscrepancyReport:
-    rows: list
-    points: int
-    degenerate_order4: bool = False
-    notes: list = dc_field(default_factory=list)
-
-
-def _row(formula, closed, reference, point, note="") -> ResidualRow:
-    # a vector or matrix per sample: the maxima run over its trailing axes
-    axes = tuple(range(point.base.y.ndim - 1 - closed.ndim, 0))
-    diff = np.max(np.abs(closed - reference), axis=axes)
-    rel = diff / (1.0 + np.max(np.abs(reference), axis=axes))
-    return ResidualRow(formula, diff, rel, point.base.x, point.base.y, note)
-
-
-def _degenerate_row(formula) -> ResidualRow:
-    return ResidualRow(formula, None, None, note="degenerate at m = 4")
-
-
-def verify_kropina_forms(point: KropinaPoint) -> DiscrepancyReport:
-    """Residual rows for every transformed closed form, per sample of the point's stack."""
-    rows = [
-        _row("lbar_closed", point.lbar, point.lbar_oracle, point),
-        _row("hbar_closed", point.hbar_closed, point.hbar_oracle, point),
-        _row("gbar_closed", point.gbar_closed, point.gbar_oracle, point),
-        _row("gbar_split", point.gbar_split, point.gbar_oracle, point),
-    ]
-    if point.aux.degenerate_order4:
-        rows += [
-            _degenerate_row("gbar_inv_closed"),
-            _degenerate_row("gbar_inv_split"),
-            _degenerate_row("gbar_inv_closed_identity"),
-            _degenerate_row("gbar_inv_split_identity"),
-        ]
-    else:
-        eye = np.eye(point.base.n)
-        rows += [
-            _row("gbar_inv_closed", point.gbar_inv_closed, point.gbar_inv_numeric, point),
-            _row("gbar_inv_split", point.gbar_inv_split, point.gbar_inv_numeric, point),
-            _row(
-                "gbar_inv_closed_identity",
-                point.gbar_inv_closed @ point.gbar_oracle, eye, point,
-                note="closed inverse times oracle tensor vs identity",
-            ),
-            _row(
-                "gbar_inv_split_identity",
-                point.gbar_inv_split @ point.gbar_oracle, eye, point,
-                note="split inverse times oracle tensor vs identity",
-            ),
-        ]
-    return DiscrepancyReport(
-        rows=rows, points=int(np.prod(point.base.y.shape[:-1])),
-        degenerate_order4=point.aux.degenerate_order4, notes=[B2_NOTE],
-    )

@@ -9,13 +9,15 @@ form P/Q split is evaluated verbatim (both readings of its ambiguous scalar)
 and only ever reported.
 
 Both sprays and every x-derivative the split needs come from one derivative
-pass of A and beta (calculus.field_jets).  The printed tail X is written once,
-verbatim, because it may be misprinted and no identity may be applied to it;
-its x-derivatives are that same formula under the complex step (Squire &
-Trapp, SIAM Review 40, 1998), exact to rounding.  Everything but the
-geodesic integrator also takes a stack of samples (N, n): the sprays are then
-one batched solve, and the split and the wedge hold one entry per sample.
-g is solved by metric.solve_guarded (its condition guard, then the LAPACK
+pass of A and beta (calculus.field_jets).  The split reads that pass, the
+Fbar^2 jet, A^ij b_j and the scalar family off the Kropina snapshot
+(kropina.kropina_point) instead of making them again.  The printed tail X is
+written once, verbatim, because it may be misprinted and no identity may be
+applied to it; its x-derivatives are that same formula under the complex
+step (Squire & Trapp, SIAM Review 40, 1998), exact to rounding.  Everything
+but the geodesic integrator also takes a stack of samples (N, n): the sprays
+are then one batched solve, and the split and the wedge hold one entry per
+sample.  g is solved by metric.solve_guarded (its condition guard, then the LAPACK
 gufunc); RK4 steps the packed state z = (x, v), one spray per stage.
 
 Geodesic convention: the integrated system is x'' = -G(x, x') with G as above.
@@ -33,8 +35,8 @@ import numpy as np
 from . import calculus
 from .errors import DomainError, NonFiniteResult, SingularMatrix
 from .fields import CoefficientField, OneFormField, dot, matvec, outer, vecmat
-from .kropina import AuxScalars, aux_scalars_from
-from .metric import metric_point, solve_guarded
+from .kropina import AuxScalars, KropinaPoint, kropina_point
+from .metric import solve_guarded
 
 NAN = float("nan")
 
@@ -123,34 +125,32 @@ class SprayPoint:
 
 
 def pq_decomposition(
-    field: CoefficientField, oneform: OneFormField, m: int, x, y, jets=None, base=None
+    field: CoefficientField, oneform: OneFormField, m: int, x, y,
+    point: KropinaPoint = None,
 ) -> SprayPoint:
     """Oracle sprays always; closed-form P and Q verbatim where defined.
 
     The closed Q is printed with a scalar that collides with the one defined
     by the inverse-tensor rewrite; both readings are returned (`Q_closed` uses
     the scalar as printed in the decomposition, `Q_closed_alt` the one from
-    the expansion it descends from).  `jets`, the pass (A, beta), and `base`,
-    the MetricPoint of the same samples, are reused when the caller has them.
+    the expansion it descends from).  The pass (A, beta), the Fbar^2 jet,
+    A^ij b_j and the scalar family are read off `point`, the Kropina
+    snapshot of the same samples, made here when the caller has none.
     """
-    x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    jets = calculus.field_jets(field, oneform, x, y) if jets is None else jets
-    if base is None:
-        base = metric_point(field, m, x, y, jets.group(0))
+    if point is None:
+        point = kropina_point(field, oneform, m, x, y)
+    jets, base, aux, b_up = point.jets, point.base, point.aux, point.b_up
 
     E = calculus.base_energy(field, m).compose(jets)
     G = _spray(E, y)
-    Gbar = _spray(calculus.kropina_energy(field, oneform, m).compose(jets), y)
+    Gbar = _spray(point.energy, y)
     D = Gbar - G
 
     A, beta = jets.group(0), jets.group(1)
     X = transform_tail(A.val, A.grad_y / m, beta.grad_y, beta.val, m)
     # omega = 2 d(tau^2)/dx with tau^2 = A^(2/m) beta^(-2)
     omega = 2.0 * calculus.power(jets, (2.0 / m, -2.0)).grad_x
-
-    b_up = matvec(base.A_inv, beta.grad_y)
-    aux = aux_scalars_from(base.F, beta.val, dot(beta.grad_y, b_up), m)
 
     if aux.degenerate_order4:
         nanv = np.full(y.shape, NAN)
@@ -208,41 +208,6 @@ def projective_residual(
     return wedge / (
         1.0 + np.linalg.norm(D, axis=-1) * np.linalg.norm(y_unit, axis=-1)
     )
-
-
-def split_defect(point: SprayPoint, y) -> dict:
-    """How far the closed split is from reproducing the oracle difference.
-
-    Returns max |D - (P y + Q)| for both scalar readings, the tangential
-    comparison (component orthogonal to y, insensitive to P), and the verbatim
-    relatedness balance, which equates the two halves of Q as printed; one
-    value per sample of a stack.
-    """
-    y = np.asarray(y, dtype=float)
-    if point.degenerate_order4:
-        return {
-            "split_defect": NAN, "split_defect_alt": NAN,
-            "tangential_defect": NAN, "tangential_defect_alt": NAN,
-            "balance_defect": NAN,
-        }
-
-    def tangential(v):
-        return v - (dot(v, y) / dot(y, y))[..., None] * y
-
-    def max_abs(v):
-        return np.max(np.abs(v), axis=-1)
-
-    P = point.P_closed[..., None]
-    recon = P * y + point.Q_closed
-    recon_alt = P * y + point.Q_closed_alt
-    t_d = tangential(point.D)
-    return {
-        "split_defect": max_abs(point.D - recon),
-        "split_defect_alt": max_abs(point.D - recon_alt),
-        "tangential_defect": max_abs(t_d - tangential(point.Q_closed)),
-        "tangential_defect_alt": max_abs(t_d - tangential(point.Q_closed_alt)),
-        "balance_defect": max_abs(point.Q_lead - point.Q_inv),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ functions, not against the package's calculus layer, so golden values frozen
 from these routines adjudicate the implementation from the outside.  The
 rejection sampler is kept here too, as the loop over attempts that the block
 sampler must reproduce, and so are the `records` of the --json reports built
-as dicts, the reference for the CLI's record layouts.
+as dicts, the reference for the CLI's record layouts, and the printed
+closed-form inverses transcribed entry by entry in Python floats.
 """
 
 import math
@@ -238,6 +239,47 @@ def hand_chained_tail_x_derivatives(A, beta, m):
             - 8 * A ** qc * aa * betax / beta ** 3
         )
     return out
+
+
+# -- the printed closed-form inverses, entry by entry ----------------------
+
+def printed_closed_inverses(F, beta, b, A_inv, y, m):
+    """The closed and the split inverse of the transformed fundamental tensor
+    at one sample, as printed, in Python floats: F and beta are numbers, b and
+    y lists, A_inv nested lists (the inverse second contraction).  m != 4."""
+    n = len(y)
+    b_up = [sum(A_inv[i][j] * b[j] for j in range(n)) for i in range(n)]
+    b2 = sum(b[i] * b_up[i] for i in range(n))
+    tau = F / beta
+    w = F ** (m - 2) / (2 * tau ** 2 * (m - 1))
+    c2 = F ** (m - 3) * beta * b2 / (2 * tau * (m - 1))
+    v = (m - 4) * beta / (2 * F ** m)
+    delta = -8 * F ** 4 / (beta ** 4 * (m - 4))
+    q = delta * w ** 2 / (1 + delta * c2)
+    d2 = w * (v * beta + v ** 2 * F ** m
+              + (b2 + v * beta) * (1 - delta * w * (1 + v) / (1 + delta * c2)))
+    bracket = (m - 4) - 8 * tau ** 4 * d2
+    p0 = 4 * F ** m * (1 + q * (q * (1 + v) - (3 + v))) / (beta ** 2 * bracket)
+    p1 = (8 * (m - 1) ** 2 * tau ** 4 + 2 * delta * F ** (2 * (m - 2))
+          + delta * F ** (m - 4) * (m - 4) * beta) / (
+        4 * tau ** 4 * (m - 1) ** 2 + delta * F ** (m - 2) * b2 * tau ** 4)
+    p2 = (m - 4) ** 2 / (2 * F ** 6 * bracket)
+    p3 = ((m - 4) ** 2 * (m - 1) * tau ** 2 - (m - 2) * bracket * beta ** 4) / (
+        2 * F ** 2 * tau ** 2 * beta ** 4 * (m - 1) * bracket)
+    mixed = 2 * beta ** 3 * (m - 4) * p1 / (
+        F ** 2 * (m - 1) * (beta ** 4 * (m - 4) - 8 * F ** 4 * d2))
+
+    closed = [[0.0] * n for _ in range(n)]
+    split = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            common = p0 * b_up[i] * b_up[j] + mixed * (b_up[i] * y[j] + y[i] * b_up[j])
+            closed[i][j] = (F ** (m - 2) * A_inv[i][j] / (2 * tau ** 2 * (m - 1))
+                            + common + p2 * y[i] * y[j])
+            g_inv = (F ** (m - 2) * A_inv[i][j] / (m - 1)
+                     + (m - 2) * y[i] * y[j] / ((m - 1) * F ** 2))
+            split[i][j] = g_inv / (2 * tau ** 2) + common + p3 * y[i] * y[j]
+    return closed, split
 
 
 # -- the sampler as a loop over attempts ------------------------------------

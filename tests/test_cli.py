@@ -120,6 +120,45 @@ def test_verify_flags_order4_degeneracy():
     assert by_name["gbar_inv_closed"]["max_abs"] is None
 
 
+# The verify rows in report order with their notes; the last nine need the
+# scalar family, which divides by m - 4.
+VERIFY_ROWS = (
+    ("lbar_closed", ""),
+    ("hbar_closed", ""),
+    ("gbar_closed", ""),
+    ("gbar_split", ""),
+    ("gbar_inv_closed", ""),
+    ("gbar_inv_split", ""),
+    ("gbar_inv_closed_identity", "closed inverse times oracle tensor vs identity"),
+    ("gbar_inv_split_identity", "split inverse times oracle tensor vs identity"),
+    ("spray_split", "max |D - (P y + Q)|, printed scalar reading"),
+    ("spray_split_alt", "max |D - (P y + Q)|, alternative scalar reading"),
+    ("spray_tangential", "y-orthogonal parts of D and Q compared"),
+    ("spray_tangential_alt", "same with the alternative scalar reading"),
+    ("relatedness_balance", "printed relatedness condition, |lead - inverse part|"),
+)
+
+
+@pytest.mark.parametrize("fixture, m", [("cubic_x_bx", 3), ("diag_quartic", 4)])
+def test_verify_lists_the_row_table(fixture, m):
+    res = run_cli(
+        "verify", "--spec", str(FIXTURES / f"{fixture}.json"),
+        "--samples", "8", "--seed", "4", "--json",
+    )
+    assert res.returncode == 0, res.stderr
+    payload = json.loads(res.stdout)
+    assert payload["order"] == m
+    rows = payload["rows"]
+    assert [row["formula"] for row in rows] == [formula for formula, _ in VERIFY_ROWS]
+    for i, (row, (formula, note)) in enumerate(zip(rows, VERIFY_ROWS)):
+        if m == 4 and i >= 4:
+            assert row == {"formula": formula, "max_abs": None, "max_rel": None,
+                           "x": None, "y": None, "note": "degenerate at m = 4"}
+        else:
+            assert row["note"] == note, formula
+            assert None not in (row["max_abs"], row["max_rel"], row["x"], row["y"]), formula
+
+
 def test_seed_env_and_flag_precedence():
     base = ("verify", "--spec", str(FIXTURES / "cubic_x.json"), "--samples", "5", "--json")
 
@@ -345,7 +384,7 @@ def test_emit_leaves_no_garbage_cycles():
     import tracemalloc
 
     from mrootfinsler import cli
-    from mrootfinsler.kropina import ResidualRow
+    from mrootfinsler.report import ResidualRow
 
     x = np.linspace(0.5, 1.5, 400).reshape(200, 2)
     rows = [ResidualRow(f"row{k}", x[:, 0] * k, x[:, 1] * k, x, x, "note") for k in range(4)]
@@ -401,7 +440,7 @@ def _stacks(draw, count, n):
 
 @st.composite
 def _verify_reports(draw):
-    from mrootfinsler.kropina import ResidualRow
+    from mrootfinsler.report import ResidualRow
 
     n, count = draw(st.sampled_from([2, 3, 4])), draw(st.integers(1, 5))
     x, y = _stacks(draw, count, n)

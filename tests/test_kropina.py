@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import _oracles as oracles
 from conftest import (
     MAIN_FIXTURES,
     ONE_FORM_SPECS,
@@ -20,14 +21,8 @@ from mrootfinsler.errors import (
     NonFiniteResult,
     RiemannianOrderWarning,
 )
-from mrootfinsler.kropina import (
-    _closed_inverse,
-    B2_NOTE,
-    DiscrepancyReport,
-    ResidualRow,
-    kropina_point,
-    verify_kropina_forms,
-)
+from mrootfinsler.kropina import kropina_point
+from mrootfinsler.report import B2_NOTE, DiscrepancyReport, ResidualRow
 
 SQRT17 = np.sqrt(17.0)
 
@@ -76,7 +71,8 @@ def test_aux_scalars_order4_flagged():
     assert aux.tau == pytest.approx(p.base.F / p.beta, abs=1e-14)
     # the closed-form inverse is undefined: NaN in the point, degenerate rows
     assert np.isnan(p.gbar_inv_closed).all() and np.isnan(p.gbar_inv_split).all()
-    rows = {row.formula: row for row in verify_kropina_forms(p).rows}
+    rep = report.point_report(diag_quartic(), b_const(2), 4, [0.0, 0.0], [1.0, 2.0])
+    rows = {row.formula: row for row in rep.rows}
     for formula in ("gbar_inv_closed", "gbar_inv_split"):
         assert rows[formula].max_abs is None and rows[formula].note == "degenerate at m = 4"
 
@@ -92,17 +88,20 @@ def test_aux_scalars_cubic_values():
         assert abs(q.aux.tau * q.beta - q.base.F) <= 1e-12 * (1 + q.base.F)
 
 
-def test_closed_inverse_recorded_against_numeric():
-    field, oneform = cubic_x(), b_const(2)
-    for x, y in seeded_points(2, 10, seed=59):
-        p = kropina_point(field, oneform, 3, x, y)
-        closed = _closed_inverse(p.base, p.b, p.beta, p.aux, split=False)
-        np.testing.assert_allclose(closed, p.gbar_inv_closed, atol=1e-12)
-        split = _closed_inverse(p.base, p.b, p.beta, p.aux, split=True)
-        np.testing.assert_allclose(split, p.gbar_inv_split, atol=1e-12)
-        # identity deviation is recorded, not asserted: just check finite
-        dev = np.max(np.abs(closed @ p.gbar_oracle - np.eye(2)))
-        assert np.isfinite(dev)
+def test_closed_inverses_match_printed_transcription():
+    # the printed closed and split inverses, transcribed again in Python
+    # floats one sample at a time from F, beta, b, A^ij and y
+    for name, oneform in (("cubic_x", b_const(2)), ("cubic_x_bx", b_bx())):
+        for x, y in seeded_points(2, 10, seed=59):
+            p = kropina_point(cubic_x(), oneform, 3, x, y)
+            closed, split = oracles.printed_closed_inverses(
+                float(p.base.F), float(p.beta), p.b.tolist(), p.base.A_inv.tolist(), list(y), 3
+            )
+            assert rel_err(p.gbar_inv_closed, closed) <= 1e-12, name
+            assert rel_err(p.gbar_inv_split, split) <= 1e-12, name
+            # identity deviation is recorded, not asserted: just check finite
+            dev = np.max(np.abs(p.gbar_inv_closed @ p.gbar_oracle - np.eye(2)))
+            assert np.isfinite(dev), name
 
 
 def test_supporting_covector_residual_is_tight():
@@ -110,7 +109,7 @@ def test_supporting_covector_residual_is_tight():
     for name, make, m, make_b in MAIN_FIXTURES:
         field, oneform = make(), make_b()
         for x, y in seeded_points(field.n, 15, seed=61):
-            rep = verify_kropina_forms(kropina_point(field, oneform, m, x, y))
+            rep = report.point_report(field, oneform, m, x, y)
             row = {r.formula: r for r in rep.rows}["lbar_closed"]
             assert row.max_abs <= 1e-8, name
 
@@ -123,24 +122,26 @@ def test_supporting_covector_tight_near_oneform_floor():
     y = [1.5143233800600582, 1.7185642332450883]
     p = kropina_point(cubic_x(), b_bx(), 3, x, y)
     assert abs(p.beta) < 1e-3
-    row = {r.formula: r for r in verify_kropina_forms(p).rows}["lbar_closed"]
+    rows = report.point_report(cubic_x(), b_bx(), 3, x, y).rows
+    row = {r.formula: r for r in rows}["lbar_closed"]
     assert row.max_abs <= 1e-11
 
 
 def test_report_rows_and_flags():
-    p = kropina_point(cubic_x(), b_const(2), 3, [0.1, 0.2], [0.9, 1.3])
-    rep = verify_kropina_forms(p)
+    rep = report.point_report(cubic_x(), b_const(2), 3, [0.1, 0.2], [0.9, 1.3])
     formulas = {r.formula for r in rep.rows}
     assert formulas == {
         "lbar_closed", "hbar_closed", "gbar_closed", "gbar_split",
         "gbar_inv_closed", "gbar_inv_split",
         "gbar_inv_closed_identity", "gbar_inv_split_identity",
+        "spray_split", "spray_split_alt", "spray_tangential", "spray_tangential_alt",
+        "relatedness_balance",
     }
+    assert all(r.max_abs is not None for r in rep.rows)
     assert not rep.degenerate_order4
     assert B2_NOTE in rep.notes
 
-    p4 = kropina_point(diag_quartic(), b_const(2), 4, [0.0, 0.0], [1.0, 2.0])
-    rep4 = verify_kropina_forms(p4)
+    rep4 = report.point_report(diag_quartic(), b_const(2), 4, [0.0, 0.0], [1.0, 2.0])
     assert rep4.degenerate_order4
     rows4 = {r.formula: r for r in rep4.rows}
     assert rows4["gbar_inv_closed"].max_abs is None
@@ -149,8 +150,8 @@ def test_report_rows_and_flags():
 def test_minkowski_rows_are_x_independent():
     field, oneform = diag_quartic(), b_const(2)
     y = [0.7, 1.6]
-    rep_a = verify_kropina_forms(kropina_point(field, oneform, 4, [0.0, 0.0], y))
-    rep_b = verify_kropina_forms(kropina_point(field, oneform, 4, [0.9, -0.4], y))
+    rep_a = report.point_report(field, oneform, 4, [0.0, 0.0], y)
+    rep_b = report.point_report(field, oneform, 4, [0.9, -0.4], y)
     for ra, rb in zip(rep_a.rows, rep_b.rows):
         assert ra.formula == rb.formula
         if ra.max_abs is not None:
@@ -162,7 +163,7 @@ def test_reduce_report_keeps_per_formula_max():
     points = seeded_points(2, 5, seed=67)
     xs = np.array([x for x, _ in points])
     ys = np.array([y for _, y in points])
-    stacked = verify_kropina_forms(kropina_point(field, oneform, 3, xs, ys))
+    stacked = report.point_report(field, oneform, 3, xs, ys)
     reduced = report.reduce_report(stacked)
     assert reduced.points == 5
     assert reduced.notes == [B2_NOTE]

@@ -15,7 +15,7 @@ from conftest import (
     seeded_points,
     spec_samples,
 )
-from mrootfinsler import calculus
+from mrootfinsler import calculus, report
 from mrootfinsler.errors import DomainError, NonFiniteResult, SingularMatrix
 from mrootfinsler.metric import metric_point
 from mrootfinsler.specfile import load_spec
@@ -25,7 +25,6 @@ from mrootfinsler.spray import (
     integrate_geodesic,
     pq_decomposition,
     projective_residual,
-    split_defect,
     spray_coeffs,
     tail_x_derivatives,
     transform_tail,
@@ -154,9 +153,10 @@ def test_pq_decomposition_fields():
     np.testing.assert_allclose(point.D, point.Gbar - point.G, atol=1e-15)
     assert point.omega[0] == pytest.approx((8.0 / 3.0) * 2.0 ** (-1.0 / 3.0), abs=1e-12)
     assert point.omega[1] == 0.0
-    defects = split_defect(point, [1.0, 1.0])
-    for value in defects.values():
-        assert np.isfinite(value)
+    rows = report.point_report(cubic_x(), b_const(2), 3, [0.0, 0.0], [1.0, 1.0]).rows
+    for row in rows[-5:]:
+        assert row.formula.startswith(("spray_", "relatedness_")), row.formula
+        assert np.isfinite(row.max_abs) and np.isfinite(row.max_rel), row.formula
 
 
 def test_pq_decomposition_degenerate_order4():
@@ -168,8 +168,11 @@ def test_pq_decomposition_degenerate_order4():
     assert np.all(np.isfinite(point.G))
     assert np.all(np.isfinite(point.Gbar))
     assert np.all(np.isfinite(point.X))
-    defects = split_defect(point, [1.0, 2.0])
-    assert all(np.isnan(v) for v in defects.values())
+    rows = report.point_report(diag_quartic(), b_const(2), 4, [0.0, 0.0], [1.0, 2.0]).rows
+    for row in rows[-5:]:
+        assert row.formula.startswith(("spray_", "relatedness_")), row.formula
+        assert row.max_abs is None and row.max_rel is None, row.formula
+        assert row.note == "degenerate at m = 4", row.formula
 
 
 def test_projective_residual_golden_and_invariance():
