@@ -6,13 +6,15 @@ the form of the coefficient field and beta = b_i(x) y^i the one-form:
   F = A^(1/m),  F^2 = A^(2/m),  Fbar = A^(2/m) / beta,  Fbar^2 = A^(4/m) / beta^2.
 
 The fields layer evaluates A and beta with their exact gradients and Hessians
-over all 2n coordinates (x first, then y) in one pass, on a group axis (A,
-beta); one chain rule composes them, raising both groups in one call with
-the exponents (p, q) and joining them by the product rule.  The
-value, the y-gradient and y-Hessian, the x-gradient and the mixed x-y block of
-any energy are therefore slices of a single pass, exact to rounding.  Points
-may come stacked (..., n): the pass, the chain rule and every guard then act
-per sample, and a guard raises for the lowest failing sample.
+over all 2n coordinates (x first, then y) in one pass at the packed point
+v = (x, y), on a group axis (A, beta).  One chain rule composes them: per
+sample, the value of A^p beta^q and its first and second derivatives in
+(A, beta) are scalar coefficients (Python floats at one point), and one
+product of them with the pass gives the gradient and Hessian.  The value, the
+y-gradient and y-Hessian, the x-gradient and the mixed x-y block of any energy
+are therefore slices of a single pass, exact to rounding.  Points may come
+stacked (..., n): the pass, the chain rule and every guard then act per
+sample, and a guard raises for the lowest failing sample.
 Richardson-extrapolated central differences serve only as an independent
 cross-check (fd_check).
 """
@@ -27,7 +29,7 @@ import numpy as np
 
 from .errors import NonFiniteResult, raise_first
 from .fields import CoefficientField, Jet, OneFormField, all_finite, check_floors
-from .fields import clear_of_floors, outer
+from .fields import clear_of_floors, outer, pack
 
 _EPS = float(np.finfo(float).eps)
 
@@ -74,36 +76,81 @@ def _power(v, exponents: tuple, derivatives: bool = True) -> np.ndarray:
     return out
 
 
+def _coefficients(values, exponents):
+    """f = prod_g v_g^e_g of the k group values v (..., k), and C (..., 1 + k, k):
+    c1_g = df/dv_g in row 0, c2_gh = d2f/dv_g dv_h below.  One point with
+    positive values takes Python floats; any other point, or powers that
+    overflow a float, go through _power and its guards.  Callers ignore
+    floating-point errors."""
+    if values.ndim == 1 and min(v := values.tolist()) > 0.0:
+        try:
+            (P0, D0, E0), *pair = [(b ** e, e * b ** (e - 1.0), e * (e - 1.0) * b ** (e - 2.0))
+                                   for b, e in zip(v, exponents)]
+        except OverflowError:
+            pass
+        else:
+            if not pair:
+                return P0, np.array([D0, E0]).reshape(2, 1)
+            (P1, D1, E1), = pair
+            return P0 * P1, np.array(
+                [D0 * P1, P0 * D1, E0 * P1, D0 * D1, D0 * D1, P0 * E1]).reshape(3, 2)
+    out = _power(values, exponents)
+    if len(exponents) == 1:
+        return out[..., 0, 0], out[..., 1:, :]
+    # f and C as the products of two entries of out, (P0, P1, D0, D1, E0, E1) flat
+    out = out.reshape(out.shape[:-2] + (6,))
+    fc = out[..., [0, 2, 0, 4, 2, 2, 0]] * out[..., [1, 1, 3, 1, 3, 3, 5]]
+    return fc[..., 0], fc[..., 1:].reshape(fc.shape[:-1] + (3, 2))
+
+
 def power(jets: Jet, exponents) -> Jet:
     """A^p for exponents (p,), A^p beta^q for (p, q), with gradient and Hessian,
-    from a pass of A or of (A, beta): one call raises both, the product rule
-    joins them.  The Hessian stays exactly symmetric: each rule adds only
-    symmetric matrices and symmetrised outer products.  Products that overflow
-    are left as they come out: ScalarFunction.compose rejects them.
+    from a pass of A or of (A, beta), in one block (Jet.of): with V the group
+    values, grad = c1 dV and Hess = c1 H_V + dV^T c2 dV, symmetrised as
+    (M + M^T) / 2; one product of C with the pass's block gives c1 dV, c1 H_V
+    and c2 dV.  One group keeps d1 H_A + d2 dA dA^T, symmetric term by term.
+    Overflowing products are left as they come: ScalarFunction.compose rejects them.
     """
     k = len(exponents)
-    grad = jets.grad[..., :k, :]
+    G = jets.grad[..., :k, :]
+    n2 = G.shape[-1]
     with np.errstate(all="ignore"):
-        out = _power(jets.val[..., :k], exponents)
-        f, d1, d2 = out[..., 0, :], out[..., 1, :, None], out[..., 2, :, None]
-        hess = d1[..., None] * jets.hess[..., :k, :, :] + d2[..., None] * outer(grad, grad)
-        grad = d1 * grad
+        f, C = _coefficients(jets.val[..., :k], exponents)
         if k == 1:
-            return Jet(f[..., 0][()], grad[..., 0, :], hess[..., 0, :, :])
-        cross = outer(grad[..., 0, :], grad[..., 1, :])
-        # each group's derivatives times the other group's value, in one product
-        grad, hess = f[..., ::-1, None] * grad, f[..., ::-1, None, None] * hess
-        return Jet(f[..., 0] * f[..., 1], grad[..., 1, :] + grad[..., 0, :], (
-            hess[..., 1, :, :] + hess[..., 0, :, :]) + (cross + cross.swapaxes(-1, -2)))
+            G, H = G[..., 0, :], jets.hess[..., 0, :, :]
+            block = np.empty(G.shape[:-1] + (1 + n2 + n2 * n2,))
+            np.multiply(C[..., 0, :], G, out=block[..., 1 : 1 + n2])
+            np.add(C[..., :1, :] * H, C[..., 1:, :] * outer(G, G),
+                   out=block[..., 1 + n2 :].reshape(H.shape))
+        else:
+            B = jets.block
+            if B is None:  # a jet made of separate arrays
+                B = np.concatenate((np.asarray(jets.val)[..., None], jets.grad, jets.hess.reshape(
+                    jets.hess.shape[:-2] + (-1,))), axis=-1)
+            R = C @ B[..., :k, :]
+            block = R[..., 0, :]
+            hess = block[..., 1 + n2 : 1 + n2 * (n2 + 1)].reshape(block.shape[:-1] + (n2, n2))
+            hess += G.swapaxes(-1, -2) @ R[..., 1:, 1 : 1 + n2]
+            np.add(hess, hess.swapaxes(-1, -2), out=hess)  # ufuncs copy an overlapping input
+            hess *= 0.5
+        block[..., 0] = f
+    return Jet.of(block, n2)
 
 
 def field_jets(field: CoefficientField, oneform: Optional[OneFormField], x, y) -> Jet:
     """One pass for A, or for (A, beta) on a group axis, after the floors of
-    domain_check (form first), read off the same pass.  x and y may be stacks (..., n)."""
-    jets, c = field.terms_with(oneform).jet(x, y)
+    domain_check (form first), read off the same pass.  x and y may be stacks
+    (..., n); they are packed once, here."""
+    return packed_jets(field, oneform, pack(x, y, field.n))
+
+
+def packed_jets(field: CoefficientField, oneform: Optional[OneFormField], v) -> Jet:
+    """field_jets at the packed points v = (x, y) (..., 2n), lengths already checked."""
+    jets, c = field.terms_with(oneform).jet(v)
+    y = v[..., field.n :]
     # a single point clear of both floors skips the guards' array work
     if not (jets.val.ndim == 1 and clear_of_floors(
-            jets.val.tolist(), c.tolist(), np.asarray(y).tolist(), field.m)):
+            jets.val.tolist(), c.tolist(), y.tolist(), field.m)):
         check_floors(jets.val, np.abs(c).max(axis=-1, initial=0.0), y, field.m)
     return jets
 
@@ -115,7 +162,7 @@ def domain_check(field: CoefficientField, oneform: Optional[OneFormField]) -> Ca
     table = field.terms_with(oneform)
 
     def check(x, y):
-        values, scale = table.value(x, y)
+        values, scale = table.value(pack(x, y, field.n))
         check_floors(values, scale, y, field.m)
         return values
 
@@ -139,8 +186,8 @@ class ScalarFunction:
     def compose(self, jets: Jet) -> Jet:
         """f with its derivatives, from a pass of A or of (A, beta) (per sample on stacks)."""
         jet = power(jets, self.exponents)
-        # the per-sample guards run only when something is not finite
-        if not (all_finite(jet.val) and all_finite(jet.grad) and all_finite(jet.hess)):
+        # one finiteness test on the whole block; the per-sample guards run only when it fails
+        if not all_finite(jet.block):
             raise_first(
                 ~np.isfinite(jet.val), NonFiniteResult, f"{self.name} evaluated to {{}}", jet.val
             )

@@ -11,11 +11,13 @@ multiset.  A TermTable multiplies them out into monomials of v = (x, y) and
 holds one matrix from those monomials to the value, the gradient and the
 Hessian over all 2n coordinates and the coefficients c_t(x): a pass is one
 power table of v, one gather-product, one matmul and one gather, which makes
-the Hessian symmetric by construction.  The pair (A, beta) is one table with
-a group axis (A, beta); the form alone is its one-group case.  Tables are
+the Hessian symmetric by construction.  A pass takes the packed point
+v = (x, y): callers pack x and y once (`pack` checks both lengths), the
+geodesic integrator hands over its state.  The pair (A, beta) is one table
+with a group axis (A, beta); the form alone is its one-group case.  Tables are
 built once per field or pair, on first use, with this one pass: the sampler's
-values and floor scales and the coefficients are read off it too, so every
-floor is decided on the same numbers.
+values and floor scales are read off it too, so every floor is decided on the
+same numbers; c_t(x) alone is the coefficient columns on the monomials of (x, 0).
 
 Multiplied out, each term is rounded once before the sum; this differs from
 coefficients times monomials where a coefficient nearly vanishes, by about eps
@@ -98,6 +100,18 @@ def norm(v):
     return np.sqrt(dot(v, v))
 
 
+def pack(x, y, n: int) -> np.ndarray:
+    """The packed point v = (x, y) (..., 2n) of a pass, x and y broadcast, after
+    the dimension check of both."""
+    for v, what in ((x, "point"), (y, "vector")):
+        if np.shape(v)[-1] != n:
+            raise DimensionMismatch(f"{what} has length {np.shape(v)[-1]}, expected {n}")
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        x, y = np.broadcast_arrays(x, y)
+    return np.concatenate((x, y), axis=-1)
+
+
 class Polynomial:
     """Multivariate polynomial: tuple of (exponent tuple, coefficient) terms."""
 
@@ -146,12 +160,21 @@ class Jet:
     """A scalar with its gradient and Hessian over (x, y), the n x-coordinates first.
 
     Every field takes a leading batch axis: val (...), grad (..., 2n) and
-    hess (..., 2n, 2n) for a stack of points, one point without it.
+    hess (..., 2n, 2n) for a stack of points, one point without it.  A jet
+    read off one array (Jet.of) keeps it as `block`; jets are not mutated.
     """
 
     val: float
     grad: np.ndarray   # (..., 2n)
     hess: np.ndarray   # (..., 2n, 2n), exactly symmetric
+    block: np.ndarray = None  # (..., 1 + 2n + 4n^2 + ...): the three above lead it, as views
+
+    @staticmethod
+    def of(block, n2: int) -> "Jet":
+        """The jet laid out at the head of block (..., 1 + n2 + n2^2 + any): value,
+        gradient, Hessian row by row."""
+        hess = block[..., 1 + n2 : 1 + n2 * (n2 + 1)].reshape(block.shape[:-1] + (n2, n2))
+        return Jet(block[..., 0][()], block[..., 1 : 1 + n2], hess, block)
 
     @property
     def n(self) -> int:
@@ -186,8 +209,8 @@ class TermTable:
     One matrix maps the monomials to the output rows: per group the value, the
     2n-gradient and the upper triangle of the 2n x 2n Hessian, then c_t(x)
     per term.  Each entry is a falling factorial times w_t K[t, a], from the
-    one monomial K[t, a] x^a of c_t that reaches it.  x and y may carry a
-    leading batch axis (..., n); the two broadcast.
+    one monomial K[t, a] x^a of c_t that reaches it.  Every pass takes the
+    packed point v = (x, y) (see pack), which may carry a leading batch axis.
     """
 
     def __init__(self, groups, n: int):
@@ -223,49 +246,53 @@ class TermTable:
         for (r, e), entry in cells.items():
             self._matrix[column[e], position[r]] = entry
         self._gather = np.array([[position.get(r, len(rows)) for r in row] for row in layout])
+        first = self._gather[0, len(jet) : len(jet) + len(terms[0])]
+        self._coefficient_columns = self._matrix[:, first]   # c_t(x) of the first group
         exps = np.array(list(column), dtype=int).reshape(-1, n2)
         top = int(exps.max(initial=0)) + 1
         self._index, self._powers = np.arange(n2) * top + exps, np.arange(top)
 
-    def _pass(self, x, y) -> np.ndarray:
-        """One power table, one gather-product, one matmul, one gather: (..., groups,
-        value, gradient, Hessian and coefficients), or NonFiniteResult naming the overflow."""
-        for v, what in ((x, "point"), (y, "vector")):
-            if np.shape(v)[-1] != self.n:
-                raise DimensionMismatch(f"{what} has length {np.shape(v)[-1]}, expected {self.n}")
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        if x.shape != y.shape:
-            x, y = np.broadcast_arrays(x, y)
-        v = np.concatenate((x, y), axis=-1)
-        with np.errstate(all="ignore"):
-            table = np.power.outer(v, self._powers)
-            monomials = table.reshape(table.shape[:-2] + (-1,))[..., self._index].prod(axis=-1)
-            out = (monomials @ self._matrix)[..., self._gather]
+    def _monomials(self, v) -> np.ndarray:
+        """The monomials v^E of the packed points v = (x, y) (..., 2n): one power
+        table and one gather-product.  Callers ignore floating-point errors."""
+        table = v[..., None] ** self._powers
+        return table.reshape(table.shape[:-2] + (-1,))[..., self._index].prod(axis=-1)
+
+    def _finite(self, out, v) -> np.ndarray:
+        """out, or NonFiniteResult naming the first group and point where it overflowed."""
         if not all_finite(out):
             bad, n = ~np.isfinite(out).all(axis=-1), self.n
             points = [f"x={p[:n]}, y={p[n:]}" for p in np.reshape(v, (-1, 2 * n)).tolist()]
-            for g, name in enumerate(self.names):
+            for g, name in zip(range(bad.shape[-1]), self.names):
                 raise_first(bad[..., g], NonFiniteResult,
                             f"overflow in the {name} value or derivatives at {{}}", points)
         return out
 
-    def coefficients(self, x) -> np.ndarray:
-        """c_t(x) of the first group, one per term: (..., terms), read off the pass at y = 0."""
-        return self.jet(x, np.zeros(np.shape(x)))[1][..., 0, :]
+    def _pass(self, v) -> np.ndarray:
+        """(..., groups, value, gradient, Hessian and coefficients) at the packed points v."""
+        with np.errstate(all="ignore"):
+            out = (self._monomials(v) @ self._matrix)[..., self._gather]
+        return self._finite(out, v)
 
-    def value(self, x, y):
+    def coefficients(self, x) -> np.ndarray:
+        """c_t(x) of the first group, one per term: (..., terms), the coefficient
+        columns of the matrix on the monomials of (x, 0)."""
+        v = pack(x, np.zeros(np.shape(x)), self.n)
+        with np.errstate(all="ignore"):
+            c = self._monomials(v) @ self._coefficient_columns
+        return self._finite(c[..., None, :], v)[..., 0, :]
+
+    def value(self, v):
         """Each group's sum, and max |c_t(x)| over its terms (the scale of its
-        floor), read off the pass: two arrays (..., groups)."""
-        jets, c = self.jet(x, y)
+        floor), read off the pass at the packed points v: two arrays (..., groups)."""
+        jets, c = self.jet(v)
         return jets.val, np.abs(c).max(axis=-1, initial=0.0)
 
-    def jet(self, x, y):
-        """Each group's sum as a Jet with a group axis, and its coefficients
-        c_t(x) per group (..., groups, terms), 0 past the group's own terms."""
-        out, n2 = self._pass(x, y), 2 * self.n
-        end = 1 + n2 + n2 * n2
-        hess = out[..., 1 + n2 : end].reshape(out.shape[:-1] + (n2, n2))
-        return Jet(out[..., 0], out[..., 1 : 1 + n2], hess), out[..., end:]
+    def jet(self, v):
+        """Each group's sum at the packed points v as a Jet with a group axis, and
+        its c_t(x) per group (..., groups, terms), 0 past the group's own terms."""
+        out, n2 = self._pass(v), 2 * self.n
+        return Jet.of(out, n2), out[..., 1 + n2 * (n2 + 1) :]
 
 
 class CoefficientField:

@@ -18,7 +18,8 @@ step (Squire & Trapp, SIAM Review 40, 1998), exact to rounding.  Everything
 but the geodesic integrator also takes a stack of samples (N, n): the sprays
 are then one batched solve, and the split and the wedge hold one entry per
 sample.  g is solved by metric.solve_guarded (its condition guard, then the LAPACK
-gufunc); RK4 steps the packed state z = (x, v), one spray per stage.
+gufunc); RK4 steps the packed state z = (x, v), and each stage hands z as it
+is to the pass (calculus.packed_jets).  No state outside the domain is kept.
 
 Geodesic convention: the integrated system is x'' = -G(x, x') with G as above.
 That is not the geodesic equation of this quarter-factor spray, which is
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import calculus
 from .errors import DomainError, NonFiniteResult, SingularMatrix
-from .fields import CoefficientField, OneFormField, dot, matvec, outer, vecmat
+from .fields import CoefficientField, OneFormField, all_finite, dot, matvec, outer, pack, vecmat
 from .kropina import AuxScalars, KropinaPoint, kropina_point
 from .metric import solve_guarded
 
@@ -43,8 +44,13 @@ NAN = float("nan")
 
 def spray_coeffs(energy: calculus.ScalarFunction, x, y) -> np.ndarray:
     """Quarter g-inverse of the standard spray bracket for the given energy."""
-    y = np.asarray(y, dtype=float)
-    return _spray(calculus.derivatives(energy, x, y), y)
+    return _stage(energy, pack(x, y, energy.field.n))
+
+
+def _stage(energy: calculus.ScalarFunction, v: np.ndarray) -> np.ndarray:
+    """spray_coeffs at the packed points v = (x, y): one RK4 stage of the integrator."""
+    jets = calculus.packed_jets(energy.field, energy.oneform, v)
+    return _spray(energy.compose(jets), v[..., energy.field.n :])
 
 
 def _spray(jet: calculus.Jet, y: np.ndarray) -> np.ndarray:
@@ -120,8 +126,7 @@ class SprayPoint:
     Q_closed_alt: np.ndarray  # same with the alternative scalar reading
     Q_lead: np.ndarray        # first half of Q (one-form direction, printed reading)
     Q_inv: np.ndarray         # second half of Q (inverse-contraction part)
-    aux: AuxScalars
-    degenerate_order4: bool
+    aux: AuxScalars           # the scalar family; aux.degenerate_order4 flags m = 4
 
 
 def pq_decomposition(
@@ -135,11 +140,15 @@ def pq_decomposition(
     the scalar as printed in the decomposition, `Q_closed_alt` the one from
     the expansion it descends from).  The pass (A, beta), the Fbar^2 jet,
     A^ij b_j and the scalar family are read off `point`, the Kropina
-    snapshot of the same samples, made here when the caller has none.
+    snapshot of the same samples (ValueError if its x or y differ), made
+    here when the caller has none.
     """
     y = np.asarray(y, dtype=float)
     if point is None:
         point = kropina_point(field, oneform, m, x, y)
+    elif not (np.array_equal(point.base.x, np.asarray(x, dtype=float), equal_nan=True)
+              and np.array_equal(point.base.y, y, equal_nan=True)):
+        raise ValueError("the Kropina snapshot was taken at other samples than x, y")
     jets, base, aux, b_up = point.jets, point.base, point.aux, point.b_up
 
     E = calculus.base_energy(field, m).compose(jets)
@@ -156,7 +165,7 @@ def pq_decomposition(
         nanv = np.full(y.shape, NAN)
         return SprayPoint(
             G, Gbar, D, X, omega, NAN,
-            nanv, nanv.copy(), nanv.copy(), nanv.copy(), aux, True,
+            nanv, nanv.copy(), nanv.copy(), nanv.copy(), aux,
         )
 
     dX = tail_x_derivatives(A, beta, m)
@@ -182,7 +191,7 @@ def pq_decomposition(
 
     return SprayPoint(
         G, Gbar, D, X, omega, P_closed,
-        q_lead + q_inv, q_lead_alt + q_inv, q_lead, q_inv, aux, False,
+        q_lead + q_inv, q_lead_alt + q_inv, q_lead, q_inv, aux,
     )
 
 
@@ -229,31 +238,44 @@ def integrate_geodesic(
     energy: calculus.ScalarFunction, x0, y0, t_end: float, steps: int,
     metric: str = "base",
 ) -> GeodesicPath:
-    """Classical fixed-step RK4 on the packed state z = (x, v): z' = (v, -G(x, v))."""
+    """Classical fixed-step RK4 on the packed state z = (x, v): z' = (v, -G(x, v)).
+    A state outside the domain leaves the path, named in the reason: the next
+    step's first stage finds it (DomainError), or domain_check the final one."""
     if steps < 1:
         raise ValueError("steps must be positive")
     h = float(t_end) / steps
-    n = len(x0)
-    z = np.concatenate((np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)))
+    n = energy.field.n
+    z = pack(x0, y0, n)
     samples = [(0.0, z[:n], z[n:])]
     truncated, reason = False, ""
 
     def rate(z):
-        return np.concatenate((z[n:], -spray_coeffs(energy, z[:n], z[n:])))
+        return np.concatenate((z[n:], -_stage(energy, z)))
+
+    def outside(exc):
+        return f"state at t={samples.pop()[0]!r} is outside the domain: {exc}"
 
     for i in range(1, steps + 1):
+        k1 = None
         try:
             k1 = rate(z)
             k2 = rate(z + 0.5 * h * k1)
             k3 = rate(z + 0.5 * h * k2)
             k4 = rate(z + h * k3)
         except (DomainError, SingularMatrix, NonFiniteResult) as exc:
-            truncated, reason = True, str(exc)
+            # k1 evaluates exactly the state the step before accepted
+            at_k1 = k1 is None and isinstance(exc, DomainError)
+            truncated, reason = True, outside(exc) if at_k1 else str(exc)
             break
         # every step makes a new z, so the samples may keep views of it
         z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(z)):
+        if not all_finite(z):
             raise NonFiniteResult(f"non-finite state at step {i}")
         samples.append((i * h, z[:n], z[n:]))
+    else:
+        try:
+            calculus.domain_check(energy.field, energy.oneform)(z[:n], z[n:])
+        except DomainError as exc:
+            truncated, reason = True, outside(exc)
 
     return GeodesicPath(samples, h, metric, truncated, reason)

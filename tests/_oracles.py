@@ -200,6 +200,32 @@ def two_factor_pass(groups, n, x, y):
     return val, grad, hess
 
 
+# -- the chain rule as the product rule ---------------------------------------
+
+def product_rule_power(val, grad, hess, exponents, absolute=False):
+    """A^p (exponents (p,)) or A^p beta^q ((p, q)) with gradient and Hessian,
+    from a pass of A or of (A, beta) given as arrays with a group axis
+    (val (..., G), grad (..., G, 2n), hess (..., G, 2n, 2n)): each group raised
+    alone with its two derivatives, then the product rule joins the two.  The
+    reference for calculus.power, which folds the same rule into per-sample
+    coefficients.  With absolute=True every input and factor enters by its
+    magnitude: the sums of |terms| that rounding errors scale with."""
+    mag = np.abs if absolute else (lambda t: t)
+    out = []
+    for g, e in enumerate(exponents):
+        v, d, h = mag(val[..., g]), mag(grad[..., g, :]), mag(hess[..., g, :, :])
+        f, d1, d2 = v ** e, mag(e * v ** (e - 1.0)), mag(e * (e - 1.0) * v ** (e - 2.0))
+        out.append((f, d1[..., None] * d,
+                    d1[..., None, None] * h + d2[..., None, None] * _outer(d, d)))
+    if len(exponents) == 1:
+        return out[0]
+    (f0, g0, h0), (f1, g1, h1) = out
+    cross = _outer(g0, g1)
+    return (f0 * f1, f1[..., None] * g0 + f0[..., None] * g1,
+            f1[..., None, None] * h0 + f0[..., None, None] * h1
+            + (cross + np.swapaxes(cross, -1, -2)))
+
+
 # -- the split's tail differentiated by hand --------------------------------
 
 def _outer(u, v):

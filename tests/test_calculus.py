@@ -1,20 +1,26 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _oracles as oracles
 from conftest import (
     MAIN_FIXTURES,
+    ONE_FORM_SPECS,
+    assert_stack_matches,
     b_const,
     berwald_moore,
     cubic_x,
     diag_quartic,
     rel_err,
     seeded_points,
+    spec_samples,
 )
 from mrootfinsler import calculus
 from mrootfinsler.calculus import Jet, ScalarFunction
-from mrootfinsler.errors import DomainError, NonFiniteResult
+from mrootfinsler.errors import DomainError, NonFiniteResult, RiemannianOrderWarning
 from mrootfinsler.fields import CoefficientField, OneFormField, Polynomial
 
 
@@ -225,3 +231,45 @@ def test_compose_guards_name_first_failing_sample():
             f.compose(single)
         assert (str(exc.value), exc.value.sample) == (message, None)
     assert np.isfinite(f.compose(pass_with()).hess).all()
+
+
+ALL_SPECS = ("riemann_identity",) + ONE_FORM_SPECS
+
+
+@pytest.mark.parametrize("name", ALL_SPECS)
+def test_chain_rule_matches_product_rule(name):
+    # the coefficient chain rule against the product rule it replaces, for
+    # every energy of the fixture, from the pair pass and from the form's
+    # own pass, at single points and on the stack: within 1e-14 of each
+    # quantity's largest sum of |terms|, the Hessian exactly symmetric, and
+    # the single points (Python-float coefficients) on the stacked results.
+    # The y-Hessians of F and Fbar annihilate y, so their terms cancel: on
+    # diag_quartic both rules lie up to 3.9e-14 of the largest entry from the
+    # same rule in extended precision, which is why the bound is set on the terms
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RiemannianOrderWarning)
+        doc, accepted, (xs, ys) = spec_samples(name, 12, seed=3)
+    energies = [calculus.mth_root_norm(doc.field, doc.m), calculus.base_energy(doc.field, doc.m)]
+    if doc.oneform is not None:
+        energies += [calculus.kropina_norm(doc.field, doc.oneform, doc.m),
+                     calculus.kropina_energy(doc.field, doc.oneform, doc.m)]
+    for f in energies:
+        for oneform in dict.fromkeys((f.oneform, doc.oneform)):
+            stacked = f.compose(calculus.field_jets(doc.field, oneform, xs, ys))
+            singles = []
+            for x, y in [(xs, ys)] + accepted:
+                jets = calculus.field_jets(doc.field, oneform, x, y)
+                jet = f.compose(jets)
+                ref = oracles.product_rule_power(jets.val, jets.grad, jets.hess, f.exponents)
+                terms = oracles.product_rule_power(
+                    jets.val, jets.grad, jets.hess, f.exponents, absolute=True)
+                for got, want, size in zip((jet.val, jet.grad, jet.hess), ref, terms):
+                    axes = tuple(range(np.ndim(x) - 1, np.ndim(want)))
+                    bound = 1e-14 * np.max(size, axis=axes, keepdims=True)
+                    assert np.all(np.abs(got - want) <= bound), (name, f.name)
+                assert np.array_equal(jet.hess, np.swapaxes(jet.hess, -1, -2)), (name, f.name)
+                if np.ndim(x) == 1:
+                    singles.append(jet)
+            for key in ("val", "grad", "hess"):
+                assert_stack_matches(getattr(stacked, key), [getattr(j, key) for j in singles],
+                                     (name, f.name, key))

@@ -9,7 +9,7 @@ import _oracles as oracles
 from conftest import FIXTURE_DIR, ONE_FORM_SPECS, b_bx, b_const, cubic_x, diag_quartic, spec_samples
 from mrootfinsler import calculus
 from mrootfinsler.errors import DimensionMismatch, DomainError, RiemannianOrderWarning
-from mrootfinsler.fields import CoefficientField, OneFormField, Polynomial
+from mrootfinsler.fields import CoefficientField, OneFormField, Polynomial, pack
 from mrootfinsler.specfile import load_spec
 
 
@@ -30,24 +30,24 @@ def test_tensor_at_examples():
 def test_form_x_derivative_examples():
     # cubic-x: A = (1 + x^1)(y1^3 + y2^3), so dA/dx = (y1^3 + y2^3, 0) and
     # d2A/dx^1 dy = 3 (y1^2, y2^2); constant coefficients have no x-derivatives
-    A, coeffs = cubic_x().terms.jet([0.7, -0.2], [1.0, 2.0])
+    A, coeffs = cubic_x().terms.jet(pack([0.7, -0.2], [1.0, 2.0], 2))
     A = A.group(0)
     assert A.grad_x.tolist() == [9.0, 0.0]
     assert A.hess_xy.tolist() == [[3.0, 12.0], [0.0, 0.0]]
     assert coeffs.tolist() == [[1.7, 1.7]]
-    A = diag_quartic().terms.jet([0.1, 0.1], [1.0, 2.0])[0].group(0)
+    A = diag_quartic().terms.jet(pack([0.1, 0.1], [1.0, 2.0], 2))[0].group(0)
     assert not A.grad_x.any() and not A.hess[:2].any()
 
 
 def test_oneform_examples():
     bf = b_const(2)
     np.testing.assert_array_equal(bf.terms.coefficients([3.0, -1.0]), [1.0, 0.0])
-    beta = bf.terms.jet([3.0, -1.0], [1.0, 1.0])[0].group(0)
+    beta = bf.terms.jet(pack([3.0, -1.0], [1.0, 1.0], 2))[0].group(0)
     np.testing.assert_array_equal(beta.hess_xy, np.zeros((2, 2)))
 
     bx = b_bx()
     np.testing.assert_array_equal(bx.terms.coefficients([0.0, 1.0]), [2.0, 0.0])
-    beta = bx.terms.jet([0.0, 1.0], [3.0, 5.0])[0].group(0)
+    beta = bx.terms.jet(pack([0.0, 1.0], [3.0, 5.0], 2))[0].group(0)
     jac = beta.hess_xy.T  # [i, k] = db_i/dx^k
     assert jac[0, 1] == 1.0
     assert jac[0, 0] == jac[1, 0] == jac[1, 1] == 0.0
@@ -59,7 +59,7 @@ def test_form_x_derivatives_match_central_differences():
     field = cubic_x()
     x = np.array([0.25, -0.3])
     y = np.array([0.8, 1.4])
-    A = field.terms.jet(x, y)[0].group(0)
+    A = field.terms.jet(pack(x, y, 2))[0].group(0)
     fd = oracles.fd_grad(lambda xx: field.tensor_at(xx).eval(y), x)
     assert np.all(np.abs(A.grad_x - fd) <= 1e-8 * (1 + np.abs(fd)))
     fd_mixed = oracles.fd_mixed(lambda xx, yy: field.tensor_at(xx).eval(yy), x, y)
@@ -69,7 +69,7 @@ def test_form_x_derivatives_match_central_differences():
 def test_oneform_jacobian_matches_central_differences():
     bx = b_bx()
     x = np.array([0.4, 0.9])
-    jac = bx.terms.jet(x, [1.0, 1.0])[0].group(0).hess_xy.T
+    jac = bx.terms.jet(pack(x, [1.0, 1.0], 2))[0].group(0).hess_xy.T
     for i in range(2):
         def comp(xx, i=i):
             return bx.terms.coefficients(xx)[i]
@@ -97,7 +97,7 @@ def test_polynomial_validation():
     poly = Polynomial(2, [((2, 1), 3.0)])
     assert poly([2.0, 5.0]) == 60.0
     # exact x-derivatives come from the field engine: A = poly(x) y1^2
-    A = CoefficientField(2, 2, {(1, 1): poly}).terms.jet([2.0, 5.0], [1.0, 0.0])[0].group(0)
+    A = CoefficientField(2, 2, {(1, 1): poly}).terms.jet(pack([2.0, 5.0], [1.0, 0.0], 2))[0].group(0)
     assert A.grad_x.tolist() == [60.0, 12.0]  # (6 x1 x2, 3 x1^2)
 
 
@@ -127,14 +127,15 @@ def test_pair_pass_matches_single_field_passes(name):
     doc, accepted, (xs, ys) = spec_samples(name, 12, seed=8)
     pair = doc.field.terms_with(doc.oneform)
     for x, y in [accepted[0], (xs, ys)]:
-        jets, c = pair.jet(x, y)
-        values, scale = pair.value(x, y)
+        v = pack(x, y, doc.n)
+        jets, c = pair.jet(v)
+        values, scale = pair.value(v)
         assert np.array_equal(values, jets.val), name
         for g, table in enumerate((doc.field.terms, doc.oneform.terms)):
-            alone_values, alone_scale = table.value(x, y)
+            alone_values, alone_scale = table.value(v)
             assert np.array_equal(values[..., g], alone_values[..., 0]), (name, g)
             assert np.array_equal(scale[..., g], alone_scale[..., 0]), (name, g)
-            alone, c_alone = table.jet(x, y)
+            alone, c_alone = table.jet(v)
             for key in ("val", "grad", "hess"):
                 assert np.array_equal(
                     getattr(jets.group(g), key), getattr(alone.group(0), key)
@@ -208,8 +209,8 @@ def test_value_is_read_off_the_derivative_pass(name):
     xs, ys = rng.uniform(-1.0, 1.0, (6, field.n)), rng.uniform(0.1, 2.0, (6, field.n))
     for table in (field.terms_with(oneform), field.terms, oneform.terms):
         for x, y in ((xs[0], ys[0]), (xs, ys)):
-            values, scale = table.value(x, y)
-            jets, c = table.jet(x, y)
+            values, scale = table.value(pack(x, y, field.n))
+            jets, c = table.jet(pack(x, y, field.n))
             assert np.array_equal(values, jets.val), name
             assert np.array_equal(scale, np.abs(c).max(axis=-1)), name
 
@@ -225,8 +226,8 @@ def test_pass_matches_two_factor_oracle(name):
                            ([field.term_group], (field,)), ([oneform.term_group], (oneform,))):
         table = field.terms_with(oneform) if len(groups) == 2 else fields[0].terms
         for x, y in ((xs[0], ys[0]), (xs, ys)):
-            jets, c = table.jet(x, y)
-            values, scale = table.value(x, y)
+            jets, c = table.jet(pack(x, y, field.n))
+            values, scale = table.value(pack(x, y, field.n))
             assert jets.hess.shape[-3:] == (len(groups), 2 * field.n, 2 * field.n)
             assert np.array_equal(jets.hess, jets.hess.swapaxes(-1, -2)), name
             for k, (xk, yk) in enumerate(zip(np.reshape(x, (-1, field.n)), np.reshape(y, (-1, field.n)))):

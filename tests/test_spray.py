@@ -17,6 +17,7 @@ from conftest import (
 )
 from mrootfinsler import calculus, report
 from mrootfinsler.errors import DomainError, NonFiniteResult, SingularMatrix
+from mrootfinsler.kropina import kropina_point
 from mrootfinsler.metric import metric_point
 from mrootfinsler.specfile import load_spec
 from mrootfinsler.fields import CoefficientField, OneFormField, Polynomial
@@ -147,7 +148,7 @@ def test_complex_step_tail_matches_hand_chain(name):
 
 def test_pq_decomposition_fields():
     point = pq_decomposition(cubic_x(), b_const(2), 3, [0.0, 0.0], [1.0, 1.0])
-    assert not point.degenerate_order4
+    assert not point.aux.degenerate_order4
     np.testing.assert_allclose(point.G, GOLDEN_G_BASE, atol=1e-9)
     np.testing.assert_allclose(point.Gbar, GOLDEN_G_KROPINA, atol=1e-9)
     np.testing.assert_allclose(point.D, point.Gbar - point.G, atol=1e-15)
@@ -161,7 +162,7 @@ def test_pq_decomposition_fields():
 
 def test_pq_decomposition_degenerate_order4():
     point = pq_decomposition(diag_quartic(), b_const(2), 4, [0.0, 0.0], [1.0, 2.0])
-    assert point.degenerate_order4
+    assert point.aux.degenerate_order4
     assert np.isnan(point.P_closed)
     assert np.all(np.isnan(point.Q_closed))
     # oracle-side fields always filled
@@ -259,8 +260,16 @@ def test_spray_condition_guard():
     assert exc.value.sample == 3
 
 
+# A kropina geodesic of cubic_x whose state at t = 1.75 (h = 0.125) has a
+# negative form value: the accepted states end at t = 1.625
+OUTSIDE_X0 = [0.11290864530486688, 0.28458872586489115]
+OUTSIDE_Y0 = [-1.2563749364211292, 1.9701736487042605]
+
+
 def _rk4_stage_loop(energy, x0, y0, t_end, steps):
-    """RK4 on separate x and v, stage by stage: the oracle of the packed state."""
+    """RK4 on separate x and v, stage by stage: the oracle of the packed state.
+    A state outside the domain (its first stage, or the final state's
+    domain_check, raises DomainError) leaves the path, named in the reason."""
     h = float(t_end) / steps
     x, v = np.array(x0, dtype=float), np.array(y0, dtype=float)
     states, reason = [(0.0, x, v)], ""
@@ -268,9 +277,19 @@ def _rk4_stage_loop(energy, x0, y0, t_end, steps):
     def acc(xs, vs):
         return -spray_coeffs(energy, xs, vs)
 
+    def outside(exc):
+        return f"state at t={states.pop()[0]!r} is outside the domain: {exc}"
+
     for i in range(1, steps + 1):
         try:
             k1x, k1v = v, acc(x, v)
+        except DomainError as exc:
+            reason = outside(exc)
+            break
+        except (SingularMatrix, NonFiniteResult) as exc:
+            reason = str(exc)
+            break
+        try:
             k2x, k2v = v + 0.5 * h * k1v, acc(x + 0.5 * h * k1x, v + 0.5 * h * k1v)
             k3x, k3v = v + 0.5 * h * k2v, acc(x + 0.5 * h * k2x, v + 0.5 * h * k2v)
             k4x, k4v = v + h * k3v, acc(x + h * k3x, v + h * k3v)
@@ -280,6 +299,11 @@ def _rk4_stage_loop(energy, x0, y0, t_end, steps):
         x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
         v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
         states.append((i * h, x, v))
+    else:
+        try:
+            calculus.domain_check(energy.field, energy.oneform)(x, v)
+        except DomainError as exc:
+            reason = outside(exc)
     return states, reason
 
 
@@ -290,6 +314,10 @@ def test_packed_rk4_matches_stage_loop():
         (calculus.base_energy(doc.field, doc.m), [0.0, 0.0], [1.0, 0.5], 0.5, 50),
         # the truncating start of test_geodesic_truncates_on_domain_exit
         (calculus.base_energy(cubic_x(), 3), [-0.5, 0.0], [-0.6, 1.0], 2.0, 200),
+        # a step lands outside the domain: the next step's first stage
+        # refuses it, or, as the final state, domain_check does
+        (calculus.kropina_energy(cubic_x(), b_const(2), 3), OUTSIDE_X0, OUTSIDE_Y0, 2.0, 16),
+        (calculus.kropina_energy(cubic_x(), b_const(2), 3), OUTSIDE_X0, OUTSIDE_Y0, 1.75, 14),
     ]
     for energy, x0, y0, t_end, steps in cases:
         path = integrate_geodesic(energy, x0, y0, t_end, steps)
@@ -300,3 +328,33 @@ def test_packed_rk4_matches_stage_loop():
             assert t == t_ref and np.array_equal(x, x_ref) and np.array_equal(v, v_ref), (
                 energy.name, t)
     assert reason  # the last case truncates
+
+
+@pytest.mark.parametrize("t_end, steps", [(2.0, 16), (1.75, 14)])
+def test_geodesic_keeps_no_state_outside_the_domain(t_end, steps):
+    # the state at t = 1.75 is below the form floor: at t = 2 the next step's
+    # first stage meets it, at t = 1.75 it is the final state
+    energy = calculus.kropina_energy(cubic_x(), b_const(2), 3)
+    path = integrate_geodesic(energy, OUTSIDE_X0, OUTSIDE_Y0, t_end, steps)
+    assert path.truncated
+    assert path.reason.startswith("state at t=1.75 is outside the domain: form value -2.158e-03")
+    assert len(path.samples) == 14 and path.samples[-1][0] == 1.625
+    check = calculus.domain_check(energy.field, energy.oneform)
+    for _, x, v in path.samples:
+        check(x, v)
+    # the same steps stopped at t = 1.625 keep every state
+    short = integrate_geodesic(energy, OUTSIDE_X0, OUTSIDE_Y0, 1.625, 13)
+    assert not short.truncated and len(short.samples) == 14
+    for (t, x, v), (t_ref, x_ref, v_ref) in zip(path.samples, short.samples):
+        assert t == t_ref and np.array_equal(x, x_ref) and np.array_equal(v, v_ref)
+
+
+def test_pq_decomposition_refuses_another_snapshot():
+    field, oneform = cubic_x(), b_bx()
+    x, y = np.array([0.2, -0.3]), np.array([0.7, 1.1])
+    point = kropina_point(field, oneform, 3, x, y)
+    assert np.array_equal(pq_decomposition(field, oneform, 3, x, y, point).Gbar,
+                          pq_decomposition(field, oneform, 3, x, y).Gbar)
+    for x2, y2 in ((x + [0.0, 1e-9], y), (x, 2.0 * y), (np.stack([x, x]), np.stack([y, y]))):
+        with pytest.raises(ValueError, match="other samples"):
+            pq_decomposition(field, oneform, 3, x2, y2, point)
