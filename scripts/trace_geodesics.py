@@ -36,7 +36,7 @@ def main() -> int:
         energies["kropina"] = calculus.kropina_energy(doc.field, doc.oneform, doc.m)
 
     for tag, energy in energies.items():
-        path = integrate_geodesic(energy, x0, y0, args.t, 200, metric=tag)
+        path = integrate_geodesic(energy, x0, y0, args.t, 200)
         out = outdir / f"{doc.name or 'metric'}_{tag}.txt"
         write_path_file(str(out), path, doc.n)
         end = path.samples[-1][1]

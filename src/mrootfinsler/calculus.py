@@ -7,16 +7,18 @@ the form of the coefficient field and beta = b_i(x) y^i the one-form:
 
 The fields layer evaluates A and beta with their exact gradients and Hessians
 over all 2n coordinates (x first, then y) in one pass at the packed point
-v = (x, y), on a group axis (A, beta).  One chain rule composes them: per
-sample, the value of A^p beta^q and its first and second derivatives in
-(A, beta) are scalar coefficients (Python floats at one point), and one
-product of them with the pass gives the gradient and Hessian.  The value, the
-y-gradient and y-Hessian, the x-gradient and the mixed x-y block of any energy
-are therefore slices of a single pass, exact to rounding.  Points may come
-stacked (..., n): the pass, the chain rule and every guard then act per
-sample, and a guard raises for the lowest failing sample.
-Richardson-extrapolated central differences serve only as an independent
-cross-check (fd_check).
+v = (x, y), on a group axis (A, beta), laid out in one block.  One chain rule
+composes one group and two alike: per sample, the value of A^p beta^q and its
+first and second derivatives in (A, beta) are scalar coefficients (Python
+floats at one point), and one product of them with the block gives the
+gradient and Hessian.  The value, the y-gradient and y-Hessian, the
+x-gradient and the mixed x-y block of any energy, and the value a
+ScalarFunction returns when called, are therefore slices of a single pass,
+exact to rounding.  Points may come stacked (..., n): the pass, the chain
+rule and every guard then act per sample, and a guard raises for the lowest
+failing sample.  Richardson-extrapolated central differences of the value
+over the packed point serve only as an independent cross-check of the whole
+gradient and Hessian (fd_check).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from .errors import NonFiniteResult, raise_first
 from .fields import CoefficientField, Jet, OneFormField, all_finite, check_floors
-from .fields import clear_of_floors, outer, pack
+from .fields import clear_of_floors, pack
 
 _EPS = float(np.finfo(float).eps)
 
@@ -52,20 +54,18 @@ def _power_table(exponents: tuple):
     return table, np.array([np.ones_like(e), e, e * (e - 1.0)]), shortcuts
 
 
-def _power(v, exponents: tuple, derivatives: bool = True) -> np.ndarray:
+def _power(v, exponents: tuple) -> np.ndarray:
     """v^e and its first and second derivative in v, with group g of v (..., G)
-    raised to exponents[g]: (..., 3, G), or (..., 1, G) for v^e alone.  Group by
-    group, the guards raise for an undefined base, then for a power that
-    overflows; both leave an entry that is not finite, so the guards run only
-    then.  Callers ignore floating-point errors."""
+    raised to exponents[g]: (..., 3, G).  Group by group, the guards raise for
+    an undefined base, then for a power that overflows; both leave an entry
+    that is not finite, so the guards run only then.  Callers ignore
+    floating-point errors."""
     table, factor, shortcuts = _power_table(tuple(exponents))
-    rows = 3 if derivatives else 1
     v = np.asarray(v, dtype=float)
-    out = v[..., None, :] ** table[:rows]
+    out = v[..., None, :] ** table
     for r, g, op in shortcuts:
-        if r < rows:
-            out[..., r, g] = op(v[..., g])
-    out *= factor[:rows]
+        out[..., r, g] = op(v[..., g])
+    out *= factor
     if not all_finite(out):
         undefined = (v == 0.0) | ((v < 0.0) & (table[0] % 1.0 != 0.0))
         finite = np.isfinite(out).all(axis=-2)
@@ -105,34 +105,24 @@ def _coefficients(values, exponents):
 
 def power(jets: Jet, exponents) -> Jet:
     """A^p for exponents (p,), A^p beta^q for (p, q), with gradient and Hessian,
-    from a pass of A or of (A, beta), in one block (Jet.of): with V the group
-    values, grad = c1 dV and Hess = c1 H_V + dV^T c2 dV, symmetrised as
-    (M + M^T) / 2; one product of C with the pass's block gives c1 dV, c1 H_V
-    and c2 dV.  One group keeps d1 H_A + d2 dA dA^T, symmetric term by term.
-    Overflowing products are left as they come: ScalarFunction.compose rejects them.
+    from a pass of A or of (A, beta) (Jet.of, one block): with V the group
+    values, grad = c1 dV and Hess = c1 H_V + dV^T c2 dV.  For one group and for
+    two alike, one product of C with the pass's block gives c1 dV, c1 H_V and
+    c2 dV, and the Hessian is symmetrised as (M + M^T) / 2, so it is exactly
+    symmetric.  Overflowing products are left as they come:
+    ScalarFunction.compose rejects them.
     """
     k = len(exponents)
     G = jets.grad[..., :k, :]
     n2 = G.shape[-1]
     with np.errstate(all="ignore"):
         f, C = _coefficients(jets.val[..., :k], exponents)
-        if k == 1:
-            G, H = G[..., 0, :], jets.hess[..., 0, :, :]
-            block = np.empty(G.shape[:-1] + (1 + n2 + n2 * n2,))
-            np.multiply(C[..., 0, :], G, out=block[..., 1 : 1 + n2])
-            np.add(C[..., :1, :] * H, C[..., 1:, :] * outer(G, G),
-                   out=block[..., 1 + n2 :].reshape(H.shape))
-        else:
-            B = jets.block
-            if B is None:  # a jet made of separate arrays
-                B = np.concatenate((np.asarray(jets.val)[..., None], jets.grad, jets.hess.reshape(
-                    jets.hess.shape[:-2] + (-1,))), axis=-1)
-            R = C @ B[..., :k, :]
-            block = R[..., 0, :]
-            hess = block[..., 1 + n2 : 1 + n2 * (n2 + 1)].reshape(block.shape[:-1] + (n2, n2))
-            hess += G.swapaxes(-1, -2) @ R[..., 1:, 1 : 1 + n2]
-            np.add(hess, hess.swapaxes(-1, -2), out=hess)  # ufuncs copy an overlapping input
-            hess *= 0.5
+        R = C @ jets.block[..., :k, : 1 + n2 * (n2 + 1)]
+        block = R[..., 0, :]
+        hess = block[..., 1 + n2 :].reshape(block.shape[:-1] + (n2, n2))
+        hess += G.swapaxes(-1, -2) @ R[..., 1:, 1 : 1 + n2]
+        np.add(hess, hess.swapaxes(-1, -2), out=hess)  # ufuncs copy an overlapping input
+        hess *= 0.5
         block[..., 0] = f
     return Jet.of(block, n2)
 
@@ -198,13 +188,8 @@ class ScalarFunction:
         return jet
 
     def __call__(self, x, y) -> float:
-        values = domain_check(self.field, self.oneform)(x, y)
-        with np.errstate(all="ignore"):
-            value = _power(values, self.exponents, False).prod(axis=(-2, -1))
-        raise_first(
-            ~np.isfinite(value), NonFiniteResult, f"{self.name} evaluated to {{}}", value
-        )
-        return value
+        """f at (x, y), read off the derivative pass with its guards."""
+        return derivatives(self, x, y).val
 
 
 def mth_root_norm(field: CoefficientField, m: int) -> ScalarFunction:
@@ -276,19 +261,18 @@ def _moved(v, *moves) -> np.ndarray:
     return point
 
 
-def _ladder_steps(v, step0: float, levels: int):
-    """Per coordinate, the steps h, h/2, ... of its ladder, h scaled by 1 + |v_i|."""
-    return [[step0 * (1.0 + abs(vi)) / 2 ** lv for lv in range(levels + 1)] for vi in v]
+def _ladder_steps(v, step0: float):
+    """Per coordinate, the steps h, h/2, h/4 of its ladder, h scaled by 1 + |v_i|."""
+    return [[step0 * (1.0 + abs(vi)) / 2 ** lv for lv in range(3)] for vi in v]
 
 
-def fd_gradient(fn, v, rel_step=None, levels: int = 2) -> np.ndarray:
+def fd_gradient(fn, v) -> np.ndarray:
     """Central-difference gradient of fn at v; fn maps a stack (k, n) of points to k values.
 
     Every stencil point of every ladder goes to fn in one call.
     """
     v = np.asarray(v, dtype=float)
-    step0 = rel_step if rel_step is not None else _EPS ** (1.0 / 3.0)
-    steps = _ladder_steps(v, step0, levels)
+    steps = _ladder_steps(v, _EPS ** (1.0 / 3.0))
     f = iter(fn(np.array([
         _moved(v, (i, sign * h)) for i, ladder in enumerate(steps)
         for h in ladder for sign in (1.0, -1.0)
@@ -298,7 +282,7 @@ def fd_gradient(fn, v, rel_step=None, levels: int = 2) -> np.ndarray:
     ])
 
 
-def fd_hessian(fn, v, rel_step=None, levels: int = 2) -> np.ndarray:
+def fd_hessian(fn, v) -> np.ndarray:
     """Central-difference Hessian of fn at v; fn maps a stack (k, n) of points to k values.
 
     Every stencil point of every ladder, and v itself, go to fn in one call.
@@ -306,9 +290,8 @@ def fd_hessian(fn, v, rel_step=None, levels: int = 2) -> np.ndarray:
     # Second differences lose ~eps/h^2 to roundoff, so the step is much wider
     # than the first-order cbrt(eps) choice.
     v = np.asarray(v, dtype=float)
-    step0 = rel_step if rel_step is not None else _EPS ** 0.2
     n = v.size
-    steps = _ladder_steps(v, step0, levels)
+    steps = _ladder_steps(v, _EPS ** 0.2)
     entries = [(i, j) for i in range(n) for j in range(i, n)]
     points = [v]
     for i, j in entries:
@@ -344,52 +327,24 @@ class FdReport:
 
 
 def fd_check(f: ScalarFunction, x, y, order: int) -> FdReport:
-    """Compare the oracle's derivatives against Richardson central differences.
+    """Compare the oracle's derivatives against Richardson central differences
+    of v -> f(v[:n], v[n:]) at the packed point v = (x, y).
 
-    order 1 checks grad_y and grad_x, order 2 checks hess_y and the mixed
-    block.  Report-only: nothing is asserted here.
+    order 1 checks the whole (x, y) gradient, order 2 the whole Hessian, the
+    x-x, x-y and y-y blocks alike.  Report-only: nothing is asserted here.
     """
     if order not in (1, 2):
         raise ValueError(f"unsupported order {order}")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    jet = derivatives(f, x, y)
-    diffs = []
-    scales = []
+    n = f.field.n
+    v = pack(x, y, n)
+    jet = derivatives(f, v[:n], v[n:])
+
+    def fn(vs):
+        return f(vs[..., :n], vs[..., n:])
+
     if order == 1:
-        fd = fd_gradient(lambda ys: f(x, ys), y)
-        diffs.append(np.abs(jet.grad_y - fd)); scales.append(np.abs(fd))
-        fdx = fd_gradient(lambda xs: f(xs, y), x)
-        diffs.append(np.abs(jet.grad_x - fdx)); scales.append(np.abs(fdx))
+        oracle, fd = jet.grad, fd_gradient(fn, v)
     else:
-        fd = fd_hessian(lambda ys: f(x, ys), y)
-        diffs.append(np.abs(jet.hess_yy - fd).ravel()); scales.append(np.abs(fd).ravel())
-        fdm = _fd_mixed(f, x, y)
-        diffs.append(np.abs(jet.hess_xy - fdm).ravel()); scales.append(np.abs(fdm).ravel())
-    diff = np.concatenate(diffs)
-    scale = np.concatenate(scales)
-    max_abs = float(diff.max()) if diff.size else 0.0
-    rel = diff / (1.0 + scale)
-    return FdReport(order, max_abs, float(rel.max()) if rel.size else 0.0)
-
-
-def _fd_mixed(f: ScalarFunction, x, y, rel_step=None, levels: int = 2) -> np.ndarray:
-    """Central-difference mixed block [k, l] = d2 f / dx^k dy^l, all stencil points in one call."""
-    step0 = rel_step if rel_step is not None else _EPS ** 0.2
-    x_steps = _ladder_steps(x, step0, levels)
-    y_steps = _ladder_steps(y, step0, levels)
-    entries = [(k, l) for k in range(len(x)) for l in range(len(y))]
-    xs, ys = [], []
-    for k, l in entries:
-        for hk, hl in zip(x_steps[k], y_steps[l]):
-            for sk, sl in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
-                xs.append(_moved(x, (k, sk * hk)))
-                ys.append(_moved(y, (l, sl * hl)))
-    values = iter(f(np.array(xs), np.array(ys)))
-    out = np.zeros((len(x), len(y)))
-    for k, l in entries:
-        out[k, l] = _richardson([
-            (next(values) - next(values) - next(values) + next(values)) / (4 * hk * hl)
-            for hk, hl in zip(x_steps[k], y_steps[l])
-        ])
-    return out
+        oracle, fd = jet.hess, fd_hessian(fn, v)
+    diff = np.abs(oracle - fd)
+    return FdReport(order, float(diff.max()), float((diff / (1.0 + np.abs(fd))).max()))

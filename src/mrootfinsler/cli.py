@@ -38,6 +38,7 @@ from .errors import (
     SingularMatrix,
     ValidationError,
 )
+from .metric import ORDER2_NOTICE
 from .specfile import MetricSpecDocument, _read, parse_spec
 
 INPUT_ERRORS = (ParseError, ValidationError, DimensionMismatch, IndexOutOfRange, OrderOutOfRange)
@@ -122,7 +123,7 @@ def _load(path) -> MetricSpecDocument:
     order-2 warning to stderr as one fixed line."""
     doc = _parse(_read(path), str(path))
     if doc.m == 2:
-        sys.stderr.write("warning: order 2 is Riemannian: closed forms target m > 2\n")
+        sys.stderr.write(f"warning: {ORDER2_NOTICE}\n")
     return doc
 
 
@@ -461,9 +462,7 @@ def cmd_geodesic(args, argv) -> int:
     else:
         energy = calculus.base_energy(doc.field, doc.m)
 
-    path = spray.integrate_geodesic(
-        energy, x0, y0, args.t, args.steps, metric=args.metric
-    )
+    path = spray.integrate_geodesic(energy, x0, y0, args.t, args.steps)
     write_path_file(args.out, path, doc.n)
     message = (
         f"wrote {len(path.samples)} states to {args.out}"

@@ -160,14 +160,15 @@ class Jet:
     """A scalar with its gradient and Hessian over (x, y), the n x-coordinates first.
 
     Every field takes a leading batch axis: val (...), grad (..., 2n) and
-    hess (..., 2n, 2n) for a stack of points, one point without it.  A jet
-    read off one array (Jet.of) keeps it as `block`; jets are not mutated.
+    hess (..., 2n, 2n) for a stack of points, one point without it.  Every
+    jet is read off one array (Jet.of) and keeps it as `block`; jets are not
+    mutated.
     """
 
     val: float
     grad: np.ndarray   # (..., 2n)
     hess: np.ndarray   # (..., 2n, 2n), exactly symmetric
-    block: np.ndarray = None  # (..., 1 + 2n + 4n^2 + ...): the three above lead it, as views
+    block: np.ndarray  # (..., 1 + 2n + 4n^2 + ...): the three above lead it, as views
 
     @staticmethod
     def of(block, n2: int) -> "Jet":
@@ -199,7 +200,7 @@ class Jet:
 
     def group(self, g: int) -> "Jet":
         """Group g of a pass with a group axis: A is 0 and beta 1 in the pair (A, beta)."""
-        return Jet(self.val[..., g][()], self.grad[..., g, :], self.hess[..., g, :, :])
+        return Jet.of(self.block[..., g, :], self.grad.shape[-1])
 
 
 class TermTable:

@@ -28,21 +28,22 @@ COND_LIMIT = 1e12
 
 ORDER_MIN = 2
 ORDER_MAX = 8
+ORDER2_NOTICE = "order 2 is Riemannian: closed forms target m > 2"
 
 
-def symmetric_cond(matrix: np.ndarray, template: str) -> np.ndarray:
-    """The 2-norm condition number per symmetric matrix of a stack, max over min |eigenvalue|;
-    SingularMatrix (`template` formatted with it) where it is above COND_LIMIT or not finite.
+def symmetric_cond(matrix: np.ndarray, template: str) -> None:
+    """The condition guard of a symmetric matrix or a stack of them: SingularMatrix,
+    `template` formatted with the 2-norm condition number max over min |eigenvalue|,
+    for the lowest matrix where that number is above COND_LIMIT or not finite.
     Only if some matrix is not clearly within the limit (max |eig| < COND_LIMIT / 2
-    min |eig|: finite, nonzero) do errstate and the per-sample guard run."""
+    min |eig|: finite, nonzero) is the number computed, under errstate."""
     eig = np.abs(_umath_linalg.eigvalsh_lo(matrix))
     hi, lo = eig.max(axis=-1), eig.min(axis=-1)
     if (hi < 0.5 * COND_LIMIT * lo).all():
-        return hi / lo
+        return
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = hi / lo
     raise_first(~(cond <= COND_LIMIT), SingularMatrix, template, cond)
-    return cond
 
 
 def solve_guarded(matrix: np.ndarray, rhs: np.ndarray, template: str) -> np.ndarray:
@@ -92,7 +93,7 @@ def metric_point(field: CoefficientField, m: int, x, y, A: Jet = None) -> Metric
 
     order_flag = ""
     if m == 2:
-        order_flag = "order 2 is Riemannian: closed forms target m > 2"
+        order_flag = ORDER2_NOTICE
         warnings.warn(order_flag, RiemannianOrderWarning, stacklevel=2)
 
     A_i = A.grad_y / m

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .errors import ParseError, RiemannianOrderWarning, ValidationError
 from .fields import CoefficientField, OneFormField, Polynomial
-from .metric import ORDER_MAX, ORDER_MIN
+from .metric import ORDER2_NOTICE, ORDER_MAX, ORDER_MIN
 
 # each derivative pass tabulates every coordinate's powers up to the largest exponent
 MAX_EXPONENT = 64
@@ -101,10 +101,7 @@ def parse_spec(text, source: str = "<text>") -> MetricSpecDocument:
     if m < ORDER_MIN or m > ORDER_MAX:
         raise ValidationError(f"order: must be in {ORDER_MIN}..{ORDER_MAX}, got {m}")
     if m == 2:
-        warnings.warn(
-            "order 2 is Riemannian: closed forms target m > 2",
-            RiemannianOrderWarning, stacklevel=2,
-        )
+        warnings.warn(ORDER2_NOTICE, RiemannianOrderWarning, stacklevel=2)
     name = doc.get("name", "")
     if not isinstance(name, str):
         raise ParseError("name: expected a string")

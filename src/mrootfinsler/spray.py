@@ -229,14 +229,12 @@ class GeodesicPath:
 
     samples: list          # (t, x array, v array)
     step: float
-    metric: str            # "base" | "kropina"
     truncated: bool = False
     reason: str = ""
 
 
 def integrate_geodesic(
-    energy: calculus.ScalarFunction, x0, y0, t_end: float, steps: int,
-    metric: str = "base",
+    energy: calculus.ScalarFunction, x0, y0, t_end: float, steps: int
 ) -> GeodesicPath:
     """Classical fixed-step RK4 on the packed state z = (x, v): z' = (v, -G(x, v)).
     A state outside the domain leaves the path, named in the reason: the next
@@ -278,4 +276,4 @@ def integrate_geodesic(
         except DomainError as exc:
             truncated, reason = True, outside(exc)
 
-    return GeodesicPath(samples, h, metric, truncated, reason)
+    return GeodesicPath(samples, h, truncated, reason)

@@ -26,7 +26,7 @@ from conftest import (
 )
 from test_cli import FIXTURES, run_cli
 
-from mrootfinsler import calculus, report
+from mrootfinsler import calculus
 from mrootfinsler.errors import RiemannianOrderWarning
 from mrootfinsler.flatness import dually_flat_residual, proj_flat_residual
 from mrootfinsler.kropina import kropina_point

@@ -10,6 +10,7 @@ from conftest import (
     MAIN_FIXTURES,
     ONE_FORM_SPECS,
     assert_stack_matches,
+    b_bx,
     b_const,
     berwald_moore,
     cubic_x,
@@ -85,13 +86,30 @@ def test_norm_euler_identity():
 
 
 def test_fd_check_fixture_functions():
-    for name, make, m, make_b in MAIN_FIXTURES:
+    # the fixtures, and cubic_x with the x-dependent one-form b_bx
+    for name, make, m, make_b in MAIN_FIXTURES + (("cubic-x-bx", cubic_x, 3, b_bx),):
         field = make()
         for f in fixture_functions(field, make_b(), m):
             for x, y in seeded_points(field.n, 12, seed=29):
                 for order in (1, 2):
                     rep = calculus.fd_check(f, x, y, order)
                     assert rep.max_rel <= 1e-6, (name, f.name, order)
+
+
+def test_fd_check_sees_the_xx_block(monkeypatch):
+    # an error of 1e-3 in d2f/dx1dx1 alone must show in the order-2 check
+    compose = ScalarFunction.compose
+
+    def spoiled(self, jets):
+        jet = compose(self, jets)
+        jet.hess[..., 0, 0] += 1e-3
+        return jet
+
+    monkeypatch.setattr(ScalarFunction, "compose", spoiled)
+    fn = calculus.kropina_energy(cubic_x(), b_const(2), 3)
+    (x, y), = seeded_points(2, 1, seed=29)
+    assert calculus.fd_check(fn, x, y, 1).max_rel <= 1e-6
+    assert calculus.fd_check(fn, x, y, 2).max_rel > 1e-6
 
 
 def test_fd_check_constant_function():
@@ -119,7 +137,9 @@ def test_domain_guards():
 
 def test_pow_domain():
     def jets(*values):  # a pass with one group per value
-        return Jet(np.array(values), np.ones((len(values), 4)), np.zeros((len(values), 4, 4)))
+        block = np.zeros((len(values), 1 + 4 + 16))
+        block[:, 0], block[:, 1:5] = values, 1.0
+        return Jet.of(block, 4)
 
     with pytest.raises(NonFiniteResult):
         calculus.power(jets(-2.0), (0.5,))
@@ -197,7 +217,7 @@ def test_group_powers_match_scalar_powers(rng):
             ref = (v ** e, e * v ** (e - 1.0), e * (e - 1.0) * v ** (e - 2.0))
             for r in range(3):
                 assert np.array_equal(out[:, r, g], ref[r]), (exponents, r)
-        single = calculus._power(np.array([v[7]] * len(exponents)), exponents, False)
+        single = calculus._power(np.array([v[7]] * len(exponents)), exponents)
         assert np.array_equal(single[0], [np.asarray(v[7]) ** e for e in exponents])
 
 
@@ -208,11 +228,11 @@ def test_compose_guards_name_first_failing_sample():
     f = ScalarFunction("f", diag_quartic(), 1.0, b_const(2), 1.0)
 
     def pass_with(value_at=(), nan_grad_at=(), nan_hess_at=()):
-        val, grad, hess = np.ones((5, 2)), np.ones((5, 2, 4)), np.ones((5, 2, 4, 4))
-        val[list(value_at)] = 1e200
-        grad[list(nan_grad_at), 1, 2] = np.nan
-        hess[list(nan_hess_at), 0, 3, 3] = np.nan
-        return Jet(val, grad, hess)
+        jets = Jet.of(np.ones((5, 2, 1 + 4 + 16)), 4)
+        jets.val[list(value_at)] = 1e200
+        jets.grad[list(nan_grad_at), 1, 2] = np.nan
+        jets.hess[list(nan_hess_at), 0, 3, 3] = np.nan
+        return jets
 
     cases = [
         (pass_with(value_at=[3, 4]), "f evaluated to inf", 3),
@@ -226,7 +246,7 @@ def test_compose_guards_name_first_failing_sample():
             f.compose(jets)
         assert (str(exc.value), exc.value.sample) == (message, sample)
         # the same sample alone, as a single point
-        single = Jet(jets.val[sample], jets.grad[sample], jets.hess[sample])
+        single = Jet.of(jets.block[sample], 4)
         with pytest.raises(NonFiniteResult) as exc:
             f.compose(single)
         assert (str(exc.value), exc.value.sample) == (message, None)
