@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Adjudicate every closed form against the differentiation oracle.
 
-Runs the discrepancy report over each shipped fixture and prints per-formula
-maxima.  The supporting covector row is expected near rounding; the other
-closed forms carry the print inconsistencies this package exists to measure.
+Evaluates every `verify` row over the accepted samples of each shipped
+fixture, stacked as `verify` stacks them, and prints per-formula maxima.  The
+supporting covector row is expected near rounding; the other closed forms
+carry the print inconsistencies this package exists to measure.
 """
 
 import argparse
@@ -11,7 +12,7 @@ import sys
 from pathlib import Path
 
 from mrootfinsler import calculus, sampling
-from mrootfinsler.report import discrepancy_report
+from mrootfinsler.report import point_report, reduce_report
 from mrootfinsler.specfile import load_spec
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -36,9 +37,13 @@ def main() -> int:
             doc.n, args.samples, args.seed,
             domain_check=calculus.domain_check(doc.field, doc.oneform),
         )
-        rep = discrepancy_report(doc.field, doc.oneform, doc.m, samples.accepted)
         print(f"== {doc.name} (n={doc.n}, m={doc.m}), "
               f"{len(samples.accepted)} points, {len(samples.rejected)} rejected")
+        if not samples.accepted:
+            print()
+            continue
+        rep = reduce_report(point_report(doc.field, doc.oneform, doc.m,
+                                         *sampling.stack(samples.accepted)))
         if rep.degenerate_order4:
             print("   order-4 degeneracy: closed-form scalar family undefined")
         for row in rep.rows:

@@ -128,9 +128,9 @@ def power(jets: Jet, exponents) -> Jet:
 
 
 def field_jets(field: CoefficientField, oneform: Optional[OneFormField], x, y) -> Jet:
-    """One pass for A, or for (A, beta) on a group axis, after the floors of
-    domain_check (form first), read off the same pass.  x and y may be stacks
-    (..., n); they are packed once, here."""
+    """One pass for A, or for (A, beta) on a group axis, after the floors (form
+    first), read off the same pass.  x and y may be stacks (..., n); they are
+    packed once, here."""
     return packed_jets(field, oneform, pack(x, y, field.n))
 
 
@@ -146,17 +146,9 @@ def packed_jets(field: CoefficientField, oneform: Optional[OneFormField], v) -> 
 
 
 def domain_check(field: CoefficientField, oneform: Optional[OneFormField]) -> Callable:
-    """The sampler's admissibility test: the floors field_jets checks, form first, on
-    the values and floor scales TermTable.value reads off the same pass.  It
-    returns the values (..., groups)."""
-    table = field.terms_with(oneform)
-
-    def check(x, y):
-        values, scale = table.value(pack(x, y, field.n))
-        check_floors(values, scale, y, field.m)
-        return values
-
-    return check
+    """The sampler's admissibility test: the guarded pass itself, field_jets on
+    the draw (x, y), so a draw is refused exactly where every later pass would be."""
+    return functools.partial(field_jets, field, oneform)
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,9 @@ the Hessian symmetric by construction.  A pass takes the packed point
 v = (x, y): callers pack x and y once (`pack` checks both lengths), the
 geodesic integrator hands over its state.  The pair (A, beta) is one table
 with a group axis (A, beta); the form alone is its one-group case.  Tables are
-built once per field or pair, on first use, with this one pass: the sampler's
-values and floor scales are read off it too, so every floor is decided on the
-same numbers; c_t(x) alone is the coefficient columns on the monomials of (x, 0).
+built once per field or pair, on first use, and `jet` is their only reader:
+the sampler's floors are decided on the pass itself (calculus.domain_check),
+and c_t(x) alone is the pass at (x, 0) (CoefficientField.tensor_at).
 
 Multiplied out, each term is rounded once before the sum; this differs from
 coefficients times monomials where a coefficient nearly vanishes, by about eps
@@ -247,52 +247,26 @@ class TermTable:
         for (r, e), entry in cells.items():
             self._matrix[column[e], position[r]] = entry
         self._gather = np.array([[position.get(r, len(rows)) for r in row] for row in layout])
-        first = self._gather[0, len(jet) : len(jet) + len(terms[0])]
-        self._coefficient_columns = self._matrix[:, first]   # c_t(x) of the first group
         exps = np.array(list(column), dtype=int).reshape(-1, n2)
         top = int(exps.max(initial=0)) + 1
         self._index, self._powers = np.arange(n2) * top + exps, np.arange(top)
 
-    def _monomials(self, v) -> np.ndarray:
-        """The monomials v^E of the packed points v = (x, y) (..., 2n): one power
-        table and one gather-product.  Callers ignore floating-point errors."""
-        table = v[..., None] ** self._powers
-        return table.reshape(table.shape[:-2] + (-1,))[..., self._index].prod(axis=-1)
-
-    def _finite(self, out, v) -> np.ndarray:
-        """out, or NonFiniteResult naming the first group and point where it overflowed."""
+    def jet(self, v):
+        """Each group's sum at the packed points v = (x, y) (..., 2n) as a Jet with a
+        group axis, and its c_t(x) per group (..., groups, terms), 0 past the
+        group's own terms: one power table, one gather-product, one matmul and one
+        gather.  NonFiniteResult names the first group and point that overflowed."""
+        n, n2 = self.n, 2 * self.n
+        with np.errstate(all="ignore"):
+            table = v[..., None] ** self._powers
+            monomials = table.reshape(table.shape[:-2] + (-1,))[..., self._index].prod(axis=-1)
+            out = (monomials @ self._matrix)[..., self._gather]
         if not all_finite(out):
-            bad, n = ~np.isfinite(out).all(axis=-1), self.n
-            points = [f"x={p[:n]}, y={p[n:]}" for p in np.reshape(v, (-1, 2 * n)).tolist()]
+            bad = ~np.isfinite(out).all(axis=-1)
+            points = [f"x={p[:n]}, y={p[n:]}" for p in np.reshape(v, (-1, n2)).tolist()]
             for g, name in zip(range(bad.shape[-1]), self.names):
                 raise_first(bad[..., g], NonFiniteResult,
                             f"overflow in the {name} value or derivatives at {{}}", points)
-        return out
-
-    def _pass(self, v) -> np.ndarray:
-        """(..., groups, value, gradient, Hessian and coefficients) at the packed points v."""
-        with np.errstate(all="ignore"):
-            out = (self._monomials(v) @ self._matrix)[..., self._gather]
-        return self._finite(out, v)
-
-    def coefficients(self, x) -> np.ndarray:
-        """c_t(x) of the first group, one per term: (..., terms), the coefficient
-        columns of the matrix on the monomials of (x, 0)."""
-        v = pack(x, np.zeros(np.shape(x)), self.n)
-        with np.errstate(all="ignore"):
-            c = self._monomials(v) @ self._coefficient_columns
-        return self._finite(c[..., None, :], v)[..., 0, :]
-
-    def value(self, v):
-        """Each group's sum, and max |c_t(x)| over its terms (the scale of its
-        floor), read off the pass at the packed points v: two arrays (..., groups)."""
-        jets, c = self.jet(v)
-        return jets.val, np.abs(c).max(axis=-1, initial=0.0)
-
-    def jet(self, v):
-        """Each group's sum at the packed points v as a Jet with a group axis, and
-        its c_t(x) per group (..., groups, terms), 0 past the group's own terms."""
-        out, n2 = self._pass(v), 2 * self.n
         return Jet.of(out, n2), out[..., 1 + n2 * (n2 + 1) :]
 
 
@@ -337,8 +311,9 @@ class CoefficientField:
         return self._tables[oneform]
 
     def tensor_at(self, x) -> SymmetricTensor:
-        """Materialise the coefficient tensor at the point x."""
-        values = self.terms.coefficients(x)
+        """Materialise the coefficient tensor at the point x: c_t(x), read off the
+        pass of the form at (x, 0)."""
+        values = self.terms.jet(pack(x, np.zeros(np.shape(x)), self.n))[1][..., 0, :]
         return SymmetricTensor(self.n, self.m, dict(zip(self.entries, values.tolist())))
 
     def is_constant(self) -> bool:
@@ -358,18 +333,10 @@ class OneFormField:
         self.n = int(n)
         self.components = components
         self.term_group = (list(components), [(i,) for i in range(1, self.n + 1)], "one-form")
-        self._table = None
 
     @staticmethod
     def constant(n: int, values) -> "OneFormField":
         return OneFormField(n, [Polynomial.constant(n, v) for v in values])
-
-    @property
-    def terms(self) -> TermTable:
-        """beta = b_i(x) y^i as a one-group TermTable (built on first use)."""
-        if self._table is None:
-            self._table = TermTable([self.term_group], self.n)
-        return self._table
 
     def is_constant(self) -> bool:
         return all(poly.is_constant() for poly in self.components)

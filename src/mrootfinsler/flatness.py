@@ -9,8 +9,11 @@ defining displays through the oracle:
 
 The closed-form characterizations are evaluated verbatim as diagnostics only:
 one of them keeps a copy of the left side on its right side, and the final
-term of the other exists in two prints with inconsistent powers, so both
-readings are reported and neither is asserted.
+term of the other exists in two prints with inconsistent powers.  Neither is
+asserted: `check` reports the first reading's residual as its closed-form
+residual, and only proj_flat_condition returns the second (`residual_alt`).
+Both conditions read A, F = A^(1/m) and A_y straight off the pass, so they
+never invert the second contraction.
 
 Every residual and condition takes a stack of samples (N, n) as well as one
 point and reads the oracle's pass of A and beta.  check_report gives the
@@ -22,15 +25,16 @@ the maximum and compare it with the tolerance.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from . import calculus, spray
-from .errors import check_finite, in_sample_order
+from .errors import RiemannianOrderWarning, check_finite, in_sample_order
 from .fields import CoefficientField, OneFormField, dot, vecmat
-from .metric import metric_point
+from .metric import ORDER2_NOTICE
 
 DEFAULT_TOL = 1e-8
 
@@ -102,16 +106,18 @@ class ConditionEval:
 
 
 def _condition_terms(field, oneform, m, x, y, jets):
-    """The intermediates and the per-sample scalars of both conditions, lifted
-    to broadcast against vectors, from one pass."""
-    x = np.asarray(x, dtype=float)
+    """The intermediates, b, A_y and the per-sample scalars A, F = A^(1/m), beta,
+    A0 and beta_l y^l of both conditions, lifted to broadcast against vectors,
+    read off one pass."""
+    if m == 2:
+        warnings.warn(ORDER2_NOTICE, RiemannianOrderWarning, stacklevel=3)
     y = np.asarray(y, dtype=float)
     jets = _jets(field, oneform, x, y, jets)
-    base = metric_point(field, m, x, y, jets.group(0))
     itm = intermediates(field, oneform, x, y, jets)
-    beta = jets.group(1)
-    scalars = (v[..., None] for v in (base.A, base.F, beta.val, itm.A0, dot(itm.beta_l, y)))
-    return itm, beta.grad_y, m * base.A_i, scalars
+    A, beta = jets.group(0), jets.group(1)
+    F = A.val ** (1.0 / m)
+    scalars = (v[..., None] for v in (A.val, F, beta.val, itm.A0, dot(itm.beta_l, y)))
+    return itm, beta.grad_y, A.grad_y, scalars
 
 
 def dually_flat_condition(

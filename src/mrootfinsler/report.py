@@ -28,7 +28,6 @@ import numpy as np
 from . import kropina, spray
 from .errors import check_finite, in_sample_order
 from .fields import CoefficientField, OneFormField, dot
-from .sampling import stack
 
 # Interpretation recorded in every report: the squared length of the one-form
 # is raised with the inverse second contraction (the only inverse available at
@@ -186,12 +185,3 @@ def reduce_report(report: DiscrepancyReport) -> DiscrepancyReport:
             tuple(row.x[i].tolist()), tuple(row.y[i].tolist()), row.note,
         ))
     return replace(report, rows=rows)
-
-
-def discrepancy_report(
-    field: CoefficientField, oneform: OneFormField, m: int, samples,
-) -> DiscrepancyReport:
-    """Closed-form adjudication over accepted (x, y) samples, per-formula maxima."""
-    if not samples:
-        return DiscrepancyReport(rows=[], points=0)
-    return reduce_report(point_report(field, oneform, m, *stack(samples)))

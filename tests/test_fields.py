@@ -9,8 +9,13 @@ import _oracles as oracles
 from conftest import FIXTURE_DIR, ONE_FORM_SPECS, b_bx, b_const, cubic_x, diag_quartic, spec_samples
 from mrootfinsler import calculus
 from mrootfinsler.errors import DimensionMismatch, DomainError, RiemannianOrderWarning
-from mrootfinsler.fields import CoefficientField, OneFormField, Polynomial, pack
+from mrootfinsler.fields import CoefficientField, OneFormField, Polynomial, TermTable, pack
 from mrootfinsler.specfile import load_spec
+
+
+def alone(oneform):
+    """beta = b_i(x) y^i as a one-group TermTable, the one-form without the form."""
+    return TermTable([oneform.term_group], oneform.n)
 
 
 def test_tensor_at_examples():
@@ -27,6 +32,19 @@ def test_tensor_at_examples():
     assert a == b
 
 
+@pytest.mark.parametrize("name", ("riemann_identity",) + ONE_FORM_SPECS)
+def test_tensor_at_matches_polynomial_evaluation(name):
+    # tensor_at reads c_t(x) off the pass at (x, 0); Polynomial.__call__
+    # evaluates each entry on its own, without the pass.  (A random entry can
+    # cancel to 3% of its largest term, and the two sums then differ by more.)
+    field, _ = _fields(name)
+    for x in np.random.default_rng(3).uniform(-1.5, 1.5, (50, field.n)).tolist():
+        entries = field.tensor_at(x).entries
+        assert list(entries) == list(field.entries), name
+        for key, poly in field.entries.items():
+            assert entries[key] == pytest.approx(poly(x), rel=1e-14, abs=0), (name, key, x)
+
+
 def test_form_x_derivative_examples():
     # cubic-x: A = (1 + x^1)(y1^3 + y2^3), so dA/dx = (y1^3 + y2^3, 0) and
     # d2A/dx^1 dy = 3 (y1^2, y2^2); constant coefficients have no x-derivatives
@@ -41,13 +59,13 @@ def test_form_x_derivative_examples():
 
 def test_oneform_examples():
     bf = b_const(2)
-    np.testing.assert_array_equal(bf.terms.coefficients([3.0, -1.0]), [1.0, 0.0])
-    beta = bf.terms.jet(pack([3.0, -1.0], [1.0, 1.0], 2))[0].group(0)
+    assert [p([3.0, -1.0]) for p in bf.components] == [1.0, 0.0]
+    beta = alone(bf).jet(pack([3.0, -1.0], [1.0, 1.0], 2))[0].group(0)
     np.testing.assert_array_equal(beta.hess_xy, np.zeros((2, 2)))
 
     bx = b_bx()
-    np.testing.assert_array_equal(bx.terms.coefficients([0.0, 1.0]), [2.0, 0.0])
-    beta = bx.terms.jet(pack([0.0, 1.0], [3.0, 5.0], 2))[0].group(0)
+    assert [p([0.0, 1.0]) for p in bx.components] == [2.0, 0.0]
+    beta = alone(bx).jet(pack([0.0, 1.0], [3.0, 5.0], 2))[0].group(0)
     jac = beta.hess_xy.T  # [i, k] = db_i/dx^k
     assert jac[0, 1] == 1.0
     assert jac[0, 0] == jac[1, 0] == jac[1, 1] == 0.0
@@ -69,11 +87,9 @@ def test_form_x_derivatives_match_central_differences():
 def test_oneform_jacobian_matches_central_differences():
     bx = b_bx()
     x = np.array([0.4, 0.9])
-    jac = bx.terms.jet(pack(x, [1.0, 1.0], 2))[0].group(0).hess_xy.T
+    jac = alone(bx).jet(pack(x, [1.0, 1.0], 2))[0].group(0).hess_xy.T
     for i in range(2):
-        def comp(xx, i=i):
-            return bx.terms.coefficients(xx)[i]
-        fd = oracles.fd_grad(comp, x)
+        fd = oracles.fd_grad(bx.components[i], x)
         np.testing.assert_allclose(jac[i], fd, atol=1e-8)
 
 
@@ -84,7 +100,7 @@ def test_beta_guard():
         check([0.0, 0.0], [0.0, 1.0])
     with pytest.raises(DomainError, match="one-form value"):
         calculus.domain_check(field, OneFormField.constant(2, [0.0, 0.0]))([0.0, 0.0], [1.0, 1.0])
-    assert check([0.0, 0.0], [2.0, 1.0])[1] == 2.0
+    assert check([0.0, 0.0], [2.0, 1.0]).val[1] == 2.0
 
 
 def test_polynomial_validation():
@@ -122,26 +138,20 @@ def test_field_validation():
 @pytest.mark.parametrize("name", ONE_FORM_SPECS)
 def test_pair_pass_matches_single_field_passes(name):
     # the fused table of (A, beta) must give each group exactly what the
-    # form-only and the one-form-only tables give, guard scales included,
-    # in the derivative pass and in the values it gives the sampler (A and beta, not A + beta)
+    # form-only and the one-form-only tables give, guard scales included
     doc, accepted, (xs, ys) = spec_samples(name, 12, seed=8)
     pair = doc.field.terms_with(doc.oneform)
     for x, y in [accepted[0], (xs, ys)]:
         v = pack(x, y, doc.n)
         jets, c = pair.jet(v)
-        values, scale = pair.value(v)
-        assert np.array_equal(values, jets.val), name
-        for g, table in enumerate((doc.field.terms, doc.oneform.terms)):
-            alone_values, alone_scale = table.value(v)
-            assert np.array_equal(values[..., g], alone_values[..., 0]), (name, g)
-            assert np.array_equal(scale[..., g], alone_scale[..., 0]), (name, g)
-            alone, c_alone = table.jet(v)
+        for g, table in enumerate((doc.field.terms, alone(doc.oneform))):
+            single, c_single = table.jet(v)
             for key in ("val", "grad", "hess"):
                 assert np.array_equal(
-                    getattr(jets.group(g), key), getattr(alone.group(0), key)
+                    getattr(jets.group(g), key), getattr(single.group(0), key)
                 ), (name, g, key)
             assert np.array_equal(
-                np.abs(c[..., g, :]).max(axis=-1), np.abs(c_alone[..., 0, :]).max(axis=-1)
+                np.abs(c[..., g, :]).max(axis=-1), np.abs(c_single[..., 0, :]).max(axis=-1)
             ), (name, g)
 
 
@@ -199,20 +209,40 @@ def _fields(name):
     return doc.field, doc.oneform
 
 
+def _outcome(fn, x, y):
+    """None where fn accepts the draw, else the error's type, message and sample."""
+    try:
+        fn(x, y)
+    except DomainError as exc:
+        return type(exc), str(exc), exc.sample
+    return None
+
+
 @pytest.mark.parametrize("name", ONE_FORM_SPECS + ("random",))
 def test_value_is_read_off_the_derivative_pass(name):
-    # the sampler's values and floor scales and those of the derivative pass
-    # are one computation: a draw exactly at a floor cannot be accepted by
-    # one and refused by the other
+    # the sampler's check and the derivative pass accept and refuse the same
+    # draws with the same message, on single points and on stacks: a draw at a
+    # floor cannot be accepted by one and refused by the other
     field, oneform = _fields(name)
     rng = np.random.default_rng(5)
-    xs, ys = rng.uniform(-1.0, 1.0, (6, field.n)), rng.uniform(0.1, 2.0, (6, field.n))
-    for table in (field.terms_with(oneform), field.terms, oneform.terms):
-        for x, y in ((xs[0], ys[0]), (xs, ys)):
-            values, scale = table.value(pack(x, y, field.n))
-            jets, c = table.jet(pack(x, y, field.n))
-            assert np.array_equal(values, jets.val), name
-            assert np.array_equal(scale, np.abs(c).max(axis=-1)), name
+    # y in a box around 0 so that the floors refuse some of the draws, now and
+    # then y = 0, where the form is 0, and y = (b_2, -b_1, 0), where beta is 0
+    xs, ys = rng.uniform(-1.5, 1.5, (40, field.n)), rng.uniform(-1.0, 1.0, (40, field.n))
+    ys[::7] = 0.0
+    for k in range(3, 40, 4):
+        ys[k] = 0.0
+        ys[k, :2] = oneform.components[1](xs[k]), -oneform.components[0](xs[k])
+    outcomes = set()
+    for paired in (oneform, None):
+        check = calculus.domain_check(field, paired)
+        guarded = partial(calculus.field_jets, field, paired)
+        for x, y in [*zip(xs, ys), (xs, ys), (xs[1:], ys[1:])]:
+            got = _outcome(check, x, y)
+            assert got == _outcome(guarded, x, y), (name, x, y)
+            outcomes.add(got and got[1].split(" value")[0])
+    # Berwald-Moore's A = y1 y2 y3 y4 vanishes wherever its beta = y1 does
+    assert outcomes - {"one-form"} == {None, "form"}, (name, outcomes)
+    assert ("one-form" in outcomes) == (name != "berwald_moore"), (name, outcomes)
 
 
 @pytest.mark.parametrize("name", ("riemann_identity",) + ONE_FORM_SPECS + ("random",))
@@ -224,10 +254,9 @@ def test_pass_matches_two_factor_oracle(name):
     xs, ys = rng.uniform(-1.0, 1.0, (6, field.n)), rng.uniform(0.1, 2.0, (6, field.n))
     for groups, fields in (([field.term_group, oneform.term_group], (field, oneform)),
                            ([field.term_group], (field,)), ([oneform.term_group], (oneform,))):
-        table = field.terms_with(oneform) if len(groups) == 2 else fields[0].terms
+        table = TermTable(groups, field.n)
         for x, y in ((xs[0], ys[0]), (xs, ys)):
             jets, c = table.jet(pack(x, y, field.n))
-            values, scale = table.value(pack(x, y, field.n))
             assert jets.hess.shape[-3:] == (len(groups), 2 * field.n, 2 * field.n)
             assert np.array_equal(jets.hess, jets.hess.swapaxes(-1, -2)), name
             for k, (xk, yk) in enumerate(zip(np.reshape(x, (-1, field.n)), np.reshape(y, (-1, field.n)))):
@@ -237,13 +266,11 @@ def test_pass_matches_two_factor_oracle(name):
                     for g in range(len(groups)):
                         bound = 1e-13 * np.abs(want[g]).max()
                         assert np.all(np.abs(got[g] - want[g]) <= bound), (name, len(groups), g)
-                assert np.array_equal(values[at], jets.val[at]), name
                 for g, source in enumerate(fields):
                     polys = groups[g][0]
                     exact = [poly(xk) for poly in polys]
                     np.testing.assert_allclose(c[at][g, : len(polys)], exact, rtol=1e-14, atol=0)
                     assert not c[at][g, len(polys):].any()
-                    assert scale[at][g] == np.abs(c[at][g]).max()
                     if source.is_constant():
                         # no x-dependence: the x-blocks are 0, not rounding noise
                         n = field.n

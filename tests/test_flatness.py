@@ -14,7 +14,13 @@ from conftest import (
     spec_samples,
 )
 from mrootfinsler import calculus, flatness
-from mrootfinsler.errors import DomainError, NonFiniteResult, RiemannianOrderWarning, raise_first
+from mrootfinsler.errors import (
+    DomainError,
+    NonFiniteResult,
+    RiemannianOrderWarning,
+    SingularMatrix,
+    raise_first,
+)
 from mrootfinsler.fields import CoefficientField, Polynomial
 from mrootfinsler.flatness import (
     DEFAULT_TOL,
@@ -122,8 +128,8 @@ def test_conditions_match_independent_reassembly():
     y = np.array([0.9, 1.3])
     A = field.tensor_at(x).eval(y)
     F = A ** (1.0 / m)
-    beta = float(oneform.terms.coefficients(x) @ y)
-    b = oneform.terms.coefficients(x)
+    b = np.array([p(x) for p in oneform.components])
+    beta = float(b @ y)
     Ay = oracles.fd_grad(lambda yy: field.tensor_at(x).eval(yy), y)
     Axl = oracles.fd_grad(lambda xx: field.tensor_at(xx).eval(y), x)
     A0 = float(Axl @ y)
@@ -164,11 +170,11 @@ def test_proj_flat_condition_final_term_variants():
     x = np.array([0.2, 0.4])
     y = np.array([0.9, 1.3])
     cond = proj_flat_condition(field, oneform, m, x, y)
-    beta = float(oneform.terms.coefficients(x) @ y)
+    b = np.array([p(x) for p in oneform.components])
+    beta = float(b @ y)
     itm = intermediates(field, oneform, x, y)
     bky = float(itm.beta_l @ y)
     A = field.tensor_at(x).eval(y)
-    b = oneform.terms.coefficients(x)
     expected_gap = m * A * bky * b * (1.0 / beta - 1.0 / beta ** 2)
     np.testing.assert_allclose(cond.rhs - cond.rhs_alt, expected_gap, atol=1e-10)
     assert beta != pytest.approx(1.0)
@@ -184,8 +190,8 @@ def test_order2_prefactor_vanishes():
     assert itm.A0 != 0.0
     with pytest.warns(RiemannianOrderWarning, match="order 2 is Riemannian"):
         cond = proj_flat_condition(field, oneform, m, x, y)
-    b = oneform.terms.coefficients(x)
-    beta = float(oneform.terms.coefficients(x) @ y)
+    b = np.array([p(x) for p in oneform.components])
+    beta = float(b @ y)
     rebuilt = itm.A0l - (itm.A0 / beta) * b  # remaining terms (beta_l = 0)
     np.testing.assert_allclose(cond.rhs, rebuilt, atol=1e-12)
 
@@ -238,6 +244,18 @@ def test_check_report_verdicts():
 
     with pytest.raises(KeyError):
         check_report(cubic_x(), b_const(2), 3, "unknown", xs, ys, DEFAULT_TOL)
+
+
+def test_flatness_kinds_do_not_invert_the_second_contraction():
+    # diag_quartic at y = (1e-7, 1): A_ij = 12 diag(y_i^2) has condition number
+    # 1e14, past the guard, while Fbar is smooth there.  The flatness kinds read
+    # A, F and A_y off the pass and never invert A_ij; proj-related solves g.
+    xs, ys = np.tile([0.1, 0.2], (50, 1)), np.tile([1e-7, 1.0], (50, 1))
+    for kind in ("dually-flat", "proj-flat"):
+        rep = check_report(diag_quartic(), b_const(2), 4, kind, xs, ys, DEFAULT_TOL)
+        assert (rep.verdict, rep.max_residual) == ("flat-within-tol", 0.0), kind
+    with pytest.raises(SingularMatrix):
+        check_report(diag_quartic(), b_const(2), 4, "proj-related", xs, ys, DEFAULT_TOL)
 
 
 def test_check_report_raises_what_a_sample_loop_meets_first(monkeypatch):

@@ -91,7 +91,7 @@ def test_analytic_x_derivative_chains_match_fd():
 
     def two_tau_sq(xx):
         p = metric_point(field, m, xx, y)
-        beta = float(oneform.terms.coefficients(xx) @ y)
+        beta = float(np.array([b(xx) for b in oneform.components]) @ y)
         return 2.0 * (p.F / beta) ** 2
 
     # dg[j, l, k] = d g_jl / dx^k, then V_l = sum_jk (dg_jl/dx^k - dg_jk/dx^l) y^j y^k
