@@ -494,7 +494,7 @@ def write_path_file(path_name: str, path: spray.GeodesicPath, n: int) -> None:
         if path.truncated:
             handle.write(f"# truncated: {path.reason}\n")
         for t, x, v in path.samples:
-            row = [t] + list(x) + list(v)
+            row = [t] + x.tolist() + v.tolist()
             handle.write(" ".join(_fmt(value) for value in row) + "\n")
 
 

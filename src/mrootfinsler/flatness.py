@@ -102,7 +102,6 @@ class ConditionEval:
     residual: float
     rhs_alt: np.ndarray = None
     residual_alt: float = None
-    note: str = ""
 
 
 def _condition_terms(field, oneform, m, x, y, jets):
@@ -142,10 +141,7 @@ def dually_flat_condition(
         + (m / (2 * beta)) * A * b
     )
     residual = np.max(np.abs(itm.Axl - rhs), axis=-1)
-    return ConditionEval(
-        lhs=itm.Axl, rhs=rhs, residual=residual,
-        note="right side retains a copy of the left side, evaluated verbatim",
-    )
+    return ConditionEval(lhs=itm.Axl, rhs=rhs, residual=residual)
 
 
 def proj_flat_condition(
@@ -174,7 +170,6 @@ def proj_flat_condition(
         residual=np.max(np.abs(itm.Axl - rhs), axis=-1),
         rhs_alt=rhs_alt,
         residual_alt=np.max(np.abs(itm.Axl - rhs_alt), axis=-1),
-        note="final term evaluated under both printed powers",
     )
 
 

@@ -7,6 +7,9 @@ snapshot holds one point, or a stack of samples with a leading batch axis on
 every field; the closed forms broadcast over it unchanged.  Every matrix the
 package solves or inverts passes `symmetric_cond` first, then goes straight to
 the LAPACK gufunc that numpy.linalg wraps (`solve_guarded`, `_invert_guarded`).
+The guard tells a single matrix clearly within the limit in Python floats, off
+one list of its eigenvalues; a stack, or a matrix near the limit, singular or
+not finite, goes through the array code that names the failing sample.
 """
 
 from __future__ import annotations
@@ -36,8 +39,14 @@ def symmetric_cond(matrix: np.ndarray, template: str) -> None:
     `template` formatted with the 2-norm condition number max over min |eigenvalue|,
     for the lowest matrix where that number is above COND_LIMIT or not finite.
     Only if some matrix is not clearly within the limit (max |eig| < COND_LIMIT / 2
-    min |eig|: finite, nonzero) is the number computed, under errstate."""
-    eig = np.abs(_umath_linalg.eigvalsh_lo(matrix))
+    min |eig|: finite, nonzero) is the number computed, under errstate.  One matrix
+    decides that clear case in Python floats; a NaN fails every comparison."""
+    eig = _umath_linalg.eigvalsh_lo(matrix)
+    if eig.ndim == 1:
+        bound = 0.5 * COND_LIMIT * min(size := [abs(e) for e in eig.tolist()])
+        if all(s < bound for s in size):
+            return
+    eig = np.abs(eig)
     hi, lo = eig.max(axis=-1), eig.min(axis=-1)
     if (hi < 0.5 * COND_LIMIT * lo).all():
         return

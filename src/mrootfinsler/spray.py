@@ -17,9 +17,11 @@ applied to it; its x-derivatives are that same formula under the complex
 step (Squire & Trapp, SIAM Review 40, 1998), exact to rounding.  Everything
 but the geodesic integrator also takes a stack of samples (N, n): the sprays
 are then one batched solve, and the split and the wedge hold one entry per
-sample.  g is solved by metric.solve_guarded (its condition guard, then the LAPACK
-gufunc); RK4 steps the packed state z = (x, v), and each stage hands z as it
-is to the pass (calculus.packed_jets).  No state outside the domain is kept.
+sample.  The sprays solve the oracle Hessian H = 2g (metric.solve_guarded: its
+condition guard, then the LAPACK gufunc) and halve the solution, which is
+0.25 g^-1 r bit for bit: a power of two commutes with rounding.  RK4 steps the
+packed state z = (x, v), and each stage hands z as it is to the pass
+(calculus.packed_jets).  No state outside the domain is kept.
 
 Geodesic convention: the integrated system is x'' = -G(x, x') with G as above.
 That is not the geodesic equation of this quarter-factor spray, which is
@@ -55,9 +57,7 @@ def _stage(energy: calculus.ScalarFunction, v: np.ndarray) -> np.ndarray:
 
 def _spray(jet: calculus.Jet, y: np.ndarray) -> np.ndarray:
     rhs = vecmat(y, jet.hess_xy) - jet.grad_x
-    return 0.25 * solve_guarded(
-        0.5 * jet.hess_yy, rhs, "fundamental tensor condition number {:.3e}"
-    )
+    return 0.5 * solve_guarded(jet.hess_yy, rhs, "fundamental tensor condition number {:.3e}")
 
 
 # ---------------------------------------------------------------------------

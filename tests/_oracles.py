@@ -134,6 +134,13 @@ def oracle_spray(E, x, y):
     return 0.25 * np.linalg.solve(g, rhs)
 
 
+def spray_solving_g(jet, y):
+    """0.25 g^-1 (y H_xy - E_x) with g = H_yy / 2 formed before the solve, read
+    off a derivative pass of E (calculus.derivatives), per sample of a stack."""
+    rhs = (y[..., None, :] @ jet.hess_xy)[..., 0, :] - jet.grad_x
+    return 0.25 * np.linalg.solve(0.5 * jet.hess_yy, rhs[..., None])[..., 0]
+
+
 def oracle_wedge_residual(E_base, E_bar, x, y):
     y = np.asarray(y, dtype=float)
     yu = y / np.linalg.norm(y)

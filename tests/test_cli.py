@@ -233,6 +233,31 @@ def test_geodesic_truncation_exits_3(tmp_path):
     assert lines[1].startswith("# truncated:")
 
 
+def test_path_rows_from_python_floats_match_numpy_scalars(tmp_path):
+    # write_path_file formats the Python floats of x.tolist() and v.tolist():
+    # the text is what _fmt makes of the np.float64 entries, signed zeros, the
+    # smallest subnormal, the largest float and 17-digit values included
+    from mrootfinsler import cli, spray
+
+    values = np.array([
+        -0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+        2.2250738585072014e-308, 0.1, 0.30000000000000004, 1.0 / 3.0, -2.0 / 3.0 * 1e-5,
+        math.pi, 1e16 + 2.0, 123456789.12345679, -9.999999999999998e22, 1.0,
+    ])
+    assert sum(float(f"{v:.16g}") != v for v in values) >= 6
+    samples = [(0.25 * i, values[i : i + 3], values[i + 3 : i + 6]) for i in range(len(values) - 5)]
+    out = tmp_path / "path.txt"
+    cli.write_path_file(str(out), spray.GeodesicPath(samples, 0.25), 3)
+    rows = out.read_text().splitlines()[1:]
+    expected = []
+    for t, x, v in samples:
+        scalars = [np.float64(t), *x, *v]
+        assert all(type(value) is np.float64 for value in scalars)
+        expected.append(" ".join(cli._fmt(value) for value in scalars))
+    assert rows == expected
+    assert rows[0].split()[:4] == ["0", "-0", "0", "4.9406564584124654e-324"]
+
+
 def test_eval_requires_one_form(tmp_path):
     doc = {
         "dimension": 2, "order": 4,

@@ -100,12 +100,9 @@ def test_domain_and_singularity_errors():
         metric_point(diag_quartic(), 4, [0.0, 0.0], [1e-9, 1.0])
 
 
-def test_symmetric_cond_matches_numpy(rng):
-    # random symmetric matrices, indefinite ones included, with condition
-    # number 1% below and 1% above COND_LIMIT: the guard accepts the first and
-    # refuses the second, naming max/min |eigenvalue|, the 2-norm condition
-    # number np.linalg.cond gives.  At cond 1e12 both lose about 1e-4 of it
-    # to rounding, so they are compared within 1e-3
+def _near_the_limit(rng):
+    """20 random symmetric matrices for each n of 2-5, indefinite ones included,
+    with condition number 1% below COND_LIMIT, and 20 with it 1% above."""
     below, above = [], []
     for n in (2, 3, 4, 5):
         for _ in range(20):
@@ -116,6 +113,15 @@ def test_symmetric_cond_matches_numpy(rng):
                     [[1.0, 1.0 / (factor * COND_LIMIT)], 10.0 ** rng.uniform(-11.0, 0.0, n - 2)])
                 mat = q @ np.diag(rng.choice([-1.0, 1.0], n) * eig) @ q.T
                 mats.append(0.5 * (mat + mat.T))
+    return below, above
+
+
+def test_symmetric_cond_matches_numpy(rng):
+    # the guard accepts the matrices below the limit and refuses those above,
+    # naming max/min |eigenvalue|, the 2-norm condition number np.linalg.cond
+    # gives.  At cond 1e12 both lose about 1e-4 of it to rounding, so they are
+    # compared within 1e-3
+    below, above = _near_the_limit(rng)
     for mat in below:
         assert symmetric_cond(mat, "{:.17g}") is None
     for mat in above:
@@ -132,6 +138,34 @@ def test_symmetric_cond_matches_numpy(rng):
     with pytest.raises(SingularMatrix, match="cond 1") as exc:
         symmetric_cond(np.array([np.eye(2), np.diag([1.0, 1e-13])]), "cond {:.0e}")
     assert exc.value.sample == 1
+
+
+def test_symmetric_cond_one_matrix_as_a_stack_of_one(rng):
+    # one matrix decides its clear case in Python floats, a stack in arrays:
+    # both accept the same matrices and refuse the same ones with the same
+    # message, the sample index aside
+    below, above = _near_the_limit(rng)
+    edges = [
+        np.zeros((2, 2)), np.full((3, 3), np.nan), np.diag([np.nan, 1.0]),
+        np.array([[1.0, np.nan], [np.nan, 1.0]]), np.diag([np.inf, 1.0]),
+        np.diag([-np.inf, 1.0, 2.0]), np.diag([1.0, -1.0]), np.diag([2.0, -3.0, 1e-3]),
+        np.array([[1.0, 2.0], [2.0, 4.0]]), np.diag([1.0, 0.0, 1.0]),
+        np.diag([1.0, -0.0]), np.diag([1.0, 2.0e-12]), np.eye(4),
+    ]
+
+    def outcome(matrix):
+        try:
+            with np.errstate(invalid="ignore"):  # LAPACK on an infinite entry
+                return symmetric_cond(matrix, "cond {!r}")
+        except SingularMatrix as exc:
+            return str(exc)
+
+    refused = 0
+    for mat in below + above + edges:
+        one = outcome(mat)
+        assert one == outcome(mat[None]), mat
+        refused += one is not None
+    assert refused == len(above) + 9
 
 
 def _symmetric(rng, n, count, definite):

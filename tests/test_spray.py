@@ -248,6 +248,20 @@ def test_stacked_sprays_match_single_points(name):
         )
 
 
+@pytest.mark.parametrize("name", ONE_FORM_SPECS)
+def test_spray_halves_after_the_solve_bit_for_bit(name):
+    # 0.5 H_yy^-1 rhs is 0.25 (H_yy / 2)^-1 rhs exactly: scaling by a power of
+    # two commutes with rounding, in the LU factors and in the substitutions
+    doc, accepted, (xs, ys) = spec_samples(name, 12, seed=11)
+    for energy in (calculus.base_energy(doc.field, doc.m),
+                   calculus.kropina_energy(doc.field, doc.oneform, doc.m)):
+        reference = oracles.spray_solving_g(calculus.derivatives(energy, xs, ys), ys)
+        assert np.array_equal(spray_coeffs(energy, xs, ys), reference), energy.name
+        for i, (x, y) in enumerate(accepted):
+            reference = oracles.spray_solving_g(calculus.derivatives(energy, x, y), np.asarray(y))
+            assert np.array_equal(spray_coeffs(energy, x, y), reference), (energy.name, i)
+
+
 def test_spray_condition_guard():
     # y^1 -> 0 flattens the quartic's fundamental tensor in that direction
     energy = calculus.base_energy(diag_quartic(), 4)
