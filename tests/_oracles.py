@@ -5,8 +5,10 @@ functions, not against the package's calculus layer, so golden values frozen
 from these routines adjudicate the implementation from the outside.  The
 rejection sampler is kept here too, as the loop over attempts that the block
 sampler must reproduce, and so are the `records` of the --json reports built
-as dicts, the reference for the CLI's record layouts, and the printed
-closed-form inverses transcribed entry by entry in Python floats.
+as dicts, the reference for the CLI's record layouts, the printed
+closed-form inverses transcribed entry by entry in Python floats, and the
+spray solved with g formed before the solve (read off the calculus pass),
+which the spray that halves after the solve must equal bit for bit.
 """
 
 import math
