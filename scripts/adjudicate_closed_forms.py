@@ -2,7 +2,8 @@
 """Adjudicate every closed form against the differentiation oracle.
 
 Evaluates every `verify` row over the accepted samples of each shipped
-fixture, stacked as `verify` stacks them, and prints per-formula maxima.  The
+fixture, stacked as `verify` stacks them and off the sampler's pass, and
+prints per-formula maxima.  The
 supporting covector row is expected near rounding; the other closed forms
 carry the print inconsistencies this package exists to measure.
 """
@@ -38,12 +39,12 @@ def main() -> int:
             domain_check=calculus.domain_check(doc.field, doc.oneform),
         )
         print(f"== {doc.name} (n={doc.n}, m={doc.m}), "
-              f"{len(samples.accepted)} points, {len(samples.rejected)} rejected")
-        if not samples.accepted:
+              f"{len(samples.x)} points, {len(samples.rejected)} rejected")
+        if not len(samples.x):
             print()
             continue
         rep = reduce_report(point_report(doc.field, doc.oneform, doc.m,
-                                         *sampling.stack(samples.accepted)))
+                                         samples.x, samples.y, samples.jets))
         if rep.degenerate_order4:
             print("   order-4 degeneracy: closed-form scalar family undefined")
         for row in rep.rows:

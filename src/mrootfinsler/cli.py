@@ -228,8 +228,8 @@ def _emit(payload: dict, out=None, records=None):
 
 
 def _sampled(args, argv):
-    """The spec, its one-form, the accepted samples stacked (N, n), the rejected
-    draws and the JSON envelope of a sampled command (verify, check)."""
+    """The spec, its one-form, the sample set (accepted draws stacked with their
+    pass, rejected draws) and the JSON envelope of a sampled command."""
     doc = _load(args.spec)
     oneform = _require_oneform(doc)
     seed = _seed(args)
@@ -238,19 +238,17 @@ def _sampled(args, argv):
         x_box=args.box, y_box=args.ybox,
         domain_check=calculus.domain_check(doc.field, doc.oneform),
     )
-    empty = np.empty((0, doc.n))
-    x, y = sampling.stack(samples.accepted) if samples.accepted else (empty, empty)
     payload = _envelope(args.command, doc, argv)
     payload.update({
         "seed": seed,
         "samples_requested": args.samples,
-        "samples_accepted": len(x),
+        "samples_accepted": len(samples.x),
         "rejected": [
             {"x": _vector(xr), "y": _vector(yr), "reason": reason}
             for xr, yr, reason in samples.rejected
         ],
     })
-    return doc, oneform, x, y, samples.rejected, payload
+    return doc, oneform, samples, payload
 
 
 def _write_header(w, title: str, doc, args, payload) -> None:
@@ -369,10 +367,11 @@ def _check_record(x, y, residuals) -> dict:
 
 
 def cmd_verify(args, argv) -> int:
-    doc, oneform, x, y, rejected, payload = _sampled(args, argv)
+    doc, oneform, samples, payload = _sampled(args, argv)
+    x, y = samples.x, samples.y
     if not len(x):
         raise DomainError("no admissible samples in the requested box")
-    per_sample = report.point_report(doc.field, oneform, doc.m, x, y)
+    per_sample = report.point_report(doc.field, oneform, doc.m, x, y, samples.jets)
     merged = report.reduce_report(per_sample)
 
     if args.json:
@@ -390,7 +389,7 @@ def cmd_verify(args, argv) -> int:
         w(f"note: {note}\n")
     if merged.degenerate_order4:
         w("note: order m = 4 flagged: closed-form scalar family degenerate\n")
-    _write_rejected(w, rejected)
+    _write_rejected(w, samples.rejected)
     w(f"{'formula':28s} {'max|res|':>13s} {'max rel':>13s}  at point\n")
     for row in merged.rows:
         if row.max_abs is None:
@@ -406,9 +405,11 @@ def cmd_verify(args, argv) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_check(args, argv) -> int:
-    doc, oneform, x, y, rejected, payload = _sampled(args, argv)
-    rep = flatness.check_report(doc.field, oneform, doc.m, args.kind, x, y, args.tol)
+    doc, oneform, samples, payload = _sampled(args, argv)
+    x, y = samples.x, samples.y
     related = args.kind == "proj-related"
+    rep = flatness.check_report(doc.field, oneform, doc.m, args.kind, x, y, args.tol,
+                                None if related else samples.jets)
 
     if args.json and related:
         payload.update({
@@ -438,7 +439,7 @@ def cmd_check(args, argv) -> int:
             w(f"max closed-form residual: {_fmt(rep.max_closed_residual)} (informative)\n")
         w(f"tolerance: {_fmt(args.tol)}\n")
         w(f"verdict: {rep.verdict}\n")
-        _write_rejected(w, rejected)
+        _write_rejected(w, samples.rejected)
 
     if rep.verdict == "inconclusive":
         raise DomainError(

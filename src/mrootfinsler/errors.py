@@ -6,10 +6,10 @@ CLI exit-code mapping) can tell input problems from numerical ones.
 A stack of samples is evaluated stage by stage, and a guard raises for the
 lowest failing sample of its stage (`raise_first`).  A loop over the samples
 would raise for the lowest sample failing any stage, so `in_sample_order`
-evaluates the samples before that one again: the failure a loop would meet
-first is the one raised.  `check_finite` is the guard on residuals: a NaN
-would drop out of a maximum, so the `verify` rows and every `check` residual
-go through it before they are reduced.
+evaluates the samples before that one again, slicing x, y and a pass over
+them alike: the failure a loop would meet first is the one raised.  `check_finite`
+is the guard on residuals: a NaN would drop out of a maximum, so the `verify`
+rows and every `check` residual go through it before they are reduced.
 """
 
 import numpy as np
@@ -79,13 +79,13 @@ def raise_first(bad, error, template: str, *values) -> None:
     raise exc
 
 
-def in_sample_order(evaluate, x, y):
-    """evaluate(x, y) over stacked samples, raising what a loop over them would raise first."""
+def in_sample_order(evaluate, *stacks):
+    """evaluate(*stacks) over stacked samples, raising what a loop over them would raise first."""
     try:
-        return evaluate(x, y)
+        return evaluate(*stacks)
     except FinslerError as exc:
         if exc.sample:
-            in_sample_order(evaluate, x[: exc.sample], y[: exc.sample])
+            in_sample_order(evaluate, *(s if s is None else s[: exc.sample] for s in stacks))
         raise
 
 

@@ -177,6 +177,10 @@ class Jet:
         hess = block[..., 1 + n2 : 1 + n2 * (n2 + 1)].reshape(block.shape[:-1] + (n2, n2))
         return Jet(block[..., 0][()], block[..., 1 : 1 + n2], hess, block)
 
+    def __getitem__(self, key) -> "Jet":
+        """The samples `key` of a pass over a stack, jets[:i] say: a view of its block."""
+        return Jet.of(self.block[key], self.grad.shape[-1])
+
     @property
     def n(self) -> int:
         return self.grad.shape[-1] // 2

@@ -200,10 +200,10 @@ class CheckReport:
     passed: bool
 
 
-def _residuals(field, oneform, m: int, kind: str, x, y) -> dict:
+def _residuals(field, oneform, m: int, kind: str, x, y, jets) -> dict:
     """The residuals of a check kind per sample, by name, each guarded finite:
     the operational one, named by the kind, and for a flatness kind the
-    closed-form one."""
+    closed-form one, both off one pass (`jets` if given)."""
     if kind == "proj-related":
         values = {kind: spray.projective_residual(field, oneform, m, x, y)}
     else:
@@ -211,7 +211,7 @@ def _residuals(field, oneform, m: int, kind: str, x, y) -> dict:
             "dually-flat": (dually_flat_residual, dually_flat_condition),
             "proj-flat": (proj_flat_residual, proj_flat_condition),
         }[kind]
-        jets = calculus.field_jets(field, oneform, x, y)
+        jets = _jets(field, oneform, x, y, jets)
         values = {
             kind: residual(field, oneform, m, x, y, jets),
             f"{kind} closed-form": condition(field, oneform, m, x, y, jets).residual,
@@ -222,15 +222,18 @@ def _residuals(field, oneform, m: int, kind: str, x, y) -> dict:
 
 def check_report(
     field: CoefficientField, oneform: OneFormField, m: int, kind: str, x, y, tol: float,
+    jets=None,
 ) -> CheckReport:
     """Reduce the accepted samples, a stack (N, n), to the verdict of a CLI check kind.
 
-    The samples are evaluated as one stack with one derivative pass; a
+    The samples are evaluated as one stack with one derivative pass, for a
+    flatness kind `jets` if given (proj-related makes its own at y/||y||); a
     failure, a residual that is not finite included, is the one a loop over
     them would meet first.  A verdict needs MIN_VERDICT_SAMPLES samples.
     """
     name, within, beyond = CHECKS[kind]
-    values = in_sample_order(partial(_residuals, field, oneform, m, kind), x, y) if len(x) else {}
+    values = (in_sample_order(partial(_residuals, field, oneform, m, kind), x, y, jets)
+              if len(x) else {})
     max_residual, max_closed = (
         float(values[key].max()) if key in values else np.nan
         for key in (kind, f"{kind} closed-form")

@@ -107,12 +107,12 @@ class KropinaPoint:
 
 
 def kropina_point(
-    field: CoefficientField, oneform: OneFormField, m: int, x, y
+    field: CoefficientField, oneform: OneFormField, m: int, x, y, jets=None
 ) -> KropinaPoint:
-    """The transformed snapshot, from one pass of (A, beta)."""
+    """The transformed snapshot, from one pass of (A, beta): `jets` if given."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    jets = calculus.field_jets(field, oneform, x, y)
+    jets = calculus.field_jets(field, oneform, x, y) if jets is None else jets
     base = metric_point(field, m, x, y, jets.group(0))
     b, beta = jets.group(1).grad_y, jets.group(1).val
     F, A_i, A_ij = base.F, base.A_i, base.A_ij

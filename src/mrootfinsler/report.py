@@ -9,8 +9,9 @@ undefined (None, `null` in JSON) at m = 4.  One Kropina snapshot
 (`spray.pq_decomposition`) serve every row.
 
 All accepted samples are evaluated at once, as one stack (N, n) with one
-derivative pass; the rows hold one value per sample, each guarded finite by
-`errors.check_finite`, until reduce_report takes the per-formula maxima.
+derivative pass (the sampler's, in `verify`); the rows hold one value per
+sample, each guarded finite by `errors.check_finite`, until reduce_report
+takes the per-formula maxima.
 Every row is a measurement; the only formula expected to be tight is the
 supporting covector, and that expectation is asserted by the test suite, not
 here.
@@ -138,8 +139,8 @@ def _row(row: Row, k: kropina.KropinaPoint, s: spray.SprayPoint) -> ResidualRow:
     return ResidualRow(row.formula, diff, rel, x, y, row.note)
 
 
-def _rows(field, oneform, m: int, x, y) -> DiscrepancyReport:
-    k = kropina.kropina_point(field, oneform, m, x, y)
+def _rows(field, oneform, m: int, x, y, jets) -> DiscrepancyReport:
+    k = kropina.kropina_point(field, oneform, m, x, y, jets)
     s = spray.pq_decomposition(field, oneform, m, x, y, k)
     rows = [_row(row, k, s) for row in ROWS]
     check_finite(
@@ -153,19 +154,19 @@ def _rows(field, oneform, m: int, x, y) -> DiscrepancyReport:
 
 
 def point_report(
-    field: CoefficientField, oneform: OneFormField, m: int, x, y
+    field: CoefficientField, oneform: OneFormField, m: int, x, y, jets=None
 ) -> DiscrepancyReport:
     """Every residual row at a single sample, or per sample of a stack (N, n).
 
-    One derivative pass serves every row.  Raises NonFiniteResult when a row
-    that is defined at this order is not finite: a NaN row would otherwise
-    win or lose the per-formula maximum depending on sample order.  On a
-    stack, the failure raised is the one a loop over the samples would meet
-    first.
+    One derivative pass of (A, beta), `jets` if given, serves every row.
+    Raises NonFiniteResult when a row that is defined at this order is not
+    finite: a NaN row would otherwise win or lose the per-formula maximum
+    depending on sample order.  On a stack, the failure raised is the one a
+    loop over the samples would meet first.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    return in_sample_order(partial(_rows, field, oneform, m), x, y)
+    return in_sample_order(partial(_rows, field, oneform, m), x, y, jets)
 
 
 def reduce_report(report: DiscrepancyReport) -> DiscrepancyReport:

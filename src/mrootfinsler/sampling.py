@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -17,10 +18,21 @@ ATTEMPT_FACTOR = 50
 
 @dataclass
 class SampleSet:
-    """Accepted (x, y) pairs plus every rejected draw with its reason."""
+    """The accepted draws stacked (N, n) in draw order, every rejected draw
+    (x, y, reason) and `jets`, the domain check's pass over the accepted draws."""
 
-    accepted: list
+    x: np.ndarray
+    y: np.ndarray
     rejected: list
+    check: object = None   # the domain check
+    whole: object = None   # its pass over the first block, when accepted whole
+
+    @cached_property
+    def jets(self):
+        """The first block's pass, or domain_check(x, y) now; None without a check or a draw."""
+        if self.whole is None and self.check is not None and len(self.x):
+            return in_sample_order(self.check, self.x, self.y)
+        return self.whole
 
 
 def sample_points(
@@ -42,36 +54,36 @@ def sample_points(
     draws, their order and the rejections are those of a loop over the
     attempts, so they depend only on (n, count, seed, boxes) and reports built
     on top of this are reproducible byte for byte.
+
+    The check's pass over a first block accepted whole is reused as `jets`.
+    After a rejection `jets` is made once, over the accepted stack, when first
+    read: the passes of the pieces are not joined, because a row's pass may
+    differ in the last bits with the length of the stack it is in.
     """
     low = np.repeat([float(x_box[0]), float(y_box[0])], n)
     scale = np.repeat([float(x_box[1]) - float(x_box[0]), float(y_box[1]) - float(y_box[0])], n)
     if not np.isfinite(scale).all():
         raise ValidationError(f"sampling boxes {x_box}, {y_box}: HI - LO is not finite")
     rng = np.random.default_rng(seed)
-    accepted = []
-    rejected = []
-    attempts = 0
+    pieces, rejected, whole = [(np.empty((0, n)),) * 2], [], None
+    accepted = attempts = 0
     budget = ATTEMPT_FACTOR * count
-    while len(accepted) < count and attempts < budget:
-        k = min(count - len(accepted), budget - attempts)
+    while accepted < count and attempts < budget:
+        k = min(count - accepted, budget - attempts)
         attempts += k
         block = low + scale * rng.random((k, 2 * n))
         x, y = block[:, :n], block[:, n:]
         while len(x):
             try:
                 if domain_check is not None:
-                    in_sample_order(domain_check, x, y)
+                    whole = in_sample_order(domain_check, x, y)
                 first, reason = len(x), None
             except DomainError as exc:
                 first, reason = exc.sample or 0, str(exc)
-            accepted.extend(zip(x[:first], y[:first]))
+            pieces.append((x[:first], y[:first]))
+            accepted += first
             if reason is not None:
                 rejected.append((x[first], y[first], reason))
             x, y = x[first + 1 :], y[first + 1 :]
-    return SampleSet(accepted, rejected)
-
-
-def stack(pairs):
-    """The points and the vectors of a non-empty list of (x, y) pairs, stacked (N, n)."""
-    xs, ys = zip(*pairs)
-    return np.array(xs, dtype=float), np.array(ys, dtype=float)
+    x, y = map(np.concatenate, zip(*pieces))
+    return SampleSet(x, y, rejected, domain_check, None if rejected else whole)

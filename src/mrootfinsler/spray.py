@@ -37,7 +37,8 @@ import numpy as np
 
 from . import calculus
 from .errors import DomainError, NonFiniteResult, SingularMatrix
-from .fields import CoefficientField, OneFormField, all_finite, dot, matvec, outer, pack, vecmat
+from .fields import CoefficientField, OneFormField, all_finite, dot, matvec, norm, outer
+from .fields import pack, vecmat
 from .kropina import AuxScalars, KropinaPoint, kropina_point
 from .metric import solve_guarded
 
@@ -206,7 +207,7 @@ def projective_residual(
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    y_unit = y / np.linalg.norm(y, axis=-1)[..., None]
+    y_unit = y / norm(y)[..., None]
     jets = calculus.field_jets(field, oneform, x, y_unit)
     G = _spray(calculus.base_energy(field, m).compose(jets), y_unit)
     Gbar = _spray(calculus.kropina_energy(field, oneform, m).compose(jets), y_unit)
@@ -214,9 +215,7 @@ def projective_residual(
     # [i, j] = D_i y_j - D_j y_i: its largest entry is the largest i < j wedge
     # component, because the matrix is antisymmetric with a zero diagonal
     wedge = np.abs(outer(D, y_unit) - outer(y_unit, D)).max(axis=(-2, -1))
-    return wedge / (
-        1.0 + np.linalg.norm(D, axis=-1) * np.linalg.norm(y_unit, axis=-1)
-    )
+    return wedge / (1.0 + norm(D) * norm(y_unit))
 
 
 # ---------------------------------------------------------------------------

@@ -321,7 +321,8 @@ def printed_closed_inverses(F, beta, b, A_inv, y, m):
 
 def sample_points_loop(n, count, seed, x_box, y_box, domain_check, attempt_factor):
     """The rejection sampler one attempt at a time: x then y from rng.uniform,
-    each draw checked alone.  Returns (accepted, rejected) like SampleSet."""
+    each draw checked alone.  Returns the accepted (x, y) pairs and the
+    rejected (x, y, reason) draws."""
     rng = np.random.default_rng(seed)
     accepted, rejected = [], []
     attempts = 0

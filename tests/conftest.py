@@ -116,10 +116,10 @@ FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 def spec_samples(name, count, seed):
     """A shipped fixture document with its admissible samples, one by one and stacked."""
     doc = load_spec(FIXTURE_DIR / f"{name}.json")
-    accepted = sampling.sample_points(
+    samples = sampling.sample_points(
         doc.n, count, seed, domain_check=calculus.domain_check(doc.field, doc.oneform)
-    ).accepted
-    return doc, accepted, sampling.stack(accepted)
+    )
+    return doc, list(zip(samples.x, samples.y)), (samples.x, samples.y)
 
 
 def assert_stack_matches(stacked, single, what=""):

@@ -313,10 +313,10 @@ def test_verify_nonfinite_row_exits_3(monkeypatch, capsys, bad_sample):
     err = capsys.readouterr().err
     assert "spray_split residual is not finite" in err
     doc = load_spec(spec)
-    accepted = sampling.sample_points(
+    samples = sampling.sample_points(
         doc.n, 6, 0, domain_check=calculus.domain_check(doc.field, doc.oneform)
-    ).accepted
-    x, y = accepted[bad_sample]
+    )
+    x, y = samples.x[bad_sample], samples.y[bad_sample]
     assert f"at x={x.tolist()}, y={y.tolist()}" in err
 
 
@@ -514,10 +514,10 @@ def test_emit_verify_records_of_a_report(fixture):
     from mrootfinsler.specfile import load_spec
 
     doc = load_spec(FIXTURES / f"{fixture}.json")
-    accepted = sampling.sample_points(
+    samples = sampling.sample_points(
         doc.n, 6, 3, domain_check=calculus.domain_check(doc.field, doc.oneform)
-    ).accepted
-    x, y = sampling.stack(accepted)
+    )
+    x, y = samples.x, samples.y
     rows = report.point_report(doc.field, doc.oneform, doc.m, x, y).rows
     assert any(row.max_abs is None for row in rows) == (doc.m == 4)
     out = io.StringIO()
@@ -564,9 +564,10 @@ def _check_fails_at(monkeypatch, capsys, kind, module, name, bad_sample, value, 
     captured = capsys.readouterr()
     assert captured.out == ""
     doc = load_spec(spec)
-    x, y = sampling.sample_points(
+    samples = sampling.sample_points(
         doc.n, 60, 1, domain_check=calculus.domain_check(doc.field, doc.oneform)
-    ).accepted[bad_sample]
+    )
+    x, y = samples.x[bad_sample], samples.y[bad_sample]
     assert captured.err == (f"numerical failure: {what} residual is not finite at "
                             f"x={x.tolist()}, y={y.tolist()}\n")
 
@@ -595,6 +596,85 @@ def test_check_flatness_nonfinite_residual_exits_3(
     from mrootfinsler import flatness
 
     _check_fails_at(monkeypatch, capsys, kind, flatness, name, bad_sample, value, what)
+
+
+@pytest.mark.parametrize("bad_sample", [1, 4])
+@pytest.mark.parametrize("kind, residual, condition", [
+    ("dually-flat", "dually_flat_residual", "dually_flat_condition"),
+    ("proj-flat", "proj_flat_residual", "proj_flat_condition"),
+])
+def test_check_flatness_fails_in_sample_order_on_the_sampler_pass(
+    monkeypatch, capsys, kind, residual, condition, bad_sample
+):
+    # the operational residual is NaN at bad_sample, and the closed-form
+    # condition after it refuses sample 5 of the whole stack: a loop over the
+    # samples meets bad_sample first, so the samples before a failing one are
+    # evaluated again, each time with the sampler's pass sliced alike
+    from mrootfinsler import calculus, cli, flatness, sampling
+    from mrootfinsler.errors import DomainError, raise_first
+    from mrootfinsler.specfile import load_spec
+
+    real_residual, real_condition = getattr(flatness, residual), getattr(flatness, condition)
+    lengths = []
+
+    def patched_residual(field, oneform, m, x, y, jets):
+        lengths.append((len(x), len(jets.val)))
+        out = real_residual(field, oneform, m, x, y, jets)
+        if len(out) > bad_sample:
+            out[bad_sample] = np.nan
+        return out
+
+    def patched_condition(field, oneform, m, x, y, jets):
+        raise_first(np.arange(len(x)) == 5, DomainError, "refused sample {}", np.arange(len(x)))
+        return real_condition(field, oneform, m, x, y, jets)
+
+    monkeypatch.setattr(flatness, residual, patched_residual)
+    monkeypatch.setattr(flatness, condition, patched_condition)
+    spec = FIXTURES / "mixed_quartic.json"
+    rc = cli.main(["check", kind, "--json", "--spec", str(spec), "--samples", "60", "--seed", "1"])
+    assert rc == 3
+    # the whole stack, the samples before 5, then those before bad_sample
+    assert lengths == [(60, 60), (5, 5), (bad_sample, bad_sample)]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    doc = load_spec(spec)
+    samples = sampling.sample_points(
+        doc.n, 60, 1, domain_check=calculus.domain_check(doc.field, doc.oneform)
+    )
+    x, y = samples.x[bad_sample], samples.y[bad_sample]
+    assert captured.err == (f"numerical failure: {kind} residual is not finite at "
+                            f"x={x.tolist()}, y={y.tolist()}\n")
+
+
+# derivative passes (TermTable.jet calls) of each sampled command on the
+# default boxes, and at most the parent's count after rejections (the y box
+# straddles 0): the parent passed the accepted stack again after sampling
+@pytest.mark.parametrize("fixture, after_rejections", [("cubic_x_bx", 143), ("mixed_quartic", 2)])
+def test_one_pass_per_sampled_command(monkeypatch, capsys, fixture, after_rejections):
+    from mrootfinsler import cli, fields
+
+    real = fields.TermTable.jet
+    calls = []
+
+    def counted(self, v):
+        calls.append(len(v))
+        return real(self, v)
+
+    monkeypatch.setattr(fields.TermTable, "jet", counted)
+
+    def passes(*args):
+        calls.clear()
+        assert cli.main([*args, "--spec", str(FIXTURES / f"{fixture}.json")]) in (0, 1)
+        capsys.readouterr()
+        return len(calls)
+
+    assert passes("verify") == 1
+    assert passes("check", "dually-flat") == 1
+    assert passes("check", "proj-flat") == 1
+    assert passes("check", "proj-related") == 2  # and one at y/||y||
+    for args in (("verify",), ("check", "dually-flat"), ("check", "proj-flat"),
+                 ("check", "proj-related")):
+        assert passes(*args, "--ybox=-2,2", "--seed", "4") <= after_rejections, args
 
 
 CUBIC = str(FIXTURES / "cubic_x.json")

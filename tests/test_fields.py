@@ -9,7 +9,7 @@ import _oracles as oracles
 from conftest import FIXTURE_DIR, ONE_FORM_SPECS, b_bx, b_const, cubic_x, diag_quartic, spec_samples
 from mrootfinsler import calculus
 from mrootfinsler.errors import DimensionMismatch, DomainError, RiemannianOrderWarning
-from mrootfinsler.fields import CoefficientField, OneFormField, Polynomial, TermTable, pack
+from mrootfinsler.fields import CoefficientField, OneFormField, Polynomial, TermTable, norm, pack
 from mrootfinsler.specfile import load_spec
 
 
@@ -298,3 +298,29 @@ def test_single_point_floors_decide_as_the_stack_guards():
         assert results[0] == results[1], (x, y)
         outcomes.add(results[0] and results[0].split(" value")[0])
     assert outcomes == {None, "form", "one-form"}
+
+
+def test_norm_matches_numpy_norm_bit_for_bit():
+    # projective_residual measures lengths with norm; np.linalg.norm gave the
+    # same floats on these shapes, so its readings did not move
+    rng = np.random.default_rng(17)
+    for n in (2, 3, 4):
+        for count in (1, 2, 7, 60, 100):
+            scale = 10.0 ** rng.integers(-3, 4, size=(count, 1))
+            v = scale * rng.uniform(-2.0, 2.0, size=(count, n))
+            assert np.array_equal(norm(v), np.linalg.norm(v, axis=-1)), (n, count)
+
+
+@pytest.mark.parametrize("name", ONE_FORM_SPECS)
+def test_jet_slices_read_the_rows_of_the_pass(name):
+    # jets[:i] is what errors.in_sample_order hands a prefix: the first i rows
+    # of every field and group of the pass, as views of its block
+    doc, _, (xs, ys) = spec_samples(name, 12, seed=8)
+    jets = calculus.field_jets(doc.field, doc.oneform, xs, ys)
+    for i in (1, 5, 12):
+        part = jets[:i]
+        assert np.shares_memory(part.block, jets.block)
+        for g in (0, 1):
+            for field in ("val", "grad", "hess"):
+                assert np.array_equal(getattr(part.group(g), field),
+                                      getattr(jets.group(g), field)[:i]), (i, g, field)

@@ -31,7 +31,13 @@ from mrootfinsler.flatness import (
     proj_flat_condition,
     proj_flat_residual,
 )
-from mrootfinsler.sampling import stack
+
+
+def stack(points):
+    """The points and the vectors of (x, y) pairs, stacked (N, n)."""
+    xs, ys = zip(*points)
+    return np.array(xs), np.array(ys)
+
 
 # Golden values frozen from the independent finite-difference oracle
 # (tests/_oracles.py) for the cubic fixture with the constant one-form.
