@@ -11,10 +11,14 @@ v = (x, y), on a group axis (A, beta), laid out in one block.  One chain rule
 composes one group and two alike: per sample, the value of A^p beta^q and its
 first and second derivatives in (A, beta) are scalar coefficients (Python
 floats at one point), and one product of them with the block gives the
-gradient and Hessian.  The value, the y-gradient and y-Hessian, the
-x-gradient and the mixed x-y block of any energy, and the value a
-ScalarFunction returns when called, are therefore slices of a single pass,
-exact to rounding.  Points may come stacked (..., n): the pass, the chain
+gradient and Hessian.  The pass and the chain rule are cores on raw blocks
+(TermTable.block, chain) with no errstate or guard of their own; a Jet
+(Jet.of) is a view of such a block, TermTable.jet, power and
+ScalarFunction.compose are the guarded Jet API over the cores, and the RK4
+stage (spray) calls the cores directly.  The value, the y-gradient and
+y-Hessian, the x-gradient and the mixed x-y block of any energy, and the
+value a ScalarFunction returns when called, are therefore slices of a single
+pass, exact to rounding.  Points may come stacked (..., n): the pass, the chain
 rule and every guard then act per sample, and a guard raises for the lowest
 failing sample.  Richardson-extrapolated central differences of the value
 over the packed point serve only as an independent cross-check of the whole
@@ -103,27 +107,35 @@ def _coefficients(values, exponents):
     return fc[..., 0], fc[..., 1:].reshape(fc.shape[:-1] + (3, 2))
 
 
+def chain(block, exponents, n2: int) -> np.ndarray:
+    """The chain rule of power as a core on arrays: block (..., k, 1 + n2 + n2^2)
+    is the head of a pass, the group values leading it (TermTable.block), and
+    the result is the composed jet's block (..., 1 + n2 + n2^2) (Jet.of).  No
+    guard on the result and no errstate of its own: callers ignore
+    floating-point errors and test what it returns."""
+    f, C = _coefficients(block[..., 0], exponents)
+    R = C @ block
+    out = R[..., 0, :]
+    hess = out[..., 1 + n2 :].reshape(out.shape[:-1] + (n2, n2))
+    hess += block[..., 1 : 1 + n2].swapaxes(-1, -2) @ R[..., 1:, 1 : 1 + n2]
+    np.add(hess, hess.swapaxes(-1, -2), out=hess)  # ufuncs copy an overlapping input
+    hess *= 0.5
+    out[..., 0] = f
+    return out
+
+
 def power(jets: Jet, exponents) -> Jet:
     """A^p for exponents (p,), A^p beta^q for (p, q), with gradient and Hessian,
     from a pass of A or of (A, beta) (Jet.of, one block): with V the group
     values, grad = c1 dV and Hess = c1 H_V + dV^T c2 dV.  For one group and for
     two alike, one product of C with the pass's block gives c1 dV, c1 H_V and
     c2 dV, and the Hessian is symmetrised as (M + M^T) / 2, so it is exactly
-    symmetric.  Overflowing products are left as they come:
+    symmetric (chain).  Overflowing products are left as they come:
     ScalarFunction.compose rejects them.
     """
-    k = len(exponents)
-    G = jets.grad[..., :k, :]
-    n2 = G.shape[-1]
+    n2 = jets.grad.shape[-1]
     with np.errstate(all="ignore"):
-        f, C = _coefficients(jets.val[..., :k], exponents)
-        R = C @ jets.block[..., :k, : 1 + n2 * (n2 + 1)]
-        block = R[..., 0, :]
-        hess = block[..., 1 + n2 :].reshape(block.shape[:-1] + (n2, n2))
-        hess += G.swapaxes(-1, -2) @ R[..., 1:, 1 : 1 + n2]
-        np.add(hess, hess.swapaxes(-1, -2), out=hess)  # ufuncs copy an overlapping input
-        hess *= 0.5
-        block[..., 0] = f
+        block = chain(jets.block[..., : len(exponents), : 1 + n2 * (n2 + 1)], exponents, n2)
     return Jet.of(block, n2)
 
 
@@ -131,16 +143,11 @@ def field_jets(field: CoefficientField, oneform: Optional[OneFormField], x, y) -
     """One pass for A, or for (A, beta) on a group axis, after the floors (form
     first), read off the same pass.  x and y may be stacks (..., n); they are
     packed once, here."""
-    return packed_jets(field, oneform, pack(x, y, field.n))
-
-
-def packed_jets(field: CoefficientField, oneform: Optional[OneFormField], v) -> Jet:
-    """field_jets at the packed points v = (x, y) (..., 2n), lengths already checked."""
+    v = pack(x, y, field.n)
     jets, c = field.terms_with(oneform).jet(v)
     y = v[..., field.n :]
     # a single point clear of both floors skips the guards' array work
-    if not (jets.val.ndim == 1 and clear_of_floors(
-            jets.val.tolist(), c.tolist(), y.tolist(), field.m)):
+    if not (jets.val.ndim == 1 and clear_of_floors(jets.val, c, y, field.m)):
         check_floors(jets.val, np.abs(c).max(axis=-1, initial=0.0), y, field.m)
     return jets
 

@@ -11,13 +11,15 @@ multiset.  A TermTable multiplies them out into monomials of v = (x, y) and
 holds one matrix from those monomials to the value, the gradient and the
 Hessian over all 2n coordinates and the coefficients c_t(x): a pass is one
 power table of v, one gather-product, one matmul and one gather, which makes
-the Hessian symmetric by construction.  A pass takes the packed point
-v = (x, y): callers pack x and y once (`pack` checks both lengths), the
-geodesic integrator hands over its state.  The pair (A, beta) is one table
-with a group axis (A, beta); the form alone is its one-group case.  Tables are
-built once per field or pair, on first use, and `jet` is their only reader:
-the sampler's floors are decided on the pass itself (calculus.domain_check),
-and c_t(x) alone is the pass at (x, 0) (CoefficientField.tensor_at).
+the Hessian symmetric by construction.  TermTable.block is that pass as a raw
+block with no guard; `jet` guards it against overflow and reads it as a Jet.
+A pass takes the packed point v = (x, y): callers pack x and y once (`pack`
+checks both lengths), the geodesic integrator hands over its state.  The pair
+(A, beta) is one table with a group axis (A, beta); the form alone is its
+one-group case.  Tables are built once per field or pair, on first use, and
+`jet` and the RK4 stage (spray) are their only readers: the sampler's floors
+are decided on the pass itself (calculus.domain_check), and c_t(x) alone is
+the pass at (x, 0) (CoefficientField.tensor_at).
 
 Multiplied out, each term is rounded once before the sum; this differs from
 coefficients times monomials where a coefficient nearly vanishes, by about eps
@@ -58,10 +60,11 @@ def check_floors(values, scale, y, m: int) -> None:
 
 
 def clear_of_floors(values, coefficients, y, m: int) -> bool:
-    """Whether one point clears the floors of check_floors, in Python floats
-    (lists), with the 1e-300 guard on both scales; False sends it through them."""
-    size = math.sqrt(sum([v * v for v in y]))
-    form, *beta = values
+    """Whether one point clears the floors of check_floors: values (groups,),
+    coefficients (groups, terms) and y (n,) read as Python floats, with the
+    1e-300 guard on both scales; False sends it through them."""
+    size = math.sqrt(sum([v * v for v in y.tolist()]))
+    (form, *beta), coefficients = values.tolist(), coefficients.tolist()
     if not form > FORM_FLOOR * size ** m * max(max(map(abs, coefficients[0])), 1e-300):
         return False
     return not beta or abs(beta[0]) > BETA_FLOOR * size * max(
@@ -255,16 +258,23 @@ class TermTable:
         top = int(exps.max(initial=0)) + 1
         self._index, self._powers = np.arange(n2) * top + exps, np.arange(top)
 
+    def block(self, v) -> np.ndarray:
+        """The pass at the packed points v = (x, y) (..., 2n) as its raw block
+        (..., groups, 1 + 2n + 4n^2 + terms): per group the value, the gradient,
+        the Hessian row by row, then c_t(x), 0 past the group's own terms.  One
+        power table, one gather-product, one matmul and one gather, with no guard:
+        callers ignore floating-point errors and test the block (see jet)."""
+        table = v[..., None] ** self._powers
+        monomials = table.reshape(table.shape[:-2] + (table.shape[-2] * table.shape[-1],))
+        return (monomials[..., self._index].prod(axis=-1) @ self._matrix)[..., self._gather]
+
     def jet(self, v):
-        """Each group's sum at the packed points v = (x, y) (..., 2n) as a Jet with a
-        group axis, and its c_t(x) per group (..., groups, terms), 0 past the
-        group's own terms: one power table, one gather-product, one matmul and one
-        gather.  NonFiniteResult names the first group and point that overflowed."""
+        """The block at v as a Jet with a group axis (Jet.of), and its c_t(x) per
+        group (..., groups, terms).  NonFiniteResult names the first group and
+        point that overflowed."""
         n, n2 = self.n, 2 * self.n
         with np.errstate(all="ignore"):
-            table = v[..., None] ** self._powers
-            monomials = table.reshape(table.shape[:-2] + (-1,))[..., self._index].prod(axis=-1)
-            out = (monomials @ self._matrix)[..., self._gather]
+            out = self.block(v)
         if not all_finite(out):
             bad = ~np.isfinite(out).all(axis=-1)
             points = [f"x={p[:n]}, y={p[n:]}" for p in np.reshape(v, (-1, n2)).tolist()]

@@ -20,8 +20,10 @@ are then one batched solve, and the split and the wedge hold one entry per
 sample.  The sprays solve the oracle Hessian H = 2g (metric.solve_guarded: its
 condition guard, then the LAPACK gufunc) and halve the solution, which is
 0.25 g^-1 r bit for bit: a power of two commutes with rounding.  RK4 steps the
-packed state z = (x, v), and each stage hands z as it is to the pass
-(calculus.packed_jets).  No state outside the domain is kept.
+packed state z = (x, v), and each stage hands z as it is to the same pass and
+chain rule on raw blocks (TermTable.block, calculus.chain), bound once per
+integration; a point that fails a guard goes the Jet path, which raises what
+it raises.  No state outside the domain is kept.
 
 Geodesic convention: the integrated system is x'' = -G(x, x') with G as above.
 That is not the geodesic equation of this quarter-factor spray, which is
@@ -37,8 +39,8 @@ import numpy as np
 
 from . import calculus
 from .errors import DomainError, NonFiniteResult, SingularMatrix
-from .fields import CoefficientField, OneFormField, all_finite, dot, matvec, norm, outer
-from .fields import pack, vecmat
+from .fields import CoefficientField, OneFormField, all_finite, clear_of_floors, dot, matvec
+from .fields import norm, outer, pack, vecmat
 from .kropina import AuxScalars, KropinaPoint, kropina_point
 from .metric import solve_guarded
 
@@ -47,18 +49,43 @@ NAN = float("nan")
 
 def spray_coeffs(energy: calculus.ScalarFunction, x, y) -> np.ndarray:
     """Quarter g-inverse of the standard spray bracket for the given energy."""
-    return _stage(energy, pack(x, y, energy.field.n))
+    return _stage_of(energy)(pack(x, y, energy.field.n))
 
 
-def _stage(energy: calculus.ScalarFunction, v: np.ndarray) -> np.ndarray:
-    """spray_coeffs at the packed points v = (x, y): one RK4 stage of the integrator."""
-    jets = calculus.packed_jets(energy.field, energy.oneform, v)
-    return _spray(energy.compose(jets), v[..., energy.field.n :])
+def _stage_of(energy: calculus.ScalarFunction):
+    """spray_coeffs at the packed points v = (x, y) as a function of v alone:
+    one RK4 stage of the integrator, with the energy's term table, exponents
+    and block head bound once.  One point runs as a straight line over raw
+    blocks: the pass (TermTable.block) and, if it is finite and clear of both
+    floors (fields.clear_of_floors), the chain rule (calculus.chain), under one
+    errstate, then the guarded solve.  Any other case, a stack included, goes
+    the Jet path (calculus.derivatives), which raises what its guards raise or
+    returns the same block."""
+    field, oneform, exponents = energy.field, energy.oneform, energy.exponents
+    n, n2, m, k = field.n, 2 * field.n, field.m, len(exponents)
+    head = 1 + n2 * (n2 + 1)
+    block, chain = field.terms_with(oneform).block, calculus.chain
+
+    def stage(v):
+        y, jet = v[..., n:], None
+        if v.ndim == 1:
+            with np.errstate(all="ignore"):
+                out = block(v)
+                if all_finite(out) and clear_of_floors(out[:, 0], out[:, head:], y, m):
+                    jet = chain(out[:k, :head], exponents, n2)
+        if jet is None or not all_finite(jet):
+            jet = calculus.derivatives(energy, v[..., :n], y).block
+        return _spray(jet, y)
+
+    return stage
 
 
-def _spray(jet: calculus.Jet, y: np.ndarray) -> np.ndarray:
-    rhs = vecmat(y, jet.hess_xy) - jet.grad_x
-    return 0.5 * solve_guarded(jet.hess_yy, rhs, "fundamental tensor condition number {:.3e}")
+def _spray(block: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The spray at y from a jet of the energy, given as its block (Jet.of)."""
+    n, n2 = y.shape[-1], 2 * y.shape[-1]
+    hess = block[..., 1 + n2 : 1 + n2 * (n2 + 1)].reshape(block.shape[:-1] + (n2, n2))
+    rhs = vecmat(y, hess[..., :n, n:]) - block[..., 1 : 1 + n]
+    return 0.5 * solve_guarded(hess[..., n:, n:], rhs, "fundamental tensor condition number {:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +180,8 @@ def pq_decomposition(
     jets, base, aux, b_up = point.jets, point.base, point.aux, point.b_up
 
     E = calculus.base_energy(field, m).compose(jets)
-    G = _spray(E, y)
-    Gbar = _spray(point.energy, y)
+    G = _spray(E.block, y)
+    Gbar = _spray(point.energy.block, y)
     D = Gbar - G
 
     A, beta = jets.group(0), jets.group(1)
@@ -209,8 +236,8 @@ def projective_residual(
     y = np.asarray(y, dtype=float)
     y_unit = y / norm(y)[..., None]
     jets = calculus.field_jets(field, oneform, x, y_unit)
-    G = _spray(calculus.base_energy(field, m).compose(jets), y_unit)
-    Gbar = _spray(calculus.kropina_energy(field, oneform, m).compose(jets), y_unit)
+    G = _spray(calculus.base_energy(field, m).compose(jets).block, y_unit)
+    Gbar = _spray(calculus.kropina_energy(field, oneform, m).compose(jets).block, y_unit)
     D = Gbar - G
     # [i, j] = D_i y_j - D_j y_i: its largest entry is the largest i < j wedge
     # component, because the matrix is antisymmetric with a zero diagonal
@@ -227,7 +254,6 @@ class GeodesicPath:
     """Fixed-step trajectory; truncated=True when the domain was exhausted."""
 
     samples: list          # (t, x array, v array)
-    step: float
     truncated: bool = False
     reason: str = ""
 
@@ -245,9 +271,10 @@ def integrate_geodesic(
     z = pack(x0, y0, n)
     samples = [(0.0, z[:n], z[n:])]
     truncated, reason = False, ""
+    stage = _stage_of(energy)
 
     def rate(z):
-        return np.concatenate((z[n:], -_stage(energy, z)))
+        return np.concatenate((z[n:], -stage(z)))
 
     def outside(exc):
         return f"state at t={samples.pop()[0]!r} is outside the domain: {exc}"
@@ -275,4 +302,4 @@ def integrate_geodesic(
         except DomainError as exc:
             truncated, reason = True, outside(exc)
 
-    return GeodesicPath(samples, h, truncated, reason)
+    return GeodesicPath(samples, truncated, reason)

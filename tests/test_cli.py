@@ -247,7 +247,7 @@ def test_path_rows_from_python_floats_match_numpy_scalars(tmp_path):
     assert sum(float(f"{v:.16g}") != v for v in values) >= 6
     samples = [(0.25 * i, values[i : i + 3], values[i + 3 : i + 6]) for i in range(len(values) - 5)]
     out = tmp_path / "path.txt"
-    cli.write_path_file(str(out), spray.GeodesicPath(samples, 0.25), 3)
+    cli.write_path_file(str(out), spray.GeodesicPath(samples), 3)
     rows = out.read_text().splitlines()[1:]
     expected = []
     for t, x, v in samples:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,8 @@ from conftest import (
     seeded_points,
     spec_samples,
 )
-from mrootfinsler import calculus, report
-from mrootfinsler.errors import DomainError, NonFiniteResult, SingularMatrix
+from mrootfinsler import calculus, report, spray
+from mrootfinsler.errors import DomainError, FinslerError, NonFiniteResult, SingularMatrix
 from mrootfinsler.kropina import kropina_point
 from mrootfinsler.metric import metric_point
 from mrootfinsler.specfile import load_spec
@@ -274,6 +276,47 @@ def test_spray_condition_guard():
     assert exc.value.sample == 3
 
 
+def _raised(fn, v):
+    """The type, message and sample of the FinslerError fn(v) raises."""
+    with pytest.raises(FinslerError) as exc:
+        fn(v)
+    return type(exc.value), str(exc.value), exc.value.sample
+
+
+def test_stage_raises_what_the_jet_path_raises():
+    # each guard of an RK4 stage, at one point and at sample 3 of a stack: the
+    # stage and the Jet path raise the same type, message and sample
+    kx2 = Polynomial(2, [((0, 0), 1.0), ((2, 0), 2.5e307)])
+    steep = CoefficientField(2, 3, {(1, 1, 1): kx2, (2, 2, 2): Polynomial.constant(2, 1.0)})
+    huge = CoefficientField.constant(2, 3, {(1, 1, 1): 1e300, (2, 2, 2): 1.0})
+    cases = [
+        (calculus.base_energy(huge, 3), [0.0, 0.0], [1e4, 1.0], "overflow in the form value"),
+        (calculus.kropina_energy(cubic_x(), b_bx(), 3), [-1.0, 0.5], [1.0, 1.0],
+         "form value .* at or below floor"),
+        (calculus.kropina_energy(cubic_x(), b_bx(), 3), [0.5, -1.0], [1.0, 1.0],
+         "one-form value .* below degeneracy floor"),
+        # the pass is finite; 2.5e307 x^1^2 makes its x-x Hessian overflow in F^2
+        (calculus.base_energy(steep, 3), [0.0, 0.0], [1.0, -0.999],
+         "derivatives of F\\^2 are not finite"),
+        (calculus.base_energy(diag_quartic(), 4), [0.0, 0.0], [1e-9, 1.0],
+         "fundamental tensor condition number"),
+    ]
+    xs, ys = (np.array(v) for v in zip(*seeded_points(2, 6, seed=17)))
+    for energy, x, y, message in cases:
+        stage = spray._stage_of(energy)
+
+        def jet_path(v):
+            at, along = v[..., :2], v[..., 2:]
+            return spray._spray(calculus.derivatives(energy, at, along).block, along)
+
+        stack = np.concatenate((xs, ys), axis=-1)
+        stack[3] = x + y
+        for v, sample in ((np.array(x + y), None), (stack, 3)):
+            raised = _raised(stage, v)
+            assert raised == _raised(jet_path, v), (message, sample)
+            assert re.match(message, raised[1]) and raised[2] == sample, (raised, sample)
+
+
 # A kropina geodesic of cubic_x whose state at t = 1.75 (h = 0.125) has a
 # negative form value: the accepted states end at t = 1.625
 OUTSIDE_X0 = [0.11290864530486688, 0.28458872586489115]
@@ -289,7 +332,8 @@ def _rk4_stage_loop(energy, x0, y0, t_end, steps):
     states, reason = [(0.0, x, v)], ""
 
     def acc(xs, vs):
-        return -spray_coeffs(energy, xs, vs)
+        # the Jet path, not the stage the integrator runs
+        return -spray._spray(calculus.derivatives(energy, xs, vs).block, vs)
 
     def outside(exc):
         return f"state at t={states.pop()[0]!r} is outside the domain: {exc}"
@@ -326,6 +370,15 @@ def test_packed_rk4_matches_stage_loop():
     cases = [
         (calculus.kropina_energy(doc.field, doc.oneform, doc.m), [0.0, 0.0], [1.0, 0.5], 0.5, 50),
         (calculus.base_energy(doc.field, doc.m), [0.0, 0.0], [1.0, 0.5], 0.5, 50),
+    ]
+    # n = 2-4, m = 3 and 4: the start and span of the CI run over every fixture
+    for name in ONE_FORM_SPECS:
+        spec = load_spec(FIXTURE_DIR / f"{name}.json")
+        for energy in (calculus.kropina_energy(spec.field, spec.oneform, spec.m),
+                       calculus.base_energy(spec.field, spec.m)):
+            cases.append((energy, [0.0] * spec.n, [1.0, 0.5, 0.7, 0.9][: spec.n], 0.3, 30))
+    accepted = len(cases)  # the cases below truncate
+    cases += [
         # the truncating start of test_geodesic_truncates_on_domain_exit
         (calculus.base_energy(cubic_x(), 3), [-0.5, 0.0], [-0.6, 1.0], 2.0, 200),
         # a step lands outside the domain: the next step's first stage
@@ -333,15 +386,15 @@ def test_packed_rk4_matches_stage_loop():
         (calculus.kropina_energy(cubic_x(), b_const(2), 3), OUTSIDE_X0, OUTSIDE_Y0, 2.0, 16),
         (calculus.kropina_energy(cubic_x(), b_const(2), 3), OUTSIDE_X0, OUTSIDE_Y0, 1.75, 14),
     ]
-    for energy, x0, y0, t_end, steps in cases:
+    for i, (energy, x0, y0, t_end, steps) in enumerate(cases):
         path = integrate_geodesic(energy, x0, y0, t_end, steps)
         states, reason = _rk4_stage_loop(energy, x0, y0, t_end, steps)
         assert (path.truncated, path.reason) == (bool(reason), reason), energy.name
+        assert path.truncated == (i >= accepted), (i, energy.name, reason)
         assert len(path.samples) == len(states), energy.name
         for (t, x, v), (t_ref, x_ref, v_ref) in zip(path.samples, states):
             assert t == t_ref and np.array_equal(x, x_ref) and np.array_equal(v, v_ref), (
                 energy.name, t)
-    assert reason  # the last case truncates
 
 
 @pytest.mark.parametrize("t_end, steps", [(2.0, 16), (1.75, 14)])
@@ -372,3 +425,19 @@ def test_pq_decomposition_refuses_another_snapshot():
     for x2, y2 in ((x + [0.0, 1e-9], y), (x, 2.0 * y), (np.stack([x, x]), np.stack([y, y]))):
         with pytest.raises(ValueError, match="other samples"):
             pq_decomposition(field, oneform, 3, x2, y2, point)
+
+
+@pytest.mark.parametrize("name", ONE_FORM_SPECS)
+def test_empty_stacks_give_empty_results(name):
+    # a (0, n) stack is zero samples all the way down, not a numpy reshape error
+    doc = load_spec(FIXTURE_DIR / f"{name}.json")
+    n, args = doc.n, (doc.field, doc.oneform, doc.m)
+    xs = ys = np.empty((0, n))
+    jets = calculus.field_jets(doc.field, doc.oneform, xs, ys)
+    assert jets.block.shape == (0, 2, {2: 23, 3: 48, 4: 77}[n])
+    calculus.domain_check(doc.field, doc.oneform)(xs, ys)
+    for energy in (calculus.base_energy(doc.field, doc.m), calculus.kropina_energy(*args)):
+        assert spray_coeffs(energy, xs, ys).shape == (0, n), energy.name
+    for row in report.point_report(*args, xs, ys).rows:
+        assert row.max_abs is None or np.shape(row.max_abs) == (0,), row.formula
+    assert projective_residual(*args, xs, ys).shape == (0,)
