@@ -10,6 +10,13 @@ parser is built on the first call, and the documents parsed from the last
 SPEC_CACHE_SIZE distinct spec contents are kept, keyed by the file's exact
 bytes and its path.  Every call reads the spec file again, so a file edited
 between calls is parsed again; a spec that fails to parse is never kept.
+
+Every --json document goes through one writer (`_emit`): the text of
+json.dumps(payload, sort_keys=True, indent=2) and a newline, laid out by
+`_layout` with its leaves encoded by the C functions json.dumps calls, so no
+document passes through the standard library's pure-Python encoder.  The
+per-sample records of `verify` and `check proj-related` are laid out once as
+a template and written one record at a time.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import os
 import sys
 import warnings
 from functools import cache, lru_cache, partial
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -155,7 +163,7 @@ def _envelope(command: str, doc: MetricSpecDocument, argv) -> dict:
 
 
 class _Column(list):
-    """The JSON text of one number per record, in record order: a slot of a record layout."""
+    """The JSON text of one number per record, in record order: a slot of a layout."""
 
 
 def _column(values) -> _Column:
@@ -171,56 +179,84 @@ def _columns(points) -> list:
     return [_column(c) for c in np.asarray(points, dtype=float).T]
 
 
-def _layout(value, level: int, columns: list) -> str:
-    """The json.dumps(sort_keys=True, indent=2) text of `value` at indent `level`,
-    %-escaped, with a %s slot for each _Column in it; the columns are appended
-    to `columns` in the order of their slots."""
-    if isinstance(value, _Column):
-        columns.append(value)
-        return "%s"
-    if value and isinstance(value, (dict, list)):
-        inner = "\n" + "  " * (level + 1)
-        if isinstance(value, dict):
-            items = [_layout(key, 0, columns) + ": " + _layout(value[key], level + 1, columns)
-                     for key in sorted(value)]
-            open_, close = "{", "}"
-        else:
-            items = [_layout(item, level + 1, columns) for item in value]
-            open_, close = "[", "]"
-        return open_ + inner + ("," + inner).join(items) + "\n" + "  " * level + close
-    return json.dumps(value).replace("%", "%%")
+# What _layout writes at a slot.  No JSON text holds it: json.dumps escapes
+# every control character.
+_SLOT = "\0"
+
+
+def _layout(value, level: int, slots: list) -> str:
+    """The json.dumps(value, sort_keys=True, indent=2) text of `value` at indent
+    `level`, with _SLOT in place of each _Column in it; the columns are appended
+    to `slots` in the order of their slots.
+
+    Exact str, int and finite float leaves are encoded by the C functions
+    json.dumps calls, and tuples are laid out as lists, as json.dumps does.
+    Any other leaf (a subclass, a float that is not finite, a numpy scalar)
+    is json.dumps of that leaf, and a dict with a key that is not exactly str
+    is json.dumps of that dict, re-indented to `level`: their text and their
+    TypeError are the standard library's own.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if kind is _Column:
+        slots.append(value)
+        return _SLOT
+    indent = "\n" + "  " * level
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_layout(item, level + 1, slots) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, dict) and all(type(key) is str for key in value):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(key) + ": " + _layout(item, level + 1, slots)
+                 for key, item in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, dict):
+        return json.dumps(value, sort_keys=True, indent=2).replace("\n", indent)
+    return json.dumps(value)
 
 
 def _emit(payload: dict, out=None, records=None):
     """Write the JSON document to `out`, by default the sys.stdout of the moment.
 
     The document is json.dumps(payload, sort_keys=True, indent=2) and a
-    newline, byte for byte.  With `indent` the standard library encodes in
-    pure Python, and the records of a verify report are most of its text, so
-    they have a writer of their own.  `records`, when given, is a function
-    of no arguments that returns the payload's "records" list as one record
-    whose numbers are _Columns; it is called here, so that all formatting
-    happens in this stage.  The record's text is laid out once (`_layout`)
-    and its slots are filled from the columns record by record, so each
-    number is formatted once.  The records are written one at a time, at the
-    "records" key of the rest of the document.
+    newline, byte for byte, laid out by one writer (`_layout`) whose leaves
+    are encoded by the C functions json.dumps calls: with `indent`, json.dumps
+    itself encodes in pure Python.  `records`, when given, is a function of no
+    arguments that returns the payload's "records" list as one record whose
+    numbers are _Columns; it is called here, so that all formatting happens
+    in this stage.  The record's text is laid out once and its slots are
+    filled from the columns record by record, so each number is formatted
+    once, and the records are written one at a time into the slot the rest
+    of the document leaves at its "records" key.
     """
     out = sys.stdout if out is None else out
     if records is None:
-        out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        out.write(_layout(payload, 0, []) + "\n")
         return
-    key = '\n  "records": '
-    head, tail = json.dumps(
-        {**payload, "records": None}, sort_keys=True, indent=2
-    ).split(key + "null")
+    head, tail = _layout({**payload, "records": _Column()}, 0, []).split(_SLOT)
     columns = []
-    layout = _layout(records(), 2, columns)
-    texts = (layout % values for values in zip(*columns))
+    template = _layout(records(), 2, columns).replace("%", "%%").replace(_SLOT, "%s")
+    texts = (template % values for values in zip(*columns))
     first = next(texts, None)
     if first is None:
-        out.write(head + key + "[]")
+        out.write(head + "[]")
     else:
-        out.write(head + key + "[\n    " + first)
+        out.write(head + "[\n    " + first)
         for text in texts:
             out.write(",\n    " + text)
         out.write("\n  ]")
@@ -332,17 +368,11 @@ def cmd_eval(args, argv) -> int:
 # ---------------------------------------------------------------------------
 
 def _rows_payload(rows):
-    payload = []
-    for row in rows:
-        payload.append({
-            "formula": row.formula,
-            "max_abs": _finite_or_none(row.max_abs),
-            "max_rel": _finite_or_none(row.max_rel),
-            "x": list(row.x) if row.x is not None else None,
-            "y": list(row.y) if row.y is not None else None,
-            "note": row.note,
-        })
-    return payload
+    return [
+        {"formula": row.formula, "max_abs": _finite_or_none(row.max_abs),
+         "max_rel": _finite_or_none(row.max_rel), "x": row.x, "y": row.y, "note": row.note}
+        for row in rows
+    ]
 
 
 def _verify_record(x, y, rows) -> dict:

@@ -50,7 +50,8 @@ def check_floors(values, scale, y, m: int) -> None:
     over the whole stack first, then, given a second group, where |beta| is at or
     below BETA_FLOOR ||y|| max|b_i|; values and scale (..., groups)."""
     size = norm(y)
-    floor = FORM_FLOOR * size ** m * np.maximum(scale[..., 0], 1e-300)
+    with np.errstate(over="ignore"):  # a floor past the largest float is inf
+        floor = FORM_FLOOR * size ** m * np.maximum(scale[..., 0], 1e-300)
     raise_first(values[..., 0] <= floor, DomainError,
                 "form value {:.3e} at or below floor {:.3e}", values[..., 0], floor)
     if values.shape[-1] > 1:
@@ -62,10 +63,15 @@ def check_floors(values, scale, y, m: int) -> None:
 def clear_of_floors(values, coefficients, y, m: int) -> bool:
     """Whether one point clears the floors of check_floors: values (groups,),
     coefficients (groups, terms) and y (n,) read as Python floats, with the
-    1e-300 guard on both scales; False sends it through them."""
+    1e-300 guard on both scales and a form floor past the largest float read
+    as inf, as there; False sends it through them."""
     size = math.sqrt(sum([v * v for v in y.tolist()]))
     (form, *beta), coefficients = values.tolist(), coefficients.tolist()
-    if not form > FORM_FLOOR * size ** m * max(max(map(abs, coefficients[0])), 1e-300):
+    try:
+        floor = FORM_FLOOR * size ** m * max(max(map(abs, coefficients[0])), 1e-300)
+    except OverflowError:
+        return False
+    if not form > floor:
         return False
     return not beta or abs(beta[0]) > BETA_FLOOR * size * max(
         max(map(abs, coefficients[1])), 1e-300)

@@ -443,6 +443,85 @@ def test_emit_refuses_keys_that_are_not_strings():
     assert _emitted(item) == json.dumps(item, sort_keys=True, indent=2) + "\n"
 
 
+_LEAVES = [
+    "", "100%", "%s", "%%s %d", 'say "hi"', "back\\slash", "\x00\x1f\x7f\n\t\r\b\f",
+    "\u2028\u2029", "\ud800", "\U0001f600", "\u00e9",
+    0, -7, 2 ** 70, -(2 ** 70),
+    -0.0, 0.0, 5e-324, 1e16, 1.7976931348623157e308, -1.5,
+    True, False, None,
+]
+
+
+@pytest.mark.parametrize("value", _LEAVES, ids=repr)
+def test_layout_leaves_are_the_json_dumps_text(monkeypatch, value):
+    # exact str, int and finite float leaves and the three literals are
+    # encoded by the C functions json.dumps calls, never by json.dumps itself
+    from mrootfinsler import cli
+
+    key = value if type(value) is str else "k"
+    document = {"leaf": value, "list": [value, [value]], key: value}
+    expected = [json.dumps(value), json.dumps(document, sort_keys=True, indent=2) + "\n"]
+    monkeypatch.setattr(json, "dumps", None)
+    slots = []
+    assert [cli._layout(value, 3, slots), _emitted(document)] == expected
+    assert slots == []
+
+
+@pytest.mark.parametrize("value, fallback", [
+    (Label("a%s\u00e9"), True), (Level.ONE, True), (Level.ONE * 1.5, False),
+    (math.nan, True), (math.inf, True), (-math.inf, True),
+    (np.float64(0.1), True), (np.float64("nan"), True),
+    ((), False), ((1.5, "a", None), False), ((1.5, ("b", [])), False), ([], False), ({}, False),
+    ({"a": {}, "b": [], "c": ()}, False),
+    ({1: 0.5}, True), ({"a": 1, Label("b"): [2.0, {"c": ()}]}, True), ({None: "x"}, True),
+    ({True: "x", 2.5: (1,)}, True),
+], ids=repr)
+def test_layout_fallbacks_match_json_dumps(monkeypatch, value, fallback):
+    # any other leaf, and a dict with a key that is not exactly str, is
+    # json.dumps of that sub-value; tuples and empty containers are laid out
+    from mrootfinsler import cli
+
+    document = {"outer": [{"inner": value}, value], "value": value}
+    expected = [json.dumps(item, sort_keys=True, indent=2) + "\n" for item in (value, document)]
+    dumps, calls = json.dumps, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counted)
+    assert [_emitted(value), _emitted(document)] == expected
+    assert bool(calls) == fallback
+
+
+def test_json_documents_need_no_pure_python_encoder(monkeypatch, capsys):
+    # json.dumps with indent encodes through _make_iterencode, in pure
+    # Python; no verify or proj-related document goes through it, after
+    # rejected draws (the y box straddles 0) included
+    from conftest import ONE_FORM_SPECS
+
+    from mrootfinsler import cli
+
+    cases = [("verify", "--json", "--spec", str(FIXTURES / f"{name}.json"))
+             for name in ONE_FORM_SPECS]
+    cases += [("check", "proj-related", "--json", "--spec", BX),
+              ("verify", "--json", "--spec", BX, "--ybox=-2,2")]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder was called")
+
+    outputs = []
+    with monkeypatch.context() as patch:
+        patch.setattr(json.encoder, "_make_iterencode", refuse)
+        for args in cases:
+            outputs.append((args, cli.main(list(args)), capsys.readouterr()))
+    assert json.loads(outputs[-1][2].out)["rejected"]
+    for args, rc, captured in outputs:
+        assert (rc, captured.err) == (1 if args[0] == "check" else 0, ""), args
+        text = captured.out
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", args
+
+
 _NOTES = st.none() | st.text(
     alphabet=st.sampled_from('a"\\%{}s\n\u00e9\u2028\U0001f600 ') | st.characters(), max_size=8,
 )
@@ -776,6 +855,43 @@ def test_overflowing_form_exits_3_quietly(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("numerical failure: overflow in the form"), lines
     assert b"RuntimeWarning" not in res.stderr
     assert res.stdout == b""
+
+
+def test_form_floor_past_the_largest_float_refuses_the_point(tmp_path):
+    # ||y||^4 overflows while the pass stays finite (A = 1e-200 (y1^4 + y2^4)):
+    # the floor reads inf, so one point and sample 1 of a stack are refused
+    # alike, and the CLI exits 3 in one line with no RuntimeWarning
+    import warnings
+
+    from mrootfinsler import calculus
+    from mrootfinsler.errors import DomainError
+    from mrootfinsler.specfile import load_spec
+
+    spec = tmp_path / "spec.json"
+    text = (FIXTURES / "diag_quartic.json").read_text()
+    spec.write_text(text.replace('"coeff": 1.0', '"coeff": 1e-200', 2))
+    doc = load_spec(spec)
+    y = np.array([[1.0, 2.0], [1.04e77, 1.04e77], [1.0, 0.5]])
+    errors = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for x, v in ((np.zeros(2), y[1]), (np.zeros((3, 2)), y)):
+            with pytest.raises(DomainError) as exc:
+                calculus.field_jets(doc.field, doc.oneform, x, v)
+            errors.append(exc.value)
+    message = "form value 2.340e+108 at or below floor inf"
+    assert [str(e) for e in errors] == [message] * 2
+    assert errors[1].sample == 1
+    out = tmp_path / "path.txt"
+    runs = [("eval", "--x=0,0", "--y=1.04e77,1.04e77")]
+    runs += [("geodesic", "--metric", metric, "--x0=0,0", "--y0=1.04e77,1.04e77", "--t", "0.5",
+              "--steps", "4", "--out", str(out)) for metric in ("kropina", "base")]
+    for args in runs:
+        res = run_cli(*args, "--spec", str(spec),
+                      env_extra={"PYTHONWARNINGS": "error::RuntimeWarning"})
+        lines = res.stderr.decode().splitlines()
+        assert res.returncode == 3 and len(lines) == 1, (args, lines)
+        assert lines[0].startswith("numerical failure: ") and lines[0].endswith(message), lines
 
 
 # -- what one process keeps between cli.main calls ------------------------------
