@@ -12,30 +12,30 @@ composes one group and two alike: per sample, the value of A^p beta^q and its
 first and second derivatives in (A, beta) are scalar coefficients (Python
 floats at one point), and one product of them with the block gives the
 gradient and Hessian.  The pass and the chain rule are cores on raw blocks
-(TermTable.block, chain) with no errstate or guard of their own; a Jet
-(Jet.of) is a view of such a block, TermTable.jet, power and
-ScalarFunction.compose are the guarded Jet API over the cores, and the RK4
-stage (spray) calls the cores directly.  The value, the y-gradient and
-y-Hessian, the x-gradient and the mixed x-y block of any energy, and the
-value a ScalarFunction returns when called, are therefore slices of a single
-pass, exact to rounding.  Points may come stacked (..., n): the pass, the chain
-rule and every guard then act per sample, and a guard raises for the lowest
-failing sample.  Richardson-extrapolated central differences of the value
-over the packed point serve only as an independent cross-check of the whole
-gradient and Hessian (fd_check).
+(TermTable.block, chain) with no errstate or guard of their own.  A pass has
+one domain guard, decided per row (TermTable.refusals): DomainCheck reads it
+per row for the sampler and raises for the lowest refused row in field_jets
+and derivatives, and the RK4 stage (spray) runs the cores and that guard on
+its own block.  A Jet (Jet.of) is a view of a block; power and
+ScalarFunction.compose are the guarded chain rule over it.  The value, the
+y-gradient and y-Hessian, the x-gradient and the mixed x-y block of any
+energy, and the value a ScalarFunction returns when called, are therefore
+slices of a single pass, exact to rounding.  Points may come stacked
+(..., n).  Richardson-extrapolated central differences of the value over the
+packed point serve only as an independent cross-check of the whole gradient
+and Hessian (fd_check).
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import NonFiniteResult, raise_first
-from .fields import CoefficientField, Jet, OneFormField, all_finite, check_floors
-from .fields import clear_of_floors, pack
+from .fields import CoefficientField, Jet, OneFormField, all_finite, clear_of_floors, pack
 
 _EPS = float(np.finfo(float).eps)
 
@@ -139,23 +139,38 @@ def power(jets: Jet, exponents) -> Jet:
     return Jet.of(block, n2)
 
 
+@dataclass(frozen=True)
+class DomainCheck:
+    """The guarded pass of A, or of (A, beta) on a group axis, at stacks x, y
+    (..., n), packed once, here; as the sampler's test it refuses a draw
+    exactly where every later pass would."""
+
+    field: CoefficientField
+    oneform: Optional[OneFormField]
+
+    def rows(self, x, y):
+        """The pass as a Jet, and the rows its domain guard refuses (TermTable.refusals)."""
+        v = pack(x, y, self.field.n)
+        table = self.field.terms_with(self.oneform)
+        with np.errstate(all="ignore"):
+            out = table.block(v)
+        jets, m = Jet.of(out, 2 * self.field.n), self.field.m
+        return jets, [] if clear_of_floors(out, v, m) else table.refusals(out, v, m)
+
+    def __call__(self, x, y) -> Jet:
+        """The pass, after raising the refusal of its lowest refused row."""
+        jets, refused = self.rows(x, y)
+        if refused:
+            raise refused[0][1]
+        return jets
+
+
+domain_check = DomainCheck
+
+
 def field_jets(field: CoefficientField, oneform: Optional[OneFormField], x, y) -> Jet:
-    """One pass for A, or for (A, beta) on a group axis, after the floors (form
-    first), read off the same pass.  x and y may be stacks (..., n); they are
-    packed once, here."""
-    v = pack(x, y, field.n)
-    jets, c = field.terms_with(oneform).jet(v)
-    y = v[..., field.n :]
-    # a single point clear of both floors skips the guards' array work
-    if not (jets.val.ndim == 1 and clear_of_floors(jets.val, c, y, field.m)):
-        check_floors(jets.val, np.abs(c).max(axis=-1, initial=0.0), y, field.m)
-    return jets
-
-
-def domain_check(field: CoefficientField, oneform: Optional[OneFormField]) -> Callable:
-    """The sampler's admissibility test: the guarded pass itself, field_jets on
-    the draw (x, y), so a draw is refused exactly where every later pass would be."""
-    return functools.partial(field_jets, field, oneform)
+    """The guarded pass at (x, y) (DomainCheck)."""
+    return DomainCheck(field, oneform)(x, y)
 
 
 @dataclass(frozen=True)

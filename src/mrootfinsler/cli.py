@@ -45,6 +45,7 @@ from .errors import (
     RiemannianOrderWarning,
     SingularMatrix,
     ValidationError,
+    check_finite,
 )
 from .metric import ORDER2_NOTICE
 from .specfile import MetricSpecDocument, _read, parse_spec
@@ -105,14 +106,6 @@ def _finite_or_none(value):
         return None
     value = float(value)
     return value if math.isfinite(value) else None
-
-
-def _matrix(value):
-    return [[_finite_or_none(v) for v in row] for row in np.asarray(value)]
-
-
-def _vector(value):
-    return [_finite_or_none(v) for v in np.asarray(value)]
 
 
 # Distinct spec contents whose parsed documents one process keeps.
@@ -280,7 +273,7 @@ def _sampled(args, argv):
         "samples_requested": args.samples,
         "samples_accepted": len(samples.x),
         "rejected": [
-            {"x": _vector(xr), "y": _vector(yr), "reason": reason}
+            {"x": xr.tolist(), "y": yr.tolist(), "reason": reason}
             for xr, yr, reason in samples.rejected
         ],
     })
@@ -316,20 +309,21 @@ def cmd_eval(args, argv) -> int:
     x = _csv_floats(args.x, doc.n, "--x")
     y = _csv_floats(args.y, doc.n, "--y")
 
-    point = kropina.kropina_point(doc.field, oneform, doc.m, x, y)
+    with np.errstate(all="ignore"):  # a reported value that is not finite is refused below
+        point = kropina.kropina_point(doc.field, oneform, doc.m, x, y)
+        g_oracle = 0.5 * calculus.base_energy(doc.field, doc.m).compose(point.jets).hess_yy
     base = point.base
-    g_oracle = 0.5 * calculus.base_energy(doc.field, doc.m).compose(point.jets).hess_yy
+    reported = {"A": base.A, "F": base.F, "l": base.l, "g_oracle": g_oracle, "beta": point.beta,
+                "Fbar": point.Fbar, "lbar": point.lbar, "gbar_oracle": point.gbar_oracle}
+    # the flag is no value, and at m = 4 the scalars from delta on print as undefined
+    skip = ("degenerate_order4",) + (kropina.ORDER4_UNDEFINED if point.aux.degenerate_order4 else ())
+    aux = [(k, v) for k, v in vars(point.aux).items() if k not in skip]
+    check_finite([(k, np.abs(v).max()) for k, v in [*reported.items(), *aux]], x, y)
 
     if args.json:
         payload = _envelope("eval", doc, argv)
-        payload.update({
-            "x": _vector(x), "y": _vector(y),
-            "A": base.A, "F": base.F, "l": _vector(base.l),
-            "g_oracle": _matrix(g_oracle),
-            "beta": point.beta, "Fbar": point.Fbar, "lbar": _vector(point.lbar),
-            "gbar_oracle": _matrix(point.gbar_oracle),
-            "aux": _aux_dict(point.aux),
-        })
+        payload.update({k: np.asarray(v).tolist() for k, v in reported.items()})
+        payload.update({"x": x.tolist(), "y": y.tolist(), "aux": _aux_dict(point.aux)})
         _emit(payload)
         return 0
 
@@ -438,8 +432,7 @@ def cmd_check(args, argv) -> int:
     doc, oneform, samples, payload = _sampled(args, argv)
     x, y = samples.x, samples.y
     related = args.kind == "proj-related"
-    rep = flatness.check_report(doc.field, oneform, doc.m, args.kind, x, y, args.tol,
-                                None if related else samples.jets)
+    rep = flatness.check_report(doc.field, oneform, doc.m, args.kind, x, y, args.tol, samples.jets)
 
     if args.json and related:
         payload.update({
@@ -518,15 +511,19 @@ def cmd_geodesic(args, argv) -> int:
 
 
 def write_path_file(path_name: str, path: spray.GeodesicPath, n: int) -> None:
-    """Line-oriented numeric text: header then t, x..., v... rows."""
-    with open(path_name, "w") as handle:
-        cols = " ".join([f"x{i}" for i in range(1, n + 1)] + [f"v{i}" for i in range(1, n + 1)])
-        handle.write(f"# t {cols}\n")
-        if path.truncated:
-            handle.write(f"# truncated: {path.reason}\n")
-        for t, x, v in path.samples:
-            row = [t] + x.tolist() + v.tolist()
-            handle.write(" ".join(_fmt(value) for value in row) + "\n")
+    """Line-oriented numeric text: header then t, x..., v... rows.
+    ValidationError when the file cannot be written."""
+    try:
+        with open(path_name, "w") as handle:
+            cols = " ".join([f"x{i}" for i in range(1, n + 1)] + [f"v{i}" for i in range(1, n + 1)])
+            handle.write(f"# t {cols}\n")
+            if path.truncated:
+                handle.write(f"# truncated: {path.reason}\n")
+            for t, x, v in path.samples:
+                row = [t] + x.tolist() + v.tolist()
+                handle.write(" ".join(_fmt(value) for value in row) + "\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path_name}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,15 @@
 All failures raised on purpose derive from FinslerError so callers (and the
 CLI exit-code mapping) can tell input problems from numerical ones.
 
-A stack of samples is evaluated stage by stage, and a guard raises for the
-lowest failing sample of its stage (`raise_first`).  A loop over the samples
+A guard raises for the lowest failing sample of a stack (`raise_first`).  The
+domain guard of a pass decides each row alone (fields.TermTable.refusals), so
+the refusal it raises is the one a loop over the samples meets first.  The
+multi-stage stacks of `report` and `flatness` run stage by stage, and a loop
 would raise for the lowest sample failing any stage, so `in_sample_order`
 evaluates the samples before that one again, slicing x, y and a pass over
-them alike: the failure a loop would meet first is the one raised.  `check_finite`
-is the guard on residuals: a NaN would drop out of a maximum, so the `verify`
-rows and every `check` residual go through it before they are reduced.
+them alike.  `check_finite` is the guard on reported values: a NaN would drop
+out of a maximum, so the `verify` rows, every `check` residual and the
+quantities `eval` prints go through it.
 """
 
 import numpy as np
@@ -90,10 +92,10 @@ def in_sample_order(evaluate, *stacks):
 
 
 def check_finite(named, x, y) -> None:
-    """NonFiniteResult at the lowest sample with a residual that is not finite.
+    """NonFiniteResult at the lowest sample with a value that is not finite.
 
-    `named` holds (name, residual) pairs, each residual one value per sample
-    of the stack (x, y), or a scalar at a single point; the message names the
+    `named` holds (name, value) pairs, each value one number per sample of
+    the stack (x, y), or a scalar at a single point; the message names the
     first pair that is not finite at that sample.
     """
     names, values = zip(*named)
@@ -101,7 +103,7 @@ def check_finite(named, x, y) -> None:
     if bad.any():
         n = np.shape(x)[-1]
         raise_first(
-            bad.any(axis=0), NonFiniteResult, "{} residual is not finite at x={}, y={}",
+            bad.any(axis=0), NonFiniteResult, "{} is not finite at x={}, y={}",
             [names[r] for r in np.ravel(bad.argmax(axis=0))],
             np.reshape(x, (-1, n)).tolist(), np.reshape(y, (-1, n)).tolist(),
         )

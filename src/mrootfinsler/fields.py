@@ -12,14 +12,15 @@ holds one matrix from those monomials to the value, the gradient and the
 Hessian over all 2n coordinates and the coefficients c_t(x): a pass is one
 power table of v, one gather-product, one matmul and one gather, which makes
 the Hessian symmetric by construction.  TermTable.block is that pass as a raw
-block with no guard; `jet` guards it against overflow and reads it as a Jet.
-A pass takes the packed point v = (x, y): callers pack x and y once (`pack`
-checks both lengths), the geodesic integrator hands over its state.  The pair
-(A, beta) is one table with a group axis (A, beta); the form alone is its
-one-group case.  Tables are built once per field or pair, on first use, and
-`jet` and the RK4 stage (spray) are their only readers: the sampler's floors
-are decided on the pass itself (calculus.domain_check), and c_t(x) alone is
-the pass at (x, 0) (CoefficientField.tensor_at).
+block with no guard, and TermTable.refusals its one domain guard, decided per
+row: the overflow of the pass, then the floors of A and beta.  Every reader
+of a pass goes through it: calculus.DomainCheck (the sampler, field_jets),
+the RK4 stage (spray), and `jet`, which guards the pass alone and reads it as
+a Jet, as CoefficientField.tensor_at does at (x, 0) for c_t(x).  A pass takes
+the packed point v = (x, y): callers pack x and y once (`pack` checks both
+lengths), the geodesic integrator hands over its state.  The pair (A, beta)
+is one table with a group axis (A, beta), the form alone its one-group case,
+each built once per field or pair, on first use.
 
 Multiplied out, each term is rounded once before the sum; this differs from
 coefficients times monomials where a coefficient nearly vanishes, by about eps
@@ -35,46 +36,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, NonFiniteResult, raise_first
+from .errors import DimensionMismatch, DomainError, NonFiniteResult
 from .symtensor import SymmetricTensor, canonicalize, index_multiplicity, key_exponents
 
 # A form value at or below this multiple of ||y||^m * max|a_I(x)| is outside
 # the smooth domain of F = A^(1/m).
 FORM_FLOOR = 1e-12
-# |beta| below this multiple of ||y|| * max|b_i| counts as a vanishing one-form.
+# |beta| at or below this multiple of ||y|| * max|b_i| counts as a vanishing one-form.
 BETA_FLOOR = 1e-12
+FLOOR_MESSAGES = ("form value {:.3e} at or below floor {:.3e}",
+                  "one-form value {:.3e} below degeneracy floor {:.3e}")
 
 
-def check_floors(values, scale, y, m: int) -> None:
-    """DomainError where a form value is at or below FORM_FLOOR ||y||^m max|a_I(x)|,
-    over the whole stack first, then, given a second group, where |beta| is at or
-    below BETA_FLOOR ||y|| max|b_i|; values and scale (..., groups)."""
-    size = norm(y)
-    with np.errstate(over="ignore"):  # a floor past the largest float is inf
-        floor = FORM_FLOOR * size ** m * np.maximum(scale[..., 0], 1e-300)
-    raise_first(values[..., 0] <= floor, DomainError,
-                "form value {:.3e} at or below floor {:.3e}", values[..., 0], floor)
-    if values.shape[-1] > 1:
-        floor = BETA_FLOOR * size * scale[..., 1]
-        raise_first(np.abs(values[..., 1]) <= floor, DomainError,
-                    "one-form value {:.3e} below degeneracy floor {:.3e}", values[..., 1], floor)
-
-
-def clear_of_floors(values, coefficients, y, m: int) -> bool:
-    """Whether one point clears the floors of check_floors: values (groups,),
-    coefficients (groups, terms) and y (n,) read as Python floats, with the
-    1e-300 guard on both scales and a form floor past the largest float read
-    as inf, as there; False sends it through them."""
-    size = math.sqrt(sum([v * v for v in y.tolist()]))
-    (form, *beta), coefficients = values.tolist(), coefficients.tolist()
+def clear_of_floors(out, v, m: int) -> bool:
+    """Whether one point's pass out = block(v) is finite and clears both floors
+    of TermTable.refusals, its fast form: the values, the coefficients and y
+    read as Python floats, with the 1e-300 guard on both scales and a form
+    floor past the largest float read as inf.  False, a stack included, sends
+    the pass through the array guard."""
+    if v.ndim != 1 or not all_finite(out):
+        return False
+    n2 = v.shape[-1]
+    size = math.sqrt(sum([c * c for c in v[n2 // 2 :].tolist()]))
+    (form, *beta), coefficients = out[:, 0].tolist(), out[:, 1 + n2 * (n2 + 1) :].tolist()
     try:
         floor = FORM_FLOOR * size ** m * max(max(map(abs, coefficients[0])), 1e-300)
     except OverflowError:
         return False
-    if not form > floor:
-        return False
-    return not beta or abs(beta[0]) > BETA_FLOOR * size * max(
-        max(map(abs, coefficients[1])), 1e-300)
+    return form > floor and (not beta or abs(beta[0]) > BETA_FLOOR * size * max(
+        max(map(abs, coefficients[1])), 1e-300))
 
 
 def all_finite(a) -> bool:
@@ -275,19 +265,54 @@ class TermTable:
         return (monomials[..., self._index].prod(axis=-1) @ self._matrix)[..., self._gather]
 
     def jet(self, v):
-        """The block at v as a Jet with a group axis (Jet.of), and its c_t(x) per
-        group (..., groups, terms).  NonFiniteResult names the first group and
-        point that overflowed."""
-        n, n2 = self.n, 2 * self.n
+        """The block at v as a Jet with a group axis (Jet.of) and its c_t(x) per
+        group (..., groups, terms), after the guard of the pass alone (refusals)."""
         with np.errstate(all="ignore"):
             out = self.block(v)
-        if not all_finite(out):
-            bad = ~np.isfinite(out).all(axis=-1)
-            points = [f"x={p[:n]}, y={p[n:]}" for p in np.reshape(v, (-1, n2)).tolist()]
-            for g, name in zip(range(bad.shape[-1]), self.names):
-                raise_first(bad[..., g], NonFiniteResult,
-                            f"overflow in the {name} value or derivatives at {{}}", points)
+        refused = self.refusals(out, v, None)
+        if refused:
+            raise refused[0][1]
+        n2 = 2 * self.n
         return Jet.of(out, n2), out[..., 1 + n2 * (n2 + 1) :]
+
+    def refusals(self, out, v, m) -> list:
+        """The domain guard of the pass out = block(v), per row: (row, error) for
+        each refused row, in row order, the error the first that a pass at that
+        point alone meets.  NonFiniteResult where the pass overflows, naming
+        its first group that does; then, for a form of order m (None: the pass
+        alone), DomainError at the form floor, then at the one-form floor,
+        with `.sample` the row on a stack.  Callers may clear one point first
+        with its fast form, clear_of_floors."""
+        n, head = self.n, 1 + 2 * self.n * (2 * self.n + 1)
+        rows, points = out.reshape((-1,) + out.shape[-2:]), v.reshape(-1, 2 * n)
+        # per row and group; None when the whole pass is finite
+        overflow = None if all_finite(out) else ~np.isfinite(rows).all(axis=-1)
+        values = rows[..., 0]
+        refused = np.zeros(len(rows), bool) if overflow is None else overflow.any(axis=-1)
+        if m is not None:
+            scale = np.abs(rows[..., head:]).max(axis=-1, initial=0.0)
+            with np.errstate(all="ignore"):  # a floor past the largest float is inf
+                size = norm(points[:, n:])
+                floors = (FORM_FLOOR * size ** m * np.maximum(scale[:, 0], 1e-300),
+                          BETA_FLOOR * size * scale[:, -1])
+            below = values[:, 0] <= floors[0]
+            refused |= below
+            if out.shape[-2] > 1:
+                refused |= np.abs(values[:, 1]) <= floors[1]
+        if not refused.any():
+            return []
+        errors = []
+        for i in np.flatnonzero(refused).tolist():
+            if overflow is not None and overflow[i].any():
+                p = points[i].tolist()
+                exc = NonFiniteResult(f"overflow in the {self.names[overflow[i].argmax()]} "
+                                      f"value or derivatives at x={p[:n]}, y={p[n:]}")
+            else:
+                r = 0 if below[i] else 1
+                exc = DomainError(FLOOR_MESSAGES[r].format(values[i, r], floors[r][i]))
+            exc.sample = i if v.ndim > 1 else None
+            errors.append((i, exc))
+        return errors
 
 
 class CoefficientField:

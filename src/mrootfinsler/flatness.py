@@ -216,7 +216,7 @@ def _residuals(field, oneform, m: int, kind: str, x, y, jets) -> dict:
             kind: residual(field, oneform, m, x, y, jets),
             f"{kind} closed-form": condition(field, oneform, m, x, y, jets).residual,
         }
-    check_finite(values.items(), x, y)
+    check_finite([(f"{name} residual", v) for name, v in values.items()], x, y)
     return values
 
 

@@ -25,6 +25,9 @@ from .metric import MetricPoint, _invert_guarded, metric_point
 
 NAN = float("nan")
 
+# The scalars of the family from delta on divide by m - 4: NaN at order four.
+ORDER4_UNDEFINED = ("delta", "q", "d2", "p0", "p1", "p2", "p3")
+
 
 @dataclass
 class AuxScalars:
@@ -55,7 +58,8 @@ def aux_scalars_from(F: float, beta: float, b2: float, m: int) -> AuxScalars:
     c2 = F ** (m - 3) * beta * b2 / (2 * tau * (m - 1))
     v = (m - 4) * beta / (2 * F ** m)
     if m == 4:
-        return AuxScalars(tau, b2, w, c2, v, NAN, NAN, NAN, NAN, NAN, NAN, NAN, True)
+        return AuxScalars(tau, b2, w, c2, v, degenerate_order4=True,
+                          **dict.fromkeys(ORDER4_UNDEFINED, NAN))
     delta = -8 * F ** 4 / (beta ** 4 * (m - 4))
     q = delta * w ** 2 / (1 + delta * c2)
     d2 = w * (

@@ -144,7 +144,7 @@ def _rows(field, oneform, m: int, x, y, jets) -> DiscrepancyReport:
     s = spray.pq_decomposition(field, oneform, m, x, y, k)
     rows = [_row(row, k, s) for row in ROWS]
     check_finite(
-        [(row.formula, v) for row in rows if row.max_abs is not None
+        [(f"{row.formula} residual", v) for row in rows if row.max_abs is not None
          for v in (row.max_abs, row.max_rel)], x, y,
     )
     return DiscrepancyReport(

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, ValidationError, in_sample_order
+from .errors import DomainError, ValidationError
 
 DEFAULT_X_BOX = (-1.0, 1.0)
 DEFAULT_Y_BOX = (0.1, 2.0)
@@ -19,20 +18,13 @@ ATTEMPT_FACTOR = 50
 @dataclass
 class SampleSet:
     """The accepted draws stacked (N, n) in draw order, every rejected draw
-    (x, y, reason) and `jets`, the domain check's pass over the accepted draws."""
+    (x, y, reason), and `jets`, the domain check's pass over the draws when
+    its first block was accepted whole, else None."""
 
     x: np.ndarray
     y: np.ndarray
     rejected: list
-    check: object = None   # the domain check
-    whole: object = None   # its pass over the first block, when accepted whole
-
-    @cached_property
-    def jets(self):
-        """The first block's pass, or domain_check(x, y) now; None without a check or a draw."""
-        if self.whole is None and self.check is not None and len(self.x):
-            return in_sample_order(self.check, self.x, self.y)
-        return self.whole
+    jets: object = None
 
 
 def sample_points(
@@ -44,21 +36,18 @@ def sample_points(
     Each attempt draws x, then y, from the boxes, and attempts go on until
     `count` draws are accepted or ATTEMPT_FACTOR * count were made.  The
     attempts still needed come as one block of rows (x, y), the numbers
-    `rng.uniform` would draw attempt by attempt, and the domain check runs on
-    the block in sample order (`errors.in_sample_order`): the draws before the
-    first one it refuses are accepted, that one is rejected with the reason
-    the check gives for it, and the rest of the block is checked again.  The
-    check therefore takes stacks (k, n) and refuses a draw with a DomainError
-    naming it in `.sample`, as the guards of `errors.raise_first` do; any
-    other error (an overflow, say) stops the sampling.  The
-    draws, their order and the rejections are those of a loop over the
-    attempts, so they depend only on (n, count, seed, boxes) and reports built
-    on top of this are reproducible byte for byte.
+    `rng.uniform` would draw attempt by attempt, and the check decides the
+    block in one pass, per row (calculus.DomainCheck.rows: the pass, and each
+    refused row with the error a check of that draw alone raises).  The rows
+    it clears are accepted and those it refuses with a DomainError rejected,
+    with its message; any other refusal (an overflow, say) stops the sampling.
+    The draws, their order and the rejections are those of a loop over the
+    attempts, so reports built on top of this are reproducible byte for byte.
 
-    The check's pass over a first block accepted whole is reused as `jets`.
-    After a rejection `jets` is made once, over the accepted stack, when first
-    read: the passes of the pieces are not joined, because a row's pass may
-    differ in the last bits with the length of the stack it is in.
+    The pass over a first block accepted whole is handed on as `jets`.
+    After a rejection a consumer makes the pass over the accepted stack
+    itself: the rows of the block passes are not gathered, because a row's
+    pass may differ in the last bits with the length of the stack it is in.
     """
     low = np.repeat([float(x_box[0]), float(y_box[0])], n)
     scale = np.repeat([float(x_box[1]) - float(x_box[0]), float(y_box[1]) - float(y_box[0])], n)
@@ -73,17 +62,15 @@ def sample_points(
         attempts += k
         block = low + scale * rng.random((k, 2 * n))
         x, y = block[:, :n], block[:, n:]
-        while len(x):
-            try:
-                if domain_check is not None:
-                    whole = in_sample_order(domain_check, x, y)
-                first, reason = len(x), None
-            except DomainError as exc:
-                first, reason = exc.sample or 0, str(exc)
-            pieces.append((x[:first], y[:first]))
-            accepted += first
-            if reason is not None:
-                rejected.append((x[first], y[first], reason))
-            x, y = x[first + 1 :], y[first + 1 :]
+        if domain_check is not None:
+            whole, refused = domain_check.rows(x, y)
+            for i, exc in refused:
+                if not isinstance(exc, DomainError):
+                    raise exc
+                rejected.append((x[i], y[i], str(exc)))
+            if refused:
+                x, y = (np.delete(a, [i for i, _ in refused], axis=0) for a in (x, y))
+        pieces.append((x, y))
+        accepted += len(x)
     x, y = map(np.concatenate, zip(*pieces))
-    return SampleSet(x, y, rejected, domain_check, None if rejected else whole)
+    return SampleSet(x, y, rejected, None if rejected else whole)

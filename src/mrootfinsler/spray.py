@@ -20,10 +20,11 @@ are then one batched solve, and the split and the wedge hold one entry per
 sample.  The sprays solve the oracle Hessian H = 2g (metric.solve_guarded: its
 condition guard, then the LAPACK gufunc) and halve the solution, which is
 0.25 g^-1 r bit for bit: a power of two commutes with rounding.  RK4 steps the
-packed state z = (x, v), and each stage hands z as it is to the same pass and
-chain rule on raw blocks (TermTable.block, calculus.chain), bound once per
-integration; a point that fails a guard goes the Jet path, which raises what
-it raises.  No state outside the domain is kept.
+packed state z = (x, v), and each stage hands z as it is to the same pass,
+domain guard and chain rule on raw blocks (TermTable.block and refusals,
+calculus.chain), bound once per integration: a refused point raises what
+field_jets raises, off the block the stage holds.  No state outside the
+domain is kept.
 
 Geodesic convention: the integrated system is x'' = -G(x, x') with G as above.
 That is not the geodesic equation of this quarter-factor spray, which is
@@ -39,8 +40,8 @@ import numpy as np
 
 from . import calculus
 from .errors import DomainError, NonFiniteResult, SingularMatrix
-from .fields import CoefficientField, OneFormField, all_finite, clear_of_floors, dot, matvec
-from .fields import norm, outer, pack, vecmat
+from .fields import CoefficientField, Jet, OneFormField, all_finite, clear_of_floors, dot
+from .fields import matvec, norm, outer, pack, vecmat
 from .kropina import AuxScalars, KropinaPoint, kropina_point
 from .metric import solve_guarded
 
@@ -55,27 +56,30 @@ def spray_coeffs(energy: calculus.ScalarFunction, x, y) -> np.ndarray:
 def _stage_of(energy: calculus.ScalarFunction):
     """spray_coeffs at the packed points v = (x, y) as a function of v alone:
     one RK4 stage of the integrator, with the energy's term table, exponents
-    and block head bound once.  One point runs as a straight line over raw
-    blocks: the pass (TermTable.block) and, if it is finite and clear of both
-    floors (fields.clear_of_floors), the chain rule (calculus.chain), under one
-    errstate, then the guarded solve.  Any other case, a stack included, goes
-    the Jet path (calculus.derivatives), which raises what its guards raise or
-    returns the same block."""
+    and block head bound once.  A straight line over raw blocks under one
+    errstate: the pass (TermTable.block), its domain guard (one point clear of
+    the floors in Python floats, fields.clear_of_floors, else
+    TermTable.refusals on the same block), raising for the lowest refused
+    row, and the chain rule (calculus.chain);
+    then, for a jet that is not finite, the Jet API's guard on the same block,
+    and the guarded solve."""
     field, oneform, exponents = energy.field, energy.oneform, energy.exponents
     n, n2, m, k = field.n, 2 * field.n, field.m, len(exponents)
     head = 1 + n2 * (n2 + 1)
-    block, chain = field.terms_with(oneform).block, calculus.chain
+    table, chain = field.terms_with(oneform), calculus.chain
+    block, refusals = table.block, table.refusals
 
     def stage(v):
-        y, jet = v[..., n:], None
-        if v.ndim == 1:
-            with np.errstate(all="ignore"):
-                out = block(v)
-                if all_finite(out) and clear_of_floors(out[:, 0], out[:, head:], y, m):
-                    jet = chain(out[:k, :head], exponents, n2)
-        if jet is None or not all_finite(jet):
-            jet = calculus.derivatives(energy, v[..., :n], y).block
-        return _spray(jet, y)
+        with np.errstate(all="ignore"):
+            out = block(v)
+            if not clear_of_floors(out, v, m):
+                refused = refusals(out, v, m)
+                if refused:
+                    raise refused[0][1]
+            jet = chain(out[..., :k, :head], exponents, n2)
+        if not all_finite(jet):
+            energy.compose(Jet.of(out, n2))  # raises, as the Jet path does
+        return _spray(jet, v[..., n:])
 
     return stage
 

@@ -221,6 +221,34 @@ def test_group_powers_match_scalar_powers(rng):
         assert np.array_equal(single[0], [np.asarray(v[7]) ** e for e in exponents])
 
 
+def test_coefficients_python_floats_match_the_array_branch(rng):
+    # one point with positive values takes Python floats in _coefficients, a
+    # stack of one the array branch (_power): f and C within 8 ulps of each
+    # other, for the exponents of every energy at m = 2..8.  A float power
+    # (libm) and numpy's array power (SIMD where available) may differ by an
+    # ulp, and f and C are products of up to three of them: 4 ulps were seen.
+    # A power that overflows a float falls back to the array branch and
+    # raises what it raises
+    values = np.concatenate([rng.uniform(1e-3, 50.0, 300), np.exp(rng.uniform(-30.0, 30.0, 300))])
+    cases = [e for m in range(2, 9) for e in ((1.0 / m,), (2.0 / m,), (2.0 / m, -1.0),
+                                              (4.0 / m, -2.0), (2.0 / m, -2.0))]
+    for exponents in cases:
+        for v in rng.choice(values, size=(100, len(exponents))):
+            f, C = calculus._coefficients(v, exponents)
+            f_ref, C_ref = calculus._coefficients(v[None], exponents)
+            assert type(f) is float, exponents
+            got, want = np.append(C, f), np.append(C_ref[0], f_ref[0])
+            assert np.all(np.abs(got - want) <= 8 * np.spacing(np.abs(want))), (exponents, v)
+    for v in (np.array([1e300]), np.array([1e300, 2.0])):
+        exponents = (4.0 / 3.0, -2.0)[: len(v)]
+        raised = []
+        for values_ in (v, v[None]):
+            with np.errstate(all="ignore"), pytest.raises(NonFiniteResult) as exc:
+                calculus._coefficients(values_, exponents)
+            raised.append(str(exc.value))
+        assert raised[0] == raised[1] and "overflows" in raised[0], raised
+
+
 def test_compose_guards_name_first_failing_sample():
     # f = A beta on a hand-made pass of 5 samples: A = beta = 1e200 overflows
     # the value only, a NaN in a gradient or a Hessian spoils the derivatives

@@ -173,16 +173,16 @@ def test_pair_pass_guards():
     for value_pass in (partial(calculus.field_jets, field, oneform),) + value_passes:
         with pytest.raises(DomainError, match="form value .* at or below floor"):
             value_pass([-1.0, -1.0], [1.0, 1.0])
-    # on a stack, the form floor is checked over every sample before the
-    # one-form floor: sample 1 has beta = 0, sample 3 a negative form
+    # on a stack, the lowest refused sample decides, with the first floor it
+    # fails: sample 1 has beta = 0, sample 3 a negative form
     xs = np.array([[0.1, 0.2], [0.5, -1.0], [0.0, 0.3], [-2.0, 0.1]])
     for value_pass in (partial(calculus.field_jets, field, oneform), value_passes[0]):
-        with pytest.raises(DomainError, match="form value .* at or below floor") as exc:
-            value_pass(xs, np.ones((4, 2)))
-        assert exc.value.sample == 3
         with pytest.raises(DomainError, match="one-form value") as exc:
-            value_pass(xs[:3], np.ones((3, 2)))
+            value_pass(xs, np.ones((4, 2)))
         assert exc.value.sample == 1
+        with pytest.raises(DomainError, match="form value .* at or below floor") as exc:
+            value_pass(xs[[0, 2, 3]], np.ones((3, 2)))
+        assert exc.value.sample == 2
 
 
 def _random_fields():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mrootfinsler import calculus, sampling
-from mrootfinsler.errors import DomainError, ValidationError, raise_first
+from mrootfinsler.errors import DomainError, ValidationError
 from mrootfinsler.specfile import load_spec
 
 from _oracles import sample_points_loop
@@ -59,14 +59,33 @@ def test_block_sampler_without_check():
         assert len(got.x) == 25 and not got.rejected
 
 
-def _refuse_all(x, y):
-    raise_first(np.ones(np.shape(x)[:-1], dtype=bool), DomainError, "refused x[0] = {}",
-                x[..., 0])
+class _Refusing:
+    """A domain check refusing each draw whose x^1 lies below `below`, with
+    "<name> x[0] = <x^1>", then each draw `check` refuses, if given.  Like
+    calculus.DomainCheck it decides a stack per row (`rows`: the pass, `check`'s
+    or None, and (row, error) for each refused row) and, called, raises the
+    refusal of the lowest refused row."""
+
+    def __init__(self, name, below, check=None):
+        self.name, self.below, self.check = name, below, check
+
+    def rows(self, x, y):
+        jets, refused = (None, []) if self.check is None else self.check.rows(x, y)
+        first = np.ravel(np.asarray(x)[..., 0])
+        mine = [(i, DomainError(f"{self.name} x[0] = {first[i]}"))
+                for i in np.flatnonzero(first < self.below).tolist()]
+        return jets, sorted(dict(refused + mine).items())
+
+    def __call__(self, x, y):
+        jets, refused = self.rows(x, y)
+        if refused:
+            raise refused[0][1]
+        return jets
 
 
-def _refuse_low_half(x, y):
-    # about every other draw: those whose x^1 lies in the lower half of its box
-    raise_first(x[..., 0] < 0.0, DomainError, "refused x[0] = {}", x[..., 0])
+_refuse_all = _Refusing("refused", np.inf)
+# about every other draw: those whose x^1 lies in the lower half of its box
+_refuse_low_half = _Refusing("refused", 0.0)
 
 
 def test_block_sampler_budget_all_rejected():
@@ -86,21 +105,15 @@ def test_block_sampler_rejects_infinite_box():
         sampling.sample_points(2, 5, 0, x_box=(-np.inf, 1.0))
 
 
-def _counted(check):
-    """check, counting its calls in .calls."""
-    def counted(x, y):
-        counted.calls += 1
-        return check(x, y)
-    counted.calls = 0
-    return counted
+class _Counted:
+    """check, counting its per-row calls (one pass each) in .calls."""
 
+    def __init__(self, check):
+        self.check, self.calls = check, 0
 
-def _scarce(check):
-    """check after refusing every draw whose x^1 lies below 0.98: most of them."""
-    def scarce(x, y):
-        raise_first(x[..., 0] < 0.98, DomainError, "scarce x[0] = {}", x[..., 0])
-        return check(x, y)
-    return scarce
+    def rows(self, x, y):
+        self.calls += 1
+        return self.check.rows(x, y)
 
 
 @pytest.mark.parametrize("case, count, seed, boxes, scarce", [
@@ -110,9 +123,9 @@ def _scarce(check):
     ("none accepted", 5, 0, ((-3.0, -2.0), sampling.DEFAULT_Y_BOX), False),
 ])
 def test_sampler_pass_is_the_pass_over_the_accepted_stacks(case, count, seed, boxes, scarce):
-    # the pass handed on with the draws is field_jets on the returned stacks,
-    # bit for bit: the first block's when it was accepted whole (the check
-    # ran once), else made once more over the accepted stack when first read
+    # the pass handed on with the draws is the first block's when it was
+    # accepted whole, the check run once: field_jets on the returned stacks,
+    # bit for bit; after a rejection none is, and the consumer makes its own
     situation = {
         "whole block": lambda got: not got.rejected,
         "rejections": lambda got: got.rejected and len(got.x) == count,
@@ -123,20 +136,17 @@ def test_sampler_pass_is_the_pass_over_the_accepted_stacks(case, count, seed, bo
     for name in ONE_FORM_SPECS:
         doc = _load(name)
         real = calculus.domain_check(doc.field, doc.oneform)
-        check = _counted(_scarce(real) if scarce else real)
+        # scarce: most draws refused, those whose x^1 lies below 0.98
+        check = _Counted(_Refusing("scarce", 0.98, real) if scarce else real)
         got = sampling.sample_points(doc.n, count, seed, *boxes, domain_check=check)
         assert got.x.shape == got.y.shape == (len(got.x), doc.n)
         assert got.x.flags.c_contiguous and got.y.flags.c_contiguous
-        calls = check.calls
-        if not got.rejected:
-            assert calls == 1, name
-        if len(got.x):
+        if got.rejected:
+            assert got.jets is None, name
+        else:
+            assert check.calls == 1, name
             expected = calculus.field_jets(doc.field, doc.oneform, got.x, got.y)
             assert np.array_equal(got.jets.block, expected.block), name
-        else:
-            assert got.jets is None
-        assert got.jets is got.jets  # made at most once
-        assert check.calls == calls + bool(got.rejected and len(got.x)), name
         if situation(got):
             met.append(name)
     assert met, case
