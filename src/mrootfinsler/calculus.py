@@ -13,17 +13,18 @@ first and second derivatives in (A, beta) are scalar coefficients (Python
 floats at one point), and one product of them with the block gives the
 gradient and Hessian.  The pass and the chain rule are cores on raw blocks
 (TermTable.block, chain) with no errstate or guard of their own.  A pass has
-one domain guard, decided per row (TermTable.refusals): DomainCheck reads it
-per row for the sampler and raises for the lowest refused row in field_jets
-and derivatives, and the RK4 stage (spray) runs the cores and that guard on
-its own block.  A Jet (Jet.of) is a view of a block; power and
+one domain guard, decided per row, with its own one-point fast form
+(TermTable.refusals): DomainCheck reads it per row for the sampler and raises
+for the lowest refused row in field_jets and derivatives, and the RK4 stage
+(spray) runs the cores and that guard on its own block; neither picks a form
+of the guard.  A Jet (Jet.of) is a view of a block; power and
 ScalarFunction.compose are the guarded chain rule over it.  The value, the
 y-gradient and y-Hessian, the x-gradient and the mixed x-y block of any
 energy, and the value a ScalarFunction returns when called, are therefore
-slices of a single pass, exact to rounding.  Points may come stacked
-(..., n).  Richardson-extrapolated central differences of the value over the
-packed point serve only as an independent cross-check of the whole gradient
-and Hessian (fd_check).
+slices of a single pass, exact to rounding.  Points may come stacked (..., n).
+Richardson-extrapolated central differences of the value over the packed
+point serve only as an independent cross-check of the whole gradient and
+Hessian (fd_check).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NonFiniteResult, raise_first
-from .fields import CoefficientField, Jet, OneFormField, all_finite, clear_of_floors, pack
+from .fields import CoefficientField, Jet, OneFormField, all_finite, pack
 
 _EPS = float(np.finfo(float).eps)
 
@@ -154,8 +155,7 @@ class DomainCheck:
         table = self.field.terms_with(self.oneform)
         with np.errstate(all="ignore"):
             out = table.block(v)
-        jets, m = Jet.of(out, 2 * self.field.n), self.field.m
-        return jets, [] if clear_of_floors(out, v, m) else table.refusals(out, v, m)
+        return Jet.of(out, 2 * self.field.n), table.refusals(out, v, self.field.m)
 
     def __call__(self, x, y) -> Jet:
         """The pass, after raising the refusal of its lowest refused row."""

@@ -395,7 +395,8 @@ def cmd_verify(args, argv) -> int:
     x, y = samples.x, samples.y
     if not len(x):
         raise DomainError("no admissible samples in the requested box")
-    per_sample = report.point_report(doc.field, oneform, doc.m, x, y, samples.jets)
+    with np.errstate(all="ignore"):  # a row that is not finite is refused (check_finite)
+        per_sample = report.point_report(doc.field, oneform, doc.m, x, y, samples.jets)
     merged = report.reduce_report(per_sample)
 
     if args.json:
@@ -486,6 +487,10 @@ def cmd_geodesic(args, argv) -> int:
     else:
         energy = calculus.base_energy(doc.field, doc.m)
 
+    try:  # a path file that cannot be written is refused before the path is integrated
+        open(args.out, "a").close()
+    except OSError as exc:
+        raise ValidationError(f"cannot write {args.out}: {exc}") from exc
     path = spray.integrate_geodesic(energy, x0, y0, args.t, args.steps)
     write_path_file(args.out, path, doc.n)
     message = (

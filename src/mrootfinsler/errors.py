@@ -4,14 +4,15 @@ All failures raised on purpose derive from FinslerError so callers (and the
 CLI exit-code mapping) can tell input problems from numerical ones.
 
 A guard raises for the lowest failing sample of a stack (`raise_first`).  The
-domain guard of a pass decides each row alone (fields.TermTable.refusals), so
-the refusal it raises is the one a loop over the samples meets first.  The
-multi-stage stacks of `report` and `flatness` run stage by stage, and a loop
-would raise for the lowest sample failing any stage, so `in_sample_order`
-evaluates the samples before that one again, slicing x, y and a pass over
-them alike.  `check_finite` is the guard on reported values: a NaN would drop
-out of a maximum, so the `verify` rows, every `check` residual and the
-quantities `eval` prints go through it.
+domain guard of a pass decides each row alone (fields.TermTable.refusals, one
+point first by its fast form), so the refusal it raises is the one a loop over
+the samples meets first.  The multi-stage stacks of `report` and `flatness`
+(the P/Q split among their stages) run stage by stage, and a loop would raise
+for the lowest sample failing any stage, so `in_sample_order` evaluates the
+samples before that one again, slicing x, y and a pass over them alike.
+`check_finite` is the guard on reported values (a NaN would drop out of a
+maximum): the `verify` rows, every `check` residual and the quantities `eval`
+prints, `verify` and `eval` under np.errstate(all="ignore").
 """
 
 import numpy as np

@@ -13,14 +13,15 @@ Hessian over all 2n coordinates and the coefficients c_t(x): a pass is one
 power table of v, one gather-product, one matmul and one gather, which makes
 the Hessian symmetric by construction.  TermTable.block is that pass as a raw
 block with no guard, and TermTable.refusals its one domain guard, decided per
-row: the overflow of the pass, then the floors of A and beta.  Every reader
-of a pass goes through it: calculus.DomainCheck (the sampler, field_jets),
-the RK4 stage (spray), and `jet`, which guards the pass alone and reads it as
-a Jet, as CoefficientField.tensor_at does at (x, 0) for c_t(x).  A pass takes
-the packed point v = (x, y): callers pack x and y once (`pack` checks both
-lengths), the geodesic integrator hands over its state.  The pair (A, beta)
-is one table with a group axis (A, beta), the form alone its one-group case,
-each built once per field or pair, on first use.
+row: the overflow of the pass, then the floors of A and beta.  The guard
+holds its own one-point fast form in Python floats, and its two readers,
+calculus.DomainCheck (the sampler, field_jets) and the RK4 stage (spray),
+call it as it is.  CoefficientField.tensor_at reads no pass: it evaluates
+each entry's Polynomial.  A pass takes the packed point v = (x, y): callers
+pack x and y once (`pack` checks both lengths), the geodesic integrator
+hands over its state.  The pair (A, beta) is one table with a group axis
+(A, beta), the form alone its one-group case, each built once per field or
+pair, on first use.
 
 Multiplied out, each term is rounded once before the sum; this differs from
 coefficients times monomials where a coefficient nearly vanishes, by about eps
@@ -46,25 +47,6 @@ FORM_FLOOR = 1e-12
 BETA_FLOOR = 1e-12
 FLOOR_MESSAGES = ("form value {:.3e} at or below floor {:.3e}",
                   "one-form value {:.3e} below degeneracy floor {:.3e}")
-
-
-def clear_of_floors(out, v, m: int) -> bool:
-    """Whether one point's pass out = block(v) is finite and clears both floors
-    of TermTable.refusals, its fast form: the values, the coefficients and y
-    read as Python floats, with the 1e-300 guard on both scales and a form
-    floor past the largest float read as inf.  False, a stack included, sends
-    the pass through the array guard."""
-    if v.ndim != 1 or not all_finite(out):
-        return False
-    n2 = v.shape[-1]
-    size = math.sqrt(sum([c * c for c in v[n2 // 2 :].tolist()]))
-    (form, *beta), coefficients = out[:, 0].tolist(), out[:, 1 + n2 * (n2 + 1) :].tolist()
-    try:
-        floor = FORM_FLOOR * size ** m * max(max(map(abs, coefficients[0])), 1e-300)
-    except OverflowError:
-        return False
-    return form > floor and (not beta or abs(beta[0]) > BETA_FLOOR * size * max(
-        max(map(abs, coefficients[1])), 1e-300))
 
 
 def all_finite(a) -> bool:
@@ -219,7 +201,7 @@ class TermTable:
 
     def __init__(self, groups, n: int):
         self.n, self.names = n, [name for _, _, name in groups]
-        n2 = 2 * n
+        n2, self.head = 2 * n, 1 + 2 * n * (2 * n + 1)  # c_t(x) follow the jet from head on
         upper = [(i, j) for i in range(n2) for j in range(i, n2)]
         derivatives = [()] + [(i,) for i in range(n2)] + upper
         size = len(derivatives)
@@ -259,46 +241,44 @@ class TermTable:
         (..., groups, 1 + 2n + 4n^2 + terms): per group the value, the gradient,
         the Hessian row by row, then c_t(x), 0 past the group's own terms.  One
         power table, one gather-product, one matmul and one gather, with no guard:
-        callers ignore floating-point errors and test the block (see jet)."""
+        callers ignore floating-point errors and test the block (see refusals)."""
         table = v[..., None] ** self._powers
         monomials = table.reshape(table.shape[:-2] + (table.shape[-2] * table.shape[-1],))
         return (monomials[..., self._index].prod(axis=-1) @ self._matrix)[..., self._gather]
 
-    def jet(self, v):
-        """The block at v as a Jet with a group axis (Jet.of) and its c_t(x) per
-        group (..., groups, terms), after the guard of the pass alone (refusals)."""
-        with np.errstate(all="ignore"):
-            out = self.block(v)
-        refused = self.refusals(out, v, None)
-        if refused:
-            raise refused[0][1]
-        n2 = 2 * self.n
-        return Jet.of(out, n2), out[..., 1 + n2 * (n2 + 1) :]
-
-    def refusals(self, out, v, m) -> list:
-        """The domain guard of the pass out = block(v), per row: (row, error) for
-        each refused row, in row order, the error the first that a pass at that
-        point alone meets.  NonFiniteResult where the pass overflows, naming
-        its first group that does; then, for a form of order m (None: the pass
-        alone), DomainError at the form floor, then at the one-form floor,
-        with `.sample` the row on a stack.  Callers may clear one point first
-        with its fast form, clear_of_floors."""
-        n, head = self.n, 1 + 2 * self.n * (2 * self.n + 1)
+    def refusals(self, out, v, m: int) -> list:
+        """The domain guard of the pass out = block(v) of a form of order m, per
+        row: (row, error) for each refused row, in row order, the error the
+        first that a pass at that point alone meets.  NonFiniteResult where the
+        pass overflows, naming its first group that does; then DomainError at
+        the form floor, then at the one-form floor, with `.sample` the row on a
+        stack.  First its fast form accepts one point with a finite pass above
+        both floors in Python floats (1e-300 guarding both scales)."""
+        n, head = self.n, self.head
+        finite = all_finite(out)
+        if finite and v.ndim == 1:
+            size = math.sqrt(sum([c * c for c in v[n:].tolist()]))
+            (form, *beta), c = out[:, 0].tolist(), out[:, head:].tolist()
+            try:
+                if form > FORM_FLOOR * size ** m * max(max(map(abs, c[0])), 1e-300) and (
+                        not beta or abs(beta[0]) > BETA_FLOOR * size * max(max(map(abs, c[1])), 1e-300)):
+                    return []
+            except OverflowError:
+                pass
         rows, points = out.reshape((-1,) + out.shape[-2:]), v.reshape(-1, 2 * n)
         # per row and group; None when the whole pass is finite
-        overflow = None if all_finite(out) else ~np.isfinite(rows).all(axis=-1)
+        overflow = None if finite else ~np.isfinite(rows).all(axis=-1)
         values = rows[..., 0]
         refused = np.zeros(len(rows), bool) if overflow is None else overflow.any(axis=-1)
-        if m is not None:
-            scale = np.abs(rows[..., head:]).max(axis=-1, initial=0.0)
-            with np.errstate(all="ignore"):  # a floor past the largest float is inf
-                size = norm(points[:, n:])
-                floors = (FORM_FLOOR * size ** m * np.maximum(scale[:, 0], 1e-300),
-                          BETA_FLOOR * size * scale[:, -1])
-            below = values[:, 0] <= floors[0]
-            refused |= below
-            if out.shape[-2] > 1:
-                refused |= np.abs(values[:, 1]) <= floors[1]
+        scale = np.abs(rows[..., head:]).max(axis=-1, initial=0.0)
+        with np.errstate(all="ignore"):  # a floor past the largest float is inf
+            size = norm(points[:, n:])
+            floors = (FORM_FLOOR * size ** m * np.maximum(scale[:, 0], 1e-300),
+                      BETA_FLOOR * size * scale[:, -1])
+        below = values[:, 0] <= floors[0]
+        refused |= below
+        if out.shape[-2] > 1:
+            refused |= np.abs(values[:, 1]) <= floors[1]
         if not refused.any():
             return []
         errors = []
@@ -356,10 +336,15 @@ class CoefficientField:
         return self._tables[oneform]
 
     def tensor_at(self, x) -> SymmetricTensor:
-        """Materialise the coefficient tensor at the point x: c_t(x), read off the
-        pass of the form at (x, 0)."""
-        values = self.terms.jet(pack(x, np.zeros(np.shape(x)), self.n))[1][..., 0, :]
-        return SymmetricTensor(self.n, self.m, dict(zip(self.entries, values.tolist())))
+        """Materialise the coefficient tensor at the point x: each entry's own
+        Polynomial in Python floats, with no derivative pass.  NonFiniteResult
+        for a coefficient that is not finite."""
+        x = np.asarray(x, dtype=float).tolist()
+        values = {key: poly(x) for key, poly in self.entries.items()}
+        for key, value in values.items():
+            if not math.isfinite(value):
+                raise NonFiniteResult(f"coefficient {key} is {value} at x={x}")
+        return SymmetricTensor(self.n, self.m, values)
 
     def is_constant(self) -> bool:
         return all(poly.is_constant() for poly in self.entries.values())

@@ -5,8 +5,8 @@ its inverse are mutually inconsistent, so the single source of truth is the
 differentiation oracle (half the y-Hessian of Fbar^2).  `kropina_point`
 evaluates every closed form verbatim next to its oracle quantity; the
 residual rows of `verify` are defined in one table in `report`, which reads
-them off this snapshot and the spray split (`spray.pq_decomposition`) that
-reuses it.
+them off this snapshot and the spray split computed from it alone
+(`spray.pq_split`).
 
 Points may come stacked (N, n): the snapshot and the scalar family then hold
 one entry per sample (per-sample scalars gain unit axes to broadcast against

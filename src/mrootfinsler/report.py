@@ -5,8 +5,8 @@ Each entry gives the closed form, the oracle quantity it is measured
 against, the scale of its relative residual, its note, and whether it needs
 the auxiliary scalar family, which divides by m - 4: those rows are
 undefined (None, `null` in JSON) at m = 4.  One Kropina snapshot
-(`kropina.kropina_point`) and the spray split read off it
-(`spray.pq_decomposition`) serve every row.
+(`kropina.kropina_point`) and the spray split read off it alone
+(`spray.pq_split`) serve every row.
 
 All accepted samples are evaluated at once, as one stack (N, n) with one
 derivative pass (the sampler's, in `verify`); the rows hold one value per
@@ -141,7 +141,7 @@ def _row(row: Row, k: kropina.KropinaPoint, s: spray.SprayPoint) -> ResidualRow:
 
 def _rows(field, oneform, m: int, x, y, jets) -> DiscrepancyReport:
     k = kropina.kropina_point(field, oneform, m, x, y, jets)
-    s = spray.pq_decomposition(field, oneform, m, x, y, k)
+    s = spray.pq_split(k)
     rows = [_row(row, k, s) for row in ROWS]
     check_finite(
         [(f"{row.formula} residual", v) for row in rows if row.max_abs is not None

@@ -9,20 +9,22 @@ form P/Q split is evaluated verbatim (both readings of its ambiguous scalar)
 and only ever reported.
 
 Both sprays and every x-derivative the split needs come from one derivative
-pass of A and beta (calculus.field_jets).  The split reads that pass, the
-Fbar^2 jet, A^ij b_j and the scalar family off the Kropina snapshot
-(kropina.kropina_point) instead of making them again.  The printed tail X is
-written once, verbatim, because it may be misprinted and no identity may be
-applied to it; its x-derivatives are that same formula under the complex
-step (Squire & Trapp, SIAM Review 40, 1998), exact to rounding.  Everything
-but the geodesic integrator also takes a stack of samples (N, n): the sprays
-are then one batched solve, and the split and the wedge hold one entry per
-sample.  The sprays solve the oracle Hessian H = 2g (metric.solve_guarded: its
-condition guard, then the LAPACK gufunc) and halve the solution, which is
-0.25 g^-1 r bit for bit: a power of two commutes with rounding.  RK4 steps the
-packed state z = (x, v), and each stage hands z as it is to the same pass,
-domain guard and chain rule on raw blocks (TermTable.block and refusals,
-calculus.chain), bound once per integration: a refused point raises what
+pass of A and beta (calculus.field_jets).  The split (pq_split) is a function
+of the Kropina snapshot (kropina.kropina_point) alone: it reads that pass,
+the Fbar^2 jet, A^ij b_j and the scalar family off it instead of making them
+again; pq_decomposition makes the snapshot at (x, y) first.  The printed
+tail X is written once, verbatim, because it may be misprinted and no
+identity may be applied to it; its x-derivatives are that same formula under
+the complex step (Squire & Trapp, SIAM Review 40, 1998), exact to rounding.
+Everything but the geodesic integrator also takes a stack of samples (N, n):
+the sprays are then one batched solve, and the split and the wedge hold one
+entry per sample.  The sprays solve the oracle Hessian H = 2g
+(metric.solve_guarded: its condition guard, then the LAPACK gufunc) and halve
+the solution, which is 0.25 g^-1 r bit for bit: a power of two commutes with
+rounding.  RK4 steps the packed state z = (x, v), and each stage hands z as
+it is to the same pass, domain guard and chain rule on raw blocks
+(TermTable.block and refusals, calculus.chain), bound once per integration:
+the guard picks its own one-point fast form, and a refused point raises what
 field_jets raises, off the block the stage holds.  No state outside the
 domain is kept.
 
@@ -40,7 +42,7 @@ import numpy as np
 
 from . import calculus
 from .errors import DomainError, NonFiniteResult, SingularMatrix
-from .fields import CoefficientField, Jet, OneFormField, all_finite, clear_of_floors, dot
+from .fields import CoefficientField, Jet, OneFormField, all_finite, dot
 from .fields import matvec, norm, outer, pack, vecmat
 from .kropina import AuxScalars, KropinaPoint, kropina_point
 from .metric import solve_guarded
@@ -57,10 +59,9 @@ def _stage_of(energy: calculus.ScalarFunction):
     """spray_coeffs at the packed points v = (x, y) as a function of v alone:
     one RK4 stage of the integrator, with the energy's term table, exponents
     and block head bound once.  A straight line over raw blocks under one
-    errstate: the pass (TermTable.block), its domain guard (one point clear of
-    the floors in Python floats, fields.clear_of_floors, else
-    TermTable.refusals on the same block), raising for the lowest refused
-    row, and the chain rule (calculus.chain);
+    errstate: the pass (TermTable.block), its domain guard on the same block
+    (TermTable.refusals, which clears one point in Python floats first),
+    raising for the lowest refused row, and the chain rule (calculus.chain);
     then, for a jet that is not finite, the Jet API's guard on the same block,
     and the guarded solve."""
     field, oneform, exponents = energy.field, energy.oneform, energy.exponents
@@ -72,10 +73,9 @@ def _stage_of(energy: calculus.ScalarFunction):
     def stage(v):
         with np.errstate(all="ignore"):
             out = block(v)
-            if not clear_of_floors(out, v, m):
-                refused = refusals(out, v, m)
-                if refused:
-                    raise refused[0][1]
+            refused = refusals(out, v, m)
+            if refused:
+                raise refused[0][1]
             jet = chain(out[..., :k, :head], exponents, n2)
         if not all_finite(jet):
             energy.compose(Jet.of(out, n2))  # raises, as the Jet path does
@@ -161,27 +161,23 @@ class SprayPoint:
     aux: AuxScalars           # the scalar family; aux.degenerate_order4 flags m = 4
 
 
-def pq_decomposition(
-    field: CoefficientField, oneform: OneFormField, m: int, x, y,
-    point: KropinaPoint = None,
-) -> SprayPoint:
-    """Oracle sprays always; closed-form P and Q verbatim where defined.
+def pq_decomposition(field: CoefficientField, oneform: OneFormField, m: int, x, y) -> SprayPoint:
+    """The split at (x, y) (pq_split), off its own Kropina snapshot."""
+    return pq_split(kropina_point(field, oneform, m, x, y))
+
+
+def pq_split(point: KropinaPoint) -> SprayPoint:
+    """Oracle sprays always; closed-form P and Q verbatim where defined, all
+    read off the Kropina snapshot alone: its pass (A, beta), Fbar^2 jet,
+    A^ij b_j and scalar family.
 
     The closed Q is printed with a scalar that collides with the one defined
     by the inverse-tensor rewrite; both readings are returned (`Q_closed` uses
     the scalar as printed in the decomposition, `Q_closed_alt` the one from
-    the expansion it descends from).  The pass (A, beta), the Fbar^2 jet,
-    A^ij b_j and the scalar family are read off `point`, the Kropina
-    snapshot of the same samples (ValueError if its x or y differ), made
-    here when the caller has none.
+    the expansion it descends from).
     """
-    y = np.asarray(y, dtype=float)
-    if point is None:
-        point = kropina_point(field, oneform, m, x, y)
-    elif not (np.array_equal(point.base.x, np.asarray(x, dtype=float), equal_nan=True)
-              and np.array_equal(point.base.y, y, equal_nan=True)):
-        raise ValueError("the Kropina snapshot was taken at other samples than x, y")
     jets, base, aux, b_up = point.jets, point.base, point.aux, point.b_up
+    field, m, y = base.field, base.m, base.y
 
     E = calculus.base_energy(field, m).compose(jets)
     G = _spray(E.block, y)

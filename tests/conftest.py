@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mrootfinsler import calculus, sampling
-from mrootfinsler.fields import CoefficientField, OneFormField, Polynomial
+from mrootfinsler.fields import CoefficientField, Jet, OneFormField, Polynomial
 from mrootfinsler.specfile import load_spec
 
 SESSION_T0 = time.monotonic()
@@ -20,6 +20,13 @@ def pytest_collection_modifyitems(items):
     for it in tail:
         items.remove(it)
         items.append(it)
+
+
+def raw_pass(table, v):
+    """The pass of a TermTable at the packed points v, with no guard: its block
+    as a Jet on the group axis (Jet.of) and c_t(x) per group (..., groups, terms)."""
+    out = table.block(v)
+    return Jet.of(out, 2 * table.n), out[..., table.head :]
 
 
 # -- fixture geometries -------------------------------------------------------

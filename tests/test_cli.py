@@ -870,6 +870,42 @@ def test_eval_where_the_closed_forms_overflow_exits_3(capsys):
     assert captured.out.count("= undefined (order-4 degeneracy)") == 7
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_where_the_closed_forms_overflow_exits_3(capsys):
+    # x near 1e150: the closed forms overflow, and the first row that is not
+    # finite fails the run in one line naming it and the point, with no
+    # RuntimeWarning; the three check kinds take the same box quietly
+    from mrootfinsler import cli
+
+    spec, box = str(FIXTURES / "cubic_x_bx.json"), "--box=1e150,1e151"
+    for flag in ([], ["--json"]):
+        rc = cli.main(["verify", "--spec", spec, "--samples", "5", box] + flag)
+        captured = capsys.readouterr()
+        assert rc == 3 and captured.out == ""
+        assert captured.err == (
+            "numerical failure: gbar_split residual is not finite at "
+            "x=[6.732655185893089e+150, 3.428080423874833e+150], "
+            "y=[0.17784969547876991, 0.1314025075042053]\n")
+    for kind in ("dually-flat", "proj-flat", "proj-related"):
+        rc = cli.main(["check", kind, "--spec", spec, "--samples", "60", box])
+        assert rc in (0, 1) and capsys.readouterr().err == "", kind
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_path_file_is_refused_before_integrating(tmp_path, capsys, monkeypatch, target):
+    from mrootfinsler import cli, spray
+
+    def integrate(*args):
+        pytest.fail("integrated a path that cannot be written")
+
+    monkeypatch.setattr(spray, "integrate_geodesic", integrate)
+    out = tmp_path / "missing" / "path.txt" if target == "missing-directory" else tmp_path
+    rc = cli.main([*GEODESIC, "--t", "0.5", "--steps", "2000", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ") and captured.err.count("\n") == 1
+
+
 def test_overflowing_form_exits_3_quietly(tmp_path):
     # a finite coefficient whose form overflows: the pass names the overflow
     # in one line and exits 3, with no RuntimeWarning on the way

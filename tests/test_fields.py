@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import _oracles as oracles
-from conftest import FIXTURE_DIR, ONE_FORM_SPECS, b_bx, b_const, cubic_x, diag_quartic, spec_samples
+from conftest import FIXTURE_DIR, ONE_FORM_SPECS, b_bx, b_const, cubic_x, diag_quartic, raw_pass, spec_samples
 from mrootfinsler import calculus
-from mrootfinsler.errors import DimensionMismatch, DomainError, RiemannianOrderWarning
+from mrootfinsler.errors import DimensionMismatch, DomainError, NonFiniteResult, RiemannianOrderWarning
 from mrootfinsler.fields import CoefficientField, OneFormField, Polynomial, TermTable, norm, pack
 from mrootfinsler.specfile import load_spec
 
@@ -34,38 +34,51 @@ def test_tensor_at_examples():
 
 @pytest.mark.parametrize("name", ("riemann_identity",) + ONE_FORM_SPECS)
 def test_tensor_at_matches_polynomial_evaluation(name):
-    # tensor_at reads c_t(x) off the pass at (x, 0); Polynomial.__call__
-    # evaluates each entry on its own, without the pass.  (A random entry can
+    # tensor_at evaluates each entry's Polynomial on its own; the pass at
+    # (x, 0) reads the same c_t(x) off its one matrix.  (A random entry can
     # cancel to 3% of its largest term, and the two sums then differ by more.)
     field, _ = _fields(name)
     for x in np.random.default_rng(3).uniform(-1.5, 1.5, (50, field.n)).tolist():
         entries = field.tensor_at(x).entries
         assert list(entries) == list(field.entries), name
-        for key, poly in field.entries.items():
-            assert entries[key] == pytest.approx(poly(x), rel=1e-14, abs=0), (name, key, x)
+        coefficients = raw_pass(field.terms, pack(x, np.zeros(field.n), field.n))[1][0].tolist()
+        for (key, poly), c in zip(field.entries.items(), coefficients):
+            assert entries[key] == poly(x), (name, key, x)
+            assert c == pytest.approx(entries[key], rel=1e-14, abs=0), (name, key, x)
+
+
+def test_tensor_at_refuses_a_coefficient_that_is_not_finite():
+    # (x^2)^3 past the largest float reads inf, (x^1)^2 - (x^2)^2 then inf - inf
+    square, cube = Polynomial(2, [((2, 0), 1.0), ((0, 2), -1.0)]), Polynomial(2, [((0, 3), 1.0)])
+    field = CoefficientField(2, 2, {(1, 1): Polynomial.constant(2, 1.0), (1, 2): square, (2, 2): cube})
+    assert field.tensor_at([1e100, 1e100]).entries == {(1, 1): 1.0, (1, 2): 0.0, (2, 2): 1e300}
+    with pytest.raises(NonFiniteResult, match=r"coefficient \(2, 2\) is inf at x=\[1e\+120, 1e\+120\]"):
+        field.tensor_at([1e120, 1e120])
+    with pytest.raises(NonFiniteResult, match=r"coefficient \(1, 2\) is nan"):
+        field.tensor_at([1e200, 1e200])
 
 
 def test_form_x_derivative_examples():
     # cubic-x: A = (1 + x^1)(y1^3 + y2^3), so dA/dx = (y1^3 + y2^3, 0) and
     # d2A/dx^1 dy = 3 (y1^2, y2^2); constant coefficients have no x-derivatives
-    A, coeffs = cubic_x().terms.jet(pack([0.7, -0.2], [1.0, 2.0], 2))
+    A, coeffs = raw_pass(cubic_x().terms, pack([0.7, -0.2], [1.0, 2.0], 2))
     A = A.group(0)
     assert A.grad_x.tolist() == [9.0, 0.0]
     assert A.hess_xy.tolist() == [[3.0, 12.0], [0.0, 0.0]]
     assert coeffs.tolist() == [[1.7, 1.7]]
-    A = diag_quartic().terms.jet(pack([0.1, 0.1], [1.0, 2.0], 2))[0].group(0)
+    A = raw_pass(diag_quartic().terms, pack([0.1, 0.1], [1.0, 2.0], 2))[0].group(0)
     assert not A.grad_x.any() and not A.hess[:2].any()
 
 
 def test_oneform_examples():
     bf = b_const(2)
     assert [p([3.0, -1.0]) for p in bf.components] == [1.0, 0.0]
-    beta = alone(bf).jet(pack([3.0, -1.0], [1.0, 1.0], 2))[0].group(0)
+    beta = raw_pass(alone(bf), pack([3.0, -1.0], [1.0, 1.0], 2))[0].group(0)
     np.testing.assert_array_equal(beta.hess_xy, np.zeros((2, 2)))
 
     bx = b_bx()
     assert [p([0.0, 1.0]) for p in bx.components] == [2.0, 0.0]
-    beta = alone(bx).jet(pack([0.0, 1.0], [3.0, 5.0], 2))[0].group(0)
+    beta = raw_pass(alone(bx), pack([0.0, 1.0], [3.0, 5.0], 2))[0].group(0)
     jac = beta.hess_xy.T  # [i, k] = db_i/dx^k
     assert jac[0, 1] == 1.0
     assert jac[0, 0] == jac[1, 0] == jac[1, 1] == 0.0
@@ -77,7 +90,7 @@ def test_form_x_derivatives_match_central_differences():
     field = cubic_x()
     x = np.array([0.25, -0.3])
     y = np.array([0.8, 1.4])
-    A = field.terms.jet(pack(x, y, 2))[0].group(0)
+    A = raw_pass(field.terms, pack(x, y, 2))[0].group(0)
     fd = oracles.fd_grad(lambda xx: field.tensor_at(xx).eval(y), x)
     assert np.all(np.abs(A.grad_x - fd) <= 1e-8 * (1 + np.abs(fd)))
     fd_mixed = oracles.fd_mixed(lambda xx, yy: field.tensor_at(xx).eval(yy), x, y)
@@ -87,7 +100,7 @@ def test_form_x_derivatives_match_central_differences():
 def test_oneform_jacobian_matches_central_differences():
     bx = b_bx()
     x = np.array([0.4, 0.9])
-    jac = alone(bx).jet(pack(x, [1.0, 1.0], 2))[0].group(0).hess_xy.T
+    jac = raw_pass(alone(bx), pack(x, [1.0, 1.0], 2))[0].group(0).hess_xy.T
     for i in range(2):
         fd = oracles.fd_grad(bx.components[i], x)
         np.testing.assert_allclose(jac[i], fd, atol=1e-8)
@@ -113,7 +126,7 @@ def test_polynomial_validation():
     poly = Polynomial(2, [((2, 1), 3.0)])
     assert poly([2.0, 5.0]) == 60.0
     # exact x-derivatives come from the field engine: A = poly(x) y1^2
-    A = CoefficientField(2, 2, {(1, 1): poly}).terms.jet(pack([2.0, 5.0], [1.0, 0.0], 2))[0].group(0)
+    A = raw_pass(CoefficientField(2, 2, {(1, 1): poly}).terms, pack([2.0, 5.0], [1.0, 0.0], 2))[0].group(0)
     assert A.grad_x.tolist() == [60.0, 12.0]  # (6 x1 x2, 3 x1^2)
 
 
@@ -143,9 +156,9 @@ def test_pair_pass_matches_single_field_passes(name):
     pair = doc.field.terms_with(doc.oneform)
     for x, y in [accepted[0], (xs, ys)]:
         v = pack(x, y, doc.n)
-        jets, c = pair.jet(v)
+        jets, c = raw_pass(pair, v)
         for g, table in enumerate((doc.field.terms, alone(doc.oneform))):
-            single, c_single = table.jet(v)
+            single, c_single = raw_pass(table, v)
             for key in ("val", "grad", "hess"):
                 assert np.array_equal(
                     getattr(jets.group(g), key), getattr(single.group(0), key)
@@ -256,7 +269,7 @@ def test_pass_matches_two_factor_oracle(name):
                            ([field.term_group], (field,)), ([oneform.term_group], (oneform,))):
         table = TermTable(groups, field.n)
         for x, y in ((xs[0], ys[0]), (xs, ys)):
-            jets, c = table.jet(pack(x, y, field.n))
+            jets, c = raw_pass(table, pack(x, y, field.n))
             assert jets.hess.shape[-3:] == (len(groups), 2 * field.n, 2 * field.n)
             assert np.array_equal(jets.hess, jets.hess.swapaxes(-1, -2)), name
             for k, (xk, yk) in enumerate(zip(np.reshape(x, (-1, field.n)), np.reshape(y, (-1, field.n)))):
@@ -279,25 +292,29 @@ def test_pass_matches_two_factor_oracle(name):
 
 
 def test_single_point_floors_decide_as_the_stack_guards():
-    # one point goes through fields.clear_of_floors first; across each floor
-    # it must accept and refuse exactly where the array guards of a stack do
+    # TermTable.refusals clears one point by its fast form first; across each
+    # floor it must accept and refuse exactly where its array guard decides
+    # the same point as a stack of one
     field, oneform = cubic_x(), b_bx()
+    table = field.terms_with(oneform)
     # A = (1 + x^1)(y1^3 + y2^3) crosses its floor near y2 = -1 + 9.4e-13,
     # beta = (1 + x^2) y1 near y1 = 1e-12
     cases = [([0.3, 0.2], [1.0, -1.0 + d]) for d in np.linspace(8e-13, 1.1e-12, 41)]
     cases += [([0.3, -0.5], [d, 1.0]) for d in np.linspace(0.8e-12, 1.2e-12, 41)]
+    # a finite pass whose ||y||^3 in the form floor is past the largest float
+    cases += [([-0.9, 0.0], [4e102, 4e102])]
     outcomes = set()
     for x, y in cases:
+        v = pack(x, y, 2)
         results = []
-        for xs, ys in ((np.array(x), np.array(y)), (np.array([x]), np.array([y]))):
-            try:
-                calculus.field_jets(field, oneform, xs, ys)
-                results.append(None)
-            except DomainError as exc:
-                results.append(str(exc))
+        for point in (v, v[None]):
+            with np.errstate(all="ignore"):
+                out = table.block(point)
+            results.append([(i, type(exc), str(exc)) for i, exc in table.refusals(out, point, 3)])
         assert results[0] == results[1], (x, y)
-        outcomes.add(results[0] and results[0].split(" value")[0])
+        outcomes.add(results[0][0][2].split(" value")[0] if results[0] else None)
     assert outcomes == {None, "form", "one-form"}
+    assert "floor inf" in results[0][0][2]
 
 
 def test_norm_matches_numpy_norm_bit_for_bit():

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import raw_pass
 from mrootfinsler.errors import ParseError, RiemannianOrderWarning, ValidationError
 from mrootfinsler.fields import pack
 from mrootfinsler.specfile import MAX_EXPONENT, load_spec, parse_spec
@@ -180,5 +181,5 @@ def test_exponent_at_bound_accepted():
     poly = doc.field.entries[(1, 1, 1, 1)]
     x, y = [1.01, 0.3], [0.5, 1.0]
     assert doc.field.tensor_at(x).entries[(1, 1, 1, 1)] == pytest.approx(poly(x), rel=1e-14)
-    A = doc.field.terms.jet(pack(x, y, 2))[0].group(0)
+    A = raw_pass(doc.field.terms, pack(x, y, 2))[0].group(0)
     assert A.grad_x[0] == pytest.approx(MAX_EXPONENT * 1.01 ** (MAX_EXPONENT - 1) * 0.5 ** 4, rel=1e-13)

@@ -19,7 +19,6 @@ from conftest import (
 )
 from mrootfinsler import calculus, report, spray
 from mrootfinsler.errors import DomainError, FinslerError, NonFiniteResult, SingularMatrix
-from mrootfinsler.kropina import kropina_point
 from mrootfinsler.metric import metric_point
 from mrootfinsler.specfile import load_spec
 from mrootfinsler.fields import CoefficientField, OneFormField, Polynomial
@@ -414,17 +413,6 @@ def test_geodesic_keeps_no_state_outside_the_domain(t_end, steps):
     assert not short.truncated and len(short.samples) == 14
     for (t, x, v), (t_ref, x_ref, v_ref) in zip(path.samples, short.samples):
         assert t == t_ref and np.array_equal(x, x_ref) and np.array_equal(v, v_ref)
-
-
-def test_pq_decomposition_refuses_another_snapshot():
-    field, oneform = cubic_x(), b_bx()
-    x, y = np.array([0.2, -0.3]), np.array([0.7, 1.1])
-    point = kropina_point(field, oneform, 3, x, y)
-    assert np.array_equal(pq_decomposition(field, oneform, 3, x, y, point).Gbar,
-                          pq_decomposition(field, oneform, 3, x, y).Gbar)
-    for x2, y2 in ((x + [0.0, 1e-9], y), (x, 2.0 * y), (np.stack([x, x]), np.stack([y, y]))):
-        with pytest.raises(ValueError, match="other samples"):
-            pq_decomposition(field, oneform, 3, x2, y2, point)
 
 
 @pytest.mark.parametrize("name", ONE_FORM_SPECS)
