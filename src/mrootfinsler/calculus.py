@@ -13,11 +13,11 @@ first and second derivatives in (A, beta) are scalar coefficients (Python
 floats at one point), and one product of them with the block gives the
 gradient and Hessian.  The pass and the chain rule are cores on raw blocks
 (TermTable.block, chain) with no errstate or guard of their own.  A pass has
-one domain guard, decided per row, with its own one-point fast form
-(TermTable.refusals): DomainCheck reads it per row for the sampler and raises
-for the lowest refused row in field_jets and derivatives, and the RK4 stage
-(spray) runs the cores and that guard on its own block; neither picks a form
-of the guard.  A Jet (Jet.of) is a view of a block; power and
+one domain guard, with its own one-point fast form (TermTable.refusals):
+field_jets runs the pass and that guard as one stack evaluation
+(errors.in_sample_order), the sampler's test when bound to the field pair, and
+the RK4 stage (spray) runs the cores and that guard on its own block; neither
+picks a form of the guard.  A Jet (Jet.of) is a view of a block; power and
 ScalarFunction.compose are the guarded chain rule over it.  The value, the
 y-gradient and y-Hessian, the x-gradient and the mixed x-y block of any
 energy, and the value a ScalarFunction returns when called, are therefore
@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NonFiniteResult, raise_first
+from .errors import NonFiniteResult, in_sample_order, raise_first
 from .fields import CoefficientField, Jet, OneFormField, all_finite, pack
 
 _EPS = float(np.finfo(float).eps)
@@ -61,8 +61,8 @@ def _power_table(exponents: tuple):
 
 def _power(v, exponents: tuple) -> np.ndarray:
     """v^e and its first and second derivative in v, with group g of v (..., G)
-    raised to exponents[g]: (..., 3, G).  Group by group, the guards raise for
-    an undefined base, then for a power that overflows; both leave an entry
+    raised to exponents[g]: (..., 3, G).  Group by group, the guards refuse
+    an undefined base, then a power that overflows; both leave an entry
     that is not finite, so the guards run only then.  Callers ignore
     floating-point errors."""
     table, factor, shortcuts = _power_table(tuple(exponents))
@@ -140,37 +140,19 @@ def power(jets: Jet, exponents) -> Jet:
     return Jet.of(block, n2)
 
 
-@dataclass(frozen=True)
-class DomainCheck:
-    """The guarded pass of A, or of (A, beta) on a group axis, at stacks x, y
-    (..., n), packed once, here; as the sampler's test it refuses a draw
-    exactly where every later pass would."""
-
-    field: CoefficientField
-    oneform: Optional[OneFormField]
-
-    def rows(self, x, y):
-        """The pass as a Jet, and the rows its domain guard refuses (TermTable.refusals)."""
-        v = pack(x, y, self.field.n)
-        table = self.field.terms_with(self.oneform)
-        with np.errstate(all="ignore"):
-            out = table.block(v)
-        return Jet.of(out, 2 * self.field.n), table.refusals(out, v, self.field.m)
-
-    def __call__(self, x, y) -> Jet:
-        """The pass, after raising the refusal of its lowest refused row."""
-        jets, refused = self.rows(x, y)
-        if refused:
-            raise refused[0][1]
-        return jets
-
-
-domain_check = DomainCheck
+def _guarded_pass(table, v, m: int) -> Jet:
+    """The pass at the packed points v after its domain guard."""
+    out = table.block(v)
+    table.refusals(out, v, m)
+    return Jet.of(out, 2 * table.n)
 
 
 def field_jets(field: CoefficientField, oneform: Optional[OneFormField], x, y) -> Jet:
-    """The guarded pass at (x, y) (DomainCheck)."""
-    return DomainCheck(field, oneform)(x, y)
+    """The guarded pass of A, or of (A, beta) on a group axis, at stacks x, y
+    (..., n), packed once, here: its domain guard (TermTable.refusals) refuses
+    in sample order.  Bound to the pair, it is the sampler's test, so a draw
+    is refused exactly where every later pass would refuse it."""
+    return in_sample_order(_guarded_pass, field.terms_with(oneform), pack(x, y, field.n), field.m)
 
 
 @dataclass(frozen=True)

@@ -265,7 +265,7 @@ def _sampled(args, argv):
     samples = sampling.sample_points(
         doc.n, args.samples, seed,
         x_box=args.box, y_box=args.ybox,
-        domain_check=calculus.domain_check(doc.field, doc.oneform),
+        domain_check=partial(calculus.field_jets, doc.field, doc.oneform),
     )
     payload = _envelope(args.command, doc, argv)
     payload.update({
@@ -395,8 +395,7 @@ def cmd_verify(args, argv) -> int:
     x, y = samples.x, samples.y
     if not len(x):
         raise DomainError("no admissible samples in the requested box")
-    with np.errstate(all="ignore"):  # a row that is not finite is refused (check_finite)
-        per_sample = report.point_report(doc.field, oneform, doc.m, x, y, samples.jets)
+    per_sample = report.point_report(doc.field, oneform, doc.m, x, y, samples.jets)
     merged = report.reduce_report(per_sample)
 
     if args.json:

@@ -3,17 +3,21 @@
 All failures raised on purpose derive from FinslerError so callers (and the
 CLI exit-code mapping) can tell input problems from numerical ones.
 
-A guard raises for the lowest failing sample of a stack (`raise_first`).  The
-domain guard of a pass decides each row alone (fields.TermTable.refusals, one
-point first by its fast form), so the refusal it raises is the one a loop over
-the samples meets first.  The multi-stage stacks of `report` and `flatness`
-(the P/Q split among their stages) run stage by stage, and a loop would raise
-for the lowest sample failing any stage, so `in_sample_order` evaluates the
-samples before that one again, slicing x, y and a pass over them alike.
-`check_finite` is the guard on reported values (a NaN would drop out of a
-maximum): the `verify` rows, every `check` residual and the quantities `eval`
-prints, `verify` and `eval` under np.errstate(all="ignore").
+Every guard refuses through `raise_first`, with one boolean per sample of a
+stack.  Outside a stack evaluation it raises for the lowest sample it refuses,
+its own stage first.  A stack evaluation (`recorded`) is one scope, under
+np.errstate(all="ignore"): inside it a guard on a stack records each sample it
+refuses and evaluation goes on, and the record keeps, per sample, the first
+refusal met there, which is what that sample alone raises.  A scope opened
+inside another records into the outermost one.  The scope has two readers:
+`in_sample_order` raises the lowest sample's refusal, the one a loop over the
+samples meets first, and the sampler rejects each draw the domain guard
+refuses.  `check_finite` is the guard on reported values (a NaN would drop out
+of a maximum): the `verify` rows, every `check` residual and the quantities
+`eval` prints, `eval` under np.errstate(all="ignore").
 """
+
+from contextvars import ContextVar
 
 import numpy as np
 
@@ -65,35 +69,63 @@ class RiemannianOrderWarning(UserWarning):
     """Order m = 2 is accepted but flagged: the closed forms target m > 2."""
 
 
+# The record of the stack evaluation under way, {sample: first refusal}, or None.
+_record = ContextVar("record", default=None)
+
+
 def raise_first(bad, error, template: str, *values) -> None:
-    """Raise error at the lowest sample where `bad` (a numpy boolean per sample) holds.
+    """Refuse each sample where `bad` (a numpy boolean per sample) holds with error.
 
     The message is `template` formatted with that sample's entry of each of
-    `values`: per-sample arrays (scalars for a single point) or lists.
+    `values`: per-sample arrays (scalars for a single point) or lists.  A
+    single point raises; a stack raises for its lowest refused sample, or,
+    inside a stack evaluation (`recorded`), records each sample not yet
+    refused there.
     """
     if not (bad.any() if bad.ndim else bad):
         return
-    i = int(np.ravel(bad).argmax())
-    exc = error(template.format(
-        *(v[i] if isinstance(v, list) else np.ravel(v)[i] for v in values)
-    ))
-    if np.ndim(bad):
-        exc.sample = i
-    raise exc
+
+    def refusal(i):
+        exc = error(template.format(
+            *(v[i] if isinstance(v, list) else np.ravel(v)[i] for v in values)
+        ))
+        if bad.ndim:
+            exc.sample = i
+        return exc
+
+    record = _record.get() if bad.ndim else None
+    if record is None:
+        raise refusal(int(np.ravel(bad).argmax()))
+    for i in np.flatnonzero(bad).tolist():
+        if i not in record:
+            record[i] = refusal(i)
 
 
-def in_sample_order(evaluate, *stacks):
-    """evaluate(*stacks) over stacked samples, raising what a loop over them would raise first."""
+def recorded(evaluate, *args):
+    """evaluate(*args) as one stack evaluation, and its record: {sample: the
+    first refusal of a guard there}, empty inside an enclosing evaluation,
+    whose record gets them."""
+    if _record.get() is not None:
+        return evaluate(*args), {}
+    record = {}
+    token = _record.set(record)
     try:
-        return evaluate(*stacks)
-    except FinslerError as exc:
-        if exc.sample:
-            in_sample_order(evaluate, *(s if s is None else s[: exc.sample] for s in stacks))
-        raise
+        with np.errstate(all="ignore"):
+            return evaluate(*args), record
+    finally:
+        _record.reset(token)
+
+
+def in_sample_order(evaluate, *args):
+    """evaluate(*args) over stacked samples, raising what a loop over them would raise first."""
+    result, record = recorded(evaluate, *args)
+    if record:
+        raise record[min(record)]
+    return result
 
 
 def check_finite(named, x, y) -> None:
-    """NonFiniteResult at the lowest sample with a value that is not finite.
+    """NonFiniteResult for each sample with a value that is not finite (raise_first).
 
     `named` holds (name, value) pairs, each value one number per sample of
     the stack (x, y), or a scalar at a single point; the message names the

@@ -12,12 +12,12 @@ holds one matrix from those monomials to the value, the gradient and the
 Hessian over all 2n coordinates and the coefficients c_t(x): a pass is one
 power table of v, one gather-product, one matmul and one gather, which makes
 the Hessian symmetric by construction.  TermTable.block is that pass as a raw
-block with no guard, and TermTable.refusals its one domain guard, decided per
-row: the overflow of the pass, then the floors of A and beta.  The guard
-holds its own one-point fast form in Python floats, and its two readers,
-calculus.DomainCheck (the sampler, field_jets) and the RK4 stage (spray),
-call it as it is.  CoefficientField.tensor_at reads no pass: it evaluates
-each entry's Polynomial.  A pass takes the packed point v = (x, y): callers
+block with no guard, and TermTable.refusals its one domain guard, refusing
+through errors.raise_first: the overflow of the pass, then the floors of A
+and beta.  The guard holds its own one-point fast form in Python floats, and
+its two callers, calculus.field_jets (which the sampler takes) and the RK4
+stage (spray), call it as it is.  CoefficientField.tensor_at reads no pass:
+it evaluates each entry's Polynomial.  A pass takes the packed point v = (x, y): callers
 pack x and y once (`pack` checks both lengths), the geodesic integrator
 hands over its state.  The pair (A, beta) is one table with a group axis
 (A, beta), the form alone its one-group case, each built once per field or
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, NonFiniteResult
+from .errors import DimensionMismatch, DomainError, NonFiniteResult, raise_first
 from .symtensor import SymmetricTensor, canonicalize, index_multiplicity, key_exponents
 
 # A form value at or below this multiple of ||y||^m * max|a_I(x)| is outside
@@ -158,10 +158,6 @@ class Jet:
         hess = block[..., 1 + n2 : 1 + n2 * (n2 + 1)].reshape(block.shape[:-1] + (n2, n2))
         return Jet(block[..., 0][()], block[..., 1 : 1 + n2], hess, block)
 
-    def __getitem__(self, key) -> "Jet":
-        """The samples `key` of a pass over a stack, jets[:i] say: a view of its block."""
-        return Jet.of(self.block[key], self.grad.shape[-1])
-
     @property
     def n(self) -> int:
         return self.grad.shape[-1] // 2
@@ -246,14 +242,14 @@ class TermTable:
         monomials = table.reshape(table.shape[:-2] + (table.shape[-2] * table.shape[-1],))
         return (monomials[..., self._index].prod(axis=-1) @ self._matrix)[..., self._gather]
 
-    def refusals(self, out, v, m: int) -> list:
-        """The domain guard of the pass out = block(v) of a form of order m, per
-        row: (row, error) for each refused row, in row order, the error the
-        first that a pass at that point alone meets.  NonFiniteResult where the
-        pass overflows, naming its first group that does; then DomainError at
-        the form floor, then at the one-form floor, with `.sample` the row on a
-        stack.  First its fast form accepts one point with a finite pass above
-        both floors in Python floats (1e-300 guarding both scales)."""
+    def refusals(self, out, v, m: int) -> None:
+        """The domain guard of the pass out = block(v) of a form of order m.
+        raise_first refuses, in this order, NonFiniteResult where the pass
+        overflows, naming its first group that does, then DomainError at the
+        form floor, then at the one-form floor.  First its fast form accepts
+        one point with a finite pass above both floors in Python floats
+        (1e-300 guarding both scales).  Callers ignore floating-point errors:
+        a floor past the largest float is inf."""
         n, head = self.n, self.head
         finite = all_finite(out)
         if finite and v.ndim == 1:
@@ -262,37 +258,24 @@ class TermTable:
             try:
                 if form > FORM_FLOOR * size ** m * max(max(map(abs, c[0])), 1e-300) and (
                         not beta or abs(beta[0]) > BETA_FLOOR * size * max(max(map(abs, c[1])), 1e-300)):
-                    return []
+                    return
             except OverflowError:
                 pass
-        rows, points = out.reshape((-1,) + out.shape[-2:]), v.reshape(-1, 2 * n)
-        # per row and group; None when the whole pass is finite
-        overflow = None if finite else ~np.isfinite(rows).all(axis=-1)
-        values = rows[..., 0]
-        refused = np.zeros(len(rows), bool) if overflow is None else overflow.any(axis=-1)
-        scale = np.abs(rows[..., head:]).max(axis=-1, initial=0.0)
-        with np.errstate(all="ignore"):  # a floor past the largest float is inf
-            size = norm(points[:, n:])
-            floors = (FORM_FLOOR * size ** m * np.maximum(scale[:, 0], 1e-300),
-                      BETA_FLOOR * size * scale[:, -1])
-        below = values[:, 0] <= floors[0]
-        refused |= below
+        if not finite:
+            overflow = ~np.isfinite(out).all(axis=-1)
+            points = np.reshape(v, (-1, 2 * n)).tolist()
+            x, y = [p[:n] for p in points], [p[n:] for p in points]
+            for g, name in enumerate(self.names):
+                raise_first(overflow[..., g], NonFiniteResult,
+                            f"overflow in the {name} value or derivatives at x={{}}, y={{}}", x, y)
+        values, scale = out[..., 0], np.abs(out[..., head:]).max(axis=-1, initial=0.0)
+        size = norm(v[..., n:])
+        floor = FORM_FLOOR * size ** m * np.maximum(scale[..., 0], 1e-300)
+        raise_first(values[..., 0] <= floor, DomainError, FLOOR_MESSAGES[0], values[..., 0], floor)
         if out.shape[-2] > 1:
-            refused |= np.abs(values[:, 1]) <= floors[1]
-        if not refused.any():
-            return []
-        errors = []
-        for i in np.flatnonzero(refused).tolist():
-            if overflow is not None and overflow[i].any():
-                p = points[i].tolist()
-                exc = NonFiniteResult(f"overflow in the {self.names[overflow[i].argmax()]} "
-                                      f"value or derivatives at x={p[:n]}, y={p[n:]}")
-            else:
-                r = 0 if below[i] else 1
-                exc = DomainError(FLOOR_MESSAGES[r].format(values[i, r], floors[r][i]))
-            exc.sample = i if v.ndim > 1 else None
-            errors.append((i, exc))
-        return errors
+            floor = BETA_FLOOR * size * scale[..., 1]
+            raise_first(np.abs(values[..., 1]) <= floor, DomainError, FLOOR_MESSAGES[1],
+                        values[..., 1], floor)
 
 
 class CoefficientField:

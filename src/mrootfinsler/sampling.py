@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, recorded
 
 DEFAULT_X_BOX = (-1.0, 1.0)
 DEFAULT_Y_BOX = (0.1, 2.0)
@@ -29,18 +29,19 @@ class SampleSet:
 
 def sample_points(
     n: int, count: int, seed: int,
-    x_box=DEFAULT_X_BOX, y_box=DEFAULT_Y_BOX, domain_check=None,
+    x_box=DEFAULT_X_BOX, y_box=DEFAULT_Y_BOX, *, domain_check,
 ) -> SampleSet:
     """Draw uniform (x, y) pairs, rejecting draws the domain check refuses.
 
     Each attempt draws x, then y, from the boxes, and attempts go on until
     `count` draws are accepted or ATTEMPT_FACTOR * count were made.  The
     attempts still needed come as one block of rows (x, y), the numbers
-    `rng.uniform` would draw attempt by attempt, and the check decides the
-    block in one pass, per row (calculus.DomainCheck.rows: the pass, and each
-    refused row with the error a check of that draw alone raises).  The rows
-    it clears are accepted and those it refuses with a DomainError rejected,
-    with its message; any other refusal (an overflow, say) stops the sampling.
+    `rng.uniform` would draw attempt by attempt.  The check, the guarded
+    pass (calculus.field_jets bound to the field pair), decides the block in
+    one stack evaluation (errors.recorded), which gives each refused row the
+    refusal a check of that draw alone raises.  The rows it clears are
+    accepted and those it refuses with a DomainError rejected, with its
+    message; any other refusal (an overflow, say) stops the sampling.
     The draws, their order and the rejections are those of a loop over the
     attempts, so reports built on top of this are reproducible byte for byte.
 
@@ -62,14 +63,13 @@ def sample_points(
         attempts += k
         block = low + scale * rng.random((k, 2 * n))
         x, y = block[:, :n], block[:, n:]
-        if domain_check is not None:
-            whole, refused = domain_check.rows(x, y)
-            for i, exc in refused:
-                if not isinstance(exc, DomainError):
-                    raise exc
-                rejected.append((x[i], y[i], str(exc)))
-            if refused:
-                x, y = (np.delete(a, [i for i, _ in refused], axis=0) for a in (x, y))
+        whole, refused = recorded(domain_check, x, y)
+        for i, exc in sorted(refused.items()):
+            if not isinstance(exc, DomainError):
+                raise exc
+            rejected.append((x[i], y[i], str(exc)))
+        if refused:
+            x, y = (np.delete(a, list(refused), axis=0) for a in (x, y))
         pieces.append((x, y))
         accepted += len(x)
     x, y = map(np.concatenate, zip(*pieces))

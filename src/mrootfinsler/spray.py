@@ -25,8 +25,9 @@ rounding.  RK4 steps the packed state z = (x, v), and each stage hands z as
 it is to the same pass, domain guard and chain rule on raw blocks
 (TermTable.block and refusals, calculus.chain), bound once per integration:
 the guard picks its own one-point fast form, and a refused point raises what
-field_jets raises, off the block the stage holds.  No state outside the
-domain is kept.
+field_jets raises, off the block the stage holds.  On a stack, spray_coeffs
+runs the stage as one stack evaluation (errors.in_sample_order).  No state
+outside the domain is kept.
 
 Geodesic convention: the integrated system is x'' = -G(x, x') with G as above.
 That is not the geodesic equation of this quarter-factor spray, which is
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calculus
-from .errors import DomainError, NonFiniteResult, SingularMatrix
+from .errors import DomainError, NonFiniteResult, SingularMatrix, in_sample_order
 from .fields import CoefficientField, Jet, OneFormField, all_finite, dot
 from .fields import matvec, norm, outer, pack, vecmat
 from .kropina import AuxScalars, KropinaPoint, kropina_point
@@ -51,8 +52,9 @@ NAN = float("nan")
 
 
 def spray_coeffs(energy: calculus.ScalarFunction, x, y) -> np.ndarray:
-    """Quarter g-inverse of the standard spray bracket for the given energy."""
-    return _stage_of(energy)(pack(x, y, energy.field.n))
+    """Quarter g-inverse of the standard spray bracket for the given energy,
+    per sample of a stack, refusing in sample order."""
+    return in_sample_order(_stage_of(energy), pack(x, y, energy.field.n))
 
 
 def _stage_of(energy: calculus.ScalarFunction):
@@ -60,10 +62,9 @@ def _stage_of(energy: calculus.ScalarFunction):
     one RK4 stage of the integrator, with the energy's term table, exponents
     and block head bound once.  A straight line over raw blocks under one
     errstate: the pass (TermTable.block), its domain guard on the same block
-    (TermTable.refusals, which clears one point in Python floats first),
-    raising for the lowest refused row, and the chain rule (calculus.chain);
-    then, for a jet that is not finite, the Jet API's guard on the same block,
-    and the guarded solve."""
+    (TermTable.refusals, which clears one point in Python floats first) and
+    the chain rule (calculus.chain); then, for a jet that is not finite, the
+    Jet API's guard on the same block, and the guarded solve."""
     field, oneform, exponents = energy.field, energy.oneform, energy.exponents
     n, n2, m, k = field.n, 2 * field.n, field.m, len(exponents)
     head = 1 + n2 * (n2 + 1)
@@ -73,12 +74,10 @@ def _stage_of(energy: calculus.ScalarFunction):
     def stage(v):
         with np.errstate(all="ignore"):
             out = block(v)
-            refused = refusals(out, v, m)
-            if refused:
-                raise refused[0][1]
+            refusals(out, v, m)
             jet = chain(out[..., :k, :head], exponents, n2)
         if not all_finite(jet):
-            energy.compose(Jet.of(out, n2))  # raises, as the Jet path does
+            energy.compose(Jet.of(out, n2))  # refuses, as the Jet path does
         return _spray(jet, v[..., n:])
 
     return stage
@@ -263,7 +262,7 @@ def integrate_geodesic(
 ) -> GeodesicPath:
     """Classical fixed-step RK4 on the packed state z = (x, v): z' = (v, -G(x, v)).
     A state outside the domain leaves the path, named in the reason: the next
-    step's first stage finds it (DomainError), or domain_check the final one."""
+    step's first stage finds it (DomainError), or field_jets the final one."""
     if steps < 1:
         raise ValueError("steps must be positive")
     h = float(t_end) / steps
@@ -298,7 +297,7 @@ def integrate_geodesic(
         samples.append((i * h, z[:n], z[n:]))
     else:
         try:
-            calculus.domain_check(energy.field, energy.oneform)(z[:n], z[n:])
+            calculus.field_jets(energy.field, energy.oneform, z[:n], z[n:])
         except DomainError as exc:
             truncated, reason = True, outside(exc)
 

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from mrootfinsler.errors import DomainError
+from mrootfinsler.errors import DomainError, FinslerError
 
 EPS = float(np.finfo(float).eps)
 
@@ -330,14 +330,27 @@ def sample_points_loop(n, count, seed, x_box, y_box, domain_check, attempt_facto
         attempts += 1
         x = rng.uniform(x_box[0], x_box[1], size=n)
         y = rng.uniform(y_box[0], y_box[1], size=n)
-        if domain_check is not None:
-            try:
-                domain_check(x, y)
-            except DomainError as exc:
-                rejected.append((x, y, str(exc)))
-                continue
+        try:
+            domain_check(x, y)
+        except DomainError as exc:
+            rejected.append((x, y, str(exc)))
+            continue
         accepted.append((x, y))
     return accepted, rejected
+
+
+# -- a loop over the samples of a stack -------------------------------------
+
+def first_failure(evaluate, x, y):
+    """What a loop over the samples of the stacks x, y (N, n) meets first:
+    evaluate(x[i], y[i]) one sample at a time, and for the first sample that
+    raises a FinslerError, (its type, its message, i); None when none does."""
+    for i, (xi, yi) in enumerate(zip(x, y)):
+        try:
+            evaluate(xi, yi)
+        except FinslerError as exc:
+            return type(exc), str(exc), i
+    return None
 
 
 # -- the records of --json reports as dicts ---------------------------------

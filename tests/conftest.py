@@ -1,6 +1,7 @@
 """Shared fixture geometries and numeric helpers."""
 
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -124,7 +125,7 @@ def spec_samples(name, count, seed):
     """A shipped fixture document with its admissible samples, one by one and stacked."""
     doc = load_spec(FIXTURE_DIR / f"{name}.json")
     samples = sampling.sample_points(
-        doc.n, count, seed, domain_check=calculus.domain_check(doc.field, doc.oneform)
+        doc.n, count, seed, domain_check=partial(calculus.field_jets, doc.field, doc.oneform)
     )
     return doc, list(zip(samples.x, samples.y)), (samples.x, samples.y)
 

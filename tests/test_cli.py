@@ -314,7 +314,7 @@ def test_verify_nonfinite_row_exits_3(monkeypatch, capsys, bad_sample):
     assert "spray_split residual is not finite" in err
     doc = load_spec(spec)
     samples = sampling.sample_points(
-        doc.n, 6, 0, domain_check=calculus.domain_check(doc.field, doc.oneform)
+        doc.n, 6, 0, domain_check=partial(calculus.field_jets, doc.field, doc.oneform)
     )
     x, y = samples.x[bad_sample], samples.y[bad_sample]
     assert f"at x={x.tolist()}, y={y.tolist()}" in err
@@ -594,7 +594,7 @@ def test_emit_verify_records_of_a_report(fixture):
 
     doc = load_spec(FIXTURES / f"{fixture}.json")
     samples = sampling.sample_points(
-        doc.n, 6, 3, domain_check=calculus.domain_check(doc.field, doc.oneform)
+        doc.n, 6, 3, domain_check=partial(calculus.field_jets, doc.field, doc.oneform)
     )
     x, y = samples.x, samples.y
     rows = report.point_report(doc.field, doc.oneform, doc.m, x, y).rows
@@ -621,9 +621,7 @@ def test_order_two_warning_is_one_fixed_line(args):
 
 def _check_fails_at(monkeypatch, capsys, kind, module, name, bad_sample, value, what):
     # patch module.name to put `value` into its result at `bad_sample`; the
-    # run must exit 3 naming that sample and write nothing to stdout.  The
-    # guard runs in sample order, so the samples before the bad one are
-    # evaluated again as a shorter stack.
+    # run must exit 3 naming that sample and write nothing to stdout.
     from mrootfinsler import calculus, cli, sampling
     from mrootfinsler.specfile import load_spec
 
@@ -644,7 +642,7 @@ def _check_fails_at(monkeypatch, capsys, kind, module, name, bad_sample, value, 
     assert captured.out == ""
     doc = load_spec(spec)
     samples = sampling.sample_points(
-        doc.n, 60, 1, domain_check=calculus.domain_check(doc.field, doc.oneform)
+        doc.n, 60, 1, domain_check=partial(calculus.field_jets, doc.field, doc.oneform)
     )
     x, y = samples.x[bad_sample], samples.y[bad_sample]
     assert captured.err == (f"numerical failure: {what} residual is not finite at "
@@ -687,8 +685,8 @@ def test_check_flatness_fails_in_sample_order_on_the_sampler_pass(
 ):
     # the operational residual is NaN at bad_sample, and the closed-form
     # condition after it refuses sample 5 of the whole stack: a loop over the
-    # samples meets bad_sample first, so the samples before a failing one are
-    # evaluated again, each time with the sampler's pass sliced alike
+    # samples meets bad_sample first, and the stack, evaluated once on the
+    # sampler's pass, raises what the loop meets
     from mrootfinsler import calculus, cli, flatness, sampling
     from mrootfinsler.errors import DomainError, raise_first
     from mrootfinsler.specfile import load_spec
@@ -712,13 +710,12 @@ def test_check_flatness_fails_in_sample_order_on_the_sampler_pass(
     spec = FIXTURES / "mixed_quartic.json"
     rc = cli.main(["check", kind, "--json", "--spec", str(spec), "--samples", "60", "--seed", "1"])
     assert rc == 3
-    # the whole stack, the samples before 5, then those before bad_sample
-    assert lengths == [(60, 60), (5, 5), (bad_sample, bad_sample)]
+    assert lengths == [(60, 60)]
     captured = capsys.readouterr()
     assert captured.out == ""
     doc = load_spec(spec)
     samples = sampling.sample_points(
-        doc.n, 60, 1, domain_check=calculus.domain_check(doc.field, doc.oneform)
+        doc.n, 60, 1, domain_check=partial(calculus.field_jets, doc.field, doc.oneform)
     )
     x, y = samples.x[bad_sample], samples.y[bad_sample]
     assert captured.err == (f"numerical failure: {kind} residual is not finite at "
@@ -889,6 +886,26 @@ def test_verify_where_the_closed_forms_overflow_exits_3(capsys):
     for kind in ("dually-flat", "proj-flat", "proj-related"):
         rc = cli.main(["check", kind, "--spec", spec, "--samples", "60", box])
         assert rc in (0, 1) and capsys.readouterr().err == "", kind
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_check_where_the_form_nears_the_largest_float_exits_3(capsys):
+    # y near 1e100: A nears 1e302, so A^(4/3) overflows (dually-flat) and the
+    # proj-flat closed-form residual is not finite; each run fails in one line
+    # with no RuntimeWarning.  proj-related evaluates at y/||y|| and gives its
+    # verdict quietly.
+    from mrootfinsler import cli
+
+    spec = str(FIXTURES / "cubic_x_bx.json")
+    for kind, code, named in (
+        ("dually-flat", 3, "numerical failure: power 1.3333333333333333 of "),
+        ("proj-flat", 3, "numerical failure: proj-flat closed-form residual is not finite at "),
+        ("proj-related", 1, None),
+    ):
+        rc = cli.main(["check", kind, "--spec", spec, "--samples", "60", "--ybox=1e100,1e101"])
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == code, (kind, lines)
+        assert (len(lines) == 1 and lines[0].startswith(named)) if named else not lines, lines
 
 
 @pytest.mark.parametrize("target", ["missing-directory", "directory"])

@@ -8,7 +8,7 @@ import pytest
 import _oracles as oracles
 from conftest import FIXTURE_DIR, ONE_FORM_SPECS, b_bx, b_const, cubic_x, diag_quartic, raw_pass, spec_samples
 from mrootfinsler import calculus
-from mrootfinsler.errors import DimensionMismatch, DomainError, NonFiniteResult, RiemannianOrderWarning
+from mrootfinsler.errors import DimensionMismatch, DomainError, NonFiniteResult, RiemannianOrderWarning, recorded
 from mrootfinsler.fields import CoefficientField, OneFormField, Polynomial, TermTable, norm, pack
 from mrootfinsler.specfile import load_spec
 
@@ -108,11 +108,11 @@ def test_oneform_jacobian_matches_central_differences():
 
 def test_beta_guard():
     field = diag_quartic()  # A > 0 at every y != 0, so only the one-form floor can fail
-    check = calculus.domain_check(field, b_const(2))
+    check = partial(calculus.field_jets, field, b_const(2))
     with pytest.raises(DomainError, match="one-form value"):
         check([0.0, 0.0], [0.0, 1.0])
     with pytest.raises(DomainError, match="one-form value"):
-        calculus.domain_check(field, OneFormField.constant(2, [0.0, 0.0]))([0.0, 0.0], [1.0, 1.0])
+        calculus.field_jets(field, OneFormField.constant(2, [0.0, 0.0]), [0.0, 0.0], [1.0, 1.0])
     assert check([0.0, 0.0], [2.0, 1.0]).val[1] == 2.0
 
 
@@ -169,33 +169,31 @@ def test_pair_pass_matches_single_field_passes(name):
 
 
 def test_pair_pass_guards():
-    # each floor of the derivative pass is the floor of the sampler's check
+    # the form floor of the pair's pass is the floor of the form's own pass
     field, oneform = cubic_x(), b_bx()
-    for x, y, alone in (
-        ([-1.0, 0.5], [1.0, 1.0], calculus.domain_check(field, None)),  # A = 0, beta = 1.5
-        ([0.5, -1.0], [1.0, 1.0], calculus.domain_check(field, oneform)),  # beta = 0
-    ):
-        with pytest.raises(DomainError) as fused:
-            calculus.field_jets(field, oneform, x, y)
-        with pytest.raises(DomainError) as single:
-            alone(x, y)
-        assert str(fused.value) == str(single.value)
+    x, y = [-1.0, 0.5], [1.0, 1.0]  # A = 0, beta = 1.5
+    with pytest.raises(DomainError) as fused:
+        calculus.field_jets(field, oneform, x, y)
+    with pytest.raises(DomainError) as single:
+        calculus.field_jets(field, None, x, y)
+    assert str(fused.value) == str(single.value)
+    with pytest.raises(DomainError, match="one-form value"):  # beta = 0
+        calculus.field_jets(field, oneform, [0.5, -1.0], [1.0, 1.0])
     # at x = (-1, -1) both the form coefficient 1 + x^1 and beta's 1 + x^2
     # vanish: every pass names the form floor, which it checks first
-    value_passes = (calculus.domain_check(field, oneform), calculus.kropina_norm(field, oneform, 3))
-    for value_pass in (partial(calculus.field_jets, field, oneform),) + value_passes:
+    guarded = partial(calculus.field_jets, field, oneform)
+    for value_pass in (guarded, calculus.kropina_norm(field, oneform, 3)):
         with pytest.raises(DomainError, match="form value .* at or below floor"):
             value_pass([-1.0, -1.0], [1.0, 1.0])
     # on a stack, the lowest refused sample decides, with the first floor it
     # fails: sample 1 has beta = 0, sample 3 a negative form
     xs = np.array([[0.1, 0.2], [0.5, -1.0], [0.0, 0.3], [-2.0, 0.1]])
-    for value_pass in (partial(calculus.field_jets, field, oneform), value_passes[0]):
-        with pytest.raises(DomainError, match="one-form value") as exc:
-            value_pass(xs, np.ones((4, 2)))
-        assert exc.value.sample == 1
-        with pytest.raises(DomainError, match="form value .* at or below floor") as exc:
-            value_pass(xs[[0, 2, 3]], np.ones((3, 2)))
-        assert exc.value.sample == 2
+    with pytest.raises(DomainError, match="one-form value") as exc:
+        guarded(xs, np.ones((4, 2)))
+    assert exc.value.sample == 1
+    with pytest.raises(DomainError, match="form value .* at or below floor") as exc:
+        guarded(xs[[0, 2, 3]], np.ones((3, 2)))
+    assert exc.value.sample == 2
 
 
 def _random_fields():
@@ -233,9 +231,12 @@ def _outcome(fn, x, y):
 
 @pytest.mark.parametrize("name", ONE_FORM_SPECS + ("random",))
 def test_value_is_read_off_the_derivative_pass(name):
-    # the sampler's check and the derivative pass accept and refuse the same
-    # draws with the same message, on single points and on stacks: a draw at a
-    # floor cannot be accepted by one and refused by the other
+    # the sampler reads the guarded pass per row (errors.recorded), and every
+    # later pass raises from it: each row of a stack is refused at the floor
+    # that draw alone is refused at, and the stack raises at the draw a loop
+    # over the draws meets first, so a draw at a floor cannot be accepted by
+    # one and refused by the other.  (The values a message prints may differ
+    # in the last bits: a row's pass depends on the length of its stack.)
     field, oneform = _fields(name)
     rng = np.random.default_rng(5)
     # y in a box around 0 so that the floors refuse some of the draws, now and
@@ -245,14 +246,22 @@ def test_value_is_read_off_the_derivative_pass(name):
     for k in range(3, 40, 4):
         ys[k] = 0.0
         ys[k, :2] = oneform.components[1](xs[k]), -oneform.components[0](xs[k])
+
+    def floor(exc):
+        return exc and (exc[0], exc[1].split(" value")[0])
+
     outcomes = set()
     for paired in (oneform, None):
-        check = calculus.domain_check(field, paired)
         guarded = partial(calculus.field_jets, field, paired)
-        for x, y in [*zip(xs, ys), (xs, ys), (xs[1:], ys[1:])]:
-            got = _outcome(check, x, y)
-            assert got == _outcome(guarded, x, y), (name, x, y)
-            outcomes.add(got and got[1].split(" value")[0])
+        alone = [floor(_outcome(guarded, x, y)) for x, y in zip(xs, ys)]
+        for start in (0, 1):
+            _, record = recorded(guarded, xs[start:], ys[start:])
+            rows = [floor((type(record[i]), str(record[i]))) if i in record else None
+                    for i in range(len(xs) - start)]
+            assert rows == alone[start:], name
+            stack, loop = (fn(guarded, xs[start:], ys[start:]) for fn in (_outcome, oracles.first_failure))
+            assert (floor(stack), stack[2]) == (floor(loop), loop[2]), name
+        outcomes |= {got and got[1] for got in alone}
     # Berwald-Moore's A = y1 y2 y3 y4 vanishes wherever its beta = y1 does
     assert outcomes - {"one-form"} == {None, "form"}, (name, outcomes)
     assert ("one-form" in outcomes) == (name != "berwald_moore"), (name, outcomes)
@@ -309,12 +318,12 @@ def test_single_point_floors_decide_as_the_stack_guards():
         results = []
         for point in (v, v[None]):
             with np.errstate(all="ignore"):
-                out = table.block(point)
-            results.append([(i, type(exc), str(exc)) for i, exc in table.refusals(out, point, 3)])
+                got = _outcome(partial(table.refusals, m=3), table.block(point), point)
+            results.append(got and got[:2])
         assert results[0] == results[1], (x, y)
-        outcomes.add(results[0][0][2].split(" value")[0] if results[0] else None)
+        outcomes.add(results[0] and results[0][1].split(" value")[0])
     assert outcomes == {None, "form", "one-form"}
-    assert "floor inf" in results[0][0][2]
+    assert "floor inf" in results[0][1]
 
 
 def test_norm_matches_numpy_norm_bit_for_bit():
@@ -326,18 +335,3 @@ def test_norm_matches_numpy_norm_bit_for_bit():
             scale = 10.0 ** rng.integers(-3, 4, size=(count, 1))
             v = scale * rng.uniform(-2.0, 2.0, size=(count, n))
             assert np.array_equal(norm(v), np.linalg.norm(v, axis=-1)), (n, count)
-
-
-@pytest.mark.parametrize("name", ONE_FORM_SPECS)
-def test_jet_slices_read_the_rows_of_the_pass(name):
-    # jets[:i] is what errors.in_sample_order hands a prefix: the first i rows
-    # of every field and group of the pass, as views of its block
-    doc, _, (xs, ys) = spec_samples(name, 12, seed=8)
-    jets = calculus.field_jets(doc.field, doc.oneform, xs, ys)
-    for i in (1, 5, 12):
-        part = jets[:i]
-        assert np.shares_memory(part.block, jets.block)
-        for g in (0, 1):
-            for field in ("val", "grad", "hess"):
-                assert np.array_equal(getattr(part.group(g), field),
-                                      getattr(jets.group(g), field)[:i]), (i, g, field)

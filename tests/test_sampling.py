@@ -1,12 +1,13 @@
 """The block sampler against the loop over attempts it replaces (tests/_oracles.py)."""
 
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 
 from mrootfinsler import calculus, sampling
-from mrootfinsler.errors import DomainError, ValidationError
+from mrootfinsler.errors import DomainError, ValidationError, raise_first
 from mrootfinsler.specfile import load_spec
 
 from _oracles import sample_points_loop
@@ -43,7 +44,7 @@ def assert_same_draws(n, count, seed, boxes, domain_check):
 @pytest.mark.parametrize("name", ALL_SPECS)
 def test_block_sampler_matches_attempt_loop(name):
     doc = _load(name)
-    check = calculus.domain_check(doc.field, doc.oneform)
+    check = partial(calculus.field_jets, doc.field, doc.oneform)
     rejections = 0
     for seed in (0, 1, 7, 123):
         for boxes in (DEFAULT_BOXES, WIDE_BOXES):
@@ -53,34 +54,29 @@ def test_block_sampler_matches_attempt_loop(name):
         assert rejections > 0, name
 
 
+def _accept_all(x, y):
+    return None
+
+
 def test_block_sampler_without_check():
     for seed in (0, 3):
-        got = assert_same_draws(3, 25, seed, WIDE_BOXES, None)
+        got = assert_same_draws(3, 25, seed, WIDE_BOXES, _accept_all)
         assert len(got.x) == 25 and not got.rejected
 
 
 class _Refusing:
     """A domain check refusing each draw whose x^1 lies below `below`, with
-    "<name> x[0] = <x^1>", then each draw `check` refuses, if given.  Like
-    calculus.DomainCheck it decides a stack per row (`rows`: the pass, `check`'s
-    or None, and (row, error) for each refused row) and, called, raises the
-    refusal of the lowest refused row."""
+    "<name> x[0] = <x^1>", then each draw `check` refuses, if given.  It
+    refuses through raise_first, as the package's guards do, and returns the
+    pass `check` makes, or None."""
 
     def __init__(self, name, below, check=None):
         self.name, self.below, self.check = name, below, check
 
-    def rows(self, x, y):
-        jets, refused = (None, []) if self.check is None else self.check.rows(x, y)
-        first = np.ravel(np.asarray(x)[..., 0])
-        mine = [(i, DomainError(f"{self.name} x[0] = {first[i]}"))
-                for i in np.flatnonzero(first < self.below).tolist()]
-        return jets, sorted(dict(refused + mine).items())
-
     def __call__(self, x, y):
-        jets, refused = self.rows(x, y)
-        if refused:
-            raise refused[0][1]
-        return jets
+        first = np.asarray(x)[..., 0]
+        raise_first(first < self.below, DomainError, f"{self.name} x[0] = {{}}", first)
+        return None if self.check is None else self.check(x, y)
 
 
 _refuse_all = _Refusing("refused", np.inf)
@@ -102,18 +98,18 @@ def test_block_sampler_refusing_every_other_draw():
 
 def test_block_sampler_rejects_infinite_box():
     with pytest.raises(ValidationError):
-        sampling.sample_points(2, 5, 0, x_box=(-np.inf, 1.0))
+        sampling.sample_points(2, 5, 0, x_box=(-np.inf, 1.0), domain_check=_accept_all)
 
 
 class _Counted:
-    """check, counting its per-row calls (one pass each) in .calls."""
+    """check, counting its calls (one pass each) in .calls."""
 
     def __init__(self, check):
         self.check, self.calls = check, 0
 
-    def rows(self, x, y):
+    def __call__(self, x, y):
         self.calls += 1
-        return self.check.rows(x, y)
+        return self.check(x, y)
 
 
 @pytest.mark.parametrize("case, count, seed, boxes, scarce", [
@@ -135,7 +131,7 @@ def test_sampler_pass_is_the_pass_over_the_accepted_stacks(case, count, seed, bo
     met = []
     for name in ONE_FORM_SPECS:
         doc = _load(name)
-        real = calculus.domain_check(doc.field, doc.oneform)
+        real = partial(calculus.field_jets, doc.field, doc.oneform)
         # scarce: most draws refused, those whose x^1 lies below 0.98
         check = _Counted(_Refusing("scarce", 0.98, real) if scarce else real)
         got = sampling.sample_points(doc.n, count, seed, *boxes, domain_check=check)

@@ -324,8 +324,8 @@ OUTSIDE_Y0 = [-1.2563749364211292, 1.9701736487042605]
 
 def _rk4_stage_loop(energy, x0, y0, t_end, steps):
     """RK4 on separate x and v, stage by stage: the oracle of the packed state.
-    A state outside the domain (its first stage, or the final state's
-    domain_check, raises DomainError) leaves the path, named in the reason."""
+    A state outside the domain (its first stage, or field_jets at the final
+    state, raises DomainError) leaves the path, named in the reason."""
     h = float(t_end) / steps
     x, v = np.array(x0, dtype=float), np.array(y0, dtype=float)
     states, reason = [(0.0, x, v)], ""
@@ -358,7 +358,7 @@ def _rk4_stage_loop(energy, x0, y0, t_end, steps):
         states.append((i * h, x, v))
     else:
         try:
-            calculus.domain_check(energy.field, energy.oneform)(x, v)
+            calculus.field_jets(energy.field, energy.oneform, x, v)
         except DomainError as exc:
             reason = outside(exc)
     return states, reason
@@ -381,7 +381,7 @@ def test_packed_rk4_matches_stage_loop():
         # the truncating start of test_geodesic_truncates_on_domain_exit
         (calculus.base_energy(cubic_x(), 3), [-0.5, 0.0], [-0.6, 1.0], 2.0, 200),
         # a step lands outside the domain: the next step's first stage
-        # refuses it, or, as the final state, domain_check does
+        # refuses it, or, as the final state, field_jets does
         (calculus.kropina_energy(cubic_x(), b_const(2), 3), OUTSIDE_X0, OUTSIDE_Y0, 2.0, 16),
         (calculus.kropina_energy(cubic_x(), b_const(2), 3), OUTSIDE_X0, OUTSIDE_Y0, 1.75, 14),
     ]
@@ -405,9 +405,8 @@ def test_geodesic_keeps_no_state_outside_the_domain(t_end, steps):
     assert path.truncated
     assert path.reason.startswith("state at t=1.75 is outside the domain: form value -2.158e-03")
     assert len(path.samples) == 14 and path.samples[-1][0] == 1.625
-    check = calculus.domain_check(energy.field, energy.oneform)
     for _, x, v in path.samples:
-        check(x, v)
+        calculus.field_jets(energy.field, energy.oneform, x, v)
     # the same steps stopped at t = 1.625 keep every state
     short = integrate_geodesic(energy, OUTSIDE_X0, OUTSIDE_Y0, 1.625, 13)
     assert not short.truncated and len(short.samples) == 14
@@ -423,7 +422,6 @@ def test_empty_stacks_give_empty_results(name):
     xs = ys = np.empty((0, n))
     jets = calculus.field_jets(doc.field, doc.oneform, xs, ys)
     assert jets.block.shape == (0, 2, {2: 23, 3: 48, 4: 77}[n])
-    calculus.domain_check(doc.field, doc.oneform)(xs, ys)
     for energy in (calculus.base_energy(doc.field, doc.m), calculus.kropina_energy(*args)):
         assert spray_coeffs(energy, xs, ys).shape == (0, n), energy.name
     for row in report.point_report(*args, xs, ys).rows:
