@@ -15,8 +15,13 @@ Every --json document goes through one writer (`_emit`): the text of
 json.dumps(payload, sort_keys=True, indent=2) and a newline, laid out by
 `_layout` with its leaves encoded by the C functions json.dumps calls, so no
 document passes through the standard library's pure-Python encoder.  The
-per-sample records of `verify` and `check proj-related` are laid out once as
-a template and written one record at a time.
+parts whose text is fixed by their shape (the reduced rows and the records
+of `verify`, the records of `check proj-related`) are laid out by `_layout`
+once per process as %-templates, keyed by everything their text depends on
+(n, each row's formula, note and whether it is null, the indent level); the
+last LAYOUT_CACHE_SIZE are kept.  Each document's numbers are formatted in
+one pass and filled into the templates, and records are written one at a
+time.
 """
 
 from __future__ import annotations
@@ -29,7 +34,10 @@ import os
 import sys
 import warnings
 from functools import cache, lru_cache, partial
+from itertools import count, islice
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -75,6 +83,8 @@ def _box(text: str, what: str):
         lo, hi = (float(v) for v in text.split(","))
     except ValueError as exc:
         raise ValidationError(f"{what}: expected LO,HI") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValidationError(f"{what}: every value must be finite")
     if not lo < hi:
         raise ValidationError(f"{what}: need LO < HI")
     return (lo, hi)
@@ -155,21 +165,22 @@ def _envelope(command: str, doc: MetricSpecDocument, argv) -> dict:
     }
 
 
-class _Column(list):
-    """The JSON text of one number per record, in record order: a slot of a layout."""
+class _Slot(int):
+    """A number in a document shape: the index of the number it reads."""
 
 
-def _column(values) -> _Column:
-    """The text json.dumps writes for each value, null for one that is not finite."""
-    values = np.asarray(values, dtype=float)
-    if np.isfinite(values).all():
-        return _Column(map(float.__repr__, values.tolist()))
-    return _Column(float.__repr__(v) if math.isfinite(v) else "null" for v in values.tolist())
+class _Section(NamedTuple):
+    """A part of a --json document, laid out once per shape: a value of the
+    top-level payload.  `shape(*key)` is its value with a _Slot for each
+    number, and `key` holds everything its text depends on.  `numbers` holds
+    the numbers the slots read, one entry per _Slot index.  In a section of
+    `records` each entry is a column of N numbers, and the section is a list
+    of N copies of the shape, one per column; any other section is one copy."""
 
-
-def _columns(points) -> list:
-    """The columns of a stack (N, n): a record's x or y list, one slot per coordinate."""
-    return [_column(c) for c in np.asarray(points, dtype=float).T]
+    shape: Callable
+    key: tuple
+    numbers: list
+    records: bool = False
 
 
 # What _layout writes at a slot.  No JSON text holds it: json.dumps escapes
@@ -179,8 +190,8 @@ _SLOT = "\0"
 
 def _layout(value, level: int, slots: list) -> str:
     """The json.dumps(value, sort_keys=True, indent=2) text of `value` at indent
-    `level`, with _SLOT in place of each _Column in it; the columns are appended
-    to `slots` in the order of their slots.
+    `level`, with _SLOT in place of each _Slot and _Section in it; those are
+    appended to `slots` in the order of their slots.
 
     Exact str, int and finite float leaves are encoded by the C functions
     json.dumps calls, and tuples are laid out as lists, as json.dumps does.
@@ -202,7 +213,7 @@ def _layout(value, level: int, slots: list) -> str:
         return "true"
     if value is False:
         return "false"
-    if kind is _Column:
+    if kind is _Slot or kind is _Section:
         slots.append(value)
         return _SLOT
     indent = "\n" + "  " * level
@@ -223,37 +234,69 @@ def _layout(value, level: int, slots: list) -> str:
     return json.dumps(value)
 
 
-def _emit(payload: dict, out=None, records=None):
+# Document shapes whose layout one process keeps: room for the verify rows,
+# the verify record and the proj-related record of as many specs as the
+# spec cache keeps.
+LAYOUT_CACHE_SIZE = 3 * SPEC_CACHE_SIZE
+
+
+@lru_cache(maxsize=LAYOUT_CACHE_SIZE)
+def _template(shape, key: tuple, level: int):
+    """shape(*key) laid out at indent `level`, once per shape and level: a
+    %-template with a %s for each slot, and the function that picks, from the
+    texts of the numbers, the text of each slot in the order of the slots (a
+    number that fills several slots, such as a record's x in each row, is
+    formatted once)."""
+    slots = []
+    text = _layout(shape(*key), level, slots).replace("%", "%%").replace(_SLOT, "%s")
+    # itemgetter of one index returns the text alone, which % takes as one value
+    return text, itemgetter(*slots) if slots else lambda texts: ()
+
+
+def _emit(payload: dict, out=None):
     """Write the JSON document to `out`, by default the sys.stdout of the moment.
 
     The document is json.dumps(payload, sort_keys=True, indent=2) and a
     newline, byte for byte, laid out by one writer (`_layout`) whose leaves
     are encoded by the C functions json.dumps calls: with `indent`, json.dumps
-    itself encodes in pure Python.  `records`, when given, is a function of no
-    arguments that returns the payload's "records" list as one record whose
-    numbers are _Columns; it is called here, so that all formatting happens
-    in this stage.  The record's text is laid out once and its slots are
-    filled from the columns record by record, so each number is formatted
-    once, and the records are written one at a time into the slot the rest
-    of the document leaves at its "records" key.
+    itself encodes in pure Python.  A _Section value is written from its
+    template (`_template`), laid out by `_layout` on the first use of its
+    shape and level in the process.  The numbers of every section are stacked
+    and formatted in one pass, as json.dumps writes them and null for one
+    that is not finite, and a section of records is written one record at a
+    time.
     """
     out = sys.stdout if out is None else out
-    if records is None:
-        out.write(_layout(payload, 0, []) + "\n")
+    sections = []
+    pieces = _layout(payload, 0, sections).split(_SLOT)
+    if not sections:
+        out.write(pieces[0] + "\n")
         return
-    head, tail = _layout({**payload, "records": _Column()}, 0, []).split(_SLOT)
-    columns = []
-    template = _layout(records(), 2, columns).replace("%", "%%").replace(_SLOT, "%s")
-    texts = (template % values for values in zip(*columns))
-    first = next(texts, None)
-    if first is None:
-        out.write(head + "[]")
+    stacks = [np.array(s.numbers, dtype=float) for s in sections]
+    numbers = np.concatenate([stack.T.ravel() for stack in stacks])
+    values = numbers.tolist()
+    if np.isfinite(numbers).all():
+        texts = list(map(float.__repr__, values))
     else:
-        out.write(head + "[\n    " + first)
-        for text in texts:
-            out.write(",\n    " + text)
-        out.write("\n  ]")
-    out.write(tail + "\n")
+        texts = [float.__repr__(v) if math.isfinite(v) else "null" for v in values]
+    out.write(pieces[0])
+    start = 0
+    for section, stack, piece in zip(sections, stacks, pieces[1:]):
+        text, pick = _template(section.shape, section.key, 2 if section.records else 1)
+        size, end = len(stack), start + stack.size
+        if not section.records:
+            out.write(text % pick(texts[start:end]))
+        elif end == start:
+            out.write("[]")
+        else:
+            copies = (text % pick(texts[i:i + size]) for i in range(start, end, size))
+            out.write("[\n    " + next(copies))
+            for copy in copies:
+                out.write(",\n    " + copy)
+            out.write("\n  ]")
+        out.write(piece)
+        start = end
+    out.write("\n")
 
 
 def _sampled(args, argv):
@@ -361,33 +404,63 @@ def cmd_eval(args, argv) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _rows_payload(rows):
-    return [
-        {"formula": row.formula, "max_abs": _finite_or_none(row.max_abs),
-         "max_rel": _finite_or_none(row.max_rel), "x": row.x, "y": row.y, "note": row.note}
-        for row in rows
-    ]
+def _row(formula, note, max_abs=None, max_rel=None, x=None, y=None) -> dict:
+    return {"formula": formula, "max_abs": max_abs, "max_rel": max_rel, "x": x, "y": y, "note": note}
 
 
-def _verify_record(x, y, rows) -> dict:
-    """The layout of a verify record: every row at each sample of the stack (N, n)."""
-    x, y = _columns(x), _columns(y)
+def _row_shapes(rows) -> tuple:
+    """What the text of a verify row depends on: its formula, its note and
+    whether it is defined (not null, as at m = 4)."""
+    return tuple((row.formula, row.note, row.max_abs is not None) for row in rows)
+
+
+def _rows_shape(n: int, rows: tuple) -> list:
+    """The reduced rows of a verify head: each defined row reads its max_abs,
+    max_rel, x and y, 2 + 2n numbers, in turn."""
+    slots = map(_Slot, count())
+    shaped = []
+    for formula, note, defined in rows:
+        if defined:
+            max_abs, max_rel, *point = islice(slots, 2 + 2 * n)
+            shaped.append(_row(formula, note, max_abs, max_rel, point[:n], point[n:]))
+        else:
+            shaped.append(_row(formula, note))
+    return shaped
+
+
+def _record_shape(n: int, rows: tuple) -> dict:
+    """A verify record: x and y read numbers 0 to 2n - 1, and each defined row
+    its max_abs and max_rel in turn."""
+    x, y = list(map(_Slot, range(n))), list(map(_Slot, range(n, 2 * n)))
+    slots = map(_Slot, count(2 * n))
     return {"x": x, "y": y, "rows": [
-        {
-            "formula": row.formula,
-            "max_abs": None if row.max_abs is None else _column(row.max_abs),
-            "max_rel": None if row.max_abs is None else _column(row.max_rel),
-            "x": None if row.max_abs is None else x,
-            "y": None if row.max_abs is None else y,
-            "note": row.note,
-        }
-        for row in rows
+        _row(formula, note, next(slots), next(slots), x, y) if defined else _row(formula, note)
+        for formula, note, defined in rows
     ]}
 
 
-def _check_record(x, y, residuals) -> dict:
-    """The layout of a proj-related record: the residual at each sample of the stack (N, n)."""
-    return {"x": _columns(x), "y": _columns(y), "residual": _column(residuals)}
+def _check_shape(n: int) -> dict:
+    """A proj-related record: x and y read numbers 0 to 2n - 1, the residual 2n."""
+    return {"x": list(map(_Slot, range(n))), "y": list(map(_Slot, range(n, 2 * n))),
+            "residual": _Slot(2 * n)}
+
+
+def _verify_rows(n: int, rows) -> _Section:
+    """The reduced rows of verify --json: each row's maxima and their point."""
+    numbers = [v for row in rows if row.max_abs is not None
+               for v in (row.max_abs, row.max_rel, *row.x, *row.y)]
+    return _Section(_rows_shape, (n, _row_shapes(rows)), numbers)
+
+
+def _verify_records(x, y, rows) -> _Section:
+    """The records of verify --json: every row at each sample of the stack (N, n)."""
+    residuals = [v for row in rows if row.max_abs is not None for v in (row.max_abs, row.max_rel)]
+    return _Section(_record_shape, (x.shape[1], _row_shapes(rows)), [*x.T, *y.T, *residuals], True)
+
+
+def _check_records(x, y, residuals) -> _Section:
+    """The records of check proj-related --json: the residual at each sample of the stack (N, n)."""
+    return _Section(_check_shape, (x.shape[1],), [*x.T, *y.T, residuals], True)
 
 
 def cmd_verify(args, argv) -> int:
@@ -402,9 +475,10 @@ def cmd_verify(args, argv) -> int:
         payload.update({
             "degenerate_order4": merged.degenerate_order4,
             "notes": merged.notes,
-            "rows": _rows_payload(merged.rows),
+            "records": _verify_records(x, y, per_sample.rows),
+            "rows": _verify_rows(doc.n, merged.rows),
         })
-        _emit(payload, records=partial(_verify_record, x, y, per_sample.rows))
+        _emit(payload)
         return 0
 
     w = sys.stdout.write
@@ -438,9 +512,10 @@ def cmd_check(args, argv) -> int:
         payload.update({
             "kind": rep.kind,
             "max_wedge_residual": _finite_or_none(rep.max_residual),
+            "records": _check_records(x, y, rep.residuals),
             "verdict": rep.verdict,
         })
-        _emit(payload, records=partial(_check_record, x, y, rep.residuals))
+        _emit(payload)
     elif args.json:
         payload.update({
             "kind": rep.kind,

@@ -385,6 +385,23 @@ def verify_records(x, y, rows):
     return records
 
 
+def verify_rows(rows):
+    """The rows of `verify --json` for the reduced ResidualRows: each row's
+    maxima and their point, null where a value is not finite, and null
+    x/y/maxima where the row is undefined."""
+    return [
+        {
+            "formula": row.formula,
+            "max_abs": None if row.max_abs is None else _finite_or_none(row.max_abs),
+            "max_rel": None if row.max_abs is None else _finite_or_none(row.max_rel),
+            "x": None if row.max_abs is None else _vector(row.x),
+            "y": None if row.max_abs is None else _vector(row.y),
+            "note": row.note,
+        }
+        for row in rows
+    ]
+
+
 def check_records(x, y, residuals):
     """The records of `check proj-related --json`: the residual at every sample."""
     return [

@@ -414,15 +414,15 @@ def test_emit_leaves_no_garbage_cycles():
     x = np.linspace(0.5, 1.5, 400).reshape(200, 2)
     rows = [ResidualRow(f"row{k}", x[:, 0] * k, x[:, 1] * k, x, x, "note") for k in range(4)]
     payload = {"records": [{"x": [0.5, 1.5], "rows": [{"x": [0.5], "note": None}]}]}
-    cases = [(payload, None), ({"rows": [0.5]}, partial(cli._verify_record, x, x, rows))]
+    cases = [payload, {"rows": [0.5], "records": cli._verify_records(x, x, rows)}]
     gc.collect()
     gc.disable()
     try:
-        for item, records in cases:
-            cli._emit(item, io.StringIO(), records)  # what a first call allocates once
+        for item in cases:
+            cli._emit(item, io.StringIO())  # what a first call allocates once
             tracemalloc.start()
             out = io.StringIO()
-            cli._emit(item, out, records)
+            cli._emit(item, out)
             size = len(out.getvalue())
             del out
             held = tracemalloc.get_traced_memory()[0]
@@ -563,12 +563,17 @@ def _verify_reports(draw):
 @given(report=_verify_reports())
 @settings(max_examples=200, deadline=None)
 def test_emit_verify_records_match_json_dumps(report):
+    # the records and the reduced rows: two sections filled from one pass
     from mrootfinsler import cli
+    from mrootfinsler.report import DiscrepancyReport, reduce_report
 
     payload, x, y, rows = report
+    merged = reduce_report(DiscrepancyReport(rows, len(x))).rows
     out = io.StringIO()
-    cli._emit(payload, out, records=partial(cli._verify_record, x, y, rows))
-    expected = {**payload, "records": oracles.verify_records(x, y, rows)}
+    cli._emit({**payload, "records": cli._verify_records(x, y, rows),
+               "rows": cli._verify_rows(x.shape[1], merged)}, out)
+    expected = {**payload, "records": oracles.verify_records(x, y, rows),
+                "rows": oracles.verify_rows(merged)}
     assert out.getvalue() == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
@@ -581,7 +586,7 @@ def test_emit_check_records_match_json_dumps(payload, n, count, data):
     residuals = np.array(data.draw(st.lists(st.floats() | st.sampled_from(_EDGE_FLOATS),
                                             min_size=count, max_size=count)), dtype=float)
     out = io.StringIO()
-    cli._emit(payload, out, records=partial(cli._check_record, x, y, residuals))
+    cli._emit({**payload, "records": cli._check_records(x, y, residuals)}, out)
     expected = {**payload, "records": oracles.check_records(x, y, residuals)}
     assert out.getvalue() == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
@@ -598,10 +603,13 @@ def test_emit_verify_records_of_a_report(fixture):
     )
     x, y = samples.x, samples.y
     rows = report.point_report(doc.field, doc.oneform, doc.m, x, y).rows
+    merged = report.reduce_report(report.DiscrepancyReport(rows, len(x))).rows
     assert any(row.max_abs is None for row in rows) == (doc.m == 4)
     out = io.StringIO()
-    cli._emit({"order": doc.m}, out, records=partial(cli._verify_record, x, y, rows))
-    expected = {"order": doc.m, "records": oracles.verify_records(x, y, rows)}
+    cli._emit({"order": doc.m, "records": cli._verify_records(x, y, rows),
+               "rows": cli._verify_rows(doc.n, merged)}, out)
+    expected = {"order": doc.m, "records": oracles.verify_records(x, y, rows),
+                "rows": oracles.verify_rows(merged)}
     assert out.getvalue() == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
@@ -803,6 +811,12 @@ def test_invalid_values_exit_2(tmp_path, args, env):
     ("--y", ("eval", "--x", "0,0", "--y", "1,inf")),
     ("--x0", ("geodesic", "--x0=nan,0", "--y0", "1,0.5", "--t", "0.5", "--steps", "10")),
     ("--y0", ("geodesic", "--x0", "0,0", "--y0=-inf,0.5", "--t", "0.5", "--steps", "10")),
+    # a bound that overflows or is not a number is refused as not finite,
+    # not as an empty box, and an infinite bound before the sampler sees it
+    ("--box", ("verify", "--box=1e400,2")),
+    ("--ybox", ("verify", "--ybox=nan,1")),
+    ("--box", ("verify", "--box=-inf,0")),
+    ("--ybox", ("verify", "--ybox=0.1,inf")),
 ])
 def test_nonfinite_point_names_its_flag(tmp_path, capsys, flag, args):
     from mrootfinsler import cli
@@ -1080,3 +1094,97 @@ def test_parsed_documents_are_bounded(tmp_path, capsys):
     hits = cli._parse.cache_info().hits
     run_main(capsys, "eval", "--spec", str(spec), "--x", "0,0", "--y", "1,2")
     assert cli._parse.cache_info().hits == hits + 1
+
+
+# -- document shapes one process lays out once ----------------------------------
+
+def _json_commands(tmp_path):
+    """Every --json command on every fixture: n = 2, 3, 4, m = 2, 3, 4 (rows
+    null at m = 4), with and without rejected draws (the y box straddles 0)."""
+    commands = []
+    for name in ("riemann_identity", "berwald_moore", "cubic_x", "cubic_x_bx",
+                 "diag_quartic", "mixed_quartic"):
+        spec = str(FIXTURES / f"{name}.json")
+        n = json.loads((FIXTURES / f"{name}.json").read_text())["dimension"]
+        point = ",".join(["1", "0.5", "0.7", "0.9"][:n])
+        for box in ((), ("--ybox=-2,2",)):
+            commands.append(("verify", "--json", "--spec", spec, "--samples", "6", *box))
+            commands += [("check", kind, "--json", "--spec", spec, "--samples", "50", *box)
+                         for kind in ("dually-flat", "proj-flat", "proj-related")]
+        commands.append(("eval", "--json", "--spec", spec, "--x=" + ",".join(["0.1"] * n),
+                         "--y=" + point))
+        commands += [("geodesic", "--json", "--spec", spec, "--metric", metric,
+                      "--x0=" + ",".join(["0"] * n), "--y0=" + point, "--t", "0.1", "--steps", "4",
+                      "--out", str(tmp_path / "path.txt")) for metric in ("kropina", "base")]
+    return commands
+
+
+def test_json_shape_cache_key_is_complete(tmp_path, capsys, monkeypatch):
+    # each command twice in one shuffled order, so every shape follows
+    # others: a key that missed what the text depends on (n, a null row)
+    # would fill another shape's template.  Each output is the json.dumps
+    # text and what the same command prints after the cache is cleared.
+    import random
+
+    from mrootfinsler import cli
+
+    monkeypatch.delenv("FINSLER_SEED", raising=False)
+    commands = _json_commands(tmp_path) * 2
+    random.Random(24).shuffle(commands)
+    warm = [run_main(capsys, *args) for args in commands]
+    assert any(out and b'"max_abs": null' in out for _, out, _ in warm)
+    for args, (rc, out, err) in zip(commands, warm):
+        text = out.decode()
+        if text:
+            assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", args
+        cli._template.cache_clear()
+        assert run_main(capsys, *args) == (rc, out, err), args
+    assert sum(bool(out) for _, out, _ in warm) > len(commands) * 3 // 4
+
+    # a null row of the CLI has a note of its own, so which rows are null is
+    # tried on rows whose n, formulas and notes agree
+    from mrootfinsler.report import DiscrepancyReport, ResidualRow, reduce_report
+
+    x, values = np.array([[0.5, 1.5]]), np.array([0.25])
+    for null in ((), (1,), (0, 1), (0,), ()):
+        rows = [ResidualRow(f"row{k}", None, None, note="note") if k in null
+                else ResidualRow(f"row{k}", values, values, x, x, "note") for k in range(2)]
+        merged = reduce_report(DiscrepancyReport(rows, 1)).rows
+        out = io.StringIO()
+        cli._emit({"records": cli._verify_records(x, x, rows),
+                   "rows": cli._verify_rows(2, merged)}, out)
+        expected = {"records": oracles.verify_records(x, x, rows), "rows": oracles.verify_rows(merged)}
+        assert out.getvalue() == json.dumps(expected, sort_keys=True, indent=2) + "\n", null
+
+
+def test_json_shape_cache_is_hit_and_bounded(capsys, monkeypatch):
+    from mrootfinsler import cli
+
+    laid_out = []
+
+    def layout(value, level, slots):
+        laid_out.append(value)
+        return original(value, level, slots)
+
+    original = cli._layout
+    monkeypatch.setattr(cli, "_layout", layout)
+    cli._template.cache_clear()
+    runs = []
+    for seed in ("1", "2"):
+        laid_out.clear()
+        rc, out, _ = run_main(capsys, "verify", "--json", "--spec", BX, "--samples", "5", "--seed", seed)
+        assert rc == 0 and json.loads(out)["seed"] == int(seed)
+        runs.append([value for value in laid_out if type(value) is cli._Slot])
+    # the first call lays out the record and the rows with their slots, the
+    # second only the head around them
+    assert runs[0] and not runs[1]
+    assert cli._template.cache_info().hits == 2
+    monkeypatch.undo()
+
+    for n in range(1, cli.LAYOUT_CACHE_SIZE + 4):
+        x, y = np.full((2, n), 0.5), np.full((2, n), 1.5)
+        out = io.StringIO()
+        cli._emit({"records": cli._check_records(x, y, np.zeros(2))}, out)
+        expected = {"records": oracles.check_records(x, y, np.zeros(2))}
+        assert out.getvalue() == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+        assert cli._template.cache_info().currsize <= cli.LAYOUT_CACHE_SIZE
