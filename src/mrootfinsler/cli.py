@@ -17,11 +17,13 @@ json.dumps(payload, sort_keys=True, indent=2) and a newline, laid out by
 document passes through the standard library's pure-Python encoder.  The
 parts whose text is fixed by their shape (the reduced rows and the records
 of `verify`, the records of `check proj-related`) are laid out by `_layout`
-once per process as %-templates, keyed by everything their text depends on
-(n, each row's formula, note and whether it is null, the indent level); the
-last LAYOUT_CACHE_SIZE are kept.  Each document's numbers are formatted in
-one pass and filled into the templates, and records are written one at a
-time.
+once per process as templates: the fixed text between the numbers and the
+index of the number each slot reads.  They are keyed by everything their
+text depends on (n, each row's formula, note and whether it is null, the
+indent level); the last LAYOUT_CACHE_SIZE are kept.  Each document's numbers
+are formatted in one pass, and each section is filled by one index gather
+and one str.join per chunk of records, about EMIT_CHUNK_TEXT characters of
+template text: one write per chunk, never the whole document at once.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ import warnings
 from functools import cache, lru_cache, partial
 from itertools import count, islice
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -87,6 +88,8 @@ def _box(text: str, what: str):
         raise ValidationError(f"{what}: every value must be finite")
     if not lo < hi:
         raise ValidationError(f"{what}: need LO < HI")
+    if not math.isfinite(hi - lo):
+        raise ValidationError(f"{what}: HI - LO is not finite")
     return (lo, hi)
 
 
@@ -240,17 +243,53 @@ def _layout(value, level: int, slots: list) -> str:
 LAYOUT_CACHE_SIZE = 3 * SPEC_CACHE_SIZE
 
 
+# Template text that one write of records joins, about: 18 verify records of
+# cubic_x_bx, or a whole proj-related document.  Measured on verify-bulk, a
+# 100-record document (512 KB) joined at once is written as slowly as one
+# record per write.
+EMIT_CHUNK_TEXT = 1 << 16
+
+
+class _Template(NamedTuple):
+    """A section's text with its numbers left out: `pieces[k]` is the fixed
+    text before slot k and `pieces[-1]` the text after the last, `reads[k]`
+    the index of the number slot k reads (a number that fills several slots,
+    such as a record's x in each row, is formatted once), and `per_chunk` the
+    number of records one write joins."""
+
+    pieces: np.ndarray
+    reads: np.ndarray
+    per_chunk: int
+
+
 @lru_cache(maxsize=LAYOUT_CACHE_SIZE)
-def _template(shape, key: tuple, level: int):
-    """shape(*key) laid out at indent `level`, once per shape and level: a
-    %-template with a %s for each slot, and the function that picks, from the
-    texts of the numbers, the text of each slot in the order of the slots (a
-    number that fills several slots, such as a record's x in each row, is
-    formatted once)."""
+def _template(shape, key: tuple, level: int) -> _Template:
+    """shape(*key) laid out at indent `level`, once per shape and level: the
+    text between its slots, one piece more than there are slots, and the
+    number each slot reads."""
     slots = []
-    text = _layout(shape(*key), level, slots).replace("%", "%%").replace(_SLOT, "%s")
-    # itemgetter of one index returns the text alone, which % takes as one value
-    return text, itemgetter(*slots) if slots else lambda texts: ()
+    pieces = _layout(shape(*key), level, slots).split(_SLOT)
+    per_chunk = max(1, EMIT_CHUNK_TEXT // max(1, sum(map(len, pieces))))
+    return _Template(np.array(pieces, dtype=object), np.array(slots, dtype=np.intp), per_chunk)
+
+
+def _fill(write, template: _Template, texts: np.ndarray, start: int, size: int,
+          count: int, sep: str = "") -> None:
+    """Write `count` copies of the template, `sep` between them; copy i reads
+    the texts from start + size * i on.  Each chunk of copies is one 2-D
+    object array, the pieces in its even columns and the gathered texts in
+    its odd ones, joined and written at once."""
+    pieces, reads, per_chunk = template
+    rows = np.empty((min(count, per_chunk), 2 * len(reads) + 1), dtype=object)
+    rows[:, ::2] = pieces
+    rows[:, -1] = pieces[-1] + sep
+    for first in range(0, count, per_chunk):
+        chunk = rows[:count - first]
+        records = np.arange(first, first + len(chunk))
+        chunk[:, 1::2] = texts[start + size * records[:, None] + reads]
+        if first + len(chunk) == count:
+            chunk[-1, -1] = pieces[-1]
+        write("".join(chunk.ravel().tolist()))
 
 
 def _emit(payload: dict, out=None):
@@ -263,8 +302,9 @@ def _emit(payload: dict, out=None):
     template (`_template`), laid out by `_layout` on the first use of its
     shape and level in the process.  The numbers of every section are stacked
     and formatted in one pass, as json.dumps writes them and null for one
-    that is not finite, and a section of records is written one record at a
-    time.
+    that is not finite, into one object array, and every section is filled
+    from it by `_fill`: a section of records chunk by chunk, any other as
+    one record.
     """
     out = sys.stdout if out is None else out
     sections = []
@@ -274,28 +314,22 @@ def _emit(payload: dict, out=None):
         return
     stacks = [np.array(s.numbers, dtype=float) for s in sections]
     numbers = np.concatenate([stack.T.ravel() for stack in stacks])
-    values = numbers.tolist()
-    if np.isfinite(numbers).all():
-        texts = list(map(float.__repr__, values))
-    else:
-        texts = [float.__repr__(v) if math.isfinite(v) else "null" for v in values]
+    texts = np.array(list(map(float.__repr__, numbers.tolist())), dtype=object)
+    texts[~np.isfinite(numbers)] = "null"
     out.write(pieces[0])
     start = 0
     for section, stack, piece in zip(sections, stacks, pieces[1:]):
-        text, pick = _template(section.shape, section.key, 2 if section.records else 1)
-        size, end = len(stack), start + stack.size
+        template = _template(section.shape, section.key, 2 if section.records else 1)
         if not section.records:
-            out.write(text % pick(texts[start:end]))
-        elif end == start:
-            out.write("[]")
-        else:
-            copies = (text % pick(texts[i:i + size]) for i in range(start, end, size))
-            out.write("[\n    " + next(copies))
-            for copy in copies:
-                out.write(",\n    " + copy)
+            _fill(out.write, template, texts, start, len(stack), 1)
+        elif stack.size:
+            out.write("[\n    ")
+            _fill(out.write, template, texts, start, len(stack), stack.shape[1], ",\n    ")
             out.write("\n  ]")
+        else:
+            out.write("[]")
         out.write(piece)
-        start = end
+        start += stack.size
     out.write("\n")
 
 

@@ -7,11 +7,12 @@ import subprocess
 import sys
 from functools import partial
 from pathlib import Path
+from unittest import mock
 
 import _oracles as oracles
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -542,11 +543,51 @@ def _stacks(draw, count, n):
             for _ in range(2)]
 
 
+# Records one write joins in the fill tests, and the records they draw: enough
+# to cross two chunk boundaries at the largest chunk.
+_CHUNKS = st.integers(1, 4)
+_MAX_RECORDS = 13
+
+
+def _emitted_in_chunks(payload, chunk):
+    """_emit of payload with `chunk` records joined per write."""
+    from mrootfinsler import cli
+
+    template, out = cli._template, io.StringIO()
+    with mock.patch.object(cli, "_template", lambda *key: template(*key)._replace(per_chunk=chunk)):
+        cli._emit(payload, out)
+    return out.getvalue()
+
+
+_ENVELOPE = {"argv": [], "notes": [], "rejected": [], "rows": [], "seed": 0}
+
+
+def _example_stacks(count, nonfinite):
+    """x, y (count, 2) and a residual per record, with a nan, inf or -inf in
+    each of them at every record in `nonfinite`."""
+    x = np.linspace(-1.0, 1.0, 2 * count).reshape(count, 2)
+    y, values = x[::-1] + 2.0, np.linspace(0.5, 2.0, count)
+    for i in nonfinite:
+        x[i, 0], y[i, 1], values[i] = math.nan, math.inf, -math.inf
+    return x, y, values
+
+
+def _verify_example(count, nonfinite=(), null=()):
+    """A verify report of `count` records, n = 2, over three rows, those in
+    `null` undefined."""
+    from mrootfinsler.report import ResidualRow
+
+    x, y, values = _example_stacks(count, nonfinite)
+    rows = [ResidualRow(f"row_{k}", None, None, note="null") if k in null
+            else ResidualRow(f"row_{k}", values + k, values, x, y, None) for k in range(3)]
+    return _ENVELOPE, x, y, rows
+
+
 @st.composite
 def _verify_reports(draw):
     from mrootfinsler.report import ResidualRow
 
-    n, count = draw(st.sampled_from([2, 3, 4])), draw(st.integers(1, 5))
+    n, count = draw(st.sampled_from([2, 3, 4])), draw(st.integers(1, _MAX_RECORDS))
     x, y = _stacks(draw, count, n)
     values = st.lists(st.floats() | st.sampled_from(_EDGE_FLOATS), min_size=count, max_size=count)
     rows = []
@@ -560,35 +601,52 @@ def _verify_reports(draw):
     return draw(_ENVELOPES), x, y, rows
 
 
-@given(report=_verify_reports())
+# chunks of 3: one record short of a chunk, one chunk, one record past it, and
+# two boundaries crossed, with non-finite numbers in the first and last record
+# of a chunk; and every row null, so the reduced rows have no slot
+@example(report=_verify_example(2, (0, 1)), chunk=3)
+@example(report=_verify_example(3, (0, 2)), chunk=3)
+@example(report=_verify_example(4, (2, 3)), chunk=3)
+@example(report=_verify_example(7, (3, 5, 6)), chunk=3)
+@example(report=_verify_example(7, (0, 6), null=(0, 1, 2)), chunk=3)
+@given(report=_verify_reports(), chunk=_CHUNKS)
 @settings(max_examples=200, deadline=None)
-def test_emit_verify_records_match_json_dumps(report):
+def test_emit_verify_records_match_json_dumps(report, chunk):
     # the records and the reduced rows: two sections filled from one pass
     from mrootfinsler import cli
     from mrootfinsler.report import DiscrepancyReport, reduce_report
 
     payload, x, y, rows = report
     merged = reduce_report(DiscrepancyReport(rows, len(x))).rows
-    out = io.StringIO()
-    cli._emit({**payload, "records": cli._verify_records(x, y, rows),
-               "rows": cli._verify_rows(x.shape[1], merged)}, out)
+    got = _emitted_in_chunks({**payload, "records": cli._verify_records(x, y, rows),
+                              "rows": cli._verify_rows(x.shape[1], merged)}, chunk)
     expected = {**payload, "records": oracles.verify_records(x, y, rows),
                 "rows": oracles.verify_rows(merged)}
-    assert out.getvalue() == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+    assert got == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
-@given(payload=_ENVELOPES, n=st.sampled_from([2, 3, 4]), count=st.integers(0, 5), data=st.data())
+@st.composite
+def _check_reports(draw):
+    n, count = draw(st.sampled_from([2, 3, 4])), draw(st.integers(0, _MAX_RECORDS))
+    x, y = _stacks(draw, count, n)
+    residuals = np.array(draw(st.lists(st.floats() | st.sampled_from(_EDGE_FLOATS),
+                                       min_size=count, max_size=count)), dtype=float)
+    return draw(_ENVELOPES), x, y, residuals
+
+
+@example(report=(_ENVELOPE, *_example_stacks(2, (0, 1))), chunk=3)
+@example(report=(_ENVELOPE, *_example_stacks(3, (0, 2))), chunk=3)
+@example(report=(_ENVELOPE, *_example_stacks(4, (2, 3))), chunk=3)
+@example(report=(_ENVELOPE, *_example_stacks(7, (3, 5, 6))), chunk=3)
+@given(report=_check_reports(), chunk=_CHUNKS)
 @settings(max_examples=100, deadline=None)
-def test_emit_check_records_match_json_dumps(payload, n, count, data):
+def test_emit_check_records_match_json_dumps(report, chunk):
     from mrootfinsler import cli
 
-    x, y = _stacks(data.draw, count, n)
-    residuals = np.array(data.draw(st.lists(st.floats() | st.sampled_from(_EDGE_FLOATS),
-                                            min_size=count, max_size=count)), dtype=float)
-    out = io.StringIO()
-    cli._emit({**payload, "records": cli._check_records(x, y, residuals)}, out)
+    payload, x, y, residuals = report
+    got = _emitted_in_chunks({**payload, "records": cli._check_records(x, y, residuals)}, chunk)
     expected = {**payload, "records": oracles.check_records(x, y, residuals)}
-    assert out.getvalue() == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+    assert got == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("fixture", ["cubic_x_bx", "mixed_quartic"])
@@ -611,6 +669,37 @@ def test_emit_verify_records_of_a_report(fixture):
     expected = {"order": doc.m, "records": oracles.verify_records(x, y, rows),
                 "rows": oracles.verify_rows(merged)}
     assert out.getvalue() == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
+def test_emit_never_holds_the_document_whole(monkeypatch):
+    # a 100-sample verify document is the json.dumps text, written a chunk of
+    # records at a time: no write holds more than one chunk's records and the
+    # rest of the document
+    from mrootfinsler import cli
+
+    writes, templates, template = [], [], cli._template
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+
+    def recorded(shape, key, level):
+        templates.append((shape, template(shape, key, level)))
+        return templates[-1][1]
+
+    monkeypatch.setattr(cli, "_template", recorded)
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert cli.main(["verify", "--json", "--spec", BX, "--samples", "100"]) == 0
+    text = "".join(writes)
+    document = json.loads(text)
+    assert text == json.dumps(document, sort_keys=True, indent=2) + "\n"
+    records = document["records"]
+    (per_chunk,) = {t.per_chunk for shape, t in templates if shape is cli._record_shape}
+    assert 1 < per_chunk and 2 * per_chunk < len(records) == 100
+    envelope = len(json.dumps({**document, "records": []}, sort_keys=True, indent=2)) + 1
+    record = max(len(json.dumps(r, sort_keys=True, indent=2).replace("\n", "\n    "))
+                 for r in records) + len(",\n    ")
+    assert max(map(len, writes)) <= envelope + per_chunk * record
 
 
 @pytest.mark.parametrize("args", [
@@ -826,6 +915,17 @@ def test_nonfinite_point_names_its_flag(tmp_path, capsys, flag, args):
     assert rc == 2
     assert capsys.readouterr().err == f"error: {flag}: every value must be finite\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--box", "--ybox"])
+def test_box_whose_span_overflows_names_its_flag(capsys, flag):
+    # finite bounds whose HI - LO overflows are refused by the flag, before
+    # the sampler's own check, which names no flag
+    from mrootfinsler import cli
+
+    rc = cli.main(["verify", "--spec", CUBIC, f"{flag}=-1e308,1e308"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {flag}: HI - LO is not finite\n"
 
 
 # -- spec input edges -----------------------------------------------------------

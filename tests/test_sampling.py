@@ -97,8 +97,12 @@ def test_block_sampler_refusing_every_other_draw():
 
 
 def test_block_sampler_rejects_infinite_box():
-    with pytest.raises(ValidationError):
-        sampling.sample_points(2, 5, 0, x_box=(-np.inf, 1.0), domain_check=_accept_all)
+    # an infinite bound, and finite bounds whose span overflows
+    for box in ((-np.inf, 1.0), (-1e308, 1e308)):
+        with pytest.raises(ValidationError, match="HI - LO is not finite"):
+            sampling.sample_points(2, 5, 0, x_box=box, domain_check=_accept_all)
+        with pytest.raises(ValidationError, match="HI - LO is not finite"):
+            sampling.sample_points(2, 5, 0, y_box=box, domain_check=_accept_all)
 
 
 class _Counted:
