@@ -14,13 +14,13 @@ floats at one point), and one product of them with the block gives the
 gradient and Hessian.  The pass and the chain rule are cores on raw blocks
 (TermTable.block, chain) with no errstate or guard of their own.  A pass has
 one domain guard, with its own one-point fast form (TermTable.refusals):
-field_jets runs the pass and that guard as one stack evaluation
-(errors.in_sample_order), the sampler's test when bound to the field pair, and
-the RK4 stage (spray) runs the cores and that guard on its own block; neither
-picks a form of the guard.  A Jet (Jet.of) is a view of a block; power and
-ScalarFunction.compose are the guarded chain rule over it.  The value, the
-y-gradient and y-Hessian, the x-gradient and the mixed x-y block of any
-energy, and the value a ScalarFunction returns when called, are therefore
+field_jets runs the pass and that guard, the sampler's test when bound to the
+field pair, and the RK4 stage (spray) runs the cores and that guard on its own
+block; neither picks a form of the guard.  A Jet (Jet.of) is a view of a
+block; power and ScalarFunction.compose are the guarded chain rule over it.
+Each public evaluator is one stack evaluation (errors.in_sample_order).  The
+value, the y-gradient and y-Hessian, the x-gradient and the mixed x-y block of
+any energy, and the value a ScalarFunction returns when called, are therefore
 slices of a single pass, exact to rounding.  Points may come stacked (..., n).
 Richardson-extrapolated central differences of the value over the packed
 point serve only as an independent cross-check of the whole gradient and
@@ -125,6 +125,7 @@ def chain(block, exponents, n2: int) -> np.ndarray:
     return out
 
 
+@in_sample_order
 def power(jets: Jet, exponents) -> Jet:
     """A^p for exponents (p,), A^p beta^q for (p, q), with gradient and Hessian,
     from a pass of A or of (A, beta) (Jet.of, one block): with V the group
@@ -135,24 +136,19 @@ def power(jets: Jet, exponents) -> Jet:
     ScalarFunction.compose rejects them.
     """
     n2 = jets.grad.shape[-1]
-    with np.errstate(all="ignore"):
-        block = chain(jets.block[..., : len(exponents), : 1 + n2 * (n2 + 1)], exponents, n2)
-    return Jet.of(block, n2)
+    return Jet.of(chain(jets.block[..., : len(exponents), : 1 + n2 * (n2 + 1)], exponents, n2), n2)
 
 
-def _guarded_pass(table, v, m: int) -> Jet:
-    """The pass at the packed points v after its domain guard."""
-    out = table.block(v)
-    table.refusals(out, v, m)
-    return Jet.of(out, 2 * table.n)
-
-
+@in_sample_order
 def field_jets(field: CoefficientField, oneform: Optional[OneFormField], x, y) -> Jet:
     """The guarded pass of A, or of (A, beta) on a group axis, at stacks x, y
-    (..., n), packed once, here: its domain guard (TermTable.refusals) refuses
-    in sample order.  Bound to the pair, it is the sampler's test, so a draw
-    is refused exactly where every later pass would refuse it."""
-    return in_sample_order(_guarded_pass, field.terms_with(oneform), pack(x, y, field.n), field.m)
+    (..., n), packed once, here, and its domain guard (TermTable.refusals).
+    Bound to the pair, it is the sampler's test, so a draw is refused exactly
+    where every later pass would refuse it."""
+    table, v = field.terms_with(oneform), pack(x, y, field.n)
+    out = table.block(v)
+    table.refusals(out, v, field.m)
+    return Jet.of(out, 2 * field.n)
 
 
 @dataclass(frozen=True)
@@ -169,6 +165,7 @@ class ScalarFunction:
     def exponents(self) -> tuple:
         return (self.p,) if self.oneform is None else (self.p, self.q)
 
+    @in_sample_order
     def compose(self, jets: Jet) -> Jet:
         """f with its derivatives, from a pass of A or of (A, beta) (per sample on stacks)."""
         jet = power(jets, self.exponents)
@@ -208,6 +205,7 @@ def kropina_energy(field: CoefficientField, oneform: OneFormField, m: int) -> Sc
     return ScalarFunction("Fbar^2", field, 4.0 / m, oneform, -2.0)
 
 
+@in_sample_order
 def derivatives(f: ScalarFunction, x, y) -> Jet:
     """One pass: f with its full (x, y) gradient and Hessian, per point of a stack."""
     return f.compose(field_jets(f.field, f.oneform, x, y))

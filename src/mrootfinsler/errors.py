@@ -4,20 +4,20 @@ All failures raised on purpose derive from FinslerError so callers (and the
 CLI exit-code mapping) can tell input problems from numerical ones.
 
 Every guard refuses through `raise_first`, with one boolean per sample of a
-stack.  Outside a stack evaluation it raises for the lowest sample it refuses,
-its own stage first.  A stack evaluation (`recorded`) is one scope, under
-np.errstate(all="ignore"): inside it a guard on a stack records each sample it
-refuses and evaluation goes on, and the record keeps, per sample, the first
-refusal met there, which is what that sample alone raises.  A scope opened
-inside another records into the outermost one.  The scope has two readers:
-`in_sample_order` raises the lowest sample's refusal, the one a loop over the
-samples meets first, and the sampler rejects each draw the domain guard
-refuses.  `check_finite` is the guard on reported values (a NaN would drop out
-of a maximum): the `verify` rows, every `check` residual and the quantities
-`eval` prints, `eval` under np.errstate(all="ignore").
+stack.  A stack evaluation (`recorded`) is one scope under
+np.errstate(all="ignore"), and every public evaluator opens one by the same
+decorator, `in_sample_order`; a scope opened inside another records into the
+outermost one.  Inside it a guard on a stack records, per sample, the first
+refusal met there, which is what that sample alone raises, and evaluation goes
+on; the decorator then raises the lowest sample's refusal, the one a loop over
+the samples meets first.  The sampler reads the record itself.  Outside any
+scope (the RK4 stage) a guard raises at once, for its lowest refused sample.
+`check_finite` is the guard on reported values (a NaN would drop out of a
+maximum): the `verify` rows, every `check` residual and what `eval` prints.
 """
 
 from contextvars import ContextVar
+from functools import wraps
 
 import numpy as np
 
@@ -101,27 +101,31 @@ def raise_first(bad, error, template: str, *values) -> None:
             record[i] = refusal(i)
 
 
-def recorded(evaluate, *args):
-    """evaluate(*args) as one stack evaluation, and its record: {sample: the
-    first refusal of a guard there}, empty inside an enclosing evaluation,
-    whose record gets them."""
+def recorded(evaluate, *args, **kwargs):
+    """evaluate(*args, **kwargs) as one stack evaluation, and its record:
+    {sample: the first refusal of a guard there}, empty inside an enclosing
+    evaluation, whose record gets them."""
     if _record.get() is not None:
-        return evaluate(*args), {}
+        return evaluate(*args, **kwargs), {}
     record = {}
     token = _record.set(record)
     try:
         with np.errstate(all="ignore"):
-            return evaluate(*args), record
+            return evaluate(*args, **kwargs), record
     finally:
         _record.reset(token)
 
 
-def in_sample_order(evaluate, *args):
-    """evaluate(*args) over stacked samples, raising what a loop over them would raise first."""
-    result, record = recorded(evaluate, *args)
-    if record:
-        raise record[min(record)]
-    return result
+def in_sample_order(evaluate):
+    """Decorate a public evaluator: each call is one stack evaluation
+    (`recorded`) that raises what a loop over the samples would raise first."""
+    @wraps(evaluate)
+    def evaluation(*args, **kwargs):
+        result, record = recorded(evaluate, *args, **kwargs)
+        if record:
+            raise record[min(record)]
+        return result
+    return evaluation
 
 
 def check_finite(named, x, y) -> None:

@@ -16,18 +16,18 @@ Both conditions read A, F = A^(1/m) and A_y straight off the pass, so they
 never invert the second contraction.
 
 Every residual and condition takes a stack of samples (N, n) as well as one
-point and reads the oracle's pass of A and beta.  check_report gives the
-verdict of each `check` kind, the two flatness kinds and proj-related (the
-wedge residual of `spray.projective_residual`), by one rule: evaluate the
-accepted stack in sample order, refuse a residual that is not finite, take
-the maximum and compare it with the tolerance.
+point, reads the oracle's pass of A and beta and is one stack evaluation
+(errors.in_sample_order).  check_report gives the verdict of each `check`
+kind, the two flatness kinds and proj-related (the wedge residual of
+`spray.projective_residual`), by one rule: evaluate the accepted stack,
+refuse a residual that is not finite, take the maximum and compare it with
+the tolerance.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -53,6 +53,7 @@ def _jets(field, oneform, x, y, jets):
     return calculus.field_jets(field, oneform, x, y) if jets is None else jets
 
 
+@in_sample_order
 def intermediates(
     field: CoefficientField, oneform: OneFormField, x, y, jets=None
 ) -> FlatnessIntermediates:
@@ -66,6 +67,7 @@ def intermediates(
 # operational residuals (the verdict-carrying quantities)
 # ---------------------------------------------------------------------------
 
+@in_sample_order
 def _defect(fn: calculus.ScalarFunction, x, y, factor: float, jets=None):
     """fn and its [fn]_{x^k y^l} y^k - factor [fn]_{x^l}, from one pass."""
     y = np.asarray(y, dtype=float)
@@ -109,7 +111,8 @@ def _condition_terms(field, oneform, m, x, y, jets):
     A0 and beta_l y^l of both conditions, lifted to broadcast against vectors,
     read off one pass."""
     if m == 2:
-        warnings.warn(ORDER2_NOTICE, RiemannianOrderWarning, stacklevel=3)
+        # the condition's caller: levels 3 and 4 are the scope in_sample_order opens
+        warnings.warn(ORDER2_NOTICE, RiemannianOrderWarning, stacklevel=5)
     y = np.asarray(y, dtype=float)
     jets = _jets(field, oneform, x, y, jets)
     itm = intermediates(field, oneform, x, y, jets)
@@ -119,6 +122,7 @@ def _condition_terms(field, oneform, m, x, y, jets):
     return itm, beta.grad_y, A.grad_y, scalars
 
 
+@in_sample_order
 def dually_flat_condition(
     field: CoefficientField, oneform: OneFormField, m: int, x, y, jets=None
 ) -> ConditionEval:
@@ -144,6 +148,7 @@ def dually_flat_condition(
     return ConditionEval(lhs=itm.Axl, rhs=rhs, residual=residual)
 
 
+@in_sample_order
 def proj_flat_condition(
     field: CoefficientField, oneform: OneFormField, m: int, x, y, jets=None
 ) -> ConditionEval:
@@ -200,10 +205,20 @@ class CheckReport:
     passed: bool
 
 
-def _residuals(field, oneform, m: int, kind: str, x, y, jets) -> dict:
-    """The residuals of a check kind per sample, by name, each guarded finite:
-    the operational one, named by the kind, and for a flatness kind the
-    closed-form one, both off one pass (`jets` if given)."""
+@in_sample_order
+def check_report(
+    field: CoefficientField, oneform: OneFormField, m: int, kind: str, x, y, tol: float,
+    jets=None,
+) -> CheckReport:
+    """Reduce the accepted samples, a stack (N, n), to the verdict of a CLI check kind.
+
+    The residuals of the kind per sample, each guarded finite: the
+    operational one, named by the kind, and for a flatness kind the
+    closed-form one, both off one derivative pass, `jets` if given
+    (proj-related makes its own at y/||y||).  A verdict needs
+    MIN_VERDICT_SAMPLES samples.
+    """
+    name, within, beyond = CHECKS[kind]
     if kind == "proj-related":
         values = {kind: spray.projective_residual(field, oneform, m, x, y)}
     else:
@@ -216,26 +231,9 @@ def _residuals(field, oneform, m: int, kind: str, x, y, jets) -> dict:
             kind: residual(field, oneform, m, x, y, jets),
             f"{kind} closed-form": condition(field, oneform, m, x, y, jets).residual,
         }
-    check_finite([(f"{name} residual", v) for name, v in values.items()], x, y)
-    return values
-
-
-def check_report(
-    field: CoefficientField, oneform: OneFormField, m: int, kind: str, x, y, tol: float,
-    jets=None,
-) -> CheckReport:
-    """Reduce the accepted samples, a stack (N, n), to the verdict of a CLI check kind.
-
-    The samples are evaluated as one stack with one derivative pass, for a
-    flatness kind `jets` if given (proj-related makes its own at y/||y||); a
-    failure, a residual that is not finite included, is the one a loop over
-    them would meet first.  A verdict needs MIN_VERDICT_SAMPLES samples.
-    """
-    name, within, beyond = CHECKS[kind]
-    values = (in_sample_order(partial(_residuals, field, oneform, m, kind), x, y, jets)
-              if len(x) else {})
+    check_finite([(f"{key} residual", v) for key, v in values.items()], x, y)
     max_residual, max_closed = (
-        float(values[key].max()) if key in values else np.nan
+        float(values[key].max()) if key in values and len(x) else np.nan
         for key in (kind, f"{kind} closed-form")
     )
     if len(x) < MIN_VERDICT_SAMPLES:
@@ -244,6 +242,4 @@ def check_report(
         verdict = within
     else:
         verdict = beyond
-    return CheckReport(
-        name, values.get(kind, np.empty(0)), max_residual, max_closed, verdict, verdict == within,
-    )
+    return CheckReport(name, values[kind], max_residual, max_closed, verdict, verdict == within)

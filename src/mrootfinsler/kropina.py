@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calculus
+from .errors import in_sample_order
 from .fields import CoefficientField, Jet, OneFormField, dot, matvec, outer
 from .metric import MetricPoint, _invert_guarded, metric_point
 
@@ -110,6 +111,7 @@ class KropinaPoint:
     aux: AuxScalars
 
 
+@in_sample_order
 def kropina_point(
     field: CoefficientField, oneform: OneFormField, m: int, x, y, jets=None
 ) -> KropinaPoint:

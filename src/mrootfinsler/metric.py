@@ -24,7 +24,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from . import calculus
-from .errors import RiemannianOrderWarning, SingularMatrix, raise_first
+from .errors import RiemannianOrderWarning, SingularMatrix, in_sample_order, raise_first
 from .fields import CoefficientField, Jet, outer
 
 COND_LIMIT = 1e12
@@ -86,6 +86,7 @@ class MetricPoint:
     order_flag: str = ""
 
 
+@in_sample_order
 def metric_point(field: CoefficientField, m: int, x, y, A: Jet = None) -> MetricPoint:
     """Assemble the base-metric snapshot; closed forms for g and its inverse.
 
@@ -103,7 +104,8 @@ def metric_point(field: CoefficientField, m: int, x, y, A: Jet = None) -> Metric
     order_flag = ""
     if m == 2:
         order_flag = ORDER2_NOTICE
-        warnings.warn(order_flag, RiemannianOrderWarning, stacklevel=2)
+        # the caller's line: levels 2 and 3 are the scope in_sample_order opens
+        warnings.warn(order_flag, RiemannianOrderWarning, stacklevel=4)
 
     A_i = A.grad_y / m
     A_ij = A.hess_yy / (m * (m - 1))

@@ -9,9 +9,10 @@ undefined (None, `null` in JSON) at m = 4.  One Kropina snapshot
 (`spray.pq_split`) serve every row.
 
 All accepted samples are evaluated at once, as one stack (N, n) with one
-derivative pass (the sampler's, in `verify`); the rows hold one value per
-sample, each guarded finite by `errors.check_finite`, until reduce_report
-takes the per-formula maxima.
+derivative pass (the sampler's, in `verify`), as one stack evaluation
+(errors.in_sample_order); the rows hold one value per sample, each guarded
+finite by `errors.check_finite`, until reduce_report takes the per-formula
+maxima.
 Every row is a measurement; the only formula expected to be tight is the
 supporting covector, and that expectation is asserted by the test suite, not
 here.
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field as dc_field, replace
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -139,20 +139,7 @@ def _row(row: Row, k: kropina.KropinaPoint, s: spray.SprayPoint) -> ResidualRow:
     return ResidualRow(row.formula, diff, rel, x, y, row.note)
 
 
-def _rows(field, oneform, m: int, x, y, jets) -> DiscrepancyReport:
-    k = kropina.kropina_point(field, oneform, m, x, y, jets)
-    s = spray.pq_split(k)
-    rows = [_row(row, k, s) for row in ROWS]
-    check_finite(
-        [(f"{row.formula} residual", v) for row in rows if row.max_abs is not None
-         for v in (row.max_abs, row.max_rel)], x, y,
-    )
-    return DiscrepancyReport(
-        rows=rows, points=int(np.prod(y.shape[:-1])),
-        degenerate_order4=k.aux.degenerate_order4, notes=[B2_NOTE],
-    )
-
-
+@in_sample_order
 def point_report(
     field: CoefficientField, oneform: OneFormField, m: int, x, y, jets=None
 ) -> DiscrepancyReport:
@@ -161,12 +148,19 @@ def point_report(
     One derivative pass of (A, beta), `jets` if given, serves every row.
     Raises NonFiniteResult when a row that is defined at this order is not
     finite: a NaN row would otherwise win or lose the per-formula maximum
-    depending on sample order.  On a stack, the failure raised is the one a
-    loop over the samples would meet first.
+    depending on sample order.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return in_sample_order(partial(_rows, field, oneform, m), x, y, jets)
+    k = kropina.kropina_point(field, oneform, m, x, y, jets)
+    s = spray.pq_split(k)
+    rows = [_row(row, k, s) for row in ROWS]
+    check_finite(
+        [(f"{row.formula} residual", v) for row in rows if row.max_abs is not None
+         for v in (row.max_abs, row.max_rel)], k.base.x, k.base.y,
+    )
+    return DiscrepancyReport(
+        rows=rows, points=int(np.prod(k.base.y.shape[:-1])),
+        degenerate_order4=k.aux.degenerate_order4, notes=[B2_NOTE],
+    )
 
 
 def reduce_report(report: DiscrepancyReport) -> DiscrepancyReport:

@@ -25,9 +25,9 @@ rounding.  RK4 steps the packed state z = (x, v), and each stage hands z as
 it is to the same pass, domain guard and chain rule on raw blocks
 (TermTable.block and refusals, calculus.chain), bound once per integration:
 the guard picks its own one-point fast form, and a refused point raises what
-field_jets raises, off the block the stage holds.  On a stack, spray_coeffs
-runs the stage as one stack evaluation (errors.in_sample_order).  No state
-outside the domain is kept.
+field_jets raises, off the block the stage holds.  Each public evaluator but
+the integrator is one stack evaluation (errors.in_sample_order); the stage
+opens none.  No state outside the domain is kept.
 
 Geodesic convention: the integrated system is x'' = -G(x, x') with G as above.
 That is not the geodesic equation of this quarter-factor spray, which is
@@ -51,10 +51,11 @@ from .metric import solve_guarded
 NAN = float("nan")
 
 
+@in_sample_order
 def spray_coeffs(energy: calculus.ScalarFunction, x, y) -> np.ndarray:
     """Quarter g-inverse of the standard spray bracket for the given energy,
-    per sample of a stack, refusing in sample order."""
-    return in_sample_order(_stage_of(energy), pack(x, y, energy.field.n))
+    per sample of a stack."""
+    return _stage_of(energy)(pack(x, y, energy.field.n))
 
 
 def _stage_of(energy: calculus.ScalarFunction):
@@ -160,11 +161,13 @@ class SprayPoint:
     aux: AuxScalars           # the scalar family; aux.degenerate_order4 flags m = 4
 
 
+@in_sample_order
 def pq_decomposition(field: CoefficientField, oneform: OneFormField, m: int, x, y) -> SprayPoint:
     """The split at (x, y) (pq_split), off its own Kropina snapshot."""
     return pq_split(kropina_point(field, oneform, m, x, y))
 
 
+@in_sample_order
 def pq_split(point: KropinaPoint) -> SprayPoint:
     """Oracle sprays always; closed-form P and Q verbatim where defined, all
     read off the Kropina snapshot alone: its pass (A, beta), Fbar^2 jet,
@@ -222,6 +225,7 @@ def pq_split(point: KropinaPoint) -> SprayPoint:
     )
 
 
+@in_sample_order
 def projective_residual(
     field: CoefficientField, oneform: OneFormField, m: int, x, y
 ) -> float:

@@ -1,5 +1,6 @@
 """Shared fixture geometries and numeric helpers."""
 
+import json
 import time
 from functools import partial
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 
 from mrootfinsler import calculus, sampling
 from mrootfinsler.fields import CoefficientField, Jet, OneFormField, Polynomial
-from mrootfinsler.specfile import load_spec
+from mrootfinsler.specfile import load_spec, parse_spec
 
 SESSION_T0 = time.monotonic()
 
@@ -124,10 +125,29 @@ FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 def spec_samples(name, count, seed):
     """A shipped fixture document with its admissible samples, one by one and stacked."""
     doc = load_spec(FIXTURE_DIR / f"{name}.json")
+    x, y = doc_samples(doc, count, seed)
+    return doc, list(zip(x, y)), (x, y)
+
+
+def doc_samples(doc, count, seed):
+    """The admissible samples of a document, stacked (N, n), as `check` draws them."""
     samples = sampling.sample_points(
         doc.n, count, seed, domain_check=partial(calculus.field_jets, doc.field, doc.oneform)
     )
-    return doc, list(zip(samples.x, samples.y)), (samples.x, samples.y)
+    return samples.x, samples.y
+
+
+def spec_from(n, order, tensor, one_form):
+    """A metric-spec document in the fixture JSON format, from the tensor as
+    {indices: {exponents: coeff}} and the one-form as {index: {exponents: coeff}}."""
+    def poly(terms):
+        return [{"exponents": list(e), "coeff": c} for e, c in terms.items()]
+
+    return parse_spec(json.dumps({
+        "name": "test", "dimension": n, "order": order,
+        "tensor": [{"indices": list(i), "poly": poly(p)} for i, p in tensor.items()],
+        "one_form": [{"index": i, "poly": poly(p)} for i, p in one_form.items()],
+    }))
 
 
 def assert_stack_matches(stacked, single, what=""):

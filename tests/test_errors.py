@@ -3,9 +3,10 @@
 A stack of samples of cubic_x_bx holds rows that fail at different stages: a
 floor of the domain guard, an overflow of the pass, the cond-1e12 guard, a
 power that overflows in the chain rule and a residual that is not finite.
-Evaluated as one stack, every evaluator must raise what a loop over the
-samples, each evaluated alone, meets first (_oracles.first_failure): the same
-type and message, with that sample's index as `.sample`.
+Evaluated as one stack, every public evaluator must raise what a loop over
+the samples, each evaluated alone, meets first (_oracles.first_failure): the
+same type and message, with that sample's index as `.sample`, and without a
+RuntimeWarning on the way.
 """
 
 from functools import partial
@@ -16,7 +17,7 @@ import pytest
 import _oracles as oracles
 from _oracles import sample_points_loop
 from conftest import FIXTURE_DIR
-from mrootfinsler import calculus, flatness, report, sampling
+from mrootfinsler import calculus, flatness, kropina, metric, report, sampling, spray
 from mrootfinsler.errors import DomainError, FinslerError, NonFiniteResult, SingularMatrix
 from mrootfinsler.specfile import load_spec
 
@@ -53,16 +54,39 @@ def _evaluators(doc):
         return flatness.check_report(field, oneform, m, kind, np.atleast_2d(x), np.atleast_2d(y),
                                      flatness.DEFAULT_TOL)
 
+    energies = (calculus.mth_root_norm(field, m), calculus.base_energy(field, m),
+                calculus.kropina_norm(field, oneform, m), calculus.kropina_energy(field, oneform, m))
     evaluators = {
         "field_jets": partial(calculus.field_jets, field, oneform),
         "point_report": partial(report.point_report, field, oneform, m),
+        "metric_point": partial(metric.metric_point, field, m),
+        "kropina_point": partial(kropina.kropina_point, field, oneform, m),
+        "pq_decomposition": partial(spray.pq_decomposition, field, oneform, m),
+        "projective_residual": partial(spray.projective_residual, field, oneform, m),
+        "dually_flat_residual": partial(flatness.dually_flat_residual, field, oneform, m),
+        "proj_flat_residual": partial(flatness.proj_flat_residual, field, oneform, m),
+        "dually_flat_condition": partial(flatness.dually_flat_condition, field, oneform, m),
+        "proj_flat_condition": partial(flatness.proj_flat_condition, field, oneform, m),
     }
+    for f in energies:
+        evaluators[f"derivatives {f.name}"] = partial(calculus.derivatives, f)
+    # the sprays of the two squared norms: a norm's y-Hessian is singular
+    for f in energies[1::2]:
+        evaluators[f"spray_coeffs {f.name}"] = partial(spray.spray_coeffs, f)
     evaluators.update({kind: partial(check, kind) for kind in flatness.CHECKS})
     return evaluators
 
 
+# a stack whose middle row overflows A^(4/3) and whose last row is below the
+# form floor: a loop meets the overflow first
+LARGE_Y_THEN_FLOOR = ([[0.1, 0.2], [0.27, -0.46], [0.1, 0.2]],
+                      [[1.0, 0.5], [1.37e100, 1.15e100], [1.0, -2.0]])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_stacks_raise_what_a_sample_loop_meets_first():
     doc = load_spec(FIXTURE_DIR / "cubic_x_bx.json")
+    evaluators = _evaluators(doc)
     good = sampling.sample_points(
         doc.n, len(FAILING), 0, domain_check=partial(calculus.field_jets, doc.field, doc.oneform))
     names = list(FAILING)
@@ -74,11 +98,19 @@ def test_stacks_raise_what_a_sample_loop_meets_first():
         rows = [row for i, name in enumerate(order)
                 for row in ((good.x[i], good.y[i]), FAILING[name])]
         xs, ys = (np.array(column, dtype=float) for column in zip(*rows))
-        for what, evaluate in _evaluators(doc).items():
+        for what, evaluate in evaluators.items():
             loop = oracles.first_failure(evaluate, xs, ys)
             assert loop is not None, (what, order)
             assert _failure(evaluate, xs, ys) == loop, (what, order)
             met.add((what, loop[0], order[loop[2] // 2]))
+    xs, ys = (np.array(column) for column in LARGE_Y_THEN_FLOOR)
+    for what, evaluate in evaluators.items():
+        loop = oracles.first_failure(evaluate, xs, ys)
+        assert loop is not None, what
+        assert _failure(evaluate, xs, ys) == loop, what
+    for what in ("derivatives Fbar^2", "kropina_point", "dually_flat_residual", "pq_decomposition"):
+        assert _failure(evaluators[what], xs, ys) == (
+            NonFiniteResult, "power 1.3333333333333333 of 5.19712956e+300 overflows", 1), what
     # the stages a loop met first, on some stack, for some evaluator
     assert {(error, name) for _, error, name in met} >= {
         (DomainError, "form floor"), (DomainError, "one-form floor"),

@@ -9,8 +9,10 @@ from conftest import (
     b_const,
     cubic_x,
     diag_quartic,
+    doc_samples,
     riemann_x,
     seeded_points,
+    spec_from,
     spec_samples,
 )
 from mrootfinsler import calculus, flatness
@@ -194,12 +196,30 @@ def test_order2_prefactor_vanishes():
     y = np.array([0.7, 1.1])
     itm = intermediates(field, oneform, x, y)
     assert itm.A0 != 0.0
-    with pytest.warns(RiemannianOrderWarning, match="order 2 is Riemannian"):
+    with pytest.warns(RiemannianOrderWarning, match="order 2 is Riemannian") as warned:
         cond = proj_flat_condition(field, oneform, m, x, y)
+    assert warned[0].filename == __file__  # the caller's line
     b = np.array([p(x) for p in oneform.components])
     beta = float(b @ y)
     rebuilt = itm.A0l - (itm.A0 / beta) * b  # remaining terms (beta_l = 0)
     np.testing.assert_allclose(cond.rhs, rebuilt, atol=1e-12)
+
+
+def test_proj_flat_condition_misses_an_antisymmetric_one_form():
+    # a = delta and beta = -x^2 dx^1 + x^1 dx^2 at m = 2, the classical Kropina
+    # metric of a rotation: the condition reads the one-form's derivative only
+    # through its symmetric part, which is zero here, so both readings of it
+    # vanish exactly; the operational residual sees Fbar_{x^l} and reads
+    # not-flat (160).  A blind spot of the printed condition, pinned here.
+    with pytest.warns(RiemannianOrderWarning):
+        doc = spec_from(2, 2, {(1, 1): {(0, 0): 1.0}, (2, 2): {(0, 0): 1.0}},
+                        {1: {(0, 1): -1.0}, 2: {(1, 0): 1.0}})
+        x, y = doc_samples(doc, 60, 0)
+        cond = proj_flat_condition(doc.field, doc.oneform, 2, x, y)
+        rep = check_report(doc.field, doc.oneform, 2, "proj-flat", x, y, DEFAULT_TOL)
+    assert (cond.residual == 0.0).all() and (cond.residual_alt == 0.0).all()
+    assert rep.max_closed_residual == 0.0
+    assert rep.verdict == "not-flat" and rep.max_residual > 100.0
 
 
 def test_residual_continuity_under_coefficient_perturbation():

@@ -81,8 +81,9 @@ def test_angular_tensor():
 
 def test_riemannian_order_flagged_and_reduces():
     field = riemann_identity()
-    with pytest.warns(RiemannianOrderWarning):
+    with pytest.warns(RiemannianOrderWarning) as warned:
         p = metric_point(field, 2, [0.0, 0.0], [0.6, 1.1])
+    assert warned[0].filename == __file__  # the caller's line
     assert p.order_flag
     # at order 2 the fundamental tensor is the second contraction itself
     np.testing.assert_allclose(p.g, p.A_ij, atol=1e-10)

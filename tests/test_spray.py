@@ -13,11 +13,13 @@ from conftest import (
     b_const,
     cubic_x,
     diag_quartic,
+    doc_samples,
     rel_err,
     seeded_points,
+    spec_from,
     spec_samples,
 )
-from mrootfinsler import calculus, report, spray
+from mrootfinsler import calculus, flatness, report, spray
 from mrootfinsler.errors import DomainError, FinslerError, NonFiniteResult, SingularMatrix
 from mrootfinsler.metric import metric_point
 from mrootfinsler.specfile import load_spec
@@ -190,6 +192,46 @@ def test_projective_residual_golden_and_invariance():
             cubic_x(), b_bx(), 3, [0.2, -0.3], lam * np.array([0.7, 1.1])
         )
         assert abs(scaled - residual) <= 1e-10
+
+
+# A = (y^1)^m + B(x^2, x^3; y^2, y^3): with beta = dx^1, A^(2/m - 1) (y^1)^(m-1)
+# and A are constant along a geodesic, so y^1 is and G^1 = 0.  beta is closed
+# and r_00 = -2 G^1 = 0, so beta is parallel and Gbar = G, while G itself is
+# not zero: the first result of the paper on a metric with non-zero sprays.
+PARALLEL_TENSORS = {
+    3: {(1, 1, 1): {(0, 0, 0): 1.0},
+        (2, 2, 2): {(0, 0, 0): 1.0, (0, 0, 2): 1.0},
+        (3, 3, 3): {(0, 0, 0): 1.0, (0, 2, 0): 0.5},
+        (2, 2, 3): {(0, 0, 0): 0.1, (0, 1, 1): 0.025}},
+    4: {(1, 1, 1, 1): {(0, 0, 0): 1.0},
+        (2, 2, 2, 2): {(0, 0, 0): 1.0, (0, 0, 2): 1.0},
+        (3, 3, 3, 3): {(0, 0, 0): 1.0, (0, 2, 0): 0.5},
+        (2, 2, 3, 3): {(0, 0, 0): 0.25, (0, 1, 1): 0.0625}},
+}
+
+
+def _related(m, one_form):
+    """check proj-related over 60 samples, and max |Gbar - G| / max |G| there."""
+    doc = spec_from(3, m, PARALLEL_TENSORS[m], one_form)
+    x, y = doc_samples(doc, 60, 0)
+    rep = flatness.check_report(doc.field, doc.oneform, m, "proj-related", x, y,
+                                flatness.DEFAULT_TOL)
+    G = spray_coeffs(calculus.base_energy(doc.field, m), x, y)
+    Gbar = spray_coeffs(calculus.kropina_energy(doc.field, doc.oneform, m), x, y)
+    return rep, np.abs(Gbar - G).max() / np.abs(G).max()
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_parallel_one_form_keeps_the_spray(m):
+    rep, ratio = _related(m, {1: {(0, 0, 0): 1.0}})
+    assert rep.verdict == "related-within-tol" and rep.max_residual <= 1e-13
+    assert ratio <= 1e-13
+
+
+def test_one_form_that_is_not_parallel_is_not_related():
+    # beta = (1 + x^2) dx^1 over the m = 3 tensor: the wedge reads 0.625
+    rep, _ = _related(3, {1: {(0, 0, 0): 1.0, (0, 1, 0): 1.0}})
+    assert rep.verdict == "not-related" and rep.max_residual > 0.5
 
 
 def test_geodesic_straight_lines_on_minkowski():
