@@ -13,11 +13,10 @@ between calls is parsed again; a spec that fails to parse is never kept.
 
 Every --json document goes through one writer (`_emit`): the text of
 json.dumps(payload, sort_keys=True, indent=2) and a newline, laid out by
-`_layout` with its leaves encoded by the C functions json.dumps calls, so no
-document passes through the standard library's pure-Python encoder.  The
-parts whose text is fixed by their shape (the reduced rows and the records
-of `verify`, the records of `check proj-related`) are laid out by `_layout`
-once per process as templates: the fixed text between the numbers and the
+json.dumps itself.  The parts whose text is fixed by their shape (the
+reduced rows and the records of `verify`, the records of `check
+proj-related`) are laid out by json.dumps once per process as templates
+(`_template` finds their slots): the fixed text between the numbers and the
 index of the number each slot reads.  They are keyed by everything their
 text depends on (n, each row's formula, note and whether it is null, the
 indent level); the last LAYOUT_CACHE_SIZE are kept.  Each document's numbers
@@ -36,7 +35,6 @@ import sys
 import warnings
 from functools import cache, lru_cache, partial
 from itertools import count, islice
-from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -162,8 +160,13 @@ def _envelope(command: str, doc: MetricSpecDocument, argv) -> dict:
     }
 
 
-class _Slot(int):
+class _Slot:
     """A number in a document shape: the index of the number it reads."""
+
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        self.index = index
 
 
 class _Section(NamedTuple):
@@ -178,57 +181,6 @@ class _Section(NamedTuple):
     key: tuple
     numbers: list
     records: bool = False
-
-
-# What _layout writes at a slot.  No JSON text holds it: json.dumps escapes
-# every control character.
-_SLOT = "\0"
-
-
-def _layout(value, level: int, slots: list) -> str:
-    """The json.dumps(value, sort_keys=True, indent=2) text of `value` at indent
-    `level`, with _SLOT in place of each _Slot and _Section in it; those are
-    appended to `slots` in the order of their slots.
-
-    Exact str, int and finite float leaves are encoded by the C functions
-    json.dumps calls, and tuples are laid out as lists, as json.dumps does.
-    Any other leaf (a subclass, a float that is not finite, a numpy scalar)
-    is json.dumps of that leaf, and a dict with a key that is not exactly str
-    is json.dumps of that dict, re-indented to `level`: their text and their
-    TypeError are the standard library's own.
-    """
-    kind = type(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is float and math.isfinite(value):
-        return float.__repr__(value)
-    if kind is int:
-        return int.__repr__(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if kind is _Slot or kind is _Section:
-        slots.append(value)
-        return _SLOT
-    indent = "\n" + "  " * level
-    inner = indent + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [_layout(item, level + 1, slots) for item in value]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if isinstance(value, dict) and all(type(key) is str for key in value):
-        if not value:
-            return "{}"
-        items = [encode_basestring_ascii(key) + ": " + _layout(item, level + 1, slots)
-                 for key, item in sorted(value.items())]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if isinstance(value, dict):
-        return json.dumps(value, sort_keys=True, indent=2).replace("\n", indent)
-    return json.dumps(value)
 
 
 # Document shapes whose layout one process keeps: room for the verify rows,
@@ -260,11 +212,18 @@ class _Template(NamedTuple):
 def _template(shape, key: tuple, level: int) -> _Template:
     """shape(*key) laid out at indent `level`, once per shape and level: the
     text between its slots, one piece more than there are slots, and the
-    number each slot reads."""
-    slots = []
-    pieces = _layout(shape(*key), level, slots).split(_SLOT)
+    number each slot reads.  The shape is laid out twice, slot i written as
+    10**9 + i and then as 2 * 10**9 + i, so the two texts differ only at
+    each slot's first digit, which no string in the shape can fake."""
+    value, indent = shape(*key), "\n" + "  " * level
+    first, second = (json.dumps(value, sort_keys=True, indent=2, default=lambda slot: base + slot.index)
+                     .replace("\n", indent) for base in (10**9, 2 * 10**9))
+    starts = np.flatnonzero(np.frombuffer(first.encode(), np.uint8)
+                            != np.frombuffer(second.encode(), np.uint8)).tolist()
+    pieces = [first[a:b] for a, b in zip([0] + [s + 10 for s in starts], starts + [len(first)])]
+    reads = [int(first[s + 1:s + 10]) for s in starts]
     per_chunk = max(1, EMIT_CHUNK_TEXT // max(1, sum(map(len, pieces))))
-    return _Template(np.array(pieces, dtype=object), np.array(slots, dtype=np.intp), per_chunk)
+    return _Template(np.array(pieces, dtype=object), np.array(reads, dtype=np.intp), per_chunk)
 
 
 def _fill(write, template: _Template, texts: np.ndarray, start: int, size: int,
@@ -290,22 +249,30 @@ def _emit(payload: dict, out=None):
     """Write the JSON document to `out`, by default the sys.stdout of the moment.
 
     The document is json.dumps(payload, sort_keys=True, indent=2) and a
-    newline, byte for byte, laid out by one writer (`_layout`) whose leaves
-    are encoded by the C functions json.dumps calls: with `indent`, json.dumps
-    itself encodes in pure Python.  A _Section value is written from its
-    template (`_template`), laid out by `_layout` on the first use of its
-    shape and level in the process.  The numbers of every section are stacked
-    and formatted in one pass, as json.dumps writes them and null for one
-    that is not finite, into one object array, and every section is filled
-    from it by `_fill`: a section of records chunk by chunk, any other as
-    one record.
+    newline, byte for byte.  A _Section, a value of the top-level payload, is
+    written from its template (`_template`), laid out on the first use of its
+    shape and level in the process: the rest of the document is json.dumps
+    of the payload with null for each section, cut at the section's line
+    '\n  "<key>": null', which no string (they hold no raw newline) and no
+    nested key (at an indent of 4 or more) can fake.  The numbers of every
+    section are stacked and formatted in one pass, as json.dumps writes them
+    and null for one that is not finite, into one object array, and every
+    section is filled from it by `_fill`: a section of records chunk by
+    chunk, any other as one record.
     """
     out = sys.stdout if out is None else out
-    sections = []
-    pieces = _layout(payload, 0, sections).split(_SLOT)
-    if not sections:
-        out.write(pieces[0] + "\n")
+    keys = sorted(k for k, v in payload.items() if type(v) is _Section) if isinstance(payload, dict) else []
+    rest = json.dumps({**payload, **dict.fromkeys(keys)} if keys else payload, sort_keys=True, indent=2)
+    if not keys:
+        out.write(rest + "\n")
         return
+    pieces = []
+    for key in keys:
+        line = f"\n  {json.dumps(key)}: "
+        head, rest = rest.split(line + "null", 1)
+        pieces.append(head + line)
+    pieces.append(rest)
+    sections = [payload[key] for key in keys]
     stacks = [np.array(s.numbers, dtype=float) for s in sections]
     numbers = np.concatenate([stack.T.ravel() for stack in stacks])
     texts = np.array(list(map(float.__repr__, numbers.tolist())), dtype=object)

@@ -454,21 +454,15 @@ _LEAVES = [
 
 
 @pytest.mark.parametrize("value", _LEAVES, ids=repr)
-def test_layout_leaves_are_the_json_dumps_text(monkeypatch, value):
-    # exact str, int and finite float leaves and the three literals are
-    # encoded by the C functions json.dumps calls, never by json.dumps itself
-    from mrootfinsler import cli
-
+def test_layout_leaves_are_the_json_dumps_text(value):
+    # exact str, int and finite float leaves and the three literals, as a
+    # value, a list item and a key
     key = value if type(value) is str else "k"
     document = {"leaf": value, "list": [value, [value]], key: value}
-    expected = [json.dumps(value), json.dumps(document, sort_keys=True, indent=2) + "\n"]
-    monkeypatch.setattr(json, "dumps", None)
-    slots = []
-    assert [cli._layout(value, 3, slots), _emitted(document)] == expected
-    assert slots == []
+    assert _emitted(document) == json.dumps(document, sort_keys=True, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("value, fallback", [
+@pytest.mark.parametrize("value, exotic", [
     (Label("a%s\u00e9"), True), (Level.ONE, True), (Level.ONE * 1.5, False),
     (math.nan, True), (math.inf, True), (-math.inf, True),
     (np.float64(0.1), True), (np.float64("nan"), True),
@@ -477,28 +471,18 @@ def test_layout_leaves_are_the_json_dumps_text(monkeypatch, value):
     ({1: 0.5}, True), ({"a": 1, Label("b"): [2.0, {"c": ()}]}, True), ({None: "x"}, True),
     ({True: "x", 2.5: (1,)}, True),
 ], ids=repr)
-def test_layout_fallbacks_match_json_dumps(monkeypatch, value, fallback):
-    # any other leaf, and a dict with a key that is not exactly str, is
-    # json.dumps of that sub-value; tuples and empty containers are laid out
-    from mrootfinsler import cli
-
+def test_layout_fallbacks_match_json_dumps(value, exotic):
+    # `exotic` marks a value that is no plain JSON: it holds a subclass, a
+    # numpy scalar, a float that is not finite or a key that is not exactly
+    # str.  Tuples and empty containers are plain.
     document = {"outer": [{"inner": value}, value], "value": value}
     expected = [json.dumps(item, sort_keys=True, indent=2) + "\n" for item in (value, document)]
-    dumps, calls = json.dumps, []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return dumps(*args, **kwargs)
-
-    monkeypatch.setattr(json, "dumps", counted)
     assert [_emitted(value), _emitted(document)] == expected
-    assert bool(calls) == fallback
 
 
-def test_json_documents_need_no_pure_python_encoder(monkeypatch, capsys):
-    # json.dumps with indent encodes through _make_iterencode, in pure
-    # Python; no verify or proj-related document goes through it, after
-    # rejected draws (the y box straddles 0) included
+def test_json_documents_are_the_json_dumps_text(capsys):
+    # every verify and proj-related document, after rejected draws (the y
+    # box straddles 0) included, is the json.dumps text of what it holds
     from conftest import ONE_FORM_SPECS
 
     from mrootfinsler import cli
@@ -507,15 +491,7 @@ def test_json_documents_need_no_pure_python_encoder(monkeypatch, capsys):
              for name in ONE_FORM_SPECS]
     cases += [("check", "proj-related", "--json", "--spec", BX),
               ("verify", "--json", "--spec", BX, "--ybox=-2,2")]
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the pure-Python JSON encoder was called")
-
-    outputs = []
-    with monkeypatch.context() as patch:
-        patch.setattr(json.encoder, "_make_iterencode", refuse)
-        for args in cases:
-            outputs.append((args, cli.main(list(args)), capsys.readouterr()))
+    outputs = [(args, cli.main(list(args)), capsys.readouterr()) for args in cases]
     assert json.loads(outputs[-1][2].out)["rejected"]
     for args, rc, captured in outputs:
         assert (rc, captured.err) == (1 if args[0] == "check" else 0, ""), args
@@ -572,15 +548,23 @@ def _example_stacks(count, nonfinite):
     return x, y, values
 
 
-def _verify_example(count, nonfinite=(), null=()):
-    """A verify report of `count` records, n = 2, over three rows, those in
-    `null` undefined."""
+# Strings a slot or a section's line could be mistaken for: notes that read
+# as an escaped NUL and a digit, or as a slot's number, and an envelope whose
+# strings read as a section's line.
+_SLOT_LIKE_NOTES = ("\x000", '"\x0012', "1000000000")
+_SECTION_LIKE_ENVELOPE = {**_ENVELOPE, "argv": ['\n  "records": null', '\n  "rows": null', "\x000"],
+                          "spec_name": '\n  "records": null'}
+
+
+def _verify_example(count, nonfinite=(), null=(), notes=(None,) * 3, envelope=_ENVELOPE):
+    """A verify report of `count` records, n = 2, over three rows with these
+    notes, those in `null` undefined."""
     from mrootfinsler.report import ResidualRow
 
     x, y, values = _example_stacks(count, nonfinite)
     rows = [ResidualRow(f"row_{k}", None, None, note="null") if k in null
-            else ResidualRow(f"row_{k}", values + k, values, x, y, None) for k in range(3)]
-    return _ENVELOPE, x, y, rows
+            else ResidualRow(f"row_{k}", values + k, values, x, y, notes[k]) for k in range(3)]
+    return envelope, x, y, rows
 
 
 @st.composite
@@ -609,6 +593,7 @@ def _verify_reports(draw):
 @example(report=_verify_example(4, (2, 3)), chunk=3)
 @example(report=_verify_example(7, (3, 5, 6)), chunk=3)
 @example(report=_verify_example(7, (0, 6), null=(0, 1, 2)), chunk=3)
+@example(report=_verify_example(2, notes=_SLOT_LIKE_NOTES, envelope=_SECTION_LIKE_ENVELOPE), chunk=3)
 @given(report=_verify_reports(), chunk=_CHUNKS)
 @settings(max_examples=200, deadline=None)
 def test_emit_verify_records_match_json_dumps(report, chunk):
@@ -638,6 +623,7 @@ def _check_reports(draw):
 @example(report=(_ENVELOPE, *_example_stacks(3, (0, 2))), chunk=3)
 @example(report=(_ENVELOPE, *_example_stacks(4, (2, 3))), chunk=3)
 @example(report=(_ENVELOPE, *_example_stacks(7, (3, 5, 6))), chunk=3)
+@example(report=(_SECTION_LIKE_ENVELOPE, *_example_stacks(2, ())), chunk=3)
 @given(report=_check_reports(), chunk=_CHUNKS)
 @settings(max_examples=100, deadline=None)
 def test_emit_check_records_match_json_dumps(report, chunk):
@@ -1257,29 +1243,19 @@ def test_json_shape_cache_key_is_complete(tmp_path, capsys, monkeypatch):
         assert out.getvalue() == json.dumps(expected, sort_keys=True, indent=2) + "\n", null
 
 
-def test_json_shape_cache_is_hit_and_bounded(capsys, monkeypatch):
+def test_json_shape_cache_is_hit_and_bounded(capsys):
     from mrootfinsler import cli
 
-    laid_out = []
-
-    def layout(value, level, slots):
-        laid_out.append(value)
-        return original(value, level, slots)
-
-    original = cli._layout
-    monkeypatch.setattr(cli, "_layout", layout)
     cli._template.cache_clear()
     runs = []
     for seed in ("1", "2"):
-        laid_out.clear()
+        before = cli._template.cache_info()
         rc, out, _ = run_main(capsys, "verify", "--json", "--spec", BX, "--samples", "5", "--seed", seed)
         assert rc == 0 and json.loads(out)["seed"] == int(seed)
-        runs.append([value for value in laid_out if type(value) is cli._Slot])
-    # the first call lays out the record and the rows with their slots, the
-    # second only the head around them
-    assert runs[0] and not runs[1]
-    assert cli._template.cache_info().hits == 2
-    monkeypatch.undo()
+        after = cli._template.cache_info()
+        runs.append((after.misses - before.misses, after.hits - before.hits))
+    # the first call builds the record and the rows, the second reuses both
+    assert runs == [(2, 0), (0, 2)]
 
     for n in range(1, cli.LAYOUT_CACHE_SIZE + 4):
         x, y = np.full((2, n), 0.5), np.full((2, n), 1.5)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -205,21 +207,35 @@ def test_order2_prefactor_vanishes():
     np.testing.assert_allclose(cond.rhs, rebuilt, atol=1e-12)
 
 
+# The tensor of fixtures/mixed_quartic.json (n 3, m 4).
+MIXED_QUARTIC = {(1, 1, 1, 1): {(0, 0, 0): 1.0}, (2, 2, 2, 2): {(0, 0, 0): 1.0},
+                 (3, 3, 3, 3): {(0, 0, 0): 1.0}, (1, 1, 2, 2): {(0, 0, 0): 0.25},
+                 (1, 2, 3, 3): {(0, 0, 0): 0.1}}
+
+
 def test_proj_flat_condition_misses_an_antisymmetric_one_form():
-    # a = delta and beta = -x^2 dx^1 + x^1 dx^2 at m = 2, the classical Kropina
-    # metric of a rotation: the condition reads the one-form's derivative only
+    # beta = -x^2 dx^1 + x^1 dx^2 (+ dx^3): a rotation, whose derivative is
+    # antisymmetric.  The condition reads the one-form's derivative only
     # through its symmetric part, which is zero here, so both readings of it
     # vanish exactly; the operational residual sees Fbar_{x^l} and reads
-    # not-flat (160).  A blind spot of the printed condition, pinned here.
-    with pytest.warns(RiemannianOrderWarning):
-        doc = spec_from(2, 2, {(1, 1): {(0, 0): 1.0}, (2, 2): {(0, 0): 1.0}},
-                        {1: {(0, 1): -1.0}, 2: {(1, 0): 1.0}})
-        x, y = doc_samples(doc, 60, 0)
-        cond = proj_flat_condition(doc.field, doc.oneform, 2, x, y)
-        rep = check_report(doc.field, doc.oneform, 2, "proj-flat", x, y, DEFAULT_TOL)
-    assert (cond.residual == 0.0).all() and (cond.residual_alt == 0.0).all()
-    assert rep.max_closed_residual == 0.0
-    assert rep.verdict == "not-flat" and rep.max_residual > 100.0
+    # not-flat.  A blind spot of the printed condition, pinned on the
+    # classical Kropina metric (a = delta, m = 2: 160) and on mixed_quartic's
+    # tensor (m = 4: 133.3).
+    cases = [(2, 2, {(1, 1): {(0, 0): 1.0}, (2, 2): {(0, 0): 1.0}},
+              {1: {(0, 1): -1.0}, 2: {(1, 0): 1.0}}),
+             (3, 4, MIXED_QUARTIC,
+              {1: {(0, 1, 0): -1.0}, 2: {(1, 0, 0): 1.0}, 3: {(0, 0, 0): 1.0}})]
+    for n, m, tensor, one_form in cases:
+        with warnings.catch_warnings(record=True) as warned:
+            warnings.simplefilter("always", RiemannianOrderWarning)
+            doc = spec_from(n, m, tensor, one_form)
+            x, y = doc_samples(doc, 60, 0)
+            cond = proj_flat_condition(doc.field, doc.oneform, m, x, y)
+            rep = check_report(doc.field, doc.oneform, m, "proj-flat", x, y, DEFAULT_TOL)
+        assert bool(warned) == (m == 2)
+        assert (cond.residual == 0.0).all() and (cond.residual_alt == 0.0).all(), m
+        assert rep.max_closed_residual == 0.0, m
+        assert rep.verdict == "not-flat" and rep.max_residual > 100.0, m
 
 
 def test_residual_continuity_under_coefficient_perturbation():

@@ -1,3 +1,4 @@
+import contextlib
 import re
 
 import numpy as np
@@ -20,7 +21,13 @@ from conftest import (
     spec_samples,
 )
 from mrootfinsler import calculus, flatness, report, spray
-from mrootfinsler.errors import DomainError, FinslerError, NonFiniteResult, SingularMatrix
+from mrootfinsler.errors import (
+    DomainError,
+    FinslerError,
+    NonFiniteResult,
+    RiemannianOrderWarning,
+    SingularMatrix,
+)
 from mrootfinsler.metric import metric_point
 from mrootfinsler.specfile import load_spec
 from mrootfinsler.fields import CoefficientField, OneFormField, Polynomial
@@ -199,6 +206,10 @@ def test_projective_residual_golden_and_invariance():
 # and r_00 = -2 G^1 = 0, so beta is parallel and Gbar = G, while G itself is
 # not zero: the first result of the paper on a metric with non-zero sprays.
 PARALLEL_TENSORS = {
+    2: {(1, 1): {(0, 0, 0): 1.0},
+        (2, 2): {(0, 0, 0): 1.0, (0, 0, 2): 1.0},
+        (3, 3): {(0, 0, 0): 1.0, (0, 2, 0): 1.0},
+        (2, 3): {(0, 1, 1): 0.25}},
     3: {(1, 1, 1): {(0, 0, 0): 1.0},
         (2, 2, 2): {(0, 0, 0): 1.0, (0, 0, 2): 1.0},
         (3, 3, 3): {(0, 0, 0): 1.0, (0, 2, 0): 0.5},
@@ -221,9 +232,11 @@ def _related(m, one_form):
     return rep, np.abs(Gbar - G).max() / np.abs(G).max()
 
 
-@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("m", [2, 3, 4])
 def test_parallel_one_form_keeps_the_spray(m):
-    rep, ratio = _related(m, {1: {(0, 0, 0): 1.0}})
+    # m = 2 is the Riemannian member, where the paper's closed forms do not apply
+    with pytest.warns(RiemannianOrderWarning) if m == 2 else contextlib.nullcontext():
+        rep, ratio = _related(m, {1: {(0, 0, 0): 1.0}})
     assert rep.verdict == "related-within-tol" and rep.max_residual <= 1e-13
     assert ratio <= 1e-13
 
