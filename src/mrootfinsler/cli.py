@@ -347,7 +347,7 @@ def cmd_eval(args, argv) -> int:
     y = _csv_floats(args.y, doc.n, "--y")
 
     # a reported value that is not finite is refused below
-    point = kropina.kropina_point(doc.field, oneform, doc.m, x, y)
+    point = kropina.kropina_point(doc.field, oneform, x, y)
     g_oracle = 0.5 * calculus.base_energy(doc.field, doc.m).compose(point.jets).hess_yy
     base = point.base
     reported = {"A": base.A, "F": base.F, "l": base.l, "g_oracle": g_oracle, "beta": point.beta,
@@ -462,7 +462,7 @@ def cmd_verify(args, argv) -> int:
     x, y = samples.x, samples.y
     if not len(x):
         raise DomainError("no admissible samples in the requested box")
-    per_sample = report.point_report(doc.field, oneform, doc.m, x, y, samples.jets)
+    per_sample = report.point_report(doc.field, oneform, x, y, samples.jets)
     merged = report.reduce_report(per_sample)
 
     if args.json:
@@ -500,7 +500,7 @@ def cmd_check(args, argv) -> int:
     doc, oneform, samples, payload = _sampled(args, argv)
     x, y = samples.x, samples.y
     related = args.kind == "proj-related"
-    rep = flatness.check_report(doc.field, oneform, doc.m, args.kind, x, y, args.tol, samples.jets)
+    rep = flatness.check_report(doc.field, oneform, args.kind, x, y, args.tol, samples.jets)
 
     if args.json and related:
         payload.update({

@@ -15,13 +15,14 @@ residual, and only proj_flat_condition returns the second (`residual_alt`).
 Both conditions read A, F = A^(1/m) and A_y straight off the pass, so they
 never invert the second contraction.
 
-Every residual and condition takes a stack of samples (N, n) as well as one
-point, reads the oracle's pass of A and beta and is one stack evaluation
-(errors.in_sample_order).  check_report gives the verdict of each `check`
-kind, the two flatness kinds and proj-related (the wedge residual of
-`spray.projective_residual`), by one rule: evaluate the accepted stack,
-refuse a residual that is not finite, take the maximum and compare it with
-the tolerance.
+Every residual and condition takes (field, oneform, x, y, jets=None): a stack
+of samples (N, n) as well as one point, and the caller's pass if given.  It
+reads the order m off the field and the oracle's pass of A and beta, and is
+one stack evaluation (errors.in_sample_order).  check_report gives the
+verdict of each `check` kind, the two flatness kinds and proj-related (the
+wedge residual of `spray.projective_residual`), by one rule: evaluate the
+accepted stack, refuse a residual that is not finite, take the maximum and
+compare it with the tolerance.
 """
 
 from __future__ import annotations
@@ -79,16 +80,12 @@ def _residual(value, defect):
     return np.max(np.abs(defect), axis=-1) / (1.0 + np.abs(value))
 
 
-def dually_flat_residual(
-    field: CoefficientField, oneform: OneFormField, m: int, x, y, jets=None
-) -> float:
-    return _residual(*_defect(calculus.kropina_energy(field, oneform, m), x, y, 2.0, jets))
+def dually_flat_residual(field: CoefficientField, oneform: OneFormField, x, y, jets=None) -> float:
+    return _residual(*_defect(calculus.kropina_energy(field, oneform, field.m), x, y, 2.0, jets))
 
 
-def proj_flat_residual(
-    field: CoefficientField, oneform: OneFormField, m: int, x, y, jets=None
-) -> float:
-    return _residual(*_defect(calculus.kropina_norm(field, oneform, m), x, y, 1.0, jets))
+def proj_flat_residual(field: CoefficientField, oneform: OneFormField, x, y, jets=None) -> float:
+    return _residual(*_defect(calculus.kropina_norm(field, oneform, field.m), x, y, 1.0, jets))
 
 
 # ---------------------------------------------------------------------------
@@ -106,10 +103,11 @@ class ConditionEval:
     residual_alt: float = None
 
 
-def _condition_terms(field, oneform, m, x, y, jets):
-    """The intermediates, b, A_y and the per-sample scalars A, F = A^(1/m), beta,
-    A0 and beta_l y^l of both conditions, lifted to broadcast against vectors,
-    read off one pass."""
+def _condition_terms(field, oneform, x, y, jets):
+    """The order m, the intermediates, b, A_y and the per-sample scalars A,
+    F = A^(1/m), beta, A0 and beta_l y^l of both conditions, lifted to broadcast
+    against vectors, read off one pass."""
+    m = field.m
     if m == 2:
         # the condition's caller: levels 3 and 4 are the scope in_sample_order opens
         warnings.warn(ORDER2_NOTICE, RiemannianOrderWarning, stacklevel=5)
@@ -119,12 +117,12 @@ def _condition_terms(field, oneform, m, x, y, jets):
     A, beta = jets.group(0), jets.group(1)
     F = A.val ** (1.0 / m)
     scalars = (v[..., None] for v in (A.val, F, beta.val, itm.A0, dot(itm.beta_l, y)))
-    return itm, beta.grad_y, A.grad_y, scalars
+    return m, itm, beta.grad_y, A.grad_y, scalars
 
 
 @in_sample_order
 def dually_flat_condition(
-    field: CoefficientField, oneform: OneFormField, m: int, x, y, jets=None
+    field: CoefficientField, oneform: OneFormField, x, y, jets=None
 ) -> ConditionEval:
     """Verbatim closed-form dual-flatness condition.
 
@@ -132,7 +130,7 @@ def dually_flat_condition(
     printed fourth term carries a dangling contraction index; it is read with
     the one-form x-gradient restored, matching the projective analogue.
     """
-    itm, b, Ay, (A, F, beta, A0, bky) = _condition_terms(field, oneform, m, x, y, jets)
+    m, itm, b, Ay, (A, F, beta, A0, bky) = _condition_terms(field, oneform, x, y, jets)
 
     rhs = (
         (1.0 / (2 * beta * F ** 2)) * ((4.0 - m) / m) * A0 * Ay
@@ -150,7 +148,7 @@ def dually_flat_condition(
 
 @in_sample_order
 def proj_flat_condition(
-    field: CoefficientField, oneform: OneFormField, m: int, x, y, jets=None
+    field: CoefficientField, oneform: OneFormField, x, y, jets=None
 ) -> ConditionEval:
     """Verbatim closed-form projective-flatness condition, both final terms.
 
@@ -159,7 +157,7 @@ def proj_flat_condition(
     with an extra one-form power; `rhs` carries the first, `rhs_alt` the
     second.
     """
-    itm, b, Ay, (A, F, beta, A0, bky) = _condition_terms(field, oneform, m, x, y, jets)
+    m, itm, b, Ay, (A, F, beta, A0, bky) = _condition_terms(field, oneform, x, y, jets)
 
     common = (
         ((2.0 - m) / m) * (A0 / A) * Ay
@@ -207,8 +205,7 @@ class CheckReport:
 
 @in_sample_order
 def check_report(
-    field: CoefficientField, oneform: OneFormField, m: int, kind: str, x, y, tol: float,
-    jets=None,
+    field: CoefficientField, oneform: OneFormField, kind: str, x, y, tol: float, jets=None
 ) -> CheckReport:
     """Reduce the accepted samples, a stack (N, n), to the verdict of a CLI check kind.
 
@@ -220,7 +217,7 @@ def check_report(
     """
     name, within, beyond = CHECKS[kind]
     if kind == "proj-related":
-        values = {kind: spray.projective_residual(field, oneform, m, x, y)}
+        values = {kind: spray.projective_residual(field, oneform, x, y)}
     else:
         residual, condition = {
             "dually-flat": (dually_flat_residual, dually_flat_condition),
@@ -228,8 +225,8 @@ def check_report(
         }[kind]
         jets = _jets(field, oneform, x, y, jets)
         values = {
-            kind: residual(field, oneform, m, x, y, jets),
-            f"{kind} closed-form": condition(field, oneform, m, x, y, jets).residual,
+            kind: residual(field, oneform, x, y, jets),
+            f"{kind} closed-form": condition(field, oneform, x, y, jets).residual,
         }
     check_finite([(f"{key} residual", v) for key, v in values.items()], x, y)
     max_residual, max_closed = (

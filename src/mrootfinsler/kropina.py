@@ -8,9 +8,10 @@ residual rows of `verify` are defined in one table in `report`, which reads
 them off this snapshot and the spray split computed from it alone
 (`spray.pq_split`).
 
-Points may come stacked (N, n): the snapshot and the scalar family then hold
-one entry per sample (per-sample scalars gain unit axes to broadcast against
-vectors and matrices).
+`kropina_point(field, oneform, x, y, jets=None)` reads the order m off the
+field.  Points may come stacked (N, n): the snapshot and the scalar family
+then hold one entry per sample (per-sample scalars gain unit axes to
+broadcast against vectors and matrices).
 """
 
 from __future__ import annotations
@@ -113,13 +114,14 @@ class KropinaPoint:
 
 @in_sample_order
 def kropina_point(
-    field: CoefficientField, oneform: OneFormField, m: int, x, y, jets=None
+    field: CoefficientField, oneform: OneFormField, x, y, jets=None
 ) -> KropinaPoint:
     """The transformed snapshot, from one pass of (A, beta): `jets` if given."""
+    m = field.m
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     jets = calculus.field_jets(field, oneform, x, y) if jets is None else jets
-    base = metric_point(field, m, x, y, jets.group(0))
+    base = metric_point(field, x, y, jets.group(0))
     b, beta = jets.group(1).grad_y, jets.group(1).val
     F, A_i, A_ij = base.F, base.A_i, base.A_ij
 

@@ -2,8 +2,9 @@
 
 The closed forms for the fundamental tensor and its inverse are evaluated
 here, verbatim, on the contractions read off the oracle's pass of the form;
-`verify_base_forms` measures them against the differentiation oracle.  A
-snapshot holds one point, or a stack of samples with a leading batch axis on
+`verify_base_forms` measures them against the differentiation oracle.
+`metric_point(field, x, y)` reads the order m off the field.  A snapshot
+holds one point, or a stack of samples with a leading batch axis on
 every field; the closed forms broadcast over it unchanged.  Every matrix the
 package solves or inverts passes `symmetric_cond` first, then goes straight to
 the LAPACK gufunc that numpy.linalg wraps (`solve_guarded`, `_invert_guarded`).
@@ -87,15 +88,17 @@ class MetricPoint:
 
 
 @in_sample_order
-def metric_point(field: CoefficientField, m: int, x, y, A: Jet = None) -> MetricPoint:
+def metric_point(field: CoefficientField, x, y, A: Jet = None) -> MetricPoint:
     """Assemble the base-metric snapshot; closed forms for g and its inverse.
 
     g_ij  = (m-1) A_ij / F^(m-2) - (m-2) A_i A_j / F^(2(m-1))
     g^ij  = F^(m-2) A^ij / (m-1) + (m-2) y^i y^j / ((m-1) F^2)
     with A^ij the numerically inverted second contraction.  The contractions
     are read off the pass of the form: A_i = A_y / m, A_ij = A_yy / (m(m-1)).
-    `A` is that pass when the caller already made it; x and y may be stacks.
+    m is the field's order.  `A` is that pass when the caller already made
+    it; x and y may be stacks.
     """
+    m = field.m
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if A is None:

@@ -8,8 +8,9 @@ undefined (None, `null` in JSON) at m = 4.  One Kropina snapshot
 (`kropina.kropina_point`) and the spray split read off it alone
 (`spray.pq_split`) serve every row.
 
-All accepted samples are evaluated at once, as one stack (N, n) with one
-derivative pass (the sampler's, in `verify`), as one stack evaluation
+`point_report(field, oneform, x, y, jets=None)` reads the order m off the
+field.  All accepted samples are evaluated at once, as one stack (N, n) with
+one derivative pass (the sampler's, in `verify`), as one stack evaluation
 (errors.in_sample_order); the rows hold one value per sample, each guarded
 finite by `errors.check_finite`, until reduce_report takes the per-formula
 maxima.
@@ -141,7 +142,7 @@ def _row(row: Row, k: kropina.KropinaPoint, s: spray.SprayPoint) -> ResidualRow:
 
 @in_sample_order
 def point_report(
-    field: CoefficientField, oneform: OneFormField, m: int, x, y, jets=None
+    field: CoefficientField, oneform: OneFormField, x, y, jets=None
 ) -> DiscrepancyReport:
     """Every residual row at a single sample, or per sample of a stack (N, n).
 
@@ -150,7 +151,7 @@ def point_report(
     finite: a NaN row would otherwise win or lose the per-formula maximum
     depending on sample order.
     """
-    k = kropina.kropina_point(field, oneform, m, x, y, jets)
+    k = kropina.kropina_point(field, oneform, x, y, jets)
     s = spray.pq_split(k)
     rows = [_row(row, k, s) for row in ROWS]
     check_finite(

@@ -16,6 +16,8 @@ again; pq_decomposition makes the snapshot at (x, y) first.  The printed
 tail X is written once, verbatim, because it may be misprinted and no
 identity may be applied to it; its x-derivatives are that same formula under
 the complex step (Squire & Trapp, SIAM Review 40, 1998), exact to rounding.
+pq_decomposition and projective_residual take (field, oneform, x, y) and
+read the order m off the field.
 Everything but the geodesic integrator also takes a stack of samples (N, n):
 the sprays are then one batched solve, and the split and the wedge hold one
 entry per sample.  The sprays solve the oracle Hessian H = 2g
@@ -162,9 +164,9 @@ class SprayPoint:
 
 
 @in_sample_order
-def pq_decomposition(field: CoefficientField, oneform: OneFormField, m: int, x, y) -> SprayPoint:
+def pq_decomposition(field: CoefficientField, oneform: OneFormField, x, y) -> SprayPoint:
     """The split at (x, y) (pq_split), off its own Kropina snapshot."""
-    return pq_split(kropina_point(field, oneform, m, x, y))
+    return pq_split(kropina_point(field, oneform, x, y))
 
 
 @in_sample_order
@@ -226,9 +228,7 @@ def pq_split(point: KropinaPoint) -> SprayPoint:
 
 
 @in_sample_order
-def projective_residual(
-    field: CoefficientField, oneform: OneFormField, m: int, x, y
-) -> float:
+def projective_residual(field: CoefficientField, oneform: OneFormField, x, y) -> float:
     """Max wedge component of the spray difference with y; zero iff D ~ y.
 
     Evaluated at y/||y|| so the result is invariant under rescaling y; the
@@ -239,8 +239,8 @@ def projective_residual(
     y = np.asarray(y, dtype=float)
     y_unit = y / norm(y)[..., None]
     jets = calculus.field_jets(field, oneform, x, y_unit)
-    G = _spray(calculus.base_energy(field, m).compose(jets).block, y_unit)
-    Gbar = _spray(calculus.kropina_energy(field, oneform, m).compose(jets).block, y_unit)
+    G = _spray(calculus.base_energy(field, field.m).compose(jets).block, y_unit)
+    Gbar = _spray(calculus.kropina_energy(field, oneform, field.m).compose(jets).block, y_unit)
     D = Gbar - G
     # [i, j] = D_i y_j - D_j y_i: its largest entry is the largest i < j wedge
     # component, because the matrix is antisymmetric with a zero diagonal

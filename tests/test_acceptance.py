@@ -67,11 +67,11 @@ def test_02_supporting_elements_and_angular_annihilation():
     for name, make, m, make_b in MAIN_FIXTURES:
         field, oneform = make(), make_b()
         for x, y in seeded_points(field.n, 25, seed=103):
-            p = metric_point(field, m, x, y)
+            p = metric_point(field, x, y)
             assert rel_err(float(p.l @ y), p.F) <= 1e-9, name
             h = angular_tensor(p)
             assert np.max(np.abs(h @ y)) <= 1e-9 * (1 + np.max(np.abs(h))), name
-            kp = kropina_point(field, oneform, m, x, y)
+            kp = kropina_point(field, oneform, x, y)
             assert rel_err(float(kp.lbar @ y), kp.Fbar) <= 1e-9, name
             hbar_y = kp.hbar_oracle @ y
             assert np.max(np.abs(hbar_y)) <= 1e-9 * (1 + np.max(np.abs(kp.hbar_oracle))), name
@@ -82,24 +82,24 @@ def test_03_base_closed_forms():
     for make, m in ((diag_quartic, 4), (berwald_moore, 4), (cubic_x, 3)):
         field = make()
         for x, y in seeded_points(field.n, 50, seed=107):
-            rep = verify_base_forms(metric_point(field, m, x, y))
+            rep = verify_base_forms(metric_point(field, x, y))
             assert rep.g_residual <= 1e-8
             assert rep.inverse_residual <= 1e-8
     with pytest.warns(RiemannianOrderWarning):
         for x, y in seeded_points(2, 20, seed=109):
-            p = metric_point(riemann_identity(), 2, x, y)
+            p = metric_point(riemann_identity(), x, y)
             assert np.max(np.abs(p.g - p.A_ij)) <= 1e-10
     ok(3, "fundamental tensor and inverse closed forms <=1e-8; m=2 reduces")
 
 
 def test_04_golden_hand_values():
-    p = metric_point(diag_quartic(), 4, [0.0, 0.0], [1.0, 2.0])
+    p = metric_point(diag_quartic(), [0.0, 0.0], [1.0, 2.0])
     assert abs(p.A - 17.0) <= 1e-12
     assert abs(p.A_i[0] - 1.0) <= 1e-12
     assert abs(p.A_i[1] - 8.0) <= 1e-12
     assert abs(p.g[0, 0] - 49.0 / (17.0 * SQRT17)) <= 1e-12
     assert abs(float(p.y @ p.g @ p.y) - SQRT17) <= 1e-12
-    kp = kropina_point(diag_quartic(), b_const(2), 4, [0.0, 0.0], [1.0, 2.0])
+    kp = kropina_point(diag_quartic(), b_const(2), [0.0, 0.0], [1.0, 2.0])
     assert abs(kp.Fbar - SQRT17) <= 1e-12
     assert abs(kp.lbar[0] + 15.0 / SQRT17) <= 1e-12
     assert abs(kp.lbar[1] - 16.0 / SQRT17) <= 1e-12
@@ -118,7 +118,7 @@ def test_05_oracle_integrity():
         )
         for x, y in seeded_points(field.n, 13, seed=113):
             checked += 1
-            kp = kropina_point(field, oneform, m, x, y)
+            kp = kropina_point(field, oneform, x, y)
             hess = calculus.hess_y(functions[3], x, y)
             assert np.array_equal(hess, hess.T), name  # exact symmetry
             assert rel_err(float(np.asarray(y) @ kp.gbar_oracle @ np.asarray(y)),
@@ -173,11 +173,11 @@ def test_07_minkowski_zero_suite():
         for x, y in seeded_points(field.n, count, seed=127):
             assert np.max(np.abs(spray_coeffs(base_e, x, y))) <= 1e-9, name
             assert np.max(np.abs(spray_coeffs(krop_e, x, y))) <= 1e-9, name
-            point = pq_decomposition(field, oneform, m, x, y)
+            point = pq_decomposition(field, oneform, x, y)
             assert np.max(np.abs(point.omega)) <= 1e-9, name
-            assert projective_residual(field, oneform, m, x, y) <= 1e-9, name
-            assert dually_flat_residual(field, oneform, m, x, y) <= 1e-9, name
-            assert proj_flat_residual(field, oneform, m, x, y) <= 1e-9, name
+            assert projective_residual(field, oneform, x, y) <= 1e-9, name
+            assert dually_flat_residual(field, oneform, x, y) <= 1e-9, name
+            assert proj_flat_residual(field, oneform, x, y) <= 1e-9, name
     ok(7, "constant coefficients: all spray and flatness residuals <=1e-9")
 
 
@@ -190,9 +190,9 @@ def test_08_spray_homogeneity_and_wedge_invariance():
         assert rel_err(G2, 4.0 * G) <= 1e-8
     oneform = b_bx()
     for x, y in seeded_points(2, 10, seed=137):
-        base = projective_residual(field, oneform, 3, x, y)
+        base = projective_residual(field, oneform, x, y)
         for lam in (0.5, 2.0):
-            scaled = projective_residual(field, oneform, 3, x, lam * np.asarray(y))
+            scaled = projective_residual(field, oneform, x, lam * np.asarray(y))
             assert abs(scaled - base) <= 1e-10
     ok(8, "G(x,2y) = 4 G(x,y) <=1e-8; wedge residual scale-invariant <=1e-10")
 

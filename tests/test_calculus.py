@@ -118,6 +118,8 @@ def test_fd_check_constant_function():
     rep2 = calculus.fd_check(fn, np.zeros(2), np.array([1.0, 2.0]), 2)
     assert rep1.max_abs <= 1e-14
     assert rep2.max_abs <= 1e-14
+    with pytest.raises(ValueError, match="^unsupported order 3$"):
+        calculus.fd_check(fn, np.zeros(2), np.array([1.0, 2.0]), 3)
 
 
 def test_fd_check_berwald_moore_norm():

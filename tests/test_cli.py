@@ -197,6 +197,22 @@ def test_check_inconclusive_exits_3(tmp_path):
     assert res.returncode == 3
 
 
+@pytest.mark.parametrize("name", ["parallel_m3", "parallel_m4"])
+@pytest.mark.parametrize("kind, verdict, code", [
+    ("proj-related", "related-within-tol", 0),
+    ("dually-flat", "not-flat", 1),
+    ("proj-flat", "not-flat", 1),
+])
+def test_parallel_one_form_fixture_verdicts(capsys, name, kind, verdict, code):
+    # beta = dx^1 is parallel on these x-dependent metrics, so Gbar = G while
+    # G is not zero: a positive proj-related verdict with non-zero sprays
+    rc, out, err = run_main(capsys, "check", kind, "--json", "--spec", str(FIXTURES / f"{name}.json"))
+    payload = json.loads(out)
+    assert (rc, payload["verdict"], err) == (code, verdict, b"")
+    if kind == "proj-related":
+        assert payload["max_wedge_residual"] <= 1e-13
+
+
 def test_geodesic_path_file(tmp_path):
     out = tmp_path / "path.txt"
     res = run_cli(
@@ -646,7 +662,7 @@ def test_emit_verify_records_of_a_report(fixture):
         doc.n, 6, 3, domain_check=partial(calculus.field_jets, doc.field, doc.oneform)
     )
     x, y = samples.x, samples.y
-    rows = report.point_report(doc.field, doc.oneform, doc.m, x, y).rows
+    rows = report.point_report(doc.field, doc.oneform, x, y).rows
     merged = report.reduce_report(report.DiscrepancyReport(rows, len(x))).rows
     assert any(row.max_abs is None for row in rows) == (doc.m == 4)
     out = io.StringIO()
@@ -777,16 +793,16 @@ def test_check_flatness_fails_in_sample_order_on_the_sampler_pass(
     real_residual, real_condition = getattr(flatness, residual), getattr(flatness, condition)
     lengths = []
 
-    def patched_residual(field, oneform, m, x, y, jets):
+    def patched_residual(field, oneform, x, y, jets):
         lengths.append((len(x), len(jets.val)))
-        out = real_residual(field, oneform, m, x, y, jets)
+        out = real_residual(field, oneform, x, y, jets)
         if len(out) > bad_sample:
             out[bad_sample] = np.nan
         return out
 
-    def patched_condition(field, oneform, m, x, y, jets):
+    def patched_condition(field, oneform, x, y, jets):
         raise_first(np.arange(len(x)) == 5, DomainError, "refused sample {}", np.arange(len(x)))
-        return real_condition(field, oneform, m, x, y, jets)
+        return real_condition(field, oneform, x, y, jets)
 
     monkeypatch.setattr(flatness, residual, patched_residual)
     monkeypatch.setattr(flatness, condition, patched_condition)

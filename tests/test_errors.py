@@ -51,22 +51,22 @@ def _evaluators(doc):
 
     def check(kind, x, y):
         # a sample alone as a stack of one: check_report takes stacks
-        return flatness.check_report(field, oneform, m, kind, np.atleast_2d(x), np.atleast_2d(y),
+        return flatness.check_report(field, oneform, kind, np.atleast_2d(x), np.atleast_2d(y),
                                      flatness.DEFAULT_TOL)
 
     energies = (calculus.mth_root_norm(field, m), calculus.base_energy(field, m),
                 calculus.kropina_norm(field, oneform, m), calculus.kropina_energy(field, oneform, m))
     evaluators = {
         "field_jets": partial(calculus.field_jets, field, oneform),
-        "point_report": partial(report.point_report, field, oneform, m),
-        "metric_point": partial(metric.metric_point, field, m),
-        "kropina_point": partial(kropina.kropina_point, field, oneform, m),
-        "pq_decomposition": partial(spray.pq_decomposition, field, oneform, m),
-        "projective_residual": partial(spray.projective_residual, field, oneform, m),
-        "dually_flat_residual": partial(flatness.dually_flat_residual, field, oneform, m),
-        "proj_flat_residual": partial(flatness.proj_flat_residual, field, oneform, m),
-        "dually_flat_condition": partial(flatness.dually_flat_condition, field, oneform, m),
-        "proj_flat_condition": partial(flatness.proj_flat_condition, field, oneform, m),
+        "point_report": partial(report.point_report, field, oneform),
+        "metric_point": partial(metric.metric_point, field),
+        "kropina_point": partial(kropina.kropina_point, field, oneform),
+        "pq_decomposition": partial(spray.pq_decomposition, field, oneform),
+        "projective_residual": partial(spray.projective_residual, field, oneform),
+        "dually_flat_residual": partial(flatness.dually_flat_residual, field, oneform),
+        "proj_flat_residual": partial(flatness.proj_flat_residual, field, oneform),
+        "dually_flat_condition": partial(flatness.dually_flat_condition, field, oneform),
+        "proj_flat_condition": partial(flatness.proj_flat_condition, field, oneform),
     }
     for f in energies:
         evaluators[f"derivatives {f.name}"] = partial(calculus.derivatives, f)

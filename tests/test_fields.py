@@ -139,6 +139,18 @@ def test_field_validation():
     # construction, not at the first pass
     with pytest.raises(DimensionMismatch, match="wrong arity"):
         CoefficientField(2, 3, {(1, 1, 1): Polynomial(3, [((0, 0, 0), 1.0)])})
+    # a key that is not a tuple is another dict key with the same canonical index
+    one = Polynomial.constant(2, 1.0)
+    with pytest.raises(ValueError, match=r"^duplicate canonical index \(1, 2\)$"):
+        CoefficientField(2, 2, {(1, 2): one, range(1, 3): one})
+    with pytest.raises(DimensionMismatch, match="^1 components for dimension 2$"):
+        OneFormField(2, [one])
+    with pytest.raises(DimensionMismatch, match="^component polynomial has wrong arity$"):
+        OneFormField(2, [one, Polynomial.constant(3, 1.0)])
+    with pytest.raises(DimensionMismatch, match="^point has length 3, expected 2$"):
+        pack([0.0, 0.0, 0.0], [1.0, 1.0], 2)
+    with pytest.raises(DimensionMismatch, match="^vector has length 1, expected 2$"):
+        pack([0.0, 0.0], [[1.0], [1.0]], 2)
     field = cubic_x()
     with pytest.raises(DimensionMismatch):
         field.tensor_at([0.0, 0.0, 0.0])
@@ -146,6 +158,17 @@ def test_field_validation():
     assert diag_quartic().is_constant()
     assert b_const(2).is_constant()
     assert not b_bx().is_constant()
+
+
+@pytest.mark.parametrize("name", ONE_FORM_SPECS)
+def test_one_point_against_a_stack_is_the_point_tiled(name):
+    # pack broadcasts x (n,) against y (N, n): the pass is the one at x repeated
+    doc, _, (xs, ys) = spec_samples(name, 12, seed=9)
+    x = xs[0]
+    broadcast = calculus.field_jets(doc.field, doc.oneform, x, ys).block
+    tiled = calculus.field_jets(doc.field, doc.oneform, np.tile(x, (len(ys), 1)), ys).block
+    assert broadcast.shape == tiled.shape == (len(ys),) + tiled.shape[1:]
+    assert np.array_equal(broadcast, tiled)
 
 
 @pytest.mark.parametrize("name", ONE_FORM_SPECS)

@@ -53,20 +53,20 @@ GOLDEN_POINTS = [
 
 
 def test_minkowski_residuals_vanish():
-    for name, make, m, make_b in MINKOWSKI_FIXTURES:
+    for name, make, _, make_b in MINKOWSKI_FIXTURES:
         field, oneform = make(), make_b()
         for x, y in seeded_points(field.n, 34, seed=79):
-            assert dually_flat_residual(field, oneform, m, x, y) <= 1e-10, name
-            assert proj_flat_residual(field, oneform, m, x, y) <= 1e-10, name
+            assert dually_flat_residual(field, oneform, x, y) <= 1e-10, name
+            assert proj_flat_residual(field, oneform, x, y) <= 1e-10, name
 
 
 def test_golden_residuals():
     field, oneform = cubic_x(), b_const(2)
     for x, y, df_expect, pf_expect in GOLDEN_POINTS:
-        assert dually_flat_residual(field, oneform, 3, x, y) == pytest.approx(
+        assert dually_flat_residual(field, oneform, x, y) == pytest.approx(
             df_expect, abs=1e-6
         )
-        assert proj_flat_residual(field, oneform, 3, x, y) == pytest.approx(
+        assert proj_flat_residual(field, oneform, x, y) == pytest.approx(
             pf_expect, abs=1e-6
         )
 
@@ -92,7 +92,7 @@ def test_defect_homogeneity_degrees():
     # the residuals are these defects, normalised
     for residual, fn, defect in ((dually_flat_residual, energy, df), (proj_flat_residual, norm, pf)):
         expected = np.abs(defect).max() / (1.0 + abs(fn(x, y)))
-        assert residual(field, oneform, 3, x, y) == pytest.approx(expected, rel=1e-13)
+        assert residual(field, oneform, x, y) == pytest.approx(expected, rel=1e-13)
 
 
 def test_intermediates_exact_and_vs_fd():
@@ -115,7 +115,7 @@ def test_dually_flat_condition_minkowski_reduces_to_oneform_terms():
     field, oneform = diag_quartic(), b_const(2)
     x = np.array([0.3, -0.7])
     y = np.array([1.0, 2.0])
-    cond = dually_flat_condition(field, oneform, 4, x, y)
+    cond = dually_flat_condition(field, oneform, x, y)
     np.testing.assert_allclose(cond.lhs, np.zeros(2), atol=1e-14)
     expected_rhs = (4.0 / (2.0 * 1.0)) * 17.0 * np.array([1.0, 0.0])
     np.testing.assert_allclose(cond.rhs, expected_rhs, atol=1e-12)
@@ -124,7 +124,7 @@ def test_dually_flat_condition_minkowski_reduces_to_oneform_terms():
 
 def test_proj_flat_condition_minkowski_vanishes():
     field, oneform = diag_quartic(), b_const(2)
-    cond = proj_flat_condition(field, oneform, 4, [0.4, 0.1], [1.0, 2.0])
+    cond = proj_flat_condition(field, oneform, [0.4, 0.1], [1.0, 2.0])
     np.testing.assert_allclose(cond.lhs, np.zeros(2), atol=1e-14)
     np.testing.assert_allclose(cond.rhs, np.zeros(2), atol=1e-12)
     assert cond.residual <= 1e-12
@@ -157,7 +157,7 @@ def test_conditions_match_independent_reassembly():
         - Axl
         + (m / (2 * beta)) * A * b
     )
-    cond = dually_flat_condition(field, oneform, m, x, y)
+    cond = dually_flat_condition(field, oneform, x, y)
     np.testing.assert_allclose(cond.rhs, rhs_df, atol=1e-7)
 
     rhs_pf = (
@@ -167,7 +167,7 @@ def test_conditions_match_independent_reassembly():
         - (bky / beta) * Ay
         + (m / beta) * A * bky * b
     )
-    cond_pf = proj_flat_condition(field, oneform, m, x, y)
+    cond_pf = proj_flat_condition(field, oneform, x, y)
     np.testing.assert_allclose(cond_pf.rhs, rhs_pf, atol=1e-7)
 
 
@@ -179,7 +179,7 @@ def test_proj_flat_condition_final_term_variants():
     field, oneform, m = cubic_x(), b_bx(), 3
     x = np.array([0.2, 0.4])
     y = np.array([0.9, 1.3])
-    cond = proj_flat_condition(field, oneform, m, x, y)
+    cond = proj_flat_condition(field, oneform, x, y)
     b = np.array([p(x) for p in oneform.components])
     beta = float(b @ y)
     itm = intermediates(field, oneform, x, y)
@@ -193,13 +193,13 @@ def test_proj_flat_condition_final_term_variants():
 def test_order2_prefactor_vanishes():
     # at order 2 the leading closed-form coefficient (2-m)/m is exactly zero,
     # so the right side loses its A0 Ay term even with x-dependence present
-    field, oneform, m = riemann_x(), b_const(2), 2
+    field, oneform = riemann_x(), b_const(2)
     x = np.array([0.3, 0.1])
     y = np.array([0.7, 1.1])
     itm = intermediates(field, oneform, x, y)
     assert itm.A0 != 0.0
     with pytest.warns(RiemannianOrderWarning, match="order 2 is Riemannian") as warned:
-        cond = proj_flat_condition(field, oneform, m, x, y)
+        cond = proj_flat_condition(field, oneform, x, y)
     assert warned[0].filename == __file__  # the caller's line
     b = np.array([p(x) for p in oneform.components])
     beta = float(b @ y)
@@ -230,8 +230,8 @@ def test_proj_flat_condition_misses_an_antisymmetric_one_form():
             warnings.simplefilter("always", RiemannianOrderWarning)
             doc = spec_from(n, m, tensor, one_form)
             x, y = doc_samples(doc, 60, 0)
-            cond = proj_flat_condition(doc.field, doc.oneform, m, x, y)
-            rep = check_report(doc.field, doc.oneform, m, "proj-flat", x, y, DEFAULT_TOL)
+            cond = proj_flat_condition(doc.field, doc.oneform, x, y)
+            rep = check_report(doc.field, doc.oneform, "proj-flat", x, y, DEFAULT_TOL)
         assert bool(warned) == (m == 2)
         assert (cond.residual == 0.0).all() and (cond.residual_alt == 0.0).all(), m
         assert rep.max_closed_residual == 0.0, m
@@ -239,53 +239,53 @@ def test_proj_flat_condition_misses_an_antisymmetric_one_form():
 
 
 def test_residual_continuity_under_coefficient_perturbation():
-    field, oneform, m = cubic_x(), b_const(2), 3
+    field, oneform = cubic_x(), b_const(2)
     x = np.array([0.1, 0.2])
     y = np.array([0.9, 1.3])
-    base = dually_flat_residual(field, oneform, m, x, y)
+    base = dually_flat_residual(field, oneform, x, y)
     eps = 1e-6
     poly = Polynomial(2, [((0, 0), 1.0 + eps), ((1, 0), 1.0)])
     bumped = CoefficientField(
         2, 3, {(1, 1, 1): poly, (2, 2, 2): Polynomial(2, [((0, 0), 1.0), ((1, 0), 1.0)])}
     )
-    moved = dually_flat_residual(bumped, oneform, m, x, y)
+    moved = dually_flat_residual(bumped, oneform, x, y)
     assert abs(moved - base) <= 10.0 * eps
 
 
 def test_check_report_verdicts():
     xs, ys = stack(seeded_points(2, 60, seed=83))
-    rep = check_report(diag_quartic(), b_const(2), 4, "dually-flat", xs, ys, DEFAULT_TOL)
+    rep = check_report(diag_quartic(), b_const(2), "dually-flat", xs, ys, DEFAULT_TOL)
     assert (rep.kind, rep.verdict, rep.passed) == ("dually-flat", "flat-within-tol", True)
     assert rep.residuals.shape == (60,)
     assert rep.max_residual <= 1e-10
 
-    rep2 = check_report(cubic_x(), b_const(2), 3, "dually-flat", xs, ys, DEFAULT_TOL)
+    rep2 = check_report(cubic_x(), b_const(2), "dually-flat", xs, ys, DEFAULT_TOL)
     assert (rep2.verdict, rep2.passed) == ("not-flat", False)
     assert rep2.max_residual == rep2.residuals.max()
 
-    rep3 = check_report(cubic_x(), b_const(2), 3, "proj-flat", xs[:10], ys[:10], DEFAULT_TOL)
+    rep3 = check_report(cubic_x(), b_const(2), "proj-flat", xs[:10], ys[:10], DEFAULT_TOL)
     assert (rep3.kind, rep3.verdict, rep3.passed) == ("projectively-flat", "inconclusive", False)
 
     # a Minkowski form with a constant one-form is projectively related to F;
     # a form depending on x is not
-    related = check_report(diag_quartic(), b_const(2), 4, "proj-related", xs, ys, DEFAULT_TOL)
+    related = check_report(diag_quartic(), b_const(2), "proj-related", xs, ys, DEFAULT_TOL)
     assert (related.kind, related.verdict, related.passed) == (
         "proj-related", "related-within-tol", True)
     assert related.max_residual <= DEFAULT_TOL
     assert np.isnan(related.max_closed_residual)
-    unrelated = check_report(cubic_x(), b_const(2), 3, "proj-related", xs, ys, DEFAULT_TOL)
+    unrelated = check_report(cubic_x(), b_const(2), "proj-related", xs, ys, DEFAULT_TOL)
     assert (unrelated.verdict, unrelated.passed) == ("not-related", False)
     assert unrelated.max_residual == unrelated.residuals.max() > DEFAULT_TOL
 
     # the maxima of no samples are NaN for every kind
     none = np.empty((0, 2))
     for kind in ("dually-flat", "proj-flat", "proj-related"):
-        empty = check_report(cubic_x(), b_const(2), 3, kind, none, none, DEFAULT_TOL)
+        empty = check_report(cubic_x(), b_const(2), kind, none, none, DEFAULT_TOL)
         assert empty.verdict == "inconclusive" and empty.residuals.shape == (0,)
         assert np.isnan(empty.max_residual) and np.isnan(empty.max_closed_residual)
 
     with pytest.raises(KeyError):
-        check_report(cubic_x(), b_const(2), 3, "unknown", xs, ys, DEFAULT_TOL)
+        check_report(cubic_x(), b_const(2), "unknown", xs, ys, DEFAULT_TOL)
 
 
 def test_flatness_kinds_do_not_invert_the_second_contraction():
@@ -294,10 +294,10 @@ def test_flatness_kinds_do_not_invert_the_second_contraction():
     # A, F and A_y off the pass and never invert A_ij; proj-related solves g.
     xs, ys = np.tile([0.1, 0.2], (50, 1)), np.tile([1e-7, 1.0], (50, 1))
     for kind in ("dually-flat", "proj-flat"):
-        rep = check_report(diag_quartic(), b_const(2), 4, kind, xs, ys, DEFAULT_TOL)
+        rep = check_report(diag_quartic(), b_const(2), kind, xs, ys, DEFAULT_TOL)
         assert (rep.verdict, rep.max_residual) == ("flat-within-tol", 0.0), kind
     with pytest.raises(SingularMatrix):
-        check_report(diag_quartic(), b_const(2), 4, "proj-related", xs, ys, DEFAULT_TOL)
+        check_report(diag_quartic(), b_const(2), "proj-related", xs, ys, DEFAULT_TOL)
 
 
 def test_check_report_raises_what_a_sample_loop_meets_first(monkeypatch):
@@ -315,14 +315,14 @@ def test_check_report_raises_what_a_sample_loop_meets_first(monkeypatch):
 
     monkeypatch.setattr(flatness, "dually_flat_residual", residual)
     with pytest.raises(NonFiniteResult, match="dually-flat residual is not finite") as exc:
-        check_report(cubic_x(), b_const(2), 3, "dually-flat", xs, ys, DEFAULT_TOL)
+        check_report(cubic_x(), b_const(2), "dually-flat", xs, ys, DEFAULT_TOL)
     assert exc.value.sample == 2
 
 
 @pytest.mark.parametrize("name", ONE_FORM_SPECS)
 def test_stacked_flatness_matches_single_points(name):
     doc, accepted, (xs, ys) = spec_samples(name, 12, seed=6)
-    args = (doc.field, doc.oneform, doc.m)
+    args = (doc.field, doc.oneform)
     for fn in (dually_flat_residual, proj_flat_residual):
         assert_stack_matches(
             fn(*args, xs, ys), [fn(*args, x, y) for x, y in accepted], fn.__name__

@@ -28,7 +28,7 @@ SQRT17 = np.sqrt(17.0)
 
 
 def test_diag_quartic_golden_values():
-    p = kropina_point(diag_quartic(), b_const(2), 4, [0.0, 0.0], [1.0, 2.0])
+    p = kropina_point(diag_quartic(), b_const(2), [0.0, 0.0], [1.0, 2.0])
     assert p.beta == pytest.approx(1.0, abs=1e-15)
     assert p.Fbar == pytest.approx(SQRT17, abs=1e-12)
     np.testing.assert_allclose(
@@ -38,21 +38,21 @@ def test_diag_quartic_golden_values():
 
 
 def test_fbar_homogeneity():
-    for name, make, m, make_b in MAIN_FIXTURES:
+    for name, make, _, make_b in MAIN_FIXTURES:
         field, oneform = make(), make_b()
         for x, y in seeded_points(field.n, 10, seed=43):
-            p1 = kropina_point(field, oneform, m, x, y)
-            p2 = kropina_point(field, oneform, m, x, 2.0 * np.asarray(y))
+            p1 = kropina_point(field, oneform, x, y)
+            p2 = kropina_point(field, oneform, x, 2.0 * np.asarray(y))
             assert rel_err(p2.Fbar, 2.0 * p1.Fbar) <= 1e-12, name
             # transformed fundamental tensor is degree-0 homogeneous
             assert rel_err(p2.gbar_oracle, p1.gbar_oracle) <= 1e-9, name
 
 
 def test_point_invariants():
-    for name, make, m, make_b in MAIN_FIXTURES:
+    for name, make, _, make_b in MAIN_FIXTURES:
         field, oneform = make(), make_b()
         for x, y in seeded_points(field.n, 20, seed=47):
-            p = kropina_point(field, oneform, m, x, y)
+            p = kropina_point(field, oneform, x, y)
             y = p.base.y
             assert rel_err(float(p.lbar @ y), p.Fbar) <= 1e-9, name
             assert rel_err(float(y @ p.gbar_oracle @ y), p.Fbar ** 2) <= 1e-9, name
@@ -63,7 +63,7 @@ def test_point_invariants():
 
 
 def test_aux_scalars_order4_flagged():
-    p = kropina_point(diag_quartic(), b_const(2), 4, [0.0, 0.0], [1.0, 2.0])
+    p = kropina_point(diag_quartic(), b_const(2), [0.0, 0.0], [1.0, 2.0])
     aux = p.aux
     assert aux.degenerate_order4
     assert np.isnan(aux.delta) and np.isnan(aux.p0) and np.isnan(aux.p3)
@@ -71,20 +71,20 @@ def test_aux_scalars_order4_flagged():
     assert aux.tau == pytest.approx(p.base.F / p.beta, abs=1e-14)
     # the closed-form inverse is undefined: NaN in the point, degenerate rows
     assert np.isnan(p.gbar_inv_closed).all() and np.isnan(p.gbar_inv_split).all()
-    rep = report.point_report(diag_quartic(), b_const(2), 4, [0.0, 0.0], [1.0, 2.0])
+    rep = report.point_report(diag_quartic(), b_const(2), [0.0, 0.0], [1.0, 2.0])
     rows = {row.formula: row for row in rep.rows}
     for formula in ("gbar_inv_closed", "gbar_inv_split"):
         assert rows[formula].max_abs is None and rows[formula].note == "degenerate at m = 4"
 
 
 def test_aux_scalars_cubic_values():
-    p = kropina_point(cubic_x(), b_const(2), 3, [0.0, 0.0], [1.0, 1.0])
+    p = kropina_point(cubic_x(), b_const(2), [0.0, 0.0], [1.0, 1.0])
     aux = p.aux
     assert not aux.degenerate_order4
     assert aux.tau == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-13)
     # tau * beta - F = 0 to rounding, on every sampled point
     for x, y in seeded_points(2, 10, seed=53):
-        q = kropina_point(cubic_x(), b_const(2), 3, x, y)
+        q = kropina_point(cubic_x(), b_const(2), x, y)
         assert abs(q.aux.tau * q.beta - q.base.F) <= 1e-12 * (1 + q.base.F)
 
 
@@ -93,7 +93,7 @@ def test_closed_inverses_match_printed_transcription():
     # floats one sample at a time from F, beta, b, A^ij and y
     for name, oneform in (("cubic_x", b_const(2)), ("cubic_x_bx", b_bx())):
         for x, y in seeded_points(2, 10, seed=59):
-            p = kropina_point(cubic_x(), oneform, 3, x, y)
+            p = kropina_point(cubic_x(), oneform, x, y)
             closed, split = oracles.printed_closed_inverses(
                 float(p.base.F), float(p.beta), p.b.tolist(), p.base.A_inv.tolist(), list(y), 3
             )
@@ -106,10 +106,10 @@ def test_closed_inverses_match_printed_transcription():
 
 def test_supporting_covector_residual_is_tight():
     # the one closed form that is a direct differentiation
-    for name, make, m, make_b in MAIN_FIXTURES:
+    for name, make, _, make_b in MAIN_FIXTURES:
         field, oneform = make(), make_b()
         for x, y in seeded_points(field.n, 15, seed=61):
-            rep = report.point_report(field, oneform, m, x, y)
+            rep = report.point_report(field, oneform, x, y)
             row = {r.formula: r for r in rep.rows}["lbar_closed"]
             assert row.max_abs <= 1e-8, name
 
@@ -120,15 +120,15 @@ def test_supporting_covector_tight_near_oneform_floor():
     # (x, y)-monomials loses about three digits at this point (3.4e-10).
     x = [-0.18610439872138773, -0.9993986197861542]
     y = [1.5143233800600582, 1.7185642332450883]
-    p = kropina_point(cubic_x(), b_bx(), 3, x, y)
+    p = kropina_point(cubic_x(), b_bx(), x, y)
     assert abs(p.beta) < 1e-3
-    rows = report.point_report(cubic_x(), b_bx(), 3, x, y).rows
+    rows = report.point_report(cubic_x(), b_bx(), x, y).rows
     row = {r.formula: r for r in rows}["lbar_closed"]
     assert row.max_abs <= 1e-11
 
 
 def test_report_rows_and_flags():
-    rep = report.point_report(cubic_x(), b_const(2), 3, [0.1, 0.2], [0.9, 1.3])
+    rep = report.point_report(cubic_x(), b_const(2), [0.1, 0.2], [0.9, 1.3])
     formulas = {r.formula for r in rep.rows}
     assert formulas == {
         "lbar_closed", "hbar_closed", "gbar_closed", "gbar_split",
@@ -141,7 +141,7 @@ def test_report_rows_and_flags():
     assert not rep.degenerate_order4
     assert B2_NOTE in rep.notes
 
-    rep4 = report.point_report(diag_quartic(), b_const(2), 4, [0.0, 0.0], [1.0, 2.0])
+    rep4 = report.point_report(diag_quartic(), b_const(2), [0.0, 0.0], [1.0, 2.0])
     assert rep4.degenerate_order4
     rows4 = {r.formula: r for r in rep4.rows}
     assert rows4["gbar_inv_closed"].max_abs is None
@@ -150,8 +150,8 @@ def test_report_rows_and_flags():
 def test_minkowski_rows_are_x_independent():
     field, oneform = diag_quartic(), b_const(2)
     y = [0.7, 1.6]
-    rep_a = report.point_report(field, oneform, 4, [0.0, 0.0], y)
-    rep_b = report.point_report(field, oneform, 4, [0.9, -0.4], y)
+    rep_a = report.point_report(field, oneform, [0.0, 0.0], y)
+    rep_b = report.point_report(field, oneform, [0.9, -0.4], y)
     for ra, rb in zip(rep_a.rows, rep_b.rows):
         assert ra.formula == rb.formula
         if ra.max_abs is not None:
@@ -163,7 +163,7 @@ def test_reduce_report_keeps_per_formula_max():
     points = seeded_points(2, 5, seed=67)
     xs = np.array([x for x, _ in points])
     ys = np.array([y for _, y in points])
-    stacked = report.point_report(field, oneform, 3, xs, ys)
+    stacked = report.point_report(field, oneform, xs, ys)
     reduced = report.reduce_report(stacked)
     assert reduced.points == 5
     assert reduced.notes == [B2_NOTE]
@@ -194,7 +194,7 @@ def test_order2_classical_anchor():
     # order 2 gives the classical quadratic-over-linear metric; the oracle
     # tensor still satisfies g y y = Fbar^2
     with pytest.warns(RiemannianOrderWarning):
-        p = kropina_point(riemann_identity(), b_const(2), 2, [0.0, 0.0], [0.8, 0.6])
+        p = kropina_point(riemann_identity(), b_const(2), [0.0, 0.0], [0.8, 0.6])
     y = p.base.y
     assert rel_err(float(y @ p.gbar_oracle @ y), p.Fbar ** 2) <= 1e-9
     assert p.Fbar == pytest.approx((0.8 ** 2 + 0.6 ** 2) / 0.8, abs=1e-12)
@@ -205,8 +205,8 @@ def test_stacked_rows_match_single_points(name):
     # every verify row of a stack equals the row of the same sample alone,
     # so no axis mixes samples
     doc, accepted, (xs, ys) = spec_samples(name, 12, seed=5)
-    stacked = report.point_report(doc.field, doc.oneform, doc.m, xs, ys)
-    singles = [report.point_report(doc.field, doc.oneform, doc.m, x, y) for x, y in accepted]
+    stacked = report.point_report(doc.field, doc.oneform, xs, ys)
+    singles = [report.point_report(doc.field, doc.oneform, x, y) for x, y in accepted]
     assert stacked.points == len(accepted)
     for r, row in enumerate(stacked.rows):
         rows = [rep.rows[r] for rep in singles]
@@ -237,7 +237,7 @@ def test_stack_raises_what_a_sample_loop_meets_first(monkeypatch):
     ys = np.array([y for _, y in points])
     ys[4] = [0.0, 1.0]
     with pytest.raises(DomainError, match="one-form value") as exc:
-        report.point_report(field, oneform, 3, xs, ys)
+        report.point_report(field, oneform, xs, ys)
     assert exc.value.sample == 4
 
     real_dX = spray.tail_x_derivatives
@@ -250,6 +250,6 @@ def test_stack_raises_what_a_sample_loop_meets_first(monkeypatch):
 
     monkeypatch.setattr(spray, "tail_x_derivatives", dX)
     with pytest.raises(NonFiniteResult, match="spray_split residual") as exc:
-        report.point_report(field, oneform, 3, xs, ys)
+        report.point_report(field, oneform, xs, ys)
     assert exc.value.sample == 2
     assert f"x={xs[2].tolist()}" in str(exc.value)

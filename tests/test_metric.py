@@ -1,3 +1,4 @@
+import inspect
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ from conftest import (
     riemann_identity,
     seeded_points,
 )
-from mrootfinsler import calculus
+from mrootfinsler import calculus, flatness, kropina, report, spray
 from mrootfinsler.errors import DomainError, RiemannianOrderWarning, SingularMatrix
 from mrootfinsler.metric import (
     COND_LIMIT,
@@ -28,7 +29,7 @@ SQRT17 = np.sqrt(17.0)
 
 
 def test_diag_quartic_golden_values():
-    p = metric_point(diag_quartic(), 4, [0.0, 0.0], [1.0, 2.0])
+    p = metric_point(diag_quartic(), [0.0, 0.0], [1.0, 2.0])
     assert p.A == pytest.approx(17.0, abs=1e-12)
     assert p.F == pytest.approx(17.0 ** 0.25, abs=1e-12)
     np.testing.assert_allclose(p.l, np.array([1.0, 8.0]) / 17.0 ** 0.75, atol=1e-12)
@@ -37,52 +38,52 @@ def test_diag_quartic_golden_values():
 
 
 def test_berwald_moore_norm_at_ones():
-    p = metric_point(berwald_moore(), 4, [0.0] * 4, [1.0] * 4)
+    p = metric_point(berwald_moore(), [0.0] * 4, [1.0] * 4)
     assert p.F == pytest.approx(1.0, abs=1e-14)
     np.testing.assert_allclose(p.A_i, [0.25] * 4, atol=1e-14)
 
 
 def test_point_invariants():
-    for name, make, m, _ in MAIN_FIXTURES:
+    for name, make, _, _ in MAIN_FIXTURES:
         field = make()
         for x, y in seeded_points(field.n, 25, seed=31):
-            p = metric_point(field, m, x, y)
+            p = metric_point(field, x, y)
             assert rel_err(float(p.l @ y), p.F) <= 1e-9, name
             assert rel_err(float(y @ p.g @ y), p.F ** 2) <= 1e-9, name
             assert rel_err(p.A_inv @ p.A_i, y) <= 1e-9, name
             # degree-0 homogeneity of the fundamental tensor
             for lam in (0.5, 2.0):
-                scaled = metric_point(field, m, x, lam * np.asarray(y))
+                scaled = metric_point(field, x, lam * np.asarray(y))
                 assert rel_err(scaled.g, p.g) <= 1e-9, name
 
 
 def test_closed_forms_match_oracle():
-    for name, make, m, _ in MAIN_FIXTURES:
+    for name, make, _, _ in MAIN_FIXTURES:
         field = make()
         for x, y in seeded_points(field.n, 20, seed=37):
-            rep = verify_base_forms(metric_point(field, m, x, y))
+            rep = verify_base_forms(metric_point(field, x, y))
             assert rep.g_residual <= 1e-8, name
             assert rep.inverse_residual <= 1e-8, name
 
 
 def test_angular_tensor():
-    for name, make, m, _ in MAIN_FIXTURES:
+    for name, make, _, _ in MAIN_FIXTURES:
         field = make()
         for x, y in seeded_points(field.n, 8, seed=41):
-            p = metric_point(field, m, x, y)
+            p = metric_point(field, x, y)
             h = angular_tensor(p)
             assert float(np.max(np.abs(h @ y))) <= 1e-9 * (1 + np.max(np.abs(h))), name
             # g = h + l (x) l
             assert rel_err(h + np.outer(p.l, p.l), p.g) <= 1e-9, name
             # degree-0 homogeneity
-            p2 = metric_point(field, m, x, 2.0 * np.asarray(y))
+            p2 = metric_point(field, x, 2.0 * np.asarray(y))
             assert rel_err(angular_tensor(p2), h) <= 1e-9, name
 
 
 def test_riemannian_order_flagged_and_reduces():
     field = riemann_identity()
     with pytest.warns(RiemannianOrderWarning) as warned:
-        p = metric_point(field, 2, [0.0, 0.0], [0.6, 1.1])
+        p = metric_point(field, [0.0, 0.0], [0.6, 1.1])
     assert warned[0].filename == __file__  # the caller's line
     assert p.order_flag
     # at order 2 the fundamental tensor is the second contraction itself
@@ -92,13 +93,35 @@ def test_riemannian_order_flagged_and_reduces():
     np.testing.assert_allclose(p.g, oracle, atol=1e-10)
 
 
+# The parameters of each public evaluator: the order m is the field's
+# (CoefficientField.m, the number of indices of its tensor), never an argument.
+EVALUATOR_SHAPE = ("field", "oneform", "x", "y", "jets")
+EVALUATOR_PARAMETERS = {
+    metric_point: ("field", "x", "y", "A"),
+    kropina.kropina_point: EVALUATOR_SHAPE,
+    spray.pq_decomposition: EVALUATOR_SHAPE[:-1],
+    spray.projective_residual: EVALUATOR_SHAPE[:-1],
+    flatness.dually_flat_residual: EVALUATOR_SHAPE,
+    flatness.proj_flat_residual: EVALUATOR_SHAPE,
+    flatness.dually_flat_condition: EVALUATOR_SHAPE,
+    flatness.proj_flat_condition: EVALUATOR_SHAPE,
+    flatness.check_report: ("field", "oneform", "kind", "x", "y", "tol", "jets"),
+    report.point_report: EVALUATOR_SHAPE,
+}
+
+
+@pytest.mark.parametrize("evaluator", EVALUATOR_PARAMETERS, ids=lambda f: f.__name__)
+def test_evaluators_read_the_order_off_the_field(evaluator):
+    assert tuple(inspect.signature(evaluator).parameters) == EVALUATOR_PARAMETERS[evaluator]
+
+
 def test_domain_and_singularity_errors():
     with pytest.raises(DomainError):
-        metric_point(berwald_moore(), 4, [0.0] * 4, [1.0, 0.0, 1.0, 1.0])
+        metric_point(berwald_moore(), [0.0] * 4, [1.0, 0.0, 1.0, 1.0])
     with pytest.raises(DomainError):
-        metric_point(cubic_x(), 3, [-2.0, 0.0], [1.0, 1.0])
+        metric_point(cubic_x(), [-2.0, 0.0], [1.0, 1.0])
     with pytest.raises(SingularMatrix):
-        metric_point(diag_quartic(), 4, [0.0, 0.0], [1e-9, 1.0])
+        metric_point(diag_quartic(), [0.0, 0.0], [1e-9, 1.0])
 
 
 def _near_the_limit(rng):

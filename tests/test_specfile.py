@@ -138,6 +138,11 @@ def _name(text):
     return doc_text().replace('"name": "t"', f'"name": {text}')
 
 
+def _first_poly(poly):
+    # the spec text with the first tensor entry's polynomial written as `poly`
+    return doc_text(tensor=[{"indices": [1, 1, 1, 1], "poly": poly}])
+
+
 @pytest.mark.parametrize("data, error, match", [
     (_name('"\xe9"').encode("latin-1"), ParseError, "<text>: not UTF-8"),
     (_name("[" * 100_000 + "]" * 100_000), ParseError, "<text>: invalid JSON"),
@@ -152,9 +157,27 @@ def _name(text):
      r"one_form\[0\]\.poly\[0\]\.coeff"),
     (_first_exponent(MAX_EXPONENT + 1), ValidationError, r"tensor\[0\]\.poly\[0\]\.exponents"),
     (_first_exponent(10 ** 30), ValidationError, r"tensor\[0\]\.poly\[0\]\.exponents"),
+    (doc_text(order=4.0), ParseError, r"^order: expected an integer, got 4\.0$"),
+    (_first_poly([]), ParseError, r"^tensor\[0\]\.poly: expected a non-empty list of monomials$"),
+    (_first_poly([1.0]), ParseError, r"^tensor\[0\]\.poly\[0\]: expected an object$"),
+    (_first_poly([{"exponents": [0, 0], "coeff": 1.0}, {"exponents": [0, 0], "coeff": 2.0}]),
+     ValidationError, r"^tensor\[0\]\.poly\[1\]: duplicate exponent tuple \[0, 0\]$"),
+    (_first_coeff('"1.0"'), ParseError, r"^tensor\[0\]\.poly\[0\]\.coeff: expected a number$"),
+    (_name("1"), ParseError, r"^name: expected a string$"),
+    (doc_text(tensor={}), ParseError, r"^tensor: expected a non-empty list$"),
+    (doc_text(tensor=[[1, 1, 1, 1]]), ParseError, r"^tensor\[0\]: expected an object$"),
+    (doc_text(tensor=[{"indices": [1, 1, 1], "poly": []}]), ValidationError,
+     r"^tensor\[0\]\.indices: expected 4 entries$"),
+    (doc_text(one_form=[]), ParseError, r"^one_form: expected a non-empty list$"),
+    (doc_text(one_form=[1.0]), ParseError, r"^one_form\[0\]: expected an object$"),
+    (doc_text(one_form=[{"index": 3, "poly": []}]), ValidationError,
+     r"^one_form\[0\]\.index: value outside 1\.\.2$"),
 ], ids=["not-utf8", "nested-too-deep", "int-too-long", "int-beyond-float", "negative-int-beyond-float",
         "nan", "infinity", "minus-infinity", "float-literal-overflow", "one-form-nan",
-        "exponent-above-bound", "exponent-beyond-c-long"])
+        "exponent-above-bound", "exponent-beyond-c-long", "order-not-integer", "poly-empty",
+        "monomial-not-object", "duplicate-exponents", "coeff-not-number", "name-not-string",
+        "tensor-not-list", "tensor-entry-not-object", "indices-wrong-order", "one-form-empty",
+        "one-form-entry-not-object", "one-form-index-outside"])
 def test_input_edges_refused(data, error, match):
     # each edge is a spec error naming the source or the field, never a
     # Python exception or a non-finite coefficient let through

@@ -78,10 +78,10 @@ def test_minkowski_everything_vanishes():
         for x, y in seeded_points(field.n, 15, seed=73):
             assert np.max(np.abs(spray_coeffs(base_e, x, y))) <= 1e-9, name
             assert np.max(np.abs(spray_coeffs(krop_e, x, y))) <= 1e-9, name
-            point = pq_decomposition(field, oneform, m, x, y)
+            point = pq_decomposition(field, oneform, x, y)
             assert np.max(np.abs(point.omega)) <= 1e-9, name
             assert np.max(np.abs(point.D)) <= 1e-9, name
-            assert projective_residual(field, oneform, m, x, y) <= 1e-10, name
+            assert projective_residual(field, oneform, x, y) <= 1e-10, name
 
 
 def test_analytic_x_derivative_chains_match_fd():
@@ -93,20 +93,20 @@ def test_analytic_x_derivative_chains_match_fd():
     jets = calculus.field_jets(field, oneform, x, y)
     V = _metric_bracket(calculus.base_energy(field, m).compose(jets), y)
     dX = tail_x_derivatives(jets.group(0), jets.group(1), m)
-    omega = pq_decomposition(field, oneform, m, x, y).omega
+    omega = pq_decomposition(field, oneform, x, y).omega
 
     def X_entry(xx, i, j):
         A, beta = map(calculus.field_jets(field, oneform, xx, y).group, (0, 1))
         return transform_tail(A.val, A.grad_y / m, beta.grad_y, beta.val, m)[i, j]
 
     def two_tau_sq(xx):
-        p = metric_point(field, m, xx, y)
+        p = metric_point(field, xx, y)
         beta = float(np.array([b(xx) for b in oneform.components]) @ y)
         return 2.0 * (p.F / beta) ** 2
 
     # dg[j, l, k] = d g_jl / dx^k, then V_l = sum_jk (dg_jl/dx^k - dg_jk/dx^l) y^j y^k
     def g_entry(xx, j, l):
-        return metric_point(field, m, xx, y).g[j, l]
+        return metric_point(field, xx, y).g[j, l]
 
     dg = np.array([
         [oracles.fd_grad(lambda xx: g_entry(xx, j, l), x) for l in range(2)] for j in range(2)
@@ -157,21 +157,21 @@ def test_complex_step_tail_matches_hand_chain(name):
 
 
 def test_pq_decomposition_fields():
-    point = pq_decomposition(cubic_x(), b_const(2), 3, [0.0, 0.0], [1.0, 1.0])
+    point = pq_decomposition(cubic_x(), b_const(2), [0.0, 0.0], [1.0, 1.0])
     assert not point.aux.degenerate_order4
     np.testing.assert_allclose(point.G, GOLDEN_G_BASE, atol=1e-9)
     np.testing.assert_allclose(point.Gbar, GOLDEN_G_KROPINA, atol=1e-9)
     np.testing.assert_allclose(point.D, point.Gbar - point.G, atol=1e-15)
     assert point.omega[0] == pytest.approx((8.0 / 3.0) * 2.0 ** (-1.0 / 3.0), abs=1e-12)
     assert point.omega[1] == 0.0
-    rows = report.point_report(cubic_x(), b_const(2), 3, [0.0, 0.0], [1.0, 1.0]).rows
+    rows = report.point_report(cubic_x(), b_const(2), [0.0, 0.0], [1.0, 1.0]).rows
     for row in rows[-5:]:
         assert row.formula.startswith(("spray_", "relatedness_")), row.formula
         assert np.isfinite(row.max_abs) and np.isfinite(row.max_rel), row.formula
 
 
 def test_pq_decomposition_degenerate_order4():
-    point = pq_decomposition(diag_quartic(), b_const(2), 4, [0.0, 0.0], [1.0, 2.0])
+    point = pq_decomposition(diag_quartic(), b_const(2), [0.0, 0.0], [1.0, 2.0])
     assert point.aux.degenerate_order4
     assert np.isnan(point.P_closed)
     assert np.all(np.isnan(point.Q_closed))
@@ -179,7 +179,7 @@ def test_pq_decomposition_degenerate_order4():
     assert np.all(np.isfinite(point.G))
     assert np.all(np.isfinite(point.Gbar))
     assert np.all(np.isfinite(point.X))
-    rows = report.point_report(diag_quartic(), b_const(2), 4, [0.0, 0.0], [1.0, 2.0]).rows
+    rows = report.point_report(diag_quartic(), b_const(2), [0.0, 0.0], [1.0, 2.0]).rows
     for row in rows[-5:]:
         assert row.formula.startswith(("spray_", "relatedness_")), row.formula
         assert row.max_abs is None and row.max_rel is None, row.formula
@@ -187,16 +187,16 @@ def test_pq_decomposition_degenerate_order4():
 
 
 def test_projective_residual_golden_and_invariance():
-    residual = projective_residual(cubic_x(), b_bx(), 3, [0.2, -0.3], [0.7, 1.1])
+    residual = projective_residual(cubic_x(), b_bx(), [0.2, -0.3], [0.7, 1.1])
     assert residual == pytest.approx(GOLDEN_WEDGE_BX, abs=1e-7)
     assert residual > 1e-4  # generic point: not projectively related
 
-    r_const = projective_residual(cubic_x(), b_const(2), 3, [0.0, 0.0], [1.0, 1.0])
+    r_const = projective_residual(cubic_x(), b_const(2), [0.0, 0.0], [1.0, 1.0])
     assert r_const == pytest.approx(GOLDEN_WEDGE_CONST, abs=1e-7)
 
     for lam in (0.5, 2.0, 8.0):
         scaled = projective_residual(
-            cubic_x(), b_bx(), 3, [0.2, -0.3], lam * np.array([0.7, 1.1])
+            cubic_x(), b_bx(), [0.2, -0.3], lam * np.array([0.7, 1.1])
         )
         assert abs(scaled - residual) <= 1e-10
 
@@ -225,7 +225,7 @@ def _related(m, one_form):
     """check proj-related over 60 samples, and max |Gbar - G| / max |G| there."""
     doc = spec_from(3, m, PARALLEL_TENSORS[m], one_form)
     x, y = doc_samples(doc, 60, 0)
-    rep = flatness.check_report(doc.field, doc.oneform, m, "proj-related", x, y,
+    rep = flatness.check_report(doc.field, doc.oneform, "proj-related", x, y,
                                 flatness.DEFAULT_TOL)
     G = spray_coeffs(calculus.base_energy(doc.field, m), x, y)
     Gbar = spray_coeffs(calculus.kropina_energy(doc.field, doc.oneform, m), x, y)
@@ -249,6 +249,8 @@ def test_one_form_that_is_not_parallel_is_not_related():
 
 def test_geodesic_straight_lines_on_minkowski():
     energy = calculus.base_energy(diag_quartic(), 4)
+    with pytest.raises(ValueError, match="^steps must be positive$"):
+        integrate_geodesic(energy, [0.0, 0.0], [1.0, 2.0], 1.0, 0)
     path = integrate_geodesic(energy, [0.0, 0.0], [1.0, 2.0], 1.0, 100)
     assert not path.truncated
     t, x_end, v_end = path.samples[-1]
@@ -292,12 +294,12 @@ def test_geodesic_truncates_on_domain_exit():
 @pytest.mark.parametrize("name", ONE_FORM_SPECS)
 def test_stacked_sprays_match_single_points(name):
     doc, accepted, (xs, ys) = spec_samples(name, 12, seed=7)
-    args = (doc.field, doc.oneform, doc.m)
+    args = (doc.field, doc.oneform)
     assert_stack_matches(
         projective_residual(*args, xs, ys),
         [projective_residual(*args, x, y) for x, y in accepted], "projective_residual",
     )
-    for energy in (calculus.base_energy(doc.field, doc.m), calculus.kropina_energy(*args)):
+    for energy in (calculus.base_energy(doc.field, doc.m), calculus.kropina_energy(*args, doc.m)):
         assert_stack_matches(
             spray_coeffs(energy, xs, ys),
             [spray_coeffs(energy, x, y) for x, y in accepted], energy.name,
@@ -473,11 +475,11 @@ def test_geodesic_keeps_no_state_outside_the_domain(t_end, steps):
 def test_empty_stacks_give_empty_results(name):
     # a (0, n) stack is zero samples all the way down, not a numpy reshape error
     doc = load_spec(FIXTURE_DIR / f"{name}.json")
-    n, args = doc.n, (doc.field, doc.oneform, doc.m)
+    n, args = doc.n, (doc.field, doc.oneform)
     xs = ys = np.empty((0, n))
     jets = calculus.field_jets(doc.field, doc.oneform, xs, ys)
     assert jets.block.shape == (0, 2, {2: 23, 3: 48, 4: 77}[n])
-    for energy in (calculus.base_energy(doc.field, doc.m), calculus.kropina_energy(*args)):
+    for energy in (calculus.base_energy(doc.field, doc.m), calculus.kropina_energy(*args, doc.m)):
         assert spray_coeffs(energy, xs, ys).shape == (0, n), energy.name
     for row in report.point_report(*args, xs, ys).rows:
         assert row.max_abs is None or np.shape(row.max_abs) == (0,), row.formula

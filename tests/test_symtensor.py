@@ -64,6 +64,8 @@ def test_contract_order_and_dimension_errors():
         diag.contract([1.0, 1.0], 4)
     with pytest.raises(DimensionMismatch):
         diag.eval([1.0, 1.0, 1.0])
+    with pytest.raises(DimensionMismatch, match=r"^vector has shape \(1, 2\), expected \(2,\)$"):
+        diag.contract([[1.0, 1.0]], 1)
     quad = SymmetricTensor(2, 2, {(1, 1): 1.0, (2, 2): 1.0})
     with pytest.raises(OrderOutOfRange):
         quad.contract([1.0, 1.0], 3)
@@ -76,6 +78,13 @@ def test_entry_validation():
         SymmetricTensor(2, 3, {(1, 1): 1.0})  # wrong order
     with pytest.raises(IndexOutOfRange):
         SymmetricTensor(2, 3, {(1, 1, 3): 1.0})
+    with pytest.raises(DimensionMismatch, match="^dimension must be positive, got 0$"):
+        SymmetricTensor(0, 3, {})
+    with pytest.raises(OrderOutOfRange, match="^order must be positive, got 0$"):
+        SymmetricTensor(2, 0, {})
+    cubic = SymmetricTensor(2, 3, {(1, 1, 2): 1.0})
+    with pytest.raises(IndexOutOfRange, match=r"^index \(2, 1\) does not have order 3$"):
+        cubic.value((2, 1))
 
 
 def test_full_tensor_value_matches_canonical():
