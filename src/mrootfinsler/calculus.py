@@ -16,9 +16,12 @@ gradient and Hessian.  The pass and the chain rule are cores on raw blocks
 one domain guard, with its own one-point fast form (TermTable.refusals):
 field_jets runs the pass and that guard, the sampler's test when bound to the
 field pair, and the RK4 stage (spray) runs the cores and that guard on its own
-block; neither picks a form of the guard.  A Jet (Jet.of) is a view of a
-block; power and ScalarFunction.compose are the guarded chain rule over it.
-Each public evaluator is one stack evaluation (errors.in_sample_order).  The
+block; neither picks a form of the guard.  The stage, like the cores, opens
+no errstate: its callers own the scope (spray_coeffs its stack evaluation,
+the geodesic integrator one errstate around its step loop).  A Jet
+(Jet.of) is a view of a block; power and ScalarFunction.compose are the
+guarded chain rule over it.  Each public evaluator is one stack evaluation
+(errors.in_sample_order).  The
 value, the y-gradient and y-Hessian, the x-gradient and the mixed x-y block of
 any energy, and the value a ScalarFunction returns when called, are therefore
 slices of a single pass, exact to rounding.  Points may come stacked (..., n).

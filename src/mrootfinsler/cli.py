@@ -1,9 +1,11 @@
 """Command-line front end: eval, verify, check, geodesic.
 
 Exit codes: 0 evaluation ok / verdict pass, 1 verdict fail, 2 input or spec
-error, 3 numerical failure (singularity, domain exhaustion).  Identical
-invocations (spec bytes, flags, seed) produce byte-identical output; the seed
-defaults to the FINSLER_SEED environment variable, with the flag winning.
+error or an output that cannot be written (a path file, or a stdout whose
+reader has gone), 3 numerical failure (singularity, domain exhaustion).
+Identical invocations (spec bytes, flags, seed) produce byte-identical
+output; the seed defaults to the FINSLER_SEED environment variable, with the
+flag winning.
 
 A process that calls `main` more than once does its set-up once: the argument
 parser is built on the first call, and the documents parsed from the last
@@ -584,17 +586,16 @@ def cmd_geodesic(args, argv) -> int:
 
 
 def write_path_file(path_name: str, path: spray.GeodesicPath, n: int) -> None:
-    """Line-oriented numeric text: header then t, x..., v... rows.
-    ValidationError when the file cannot be written."""
+    """Line-oriented numeric text: header then t, x..., v... rows, written as
+    one text.  ValidationError when the file cannot be written."""
+    cols = " ".join([f"x{i}" for i in range(1, n + 1)] + [f"v{i}" for i in range(1, n + 1)])
+    lines = [f"# t {cols}"]
+    if path.truncated:
+        lines.append(f"# truncated: {path.reason}")
+    lines += [" ".join(map(_fmt, [t, *x.tolist(), *v.tolist()])) for t, x, v in path.samples]
     try:
         with open(path_name, "w") as handle:
-            cols = " ".join([f"x{i}" for i in range(1, n + 1)] + [f"v{i}" for i in range(1, n + 1)])
-            handle.write(f"# t {cols}\n")
-            if path.truncated:
-                handle.write(f"# truncated: {path.reason}\n")
-            for t, x, v in path.samples:
-                row = [t] + x.tolist() + v.tolist()
-                handle.write(" ".join(_fmt(value) for value in row) + "\n")
+            handle.write("\n".join(lines) + "\n")
     except OSError as exc:
         raise ValidationError(f"cannot write {path_name}: {exc}") from exc
 
@@ -673,6 +674,14 @@ def main(argv=None) -> int:
         return 3
     except FinslerError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except BrokenPipeError as exc:
+        # the reader of stdout has gone: refused like an --out that cannot be
+        # written, with fd 1 on devnull so the final flush cannot raise again
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        sys.stderr.write(f"error: cannot write stdout: {exc}\n")
         return 2
 
 

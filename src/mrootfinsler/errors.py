@@ -11,7 +11,8 @@ outermost one.  Inside it a guard on a stack records, per sample, the first
 refusal met there, which is what that sample alone raises, and evaluation goes
 on; the decorator then raises the lowest sample's refusal, the one a loop over
 the samples meets first.  The sampler reads the record itself.  Outside any
-scope (the RK4 stage) a guard raises at once, for its lowest refused sample.
+stack evaluation (the geodesic integrator's RK4 stages, under a plain
+errstate) a guard raises at once, for its lowest refused sample.
 `check_finite` is the guard on reported values (a NaN would drop out of a
 maximum): the `verify` rows, every `check` residual and what `eval` prints.
 """

@@ -27,9 +27,12 @@ rounding.  RK4 steps the packed state z = (x, v), and each stage hands z as
 it is to the same pass, domain guard and chain rule on raw blocks
 (TermTable.block and refusals, calculus.chain), bound once per integration:
 the guard picks its own one-point fast form, and a refused point raises what
-field_jets raises, off the block the stage holds.  Each public evaluator but
-the integrator is one stack evaluation (errors.in_sample_order); the stage
-opens none.  No state outside the domain is kept.
+field_jets raises, off the block the stage holds.  Like those cores, the
+stage opens no errstate: its callers own the scope.  Each public evaluator
+but the integrator is one stack evaluation (errors.in_sample_order); the
+integrator runs every stage and its final domain check under one errstate,
+outside any stack evaluation, so a guard raises at once.  No state outside
+the domain is kept.
 
 Geodesic convention: the integrated system is x'' = -G(x, x') with G as above.
 That is not the geodesic equation of this quarter-factor spray, which is
@@ -63,11 +66,13 @@ def spray_coeffs(energy: calculus.ScalarFunction, x, y) -> np.ndarray:
 def _stage_of(energy: calculus.ScalarFunction):
     """spray_coeffs at the packed points v = (x, y) as a function of v alone:
     one RK4 stage of the integrator, with the energy's term table, exponents
-    and block head bound once.  A straight line over raw blocks under one
-    errstate: the pass (TermTable.block), its domain guard on the same block
-    (TermTable.refusals, which clears one point in Python floats first) and
-    the chain rule (calculus.chain); then, for a jet that is not finite, the
-    Jet API's guard on the same block, and the guarded solve."""
+    and block head bound once.  A straight line over raw blocks: the pass
+    (TermTable.block), its domain guard on the same block (TermTable.refusals,
+    which clears one point in Python floats first) and the chain rule
+    (calculus.chain); then, for a jet that is not finite, the Jet API's guard
+    on the same block, and the guarded solve.  No errstate of its own, like
+    the cores it calls: spray_coeffs runs it in its stack evaluation, and
+    integrate_geodesic under the one errstate of its step loop."""
     field, oneform, exponents = energy.field, energy.oneform, energy.exponents
     n, n2, m, k = field.n, 2 * field.n, field.m, len(exponents)
     head = 1 + n2 * (n2 + 1)
@@ -75,10 +80,9 @@ def _stage_of(energy: calculus.ScalarFunction):
     block, refusals = table.block, table.refusals
 
     def stage(v):
-        with np.errstate(all="ignore"):
-            out = block(v)
-            refusals(out, v, m)
-            jet = chain(out[..., :k, :head], exponents, n2)
+        out = block(v)
+        refusals(out, v, m)
+        jet = chain(out[..., :k, :head], exponents, n2)
         if not all_finite(jet):
             energy.compose(Jet.of(out, n2))  # refuses, as the Jet path does
         return _spray(jet, v[..., n:])
@@ -266,7 +270,10 @@ def integrate_geodesic(
 ) -> GeodesicPath:
     """Classical fixed-step RK4 on the packed state z = (x, v): z' = (v, -G(x, v)).
     A state outside the domain leaves the path, named in the reason: the next
-    step's first stage finds it (DomainError), or field_jets the final one."""
+    step's first stage finds it (DomainError), or field_jets the final one.
+    Every stage and that final check run under one errstate and in no stack
+    evaluation: a guard raises at once, and an overflow in a stage's state is
+    refused by the guard that meets it, not warned about."""
     if steps < 1:
         raise ValueError("steps must be positive")
     h = float(t_end) / steps
@@ -282,27 +289,28 @@ def integrate_geodesic(
     def outside(exc):
         return f"state at t={samples.pop()[0]!r} is outside the domain: {exc}"
 
-    for i in range(1, steps + 1):
-        k1 = None
-        try:
-            k1 = rate(z)
-            k2 = rate(z + 0.5 * h * k1)
-            k3 = rate(z + 0.5 * h * k2)
-            k4 = rate(z + h * k3)
-        except (DomainError, SingularMatrix, NonFiniteResult) as exc:
-            # k1 evaluates exactly the state the step before accepted
-            at_k1 = k1 is None and isinstance(exc, DomainError)
-            truncated, reason = True, outside(exc) if at_k1 else str(exc)
-            break
-        # every step makes a new z, so the samples may keep views of it
-        z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not all_finite(z):
-            raise NonFiniteResult(f"non-finite state at step {i}")
-        samples.append((i * h, z[:n], z[n:]))
-    else:
-        try:
-            calculus.field_jets(energy.field, energy.oneform, z[:n], z[n:])
-        except DomainError as exc:
-            truncated, reason = True, outside(exc)
+    with np.errstate(all="ignore"):
+        for i in range(1, steps + 1):
+            k1 = None
+            try:
+                k1 = rate(z)
+                k2 = rate(z + 0.5 * h * k1)
+                k3 = rate(z + 0.5 * h * k2)
+                k4 = rate(z + h * k3)
+            except (DomainError, SingularMatrix, NonFiniteResult) as exc:
+                # k1 evaluates exactly the state the step before accepted
+                at_k1 = k1 is None and isinstance(exc, DomainError)
+                truncated, reason = True, outside(exc) if at_k1 else str(exc)
+                break
+            # every step makes a new z, so the samples may keep views of it
+            z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            if not all_finite(z):
+                raise NonFiniteResult(f"non-finite state at step {i}")
+            samples.append((i * h, z[:n], z[n:]))
+        else:
+            try:
+                calculus.field_jets(energy.field, energy.oneform, z[:n], z[n:])
+            except DomainError as exc:
+                truncated, reason = True, outside(exc)
 
     return GeodesicPath(samples, truncated, reason)

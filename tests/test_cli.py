@@ -275,6 +275,63 @@ def test_path_rows_from_python_floats_match_numpy_scalars(tmp_path):
     assert rows[0].split()[:4] == ["0", "-0", "0", "4.9406564584124654e-324"]
 
 
+def test_path_file_text_byte_for_byte(tmp_path):
+    # the header, the truncation line and the .17g rows, as literal text
+    from mrootfinsler import cli, spray
+
+    samples = [(0.0, np.array([0.0, 0.1]), np.array([1.0, 0.5])),
+               (0.25, np.array([0.2500000000000001, -0.0]), np.array([1.0 / 3.0, 5e-324]))]
+    reason = "state at t=0.25 is outside the domain: form value -2.158e-03 at or below floor"
+    out = tmp_path / "path.txt"
+    cli.write_path_file(str(out), spray.GeodesicPath(samples), 2)
+    assert out.read_bytes() == (
+        b"# t x1 x2 v1 v2\n"
+        b"0 0 0.10000000000000001 1 0.5\n"
+        b"0.25 0.25000000000000011 -0 0.33333333333333331 4.9406564584124654e-324\n"
+    )
+    cli.write_path_file(str(out), spray.GeodesicPath(samples[:1], True, reason), 2)
+    assert out.read_bytes() == (
+        b"# t x1 x2 v1 v2\n"
+        b"# truncated: state at t=0.25 is outside the domain: form value -2.158e-03 at or below floor\n"
+        b"0 0 0.10000000000000001 1 0.5\n"
+    )
+
+
+def test_geodesic_overflow_exits_3_without_a_warning(tmp_path):
+    # h = 1e308: the second RK4 stage's state overflows, and its guard refuses it
+    out = tmp_path / "path.txt"
+    res = run_cli(
+        "geodesic", "--spec", str(FIXTURES / "cubic_x_bx.json"), "--metric", "base",
+        "--x0=0,0", "--y0=10,5", "--t", "1e308", "--steps", "1", "--out", str(out),
+        env_extra={"PYTHONWARNINGS": "error::RuntimeWarning"},
+    )
+    assert res.returncode == 3, res.stderr
+    assert res.stderr.decode() == (
+        "numerical failure: geodesic truncated: overflow in the form value or derivatives"
+        " at x=[inf, inf], y=[-inf, -inf]\n"
+    )
+    assert out.read_text().splitlines()[2:] == ["0 0 0 10 5"]
+
+
+def test_closed_stdout_exits_2_without_a_traceback():
+    # the reader goes after 100 bytes of a 512 KB document, more than a pipe
+    # buffer holds: a write meets the closed pipe, refused like an --out
+    env = dict(os.environ)
+    env.pop("FINSLER_SEED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mrootfinsler", "verify", "--json",
+         "--spec", str(FIXTURES / "cubic_x_bx.json"), "--samples", "100"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 2, err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: cannot write stdout: "), err
+
+
 def test_eval_requires_one_form(tmp_path):
     doc = {
         "dimension": 2, "order": 4,

@@ -1,5 +1,6 @@
 import contextlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -339,9 +340,21 @@ def _raised(fn, v):
     return type(exc.value), str(exc.value), exc.value.sample
 
 
+def _first_refusal(fn, stack):
+    """The type, message and row of the FinslerError a loop of fn over the rows meets first."""
+    for i, v in enumerate(stack):
+        try:
+            fn(v)
+        except FinslerError as exc:
+            return type(exc), str(exc), i
+
+
 def test_stage_raises_what_the_jet_path_raises():
     # each guard of an RK4 stage, at one point and at sample 3 of a stack: the
-    # stage and the Jet path raise the same type, message and sample
+    # stage, under the errstate its callers open, and the Jet path raise the
+    # same type, message and sample.  With RuntimeWarnings as errors,
+    # spray_coeffs raises the same at the point (on the stack, in sample
+    # order), and the integrator started there truncates with that message
     kx2 = Polynomial(2, [((0, 0), 1.0), ((2, 0), 2.5e307)])
     steep = CoefficientField(2, 3, {(1, 1, 1): kx2, (2, 2, 2): Polynomial.constant(2, 1.0)})
     huge = CoefficientField.constant(2, 3, {(1, 1, 1): 1e300, (2, 2, 2): 1.0})
@@ -365,12 +378,39 @@ def test_stage_raises_what_the_jet_path_raises():
             at, along = v[..., :2], v[..., 2:]
             return spray._spray(calculus.derivatives(energy, at, along).block, along)
 
+        def coeffs_at(v):
+            return spray_coeffs(energy, v[..., :2], v[..., 2:])
+
         stack = np.concatenate((xs, ys), axis=-1)
         stack[3] = x + y
         for v, sample in ((np.array(x + y), None), (stack, 3)):
-            raised = _raised(stage, v)
+            with np.errstate(all="ignore"):
+                raised = _raised(stage, v)
             assert raised == _raised(jet_path, v), (message, sample)
             assert re.match(message, raised[1]) and raised[2] == sample, (raised, sample)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                coeffs = _raised(coeffs_at, v)
+                if sample is None:
+                    path = integrate_geodesic(energy, x, y, 1.0, 1)
+                    assert coeffs == raised, message
+                    assert path.truncated and path.reason.endswith(raised[1]), (path.reason, message)
+                else:
+                    # spray_coeffs raises in sample order: what a loop over the rows meets first
+                    assert coeffs == _first_refusal(coeffs_at, v), message
+
+
+def test_rk4_overflow_truncates_the_path():
+    # h = 1e308: the state of the second stage overflows to infinity; under the
+    # integrator's errstate the stage's guard refuses it, and nothing warns
+    doc = load_spec(FIXTURE_DIR / "cubic_x_bx.json")
+    energy = calculus.base_energy(doc.field, doc.m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        path = integrate_geodesic(energy, [0.0, 0.0], [10.0, 5.0], 1e308, 1)
+    assert path.truncated
+    assert path.reason == "overflow in the form value or derivatives at x=[inf, inf], y=[-inf, -inf]"
+    assert len(path.samples) == 1 and path.samples[0][0] == 0.0
 
 
 # A kropina geodesic of cubic_x whose state at t = 1.75 (h = 0.125) has a
