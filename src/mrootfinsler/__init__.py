@@ -23,4 +23,4 @@ from .fields import CoefficientField, OneFormField, Polynomial  # noqa: F401
 from .kropina import KropinaPoint, kropina_point  # noqa: F401
 from .metric import MetricPoint, metric_point  # noqa: F401
 from .specfile import MetricSpecDocument, load_spec, parse_spec  # noqa: F401
-from .symtensor import MultisetIndex, SymmetricTensor, canonicalize  # noqa: F401
+from .symtensor import SymmetricTensor, canonicalize  # noqa: F401

@@ -318,7 +318,6 @@ def fd_hessian(fn, v) -> np.ndarray:
 class FdReport:
     """Deviation of the oracle's derivatives from the finite-difference ones."""
 
-    order: int
     max_abs: float
     max_rel: float
 
@@ -344,4 +343,4 @@ def fd_check(f: ScalarFunction, x, y, order: int) -> FdReport:
     else:
         oracle, fd = jet.hess, fd_hessian(fn, v)
     diff = np.abs(oracle - fd)
-    return FdReport(order, float(diff.max()), float((diff / (1.0 + np.abs(fd))).max()))
+    return FdReport(float(diff.max()), float((diff / (1.0 + np.abs(fd))).max()))

@@ -43,18 +43,15 @@ import numpy as np
 
 from . import __version__, calculus, flatness, kropina, report, sampling, spray
 from .errors import (
+    NUMERIC_ERRORS,
     DomainError,
     FinslerError,
-    NonFiniteResult,
     RiemannianOrderWarning,
-    SingularMatrix,
     ValidationError,
     check_finite,
 )
 from .metric import ORDER2_NOTICE
 from .specfile import MetricSpecDocument, _read, parse_spec
-
-NUMERIC_ERRORS = (DomainError, NonFiniteResult, SingularMatrix)
 
 
 def _fmt(value) -> str:
@@ -109,8 +106,6 @@ def _real(text: str, what: str, nonnegative: bool = False) -> float:
 
 
 def _finite_or_none(value):
-    if value is None:
-        return None
     value = float(value)
     return value if math.isfinite(value) else None
 
@@ -162,27 +157,17 @@ def _envelope(command: str, doc: MetricSpecDocument, argv) -> dict:
     }
 
 
-class _Slot:
-    """A number in a document shape: the index of the number it reads."""
-
-    __slots__ = ("index",)
-
-    def __init__(self, index: int):
-        self.index = index
-
-
 class _Section(NamedTuple):
     """A part of a --json document, laid out once per shape: a value of the
-    top-level payload.  `shape(*key)` is its value with a _Slot for each
-    number, and `key` holds everything its text depends on.  `numbers` holds
-    the numbers the slots read, one entry per _Slot index.  In a section of
-    `records` each entry is a column of N numbers, and the section is a list
-    of N copies of the shape, one per column; any other section is one copy."""
+    top-level payload.  `shape(base, *key)` is its value with the integer
+    base + i for the number of index i, and `key` holds everything its text
+    depends on.  `numbers` holds the numbers the slots read, one entry per
+    index.  Entries that are columns of N numbers make the section a list of
+    N copies of the shape, one per column; numbers make it one copy."""
 
     shape: Callable
     key: tuple
     numbers: list
-    records: bool = False
 
 
 # Document shapes whose layout one process keeps: room for the verify rows,
@@ -212,14 +197,14 @@ class _Template(NamedTuple):
 
 @lru_cache(maxsize=LAYOUT_CACHE_SIZE)
 def _template(shape, key: tuple, level: int) -> _Template:
-    """shape(*key) laid out at indent `level`, once per shape and level: the
+    """The shape laid out at indent `level`, once per shape and level: the
     text between its slots, one piece more than there are slots, and the
     number each slot reads.  The shape is laid out twice, slot i written as
     10**9 + i and then as 2 * 10**9 + i, so the two texts differ only at
     each slot's first digit, which no string in the shape can fake."""
-    value, indent = shape(*key), "\n" + "  " * level
-    first, second = (json.dumps(value, sort_keys=True, indent=2, default=lambda slot: base + slot.index)
-                     .replace("\n", indent) for base in (10**9, 2 * 10**9))
+    indent = "\n" + "  " * level
+    first, second = (json.dumps(shape(base, *key), sort_keys=True, indent=2).replace("\n", indent)
+                     for base in (10**9, 2 * 10**9))
     starts = np.flatnonzero(np.frombuffer(first.encode(), np.uint8)
                             != np.frombuffer(second.encode(), np.uint8)).tolist()
     pieces = [first[a:b] for a, b in zip([0] + [s + 10 for s in starts], starts + [len(first)])]
@@ -259,8 +244,9 @@ def _emit(payload: dict, out=None):
     nested key (at an indent of 4 or more) can fake.  The numbers of every
     section are stacked and formatted in one pass, as json.dumps writes them
     and null for one that is not finite, into one object array, and every
-    section is filled from it by `_fill`: a section of records chunk by
-    chunk, any other as one record.
+    section is filled from it by `_fill`: a section of 2-D numbers (records,
+    at indent 2) chunk by chunk, one of 1-D numbers (at indent 1) as one
+    record.
     """
     out = sys.stdout if out is None else out
     keys = sorted(k for k, v in payload.items() if type(v) is _Section) if isinstance(payload, dict) else []
@@ -282,8 +268,8 @@ def _emit(payload: dict, out=None):
     out.write(pieces[0])
     start = 0
     for section, stack, piece in zip(sections, stacks, pieces[1:]):
-        template = _template(section.shape, section.key, 2 if section.records else 1)
-        if not section.records:
+        template = _template(section.shape, section.key, stack.ndim)
+        if stack.ndim == 1:
             _fill(out.write, template, texts, start, len(stack), 1)
         elif stack.size:
             out.write("[\n    ")
@@ -372,8 +358,8 @@ def cmd_eval(args, argv) -> int:
     w(f"x = [{', '.join(_fmt(v) for v in x)}]\n")
     w(f"y = [{', '.join(_fmt(v) for v in y)}]\n")
     w(f"base metric (n = {doc.n}, m = {doc.m}):\n")
-    if base.order_flag:
-        w(f"  note: {base.order_flag}\n")
+    if doc.m == 2:
+        w(f"  note: {ORDER2_NOTICE}\n")
     w(f"  A    = {_fmt(base.A)}\n")
     w(f"  F    = {_fmt(base.F)}\n")
     w(f"  l    = [{', '.join(_fmt(v) for v in base.l)}]\n")
@@ -410,10 +396,10 @@ def _row_shapes(rows) -> tuple:
     return tuple((row.formula, row.note, row.max_abs is not None) for row in rows)
 
 
-def _rows_shape(n: int, rows: tuple) -> list:
+def _rows_shape(base: int, n: int, rows: tuple) -> list:
     """The reduced rows of a verify head: each defined row reads its max_abs,
     max_rel, x and y, 2 + 2n numbers, in turn."""
-    slots = map(_Slot, count())
+    slots = count(base)
     shaped = []
     for formula, note, defined in rows:
         if defined:
@@ -424,21 +410,21 @@ def _rows_shape(n: int, rows: tuple) -> list:
     return shaped
 
 
-def _record_shape(n: int, rows: tuple) -> dict:
+def _record_shape(base: int, n: int, rows: tuple) -> dict:
     """A verify record: x and y read numbers 0 to 2n - 1, and each defined row
     its max_abs and max_rel in turn."""
-    x, y = list(map(_Slot, range(n))), list(map(_Slot, range(n, 2 * n)))
-    slots = map(_Slot, count(2 * n))
+    x, y = list(range(base, base + n)), list(range(base + n, base + 2 * n))
+    slots = count(base + 2 * n)
     return {"x": x, "y": y, "rows": [
         _row(formula, note, next(slots), next(slots), x, y) if defined else _row(formula, note)
         for formula, note, defined in rows
     ]}
 
 
-def _check_shape(n: int) -> dict:
+def _check_shape(base: int, n: int) -> dict:
     """A proj-related record: x and y read numbers 0 to 2n - 1, the residual 2n."""
-    return {"x": list(map(_Slot, range(n))), "y": list(map(_Slot, range(n, 2 * n))),
-            "residual": _Slot(2 * n)}
+    return {"x": list(range(base, base + n)), "y": list(range(base + n, base + 2 * n)),
+            "residual": base + 2 * n}
 
 
 def _verify_rows(n: int, rows) -> _Section:
@@ -451,12 +437,12 @@ def _verify_rows(n: int, rows) -> _Section:
 def _verify_records(x, y, rows) -> _Section:
     """The records of verify --json: every row at each sample of the stack (N, n)."""
     residuals = [v for row in rows if row.max_abs is not None for v in (row.max_abs, row.max_rel)]
-    return _Section(_record_shape, (x.shape[1], _row_shapes(rows)), [*x.T, *y.T, *residuals], True)
+    return _Section(_record_shape, (x.shape[1], _row_shapes(rows)), [*x.T, *y.T, *residuals])
 
 
 def _check_records(x, y, residuals) -> _Section:
     """The records of check proj-related --json: the residual at each sample of the stack (N, n)."""
-    return _Section(_check_shape, (x.shape[1],), [*x.T, *y.T, residuals], True)
+    return _Section(_check_shape, (x.shape[1],), [*x.T, *y.T, residuals])
 
 
 def cmd_verify(args, argv) -> int:

@@ -66,6 +66,11 @@ class ValidationError(FinslerError):
     """Metric-spec document is well-formed but violates a constraint."""
 
 
+# The numerical failures: the CLI exits 3 on them, and a geodesic step that
+# meets one truncates the path.
+NUMERIC_ERRORS = (DomainError, NonFiniteResult, SingularMatrix)
+
+
 class RiemannianOrderWarning(UserWarning):
     """Order m = 2 is accepted but flagged: the closed forms target m > 2."""
 

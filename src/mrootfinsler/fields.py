@@ -285,15 +285,15 @@ class CoefficientField:
         canon = {}
         for key, poly in entries.items():
             ms = canonicalize(key, n)
-            if len(ms.indices) != m:
+            if len(ms) != m:
                 raise DimensionMismatch(f"index {key} does not have order {m}")
-            if ms.indices != tuple(key):
+            if ms != tuple(key):
                 raise ValueError(f"index {tuple(key)} is not canonical (sorted)")
-            if ms.indices in canon:
-                raise ValueError(f"duplicate canonical index {ms.indices}")
+            if ms in canon:
+                raise ValueError(f"duplicate canonical index {ms}")
             if poly.n != n:
-                raise DimensionMismatch(f"entry {ms.indices} polynomial has wrong arity")
-            canon[ms.indices] = poly
+                raise DimensionMismatch(f"entry {ms} polynomial has wrong arity")
+            canon[ms] = poly
         self.n = int(n)
         self.m = int(m)
         self.entries = canon

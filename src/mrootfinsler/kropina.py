@@ -93,7 +93,6 @@ class KropinaPoint:
 
     jets: Jet                   # the pass (A, beta)
     base: MetricPoint
-    oneform: OneFormField
     b: np.ndarray
     beta: float
     Fbar: float
@@ -172,7 +171,7 @@ def kropina_point(
         gbar_inv_split = _closed_inverse(base, b_up, beta, aux, split=True)
 
     return KropinaPoint(
-        jets=jets, base=base, oneform=oneform, b=b, beta=beta, Fbar=Fbar, lbar=lbar,
+        jets=jets, base=base, b=b, beta=beta, Fbar=Fbar, lbar=lbar,
         hbar_closed=hbar_closed, hbar_oracle=hbar_oracle,
         gbar_closed=gbar_closed, gbar_split=gbar_split, gbar_oracle=gbar_oracle,
         gbar_inv_closed=gbar_inv_closed, gbar_inv_split=gbar_inv_split,
@@ -184,7 +183,7 @@ def kropina_point(
 def _closed_inverse(
     base: MetricPoint, b_up: np.ndarray, beta: float, aux: AuxScalars, split: bool
 ) -> np.ndarray:
-    m, y = base.m, base.y
+    m, y = base.field.m, base.y
     F, beta, tau, p0, p1, p2, p3, d2 = (
         v[..., None, None] for v in (
             base.F, beta, aux.tau, aux.p0, aux.p1, aux.p2, aux.p3, aux.d2

@@ -71,8 +71,6 @@ def _invert_guarded(matrix: np.ndarray, label: str) -> np.ndarray:
 class MetricPoint:
     """Immutable snapshot of every base-metric quantity at (x, y), per sample of a stack."""
 
-    n: int
-    m: int
     x: np.ndarray
     y: np.ndarray
     A: float            # degree-m form value
@@ -83,8 +81,7 @@ class MetricPoint:
     g: np.ndarray       # fundamental tensor, closed form
     g_inv: np.ndarray   # closed-form inverse
     A_inv: np.ndarray   # inverse of the second contraction
-    field: CoefficientField
-    order_flag: str = ""
+    field: CoefficientField     # the source of n and the order m
 
 
 @in_sample_order
@@ -104,11 +101,9 @@ def metric_point(field: CoefficientField, x, y, A: Jet = None) -> MetricPoint:
     if A is None:
         A = calculus.field_jets(field, None, x, y).group(0)
 
-    order_flag = ""
     if m == 2:
-        order_flag = ORDER2_NOTICE
         # the caller's line: levels 2 and 3 are the scope in_sample_order opens
-        warnings.warn(order_flag, RiemannianOrderWarning, stacklevel=4)
+        warnings.warn(ORDER2_NOTICE, RiemannianOrderWarning, stacklevel=4)
 
     A_i = A.grad_y / m
     A_ij = A.hess_yy / (m * (m - 1))
@@ -122,14 +117,13 @@ def metric_point(field: CoefficientField, x, y, A: Jet = None) -> MetricPoint:
     g_inv = Fm ** (m - 2) * A_inv / (m - 1) + (m - 2) * outer(y, y) / ((m - 1) * Fm ** 2)
 
     return MetricPoint(
-        n=field.n, m=m, x=x, y=y, A=A, A_i=A_i, A_ij=A_ij,
-        F=F, l=l, g=g, g_inv=g_inv, A_inv=A_inv, field=field, order_flag=order_flag,
+        x=x, y=y, A=A, A_i=A_i, A_ij=A_ij, F=F, l=l, g=g, g_inv=g_inv, A_inv=A_inv, field=field,
     )
 
 
 def angular_tensor(point: MetricPoint) -> np.ndarray:
     """F times the y-Hessian of F, built from the oracle; annihilates y."""
-    norm_fn = calculus.mth_root_norm(point.field, point.m)
+    norm_fn = calculus.mth_root_norm(point.field, point.field.m)
     return point.F * calculus.hess_y(norm_fn, point.x, point.y)
 
 
@@ -142,8 +136,8 @@ class BaseFormReport:
 
 
 def verify_base_forms(point: MetricPoint) -> BaseFormReport:
-    energy = calculus.base_energy(point.field, point.m)
+    energy = calculus.base_energy(point.field, point.field.m)
     oracle = 0.5 * calculus.hess_y(energy, point.x, point.y)
     g_res = float(np.max(np.abs(point.g - oracle)))
-    eye_res = float(np.max(np.abs(point.g_inv @ point.g - np.eye(point.n))))
+    eye_res = float(np.max(np.abs(point.g_inv @ point.g - np.eye(point.field.n))))
     return BaseFormReport(g_res, eye_res)

@@ -58,7 +58,6 @@ class ResidualRow:
 @dataclass
 class DiscrepancyReport:
     rows: list
-    points: int
     degenerate_order4: bool = False
     notes: list = dc_field(default_factory=list)
 
@@ -72,7 +71,7 @@ Row = namedtuple("Row", "formula closed oracle scale note aux", defaults=(None, 
 
 
 def _identity(k, s):
-    return np.eye(k.base.n)
+    return np.eye(k.base.field.n)
 
 
 def _D(k, s):
@@ -158,10 +157,7 @@ def point_report(
         [(f"{row.formula} residual", v) for row in rows if row.max_abs is not None
          for v in (row.max_abs, row.max_rel)], k.base.x, k.base.y,
     )
-    return DiscrepancyReport(
-        rows=rows, points=int(np.prod(k.base.y.shape[:-1])),
-        degenerate_order4=k.aux.degenerate_order4, notes=[B2_NOTE],
-    )
+    return DiscrepancyReport(rows, k.aux.degenerate_order4, [B2_NOTE])
 
 
 def reduce_report(report: DiscrepancyReport) -> DiscrepancyReport:

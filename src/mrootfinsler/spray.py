@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calculus
-from .errors import DomainError, NonFiniteResult, SingularMatrix, in_sample_order
+from .errors import NUMERIC_ERRORS, DomainError, in_sample_order
 from .fields import CoefficientField, Jet, OneFormField, all_finite, dot
 from .fields import matvec, norm, outer, pack, vecmat
 from .kropina import AuxScalars, KropinaPoint, kropina_point
@@ -185,7 +185,7 @@ def pq_split(point: KropinaPoint) -> SprayPoint:
     the expansion it descends from).
     """
     jets, base, aux, b_up = point.jets, point.base, point.aux, point.b_up
-    field, m, y = base.field, base.m, base.y
+    field, m, y = base.field, base.field.m, base.y
 
     E = calculus.base_energy(field, m).compose(jets)
     G = _spray(E.block, y)
@@ -258,11 +258,14 @@ def projective_residual(field: CoefficientField, oneform: OneFormField, x, y) ->
 
 @dataclass
 class GeodesicPath:
-    """Fixed-step trajectory; truncated=True when the domain was exhausted."""
+    """Fixed-step trajectory, truncated when `reason` says why it stopped short."""
 
     samples: list          # (t, x array, v array)
-    truncated: bool = False
     reason: str = ""
+
+    @property
+    def truncated(self) -> bool:
+        return bool(self.reason)
 
 
 def integrate_geodesic(
@@ -271,16 +274,18 @@ def integrate_geodesic(
     """Classical fixed-step RK4 on the packed state z = (x, v): z' = (v, -G(x, v)).
     A state outside the domain leaves the path, named in the reason: the next
     step's first stage finds it (DomainError), or field_jets the final one.
-    Every stage and that final check run under one errstate and in no stack
-    evaluation: a guard raises at once, and an overflow in a stage's state is
-    refused by the guard that meets it, not warned about."""
+    A refused stage, or a new state that is not finite, truncates the path
+    at the states accepted before it.  Every stage and that final check run
+    under one errstate and in no stack evaluation: a guard raises at once,
+    and an overflow in a stage's state is refused by the guard that meets
+    it, not warned about."""
     if steps < 1:
         raise ValueError("steps must be positive")
     h = float(t_end) / steps
     n = energy.field.n
     z = pack(x0, y0, n)
     samples = [(0.0, z[:n], z[n:])]
-    truncated, reason = False, ""
+    reason = ""
     stage = _stage_of(energy)
 
     def rate(z):
@@ -297,20 +302,21 @@ def integrate_geodesic(
                 k2 = rate(z + 0.5 * h * k1)
                 k3 = rate(z + 0.5 * h * k2)
                 k4 = rate(z + h * k3)
-            except (DomainError, SingularMatrix, NonFiniteResult) as exc:
+            except NUMERIC_ERRORS as exc:
                 # k1 evaluates exactly the state the step before accepted
                 at_k1 = k1 is None and isinstance(exc, DomainError)
-                truncated, reason = True, outside(exc) if at_k1 else str(exc)
+                reason = outside(exc) if at_k1 else str(exc)
                 break
             # every step makes a new z, so the samples may keep views of it
             z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             if not all_finite(z):
-                raise NonFiniteResult(f"non-finite state at step {i}")
+                reason = f"non-finite state at step {i}"
+                break
             samples.append((i * h, z[:n], z[n:]))
         else:
             try:
                 calculus.field_jets(energy.field, energy.oneform, z[:n], z[n:])
             except DomainError as exc:
-                truncated, reason = True, outside(exc)
+                reason = outside(exc)
 
-    return GeodesicPath(samples, truncated, reason)
+    return GeodesicPath(samples, reason)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -33,16 +32,8 @@ def index_multiplicity(indices) -> int:
     return mult
 
 
-@dataclass(frozen=True)
-class MultisetIndex:
-    """Sorted index tuple plus its permutation multiplicity."""
-
-    indices: tuple
-    multiplicity: int
-
-
-def canonicalize(raw_indices, n: int) -> MultisetIndex:
-    """Sort an index tuple and attach its multiplicity.
+def canonicalize(raw_indices, n: int) -> tuple:
+    """The sorted index tuple (its multiplicity is index_multiplicity's).
 
     Idempotent on already-sorted input; raises IndexOutOfRange for entries
     outside 1..n.
@@ -51,8 +42,7 @@ def canonicalize(raw_indices, n: int) -> MultisetIndex:
     for i in idx:
         if i < 1 or i > n:
             raise IndexOutOfRange(f"index {i} outside 1..{n}")
-    srt = tuple(sorted(idx))
-    return MultisetIndex(srt, index_multiplicity(srt))
+    return tuple(sorted(idx))
 
 
 def key_exponents(key, n: int) -> tuple:
@@ -108,11 +98,8 @@ class SymmetricTensor:
             key = tuple(int(i) for i in key)
             if len(key) != m:
                 raise IndexOutOfRange(f"index {key} does not have order {m}")
-            if tuple(sorted(key)) != key:
+            if canonicalize(key, n) != key:
                 raise IndexOutOfRange(f"index {key} is not sorted non-decreasing")
-            for i in key:
-                if i < 1 or i > n:
-                    raise IndexOutOfRange(f"index {i} outside 1..{n}")
             canon[key] = float(value)
         self.n = int(n)
         self.m = int(m)
@@ -125,9 +112,9 @@ class SymmetricTensor:
     def value(self, raw_indices) -> float:
         """Full-tensor component at any permuted index (canonical lookup)."""
         key = canonicalize(raw_indices, self.n)
-        if len(key.indices) != self.m:
+        if len(key) != self.m:
             raise IndexOutOfRange(f"index {raw_indices} does not have order {self.m}")
-        return self.entries.get(key.indices, 0.0)
+        return self.entries.get(key, 0.0)
 
     def _check_vector(self, y):
         if len(y) != self.n:

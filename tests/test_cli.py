@@ -289,7 +289,7 @@ def test_path_file_text_byte_for_byte(tmp_path):
         b"0 0 0.10000000000000001 1 0.5\n"
         b"0.25 0.25000000000000011 -0 0.33333333333333331 4.9406564584124654e-324\n"
     )
-    cli.write_path_file(str(out), spray.GeodesicPath(samples[:1], True, reason), 2)
+    cli.write_path_file(str(out), spray.GeodesicPath(samples[:1], reason), 2)
     assert out.read_bytes() == (
         b"# t x1 x2 v1 v2\n"
         b"# truncated: state at t=0.25 is outside the domain: form value -2.158e-03 at or below floor\n"
@@ -311,6 +311,29 @@ def test_geodesic_overflow_exits_3_without_a_warning(tmp_path):
         " at x=[inf, inf], y=[-inf, -inf]\n"
     )
     assert out.read_text().splitlines()[2:] == ["0 0 0 10 5"]
+
+
+def test_overflowing_step_writes_a_truncated_path_file(tmp_path):
+    # every stage is finite and the step's new state is not: the path is
+    # truncated at the start state, with its reason, like a refused stage
+    out = tmp_path / "path.txt"
+    args = ["geodesic", "--spec", str(FIXTURES / "diag_quartic.json"), "--x0=0,0",
+            "--y0=1e70,1e70", "--t", "1e250", "--steps", "1", "--out", str(out)]
+    stderr = b"numerical failure: geodesic truncated: non-finite state at step 1\n"
+    path_file = (b"# t x1 x2 v1 v2\n# truncated: non-finite state at step 1\n"
+                 b"0 0 0 1.0000000000000001e+70 1.0000000000000001e+70\n")
+    env = {"PYTHONWARNINGS": "error::RuntimeWarning"}
+    res = run_cli(*args, env_extra=env)
+    assert (res.returncode, res.stderr) == (3, stderr)
+    assert res.stdout == f"wrote 1 states to {out} (truncated: domain exhausted)\n".encode()
+    assert out.read_bytes() == path_file
+    out.unlink()
+    res = run_cli(*args, "--metric", "kropina", "--json", "--steps", "4", env_extra=env)
+    assert (res.returncode, res.stderr) == (3, stderr)
+    doc = json.loads(res.stdout)
+    assert (doc["metric"], doc["steps"], doc["states_written"], doc["truncated"]) == (
+        "kropina", 4, 1, True)
+    assert out.read_bytes() == path_file
 
 
 def test_closed_stdout_exits_2_without_a_traceback():
@@ -675,7 +698,7 @@ def test_emit_verify_records_match_json_dumps(report, chunk):
     from mrootfinsler.report import DiscrepancyReport, reduce_report
 
     payload, x, y, rows = report
-    merged = reduce_report(DiscrepancyReport(rows, len(x))).rows
+    merged = reduce_report(DiscrepancyReport(rows)).rows
     got = _emitted_in_chunks({**payload, "records": cli._verify_records(x, y, rows),
                               "rows": cli._verify_rows(x.shape[1], merged)}, chunk)
     expected = {**payload, "records": oracles.verify_records(x, y, rows),
@@ -720,7 +743,7 @@ def test_emit_verify_records_of_a_report(fixture):
     )
     x, y = samples.x, samples.y
     rows = report.point_report(doc.field, doc.oneform, x, y).rows
-    merged = report.reduce_report(report.DiscrepancyReport(rows, len(x))).rows
+    merged = report.reduce_report(report.DiscrepancyReport(rows)).rows
     assert any(row.max_abs is None for row in rows) == (doc.m == 4)
     out = io.StringIO()
     cli._emit({"order": doc.m, "records": cli._verify_records(x, y, rows),
@@ -1308,7 +1331,7 @@ def test_json_shape_cache_key_is_complete(tmp_path, capsys, monkeypatch):
     for null in ((), (1,), (0, 1), (0,), ()):
         rows = [ResidualRow(f"row{k}", None, None, note="note") if k in null
                 else ResidualRow(f"row{k}", values, values, x, x, "note") for k in range(2)]
-        merged = reduce_report(DiscrepancyReport(rows, 1)).rows
+        merged = reduce_report(DiscrepancyReport(rows)).rows
         out = io.StringIO()
         cli._emit({"records": cli._verify_records(x, x, rows),
                    "rows": cli._verify_rows(2, merged)}, out)

@@ -85,7 +85,6 @@ def test_riemannian_order_flagged_and_reduces():
     with pytest.warns(RiemannianOrderWarning) as warned:
         p = metric_point(field, [0.0, 0.0], [0.6, 1.1])
     assert warned[0].filename == __file__  # the caller's line
-    assert p.order_flag
     # at order 2 the fundamental tensor is the second contraction itself
     np.testing.assert_allclose(p.g, p.A_ij, atol=1e-10)
     energy = calculus.base_energy(field, 2)

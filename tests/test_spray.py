@@ -413,6 +413,20 @@ def test_rk4_overflow_truncates_the_path():
     assert len(path.samples) == 1 and path.samples[0][0] == 0.0
 
 
+def test_overflowing_step_truncates_the_path():
+    # x enters diag_quartic only with exponent 0, so every stage at x = inf is
+    # finite and accepted; the step's new state is not, and truncates the path
+    doc = load_spec(FIXTURE_DIR / "diag_quartic.json")
+    for energy, steps in ((calculus.base_energy(doc.field, doc.m), 1),
+                          (calculus.kropina_energy(doc.field, doc.oneform, doc.m), 4)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            path = integrate_geodesic(energy, [0.0, 0.0], [1e70, 1e70], 1e250, steps)
+        assert path.truncated and path.reason == "non-finite state at step 1", energy.name
+        [(t, x, v)] = path.samples
+        assert (t, x.tolist(), v.tolist()) == (0.0, [0.0, 0.0], [1e70, 1e70]), energy.name
+
+
 # A kropina geodesic of cubic_x whose state at t = 1.75 (h = 0.125) has a
 # negative form value: the accepted states end at t = 1.625
 OUTSIDE_X0 = [0.11290864530486688, 0.28458872586489115]

@@ -13,22 +13,22 @@ from mrootfinsler.symtensor import SymmetricTensor, canonicalize, index_multipli
 
 def test_canonicalize_examples():
     ms = canonicalize((2, 1, 1, 2), 2)
-    assert ms.indices == (1, 1, 2, 2)
-    assert ms.multiplicity == 6  # 4!/(2!2!)
+    assert ms == (1, 1, 2, 2)
+    assert index_multiplicity(ms) == 6  # 4!/(2!2!)
 
     ms = canonicalize((1, 1, 1, 1), 2)
-    assert ms.indices == (1, 1, 1, 1)
-    assert ms.multiplicity == 1
+    assert ms == (1, 1, 1, 1)
+    assert index_multiplicity(ms) == 1
 
     ms = canonicalize((4, 3, 2, 1), 4)
-    assert ms.indices == (1, 2, 3, 4)
-    assert ms.multiplicity == 24
+    assert ms == (1, 2, 3, 4)
+    assert index_multiplicity(ms) == 24
 
 
 def test_canonicalize_idempotent_and_range():
     ms = canonicalize((1, 2, 2), 3)
-    again = canonicalize(ms.indices, 3)
-    assert again == ms
+    again = canonicalize(ms, 3)
+    assert again == ms == (1, 2, 2)
     with pytest.raises(IndexOutOfRange):
         canonicalize((0, 1), 2)
     with pytest.raises(IndexOutOfRange):
@@ -72,12 +72,15 @@ def test_contract_order_and_dimension_errors():
 
 
 def test_entry_validation():
-    with pytest.raises(IndexOutOfRange):
-        SymmetricTensor(2, 3, {(2, 1, 1): 1.0})  # not sorted
-    with pytest.raises(IndexOutOfRange):
-        SymmetricTensor(2, 3, {(1, 1): 1.0})  # wrong order
-    with pytest.raises(IndexOutOfRange):
+    # a key with one defect is refused with the message naming it
+    with pytest.raises(IndexOutOfRange, match=r"^index \(2, 1, 1\) is not sorted non-decreasing$"):
+        SymmetricTensor(2, 3, {(2, 1, 1): 1.0})
+    with pytest.raises(IndexOutOfRange, match=r"^index \(1, 1\) does not have order 3$"):
+        SymmetricTensor(2, 3, {(1, 1): 1.0})
+    with pytest.raises(IndexOutOfRange, match=r"^index 3 outside 1\.\.2$"):
         SymmetricTensor(2, 3, {(1, 1, 3): 1.0})
+    with pytest.raises(IndexOutOfRange, match=r"^index 0 outside 1\.\.2$"):
+        SymmetricTensor(2, 3, {(0, 1, 1): 1.0})
     with pytest.raises(DimensionMismatch, match="^dimension must be positive, got 0$"):
         SymmetricTensor(0, 3, {})
     with pytest.raises(OrderOutOfRange, match="^order must be positive, got 0$"):
