@@ -40,28 +40,8 @@ from .metric import ORDER2_NOTICE
 DEFAULT_TOL = 1e-8
 
 
-@dataclass
-class FlatnessIntermediates:
-    """x-derivative contractions entering the closed-form conditions, per sample."""
-
-    A0: float            # dA/dx^k y^k
-    A0l: np.ndarray      # d2A/dx^k dy^l y^k
-    beta_l: np.ndarray   # db_k/dx^l y^k
-    Axl: np.ndarray      # dA/dx^l
-
-
 def _jets(field, oneform, x, y, jets):
     return calculus.field_jets(field, oneform, x, y) if jets is None else jets
-
-
-@in_sample_order
-def intermediates(
-    field: CoefficientField, oneform: OneFormField, x, y, jets=None
-) -> FlatnessIntermediates:
-    """The contractions, read off one derivative pass of A and beta (`jets` if given)."""
-    y = np.asarray(y, dtype=float)
-    A, beta = map(_jets(field, oneform, x, y, jets).group, (0, 1))
-    return FlatnessIntermediates(dot(A.grad_x, y), vecmat(y, A.hess_xy), beta.grad_x, A.grad_x)
 
 
 # ---------------------------------------------------------------------------
@@ -104,20 +84,19 @@ class ConditionEval:
 
 
 def _condition_terms(field, oneform, x, y, jets):
-    """The order m, the intermediates, b, A_y and the per-sample scalars A,
-    F = A^(1/m), beta, A0 and beta_l y^l of both conditions, lifted to broadcast
-    against vectors, read off one pass."""
+    """The order m, b, A_y, the contractions A_{x^k y^l} y^k, b_{k,x^l} y^k and
+    A_{x^l}, and the per-sample scalars A, F = A^(1/m), beta, A_{x^k} y^k and
+    b_{k,x^l} y^k y^l of both conditions, lifted to broadcast against vectors,
+    read off one pass."""
     m = field.m
     if m == 2:
         # the condition's caller: levels 3 and 4 are the scope in_sample_order opens
         warnings.warn(ORDER2_NOTICE, RiemannianOrderWarning, stacklevel=5)
     y = np.asarray(y, dtype=float)
-    jets = _jets(field, oneform, x, y, jets)
-    itm = intermediates(field, oneform, x, y, jets)
-    A, beta = jets.group(0), jets.group(1)
+    A, beta = map(_jets(field, oneform, x, y, jets).group, (0, 1))
     F = A.val ** (1.0 / m)
-    scalars = (v[..., None] for v in (A.val, F, beta.val, itm.A0, dot(itm.beta_l, y)))
-    return m, itm, beta.grad_y, A.grad_y, scalars
+    scalars = (v[..., None] for v in (A.val, F, beta.val, dot(A.grad_x, y), dot(beta.grad_x, y)))
+    return m, beta.grad_y, A.grad_y, vecmat(y, A.hess_xy), beta.grad_x, A.grad_x, scalars
 
 
 @in_sample_order
@@ -130,20 +109,20 @@ def dually_flat_condition(
     printed fourth term carries a dangling contraction index; it is read with
     the one-form x-gradient restored, matching the projective analogue.
     """
-    m, itm, b, Ay, (A, F, beta, A0, bky) = _condition_terms(field, oneform, x, y, jets)
+    m, b, Ay, A0l, beta_l, Axl, (A, F, beta, A0, bky) = _condition_terms(field, oneform, x, y, jets)
 
     rhs = (
         (1.0 / (2 * beta * F ** 2)) * ((4.0 - m) / m) * A0 * Ay
-        + 0.5 * itm.A0l
+        + 0.5 * A0l
         - (A0 / beta) * b
         - (bky / beta) * Ay
         + (3 * m / (4 * beta ** 2)) * A * bky * b
-        + (m / (2 * beta)) * A * itm.beta_l
-        - itm.Axl
+        + (m / (2 * beta)) * A * beta_l
+        - Axl
         + (m / (2 * beta)) * A * b
     )
-    residual = np.max(np.abs(itm.Axl - rhs), axis=-1)
-    return ConditionEval(lhs=itm.Axl, rhs=rhs, residual=residual)
+    residual = np.max(np.abs(Axl - rhs), axis=-1)
+    return ConditionEval(lhs=Axl, rhs=rhs, residual=residual)
 
 
 @in_sample_order
@@ -157,22 +136,22 @@ def proj_flat_condition(
     with an extra one-form power; `rhs` carries the first, `rhs_alt` the
     second.
     """
-    m, itm, b, Ay, (A, F, beta, A0, bky) = _condition_terms(field, oneform, x, y, jets)
+    m, b, Ay, A0l, beta_l, Axl, (A, F, beta, A0, bky) = _condition_terms(field, oneform, x, y, jets)
 
     common = (
         ((2.0 - m) / m) * (A0 / A) * Ay
-        + itm.A0l
+        + A0l
         - (A0 / beta) * b
         - (bky / beta) * Ay
     )
     rhs = common + (m / beta) * A * bky * b
     rhs_alt = common + (m / beta ** 2) * A * bky * b
     return ConditionEval(
-        lhs=itm.Axl,
+        lhs=Axl,
         rhs=rhs,
-        residual=np.max(np.abs(itm.Axl - rhs), axis=-1),
+        residual=np.max(np.abs(Axl - rhs), axis=-1),
         rhs_alt=rhs_alt,
-        residual_alt=np.max(np.abs(itm.Axl - rhs_alt), axis=-1),
+        residual_alt=np.max(np.abs(Axl - rhs_alt), axis=-1),
     )
 
 

@@ -167,8 +167,7 @@ def kropina_point(
         gbar_inv_closed = np.full(A_ij.shape, NAN)
         gbar_inv_split = gbar_inv_closed.copy()
     else:
-        gbar_inv_closed = _closed_inverse(base, b_up, beta, aux, split=False)
-        gbar_inv_split = _closed_inverse(base, b_up, beta, aux, split=True)
+        gbar_inv_closed, gbar_inv_split = _closed_inverses(base, b_up, beta, aux)
 
     return KropinaPoint(
         jets=jets, base=base, b=b, beta=beta, Fbar=Fbar, lbar=lbar,
@@ -180,24 +179,23 @@ def kropina_point(
     )
 
 
-def _closed_inverse(
-    base: MetricPoint, b_up: np.ndarray, beta: float, aux: AuxScalars, split: bool
-) -> np.ndarray:
+def _closed_inverses(
+    base: MetricPoint, b_up: np.ndarray, beta: float, aux: AuxScalars
+) -> tuple[np.ndarray, np.ndarray]:
+    """The closed-form and the split-form inverse: lead, shared terms, own y^i y^j term."""
     m, y = base.field.m, base.y
     F, beta, tau, p0, p1, p2, p3, d2 = (
         v[..., None, None] for v in (
             base.F, beta, aux.tau, aux.p0, aux.p1, aux.p2, aux.p3, aux.d2
         )
     )
-    mixed = outer(b_up, y) + outer(y, b_up)
     mixed_coef = (
         2 * beta ** 3 * (m - 4) * p1
         / (F ** 2 * (m - 1) * (beta ** 4 * (m - 4) - 8 * F ** 4 * d2))
     )
-    if split:
-        lead = base.g_inv / (2 * tau ** 2)
-        tail = p3 * outer(y, y)
-    else:
-        lead = F ** (m - 2) * base.A_inv / (2 * tau ** 2 * (m - 1))
-        tail = p2 * outer(y, y)
-    return lead + p0 * outer(b_up, b_up) + mixed_coef * mixed + tail
+    bb = p0 * outer(b_up, b_up)
+    mixed = mixed_coef * (outer(b_up, y) + outer(y, b_up))
+    yy = outer(y, y)
+    closed = F ** (m - 2) * base.A_inv / (2 * tau ** 2 * (m - 1))
+    split = base.g_inv / (2 * tau ** 2)
+    return closed + bb + mixed + p2 * yy, split + bb + mixed + p3 * yy

@@ -14,8 +14,8 @@ of the Kropina snapshot (kropina.kropina_point) alone: it reads that pass,
 the Fbar^2 jet, A^ij b_j and the scalar family off it instead of making them
 again; pq_decomposition makes the snapshot at (x, y) first.  The printed
 tail X is written once, verbatim, because it may be misprinted and no
-identity may be applied to it; its x-derivatives are that same formula under
-the complex step (Squire & Trapp, SIAM Review 40, 1998), exact to rounding.
+identity may be applied to it; only its x-derivatives are read, so it is
+evaluated only under the complex step (Squire & Trapp, SIAM Review 40, 1998).
 pq_decomposition and projective_residual take (field, oneform, x, y) and
 read the order m off the field.
 Everything but the geodesic integrator also takes a stack of samples (N, n):
@@ -50,7 +50,7 @@ from . import calculus
 from .errors import NUMERIC_ERRORS, DomainError, in_sample_order
 from .fields import CoefficientField, Jet, OneFormField, all_finite, dot
 from .fields import matvec, norm, outer, pack, vecmat
-from .kropina import AuxScalars, KropinaPoint, kropina_point
+from .kropina import KropinaPoint, kropina_point
 from .metric import solve_guarded
 
 NAN = float("nan")
@@ -157,14 +157,12 @@ class SprayPoint:
     G: np.ndarray             # base spray
     Gbar: np.ndarray          # transformed spray
     D: np.ndarray             # Gbar - G
-    X: np.ndarray             # verbatim tail of the split tensor
     omega: np.ndarray         # x-gradient of twice the squared norm ratio
     P_closed: float           # verbatim scalar part (NaN when degenerate)
     Q_closed: np.ndarray      # verbatim vector part, printed scalar reading
     Q_closed_alt: np.ndarray  # same with the alternative scalar reading
     Q_lead: np.ndarray        # first half of Q (one-form direction, printed reading)
     Q_inv: np.ndarray         # second half of Q (inverse-contraction part)
-    aux: AuxScalars           # the scalar family; aux.degenerate_order4 flags m = 4
 
 
 @in_sample_order
@@ -192,19 +190,17 @@ def pq_split(point: KropinaPoint) -> SprayPoint:
     Gbar = _spray(point.energy.block, y)
     D = Gbar - G
 
-    A, beta = jets.group(0), jets.group(1)
-    X = transform_tail(A.val, A.grad_y / m, beta.grad_y, beta.val, m)
     # omega = 2 d(tau^2)/dx with tau^2 = A^(2/m) beta^(-2)
     omega = 2.0 * calculus.power(jets, (2.0 / m, -2.0)).grad_x
 
     if aux.degenerate_order4:
         nanv = np.full(y.shape, NAN)
         return SprayPoint(
-            G, Gbar, D, X, omega, NAN,
-            nanv, nanv.copy(), nanv.copy(), nanv.copy(), aux,
+            G, Gbar, D, omega, NAN,
+            nanv, nanv.copy(), nanv.copy(), nanv.copy(),
         )
 
-    dX = tail_x_derivatives(A, beta, m)
+    dX = tail_x_derivatives(jets.group(0), jets.group(1), m)
     g = base.g
     tau = aux.tau[..., None]
 
@@ -226,8 +222,8 @@ def pq_split(point: KropinaPoint) -> SprayPoint:
     q_inv = (F ** (m - 2) / (8 * tau ** 2 * (m - 1))) * matvec(base.A_inv, W)
 
     return SprayPoint(
-        G, Gbar, D, X, omega, P_closed,
-        q_lead + q_inv, q_lead_alt + q_inv, q_lead, q_inv, aux,
+        G, Gbar, D, omega, P_closed,
+        q_lead + q_inv, q_lead_alt + q_inv, q_lead, q_inv,
     )
 
 

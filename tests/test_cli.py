@@ -297,6 +297,17 @@ def test_path_file_text_byte_for_byte(tmp_path):
     )
 
 
+def test_path_file_into_a_directory_is_refused(tmp_path):
+    # the writer's own guard, which a caller without the CLI's pre-check of
+    # --out (scripts/trace_geodesics.py) reaches
+    from mrootfinsler import cli, spray
+    from mrootfinsler.errors import ValidationError
+
+    path = spray.GeodesicPath([(0.0, np.array([0.0, 0.1]), np.array([1.0, 0.5]))])
+    with pytest.raises(ValidationError, match=f"^cannot write {tmp_path}: "):
+        cli.write_path_file(str(tmp_path), path, 2)
+
+
 def test_geodesic_overflow_exits_3_without_a_warning(tmp_path):
     # h = 1e308: the second RK4 stage's state overflows, and its guard refuses it
     out = tmp_path / "path.txt"
@@ -1008,6 +1019,33 @@ def test_box_whose_span_overflows_names_its_flag(capsys, flag):
     rc = cli.main(["verify", "--spec", CUBIC, f"{flag}=-1e308,1e308"])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {flag}: HI - LO is not finite\n"
+
+
+@pytest.mark.parametrize("args, seed_env, code, line", [
+    (("verify", "--samples", "abc"), None, 2, "error: --samples: expected an integer, got 'abc'"),
+    (("verify",), "abc", 2, "error: FINSLER_SEED: expected an integer, got 'abc'"),
+    (("geodesic", "--x0", "0,0", "--y0", "1,0.5", "--t", "abc", "--steps", "10"), None, 2,
+     "error: --t: expected a number, got 'abc'"),
+    (("check", "dually-flat", "--tol", "abc"), None, 2, "error: --tol: expected a number, got 'abc'"),
+    # every y of this box is refused, so no sample is left to report on
+    (("verify", "--ybox=-0.0,1e-300"), None, 3,
+     "numerical failure: no admissible samples in the requested box"),
+], ids=["samples-not-integer", "seed-env-not-integer", "t-not-number", "tol-not-number",
+        "no-admissible-sample"])
+def test_unreadable_values_and_an_empty_box_write_one_line(
+    tmp_path, monkeypatch, capsys, args, seed_env, code, line
+):
+    from mrootfinsler import cli
+
+    if seed_env is None:
+        monkeypatch.delenv("FINSLER_SEED", raising=False)
+    else:
+        monkeypatch.setenv("FINSLER_SEED", seed_env)
+    out = tmp_path / "path.txt"
+    rc = cli.main(list(args) + ["--spec", CUBIC] + (["--out", str(out)] if args[0] == "geodesic" else []))
+    assert rc == code
+    assert capsys.readouterr() == ("", line + "\n")
+    assert not out.exists()
 
 
 # -- spec input edges -----------------------------------------------------------

@@ -31,7 +31,6 @@ from mrootfinsler.flatness import (
     check_report,
     dually_flat_condition,
     dually_flat_residual,
-    intermediates,
     proj_flat_condition,
     proj_flat_residual,
 )
@@ -95,18 +94,24 @@ def test_defect_homogeneity_degrees():
         assert residual(field, oneform, x, y) == pytest.approx(expected, rel=1e-13)
 
 
+def condition_slices(field, oneform, x, y):
+    """A_{x^k} y^k, A_{x^k y^l} y^k, b_{k,x^l} y^k and A_{x^l}, off one pass."""
+    A, beta = map(calculus.field_jets(field, oneform, x, y).group, (0, 1))
+    return A.grad_x @ y, y @ A.hess_xy, beta.grad_x, A.grad_x
+
+
 def test_intermediates_exact_and_vs_fd():
     field, oneform = cubic_x(), b_const(2)
     x = np.array([0.15, -0.2])
     y = np.array([0.8, 1.4])
-    itm = intermediates(field, oneform, x, y)
-    assert itm.A0 == pytest.approx(float(itm.Axl @ y), abs=1e-14)
+    A0, A0l, beta_l, Axl = condition_slices(field, oneform, x, y)
+    assert A0 == pytest.approx(float(Axl @ y), abs=1e-14)
 
     fd_Ax = oracles.fd_grad(lambda xx: field.tensor_at(xx).eval(y), x)
-    np.testing.assert_allclose(itm.Axl, fd_Ax, atol=1e-8)
+    np.testing.assert_allclose(Axl, fd_Ax, atol=1e-8)
     fd_A0l = y @ oracles.fd_mixed(lambda xx, yy: field.tensor_at(xx).eval(yy), x, y)
-    np.testing.assert_allclose(itm.A0l, fd_A0l, atol=1e-7)
-    np.testing.assert_allclose(itm.beta_l, np.zeros(2), atol=1e-14)
+    np.testing.assert_allclose(A0l, fd_A0l, atol=1e-7)
+    np.testing.assert_allclose(beta_l, np.zeros(2), atol=1e-14)
 
 
 def test_dually_flat_condition_minkowski_reduces_to_oneform_terms():
@@ -182,8 +187,8 @@ def test_proj_flat_condition_final_term_variants():
     cond = proj_flat_condition(field, oneform, x, y)
     b = np.array([p(x) for p in oneform.components])
     beta = float(b @ y)
-    itm = intermediates(field, oneform, x, y)
-    bky = float(itm.beta_l @ y)
+    beta_l = condition_slices(field, oneform, x, y)[2]
+    bky = float(beta_l @ y)
     A = field.tensor_at(x).eval(y)
     expected_gap = m * A * bky * b * (1.0 / beta - 1.0 / beta ** 2)
     np.testing.assert_allclose(cond.rhs - cond.rhs_alt, expected_gap, atol=1e-10)
@@ -196,14 +201,14 @@ def test_order2_prefactor_vanishes():
     field, oneform = riemann_x(), b_const(2)
     x = np.array([0.3, 0.1])
     y = np.array([0.7, 1.1])
-    itm = intermediates(field, oneform, x, y)
-    assert itm.A0 != 0.0
+    A0, A0l = condition_slices(field, oneform, x, y)[:2]
+    assert A0 != 0.0
     with pytest.warns(RiemannianOrderWarning, match="order 2 is Riemannian") as warned:
         cond = proj_flat_condition(field, oneform, x, y)
     assert warned[0].filename == __file__  # the caller's line
     b = np.array([p(x) for p in oneform.components])
     beta = float(b @ y)
-    rebuilt = itm.A0l - (itm.A0 / beta) * b  # remaining terms (beta_l = 0)
+    rebuilt = A0l - (A0 / beta) * b  # remaining terms (beta_l = 0)
     np.testing.assert_allclose(cond.rhs, rebuilt, atol=1e-12)
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import re
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -29,7 +30,9 @@ from mrootfinsler.errors import (
     RiemannianOrderWarning,
     SingularMatrix,
 )
+from mrootfinsler.kropina import kropina_point
 from mrootfinsler.metric import metric_point
+from mrootfinsler.sampling import sample_points
 from mrootfinsler.specfile import load_spec
 from mrootfinsler.fields import CoefficientField, OneFormField, Polynomial
 from mrootfinsler.spray import (
@@ -83,6 +86,59 @@ def test_minkowski_everything_vanishes():
             assert np.max(np.abs(point.omega)) <= 1e-9, name
             assert np.max(np.abs(point.D)) <= 1e-9, name
             assert projective_residual(field, oneform, x, y) <= 1e-10, name
+
+
+# Three order-2 specs (a Riemannian alpha^2 = A with its one-form), each with
+# its boxes: the tensor as {indices: {exponents: coeff}}, the one-form as
+# {index: {exponents: coeff}}.  Measured against |Gbar| alone, the error of
+# the first reaches 1.6e-11 where the terms cancel, and that of the radial one
+# 1e-8 as beta -> 0 for x drawn from [-1, 1]^3: the bound is taken against the
+# largest term, on these boxes.
+CLASSICAL_SPECS = {
+    "position-dependent": (2, {
+        (1, 1): {(0, 0): 1.0, (2, 0): 1.0}, (1, 2): {(1, 1): 0.25},
+        (2, 2): {(0, 0): 1.0, (0, 2): 0.5, (1, 0): 0.25},
+    }, {1: {(0, 0): 1.0, (0, 1): 1.0}, 2: {(1, 0): 0.5}}, (-1.0, 1.0), (0.1, 2.0)),
+    "rotation": (2, {(1, 1): {(0, 0): 1.0}, (2, 2): {(0, 0): 1.0}},
+                 {1: {(0, 1): -1.0}, 2: {(1, 0): 1.0}}, (-1.0, 1.0), (-2.0, 2.0)),
+    "radial": (3, {(i, i): {(0, 0, 0): 1.0} for i in (1, 2, 3)},
+               {i: {tuple(int(j == i) for j in (1, 2, 3)): 1.0} for i in (1, 2, 3)},
+               (0.2, 1.0), (0.1, 2.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASSICAL_SPECS))
+def test_kropina_spray_matches_the_classical_formula_at_order_two(name):
+    # Gbar^i = G^i - (alpha^2 / (2 beta)) s^i_0
+    #          + (alpha^2 s_0 / beta + r_00) (b^i / (2 b^2) - beta y^i / (alpha^2 b^2))
+    # for the Kropina metric alpha^2 / beta (Chern & Shen 2005; Shen, Canad.
+    # Math. Bull. 52, 2009), from the spec's A and beta alone
+    n, tensor, one_form, x_box, y_box = CLASSICAL_SPECS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RiemannianOrderWarning)
+        doc = spec_from(n, 2, tensor, one_form)
+        check = partial(calculus.field_jets, doc.field, doc.oneform)
+        samples = sample_points(n, 400, 83, x_box, y_box, domain_check=check)
+        x, y = samples.x, samples.y
+        G = spray_coeffs(calculus.base_energy(doc.field, 2), x, y)
+        Gbar = spray_coeffs(calculus.kropina_energy(doc.field, doc.oneform, 2), x, y)
+    assert len(x) == 400, name
+    A, B = map(calculus.field_jets(doc.field, doc.oneform, x, y).group, (0, 1))
+    alpha2, beta, b = A.val[:, None], B.val[:, None], B.grad_y
+    a_inv = np.linalg.inv(0.5 * A.hess_yy)
+    db = B.hess_xy                                   # [k, l] = d b_l / dx^k
+    s = 0.5 * (np.swapaxes(db, -1, -2) - db)         # s_ij = (d_j b_i - d_i b_j) / 2
+    b_up = np.einsum("nij,nj->ni", a_inv, b)
+    b2 = np.einsum("ni,ni->n", b, b_up)[:, None]
+    s_lower0 = np.einsum("nik,nk->ni", s, y)         # s_i0
+    s_up0 = np.einsum("nil,nl->ni", a_inv, s_lower0)  # s^i_0
+    s0 = np.einsum("ni,ni->n", b_up, s_lower0)[:, None]
+    r00 = np.einsum("ni,nji,nj->n", y, db, y)[:, None] - 2 * np.einsum("nk,nk->n", b, G)[:, None]
+    s_term = -(alpha2 / (2 * beta)) * s_up0
+    r_term = (alpha2 * s0 / beta + r00) * (b_up / (2 * b2) - beta * y / (alpha2 * b2))
+    scale = np.max(np.abs([G, s_term, r_term, Gbar]), axis=(0, 2))
+    error = np.max(np.abs(Gbar - (G + s_term + r_term)), axis=-1)
+    assert np.all(error <= 1e-12 * scale), (name, float(np.max(error / scale)))
 
 
 def test_analytic_x_derivative_chains_match_fd():
@@ -158,8 +214,8 @@ def test_complex_step_tail_matches_hand_chain(name):
 
 
 def test_pq_decomposition_fields():
+    assert not kropina_point(cubic_x(), b_const(2), [0.0, 0.0], [1.0, 1.0]).aux.degenerate_order4
     point = pq_decomposition(cubic_x(), b_const(2), [0.0, 0.0], [1.0, 1.0])
-    assert not point.aux.degenerate_order4
     np.testing.assert_allclose(point.G, GOLDEN_G_BASE, atol=1e-9)
     np.testing.assert_allclose(point.Gbar, GOLDEN_G_KROPINA, atol=1e-9)
     np.testing.assert_allclose(point.D, point.Gbar - point.G, atol=1e-15)
@@ -172,14 +228,16 @@ def test_pq_decomposition_fields():
 
 
 def test_pq_decomposition_degenerate_order4():
+    snapshot = kropina_point(diag_quartic(), b_const(2), [0.0, 0.0], [1.0, 2.0])
+    assert snapshot.aux.degenerate_order4
     point = pq_decomposition(diag_quartic(), b_const(2), [0.0, 0.0], [1.0, 2.0])
-    assert point.aux.degenerate_order4
     assert np.isnan(point.P_closed)
     assert np.all(np.isnan(point.Q_closed))
     # oracle-side fields always filled
     assert np.all(np.isfinite(point.G))
     assert np.all(np.isfinite(point.Gbar))
-    assert np.all(np.isfinite(point.X))
+    A, beta = snapshot.jets.group(0), snapshot.jets.group(1)
+    assert np.all(np.isfinite(transform_tail(A.val, A.grad_y / 4, beta.grad_y, beta.val, 4)))
     rows = report.point_report(diag_quartic(), b_const(2), [0.0, 0.0], [1.0, 2.0]).rows
     for row in rows[-5:]:
         assert row.formula.startswith(("spray_", "relatedness_")), row.formula
