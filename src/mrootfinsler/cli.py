@@ -324,10 +324,6 @@ def _write_rejected(w, rejected) -> None:
 # eval
 # ---------------------------------------------------------------------------
 
-def _aux_dict(aux: kropina.AuxScalars) -> dict:
-    return {k: v if isinstance(v, bool) else _finite_or_none(v) for k, v in vars(aux).items()}
-
-
 def cmd_eval(args, argv) -> int:
     doc = _load(args.spec)
     oneform = _require_oneform(doc)
@@ -340,15 +336,17 @@ def cmd_eval(args, argv) -> int:
     base = point.base
     reported = {"A": base.A, "F": base.F, "l": base.l, "g_oracle": g_oracle, "beta": point.beta,
                 "Fbar": point.Fbar, "lbar": point.lbar, "gbar_oracle": point.gbar_oracle}
-    # the flag is no value, and at m = 4 the scalars from delta on print as undefined
-    skip = ("degenerate_order4",) + (kropina.ORDER4_UNDEFINED if point.aux.degenerate_order4 else ())
-    aux = [(k, v) for k, v in vars(point.aux).items() if k not in skip]
-    check_finite([(k, np.abs(v).max()) for k, v in [*reported.items(), *aux]], x, y)
+    # at m = 4 the scalars from delta on are NaN, and print as undefined
+    undefined = kropina.ORDER4_UNDEFINED if doc.m == 4 else ()
+    check_finite([(k, np.abs(v).max()) for k, v in [*reported.items(), *vars(point.aux).items()]
+                  if k not in undefined], x, y)
+    aux = {k: _finite_or_none(v) for k, v in vars(point.aux).items()}
 
     if args.json:
         payload = _envelope("eval", doc, argv)
         payload.update({k: np.asarray(v).tolist() for k, v in reported.items()})
-        payload.update({"x": x.tolist(), "y": y.tolist(), "aux": _aux_dict(point.aux)})
+        payload.update({"x": x.tolist(), "y": y.tolist(),
+                        "aux": {**aux, "degenerate_order4": doc.m == 4}})
         _emit(payload)
         return 0
 
@@ -374,9 +372,7 @@ def cmd_eval(args, argv) -> int:
     for row in point.gbar_oracle:
         w(f"    [{', '.join(_fmt(v) for v in row)}]\n")
     w("aux scalars:\n")
-    for key, value in _aux_dict(point.aux).items():
-        if key == "degenerate_order4":
-            continue
+    for key, value in aux.items():
         text = _fmt(value) if value is not None else "undefined (order-4 degeneracy)"
         w(f"  {key:5s} = {text}\n")
     return 0
@@ -427,11 +423,12 @@ def _check_shape(base: int, n: int) -> dict:
             "residual": base + 2 * n}
 
 
-def _verify_rows(n: int, rows) -> _Section:
-    """The reduced rows of verify --json: each row's maxima and their point."""
-    numbers = [v for row in rows if row.max_abs is not None
-               for v in (row.max_abs, row.max_rel, *row.x, *row.y)]
-    return _Section(_rows_shape, (n, _row_shapes(rows)), numbers)
+def _verify_rows(x, y, rows, worst) -> _Section:
+    """The reduced rows of verify --json: each row's maxima and their point,
+    at the sample `worst` names (report.worst_samples) of the stack (N, n)."""
+    numbers = [v for row, i in zip(rows, worst) if i is not None
+               for v in (row.max_abs[i], row.max_rel[i], *x[i], *y[i])]
+    return _Section(_rows_shape, (x.shape[1], _row_shapes(rows)), numbers)
 
 
 def _verify_records(x, y, rows) -> _Section:
@@ -450,33 +447,32 @@ def cmd_verify(args, argv) -> int:
     x, y = samples.x, samples.y
     if not len(x):
         raise DomainError("no admissible samples in the requested box")
-    per_sample = report.point_report(doc.field, oneform, x, y, samples.jets)
-    merged = report.reduce_report(per_sample)
+    rows = report.point_report(doc.field, oneform, x, y, samples.jets)
+    worst = report.worst_samples(rows)
 
     if args.json:
         payload.update({
-            "degenerate_order4": merged.degenerate_order4,
-            "notes": merged.notes,
-            "records": _verify_records(x, y, per_sample.rows),
-            "rows": _verify_rows(doc.n, merged.rows),
+            "degenerate_order4": doc.m == 4,
+            "notes": [report.B2_NOTE],
+            "records": _verify_records(x, y, rows),
+            "rows": _verify_rows(x, y, rows, worst),
         })
         _emit(payload)
         return 0
 
     w = sys.stdout.write
     _write_header(w, "discrepancy report", doc, args, payload)
-    for note in merged.notes:
-        w(f"note: {note}\n")
-    if merged.degenerate_order4:
+    w(f"note: {report.B2_NOTE}\n")
+    if doc.m == 4:
         w("note: order m = 4 flagged: closed-form scalar family degenerate\n")
     _write_rejected(w, samples.rejected)
     w(f"{'formula':28s} {'max|res|':>13s} {'max rel':>13s}  at point\n")
-    for row in merged.rows:
-        if row.max_abs is None:
+    for row, i in zip(rows, worst):
+        if i is None:
             w(f"{row.formula:28s} {'degenerate':>13s} {'(m = 4)':>13s}\n")
         else:
-            loc = f"x=[{', '.join(f'{v:.4g}' for v in row.x)}] y=[{', '.join(f'{v:.4g}' for v in row.y)}]"
-            w(f"{row.formula:28s} {row.max_abs:13.6e} {row.max_rel:13.6e}  {loc}\n")
+            loc = f"x=[{', '.join(f'{v:.4g}' for v in x[i])}] y=[{', '.join(f'{v:.4g}' for v in y[i])}]"
+            w(f"{row.formula:28s} {row.max_abs[i]:13.6e} {row.max_rel[i]:13.6e}  {loc}\n")
     return 0
 
 

@@ -11,7 +11,9 @@ them off this snapshot and the spray split computed from it alone
 `kropina_point(field, oneform, x, y, jets=None)` reads the order m off the
 field.  Points may come stacked (N, n): the snapshot and the scalar family
 then hold one entry per sample (per-sample scalars gain unit axes to
-broadcast against vectors and matrices).
+broadcast against vectors and matrices).  At m = 4 the scalar family from
+delta on is NaN, and so, by plain arithmetic, are both closed inverses;
+which rows that leaves undefined is decided in `report`.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ class AuxScalars:
     """Scalar family used by the closed-form inverse and the spray split.
 
     Everything downstream of `delta` divides by (m - 4) and is therefore
-    undefined at order four; those fields hold NaN and the flag is set.
+    undefined at order four: those fields (ORDER4_UNDEFINED) hold NaN.
     """
 
     tau: float
@@ -51,7 +53,6 @@ class AuxScalars:
     p1: float
     p2: float
     p3: float
-    degenerate_order4: bool
 
 
 def aux_scalars_from(F: float, beta: float, b2: float, m: int) -> AuxScalars:
@@ -60,8 +61,8 @@ def aux_scalars_from(F: float, beta: float, b2: float, m: int) -> AuxScalars:
     c2 = F ** (m - 3) * beta * b2 / (2 * tau * (m - 1))
     v = (m - 4) * beta / (2 * F ** m)
     if m == 4:
-        return AuxScalars(tau, b2, w, c2, v, degenerate_order4=True,
-                          **dict.fromkeys(ORDER4_UNDEFINED, NAN))
+        undefined = np.full_like(tau, NAN)
+        return AuxScalars(tau, b2, w, c2, v, **dict.fromkeys(ORDER4_UNDEFINED, undefined))
     delta = -8 * F ** 4 / (beta ** 4 * (m - 4))
     q = delta * w ** 2 / (1 + delta * c2)
     d2 = w * (
@@ -80,7 +81,7 @@ def aux_scalars_from(F: float, beta: float, b2: float, m: int) -> AuxScalars:
     p3 = (
         (m - 4) ** 2 * (m - 1) * tau ** 2 - (m - 2) * bracket * beta ** 4
     ) / (2 * F ** 2 * tau ** 2 * beta ** 4 * (m - 1) * bracket)
-    return AuxScalars(tau, b2, w, c2, v, delta, q, d2, p0, p1, p2, p3, False)
+    return AuxScalars(tau, b2, w, c2, v, delta, q, d2, p0, p1, p2, p3)
 
 
 @dataclass
@@ -162,12 +163,7 @@ def kropina_point(
 
     b_up = matvec(base.A_inv, b)
     aux = aux_scalars_from(F, beta, dot(b, b_up), m)
-
-    if aux.degenerate_order4:
-        gbar_inv_closed = np.full(A_ij.shape, NAN)
-        gbar_inv_split = gbar_inv_closed.copy()
-    else:
-        gbar_inv_closed, gbar_inv_split = _closed_inverses(base, b_up, beta, aux)
+    gbar_inv_closed, gbar_inv_split = _closed_inverses(base, b_up, beta, aux)
 
     return KropinaPoint(
         jets=jets, base=base, b=b, beta=beta, Fbar=Fbar, lbar=lbar,

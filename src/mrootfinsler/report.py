@@ -3,17 +3,18 @@
 `ROWS` lists the printed closed forms in the order `verify` reports them.
 Each entry gives the closed form, the oracle quantity it is measured
 against, the scale of its relative residual, its note, and whether it needs
-the auxiliary scalar family, which divides by m - 4: those rows are
-undefined (None, `null` in JSON) at m = 4.  One Kropina snapshot
-(`kropina.kropina_point`) and the spray split read off it alone
-(`spray.pq_split`) serve every row.
+the auxiliary scalar family, which divides by m - 4.  This module is where
+order four is decided: at m = 4 `point_report` makes those rows undefined
+(None, `null` in JSON) without evaluating them, and does not split the
+spray.  One Kropina snapshot (`kropina.kropina_point`) and the spray split
+read off it alone (`spray.pq_split`) serve every row.
 
 `point_report(field, oneform, x, y, jets=None)` reads the order m off the
 field.  All accepted samples are evaluated at once, as one stack (N, n) with
 one derivative pass (the sampler's, in `verify`), as one stack evaluation
-(errors.in_sample_order); the rows hold one value per sample, each guarded
-finite by `errors.check_finite`, until reduce_report takes the per-formula
-maxima.
+(errors.in_sample_order); it returns the rows, each holding one value per
+sample, guarded finite by `errors.check_finite`.  `worst_samples` names,
+per row, the sample of its maximum.
 Every row is a measurement; the only formula expected to be tight is the
 supporting covector, and that expectation is asserted by the test suite, not
 here.
@@ -22,7 +23,7 @@ here.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -41,31 +42,23 @@ DEGENERATE_NOTE = "degenerate at m = 4"
 
 @dataclass
 class ResidualRow:
-    """Max residual of one closed form against its oracle quantity.
+    """Residual of one closed form against its oracle quantity.
 
-    On a stack of samples max_abs and max_rel hold one value per sample and
-    x and y the stacked points; reduce_report reduces them to the maximum.
+    On a stack of samples max_abs and max_rel hold one value per sample;
+    both are None where the row is undefined.
     """
 
     formula: str
-    max_abs: Optional[float]
-    max_rel: Optional[float]
-    x: Optional[tuple] = None
-    y: Optional[tuple] = None
+    max_abs: Optional[np.ndarray]
+    max_rel: Optional[np.ndarray]
     note: str = ""
 
 
-@dataclass
-class DiscrepancyReport:
-    rows: list
-    degenerate_order4: bool = False
-    notes: list = dc_field(default_factory=list)
-
-
 # One formula of `verify`: closed(k, s) against oracle(k, s), with k the Kropina
-# snapshot and s the spray split of the same samples.  The relative residual
-# divides by 1 + max |scale(k, s)|, the oracle quantity when scale is None.  An
-# aux row needs the scalar family, so it is undefined at m = 4.  (A named tuple:
+# snapshot and s the spray split of the same samples (None at m = 4, where only
+# rows that do not read it are evaluated).  The relative residual divides by
+# 1 + max |scale(k, s)|, the oracle quantity when scale is None.  An aux row
+# needs the scalar family, so it is undefined at m = 4.  (A named tuple:
 # a frozen dataclass costs about a millisecond more at import.)
 Row = namedtuple("Row", "formula closed oracle scale note aux", defaults=(None, "", False))
 
@@ -125,55 +118,44 @@ ROWS = (
 )
 
 
-def _row(row: Row, k: kropina.KropinaPoint, s: spray.SprayPoint) -> ResidualRow:
+def _row(row: Row, k: kropina.KropinaPoint, s: Optional[spray.SprayPoint]) -> ResidualRow:
     """One row per sample: max |closed - oracle| over the trailing axes, and
-    that over 1 + max |scale|; None where the row is undefined at m = 4."""
-    if row.aux and k.aux.degenerate_order4:
-        return ResidualRow(row.formula, None, None, note=DEGENERATE_NOTE)
-    x, y = k.base.x, k.base.y
+    that over 1 + max |scale|."""
+    y = k.base.y
     closed, oracle = row.closed(k, s), row.oracle(k, s)
     scale = oracle if row.scale is None else row.scale(k, s)
     axes = tuple(range(y.ndim - 1 - closed.ndim, 0))
     diff = np.max(np.abs(closed - oracle), axis=axes)
     rel = diff / (1.0 + np.max(np.abs(scale), axis=axes))
-    return ResidualRow(row.formula, diff, rel, x, y, row.note)
+    return ResidualRow(row.formula, diff, rel, row.note)
 
 
 @in_sample_order
 def point_report(
     field: CoefficientField, oneform: OneFormField, x, y, jets=None
-) -> DiscrepancyReport:
+) -> list:
     """Every residual row at a single sample, or per sample of a stack (N, n).
 
-    One derivative pass of (A, beta), `jets` if given, serves every row.
-    Raises NonFiniteResult when a row that is defined at this order is not
-    finite: a NaN row would otherwise win or lose the per-formula maximum
-    depending on sample order.
+    One derivative pass of (A, beta), `jets` if given, serves every row.  At
+    m = 4 the rows that need the scalar family are undefined, and the spray
+    is not split.  Raises NonFiniteResult when a defined row is not finite:
+    a NaN row would otherwise win or lose the per-formula maximum depending
+    on sample order.
     """
     k = kropina.kropina_point(field, oneform, x, y, jets)
-    s = spray.pq_split(k)
-    rows = [_row(row, k, s) for row in ROWS]
+    degenerate = field.m == 4
+    s = None if degenerate else spray.pq_split(k)
+    rows = [ResidualRow(row.formula, None, None, DEGENERATE_NOTE) if row.aux and degenerate
+            else _row(row, k, s) for row in ROWS]
     check_finite(
         [(f"{row.formula} residual", v) for row in rows if row.max_abs is not None
          for v in (row.max_abs, row.max_rel)], k.base.x, k.base.y,
     )
-    return DiscrepancyReport(rows, k.aux.degenerate_order4, [B2_NOTE])
+    return rows
 
 
-def reduce_report(report: DiscrepancyReport) -> DiscrepancyReport:
-    """Per-formula maxima of a report on a stack (N, n), each with its point.
-
-    Rows that are undefined (None) stay as they are; np.argmax keeps the
-    earliest sample of a tie.
-    """
-    rows = []
-    for row in report.rows:
-        if row.max_abs is None:
-            rows.append(row)
-            continue
-        i = int(np.argmax(row.max_abs))
-        rows.append(ResidualRow(
-            row.formula, float(row.max_abs[i]), float(row.max_rel[i]),
-            tuple(row.x[i].tolist()), tuple(row.y[i].tolist()), row.note,
-        ))
-    return replace(report, rows=rows)
+def worst_samples(rows) -> list:
+    """Per row of a report on a stack (N, n), the sample of its largest
+    max_abs, None where the row is undefined; np.argmax keeps the earliest
+    sample of a tie."""
+    return [None if row.max_abs is None else int(np.argmax(row.max_abs)) for row in rows]

@@ -53,8 +53,6 @@ from .fields import matvec, norm, outer, pack, vecmat
 from .kropina import KropinaPoint, kropina_point
 from .metric import solve_guarded
 
-NAN = float("nan")
-
 
 @in_sample_order
 def spray_coeffs(energy: calculus.ScalarFunction, x, y) -> np.ndarray:
@@ -158,7 +156,7 @@ class SprayPoint:
     Gbar: np.ndarray          # transformed spray
     D: np.ndarray             # Gbar - G
     omega: np.ndarray         # x-gradient of twice the squared norm ratio
-    P_closed: float           # verbatim scalar part (NaN when degenerate)
+    P_closed: float           # verbatim scalar part (NaN at m = 4)
     Q_closed: np.ndarray      # verbatim vector part, printed scalar reading
     Q_closed_alt: np.ndarray  # same with the alternative scalar reading
     Q_lead: np.ndarray        # first half of Q (one-form direction, printed reading)
@@ -173,9 +171,10 @@ def pq_decomposition(field: CoefficientField, oneform: OneFormField, x, y) -> Sp
 
 @in_sample_order
 def pq_split(point: KropinaPoint) -> SprayPoint:
-    """Oracle sprays always; closed-form P and Q verbatim where defined, all
-    read off the Kropina snapshot alone: its pass (A, beta), Fbar^2 jet,
-    A^ij b_j and scalar family.
+    """Oracle sprays and the closed-form P and Q verbatim, all read off the
+    Kropina snapshot alone: its pass (A, beta), Fbar^2 jet, A^ij b_j and
+    scalar family.  At m = 4 P and Q are NaN, by plain arithmetic on the
+    NaN scalar family; `report` does not split there.
 
     The closed Q is printed with a scalar that collides with the one defined
     by the inverse-tensor rewrite; both readings are returned (`Q_closed` uses
@@ -192,13 +191,6 @@ def pq_split(point: KropinaPoint) -> SprayPoint:
 
     # omega = 2 d(tau^2)/dx with tau^2 = A^(2/m) beta^(-2)
     omega = 2.0 * calculus.power(jets, (2.0 / m, -2.0)).grad_x
-
-    if aux.degenerate_order4:
-        nanv = np.full(y.shape, NAN)
-        return SprayPoint(
-            G, Gbar, D, omega, NAN,
-            nanv, nanv.copy(), nanv.copy(), nanv.copy(),
-        )
 
     dX = tail_x_derivatives(jets.group(0), jets.group(1), m)
     g = base.g

@@ -385,21 +385,24 @@ def verify_records(x, y, rows):
     return records
 
 
-def verify_rows(rows):
-    """The rows of `verify --json` for the reduced ResidualRows: each row's
-    maxima and their point, null where a value is not finite, and null
-    x/y/maxima where the row is undefined."""
-    return [
-        {
+def verify_rows(x, y, rows):
+    """The rows of `verify --json` for the stacks x, y (N, n) and the
+    per-sample ResidualRows: each row's maxima and their point, at the
+    sample of its largest max_abs (np.argmax: the earliest of a tie), null
+    where a value is not finite, and null x/y/maxima where the row is
+    undefined."""
+    shaped = []
+    for row in rows:
+        i = None if row.max_abs is None else int(np.argmax(row.max_abs))
+        shaped.append({
             "formula": row.formula,
-            "max_abs": None if row.max_abs is None else _finite_or_none(row.max_abs),
-            "max_rel": None if row.max_abs is None else _finite_or_none(row.max_rel),
-            "x": None if row.max_abs is None else _vector(row.x),
-            "y": None if row.max_abs is None else _vector(row.y),
+            "max_abs": None if i is None else _finite_or_none(row.max_abs[i]),
+            "max_rel": None if i is None else _finite_or_none(row.max_rel[i]),
+            "x": None if i is None else _vector(x[i]),
+            "y": None if i is None else _vector(y[i]),
             "note": row.note,
-        }
-        for row in rows
-    ]
+        })
+    return shaped
 
 
 def check_records(x, y, residuals):

@@ -86,6 +86,20 @@ def test_eval_json_fields_finite():
     assert payload["aux"]["tau"] is not None
 
 
+def test_eval_json_flags_the_order_below_four_too():
+    # the same aux keys at every order, the flag false and every scalar a number below m = 4
+    aux = {}
+    for fixture in ("cubic_x_bx", "diag_quartic"):
+        res = run_cli("eval", "--spec", str(FIXTURES / f"{fixture}.json"),
+                      "--x=0.1,0.1", "--y=1,0.5", "--json")
+        assert res.returncode == 0, res.stderr
+        aux[fixture] = json.loads(res.stdout)["aux"]
+    assert aux["cubic_x_bx"]["degenerate_order4"] is False
+    assert aux["diag_quartic"]["degenerate_order4"] is True
+    assert set(aux["cubic_x_bx"]) == set(aux["diag_quartic"])
+    assert None not in aux["cubic_x_bx"].values()
+
+
 def test_verify_reports_and_determinism():
     args = (
         "verify", "--spec", str(FIXTURES / "cubic_x.json"),
@@ -142,6 +156,8 @@ VERIFY_ROWS = (
 
 @pytest.mark.parametrize("fixture, m", [("cubic_x_bx", 3), ("diag_quartic", 4)])
 def test_verify_lists_the_row_table(fixture, m):
+    from mrootfinsler.report import B2_NOTE
+
     res = run_cli(
         "verify", "--spec", str(FIXTURES / f"{fixture}.json"),
         "--samples", "8", "--seed", "4", "--json",
@@ -149,6 +165,7 @@ def test_verify_lists_the_row_table(fixture, m):
     assert res.returncode == 0, res.stderr
     payload = json.loads(res.stdout)
     assert payload["order"] == m
+    assert payload["notes"] == [B2_NOTE]
     rows = payload["rows"]
     assert [row["formula"] for row in rows] == [formula for formula, _ in VERIFY_ROWS]
     for i, (row, (formula, note)) in enumerate(zip(rows, VERIFY_ROWS)):
@@ -158,6 +175,29 @@ def test_verify_lists_the_row_table(fixture, m):
         else:
             assert row["note"] == note, formula
             assert None not in (row["max_abs"], row["max_rel"], row["x"], row["y"]), formula
+
+
+@pytest.mark.parametrize("fixture, m", [("cubic_x_bx", 3), ("diag_quartic", 4)])
+def test_verify_text_lists_the_row_table(fixture, m):
+    # the text report: the notes, and at m = 4 the flag line and the last
+    # nine rows printed as degenerate, in report order
+    from mrootfinsler.report import B2_NOTE
+
+    res = run_cli(
+        "verify", "--spec", str(FIXTURES / f"{fixture}.json"), "--samples", "8", "--seed", "4",
+    )
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.decode().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("formula"))
+    flag = ["note: order m = 4 flagged: closed-form scalar family degenerate"] * (m == 4)
+    assert lines[3:start] == [f"note: {B2_NOTE}", *flag]
+    table = lines[start + 1:]
+    assert [line.split()[0] for line in table] == [formula for formula, _ in VERIFY_ROWS]
+    for i, line in enumerate(table):
+        if m == 4 and i >= 4:
+            assert line.split()[1:] == ["degenerate", "(m", "=", "4)"], line
+        else:
+            assert "degenerate" not in line and " at " not in line and "x=[" in line, line
 
 
 def test_seed_env_and_flag_precedence():
@@ -520,7 +560,7 @@ def test_emit_leaves_no_garbage_cycles():
     from mrootfinsler.report import ResidualRow
 
     x = np.linspace(0.5, 1.5, 400).reshape(200, 2)
-    rows = [ResidualRow(f"row{k}", x[:, 0] * k, x[:, 1] * k, x, x, "note") for k in range(4)]
+    rows = [ResidualRow(f"row{k}", x[:, 0] * k, x[:, 1] * k, "note") for k in range(4)]
     payload = {"records": [{"x": [0.5, 1.5], "rows": [{"x": [0.5], "note": None}]}]}
     cases = [payload, {"rows": [0.5], "records": cli._verify_records(x, x, rows)}]
     gc.collect()
@@ -670,7 +710,7 @@ def _verify_example(count, nonfinite=(), null=(), notes=(None,) * 3, envelope=_E
 
     x, y, values = _example_stacks(count, nonfinite)
     rows = [ResidualRow(f"row_{k}", None, None, note="null") if k in null
-            else ResidualRow(f"row_{k}", values + k, values, x, y, notes[k]) for k in range(3)]
+            else ResidualRow(f"row_{k}", values + k, values, notes[k]) for k in range(3)]
     return envelope, x, y, rows
 
 
@@ -687,8 +727,7 @@ def _verify_reports(draw):
         if draw(st.booleans()):  # undefined at this order, as at m = 4
             rows.append(ResidualRow(formula, None, None, note=note))
         else:
-            rows.append(ResidualRow(formula, np.array(draw(values)), np.array(draw(values)),
-                                    x, y, note))
+            rows.append(ResidualRow(formula, np.array(draw(values)), np.array(draw(values)), note))
     return draw(_ENVELOPES), x, y, rows
 
 
@@ -706,14 +745,13 @@ def _verify_reports(draw):
 def test_emit_verify_records_match_json_dumps(report, chunk):
     # the records and the reduced rows: two sections filled from one pass
     from mrootfinsler import cli
-    from mrootfinsler.report import DiscrepancyReport, reduce_report
+    from mrootfinsler.report import worst_samples
 
     payload, x, y, rows = report
-    merged = reduce_report(DiscrepancyReport(rows)).rows
     got = _emitted_in_chunks({**payload, "records": cli._verify_records(x, y, rows),
-                              "rows": cli._verify_rows(x.shape[1], merged)}, chunk)
+                              "rows": cli._verify_rows(x, y, rows, worst_samples(rows))}, chunk)
     expected = {**payload, "records": oracles.verify_records(x, y, rows),
-                "rows": oracles.verify_rows(merged)}
+                "rows": oracles.verify_rows(x, y, rows)}
     assert got == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
@@ -753,14 +791,13 @@ def test_emit_verify_records_of_a_report(fixture):
         doc.n, 6, 3, domain_check=partial(calculus.field_jets, doc.field, doc.oneform)
     )
     x, y = samples.x, samples.y
-    rows = report.point_report(doc.field, doc.oneform, x, y).rows
-    merged = report.reduce_report(report.DiscrepancyReport(rows)).rows
+    rows = report.point_report(doc.field, doc.oneform, x, y)
     assert any(row.max_abs is None for row in rows) == (doc.m == 4)
     out = io.StringIO()
     cli._emit({"order": doc.m, "records": cli._verify_records(x, y, rows),
-               "rows": cli._verify_rows(doc.n, merged)}, out)
+               "rows": cli._verify_rows(x, y, rows, report.worst_samples(rows))}, out)
     expected = {"order": doc.m, "records": oracles.verify_records(x, y, rows),
-                "rows": oracles.verify_rows(merged)}
+                "rows": oracles.verify_rows(x, y, rows)}
     assert out.getvalue() == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
@@ -1363,17 +1400,16 @@ def test_json_shape_cache_key_is_complete(tmp_path, capsys, monkeypatch):
 
     # a null row of the CLI has a note of its own, so which rows are null is
     # tried on rows whose n, formulas and notes agree
-    from mrootfinsler.report import DiscrepancyReport, ResidualRow, reduce_report
+    from mrootfinsler.report import ResidualRow, worst_samples
 
     x, values = np.array([[0.5, 1.5]]), np.array([0.25])
     for null in ((), (1,), (0, 1), (0,), ()):
         rows = [ResidualRow(f"row{k}", None, None, note="note") if k in null
-                else ResidualRow(f"row{k}", values, values, x, x, "note") for k in range(2)]
-        merged = reduce_report(DiscrepancyReport(rows)).rows
+                else ResidualRow(f"row{k}", values, values, "note") for k in range(2)]
         out = io.StringIO()
         cli._emit({"records": cli._verify_records(x, x, rows),
-                   "rows": cli._verify_rows(2, merged)}, out)
-        expected = {"records": oracles.verify_records(x, x, rows), "rows": oracles.verify_rows(merged)}
+                   "rows": cli._verify_rows(x, x, rows, worst_samples(rows))}, out)
+        expected = {"records": oracles.verify_records(x, x, rows), "rows": oracles.verify_rows(x, x, rows)}
         assert out.getvalue() == json.dumps(expected, sort_keys=True, indent=2) + "\n", null
 
 

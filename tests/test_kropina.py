@@ -21,8 +21,8 @@ from mrootfinsler.errors import (
     NonFiniteResult,
     RiemannianOrderWarning,
 )
-from mrootfinsler.kropina import kropina_point
-from mrootfinsler.report import B2_NOTE, DiscrepancyReport, ResidualRow
+from mrootfinsler.kropina import ORDER4_UNDEFINED, kropina_point
+from mrootfinsler.report import ResidualRow
 
 SQRT17 = np.sqrt(17.0)
 
@@ -65,14 +65,14 @@ def test_point_invariants():
 def test_aux_scalars_order4_flagged():
     p = kropina_point(diag_quartic(), b_const(2), [0.0, 0.0], [1.0, 2.0])
     aux = p.aux
-    assert aux.degenerate_order4
+    assert all(np.isnan(getattr(aux, name)) for name in ORDER4_UNDEFINED)
     assert np.isnan(aux.delta) and np.isnan(aux.p0) and np.isnan(aux.p3)
     # scalars upstream of the degeneracy stay defined
     assert aux.tau == pytest.approx(p.base.F / p.beta, abs=1e-14)
     # the closed-form inverse is undefined: NaN in the point, degenerate rows
     assert np.isnan(p.gbar_inv_closed).all() and np.isnan(p.gbar_inv_split).all()
-    rep = report.point_report(diag_quartic(), b_const(2), [0.0, 0.0], [1.0, 2.0])
-    rows = {row.formula: row for row in rep.rows}
+    rows = report.point_report(diag_quartic(), b_const(2), [0.0, 0.0], [1.0, 2.0])
+    rows = {row.formula: row for row in rows}
     for formula in ("gbar_inv_closed", "gbar_inv_split"):
         assert rows[formula].max_abs is None and rows[formula].note == "degenerate at m = 4"
 
@@ -80,7 +80,7 @@ def test_aux_scalars_order4_flagged():
 def test_aux_scalars_cubic_values():
     p = kropina_point(cubic_x(), b_const(2), [0.0, 0.0], [1.0, 1.0])
     aux = p.aux
-    assert not aux.degenerate_order4
+    assert all(np.isfinite(getattr(aux, name)) for name in ORDER4_UNDEFINED)
     assert aux.tau == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-13)
     # tau * beta - F = 0 to rounding, on every sampled point
     for x, y in seeded_points(2, 10, seed=53):
@@ -109,8 +109,8 @@ def test_supporting_covector_residual_is_tight():
     for name, make, _, make_b in MAIN_FIXTURES:
         field, oneform = make(), make_b()
         for x, y in seeded_points(field.n, 15, seed=61):
-            rep = report.point_report(field, oneform, x, y)
-            row = {r.formula: r for r in rep.rows}["lbar_closed"]
+            rows = report.point_report(field, oneform, x, y)
+            row = {r.formula: r for r in rows}["lbar_closed"]
             assert row.max_abs <= 1e-8, name
 
 
@@ -122,14 +122,14 @@ def test_supporting_covector_tight_near_oneform_floor():
     y = [1.5143233800600582, 1.7185642332450883]
     p = kropina_point(cubic_x(), b_bx(), x, y)
     assert abs(p.beta) < 1e-3
-    rows = report.point_report(cubic_x(), b_bx(), x, y).rows
+    rows = report.point_report(cubic_x(), b_bx(), x, y)
     row = {r.formula: r for r in rows}["lbar_closed"]
     assert row.max_abs <= 1e-11
 
 
 def test_report_rows_and_flags():
-    rep = report.point_report(cubic_x(), b_const(2), [0.1, 0.2], [0.9, 1.3])
-    formulas = {r.formula for r in rep.rows}
+    rows = report.point_report(cubic_x(), b_const(2), [0.1, 0.2], [0.9, 1.3])
+    formulas = {r.formula for r in rows}
     assert formulas == {
         "lbar_closed", "hbar_closed", "gbar_closed", "gbar_split",
         "gbar_inv_closed", "gbar_inv_split",
@@ -137,57 +137,75 @@ def test_report_rows_and_flags():
         "spray_split", "spray_split_alt", "spray_tangential", "spray_tangential_alt",
         "relatedness_balance",
     }
-    assert all(r.max_abs is not None for r in rep.rows)
-    assert not rep.degenerate_order4
-    assert B2_NOTE in rep.notes
+    assert all(r.max_abs is not None for r in rows)
+    assert all(r.note != report.DEGENERATE_NOTE for r in rows)
 
-    rep4 = report.point_report(diag_quartic(), b_const(2), [0.0, 0.0], [1.0, 2.0])
-    assert rep4.degenerate_order4
-    rows4 = {r.formula: r for r in rep4.rows}
+    rows4 = report.point_report(diag_quartic(), b_const(2), [0.0, 0.0], [1.0, 2.0])
+    rows4 = {r.formula: r for r in rows4}
     assert rows4["gbar_inv_closed"].max_abs is None
+    assert rows4["gbar_inv_closed"].note == report.DEGENERATE_NOTE
+
+
+@pytest.mark.parametrize(
+    "name", ["diag_quartic", "berwald_moore", "mixed_quartic", "parallel_m4", "cubic_x_bx"]
+)
+def test_order_four_is_decided_in_point_report(monkeypatch, name):
+    # at m = 4 the nine rows that need the scalar family are undefined and
+    # the spray is never split; below it, one split serves the whole report
+    doc, accepted, (xs, ys) = spec_samples(name, 6, seed=5)
+    calls, split = [], spray.pq_split
+
+    def counted(point):
+        if doc.m == 4:
+            raise AssertionError("the spray is split at m = 4")
+        calls.append(point)
+        return split(point)
+
+    monkeypatch.setattr(spray, "pq_split", counted)
+    for x, y in [accepted[0], (xs, ys)]:
+        calls.clear()
+        rows = report.point_report(doc.field, doc.oneform, x, y)
+        assert [row.formula for row in rows] == [row.formula for row in report.ROWS]
+        assert all(row.max_abs is not None for row in rows[:4])
+        for row in rows[4:]:
+            if doc.m == 4:
+                assert (row.max_abs, row.max_rel, row.note) == (None, None, "degenerate at m = 4")
+            else:
+                assert row.max_abs is not None and row.max_rel is not None, row.formula
+        assert len(calls) == (doc.m != 4)
 
 
 def test_minkowski_rows_are_x_independent():
     field, oneform = diag_quartic(), b_const(2)
     y = [0.7, 1.6]
-    rep_a = report.point_report(field, oneform, [0.0, 0.0], y)
-    rep_b = report.point_report(field, oneform, [0.9, -0.4], y)
-    for ra, rb in zip(rep_a.rows, rep_b.rows):
+    rows_a = report.point_report(field, oneform, [0.0, 0.0], y)
+    rows_b = report.point_report(field, oneform, [0.9, -0.4], y)
+    for ra, rb in zip(rows_a, rows_b):
         assert ra.formula == rb.formula
         if ra.max_abs is not None:
             assert ra.max_abs == pytest.approx(rb.max_abs, rel=1e-12, abs=1e-14)
 
 
-def test_reduce_report_keeps_per_formula_max():
+def test_worst_samples_keep_per_formula_max():
     field, oneform = cubic_x(), b_const(2)
     points = seeded_points(2, 5, seed=67)
     xs = np.array([x for x, _ in points])
     ys = np.array([y for _, y in points])
     stacked = report.point_report(field, oneform, xs, ys)
-    reduced = report.reduce_report(stacked)
-    assert all(len(row.max_abs) == len(row.x) == 5 for row in stacked.rows)
-    assert reduced.notes == [B2_NOTE]
-    assert [r.formula for r in reduced.rows] == [r.formula for r in stacked.rows]
-    for row, per_sample in zip(reduced.rows, stacked.rows):
-        i = int(np.argmax(per_sample.max_abs))
-        assert row.max_abs == per_sample.max_abs.max()
-        assert row.max_rel == per_sample.max_rel[i]
-        assert row.x == tuple(xs[i]) and row.y == tuple(ys[i])
+    worst = report.worst_samples(stacked)
+    assert all(len(row.max_abs) == len(row.max_rel) == 5 for row in stacked)
+    assert len(worst) == len(stacked)
+    for i, per_sample in zip(worst, stacked):
+        assert per_sample.max_abs[i] == per_sample.max_abs.max()
+        assert i == min(j for j in range(5) if per_sample.max_abs[j] == per_sample.max_abs.max())
 
 
-def test_reduce_report_takes_the_earliest_sample_of_a_tie():
-    xs = np.arange(8.0).reshape(4, 2)
-    ys = xs + 10.0
-    stacked = DiscrepancyReport(rows=[
-        ResidualRow("tied", np.array([1.0, 3.0, 2.0, 3.0]), np.array([0.1, 0.3, 0.2, 0.4]),
-                    xs, ys, "note"),
+def test_worst_samples_take_the_earliest_sample_of_a_tie():
+    rows = [
+        ResidualRow("tied", np.array([1.0, 3.0, 2.0, 3.0]), np.array([0.1, 0.3, 0.2, 0.4]), "note"),
         ResidualRow("undefined", None, None, note="degenerate at m = 4"),
-    ], degenerate_order4=True, notes=[B2_NOTE])
-    tied, undefined = report.reduce_report(stacked).rows
-    assert (tied.max_abs, tied.max_rel, tied.x, tied.y, tied.note) == (
-        3.0, 0.3, (2.0, 3.0), (12.0, 13.0), "note")
-    assert undefined is stacked.rows[1]
-    assert report.reduce_report(stacked).degenerate_order4
+    ]
+    assert report.worst_samples(rows) == [1, None]
 
 
 def test_order2_classical_anchor():
@@ -207,23 +225,20 @@ def test_stacked_rows_match_single_points(name):
     doc, accepted, (xs, ys) = spec_samples(name, 12, seed=5)
     stacked = report.point_report(doc.field, doc.oneform, xs, ys)
     singles = [report.point_report(doc.field, doc.oneform, x, y) for x, y in accepted]
-    assert all(row.max_abs is None or len(row.max_abs) == len(accepted) for row in stacked.rows)
-    for r, row in enumerate(stacked.rows):
-        rows = [rep.rows[r] for rep in singles]
+    assert all(row.max_abs is None or len(row.max_abs) == len(accepted) for row in stacked)
+    for r, row in enumerate(stacked):
+        rows = [single_rows[r] for single_rows in singles]
         assert all(single.formula == row.formula for single in rows)
         if row.max_abs is None:
             assert all(single.max_abs is None for single in rows), row.formula
             continue
         assert_stack_matches(row.max_abs, [single.max_abs for single in rows], row.formula)
         assert_stack_matches(row.max_rel, [single.max_rel for single in rows], row.formula)
-        np.testing.assert_array_equal(row.x, xs)
-        np.testing.assert_array_equal(row.y, ys)
-    reduced = report.reduce_report(stacked)
-    for r, row in enumerate(reduced.rows):
-        rows = [rep.rows[r] for rep in singles]
-        assert (row.max_abs is None) == (rows[0].max_abs is None)
-        if row.max_abs is not None:
-            assert_stack_matches(row.max_abs, max(single.max_abs for single in rows), row.formula)
+    for r, (row, i) in enumerate(zip(stacked, report.worst_samples(stacked))):
+        rows = [single_rows[r] for single_rows in singles]
+        assert (i is None) == (rows[0].max_abs is None)
+        if i is not None:
+            assert_stack_matches(row.max_abs[i], max(single.max_abs for single in rows), row.formula)
 
 
 def test_stack_raises_what_a_sample_loop_meets_first(monkeypatch):

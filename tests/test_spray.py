@@ -214,14 +214,14 @@ def test_complex_step_tail_matches_hand_chain(name):
 
 
 def test_pq_decomposition_fields():
-    assert not kropina_point(cubic_x(), b_const(2), [0.0, 0.0], [1.0, 1.0]).aux.degenerate_order4
+    assert np.isfinite(kropina_point(cubic_x(), b_const(2), [0.0, 0.0], [1.0, 1.0]).aux.p0)
     point = pq_decomposition(cubic_x(), b_const(2), [0.0, 0.0], [1.0, 1.0])
     np.testing.assert_allclose(point.G, GOLDEN_G_BASE, atol=1e-9)
     np.testing.assert_allclose(point.Gbar, GOLDEN_G_KROPINA, atol=1e-9)
     np.testing.assert_allclose(point.D, point.Gbar - point.G, atol=1e-15)
     assert point.omega[0] == pytest.approx((8.0 / 3.0) * 2.0 ** (-1.0 / 3.0), abs=1e-12)
     assert point.omega[1] == 0.0
-    rows = report.point_report(cubic_x(), b_const(2), [0.0, 0.0], [1.0, 1.0]).rows
+    rows = report.point_report(cubic_x(), b_const(2), [0.0, 0.0], [1.0, 1.0])
     for row in rows[-5:]:
         assert row.formula.startswith(("spray_", "relatedness_")), row.formula
         assert np.isfinite(row.max_abs) and np.isfinite(row.max_rel), row.formula
@@ -229,7 +229,7 @@ def test_pq_decomposition_fields():
 
 def test_pq_decomposition_degenerate_order4():
     snapshot = kropina_point(diag_quartic(), b_const(2), [0.0, 0.0], [1.0, 2.0])
-    assert snapshot.aux.degenerate_order4
+    assert np.isnan(snapshot.aux.p0)
     point = pq_decomposition(diag_quartic(), b_const(2), [0.0, 0.0], [1.0, 2.0])
     assert np.isnan(point.P_closed)
     assert np.all(np.isnan(point.Q_closed))
@@ -238,7 +238,7 @@ def test_pq_decomposition_degenerate_order4():
     assert np.all(np.isfinite(point.Gbar))
     A, beta = snapshot.jets.group(0), snapshot.jets.group(1)
     assert np.all(np.isfinite(transform_tail(A.val, A.grad_y / 4, beta.grad_y, beta.val, 4)))
-    rows = report.point_report(diag_quartic(), b_const(2), [0.0, 0.0], [1.0, 2.0]).rows
+    rows = report.point_report(diag_quartic(), b_const(2), [0.0, 0.0], [1.0, 2.0])
     for row in rows[-5:]:
         assert row.formula.startswith(("spray_", "relatedness_")), row.formula
         assert row.max_abs is None and row.max_rel is None, row.formula
@@ -593,6 +593,6 @@ def test_empty_stacks_give_empty_results(name):
     assert jets.block.shape == (0, 2, {2: 23, 3: 48, 4: 77}[n])
     for energy in (calculus.base_energy(doc.field, doc.m), calculus.kropina_energy(*args, doc.m)):
         assert spray_coeffs(energy, xs, ys).shape == (0, n), energy.name
-    for row in report.point_report(*args, xs, ys).rows:
+    for row in report.point_report(*args, xs, ys):
         assert row.max_abs is None or np.shape(row.max_abs) == (0,), row.formula
     assert projective_residual(*args, xs, ys).shape == (0,)
