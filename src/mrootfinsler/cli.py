@@ -619,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_check = sub.add_parser("check", help="condition verdicts from operational residuals")
-    p_check.add_argument("kind", choices=("dually-flat", "proj-flat", "proj-related"))
+    p_check.add_argument("kind", choices=tuple(flatness.CHECKS))
     add_common(p_check, sampled=True)
     p_check.add_argument("--tol", type=lambda s: _real(s, "--tol", nonnegative=True),
                          default=flatness.DEFAULT_TOL)

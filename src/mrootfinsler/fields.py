@@ -4,24 +4,26 @@ Restricting the x-dependence to polynomials keeps every x-derivative analytic,
 so closed forms are adjudicated against an oracle with no extra noise from the
 coefficient side.
 
-Both the form A = a_I(x) y^I and the one-form beta = b_i(x) y^i are read as
-terms  w_t c_t(x) y^e_t : c_t is an entry's polynomial, w_t its index
-multiplicity (1 for the one-form) and e_t the y-exponent row of its index
-multiset.  A TermTable multiplies them out into monomials of v = (x, y) and
-holds one matrix from those monomials to the value, the gradient and the
-Hessian over all 2n coordinates and the coefficients c_t(x): a pass is one
-power table of v, one gather-product, one matmul and one gather, which makes
-the Hessian symmetric by construction.  TermTable.block is that pass as a raw
-block with no guard, and TermTable.refusals its one domain guard, refusing
-through errors.raise_first: the overflow of the pass, then the floors of A
-and beta.  The guard holds its own one-point fast form in Python floats, and
-its two callers, calculus.field_jets (which the sampler takes) and the RK4
-stage (spray), call it as it is.  CoefficientField.tensor_at reads no pass:
-it evaluates each entry's Polynomial.  A pass takes the packed point v = (x, y): callers
-pack x and y once (`pack` checks both lengths), the geodesic integrator
-hands over its state.  The pair (A, beta) is one table with a group axis
-(A, beta), the form alone its one-group case, each built once per field or
-pair, on first use.
+The form A = a_I(x) y^I is a CoefficientField of order m, and the one-form
+beta = b_i(x) y^i (OneFormField) the same class at order 1, with the entries
+{(i,): b_i}.  Both are read as terms  w_t c_t(x) y^e_t : c_t is an entry's
+polynomial, w_t its index multiplicity (1 for the one-form) and e_t the
+y-exponent row of its index multiset.  A TermTable multiplies them out into
+monomials of v = (x, y) and holds one matrix from those monomials to the
+value, the gradient and the Hessian over all 2n coordinates and the
+coefficients c_t(x): a pass is one power table of v, one gather-product, one
+matmul and one gather, which makes the Hessian symmetric by construction.
+TermTable.block is that pass as a raw block with no guard, and
+TermTable.refusals its one domain guard, refusing through errors.raise_first:
+the overflow of the pass, then the floors of A and beta.  The guard holds its
+own one-point fast form in Python floats, and its two callers,
+calculus.field_jets (which the sampler takes) and the RK4 stage (spray), call
+it as it is.  CoefficientField.tensor_at reads no pass: it evaluates each
+entry's Polynomial.  A pass takes the packed point v = (x, y): callers pack x
+and y once (`pack` checks both lengths), the geodesic integrator hands over
+its state.  The pair (A, beta) is one table with a group axis (A, beta),
+either field alone its one-group case, each built once per field or pair, on
+first use.
 
 Multiplied out, each term is rounded once before the sum; this differs from
 coefficients times monomials where a coefficient nearly vanishes, by about eps
@@ -131,9 +133,6 @@ class Polynomial:
                     term *= x[i]
             total += term
         return total
-
-    def is_constant(self) -> bool:
-        return all(c == 0.0 or not any(e) for e, c in self.monomials)
 
 
 @dataclass
@@ -281,6 +280,8 @@ class TermTable:
 class CoefficientField:
     """Symmetric coefficient tensor whose entries are polynomials in x."""
 
+    name = "form"   # the term group's name in a pass's messages
+
     def __init__(self, n: int, m: int, entries):
         canon = {}
         for key, poly in entries.items():
@@ -297,7 +298,7 @@ class CoefficientField:
         self.n = int(n)
         self.m = int(m)
         self.entries = canon
-        self.term_group = (list(canon.values()), list(canon), "form")
+        self.term_group = (list(canon.values()), list(canon), self.name)
         self._tables = {}
 
     @staticmethod
@@ -306,13 +307,9 @@ class CoefficientField:
             n, m, {key: Polynomial.constant(n, v) for key, v in values.items()}
         )
 
-    @property
-    def terms(self) -> TermTable:
-        """The form a_I(x) y^I as a one-group TermTable (built on first use)."""
-        return self.terms_with(None)
-
     def terms_with(self, oneform) -> TermTable:
-        """The form, or the pair (A, beta) with a one-form, as one TermTable (built once)."""
+        """The field alone, or the pair (A, beta) with a one-form, as one
+        TermTable (built once)."""
         if oneform not in self._tables:
             groups = [self.term_group] if oneform is None else [self.term_group, oneform.term_group]
             self._tables[oneform] = TermTable(groups, self.n)
@@ -329,27 +326,18 @@ class CoefficientField:
                 raise NonFiniteResult(f"coefficient {key} is {value} at x={x}")
         return SymmetricTensor(self.n, self.m, values)
 
-    def is_constant(self) -> bool:
-        return all(poly.is_constant() for poly in self.entries.values())
 
+class OneFormField(CoefficientField):
+    """One-form b_i(x) with polynomial components: the order-1 field {(i,): b_i}."""
 
-class OneFormField:
-    """One-form b_i(x) with polynomial components."""
+    name = "one-form"
 
     def __init__(self, n: int, components):
-        components = tuple(components)
-        if len(components) != n:
-            raise DimensionMismatch(f"{len(components)} components for dimension {n}")
-        for poly in components:
-            if poly.n != n:
-                raise DimensionMismatch("component polynomial has wrong arity")
-        self.n = int(n)
-        self.components = components
-        self.term_group = (list(components), [(i,) for i in range(1, self.n + 1)], "one-form")
+        self.components = tuple(components)
+        if len(self.components) != n:
+            raise DimensionMismatch(f"{len(self.components)} components for dimension {n}")
+        super().__init__(n, 1, {(i,): poly for i, poly in enumerate(self.components, 1)})
 
     @staticmethod
     def constant(n: int, values) -> "OneFormField":
         return OneFormField(n, [Polynomial.constant(n, v) for v in values])
-
-    def is_constant(self) -> bool:
-        return all(poly.is_constant() for poly in self.components)

@@ -3,17 +3,21 @@
 Several of the printed closed forms for the transformed fundamental tensor and
 its inverse are mutually inconsistent, so the single source of truth is the
 differentiation oracle (half the y-Hessian of Fbar^2).  `kropina_point`
-evaluates every closed form verbatim next to its oracle quantity; the
-residual rows of `verify` are defined in one table in `report`, which reads
-them off this snapshot and the spray split computed from it alone
-(`spray.pq_split`).
+evaluates the closed forms of the supporting covector, the angular tensor and
+the fundamental tensor verbatim next to their oracle quantities, and the
+scalar family.  The two printed inverses read that family: `closed_inverses`
+evaluates them, and the spray split (`spray.pq_split`) calls it, so they are
+computed only where the split is.  The residual rows of `verify` are defined
+in one table in `report`, which reads them off this snapshot and the split
+computed from it alone.
 
 `kropina_point(field, oneform, x, y, jets=None)` reads the order m off the
 field.  Points may come stacked (N, n): the snapshot and the scalar family
 then hold one entry per sample (per-sample scalars gain unit axes to
 broadcast against vectors and matrices).  At m = 4 the scalar family from
 delta on is NaN, and so, by plain arithmetic, are both closed inverses;
-which rows that leaves undefined is decided in `report`.
+which rows that leaves undefined is decided in `report`, which does not
+split the spray there.
 """
 
 from __future__ import annotations
@@ -88,13 +92,13 @@ def aux_scalars_from(F: float, beta: float, b2: float, m: int) -> AuxScalars:
 class KropinaPoint:
     """Every transformed quantity at (x, y), closed forms and oracle side, per sample of a stack.
 
-    It also keeps what the spray split reads: the pass (A, beta), the Fbar^2
-    jet composed from it and the raised one-form A^ij b_j.
+    It also keeps what the spray split reads: the pass (A, beta), where
+    beta's y-gradient b is read, the Fbar^2 jet composed from it, the raised
+    one-form A^ij b_j and the scalar family.
     """
 
     jets: Jet                   # the pass (A, beta)
     base: MetricPoint
-    b: np.ndarray
     beta: float
     Fbar: float
     lbar: np.ndarray            # closed-form supporting covector
@@ -103,8 +107,6 @@ class KropinaPoint:
     gbar_closed: np.ndarray     # direct closed form of the fundamental tensor
     gbar_split: np.ndarray      # closed form split off the base tensor
     gbar_oracle: np.ndarray     # half y-Hessian of Fbar^2 (source of truth)
-    gbar_inv_closed: np.ndarray # closed-form inverse (NaN matrix at m = 4)
-    gbar_inv_split: np.ndarray  # split-form inverse (NaN matrix at m = 4)
     gbar_inv_numeric: np.ndarray
     lbar_oracle: np.ndarray     # y-gradient of Fbar
     energy: Jet                 # Fbar^2 with its derivatives
@@ -163,19 +165,17 @@ def kropina_point(
 
     b_up = matvec(base.A_inv, b)
     aux = aux_scalars_from(F, beta, dot(b, b_up), m)
-    gbar_inv_closed, gbar_inv_split = _closed_inverses(base, b_up, beta, aux)
 
     return KropinaPoint(
-        jets=jets, base=base, b=b, beta=beta, Fbar=Fbar, lbar=lbar,
+        jets=jets, base=base, beta=beta, Fbar=Fbar, lbar=lbar,
         hbar_closed=hbar_closed, hbar_oracle=hbar_oracle,
         gbar_closed=gbar_closed, gbar_split=gbar_split, gbar_oracle=gbar_oracle,
-        gbar_inv_closed=gbar_inv_closed, gbar_inv_split=gbar_inv_split,
         gbar_inv_numeric=gbar_inv_numeric, lbar_oracle=norm_jet.grad_y,
         energy=energy_jet, b_up=b_up, aux=aux,
     )
 
 
-def _closed_inverses(
+def closed_inverses(
     base: MetricPoint, b_up: np.ndarray, beta: float, aux: AuxScalars
 ) -> tuple[np.ndarray, np.ndarray]:
     """The closed-form and the split-form inverse: lead, shared terms, own y^i y^j term."""

@@ -7,7 +7,8 @@ the auxiliary scalar family, which divides by m - 4.  This module is where
 order four is decided: at m = 4 `point_report` makes those rows undefined
 (None, `null` in JSON) without evaluating them, and does not split the
 spray.  One Kropina snapshot (`kropina.kropina_point`) and the spray split
-read off it alone (`spray.pq_split`) serve every row.
+read off it alone (`spray.pq_split`, which also holds the printed inverses)
+serve every row: the rows that need the scalar family read the split.
 
 `point_report(field, oneform, x, y, jets=None)` reads the order m off the
 field.  All accepted samples are evaluated at once, as one stack (N, n) with
@@ -97,13 +98,13 @@ ROWS = (
     Row("hbar_closed", lambda k, s: k.hbar_closed, lambda k, s: k.hbar_oracle),
     Row("gbar_closed", lambda k, s: k.gbar_closed, lambda k, s: k.gbar_oracle),
     Row("gbar_split", lambda k, s: k.gbar_split, lambda k, s: k.gbar_oracle),
-    Row("gbar_inv_closed", lambda k, s: k.gbar_inv_closed, lambda k, s: k.gbar_inv_numeric,
+    Row("gbar_inv_closed", lambda k, s: s.gbar_inv_closed, lambda k, s: k.gbar_inv_numeric,
         aux=True),
-    Row("gbar_inv_split", lambda k, s: k.gbar_inv_split, lambda k, s: k.gbar_inv_numeric,
+    Row("gbar_inv_split", lambda k, s: s.gbar_inv_split, lambda k, s: k.gbar_inv_numeric,
         aux=True),
-    Row("gbar_inv_closed_identity", lambda k, s: k.gbar_inv_closed @ k.gbar_oracle, _identity,
+    Row("gbar_inv_closed_identity", lambda k, s: s.gbar_inv_closed @ k.gbar_oracle, _identity,
         note="closed inverse times oracle tensor vs identity", aux=True),
-    Row("gbar_inv_split_identity", lambda k, s: k.gbar_inv_split @ k.gbar_oracle, _identity,
+    Row("gbar_inv_split_identity", lambda k, s: s.gbar_inv_split @ k.gbar_oracle, _identity,
         note="split inverse times oracle tensor vs identity", aux=True),
     Row("spray_split", _split(_Q), _D, _D,
         "max |D - (P y + Q)|, printed scalar reading", aux=True),

@@ -78,6 +78,18 @@ def _poly(raw, n, where) -> Polynomial:
     return Polynomial(n, terms)
 
 
+def _entries(raw, key):
+    """(where, entry) for each entry of the list `raw` under `key`: ParseError
+    unless it is a non-empty list of objects."""
+    if not isinstance(raw, list) or not raw:
+        raise ParseError(f"{key}: expected a non-empty list")
+    for i, entry in enumerate(raw):
+        where = f"{key}[{i}]"
+        if not isinstance(entry, dict):
+            raise ParseError(f"{where}: expected an object")
+        yield where, entry
+
+
 def parse_spec(text, source: str = "<text>") -> MetricSpecDocument:
     """The document in `text`, a str or the UTF-8 bytes of a spec file."""
     try:
@@ -106,14 +118,8 @@ def parse_spec(text, source: str = "<text>") -> MetricSpecDocument:
     if not isinstance(name, str):
         raise ParseError("name: expected a string")
 
-    tensor_raw = _require(doc, "tensor", source)
-    if not isinstance(tensor_raw, list) or not tensor_raw:
-        raise ParseError("tensor: expected a non-empty list")
     entries = {}
-    for i, entry in enumerate(tensor_raw):
-        where = f"tensor[{i}]"
-        if not isinstance(entry, dict):
-            raise ParseError(f"{where}: expected an object")
+    for where, entry in _entries(_require(doc, "tensor", source), "tensor"):
         indices = _require(entry, "indices", where)
         if not isinstance(indices, list) or len(indices) != m:
             raise ValidationError(f"{where}.indices: expected {m} entries")
@@ -130,15 +136,9 @@ def parse_spec(text, source: str = "<text>") -> MetricSpecDocument:
     field = CoefficientField(n, m, entries)
 
     oneform = None
-    if "one_form" in doc and doc["one_form"] is not None:
-        of_raw = doc["one_form"]
-        if not isinstance(of_raw, list) or not of_raw:
-            raise ParseError("one_form: expected a non-empty list")
+    if doc.get("one_form") is not None:
         comps = {}
-        for i, entry in enumerate(of_raw):
-            where = f"one_form[{i}]"
-            if not isinstance(entry, dict):
-                raise ParseError(f"{where}: expected an object")
+        for where, entry in _entries(doc["one_form"], "one_form"):
             idx = _int(_require(entry, "index", where), f"{where}.index")
             if idx < 1 or idx > n:
                 raise ValidationError(f"{where}.index: value outside 1..{n}")

@@ -12,10 +12,12 @@ Both sprays and every x-derivative the split needs come from one derivative
 pass of A and beta (calculus.field_jets).  The split (pq_split) is a function
 of the Kropina snapshot (kropina.kropina_point) alone: it reads that pass,
 the Fbar^2 jet, A^ij b_j and the scalar family off it instead of making them
-again; pq_decomposition makes the snapshot at (x, y) first.  The printed
-tail X is written once, verbatim, because it may be misprinted and no
-identity may be applied to it; only its x-derivatives are read, so it is
-evaluated only under the complex step (Squire & Trapp, SIAM Review 40, 1998).
+again, and evaluates the printed inverses of the transformed tensor from the
+same family (kropina.closed_inverses); pq_decomposition makes the snapshot at
+(x, y) first.  The printed tail X is written once, verbatim, because it may be
+misprinted and no identity may be applied to it; only its x-derivatives are
+read, so it is evaluated only under the complex step (Squire & Trapp, SIAM
+Review 40, 1998).
 pq_decomposition and projective_residual take (field, oneform, x, y) and
 read the order m off the field.
 Everything but the geodesic integrator also takes a stack of samples (N, n):
@@ -50,7 +52,7 @@ from . import calculus
 from .errors import NUMERIC_ERRORS, DomainError, in_sample_order
 from .fields import CoefficientField, Jet, OneFormField, all_finite, dot
 from .fields import matvec, norm, outer, pack, vecmat
-from .kropina import KropinaPoint, kropina_point
+from .kropina import KropinaPoint, closed_inverses, kropina_point
 from .metric import solve_guarded
 
 
@@ -150,7 +152,8 @@ def tail_x_derivatives(A: calculus.Jet, beta: calculus.Jet, m: int) -> np.ndarra
 
 @dataclass
 class SprayPoint:
-    """Oracle sprays plus the verbatim closed-form split at (x, y), per sample."""
+    """Oracle sprays plus the verbatim closed-form split at (x, y), per sample,
+    and the two printed inverses, which read the same scalar family."""
 
     G: np.ndarray             # base spray
     Gbar: np.ndarray          # transformed spray
@@ -161,6 +164,8 @@ class SprayPoint:
     Q_closed_alt: np.ndarray  # same with the alternative scalar reading
     Q_lead: np.ndarray        # first half of Q (one-form direction, printed reading)
     Q_inv: np.ndarray         # second half of Q (inverse-contraction part)
+    gbar_inv_closed: np.ndarray  # printed closed-form inverse of the transformed tensor
+    gbar_inv_split: np.ndarray   # printed split-form inverse
 
 
 @in_sample_order
@@ -171,10 +176,11 @@ def pq_decomposition(field: CoefficientField, oneform: OneFormField, x, y) -> Sp
 
 @in_sample_order
 def pq_split(point: KropinaPoint) -> SprayPoint:
-    """Oracle sprays and the closed-form P and Q verbatim, all read off the
-    Kropina snapshot alone: its pass (A, beta), Fbar^2 jet, A^ij b_j and
-    scalar family.  At m = 4 P and Q are NaN, by plain arithmetic on the
-    NaN scalar family; `report` does not split there.
+    """Oracle sprays, the closed-form P and Q and the printed inverses
+    (kropina.closed_inverses) verbatim, all read off the Kropina snapshot
+    alone: its pass (A, beta), Fbar^2 jet, A^ij b_j and scalar family.  At
+    m = 4 P, Q and the inverses are NaN, by plain arithmetic on the NaN
+    scalar family; `report` does not split there.
 
     The closed Q is printed with a scalar that collides with the one defined
     by the inverse-tensor rewrite; both readings are returned (`Q_closed` uses
@@ -216,6 +222,7 @@ def pq_split(point: KropinaPoint) -> SprayPoint:
     return SprayPoint(
         G, Gbar, D, omega, P_closed,
         q_lead + q_inv, q_lead_alt + q_inv, q_lead, q_inv,
+        *closed_inverses(base, b_up, point.beta, aux),
     )
 
 

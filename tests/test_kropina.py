@@ -69,8 +69,9 @@ def test_aux_scalars_order4_flagged():
     assert np.isnan(aux.delta) and np.isnan(aux.p0) and np.isnan(aux.p3)
     # scalars upstream of the degeneracy stay defined
     assert aux.tau == pytest.approx(p.base.F / p.beta, abs=1e-14)
-    # the closed-form inverse is undefined: NaN in the point, degenerate rows
-    assert np.isnan(p.gbar_inv_closed).all() and np.isnan(p.gbar_inv_split).all()
+    # the printed inverses are undefined: NaN in the split, degenerate rows
+    s = spray.pq_split(p)
+    assert np.isnan(s.gbar_inv_closed).all() and np.isnan(s.gbar_inv_split).all()
     rows = report.point_report(diag_quartic(), b_const(2), [0.0, 0.0], [1.0, 2.0])
     rows = {row.formula: row for row in rows}
     for formula in ("gbar_inv_closed", "gbar_inv_split"):
@@ -94,13 +95,15 @@ def test_closed_inverses_match_printed_transcription():
     for name, oneform in (("cubic_x", b_const(2)), ("cubic_x_bx", b_bx())):
         for x, y in seeded_points(2, 10, seed=59):
             p = kropina_point(cubic_x(), oneform, x, y)
+            s = spray.pq_split(p)
+            b = p.jets.group(1).grad_y.tolist()
             closed, split = oracles.printed_closed_inverses(
-                float(p.base.F), float(p.beta), p.b.tolist(), p.base.A_inv.tolist(), list(y), 3
+                float(p.base.F), float(p.beta), b, p.base.A_inv.tolist(), list(y), 3
             )
-            assert rel_err(p.gbar_inv_closed, closed) <= 1e-12, name
-            assert rel_err(p.gbar_inv_split, split) <= 1e-12, name
+            assert rel_err(s.gbar_inv_closed, closed) <= 1e-12, name
+            assert rel_err(s.gbar_inv_split, split) <= 1e-12, name
             # identity deviation is recorded, not asserted: just check finite
-            dev = np.max(np.abs(p.gbar_inv_closed @ p.gbar_oracle - np.eye(2)))
+            dev = np.max(np.abs(s.gbar_inv_closed @ p.gbar_oracle - np.eye(2)))
             assert np.isfinite(dev), name
 
 

@@ -169,7 +169,12 @@ def _first_poly(poly):
     (doc_text(tensor=[{"indices": [1, 1, 1], "poly": []}]), ValidationError,
      r"^tensor\[0\]\.indices: expected 4 entries$"),
     (doc_text(one_form=[]), ParseError, r"^one_form: expected a non-empty list$"),
+    (doc_text(one_form={}), ParseError, r"^one_form: expected a non-empty list$"),
     (doc_text(one_form=[1.0]), ParseError, r"^one_form\[0\]: expected an object$"),
+    (doc_text(one_form=[{"index": 1, "poly": [{"exponents": [0, 0], "coeff": 1.0}]}, [2]]), ParseError,
+     r"^one_form\[1\]: expected an object$"),
+    (doc_text(tensor=[{"indices": [1, 1, 1, 1], "poly": [{"exponents": [0, 0], "coeff": 1.0}]}, 5]),
+     ParseError, r"^tensor\[1\]: expected an object$"),
     (doc_text(one_form=[{"index": 3, "poly": []}]), ValidationError,
      r"^one_form\[0\]\.index: value outside 1\.\.2$"),
 ], ids=["not-utf8", "nested-too-deep", "int-too-long", "int-beyond-float", "negative-int-beyond-float",
@@ -177,7 +182,8 @@ def _first_poly(poly):
         "exponent-above-bound", "exponent-beyond-c-long", "order-not-integer", "poly-empty",
         "monomial-not-object", "duplicate-exponents", "coeff-not-number", "name-not-string",
         "tensor-not-list", "tensor-entry-not-object", "indices-wrong-order", "one-form-empty",
-        "one-form-entry-not-object", "one-form-index-outside"])
+        "one-form-not-list", "one-form-entry-not-object", "one-form-second-entry-not-object",
+        "tensor-second-entry-not-object", "one-form-index-outside"])
 def test_input_edges_refused(data, error, match):
     # each edge is a spec error naming the source or the field, never a
     # Python exception or a non-finite coefficient let through
@@ -204,5 +210,5 @@ def test_exponent_at_bound_accepted():
     poly = doc.field.entries[(1, 1, 1, 1)]
     x, y = [1.01, 0.3], [0.5, 1.0]
     assert doc.field.tensor_at(x).entries[(1, 1, 1, 1)] == pytest.approx(poly(x), rel=1e-14)
-    A = raw_pass(doc.field.terms, pack(x, y, 2))[0].group(0)
+    A = raw_pass(doc.field.terms_with(None), pack(x, y, 2))[0].group(0)
     assert A.grad_x[0] == pytest.approx(MAX_EXPONENT * 1.01 ** (MAX_EXPONENT - 1) * 0.5 ** 4, rel=1e-13)
