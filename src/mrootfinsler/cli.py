@@ -8,10 +8,9 @@ output; the seed defaults to the FINSLER_SEED environment variable, with the
 flag winning.
 
 A process that calls `main` more than once does its set-up once: the argument
-parser is built on the first call, and the documents parsed from the last
-SPEC_CACHE_SIZE distinct spec contents are kept, keyed by the file's exact
-bytes and its path.  Every call reads the spec file again, so a file edited
-between calls is parsed again; a spec that fails to parse is never kept.
+parser is built on the first call.  Every spec is read by `load_spec`, whose
+document cache (`specfile`) the library shares: every call reads the spec
+file again, and a file edited between calls is parsed again.
 
 Every --json document goes through one writer (`_emit`): the text of
 json.dumps(payload, sort_keys=True, indent=2) and a newline, laid out by
@@ -41,7 +40,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__, calculus, flatness, kropina, report, sampling, spray
+from . import __version__, calculus, flatness, kropina, report, sampling, specfile, spray
 from .errors import (
     NUMERIC_ERRORS,
     DomainError,
@@ -51,7 +50,7 @@ from .errors import (
     check_finite,
 )
 from .metric import ORDER2_NOTICE
-from .specfile import MetricSpecDocument, _read, parse_spec
+from .specfile import MetricSpecDocument, load_spec
 
 
 def _fmt(value) -> str:
@@ -110,21 +109,10 @@ def _finite_or_none(value):
     return value if math.isfinite(value) else None
 
 
-# Distinct spec contents whose parsed documents one process keeps.
-SPEC_CACHE_SIZE = 8
-
-
-@lru_cache(maxsize=SPEC_CACHE_SIZE)
-def _parse(data: bytes, source: str) -> MetricSpecDocument:
-    """parse_spec, once per spec content (and path, which error messages name).
-    A document that failed to parse is not kept: its error is raised every time."""
-    return parse_spec(data, source)
-
-
 def _load(path) -> MetricSpecDocument:
-    """The spec file's document, parsed from the bytes read now, writing the
-    order-2 warning to stderr as one fixed line."""
-    doc = _parse(_read(path), str(path))
+    """The spec file's document, writing the order-2 warning to stderr as one
+    fixed line."""
+    doc = load_spec(path)
     if doc.m == 2:
         sys.stderr.write(f"warning: {ORDER2_NOTICE}\n")
     return doc
@@ -173,7 +161,7 @@ class _Section(NamedTuple):
 # Document shapes whose layout one process keeps: room for the verify rows,
 # the verify record and the proj-related record of as many specs as the
 # spec cache keeps.
-LAYOUT_CACHE_SIZE = 3 * SPEC_CACHE_SIZE
+LAYOUT_CACHE_SIZE = 3 * specfile.SPEC_CACHE_SIZE
 
 
 # Template text that one write of records joins, about: 18 verify records of

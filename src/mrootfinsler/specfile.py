@@ -4,6 +4,15 @@ A document carries the dimension, the root order, the polynomial coefficient
 tensor (canonical sorted indices only) and optionally the one-form.  Parsing
 separates malformedness (ParseError) from constraint violations
 (ValidationError) and reports the offending path in the message.
+
+This is the one module that reads spec bytes.  `load_spec` reads the file
+again on every call, and `load_spec` and `parse_spec` share one document
+cache: the documents parsed from the last SPEC_CACHE_SIZE distinct spec
+contents, keyed by the exact bytes (or text) and the source (the path),
+which error messages name.  A file edited between calls is parsed again; a
+spec that fails to parse is never kept.  The cached document is shared, so
+callers do not modify it.  The order-2 RiemannianOrderWarning is raised on
+every call, cached or not, and names the caller's line.
 """
 
 from __future__ import annotations
@@ -13,6 +22,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .errors import ParseError, RiemannianOrderWarning, ValidationError
@@ -21,6 +31,9 @@ from .metric import ORDER2_NOTICE, ORDER_MAX, ORDER_MIN
 
 # each derivative pass tabulates every coordinate's powers up to the largest exponent
 MAX_EXPONENT = 64
+
+# Distinct spec contents whose parsed documents one process keeps.
+SPEC_CACHE_SIZE = 8
 
 
 @dataclass
@@ -90,10 +103,12 @@ def _entries(raw, key):
         yield where, entry
 
 
-def parse_spec(text, source: str = "<text>") -> MetricSpecDocument:
-    """The document in `text`, a str or the UTF-8 bytes of a spec file."""
+@lru_cache(maxsize=SPEC_CACHE_SIZE)
+def _parse(text, source: str) -> MetricSpecDocument:
+    """The document in `text`, a str or bytes, parsed once per content and
+    source; one that failed to parse is not kept, and raises every time."""
     try:
-        data = text.encode() if isinstance(text, str) else bytes(text)
+        data = text.encode() if isinstance(text, str) else text
         data.decode("utf-8")
     except UnicodeError as exc:
         raise ParseError(f"{source}: not UTF-8: {exc}") from exc
@@ -112,8 +127,6 @@ def parse_spec(text, source: str = "<text>") -> MetricSpecDocument:
         raise ValidationError(f"dimension: must be at least 2, got {n}")
     if m < ORDER_MIN or m > ORDER_MAX:
         raise ValidationError(f"order: must be in {ORDER_MIN}..{ORDER_MAX}, got {m}")
-    if m == 2:
-        warnings.warn(ORDER2_NOTICE, RiemannianOrderWarning, stacklevel=2)
     name = doc.get("name", "")
     if not isinstance(name, str):
         raise ParseError("name: expected a string")
@@ -161,5 +174,18 @@ def _read(path) -> bytes:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
+def _warned(doc: MetricSpecDocument) -> MetricSpecDocument:
+    """`doc`, warning at order 2 on the line that called the public reader."""
+    if doc.m == 2:
+        warnings.warn(ORDER2_NOTICE, RiemannianOrderWarning, stacklevel=3)
+    return doc
+
+
+def parse_spec(text, source: str = "<text>") -> MetricSpecDocument:
+    """The document in `text`, a str or the UTF-8 bytes of a spec file."""
+    return _warned(_parse(text if isinstance(text, str) else bytes(text), source))
+
+
 def load_spec(path) -> MetricSpecDocument:
-    return parse_spec(_read(path), source=str(path))
+    """The document of the spec file at `path`, read now."""
+    return _warned(_parse(_read(path), str(path)))

@@ -1340,17 +1340,45 @@ def test_parser_state_does_not_leak(capsys, monkeypatch):
 
 
 def test_parsed_documents_are_bounded(tmp_path, capsys):
-    from mrootfinsler import cli
+    from mrootfinsler import specfile
 
-    for i in range(cli.SPEC_CACHE_SIZE + 3):
+    for i in range(specfile.SPEC_CACHE_SIZE + 3):
         spec = tmp_path / f"spec{i}.json"
         spec.write_text(BX_TEXT.replace("cubic-x-bx", f"copy-{i}"))
         rc, out, _ = run_main(capsys, "eval", "--json", "--spec", str(spec), "--x", "0,0", "--y", "1,2")
         assert rc == 0 and json.loads(out)["spec_name"] == f"copy-{i}"
-        assert cli._parse.cache_info().currsize <= cli.SPEC_CACHE_SIZE
-    hits = cli._parse.cache_info().hits
+        assert specfile._parse.cache_info().currsize <= specfile.SPEC_CACHE_SIZE
+    hits = specfile._parse.cache_info().hits
     run_main(capsys, "eval", "--spec", str(spec), "--x", "0,0", "--y", "1,2")
-    assert cli._parse.cache_info().hits == hits + 1
+    assert specfile._parse.cache_info().hits == hits + 1
+
+
+def test_cli_and_load_spec_share_one_document(tmp_path, capsys, monkeypatch):
+    # cli reads every spec through load_spec: a document the CLI parsed is a
+    # cache hit for the library, and an edited file is parsed again
+    from mrootfinsler import cli, specfile
+
+    used = []
+
+    def recorded(path):
+        used.append(specfile.load_spec(path))
+        return used[-1]
+
+    monkeypatch.setattr(cli, "load_spec", recorded)
+    spec = tmp_path / "shared.json"
+    spec.write_text(BX_TEXT.replace("cubic-x-bx", "shared-0"))
+    rc, out, _ = run_main(capsys, "eval", "--json", "--spec", str(spec), "--x", "0,0", "--y", "1,2")
+    assert rc == 0 and len(used) == 1
+    before = specfile._parse.cache_info()
+    doc = specfile.load_spec(str(spec))
+    after = specfile._parse.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert doc is used[0] and doc.sha256 == json.loads(out)["spec_sha256"]
+
+    spec.write_text(BX_TEXT.replace("cubic-x-bx", "shared-1"))
+    edited = specfile.load_spec(str(spec))
+    assert specfile._parse.cache_info().misses == after.misses + 1
+    assert edited is not doc and edited.name == "shared-1"
 
 
 # -- document shapes one process lays out once ----------------------------------

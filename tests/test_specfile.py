@@ -48,6 +48,19 @@ def test_riemann_fixture_warns():
     assert doc.m == 2
 
 
+def test_order_two_warning_names_the_caller_on_every_load():
+    # the document is cached, the warning is not: a second load of the same
+    # file is a hit and still warns, and each warning names this line
+    path = FIXTURES / "riemann_identity.json"
+    text = path.read_text()
+    with pytest.warns(RiemannianOrderWarning) as warned:
+        first = load_spec(path)
+        again = load_spec(path)
+        parsed = parse_spec(text)
+    assert [w.filename for w in warned] == [__file__] * 3  # the caller's line
+    assert again is first and parsed.m == 2
+
+
 def test_non_canonical_indices_rejected():
     bad = doc_text(tensor=[
         {"indices": [2, 1, 1, 1], "poly": [{"exponents": [0, 0], "coeff": 1.0}]},
